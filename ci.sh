@@ -49,6 +49,14 @@ go test -run=NONE -bench=Iterate -benchtime=1x ./internal/resmgr
 # goroutine-interleaving flakes can't hide behind a cached pass.
 go test -race -count=2 ./internal/proto ./internal/peerlink ./internal/live
 
+# Wire-equals-direct smoke: three seconds of the benchmark's sweep_wire
+# workload at seed 1. Its output checks gate, on every CI run rather than
+# only when someone benchmarks, that each cell simulated over proto frames
+# digests equal to its direct-mode twin and that the seed-1 digest still
+# equals bench/golden.json (a failed check exits 1). Throughput is printed,
+# not gated.
+sh bench/run.sh --workload sweep_wire --seed 1 --seconds 3 --trace 0
+
 # Crash-recovery gate: the acceptance test SIGKILLs a live daemon
 # mid-run, restarts it on the same journal, and verifies co-starts from
 # the event logs; the drain test checks the SIGTERM peer notification.

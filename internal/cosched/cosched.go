@@ -82,7 +82,8 @@ const (
 	StatusCompleted
 )
 
-var statusNames = map[MateStatus]string{
+// statusNames is indexed by status; the names are the wire encoding.
+var statusNames = [...]string{
 	StatusUnknown:     "unknown",
 	StatusUnsubmitted: "unsubmitted",
 	StatusQueuing:     "queuing",
@@ -93,17 +94,17 @@ var statusNames = map[MateStatus]string{
 
 // String returns the wire name of the status.
 func (m MateStatus) String() string {
-	if n, ok := statusNames[m]; ok {
-		return n
+	if m >= 0 && int(m) < len(statusNames) {
+		return statusNames[m]
 	}
 	return fmt.Sprintf("matestatus(%d)", int(m))
 }
 
 // ParseMateStatus inverts String.
 func ParseMateStatus(s string) (MateStatus, error) {
-	for k, v := range statusNames {
-		if v == s {
-			return k, nil
+	for st, name := range statusNames {
+		if name == s {
+			return MateStatus(st), nil
 		}
 	}
 	return StatusUnknown, fmt.Errorf("cosched: unknown mate status %q", s)
@@ -218,6 +219,59 @@ type CoStarter interface {
 	// StartMateAt is StartMate with the caller's proposed co-start
 	// instant.
 	StartMateAt(id job.ID, at sim.Time) error
+}
+
+// MateProbe is everything Run_Job asks about one mate before it decides,
+// read from one snapshot of the remote manager.
+type MateProbe struct {
+	// Known is GetMateJob's answer (Algorithm 1 line 2).
+	Known bool
+	// Status is GetMateStatus's answer (line 4).
+	Status MateStatus
+	// CanStart is CanStartMate's answer. Run_Job reads it only for a
+	// queuing or unsubmitted mate, and ProbeMate's three-call composition
+	// asks for it only then; for any other status it may be left false.
+	CanStart bool
+}
+
+// Prober is an optional Peer extension: the three read-only queries Run_Job
+// makes back to back — GetMateJob, GetMateStatus, CanStartMate — answered
+// in one call, so a wire peer costs one round trip per mate instead of
+// three. The answers equal those of the three calls made at the same
+// instant (nothing can change the remote state between them in a
+// simulation; between live daemons one snapshot under the remote lock is
+// the more consistent of the two). Implemented by resmgr.Manager,
+// proto.Client/Server, peerlink.Link and proto.FaultInjector; callers go
+// through ProbeMate, which serves plain Peers too.
+type Prober interface {
+	ProbeMate(id job.ID) (MateProbe, error)
+}
+
+// ProbeMate gathers one mate's probe from p: through the Prober extension
+// when p has it, otherwise by composing the three Peer queries the way
+// Run_Job always has — an unknown job or an unknown status ends the
+// exchange early, and CanStartMate is asked only of a mate that would have
+// to be started (queuing or unsubmitted), where its failure means "cannot
+// start now" rather than "peer unreachable". This is the only place that
+// composition exists.
+func ProbeMate(p Peer, id job.ID) (MateProbe, error) {
+	if pr, ok := p.(Prober); ok {
+		return pr.ProbeMate(id)
+	}
+	known, err := p.GetMateJob(id)
+	if err != nil || !known {
+		return MateProbe{}, err
+	}
+	st, err := p.GetMateStatus(id)
+	if err != nil {
+		return MateProbe{}, err
+	}
+	probe := MateProbe{Known: true, Status: st}
+	if st == StatusQueuing || st == StatusUnsubmitted {
+		ok, err := p.CanStartMate(id)
+		probe.CanStart = err == nil && ok
+	}
+	return probe, nil
 }
 
 // MateView is one side's knowledge of one shared pair, exchanged during a

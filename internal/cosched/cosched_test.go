@@ -1,6 +1,9 @@
 package cosched
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -34,21 +37,116 @@ func TestParseScheme(t *testing.T) {
 }
 
 func TestMateStatusRoundTrip(t *testing.T) {
-	all := []MateStatus{
-		StatusUnknown, StatusUnsubmitted, StatusQueuing,
-		StatusHolding, StatusRunning, StatusCompleted,
+	// The names are the wire encoding: pinned here so a reordered enum or
+	// a renamed status cannot slip through as a self-consistent change.
+	wire := []string{"unknown", "unsubmitted", "queuing", "holding", "running", "completed"}
+	if len(wire) != len(statusNames) {
+		t.Fatalf("%d statuses named, test pins %d", len(statusNames), len(wire))
 	}
-	for _, st := range all {
-		got, err := ParseMateStatus(st.String())
+	for i, name := range wire {
+		st := MateStatus(i)
+		if st.String() != name {
+			t.Errorf("MateStatus(%d).String() = %q, want %q", i, st, name)
+		}
+		got, err := ParseMateStatus(name)
 		if err != nil || got != st {
-			t.Errorf("round trip %v: got %v, %v", st, got, err)
+			t.Errorf("ParseMateStatus(%q) = %v, %v, want %v", name, got, err, st)
 		}
 	}
-	if _, err := ParseMateStatus("nope"); err == nil {
-		t.Fatal("bogus status accepted")
+	_, err := ParseMateStatus("nope")
+	if err == nil || err.Error() != `cosched: unknown mate status "nope"` {
+		t.Fatalf("bogus status: err = %v", err)
 	}
-	if s := MateStatus(99).String(); s != "matestatus(99)" {
-		t.Fatalf("unknown status string = %q", s)
+	for _, out := range []MateStatus{99, -1, MateStatus(len(wire))} {
+		want := fmt.Sprintf("matestatus(%d)", int(out))
+		if s := out.String(); s != want {
+			t.Errorf("out-of-range status string = %q, want %q", s, want)
+		}
+		if _, err := ParseMateStatus(out.String()); err == nil {
+			t.Errorf("out-of-range name %q parsed", out.String())
+		}
+	}
+}
+
+// scriptedPeer is a plain Peer (no extension) that answers from fixed
+// values and records the order of the calls it receives.
+type scriptedPeer struct {
+	known         bool
+	status        MateStatus
+	canStart      bool
+	jobErr, stErr error
+	canErr        error
+	calls         []string
+	Peer          // nil: supplies the start calls, which a probe must never reach
+}
+
+func (p *scriptedPeer) GetMateJob(job.ID) (bool, error) {
+	p.calls = append(p.calls, "job")
+	return p.known, p.jobErr
+}
+
+func (p *scriptedPeer) GetMateStatus(job.ID) (MateStatus, error) {
+	p.calls = append(p.calls, "status")
+	return p.status, p.stErr
+}
+
+func (p *scriptedPeer) CanStartMate(job.ID) (bool, error) {
+	p.calls = append(p.calls, "can")
+	return p.canStart, p.canErr
+}
+
+// proberPeer adds the extension; ProbeMate must use it and nothing else.
+type proberPeer struct {
+	scriptedPeer
+	probe MateProbe
+}
+
+func (p *proberPeer) ProbeMate(job.ID) (MateProbe, error) {
+	p.calls = append(p.calls, "probe")
+	return p.probe, nil
+}
+
+// TestProbeMate pins the three-call composition to what Run_Job did with
+// the plain calls: which calls are made, in which order, when the exchange
+// stops early, and how each failure is reported.
+func TestProbeMate(t *testing.T) {
+	boom := errors.New("boom")
+	cases := []struct {
+		name    string
+		peer    scriptedPeer
+		want    MateProbe
+		wantErr bool
+		calls   string
+	}{
+		{"unknown job stops after one call", scriptedPeer{}, MateProbe{}, false, "job"},
+		{"GetMateJob error is the probe's error", scriptedPeer{known: true, jobErr: boom}, MateProbe{}, true, "job"},
+		{"GetMateStatus error is the probe's error", scriptedPeer{known: true, stErr: boom}, MateProbe{}, true, "job status"},
+		{"unknown status needs no can-start", scriptedPeer{known: true}, MateProbe{Known: true}, false, "job status"},
+		{"holding mate is never asked can-start", scriptedPeer{known: true, status: StatusHolding, canStart: true},
+			MateProbe{Known: true, Status: StatusHolding}, false, "job status"},
+		{"running mate is never asked can-start", scriptedPeer{known: true, status: StatusRunning},
+			MateProbe{Known: true, Status: StatusRunning}, false, "job status"},
+		{"queuing mate, startable", scriptedPeer{known: true, status: StatusQueuing, canStart: true},
+			MateProbe{Known: true, Status: StatusQueuing, CanStart: true}, false, "job status can"},
+		{"unsubmitted mate, not startable", scriptedPeer{known: true, status: StatusUnsubmitted},
+			MateProbe{Known: true, Status: StatusUnsubmitted}, false, "job status can"},
+		{"CanStartMate error means cannot start, not unreachable",
+			scriptedPeer{known: true, status: StatusQueuing, canStart: true, canErr: boom},
+			MateProbe{Known: true, Status: StatusQueuing}, false, "job status can"},
+	}
+	for _, c := range cases {
+		p := c.peer
+		got, err := ProbeMate(&p, 7)
+		if got != c.want || (err != nil) != c.wantErr || strings.Join(p.calls, " ") != c.calls {
+			t.Errorf("%s: ProbeMate = %+v, %v after calls %q; want %+v, err=%v after %q",
+				c.name, got, err, p.calls, c.want, c.wantErr, c.calls)
+		}
+	}
+
+	want := MateProbe{Known: true, Status: StatusQueuing, CanStart: true}
+	pp := &proberPeer{probe: want}
+	if got, err := ProbeMate(pp, 7); err != nil || got != want || strings.Join(pp.calls, " ") != "probe" {
+		t.Errorf("Prober peer: ProbeMate = %+v, %v after calls %q; want %+v after one probe", got, err, pp.calls, want)
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 // closure is the canonical shape). A read with no deadline turns a
 // silent peer into a goroutine leak that the 4-beat heartbeat contract
 // (PR 7) exists to prevent. Reads: proto.ReadFrame on a conn-like
-// argument, or a raw .Read on a conn-like receiver. "Same conn" is
-// matched lexically by selector path; a deadline on an unmatchable
-// expression (or from a summary) satisfies any read.
+// argument, a raw .Read on a conn-like receiver, or ReadFrame on a
+// proto.FrameReader (the buffered reader of one connection; which conn it
+// wraps is not visible here, so any earlier deadline satisfies it). "Same
+// conn" is matched lexically by selector path; a deadline on an
+// unmatchable expression (or from a summary) satisfies any read.
 func checkDeadline(p *Pass) {
 	if !protocolPackage(p.Path) {
 		return
@@ -70,6 +72,11 @@ func (p *Pass) scanDeadlines(body *ast.BlockStmt) {
 					reads = append(reads, readEvent{pos: call.Pos(), path: exprPath(sel.X), desc: "conn.Read"})
 				}
 				return true
+			case "ReadFrame":
+				if namedAs(recvType(p.Info, call), "cosched/internal/proto", "FrameReader") {
+					reads = append(reads, readEvent{pos: call.Pos(), desc: "proto.FrameReader.ReadFrame"})
+					return true
+				}
 			}
 		}
 		fn := calleeFunc(p.Info, call)

@@ -138,7 +138,8 @@ var Rules = []Rule{
 			"permanently parked goroutine; PR 7's liveness contract is that " +
 			"every read is bounded by 4 heartbeat intervals. In protocol " +
 			"packages (proto/peerlink/distsweep), every proto.ReadFrame on a " +
-			"conn-like value and every raw conn.Read must be lexically " +
+			"conn-like value, every proto.FrameReader.ReadFrame and every " +
+			"raw conn.Read must be lexically " +
 			"preceded, in the same function, by SetReadDeadline/SetDeadline " +
 			"on that conn or by a call to a helper/closure whose summary " +
 			"arms one. Reads that legitimately wait forever (an idle server " +

@@ -42,3 +42,18 @@ func readViaHelper(conn net.Conn, at time.Time) error {
 	var v int
 	return proto.ReadFrame(conn, &v)
 }
+
+// A FrameReader is the buffered reader of one connection: its reads block
+// on that connection exactly like the bare calls above.
+func bufferedReadNoDeadline(conn net.Conn) error {
+	var v int
+	return proto.NewFrameReader(conn).ReadFrame(&v) // want "R9"
+}
+
+func bufferedReadWithDeadline(conn net.Conn, frames *proto.FrameReader, at time.Time) error {
+	if err := conn.SetReadDeadline(at); err != nil {
+		return err
+	}
+	var v int
+	return frames.ReadFrame(&v)
+}

@@ -85,11 +85,13 @@ func (s State) String() string {
 
 // Transport is the connection a Link manages: the wire client
 // (proto.Client) in production, or a scriptable fake in tests. It carries
-// the full protocol including the co-start-instant and reconciliation
-// extensions (proto.Client implements both; fakes must too).
+// the full protocol including the co-start-instant, probe and
+// reconciliation extensions (proto.Client implements all three; fakes must
+// too).
 type Transport interface {
 	cosched.Peer
 	cosched.CoStarter
+	cosched.Prober
 	cosched.Reconciler
 	Ping() (string, error)
 	Close() error
@@ -632,8 +634,23 @@ func (l *Link) StartMate(id job.ID) error {
 
 var (
 	_ cosched.CoStarter  = (*Link)(nil)
+	_ cosched.Prober     = (*Link)(nil)
 	_ cosched.Reconciler = (*Link)(nil)
 )
+
+// ProbeMate implements cosched.Prober. A pure query, so idempotent: an
+// ambiguous read-stage failure may retry on a fresh connection.
+func (l *Link) ProbeMate(id job.ID) (cosched.MateProbe, error) {
+	var probe cosched.MateProbe
+	err := l.do(true, func(t Transport) error {
+		p, err := t.ProbeMate(id)
+		if err == nil {
+			probe = p
+		}
+		return err
+	})
+	return probe, err
+}
 
 // TryStartMateAt implements cosched.CoStarter. Not idempotent (see
 // TryStartMate).

@@ -71,6 +71,13 @@ func (c *fakeConn) CanStartMate(id job.ID) (bool, error) {
 	return true, c.roundTrip(proto.MethodCanStartMate)
 }
 
+func (c *fakeConn) ProbeMate(id job.ID) (cosched.MateProbe, error) {
+	if err := c.roundTrip(proto.MethodProbeMate); err != nil {
+		return cosched.MateProbe{}, err
+	}
+	return cosched.MateProbe{Known: true, Status: cosched.StatusQueuing, CanStart: true}, nil
+}
+
 func (c *fakeConn) TryStartMate(id job.ID) (bool, error) {
 	return true, c.roundTrip(proto.MethodTryStartMate)
 }
@@ -199,11 +206,15 @@ func TestBreakerOpensAfterConsecutiveDialFailures(t *testing.T) {
 			t.Fatalf("open-breaker error = %v, want ErrCircuitOpen", err)
 		}
 	}
+	// The combined probe — the call Run_Job actually makes — fails as fast.
+	if _, err := l.ProbeMate(1); !errors.Is(err, peerlink.ErrCircuitOpen) {
+		t.Fatalf("open-breaker ProbeMate error = %v, want ErrCircuitOpen", err)
+	}
 	if h.dialCount() != dials {
 		t.Fatalf("open breaker dialed: %d -> %d", dials, h.dialCount())
 	}
 	snap := l.Snapshot()
-	if snap.State != "open" || snap.Trips != 1 || snap.FastFails < 10 {
+	if snap.State != "open" || snap.Trips != 1 || snap.FastFails < 11 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 }
@@ -417,6 +428,19 @@ func TestReadStageFailureNotRetriedForNonIdempotentCalls(t *testing.T) {
 	}
 	if snap := l2.Snapshot(); snap.Retries != 1 {
 		t.Fatalf("retries = %d, want 1", snap.Retries)
+	}
+
+	// ProbeMate is a pure query too: same ambiguity, same retry, and the
+	// retried answer is the one returned.
+	h3 := newHarness()
+	h3.onConn = h.onConn
+	l3 := newTestLink(h3, func(c *peerlink.Config) { c.Dial = h3.dial; c.Now = h3.now })
+	probe, err := l3.ProbeMate(7)
+	if want := (cosched.MateProbe{Known: true, Status: cosched.StatusQueuing, CanStart: true}); err != nil || probe != want {
+		t.Fatalf("ProbeMate = %+v, %v (want retried %+v)", probe, err, want)
+	}
+	if snap := l3.Snapshot(); h3.dialCount() != 2 || snap.Retries != 1 {
+		t.Fatalf("dials = %d, retries = %d, want 2 and 1", h3.dialCount(), snap.Retries)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
+	frames  *FrameReader // buffered reads of conn
 	seq     uint64
 	timeout time.Duration
 	domain  string // learned from Ping; "" until then
@@ -35,7 +36,7 @@ type Client struct {
 // NewClient wraps conn. timeout bounds each round trip; 0 means no
 // deadline (useful for net.Pipe transports inside single-threaded tests).
 func NewClient(conn net.Conn, timeout time.Duration) *Client {
-	return &Client{conn: conn, timeout: timeout}
+	return &Client{conn: conn, frames: NewFrameReader(conn), timeout: timeout}
 }
 
 // Dial connects to a coscheduling daemon over TCP. timeout bounds both the
@@ -98,7 +99,7 @@ func (c *Client) call(req Request) (Response, error) {
 		return Response{}, c.breakLocked(req.Method, StageWrite, err)
 	}
 	var resp Response
-	if err := ReadFrame(c.conn, &resp); err != nil {
+	if err := c.frames.ReadFrame(&resp); err != nil {
 		return Response{}, c.breakLocked(req.Method, StageRead, err)
 	}
 	if resp.Seq != req.Seq {
@@ -179,8 +180,23 @@ func (c *Client) StartMate(id job.ID) error {
 
 var (
 	_ cosched.CoStarter  = (*Client)(nil)
+	_ cosched.Prober     = (*Client)(nil)
 	_ cosched.Reconciler = (*Client)(nil)
 )
+
+// ProbeMate implements cosched.Prober: one round trip for the three
+// queries Run_Job makes about a mate.
+func (c *Client) ProbeMate(id job.ID) (cosched.MateProbe, error) {
+	resp, err := c.call(Request{Method: MethodProbeMate, JobID: id})
+	if err != nil {
+		return cosched.MateProbe{}, err
+	}
+	st, err := cosched.ParseMateStatus(resp.Status)
+	if err != nil {
+		return cosched.MateProbe{}, err
+	}
+	return cosched.MateProbe{Known: resp.Known, Status: st, CanStart: resp.OK}, nil
+}
 
 // TryStartMateAt implements cosched.CoStarter: TryStartMate carrying the
 // caller's proposed co-start instant.

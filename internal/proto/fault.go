@@ -311,8 +311,25 @@ func (f *FaultInjector) StartMate(id job.ID) error {
 
 var (
 	_ cosched.CoStarter  = (*FaultInjector)(nil)
+	_ cosched.Prober     = (*FaultInjector)(nil)
 	_ cosched.Reconciler = (*FaultInjector)(nil)
 )
+
+// ProbeMate implements cosched.Prober with one chaos draw and the query
+// semantics of GetMateStatus, so a schedule hits the one call Run_Job makes
+// per mate rather than three calls it no longer makes. A plain-Peer inner
+// is asked the three queries behind that single draw.
+func (f *FaultInjector) ProbeMate(id job.ID) (cosched.MateProbe, error) {
+	o := f.intercept()
+	if o.err != nil {
+		return cosched.MateProbe{}, o.err
+	}
+	probe, err := cosched.ProbeMate(f.inner, id)
+	if o.dup {
+		cosched.ProbeMate(f.inner, id) // duplicate delivery: response discarded
+	}
+	return probe, err
+}
 
 // TryStartMateAt implements cosched.CoStarter; the chaos draw is identical
 // to TryStartMate's (one intercept per call), so wrapping an extension-aware

@@ -14,6 +14,11 @@ func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
 	_ = WriteFrame(&good, &Request{Seq: 1, Method: MethodPing})
 	f.Add(good.Bytes())
+	var probeReq, probeResp bytes.Buffer
+	_ = WriteFrame(&probeReq, &Request{Seq: 2, Method: MethodProbeMate, JobID: 4242})
+	f.Add(probeReq.Bytes())
+	_ = WriteFrame(&probeResp, &Response{Seq: 2, Known: true, Status: "queuing", OK: true})
+	f.Add(probeResp.Bytes())
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'})
 	f.Add([]byte{0, 0, 0, 2, '{', '}'})
@@ -38,6 +43,7 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add(uint64(1), MethodPing, int64(0))
 	f.Add(uint64(2), MethodGetMateStatus, int64(7))
 	f.Add(uint64(3), "bogus", int64(-1))
+	f.Add(uint64(5), MethodProbeMate, int64(7))
 	f.Add(uint64(4), MethodTryStartMate, int64(1<<40))
 	backend := newFakeBackend()
 	server := NewServer(backend, nil, nil)

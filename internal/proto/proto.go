@@ -1,15 +1,37 @@
 // Package proto is the lightweight coordination protocol of Tang et al.
-// (ICPP 2011) on the wire: length-prefixed JSON request/response frames
-// carrying the five Peer calls (GetMateJob, GetMateStatus, CanStartMate,
-// TryStartMate, StartMate) plus Ping.
+// (ICPP 2011) on the wire: length-prefixed JSON request/response frames,
+// one Request answered by one Response with the same Seq.
+//
+//	method           carries            answers          implements
+//	ping             —                  domain           Client.Ping
+//	probe_mate       job_id             known,status,ok  cosched.Prober
+//	get_mate_job     job_id             known            cosched.Peer
+//	get_mate_status  job_id             status           cosched.Peer
+//	can_start_mate   job_id             ok               cosched.Peer
+//	try_start_mate   job_id, at?        ok               cosched.Peer / CoStarter with at
+//	start_mate       job_id, at?        —                cosched.Peer / CoStarter with at
+//	reconcile_mates  from, views        views            cosched.Reconciler
+//
+// probe_mate is what Algorithm 1 sends: the three read-only queries
+// Run_Job makes about a mate, answered from one snapshot in one round
+// trip. The three single-query methods stay served for peers that only
+// speak cosched.Peer (cosched.ProbeMate composes the probe from them). at
+// is the caller's proposed co-start instant; without it the callee stamps
+// its own clock. ping, the probe, the three queries and reconcile_mates
+// are idempotent — internal/peerlink may replay them after an ambiguous
+// failure; try_start_mate and start_mate are not. Any method the server
+// does not know is answered with an ErrBadMethod error string, which the
+// client surfaces as a RemoteError like any other refusal.
 //
 // The protocol is deliberately minimal — the paper's argument for
 // practicality is that two administratively independent resource managers
 // need only these calls, with no shared configuration and no global
-// submission portal. A Client implements cosched.Peer over any net.Conn
-// (TCP between real daemons, net.Pipe inside tests and simulations); a
-// Server dispatches requests to any cosched.Peer (normally a
-// resmgr.Manager).
+// submission portal. A Client implements cosched.Peer and its extensions
+// over any net.Conn (TCP between real daemons, net.Pipe inside tests and
+// simulations); a Server dispatches requests to any cosched.Peer (normally
+// a resmgr.Manager). A frame is written with one Write and read through a
+// per-connection buffered FrameReader, so a call costs one write and
+// (usually) one read per side.
 //
 // Fault tolerance is part of the contract: any transport error or timeout
 // surfaces as an error from the Peer method, which Algorithm 1 maps to
@@ -17,11 +39,14 @@
 package proto
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"cosched/internal/cosched"
 	"cosched/internal/job"
@@ -34,6 +59,7 @@ const (
 	MethodGetMateJob    = "get_mate_job"
 	MethodGetMateStatus = "get_mate_status"
 	MethodCanStartMate  = "can_start_mate"
+	MethodProbeMate     = "probe_mate"
 	MethodTryStartMate  = "try_start_mate"
 	MethodStartMate     = "start_mate"
 	MethodReconcile     = "reconcile_mates"
@@ -64,9 +90,9 @@ type Response struct {
 	Seq    uint64     `json:"seq"`
 	Error  string     `json:"error,omitempty"`
 	Domain string     `json:"domain,omitempty"` // ping: responder's domain name
-	Known  bool       `json:"known,omitempty"`  // get_mate_job
-	Status string     `json:"status,omitempty"` // get_mate_status
-	OK     bool       `json:"ok,omitempty"`     // can/try_start_mate
+	Known  bool       `json:"known,omitempty"`  // get_mate_job, probe_mate
+	Status string     `json:"status,omitempty"` // get_mate_status, probe_mate
+	OK     bool       `json:"ok,omitempty"`     // can/try_start_mate; probe_mate: CanStart
 	Views  []MateWire `json:"views,omitempty"`  // reconcile_mates
 }
 
@@ -114,38 +140,115 @@ var (
 	ErrBadMethod     = errors.New("proto: unknown method")
 )
 
-// WriteFrame writes a length-prefixed JSON encoding of v.
+// frameBuf is the scratch a WriteFrame call builds its frame in: four
+// header bytes, then the JSON payload, handed to the writer as one slice.
+// The encoder is bound to the buffer once, so a pooled frameBuf encodes
+// without allocating.
+type frameBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledFrame caps the buffers kept between frames (pooled write
+// scratch and a FrameReader's payload buffer), so one large reconcile
+// exchange does not pin a megabyte for the life of the process or the
+// connection. Coordination frames are around a hundred bytes.
+const maxPooledFrame = 64 << 10
+
+var framePool = sync.Pool{New: func() any {
+	f := new(frameBuf)
+	f.enc = json.NewEncoder(&f.buf)
+	return f
+}}
+
+// WriteFrame writes a length-prefixed JSON encoding of v with a single
+// Write: header and payload leave together, so a frame costs one syscall
+// on a socket (one rendezvous on a net.Pipe) and is never interleaved with
+// a partial header. Nothing is written when encoding fails or the payload
+// exceeds MaxFrameSize.
 func WriteFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
+	f := framePool.Get().(*frameBuf)
+	defer func() {
+		if f.buf.Cap() <= maxPooledFrame {
+			framePool.Put(f)
+		}
+	}()
+	f.buf.Reset()
+	f.buf.Write([]byte{0, 0, 0, 0}) // header, filled in once the payload length is known
+	if err := f.enc.Encode(v); err != nil {
 		return fmt.Errorf("proto: marshal: %w", err)
 	}
-	if len(payload) > MaxFrameSize {
+	f.buf.Truncate(f.buf.Len() - 1) // Encode appends a newline json.Marshal does not
+	frame := f.buf.Bytes()
+	if len(frame)-4 > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := w.Write(frame)
 	return err
 }
 
-// ReadFrame reads one length-prefixed JSON frame into v.
+// ReadFrame reads one length-prefixed JSON frame into v. A caller that
+// reads many frames from one connection should use a FrameReader instead.
 func ReadFrame(r io.Reader, v any) error {
 	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	payload, err := readPayload(r, hdr[:], nil)
+	if err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	return unmarshalFrame(payload, v)
+}
+
+// FrameReader reads the frames of one connection through a buffered
+// reader, so a frame that arrived whole costs one Read of the connection
+// instead of two (header, payload), and decodes every frame from one
+// reused payload buffer. Not safe for concurrent use; Client and
+// Server.ServeConn each own one per connection.
+type FrameReader struct {
+	br      *bufio.Reader
+	hdr     [4]byte
+	payload []byte
+}
+
+// NewFrameReader buffers r.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{br: bufio.NewReader(r)}
+}
+
+// ReadFrame reads the next frame into v. It blocks like a read of the
+// underlying connection, whose deadline (if any) bounds it.
+func (fr *FrameReader) ReadFrame(v any) error {
+	payload, err := readPayload(fr.br, fr.hdr[:], fr.payload)
+	if err != nil {
+		return err
+	}
+	if cap(payload) <= maxPooledFrame {
+		fr.payload = payload[:0]
+	}
+	return unmarshalFrame(payload, v)
+}
+
+// readPayload reads one frame's header into hdr and its payload into buf
+// (grown when too small), rejecting an oversized length before allocating.
+func readPayload(r io.Reader, hdr, buf []byte) ([]byte, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrameSize {
-		return ErrFrameTooLarge
+		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
 	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+func unmarshalFrame(payload []byte, v any) error {
 	if err := json.Unmarshal(payload, v); err != nil {
 		return fmt.Errorf("proto: unmarshal: %w", err)
 	}

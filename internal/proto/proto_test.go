@@ -2,11 +2,16 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"cosched/internal/cosched"
@@ -46,6 +51,103 @@ func TestFrameTruncatedPayload(t *testing.T) {
 	var out Request
 	if err := ReadFrame(bytes.NewReader(short), &out); err == nil {
 		t.Fatal("truncated frame parsed successfully")
+	}
+}
+
+// countingWriter records every Write it receives.
+type countingWriter struct{ writes [][]byte }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestWriteFrameIsOneWrite: header and payload leave in a single Write (a
+// frame costs one syscall on a socket, one rendezvous on a net.Pipe), and
+// an oversized frame is refused before any byte is written.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	var w countingWriter
+	in := Request{Seq: 9, Method: MethodProbeMate, JobID: 4242}
+	if err := WriteFrame(&w, &in); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.writes) != 1 {
+		t.Fatalf("WriteFrame made %d writes, want 1", len(w.writes))
+	}
+	frame := w.writes[0]
+	payload, _ := json.Marshal(&in)
+	if n := binary.BigEndian.Uint32(frame); int(n) != len(frame)-4 || !bytes.Equal(frame[4:], payload) {
+		t.Fatalf("frame = % x: header says %d, payload %q; want json.Marshal's %q", frame, n, frame[4:], payload)
+	}
+	var out Request
+	if err := ReadFrame(bytes.NewReader(frame), &out); err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("read back %+v, %v", out, err)
+	}
+
+	w.writes = nil
+	big := Request{From: strings.Repeat("x", MaxFrameSize)}
+	if err := WriteFrame(&w, &big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized frame: err = %v, want ErrFrameTooLarge", err)
+	}
+	if len(w.writes) != 0 {
+		t.Fatalf("oversized frame wrote %d chunk(s) before failing", len(w.writes))
+	}
+	// The pooled scratch must not leak one frame's bytes into the next.
+	if err := WriteFrame(&w, &in); err != nil || len(w.writes) != 1 || !bytes.Equal(w.writes[0], frame) {
+		t.Fatalf("frame after a refused one = % x, %v; want the first frame again", w.writes, err)
+	}
+}
+
+// countingReader counts the Reads that reach the underlying stream.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestFrameReaderSplitAndCoalesced: a FrameReader reassembles a frame that
+// arrives one byte per Read, and serves two frames that arrived together
+// from a single Read of the connection.
+func TestFrameReaderSplitAndCoalesced(t *testing.T) {
+	var wire bytes.Buffer
+	first := Request{Seq: 1, Method: MethodProbeMate, JobID: 7}
+	second := Request{Seq: 2, Method: MethodStartMate, JobID: 7}
+	for _, f := range []*Request{&first, &second} {
+		if err := WriteFrame(&wire, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(name string, fr *FrameReader) {
+		t.Helper()
+		for _, want := range []Request{first, second} {
+			var got Request
+			if err := fr.ReadFrame(&got); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: got %+v, %v; want %+v", name, got, err, want)
+			}
+		}
+		var extra Request
+		if err := fr.ReadFrame(&extra); err != io.EOF {
+			t.Fatalf("%s: read past the last frame: err = %v, want io.EOF", name, err)
+		}
+	}
+
+	check("one byte per read", NewFrameReader(iotest.OneByteReader(bytes.NewReader(wire.Bytes()))))
+
+	cr := &countingReader{r: bytes.NewReader(wire.Bytes())}
+	check("two frames in one read", NewFrameReader(cr))
+	if cr.reads != 2 { // both frames, then the EOF
+		t.Fatalf("two coalesced frames cost %d reads of the connection, want 2 (data, EOF)", cr.reads)
+	}
+
+	// A header cut short is a torn frame, not a clean end of stream.
+	torn := NewFrameReader(bytes.NewReader(wire.Bytes()[:2]))
+	var req Request
+	if err := torn.ReadFrame(&req); err != io.ErrUnexpectedEOF {
+		t.Fatalf("torn header: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
@@ -165,6 +267,35 @@ func TestClientServerOverPipe(t *testing.T) {
 	}
 	if err := c.StartMate(8); err != nil {
 		t.Fatalf("StartMate(8): %v", err)
+	}
+}
+
+// TestProbeMateOverPipe: one probe_mate round trip carries the three
+// answers. The backend here is a plain Peer, so the server composes them
+// through cosched.ProbeMate; the answers must equal the three plain calls.
+func TestProbeMateOverPipe(t *testing.T) {
+	backend := newFakeBackend()
+	backend.statuses[7] = cosched.StatusQueuing
+	backend.statuses[8] = cosched.StatusHolding
+	c := pipePair(t, backend)
+	for id, want := range map[job.ID]cosched.MateProbe{
+		7:  {Known: true, Status: cosched.StatusQueuing, CanStart: true},
+		8:  {Known: true, Status: cosched.StatusHolding},
+		99: {},
+	} {
+		got, err := c.ProbeMate(id)
+		if err != nil || got != want {
+			t.Errorf("ProbeMate(%d) = %+v, %v; want %+v", id, got, err, want)
+		}
+	}
+	backend.mu.Lock()
+	backend.fail = true
+	backend.mu.Unlock()
+	if _, err := c.ProbeMate(7); !IsRemote(err) {
+		t.Fatalf("backend failure surfaced as %v, want a RemoteError", err)
+	}
+	if c.Broken() {
+		t.Fatal("a remote error retired the connection")
 	}
 }
 
@@ -315,6 +446,63 @@ func TestFaultInjectorDeterminismAndRate(t *testing.T) {
 			break
 		}
 	}
+}
+
+// onceScript hands out one directive, then zero values.
+type onceScript struct{ d CallDirective }
+
+func (s *onceScript) NextCall() CallDirective {
+	d := s.d
+	s.d = CallDirective{}
+	return d
+}
+
+// TestFaultInjectorProbeMateIsOneDraw: the combined probe consumes exactly
+// one intercept, like the GetMateStatus query it subsumes — same seed, same
+// failure pattern — even when the inner peer is a plain Peer that has to be
+// asked three queries behind that draw; a duplicate directive repeats the
+// whole probe.
+func TestFaultInjectorProbeMateIsOneDraw(t *testing.T) {
+	backend := newFakeBackend()
+	backend.statuses[1] = cosched.StatusQueuing
+	a := NewFaultInjector(backend, 0.3, 42)
+	b := NewFaultInjector(backend, 0.3, 42)
+	for i := 0; i < 500; i++ {
+		_, errA := a.GetMateStatus(1)
+		probe, errB := b.ProbeMate(1)
+		if (errA != nil) != (errB != nil) {
+			t.Fatalf("call %d: GetMateStatus err=%v, ProbeMate err=%v — the probe drew a different stream", i, errA, errB)
+		}
+		if errB != nil && !errors.Is(errB, ErrInjected) {
+			t.Fatalf("call %d: wrong error type: %v", i, errB)
+		}
+		if want := (cosched.MateProbe{Known: true, Status: cosched.StatusQueuing, CanStart: true}); errB == nil && probe != want {
+			t.Fatalf("call %d: probe = %+v, want %+v", i, probe, want)
+		}
+	}
+	if b.Calls() != 500 || b.Failed() != a.Failed() || b.Failed() == 0 {
+		t.Fatalf("probe injector: calls = %d, failed = %d; query injector failed %d", b.Calls(), b.Failed(), a.Failed())
+	}
+
+	counted := &countingProber{}
+	dup := NewFaultInjector(counted, 0, 1).WithScript(&onceScript{CallDirective{Duplicate: true}})
+	if _, err := dup.ProbeMate(1); err != nil || counted.probes != 2 || dup.Duplicated() != 1 {
+		t.Fatalf("duplicated probe: err = %v, inner probed %d times, Duplicated() = %d; want nil, 2, 1", err, counted.probes, dup.Duplicated())
+	}
+	if _, err := dup.ProbeMate(1); err != nil || counted.probes != 3 {
+		t.Fatalf("plain probe after the directive: err = %v, inner probed %d times; want nil, 3", err, counted.probes)
+	}
+}
+
+// countingProber is a Prober-capable peer that counts its probes.
+type countingProber struct {
+	fakeBackend
+	probes int
+}
+
+func (p *countingProber) ProbeMate(job.ID) (cosched.MateProbe, error) {
+	p.probes++
+	return cosched.MateProbe{}, nil
 }
 
 func TestFaultInjectorRateClamps(t *testing.T) {

@@ -86,10 +86,11 @@ func (s *Server) ServeConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	frames := NewFrameReader(conn)
 	for {
 		var req Request
 		//simlint:allow R9 a peer connection idles between requests by design; request liveness is bounded by the client's own per-call deadlines, and shutdown closes the conn to unblock this read
-		if err := ReadFrame(conn, &req); err != nil {
+		if err := frames.ReadFrame(&req); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && s.logger != nil {
 				s.logger.Printf("proto server: read: %v", err)
 			}
@@ -126,6 +127,12 @@ func (s *Server) dispatch(req Request) Response {
 	case MethodCanStartMate:
 		ok, err := s.backend.CanStartMate(req.JobID)
 		resp.OK = ok
+		setErr(&resp, err)
+	case MethodProbeMate:
+		// The helper serves any backend: a plain Peer is asked the three
+		// queries here, under one hold of the lock.
+		probe, err := cosched.ProbeMate(s.backend, req.JobID)
+		resp.Known, resp.Status, resp.OK = probe.Known, probe.Status.String(), probe.CanStart
 		setErr(&resp, err)
 	case MethodTryStartMate:
 		// An At-carrying frame proposes the co-start instant; honor it when

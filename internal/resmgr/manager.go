@@ -829,74 +829,50 @@ func (m *Manager) RunJob(j *job.Job, now sim.Time, holdSafe bool) {
 		return
 	}
 
-	// Query every mate (one for the paper's pairs; several for the N-way
-	// extension). Fault tolerance: peer errors and unknown mates drop out
-	// of the coordination set.
+	// Probe every mate (one for the paper's pairs; several for the N-way
+	// extension) — known, status and can-start come from one exchange per
+	// mate — and partition them by what must happen for a simultaneous
+	// start. Fault tolerance: a mate whose peer is unconfigured or fails,
+	// that the peer does not know (lines 25–26 / 30–31), or that is already
+	// past coordination (running after a fault-tolerance fallback start,
+	// completed, cancelled) imposes no constraint.
 	type mateInfo struct {
-		peer   cosched.Peer
-		ref    job.MateRef
-		status cosched.MateStatus
+		peer cosched.Peer
+		ref  job.MateRef
 	}
 	// Coordination sets are tiny (one mate for the paper's pairs, a
 	// handful for N-way groups); stack-backed storage keeps this hot path
 	// off the heap, falling back to append growth only past 4 mates.
-	var matesArr [4]mateInfo
-	mates := matesArr[:0]
-	for _, ref := range j.Mates {
-		p, err := m.peerFor(ref)
-		if err != nil {
-			continue // no peer configured: behave as mate unknown
-		}
-		known, err := p.GetMateJob(ref.Job)
-		if err != nil || !known {
-			continue // lines 30–31 / 25–26: start normally
-		}
-		st, err := p.GetMateStatus(ref.Job)
-		if err != nil || st == cosched.StatusUnknown {
-			continue
-		}
-		mates = append(mates, mateInfo{peer: p, ref: ref, status: st})
-	}
-	if len(mates) == 0 {
-		m.startJob(j, now)
-		return
-	}
-
-	// Partition the mates by what must happen for a simultaneous start.
 	var releaseArr, tryArr [4]mateInfo
 	toRelease := releaseArr[:0] // holding: release into run once we start
 	toTry := tryArr[:0]         // queuing/unsubmitted: need TryStartMate
-	terminalOnly := true
-	for _, mi := range mates {
-		switch mi.status {
+	// An N-way group never starts partially: every mate that needs a
+	// TryStartMate must have probed as startable before any is issued.
+	// (For 2-way this is one probe + one try, matching the paper's
+	// tryStartMate exchange.)
+	allStartable := true
+	for _, ref := range j.Mates {
+		p, err := m.peerFor(ref)
+		if err != nil {
+			continue
+		}
+		probe, err := cosched.ProbeMate(p, ref.Job)
+		if err != nil || !probe.Known {
+			continue
+		}
+		switch probe.Status {
 		case cosched.StatusHolding:
-			toRelease = append(toRelease, mi)
-			terminalOnly = false
+			toRelease = append(toRelease, mateInfo{p, ref})
 		case cosched.StatusQueuing, cosched.StatusUnsubmitted:
-			toTry = append(toTry, mi)
-			terminalOnly = false
-		case cosched.StatusRunning, cosched.StatusCompleted:
-			// Mate already past coordination (fault-tolerance fallback
-			// start, or finished); it imposes no constraint.
+			toTry = append(toTry, mateInfo{p, ref})
+			allStartable = allStartable && probe.CanStart
 		}
 	}
-	if terminalOnly {
+	if len(toRelease)+len(toTry) == 0 {
 		m.startJob(j, now)
 		return
 	}
 
-	// Probe the non-ready mates first so an N-way group never starts
-	// partially: every TryStartMate must be expected to succeed before any
-	// is issued. (For 2-way this is one probe + one try, matching the
-	// paper's tryStartMate exchange.)
-	allStartable := true
-	for _, mi := range toTry {
-		ok, err := mi.peer.CanStartMate(mi.ref.Job)
-		if err != nil || !ok {
-			allStartable = false
-			break
-		}
-	}
 	if allStartable {
 		// The resolver proposes now as the group's co-start instant; every
 		// callee records it verbatim (see cosched.CoStarter), so the whole
@@ -1170,6 +1146,7 @@ func (m *Manager) completeJob(j *job.Job, now sim.Time) {
 var (
 	_ cosched.Peer       = (*Manager)(nil)
 	_ cosched.CoStarter  = (*Manager)(nil)
+	_ cosched.Prober     = (*Manager)(nil)
 	_ cosched.Reconciler = (*Manager)(nil)
 )
 
@@ -1221,17 +1198,29 @@ func (m *Manager) GetMateStatus(id job.ID) (cosched.MateStatus, error) {
 // succeed right now, without side effects.
 func (m *Manager) CanStartMate(id job.ID) (bool, error) {
 	j, ok := m.jobs[id]
-	if !ok {
-		return false, nil
-	}
+	return ok && m.canStart(j), nil
+}
+
+// canStart is CanStartMate's answer for a registered job.
+func (m *Manager) canStart(j *job.Job) bool {
 	switch j.State {
 	case job.Queued:
-		return m.pool.CanAllocate(j.Nodes), nil
+		return m.pool.CanAllocate(j.Nodes)
 	case job.Holding, job.Running:
-		return true, nil
+		return true
 	default:
-		return false, nil
+		return false
 	}
+}
+
+// ProbeMate implements cosched.Prober: the three queries above from one
+// lookup.
+func (m *Manager) ProbeMate(id job.ID) (cosched.MateProbe, error) {
+	j, ok := m.jobs[id]
+	if !ok {
+		return cosched.MateProbe{}, nil
+	}
+	return cosched.MateProbe{Known: true, Status: cosched.FromJobState(j.State), CanStart: m.canStart(j)}, nil
 }
 
 // TryStartMate implements cosched.Peer: the "additional scheduling
