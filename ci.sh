@@ -70,6 +70,12 @@ go test -race -count=2 -run 'Crash|Drain|Flag' ./cmd/coschedd
 # sequence check, whatever bytes a crash left behind.
 go test -run '^$' -fuzz 'FuzzDecodeEntries' -fuzztime 10s ./internal/journal
 
+# Frame-codec fuzz smoke: ten seconds of the differential target for the
+# hand-written Request/Response codec. encoding/json defines the wire, so
+# every payload must decode to what json.Unmarshal alone gives (same value,
+# same error-ness) and every value must encode to json.Marshal's bytes.
+go test -run '^$' -fuzz 'FuzzFrameCodec' -fuzztime 10s ./internal/proto
+
 # Debug-build hardening: the backfill sortedness asserts and the
 # invariant package's fail-fast deadlock monitor only compile under
 # -tags debug; run their suites together with the asserts live.

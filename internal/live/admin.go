@@ -120,9 +120,10 @@ func (s *AdminServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	frames := proto.NewFrameReader(conn)
 	for {
 		var req AdminRequest
-		if err := proto.ReadFrame(conn, &req); err != nil {
+		if err := frames.ReadFrame(&req); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && s.logger != nil {
 				s.logger.Printf("admin: read: %v", err)
 			}
@@ -248,9 +249,10 @@ func (s *AdminServer) Close() error {
 
 // AdminClient is the dial side of the admin interface.
 type AdminClient struct {
-	mu   sync.Mutex
-	conn net.Conn
-	seq  uint64
+	mu     sync.Mutex
+	conn   net.Conn
+	frames *proto.FrameReader // buffered reads of conn
+	seq    uint64
 }
 
 // DialAdmin connects to a daemon's admin port.
@@ -259,7 +261,7 @@ func DialAdmin(addr string, timeout time.Duration) (*AdminClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AdminClient{conn: conn}, nil
+	return &AdminClient{conn: conn, frames: proto.NewFrameReader(conn)}, nil
 }
 
 // Close closes the connection.
@@ -274,8 +276,14 @@ func (c *AdminClient) call(req AdminRequest) (AdminResponse, error) {
 		return AdminResponse{}, err
 	}
 	var resp AdminResponse
-	if err := proto.ReadFrame(c.conn, &resp); err != nil {
+	if err := c.frames.ReadFrame(&resp); err != nil {
 		return AdminResponse{}, err
+	}
+	if resp.Seq != req.Seq {
+		// A late answer to an earlier request: every later response on this
+		// connection would be off by one too, so the connection is retired.
+		c.conn.Close()
+		return AdminResponse{}, fmt.Errorf("admin: sequence mismatch: sent %d, got %d", req.Seq, resp.Seq)
 	}
 	if resp.Error != "" {
 		return resp, errors.New(resp.Error)

@@ -3,7 +3,9 @@ package live
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -427,5 +429,36 @@ func TestAdminCancel(t *testing.T) {
 	// Double cancel errors.
 	if err := c.Cancel(3); err == nil {
 		t.Fatal("double cancel accepted")
+	}
+}
+
+// TestAdminClientRejectsStaleResponse: a response whose Seq is not the
+// request's is a late answer to an earlier call; the client must fail the
+// call rather than return the wrong job's state, and retire the connection.
+func TestAdminClientRejectsStaleResponse(t *testing.T) {
+	clientEnd, serverEnd := net.Pipe()
+	defer serverEnd.Close()
+	go func() { // answers request 1 properly, then request 2 with seq 1 again
+		frames := proto.NewFrameReader(serverEnd)
+		for i := 0; i < 2; i++ {
+			var req AdminRequest
+			if err := frames.ReadFrame(&req); err != nil {
+				return
+			}
+			if err := proto.WriteFrame(serverEnd, &AdminResponse{Seq: 1, State: "running"}); err != nil {
+				return
+			}
+		}
+	}()
+	c := &AdminClient{conn: clientEnd, frames: proto.NewFrameReader(clientEnd)}
+	defer c.Close()
+	if st, err := c.Status(5); err != nil || st.State != "running" {
+		t.Fatalf("first call = %+v, %v", st, err)
+	}
+	if st, err := c.Status(6); err == nil || !strings.Contains(err.Error(), "sequence mismatch") {
+		t.Fatalf("stale response accepted: %+v, %v", st, err)
+	}
+	if _, err := c.Status(7); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("call after a mismatch = %v, want the closed connection's error", err)
 	}
 }

@@ -95,11 +95,17 @@ func (c *Client) call(req Request) (Response, error) {
 			return Response{}, c.breakLocked(req.Method, StageDeadline, err)
 		}
 	}
-	if err := WriteFrame(c.conn, &req); err != nil {
+	// The typed forms of WriteFrame and FrameReader.ReadFrame: req and resp
+	// stay on the stack, so a round trip allocates nothing.
+	if err := writeRequest(c.conn, &req); err != nil {
 		return Response{}, c.breakLocked(req.Method, StageWrite, err)
 	}
 	var resp Response
-	if err := c.frames.ReadFrame(&resp); err != nil {
+	payload, err := c.frames.next()
+	if err == nil {
+		err = unmarshalResponse(payload, &resp)
+	}
+	if err != nil {
 		return Response{}, c.breakLocked(req.Method, StageRead, err)
 	}
 	if resp.Seq != req.Seq {

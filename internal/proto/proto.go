@@ -33,6 +33,23 @@
 // per-connection buffered FrameReader, so a call costs one write and
 // (usually) one read per side.
 //
+// encoding/json defines the payload; Request and Response also have a
+// hand-written codec (codec.go) that WriteFrame and ReadFrame reach by a
+// type switch and that is not a second format. The encoder appends exactly
+// json.Marshal's bytes and leaves to encoding/json any frame it cannot
+// write verbatim: one with views, or with a string holding anything but
+// printable ASCII free of `"`, `\`, `<`, `>` and `&`. The parser takes only
+// the canonical shape — one object, no whitespace, the known lowercase keys
+// each at most once in any order, plain decimal integers in range,
+// true/false, strings of those same plain bytes, nothing after the closing
+// brace — and passes every other payload, untouched, to json.Unmarshal,
+// which accepts, rejects and decodes it as it always has. So peers with and
+// without the codec interoperate, reconcile_mates and every non-proto user
+// of the framing (admin, distsweep) stay on encoding/json, and a
+// steady-state probe_mate round trip allocates nothing: method and status
+// names decode to this package's and cosched's own strings, and Client and
+// Server call the typed forms so their frames never escape through `any`.
+//
 // Fault tolerance is part of the contract: any transport error or timeout
 // surfaces as an error from the Peer method, which Algorithm 1 maps to
 // "status unknown" and a normal (uncoordinated) job start.
@@ -161,24 +178,32 @@ var framePool = sync.Pool{New: func() any {
 	return f
 }}
 
-// WriteFrame writes a length-prefixed JSON encoding of v with a single
-// Write: header and payload leave together, so a frame costs one syscall
-// on a socket (one rendezvous on a net.Pipe) and is never interleaved with
-// a partial header. Nothing is written when encoding fails or the payload
-// exceeds MaxFrameSize.
-func WriteFrame(w io.Writer, v any) error {
+// newFrame takes a frameBuf from the pool, holding only the header bytes
+// (filled in by send once the payload length is known).
+func newFrame() *frameBuf {
 	f := framePool.Get().(*frameBuf)
-	defer func() {
-		if f.buf.Cap() <= maxPooledFrame {
-			framePool.Put(f)
-		}
-	}()
 	f.buf.Reset()
-	f.buf.Write([]byte{0, 0, 0, 0}) // header, filled in once the payload length is known
+	f.buf.Write([]byte{0, 0, 0, 0})
+	return f
+}
+
+func (f *frameBuf) release() {
+	if f.buf.Cap() <= maxPooledFrame {
+		framePool.Put(f)
+	}
+}
+
+// encodeJSON appends json.Marshal(v) as the payload.
+func (f *frameBuf) encodeJSON(v any) error {
 	if err := f.enc.Encode(v); err != nil {
 		return fmt.Errorf("proto: marshal: %w", err)
 	}
 	f.buf.Truncate(f.buf.Len() - 1) // Encode appends a newline json.Marshal does not
+	return nil
+}
+
+// send writes the finished frame with one Write.
+func (f *frameBuf) send(w io.Writer) error {
 	frame := f.buf.Bytes()
 	if len(frame)-4 > MaxFrameSize {
 		return ErrFrameTooLarge
@@ -186,6 +211,65 @@ func WriteFrame(w io.Writer, v any) error {
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	_, err := w.Write(frame)
 	return err
+}
+
+// WriteFrame writes a length-prefixed JSON encoding of v with a single
+// Write: header and payload leave together, so a frame costs one syscall
+// on a socket (one rendezvous on a net.Pipe) and is never interleaved with
+// a partial header. Nothing is written when encoding fails or the payload
+// exceeds MaxFrameSize. A *Request or *Response takes the hand-written
+// encoder (same bytes, see writeRequest); every other type is encoded by
+// encoding/json.
+func WriteFrame(w io.Writer, v any) error {
+	switch v := v.(type) {
+	case *Request:
+		if v != nil {
+			return writeRequest(w, v)
+		}
+	case *Response:
+		if v != nil {
+			return writeResponse(w, v)
+		}
+	}
+	f := newFrame()
+	defer f.release()
+	if err := f.encodeJSON(v); err != nil {
+		return err
+	}
+	return f.send(w)
+}
+
+// writeRequest is WriteFrame for a request, typed so the caller's value
+// does not escape: the frame is appended in place by appendRequest, and only
+// a request that cannot write verbatim is copied to the heap for
+// encoding/json.
+func writeRequest(w io.Writer, req *Request) error {
+	f := newFrame()
+	defer f.release()
+	if payload, ok := appendRequest(f.buf.AvailableBuffer(), req); ok {
+		f.buf.Write(payload)
+	} else {
+		slow := *req
+		if err := f.encodeJSON(&slow); err != nil {
+			return err
+		}
+	}
+	return f.send(w)
+}
+
+// writeResponse is writeRequest for a response.
+func writeResponse(w io.Writer, resp *Response) error {
+	f := newFrame()
+	defer f.release()
+	if payload, ok := appendResponse(f.buf.AvailableBuffer(), resp); ok {
+		f.buf.Write(payload)
+	} else {
+		slow := *resp
+		if err := f.encodeJSON(&slow); err != nil {
+			return err
+		}
+	}
+	return f.send(w)
 }
 
 // ReadFrame reads one length-prefixed JSON frame into v. A caller that
@@ -218,14 +302,21 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // ReadFrame reads the next frame into v. It blocks like a read of the
 // underlying connection, whose deadline (if any) bounds it.
 func (fr *FrameReader) ReadFrame(v any) error {
-	payload, err := readPayload(fr.br, fr.hdr[:], fr.payload)
+	payload, err := fr.next()
 	if err != nil {
 		return err
 	}
-	if cap(payload) <= maxPooledFrame {
+	return unmarshalFrame(payload, v)
+}
+
+// next reads the next frame's payload into the reused buffer; the bytes are
+// valid until the following call.
+func (fr *FrameReader) next() ([]byte, error) {
+	payload, err := readPayload(fr.br, fr.hdr[:], fr.payload)
+	if err == nil && cap(payload) <= maxPooledFrame {
 		fr.payload = payload[:0]
 	}
-	return unmarshalFrame(payload, v)
+	return payload, err
 }
 
 // readPayload reads one frame's header into hdr and its payload into buf
@@ -248,9 +339,51 @@ func readPayload(r io.Reader, hdr, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// unmarshalFrame decodes a payload into v: a *Request or *Response through
+// the strict parser first, everything else — and every payload the parser
+// does not recognise — through json.Unmarshal.
 func unmarshalFrame(payload []byte, v any) error {
+	switch v := v.(type) {
+	case *Request:
+		if v != nil {
+			return unmarshalRequest(payload, v)
+		}
+	case *Response:
+		if v != nil {
+			return unmarshalResponse(payload, v)
+		}
+	}
+	return unmarshalJSON(payload, v)
+}
+
+func unmarshalJSON(payload []byte, v any) error {
 	if err := json.Unmarshal(payload, v); err != nil {
 		return fmt.Errorf("proto: unmarshal: %w", err)
 	}
 	return nil
+}
+
+// unmarshalRequest is unmarshalFrame for a request, typed so the caller's
+// value does not escape: json.Unmarshal, when it has to run, decodes a heap
+// copy that is copied back whatever the outcome (a failed Unmarshal leaves
+// the members it got to set, as it always did).
+func unmarshalRequest(payload []byte, req *Request) error {
+	if parseRequest(payload, req) {
+		return nil
+	}
+	slow := *req
+	err := unmarshalJSON(payload, &slow)
+	*req = slow
+	return err
+}
+
+// unmarshalResponse is unmarshalRequest for a response.
+func unmarshalResponse(payload []byte, resp *Response) error {
+	if parseResponse(payload, resp) {
+		return nil
+	}
+	slow := *resp
+	err := unmarshalJSON(payload, &slow)
+	*resp = slow
+	return err
 }

