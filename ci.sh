@@ -57,6 +57,12 @@ go test -race -count=2 ./internal/proto ./internal/peerlink ./internal/live
 # not gated.
 sh bench/run.sh --workload sweep_wire --seed 1 --seconds 3 --trace 0
 
+# Figure 3–10 digest smoke: three seconds of sweep_paper at seed 1 — the
+# load and proportion sweeps through their public entry points, every table
+# rendered. A scheduler change that moves any Figure 3–10 number changes the
+# digest, stops it equalling bench/golden.json, and exits 1 here.
+sh bench/run.sh --workload sweep_paper --seed 1 --seconds 3 --trace 0
+
 # Crash-recovery gate: the acceptance test SIGKILLs a live daemon
 # mid-run, restarts it on the same journal, and verifies co-starts from
 # the event logs; the drain test checks the SIGTERM peer notification.
@@ -97,16 +103,18 @@ go run ./cmd/experiments -distsmoke -factor 0.05 -reps 1
 # Intrepid jobs instead of the full million) through the same
 # snapshot/arena/free-list path — it fails on non-byte-identical tables
 # at 1 vs 8 workers, stuck jobs, or peak RSS over the 2 GiB budget — plus
-# the steady-state zero-alloc assertions (engine event churn and the EASY
-# planner must report 0 allocs/op) and one uncached run of the scheduler
-# throughput benchmarks as profiling artifacts. Throughput itself is NOT
-# gated here: shared CI machines make wall-clock assertions flaky; the
-# recorded numbers live in BENCH_parallel.json / BENCH_mega.json.
+# the steady-state zero-alloc assertions (engine event churn, the EASY
+# planner, the pool's slot table and the resource manager's submit →
+# start → complete spine must report 0 allocs/op) and one uncached run of
+# the scheduler throughput benchmarks as profiling artifacts. Throughput
+# itself is NOT gated here: shared CI machines make wall-clock assertions
+# flaky; the recorded numbers live in BENCH_parallel.json / BENCH_mega.json.
 # (-pprof leaves cpu/alloc profiles of the gate run behind as build
 # artifacts for regression hunts.)
 go run ./cmd/experiments -pprof /tmp/ci_pprof -megabench /tmp/ci_mega.json -megajobs 100000
 go test -run 'ZeroAlloc|WithoutAllocating' -count=1 \
-    . ./internal/sim ./internal/arena ./internal/backfill ./internal/workload
+    . ./internal/sim ./internal/arena ./internal/backfill ./internal/workload \
+    ./internal/resmgr ./internal/cluster
 go test -run=NONE -bench 'EngineEventThroughput' -benchtime=100x -count=1 .
 
 # Benchmark-methodology gate. A fresh -quick suite run proves the

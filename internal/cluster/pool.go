@@ -42,7 +42,9 @@ var (
 )
 
 // Allocation records one grant of nodes. Allocated is ≥ Requested when the
-// partition constraint rounds up.
+// partition constraint rounds up. ID names a slot of the pool's allocation
+// table in its low 32 bits (1-based) and that slot's generation above them,
+// so a handle that outlived its grant never matches the slot's next tenant.
 type Allocation struct {
 	ID        int64
 	Requested int
@@ -64,11 +66,14 @@ type Pool struct {
 	partitioned  bool
 	minPartition int
 
-	free    int
-	held    int // subset of busy nodes that are held, not running
-	nextID  int64
-	allocs  map[int64]*Allocation
-	freed   []*Allocation // released structs recycled by the next Allocate
+	free int
+	held int // subset of busy nodes that are held, not running
+	// slots is the live-allocation table: slots[i] is the grant whose ID
+	// names slot i, nil while the slot is vacant. freed holds the released
+	// structs; each keeps its last ID, which is how the next Allocate finds
+	// the slot to refill and the generation to advance.
+	slots   []*Allocation
+	freed   []*Allocation
 	lastT   sim.Time
 	busyInt int64 // ∫ busy(t) dt in node-seconds (includes held)
 	heldInt int64 // ∫ held(t) dt in node-seconds
@@ -79,12 +84,7 @@ func New(name string, total int) *Pool {
 	if total <= 0 {
 		panic(fmt.Sprintf("cluster: pool %q total must be positive, got %d", name, total))
 	}
-	return &Pool{
-		name:   name,
-		total:  total,
-		free:   total,
-		allocs: make(map[int64]*Allocation),
-	}
+	return &Pool{name: name, total: total, free: total}
 }
 
 // NewPartitioned returns a pool that rounds every request up to the next
@@ -150,6 +150,8 @@ func (p *Pool) CanAllocate(n int) bool {
 // valid only until its Release, after which the next Allocate may reuse
 // the struct for an unrelated grant. Callers must not retain it past that
 // point (the resource manager drops its entry in the same event).
+//
+//simlint:hotpath
 func (p *Pool) Allocate(now sim.Time, n int, kind AllocKind) (*Allocation, error) {
 	if n <= 0 || n > p.total {
 		return nil, fmt.Errorf("%w: %d nodes from pool of %d", ErrBadRequest, n, p.total)
@@ -163,25 +165,41 @@ func (p *Pool) Allocate(now sim.Time, n int, kind AllocKind) (*Allocation, error
 	if kind == AllocHold {
 		p.held += charge
 	}
-	p.nextID++
 	var a *Allocation
 	if k := len(p.freed); k > 0 {
 		a = p.freed[k-1]
 		p.freed[k-1] = nil
 		p.freed = p.freed[:k-1]
+		a.ID += 1 << 32 // same slot, next generation
 	} else {
-		a = new(Allocation)
+		a = &Allocation{ID: int64(len(p.slots)) + 1}
+		p.slots = append(p.slots, nil) //simlint:allow R6 amortized slot-table growth, bounded by peak concurrent grants
 	}
-	*a = Allocation{ID: p.nextID, Requested: n, Allocated: charge, Kind: kind, Since: now}
-	p.allocs[a.ID] = a
+	*a = Allocation{ID: a.ID, Requested: n, Allocated: charge, Kind: kind, Since: now}
+	p.slots[uint32(a.ID)-1] = a
 	return a, nil
+}
+
+// lookup resolves a handle to its live allocation: nil for an ID the pool
+// never issued, one already released, or one whose slot has been reissued.
+func (p *Pool) lookup(id int64) *Allocation {
+	slot := uint32(id) - 1 // 0 wraps past any table length
+	if uint64(slot) >= uint64(len(p.slots)) {
+		return nil
+	}
+	if a := p.slots[slot]; a != nil && a.ID == id {
+		return a
+	}
+	return nil
 }
 
 // Release returns an allocation's nodes to the free pool. The Allocation
 // struct goes back on the recycle list — see Allocate's retention contract.
+//
+//simlint:hotpath
 func (p *Pool) Release(now sim.Time, id int64) error {
-	a, ok := p.allocs[id]
-	if !ok {
+	a := p.lookup(id)
+	if a == nil {
 		return fmt.Errorf("%w: id %d", ErrUnknownAlloc, id)
 	}
 	p.integrate(now)
@@ -189,10 +207,10 @@ func (p *Pool) Release(now sim.Time, id int64) error {
 	if a.Kind == AllocHold {
 		p.held -= a.Allocated
 	}
-	delete(p.allocs, id)
+	p.slots[uint32(id)-1] = nil
 	// The pool is single-threaded (engine-serialized), so same-event reads
 	// of the released struct remain valid until the next Allocate reuses it.
-	p.freed = append(p.freed, a)
+	p.freed = append(p.freed, a) //simlint:allow R6 amortized recycle-list growth, bounded by peak concurrent grants
 	return nil
 }
 
@@ -200,8 +218,8 @@ func (p *Pool) Release(now sim.Time, id int64) error {
 // holding job's mate becomes ready and the job starts on the nodes it
 // already occupies). It returns the allocation for convenience.
 func (p *Pool) Convert(now sim.Time, id int64, kind AllocKind) (*Allocation, error) {
-	a, ok := p.allocs[id]
-	if !ok {
+	a := p.lookup(id)
+	if a == nil {
 		return nil, fmt.Errorf("%w: id %d", ErrUnknownAlloc, id)
 	}
 	if a.Kind == kind {
@@ -218,8 +236,9 @@ func (p *Pool) Convert(now sim.Time, id int64, kind AllocKind) (*Allocation, err
 	return a, nil
 }
 
-// Allocations returns the number of live allocations.
-func (p *Pool) Allocations() int { return len(p.allocs) }
+// Allocations returns the number of live allocations: every slot is either
+// live or has its struct on the recycle list.
+func (p *Pool) Allocations() int { return len(p.slots) - len(p.freed) }
 
 // integrate advances the utilization integrals to now.
 func (p *Pool) integrate(now sim.Time) {

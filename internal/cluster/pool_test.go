@@ -50,6 +50,112 @@ func TestReleaseUnknown(t *testing.T) {
 	}
 }
 
+// TestStaleHandlesAreUnknown covers every way a handle can fail to name a
+// live grant in the slot table: released twice, outlived by a grant that
+// recycled its slot, never issued by this pool, or not an ID at all. Each
+// is ErrUnknownAlloc from Release and Convert alike, and none disturbs the
+// live grants or the node counts.
+func TestStaleHandlesAreUnknown(t *testing.T) {
+	p := New("test", 100)
+	a, err := p.Allocate(0, 10, AllocRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, err := p.Allocate(0, 20, AllocHold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := a.ID
+	if err := p.Release(1, stale); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, id int64) {
+		t.Helper()
+		if err := p.Release(2, id); !errors.Is(err, ErrUnknownAlloc) {
+			t.Errorf("%s: Release(%d) err = %v, want ErrUnknownAlloc", what, id, err)
+		}
+		if _, err := p.Convert(2, id, AllocRun); !errors.Is(err, ErrUnknownAlloc) {
+			t.Errorf("%s: Convert(%d) err = %v, want ErrUnknownAlloc", what, id, err)
+		}
+	}
+	refused("double release", stale)
+	if p.Allocations() != 1 || p.Free() != 80 {
+		t.Fatalf("after double release: %d grants, %s", p.Allocations(), p)
+	}
+
+	// The next grant recycles the slot (and the struct) the stale handle
+	// named; the handle must not reach it.
+	b, err := p.Allocate(3, 30, AllocRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b != a || b.ID == stale || uint32(b.ID) != uint32(stale) {
+		t.Fatalf("recycled grant: struct reused=%v id=%#x, stale id=%#x; want same struct and slot, new id", b == a, b.ID, stale)
+	}
+	refused("outlived then recycled", stale)
+	if p.Allocations() != 2 || p.Free() != 50 || p.Held() != 20 {
+		t.Fatalf("after stale handle on a recycled slot: %d grants, %s", p.Allocations(), p)
+	}
+
+	other := New("other", 100)
+	var foreign int64
+	for i := 0; i < 3; i++ { // its third grant names a slot p never had
+		g, err := other.Allocate(0, 1, AllocRun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foreign = g.ID
+	}
+	refused("foreign", foreign)
+	for _, id := range []int64{0, -1, 1 << 40, int64(1)<<32 | 7} {
+		refused("never issued", id)
+	}
+
+	if err := p.Release(4, b.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Release(4, keep.ID); err != nil {
+		t.Fatal(err)
+	}
+	if p.Allocations() != 0 || p.Free() != 100 || p.Held() != 0 {
+		t.Fatalf("after releasing the live grants: %d grants, %s", p.Allocations(), p)
+	}
+}
+
+// TestAllocateReleaseCycleWithoutAllocating pins the slot table's steady
+// state: once it has grown to the peak number of concurrent grants, any
+// further allocate/convert/release churn reuses slots and structs.
+func TestAllocateReleaseCycleWithoutAllocating(t *testing.T) {
+	p := NewPartitioned("test", 64, 2)
+	var ids [16]int64
+	cycle := func() {
+		for i := range ids {
+			a, err := p.Allocate(0, 1+i%4, AllocHold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = a.ID
+		}
+		for i, id := range ids {
+			if i%2 == 0 {
+				if _, err := p.Convert(1, id, AllocRun); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.Release(2, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle() // grow the table to 16 slots
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("allocate/release churn allocates %.1f per cycle, want 0", allocs)
+	}
+	if p.Allocations() != 0 || p.Free() != 64 {
+		t.Fatalf("after the churn: %d grants, %s", p.Allocations(), p)
+	}
+}
+
 func TestHeldAccounting(t *testing.T) {
 	p := New("test", 100)
 	h, err := p.Allocate(0, 30, AllocHold)

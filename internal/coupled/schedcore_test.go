@@ -14,8 +14,8 @@ import (
 // schedCoreScenario is one configuration cell of the core differential: the
 // incremental core's specializations each engage under different settings
 // (sorted queue needs a time-invariant policy without yield boosts, the
-// maintained timeline needs a stable estimator, across-instant skips need
-// EASY), so the sweep covers every fallback combination.
+// maintained timeline needs a stable estimator; the no-fit elision runs under
+// all of them), so the sweep covers every fallback combination.
 type schedCoreScenario struct {
 	name             string
 	policy           string
@@ -27,16 +27,16 @@ type schedCoreScenario struct {
 }
 
 var schedCoreScenarios = []schedCoreScenario{
-	// Fully incremental: sorted queue + maintained timeline + across-instant skips.
+	// Fully incremental: sorted queue + maintained timeline.
 	{name: "fcfs_easy_walltime_HH", policy: "fcfs", mode: "easy", estimator: "walltime",
 		schemeA: cosched.Hold, schemeB: cosched.Hold, release: 10 * sim.Minute},
-	// Time-varying policy: queuePos index + full sort per iteration.
+	// Time-varying policy: position-indexed queue + full sort per iteration.
 	{name: "wfp_easy_walltime_HY", policy: "wfp", mode: "easy", estimator: "walltime",
 		schemeA: cosched.Hold, schemeB: cosched.Yield, release: 10 * sim.Minute},
-	// Conservative planner: skips must stay same-instant.
+	// Conservative planner: the no-fit elision under full-profile planning.
 	{name: "sjf_conservative_walltime_YY", policy: "sjf", mode: "conservative", estimator: "walltime",
 		schemeA: cosched.Yield, schemeB: cosched.Yield},
-	// Unstable estimator: timeline rebuilt per iteration, no across-instant skips.
+	// Unstable estimator: timeline rebuilt per iteration.
 	{name: "fcfs_easy_useravg_HH", policy: "fcfs", mode: "easy", estimator: "user-average",
 		schemeA: cosched.Hold, schemeB: cosched.Hold, release: 10 * sim.Minute},
 	// Everything degraded at once.
@@ -102,7 +102,7 @@ func renderTrace(sb *strings.Builder, dom string, tr []*job.Job) {
 // TestSchedCoreDifferentialCoupled runs every scenario under the reference
 // and incremental cores and requires the full rendered schedules — every
 // job's start/end/yield/hold history, the makespan, and the iteration count
-// (skipped iterations still count) — to match exactly.
+// (elided iterations still count) — to match exactly.
 func TestSchedCoreDifferentialCoupled(t *testing.T) {
 	for _, sc := range schedCoreScenarios {
 		sc := sc

@@ -6,7 +6,7 @@ import "testing"
 // sweep must render byte-identical tables (including raw per-rep sample
 // vectors, printed in hex so no float bit hides behind rounding) under the
 // reference and incremental scheduler cores, at serial and parallel worker
-// counts. Any divergence — ordering, skip-cache, timeline maintenance —
+// counts. Any divergence — ordering, no-fit elision, timeline maintenance —
 // shows up here as a table diff. Audit additionally re-checks every
 // lifecycle event of every cell against the scheduler invariants and the
 // deadlock wait-for graph; a violation fails the sweep with an error.

@@ -82,8 +82,9 @@ func ParseState(s string) (State, error) {
 	}
 }
 
-// validNext enumerates the legal lifecycle transitions.
-var validNext = map[State][]State{
+// validNext enumerates the legal lifecycle transitions, indexed by the
+// current state (an array, not a map: Advance runs on every job event).
+var validNext = [...][]State{
 	Unsubmitted: {Queued, Cancelled},
 	Queued:      {Holding, Running, Cancelled},
 	Holding:     {Running, Queued, Cancelled},
@@ -129,6 +130,12 @@ type Job struct {
 	HeldNodeSeconds int64 // ∑ nodes × seconds spent in Holding (service-unit loss)
 	FirstReadyTime  sim.Time
 	EverReady       bool // FirstReadyTime is meaningful only when true
+
+	// Sched is the handle of the resource manager's record for this job
+	// while it is queued, holding or running there; 0 otherwise. Only the
+	// owning manager reads or writes it. (It sits in EverReady's padding,
+	// so the struct does not grow.)
+	Sched int32
 }
 
 // New constructs a queued-job request. Walltime defaults to Runtime when
@@ -175,10 +182,12 @@ func (j *Job) Paired() bool { return len(j.Mates) > 0 }
 // transition. Timestamps are the caller's responsibility; Advance only
 // guards legality.
 func (j *Job) Advance(next State) error {
-	for _, ok := range validNext[j.State] {
-		if next == ok {
-			j.State = next
-			return nil
+	if j.State >= 0 && int(j.State) < len(validNext) {
+		for _, ok := range validNext[j.State] {
+			if next == ok {
+				j.State = next
+				return nil
+			}
 		}
 	}
 	return fmt.Errorf("job %d: illegal transition %s → %s", j.ID, j.State, next)
@@ -265,5 +274,6 @@ func (j *Job) Clone() *Job {
 	c.YieldCount, c.HoldCount = 0, 0
 	c.HeldNodeSeconds = 0
 	c.EverReady, c.FirstReadyTime = false, 0
+	c.Sched = 0
 	return &c
 }

@@ -2,6 +2,7 @@ package resmgr
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"cosched/internal/backfill"
@@ -12,31 +13,32 @@ import (
 
 // Core selects the Manager's scheduling-iteration implementation.
 //
-// The incremental core (the default) maintains three structures across
+// The incremental core (the default) maintains three things across
 // iterations instead of rebuilding them inside every Iterate:
 //
 //   - a release timeline, kept in the planners' canonical sorted order and
 //     updated on job start/completion/cancel, replacing the per-iteration
-//     running-map range + sort;
-//   - a queue index: O(1) membership/removal for time-varying policies, and
-//     for time-invariant ones (FCFS, SJF, LargestFirst) a queue kept
-//     canonically ordered by binary-search insertion so the per-iteration
-//     full sort disappears;
-//   - an iteration skip-cache that fingerprints every planner input and
-//     skips planning when the previous iteration at the identical state
-//     produced an empty plan.
+//     running-set walk + sort;
+//   - the queue's shape: for time-varying policies each job's record carries
+//     its queue position (O(1) removal), and for time-invariant ones (FCFS,
+//     SJF, LargestFirst) the queue is kept canonically ordered by
+//     binary-search insertion so the per-iteration full sort disappears;
+//   - the smallest charge any queued job needs, so an iteration facing a
+//     pool in which nothing queued fits — its plan is empty by construction
+//     — is elided in O(1) (see Iterate).
 //
-// The reference core preserves the original allocate-and-sort path; the
-// differential tests assert both cores produce byte-identical results.
+// The reference core rebuilds order and releases and plans on every
+// iteration; the differential tests assert both cores produce
+// byte-identical results.
 type Core int
 
 const (
-	// CoreIncremental is the default: sorted timeline, queue index, and
-	// skip-cache as described on Core.
+	// CoreIncremental is the default: sorted timeline, maintained queue,
+	// and no-fit elision as described on Core.
 	CoreIncremental Core = iota
-	// CoreReference rebuilds the queue order and release list on every
-	// iteration — the original implementation, kept as the behavioral
-	// baseline for differential testing.
+	// CoreReference rebuilds the queue order and release list and plans on
+	// every iteration — the original implementation, kept as the
+	// behavioral baseline for differential testing.
 	CoreReference
 )
 
@@ -60,54 +62,8 @@ func ParseCore(s string) (Core, bool) {
 	}
 }
 
-// iterFP fingerprints every input the planners read. Two iterations with
-// equal fingerprints see identical queues (membership and order), release
-// timelines, pool occupancy, and yield/boost state, so they compute
-// identical plans — which lets Iterate skip planning entirely when the
-// fingerprint is unchanged and the previous plan was empty.
-//
-// instantOnly pins the fingerprint to a single simulated instant. It is set
-// whenever plan emptiness is not provably monotone in `now`: time-varying
-// policy scores (WFP, FairShare), unstable estimators, the conservative
-// planner's full-profile feasibility, and iterations where a same-instant
-// yielder was excluded from eligibility (the exclusion lapses at the next
-// instant, growing the eligible set). For time-invariant policies with
-// stable estimators under EASY/none, emptiness IS monotone — the greedy
-// prefix reads no clock, and a backfill candidate's now+estimate only grows
-// toward the fixed shadow time — so those skips may span instants.
-type iterFP struct {
-	queueV      uint64
-	timelineV   uint64
-	yieldV      uint64
-	free        int
-	held        int
-	instantOnly bool
-	instant     sim.Time
-}
-
-// fingerprint captures the current planner-input state. excluded is how
-// many same-instant yielders the eligibility filter dropped.
-func (m *Manager) fingerprint(now sim.Time, excluded int) iterFP {
-	fp := iterFP{
-		queueV:    m.queueV,
-		timelineV: m.timelineV,
-		yieldV:    m.yieldV,
-		free:      m.pool.Free(),
-		held:      m.pool.Held(),
-	}
-	if !m.acrossInstant || excluded > 0 {
-		fp.instantOnly = true
-		fp.instant = now
-	}
-	return fp
-}
-
-// Skips returns how many scheduling iterations the skip-cache elided.
-// Skipped iterations still count in Iterations().
-func (m *Manager) Skips() uint64 { return m.skips }
-
 // ---------------------------------------------------------------------------
-// Queue index
+// Queue
 
 // queueRank returns j's position in the canonically ordered queue (sorted
 // mode only): the index where j sits if present, or its insertion point.
@@ -121,10 +77,14 @@ func (m *Manager) queueRank(j *job.Job) int {
 	})
 }
 
-// enqueue appends j to the queue, keeping the canonical order in sorted
-// mode and the position index in indexed mode.
+// enqueue adds j, which has its record, to the queue: at its canonical
+// place in sorted mode, at the end (position recorded) otherwise.
 func (m *Manager) enqueue(j *job.Job) {
-	m.queueV++
+	// A charge at or below the bound is the new minimum whether or not the
+	// bound was exact: every other queued job needs at least the bound.
+	if c := m.pool.ChargeFor(j.Nodes); c <= m.minCharge {
+		m.minCharge, m.minExact = c, true
+	}
 	if m.sortedQueue {
 		idx := m.queueRank(j)
 		m.queue = append(m.queue, nil)
@@ -132,50 +92,60 @@ func (m *Manager) enqueue(j *job.Job) {
 		m.queue[idx] = j
 		return
 	}
-	if m.queuePos != nil {
-		m.queuePos[j.ID] = len(m.queue)
-	}
+	m.recs[j.Sched].pos = int32(len(m.queue))
 	m.queue = append(m.queue, j)
 }
 
-// removeFromQueue deletes a job from the queue. Sorted mode locates it by
-// binary search and shifts (order must be preserved — it IS the schedule
-// order); indexed mode looks up the position and swap-removes, which is
-// safe because storage order is invisible there: every iteration
-// canonicalizes through Orderer.Order before planning. The reference core
-// keeps the original linear order-preserving scan.
-func (m *Manager) removeFromQueue(id job.ID) {
+// removeFromQueue deletes a queued job from the queue. Sorted mode locates
+// it by binary search and shifts (order must be preserved — it IS the
+// schedule order); position-indexed mode swap-removes at the record's
+// position, which is safe because storage order is invisible there: every
+// iteration canonicalizes through Orderer.Order before planning. The
+// reference core keeps the original linear order-preserving scan.
+func (m *Manager) removeFromQueue(j *job.Job) {
+	last := len(m.queue) - 1
 	switch {
 	case m.sortedQueue:
-		idx := m.queueRank(m.jobs[id])
-		if idx < len(m.queue) && m.queue[idx].ID == id {
-			copy(m.queue[idx:], m.queue[idx+1:])
-			m.queue[len(m.queue)-1] = nil
-			m.queue = m.queue[:len(m.queue)-1]
-			m.queueV++
-		}
-	case m.queuePos != nil:
-		idx, ok := m.queuePos[id]
-		if !ok {
-			return
-		}
-		last := len(m.queue) - 1
+		idx := m.queueRank(j)
+		copy(m.queue[idx:], m.queue[idx+1:])
+	case m.core == CoreIncremental:
+		rec := m.recs[j.Sched]
 		moved := m.queue[last]
-		m.queue[idx] = moved
-		m.queuePos[moved.ID] = idx
-		m.queue[last] = nil
-		m.queue = m.queue[:last]
-		delete(m.queuePos, id)
-		m.queueV++
+		m.queue[rec.pos] = moved
+		m.recs[moved.Sched].pos = rec.pos
 	default:
-		for i, q := range m.queue {
-			if q.ID == id {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				m.queueV++
-				return
-			}
+		idx := 0
+		for m.queue[idx] != j {
+			idx++
 		}
+		copy(m.queue[idx:], m.queue[idx+1:])
 	}
+	m.queue[last] = nil
+	m.queue = m.queue[:last]
+	// The bound survives the removal (the minimum can only rise); it stops
+	// being exact if j may have been the job that set it.
+	if m.minExact && m.pool.ChargeFor(j.Nodes) == m.minCharge {
+		m.minExact = false
+	}
+}
+
+// anyQueuedFits reports whether some queued job's charge fits the free
+// nodes. While free is below the maintained bound the answer is no without
+// looking at the queue; only when the bound has gone stale and free has
+// reached it is the minimum recomputed.
+func (m *Manager) anyQueuedFits() bool {
+	free := m.pool.Free()
+	if free < m.minCharge {
+		return false
+	}
+	if !m.minExact {
+		lo := math.MaxInt
+		for _, j := range m.queue {
+			lo = min(lo, m.pool.ChargeFor(j.Nodes))
+		}
+		m.minCharge, m.minExact = lo, true
+	}
+	return m.minCharge <= free
 }
 
 // ---------------------------------------------------------------------------
@@ -197,7 +167,6 @@ func (m *Manager) timelineInsert(r backfill.Release) {
 	m.timeline = append(m.timeline, backfill.Release{})
 	copy(m.timeline[idx+1:], m.timeline[idx:])
 	m.timeline[idx] = r
-	m.timelineV++
 }
 
 // timelineRemove deletes one entry equal to r. Entries are plain values,
@@ -210,7 +179,6 @@ func (m *Manager) timelineRemove(r backfill.Release) {
 	}
 	copy(m.timeline[idx:], m.timeline[idx+1:])
 	m.timeline = m.timeline[:len(m.timeline)-1]
-	m.timelineV++
 }
 
 // timelineRebuild recomputes the whole timeline from the running set,
@@ -223,29 +191,28 @@ func (m *Manager) timelineRemove(r backfill.Release) {
 // StartTime+Runtime <= StartTime+Walltime removes the entry first.
 func (m *Manager) timelineRebuild(now sim.Time) {
 	m.timeline = m.timeline[:0]
-	for id, re := range m.running {
-		if re.endBy <= now {
-			re.endBy = m.jobs[id].StartTime + m.jobs[id].Walltime
+	for _, rec := range m.running {
+		if rec.endBy <= now {
+			rec.endBy = rec.j.StartTime + rec.j.Walltime
 		}
-		m.timeline = append(m.timeline, backfill.Release{Nodes: re.alloc.Allocated, EndBy: re.endBy})
+		m.timeline = append(m.timeline, backfill.Release{Nodes: rec.alloc.Allocated, EndBy: rec.endBy})
 	}
-	backfill.SortReleases(m.timeline) // map range order is random; canonicalize
-	m.timelineV++
+	backfill.SortReleases(m.timeline) // the running set is unordered; canonicalize
 }
 
 // runReleaseAdd records a newly running job in the maintained timeline
 // (no-op when the timeline is rebuilt per iteration instead).
-func (m *Manager) runReleaseAdd(re *runEntry, j *job.Job) {
-	re.endBy = j.StartTime + m.est.Estimate(j)
+func (m *Manager) runReleaseAdd(rec *schedRec) {
+	rec.endBy = rec.j.StartTime + m.est.Estimate(rec.j)
 	if m.maintainTL {
-		m.timelineInsert(backfill.Release{Nodes: re.alloc.Allocated, EndBy: re.endBy})
+		m.timelineInsert(backfill.Release{Nodes: rec.alloc.Allocated, EndBy: rec.endBy})
 	}
 }
 
 // runReleaseDrop removes a no-longer-running job's timeline entry.
-func (m *Manager) runReleaseDrop(re *runEntry) {
+func (m *Manager) runReleaseDrop(rec *schedRec) {
 	if m.maintainTL {
-		m.timelineRemove(backfill.Release{Nodes: re.alloc.Allocated, EndBy: re.endBy})
+		m.timelineRemove(backfill.Release{Nodes: rec.alloc.Allocated, EndBy: rec.endBy})
 	}
 }
 
@@ -253,7 +220,7 @@ func (m *Manager) runReleaseDrop(re *runEntry) {
 // sorted order. The maintained timeline is returned by reference (zero
 // copies, zero sorts at steady state); otherwise — reference core, or an
 // unstable estimator whose predictions drift between iterations — the list
-// is rebuilt from the running map into the reusable buffer and sorted,
+// is rebuilt from the running set into the reusable buffer and sorted,
 // exactly the reference semantics.
 func (m *Manager) planReleases(now sim.Time) []backfill.Release {
 	if m.maintainTL {
@@ -263,8 +230,8 @@ func (m *Manager) planReleases(now sim.Time) []backfill.Release {
 		return m.timeline
 	}
 	releases := m.releasesBuf[:0]
-	for id, re := range m.running {
-		j := m.jobs[id]
+	for _, rec := range m.running {
+		j := rec.j
 		// Plan with the estimator's runtime; once a running job outlives
 		// its prediction, correct to the walltime bound (Tsafrir-style
 		// prediction correction) — treating it as "about to finish"
@@ -275,7 +242,7 @@ func (m *Manager) planReleases(now sim.Time) []backfill.Release {
 			endBy = j.StartTime + j.Walltime
 		}
 		releases = append(releases, backfill.Release{
-			Nodes: re.alloc.Allocated,
+			Nodes: rec.alloc.Allocated,
 			EndBy: endBy,
 		})
 	}

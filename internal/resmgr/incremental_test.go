@@ -1,6 +1,7 @@
 package resmgr
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 )
 
 // checkQueueIndex asserts the queue structures are consistent with the live
-// job set after an arbitrary Submit/Cancel history: exact membership, the
-// position index pointing at the right slots (indexed mode), and storage
-// order agreeing with the canonical policy order (sorted mode).
+// job set after an arbitrary Submit/Cancel history: exact membership, every
+// queued job's record pointing back at it (and, in position-indexed mode, at
+// its slot), storage order agreeing with the canonical policy order (sorted
+// mode), and the smallest-charge bound never above the true minimum.
 func checkQueueIndex(t *testing.T, m *Manager, live map[job.ID]*job.Job) {
 	t.Helper()
 	if len(m.queue) != len(live) {
@@ -29,14 +31,23 @@ func checkQueueIndex(t *testing.T, m *Manager, live map[job.ID]*job.Job) {
 			t.Fatalf("job %d appears twice in queue", q.ID)
 		}
 		seen[q.ID] = true
-		if m.queuePos != nil {
-			if idx, ok := m.queuePos[q.ID]; !ok || idx != i {
-				t.Fatalf("queuePos[%d] = %d,%v; job is at %d", q.ID, idx, ok, i)
-			}
+		rec := m.recs[q.Sched]
+		if rec.j != q {
+			t.Fatalf("job %d: record %d belongs to %v", q.ID, q.Sched, rec.j)
+		}
+		if m.core == CoreIncremental && !m.sortedQueue && int(rec.pos) != i {
+			t.Fatalf("job %d: record says position %d, job is at %d", q.ID, rec.pos, i)
 		}
 	}
-	if m.queuePos != nil && len(m.queuePos) != len(m.queue) {
-		t.Fatalf("queuePos has %d entries, queue has %d", len(m.queuePos), len(m.queue))
+	if got, want := len(m.recs)-1-len(m.freeRecs), len(m.queue); got != want {
+		t.Fatalf("%d records in use, %d jobs queued", got, want)
+	}
+	lo := math.MaxInt
+	for _, q := range m.queue {
+		lo = min(lo, m.pool.ChargeFor(q.Nodes))
+	}
+	if m.minCharge > lo || (m.minExact && m.minCharge != lo) {
+		t.Fatalf("minCharge = %d (exact=%v), smallest queued charge is %d", m.minCharge, m.minExact, lo)
 	}
 	if m.sortedQueue {
 		var ord policy.Orderer
@@ -128,7 +139,7 @@ func pairDomainsCore(t *testing.T, core Core, cfgA, cfgB cosched.Config) (*sim.E
 // TestCancelHoldingJobRetriggersIteration pins the cancel→replan path on
 // both cores: cancelling a holding job frees its nodes and the iteration it
 // requests must start the blocked job at the same instant — in particular
-// the incremental core's skip-cache must notice the freed nodes.
+// the incremental core's no-fit elision must notice the freed nodes.
 func TestCancelHoldingJobRetriggersIteration(t *testing.T) {
 	for _, core := range []Core{CoreReference, CoreIncremental} {
 		t.Run(core.String(), func(t *testing.T) {
@@ -190,67 +201,143 @@ func steadyBlocked(t *testing.T, core Core) (*sim.Engine, *Manager, []*job.Job) 
 	return eng, m, blocked
 }
 
-// TestSkipCacheSkipsAndInvalidates is the skip-cache white-box test: at an
-// unchanged blocked state iterations are elided (same instant and, for this
-// time-invariant EASY configuration, across instants), every queue or pool
-// change forces a real replan, and skipped iterations still count in
-// Iterations().
-func TestSkipCacheSkipsAndInvalidates(t *testing.T) {
+// TestNoFitElisionEngagesAndLapses is the elision white-box test: while no
+// queued job fits the free nodes iterations are elided — at any instant, and
+// across queue changes that leave nothing fitting — they still count in
+// Iterations(), and the elision stops the instant a fitting job is submitted
+// or nodes free up.
+func TestNoFitElisionEngagesAndLapses(t *testing.T) {
 	_, m, blocked := steadyBlocked(t, CoreIncremental)
-	if !m.acrossInstant || !m.sortedQueue || !m.maintainTL {
-		t.Fatalf("scenario not fully incremental: across=%v sorted=%v maintainTL=%v",
-			m.acrossInstant, m.sortedQueue, m.maintainTL)
-	}
 
 	iters, skips := m.Iterations(), m.Skips()
-	m.Iterate(0) // identical state at the same instant
-	if m.Skips() != skips+1 || m.Iterations() != iters+1 {
-		t.Fatalf("same-instant skip: skips %d→%d iterations %d→%d",
+	m.Iterate(0)
+	m.Iterate(100)
+	if m.Skips() != skips+2 || m.Iterations() != iters+2 {
+		t.Fatalf("blocked steady state: skips %d→%d iterations %d→%d, want +2 each",
 			skips, m.Skips(), iters, m.Iterations())
 	}
-	m.Iterate(100) // identical state at a later instant: emptiness is monotone
-	if m.Skips() != skips+2 {
-		t.Fatalf("across-instant skip did not engage: skips = %d", m.Skips())
-	}
 
-	// A queue change invalidates: the replan runs (and still plans nothing —
-	// the remaining jobs are as blocked as before).
+	// Cancelling a queued job (it set the smallest-charge bound) leaves
+	// the survivors as blocked as before: still elided, nothing moves.
 	if err := m.Cancel(blocked[2].ID); err != nil {
 		t.Fatal(err)
 	}
 	skips = m.Skips()
-	m.Iterate(0)
-	if m.Skips() != skips {
-		t.Fatalf("iteration after queue change was skipped")
-	}
-	if m.RunningCount() != 1 || m.QueueLength() != 2 {
-		t.Fatalf("replan changed state: running=%d queue=%d", m.RunningCount(), m.QueueLength())
-	}
-	m.Iterate(0) // cached again
-	if m.Skips() != skips+1 {
-		t.Fatalf("cache did not re-arm after replan")
+	m.Iterate(100)
+	if m.Skips() != skips+1 || m.RunningCount() != 1 || m.QueueLength() != 2 {
+		t.Fatalf("after cancel: skips %d→%d running=%d queue=%d",
+			skips, m.Skips(), m.RunningCount(), m.QueueLength())
 	}
 
-	// A pool change invalidates: cancelling the filler frees the machine and
-	// the very next iteration starts the survivors.
+	// A job that fits the 10 free nodes ends the elision at once.
+	fits := job.New(9, 10, 0, 600, 600)
+	if err := m.Submit(fits); err != nil {
+		t.Fatal(err)
+	}
+	skips = m.Skips()
+	m.Iterate(100)
+	if m.Skips() != skips || fits.State != job.Running {
+		t.Fatalf("fitting job: skips %d→%d, state %s", skips, m.Skips(), fits.State)
+	}
+	m.Iterate(100) // pool full again
+	if m.Skips() != skips+1 {
+		t.Fatalf("elision did not re-engage on the refilled pool")
+	}
+
+	// Freed nodes end it too: cancelling the filler lets the survivors in.
 	if err := m.Cancel(1); err != nil {
 		t.Fatal(err)
 	}
 	skips = m.Skips()
-	m.Iterate(0)
+	m.Iterate(100)
 	if m.Skips() != skips {
-		t.Fatalf("iteration after pool change was skipped")
+		t.Fatalf("iteration after nodes freed up was elided")
 	}
-	if m.RunningCount() != 2 || m.QueueLength() != 0 {
+	if m.RunningCount() != 3 || m.QueueLength() != 0 {
 		t.Fatalf("freed capacity not used: running=%d queue=%d", m.RunningCount(), m.QueueLength())
+	}
+
+	var sum uint64
+	for _, n := range m.IterationStats() {
+		sum += n
+	}
+	if sum != m.Iterations() {
+		t.Fatalf("IterationStats sums to %d, Iterations() = %d", sum, m.Iterations())
+	}
+}
+
+// TestNoElisionWhileOnlyFitIsExcludedYielder pins which queue the elision
+// tests: the whole one. A job that yielded at this instant is excluded from
+// the follow-up iteration's plan, but while it is queued and fits, that
+// iteration is planned (over an empty eligible set), not counted as elided.
+func TestNoElisionWhileOnlyFitIsExcludedYielder(t *testing.T) {
+	cfg := cosched.DefaultConfig(cosched.Yield)
+	eng, a, b := pairDomainsCore(t, CoreIncremental, cfg, cfg)
+	ja := job.New(1, 10, 0, 600, 600)
+	jb := job.New(1, 10, 5000, 600, 600)
+	pairJobs(ja, jb)
+	submitAll(t, a, ja)
+	submitAll(t, b, jb)
+	eng.RunUntil(0)
+	if ja.State != job.Queued || ja.YieldCount != 1 {
+		t.Fatalf("ja state=%s yields=%d, want queued after one yield", ja.State, ja.YieldCount)
+	}
+	st := a.IterationStats()
+	if a.Iterations() != 2 || st[IterYielded] != 1 || st[IterPlannedNothing] != 1 || a.Skips() != 0 {
+		t.Fatalf("iterations=%d stats=%v, want one yielded and one planned-nothing", a.Iterations(), st)
+	}
+}
+
+// TestYieldHoldStartCompleteLeavesNoState is the regression test for the
+// per-job state a yield used to leave behind: a job that yields, escalates
+// to a hold (MaxYields), co-starts from the hold and completes must leave
+// nothing in the scheduler beyond its registry entry.
+func TestYieldHoldStartCompleteLeavesNoState(t *testing.T) {
+	cfg := cosched.DefaultConfig(cosched.Yield)
+	cfg.MaxYields = 1
+	eng, a, b := pairDomainsCore(t, CoreIncremental, cfg, cfg)
+	ja := job.New(1, 10, 0, 600, 600)
+	jb := job.New(1, 10, 5000, 600, 600)
+	pairJobs(ja, jb)
+	nudge := job.New(2, 10, 50, 60, 60) // its arrival re-plans ja, which now holds
+	submitAll(t, a, ja, nudge)
+	submitAll(t, b, jb)
+	eng.RunUntil(100)
+	if ja.State != job.Holding || ja.YieldCount != 1 {
+		t.Fatalf("ja state=%s yields=%d, want holding after one yield", ja.State, ja.YieldCount)
+	}
+	eng.Run()
+	if ja.State != job.Completed || ja.StartTime != 5000 || jb.StartTime != 5000 {
+		t.Fatalf("ja state=%s start=%d, jb start=%d; want a co-start at 5000", ja.State, ja.StartTime, jb.StartTime)
+	}
+	for _, m := range []*Manager{a, b} {
+		if len(m.queue)+len(m.holding)+len(m.running) != 0 {
+			t.Fatalf("%s: queue=%d holding=%d running=%d after the run", m.name, len(m.queue), len(m.holding), len(m.running))
+		}
+		if len(m.freeRecs) != len(m.recs)-1 {
+			t.Fatalf("%s: %d of %d records still in use", m.name, len(m.recs)-1-len(m.freeRecs), len(m.recs)-1)
+		}
+		for _, rec := range m.recs[1:] {
+			if *rec != (schedRec{slot: rec.slot}) {
+				t.Fatalf("%s: idle record keeps state: %+v", m.name, *rec)
+			}
+		}
+		for _, j := range m.all {
+			if j.Sched != 0 {
+				t.Fatalf("%s: terminal job %d still points at record %d", m.name, j.ID, j.Sched)
+			}
+		}
+		if m.pool.Allocations() != 0 {
+			t.Fatalf("%s: %d grants outlive the run", m.name, m.pool.Allocations())
+		}
 	}
 }
 
 // TestReferenceCoreNeverSkips pins the reference core to the original
-// semantics: no skip-cache, no maintained structures.
+// semantics: every iteration planned, no maintained structures.
 func TestReferenceCoreNeverSkips(t *testing.T) {
 	_, m, _ := steadyBlocked(t, CoreReference)
-	if m.sortedQueue || m.maintainTL || m.acrossInstant || m.queuePos != nil {
+	if m.sortedQueue || m.maintainTL {
 		t.Fatalf("reference core enabled incremental structures")
 	}
 	for i := 0; i < 5; i++ {
@@ -258,5 +345,42 @@ func TestReferenceCoreNeverSkips(t *testing.T) {
 	}
 	if m.Skips() != 0 {
 		t.Fatalf("reference core skipped %d iterations", m.Skips())
+	}
+	if got := m.IterationStats()[IterPlannedNothing]; got < 5 {
+		t.Fatalf("reference core planned %d blocked iterations, want at least 5", got)
+	}
+}
+
+// TestStartCompleteCycleWithoutAllocating pins the spine's allocation
+// property: once the record table, the pool's slot table and the engine's
+// event list are warm, replaying a trace — submit, iterate, start, complete,
+// twenty jobs at a time through a pool that fits ten — allocates nothing.
+func TestStartCompleteCycleWithoutAllocating(t *testing.T) {
+	const perRun, runs = 20, 50
+	eng := sim.NewEngine()
+	m := New(eng, Options{
+		Name: "z", Pool: cluster.NewPartitioned("z", 80, 8),
+		Policy: policy.WFP{}, Backfilling: true,
+	})
+	trace := make([]*job.Job, 0, perRun*(runs+2))
+	for i := 0; i < cap(trace); i++ {
+		run, k := i/perRun, i%perRun
+		trace = append(trace, job.New(job.ID(i+1), 5+k%4, sim.Time(run*1000+k), 100, 100))
+	}
+	if err := m.SubmitTrace(trace); err != nil {
+		t.Fatal(err)
+	}
+	next := sim.Time(0)
+	step := func() {
+		next += 1000
+		eng.RunUntil(next - 1)
+	}
+	step() // warm-up: tables and buffers reach their steady sizes
+	allocs := testing.AllocsPerRun(runs, step)
+	if allocs != 0 {
+		t.Fatalf("start/complete churn allocates %.1f per %d-job cycle, want 0", allocs, perRun)
+	}
+	if m.CompletedCount() != perRun*(runs+2) || m.Skips() == 0 {
+		t.Fatalf("completed=%d skips=%d: the churn did not run as designed", m.CompletedCount(), m.Skips())
 	}
 }

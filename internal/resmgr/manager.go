@@ -92,19 +92,50 @@ func (NullObserver) JobReleased(sim.Time, *job.Job, bool) {}
 // JobCancelled implements Observer.
 func (NullObserver) JobCancelled(sim.Time, *job.Job) {}
 
-// runEntry tracks a running job's allocation, completion event, and the
-// release bound the planners were told (endBy), which doubles as the key
-// for removing the job's entry from the maintained sorted timeline.
-type runEntry struct {
-	alloc *cluster.Allocation
-	end   sim.EventRef
-	endBy sim.Time
+// schedRec is the scheduler's state for one job that is queued, holding or
+// running here. A record is acquired when the job enters the queue (or is
+// restored into a hold or a run) and returned when the job reaches a
+// terminal state; j.Sched is its index in Manager.recs, so every event the
+// manager scheduled itself reaches its job's state without hashing an ID.
+// Both cores use the same record.
+type schedRec struct {
+	j     *job.Job
+	alloc *cluster.Allocation // the hold or run grant; nil while queued
+	end   sim.EventRef        // completion event while running
+	// endBy is the release bound the planners were told for a running job;
+	// it doubles as the key for removing the job's entry from the
+	// maintained sorted timeline.
+	endBy   sim.Time
+	yieldAt sim.Time // instant of the job's latest yield, noYield before the first
+	// pos is the record's index in the dense set its job is in: m.queue
+	// (position-indexed mode only), m.holding or m.running.
+	pos     int32
+	slot    int32 // own index in Manager.recs
+	demoted bool  // ranked last for the current iteration
 }
 
-// holdEntry tracks a holding job's allocation. Release timing is handled
-// by the manager-wide release scan, not per-entry timers.
-type holdEntry struct {
-	alloc *cluster.Allocation
+// noYield is schedRec.yieldAt and Manager.lastYield before any yield; no
+// simulated instant equals it.
+const noYield sim.Time = -1
+
+// IterOutcome classifies one scheduling iteration by the weightiest thing
+// it did, in ascending order of weight, so the counts sum to Iterations().
+type IterOutcome int
+
+const (
+	// IterElided: no queued job's charge fit the free nodes, so ordering
+	// and planning were skipped (incremental core only).
+	IterElided         IterOutcome = iota
+	IterPlannedNothing             // planned; nothing started, held or yielded
+	IterYielded                    // at least one job yielded, none held or started
+	IterHeld                       // at least one job entered a hold, none started
+	IterStarted                    // at least one job started
+	NumIterOutcomes
+)
+
+// String returns the outcome's table label.
+func (o IterOutcome) String() string {
+	return [...]string{"elided", "planned-nothing", "yielded", "held", "started"}[o]
 }
 
 // BackfillMode selects the planner strategy.
@@ -173,18 +204,29 @@ type Manager struct {
 
 	peers map[string]cosched.Peer
 
+	// jobs is the manager's only map, consulted only where an ID arrives
+	// from outside: peer calls, admin Submit/Cancel, Expect and Restore.
 	jobs map[job.ID]*job.Job
 	// all mirrors jobs in insertion order. Jobs() iterates it instead of
 	// the map so downstream consumers (streaming metrics, audits) see a
 	// deterministic order without sorting; nothing is ever removed from
 	// the registry, so the two stay in lockstep.
-	all     []*job.Job
-	queue   []*job.Job
-	running map[job.ID]*runEntry
-	holding map[job.ID]*holdEntry
+	all   []*job.Job
+	queue []*job.Job
 
-	demoted     map[job.ID]bool // ranked last for the current iteration
-	lastYieldAt map[job.ID]sim.Time
+	// recs is the record table job.Sched indexes (slot 0 stays nil: a job
+	// with Sched 0 has no record); freeRecs are the idle records, recycled
+	// so steady-state submit/start/complete churn allocates nothing (the
+	// pool recycles the Allocation structs the same way). running and
+	// holding are the dense, unordered sets of those records.
+	recs     []*schedRec
+	freeRecs []*schedRec
+	running  []*schedRec
+	holding  []*schedRec
+	dueBuf   []*schedRec // releaseScanFire's ID-ordered copy of holding
+
+	demoting  bool     // some records have demoted set (the release scan's iteration)
+	lastYield sim.Time // latest instant any job yielded; noYield before the first
 
 	// releaseScan is the single armed timer implementing the periodic
 	// hold-release enhancement; it fires when the longest-held job
@@ -197,6 +239,8 @@ type Manager struct {
 	completed   int
 	cancelled   int
 	iterations  uint64
+	iterStats   [NumIterOutcomes]uint64
+	outcome     IterOutcome // of the iteration in progress, so far
 
 	// holdBudget caps concurrent holds when the daemon degrades to
 	// journal-less mode (-1 = no cap); holdsRefused counts the holds the
@@ -218,23 +262,17 @@ type Manager struct {
 
 	// Incremental core state (see Core in incremental.go). The mode flags
 	// are fixed at construction: sortedQueue keeps the queue canonically
-	// ordered (time-invariant policy, yield-boost off); queuePos indexes
-	// positions for O(1) removal otherwise; maintainTL keeps the release
-	// timeline sorted across iterations (stable estimator); acrossInstant
-	// widens the skip-cache beyond a single simulated instant.
-	core          Core
-	sortedQueue   bool
-	maintainTL    bool
-	acrossInstant bool
-	queuePos      map[job.ID]int
-	timeline      []backfill.Release
-
-	queueV, timelineV, yieldV uint64
-
-	lastFP      iterFP
-	lastFPValid bool
-	lastEmpty   bool
-	skips       uint64
+	// ordered (time-invariant policy, yield-boost off), otherwise each
+	// record's pos gives O(1) removal; maintainTL keeps the release
+	// timeline sorted across iterations (stable estimator). minCharge is a
+	// lower bound on the smallest charge any queued job needs (the zero
+	// value is one), equal to it while minExact — the no-fit elision's test.
+	core        Core
+	sortedQueue bool
+	maintainTL  bool
+	timeline    []backfill.Release
+	minCharge   int
+	minExact    bool
 
 	// Prebuilt event handlers. Scheduling with a fresh closure (or method
 	// value) heap-allocates the function value per event; building these
@@ -243,13 +281,7 @@ type Manager struct {
 	iterFn     sim.Handler    // RequestIteration body
 	releaseFn  sim.Handler    // releaseScanFire method value, pinned once
 	submitFn   sim.ArgHandler // trace-replay submission (arg = *job.Job)
-	completeFn sim.ArgHandler // job completion (arg = *job.Job)
-
-	// freeRun and freeHold recycle the per-start bookkeeping entries, so
-	// steady-state start/complete churn allocates nothing (the pool
-	// recycles the Allocation structs the same way).
-	freeRun  []*runEntry
-	freeHold []*holdEntry
+	completeFn sim.ArgHandler // job completion (arg = the job's *schedRec)
 
 	// Chained trace replay (SubmitTrace): the sorted trace, the cursor to
 	// the next unsubmitted job, and the pinned chain handler.
@@ -274,40 +306,53 @@ type Manager struct {
 	folded           int
 }
 
-// newRunEntry returns a zeroed runEntry, recycled when one is available.
-func (m *Manager) newRunEntry(alloc *cluster.Allocation) *runEntry {
-	if k := len(m.freeRun); k > 0 {
-		re := m.freeRun[k-1]
-		m.freeRun[k-1] = nil
-		m.freeRun = m.freeRun[:k-1]
-		*re = runEntry{alloc: alloc}
-		return re
+// acquireRec gives j a scheduler record, recycled when one is idle, and
+// points j.Sched at it.
+//
+//simlint:hotpath
+func (m *Manager) acquireRec(j *job.Job) *schedRec {
+	var rec *schedRec
+	if k := len(m.freeRecs); k > 0 {
+		rec = m.freeRecs[k-1]
+		m.freeRecs[k-1] = nil
+		m.freeRecs = m.freeRecs[:k-1]
+	} else {
+		rec = &schedRec{slot: int32(len(m.recs))}
+		m.recs = append(m.recs, rec) //simlint:allow R6 amortized record-table growth, bounded by peak concurrent queued+holding+running jobs
 	}
-	return &runEntry{alloc: alloc}
+	rec.j, rec.yieldAt = j, noYield
+	j.Sched = rec.slot
+	return rec
 }
 
-// recycleRun returns a runEntry removed from the running set to the free
-// list. The caller must already have deleted it from m.running.
-func (m *Manager) recycleRun(re *runEntry) {
-	*re = runEntry{}
-	m.freeRun = append(m.freeRun, re)
+// releaseRec returns the record of a job that has left the queue, holding
+// and running sets for good. Nothing of the job stays behind in it.
+//
+//simlint:hotpath
+func (m *Manager) releaseRec(rec *schedRec) {
+	rec.j.Sched = 0
+	*rec = schedRec{slot: rec.slot}
+	m.freeRecs = append(m.freeRecs, rec) //simlint:allow R6 amortized free-list growth, bounded by the record table
 }
 
-// newHoldEntry and recycleHold are the holdEntry counterparts.
-func (m *Manager) newHoldEntry(alloc *cluster.Allocation) *holdEntry {
-	if k := len(m.freeHold); k > 0 {
-		he := m.freeHold[k-1]
-		m.freeHold[k-1] = nil
-		m.freeHold = m.freeHold[:k-1]
-		*he = holdEntry{alloc: alloc}
-		return he
-	}
-	return &holdEntry{alloc: alloc}
+// setAdd appends rec to one of the dense sets (running, holding).
+//
+//simlint:hotpath
+func setAdd(set *[]*schedRec, rec *schedRec) {
+	rec.pos = int32(len(*set))
+	*set = append(*set, rec) //simlint:allow R6 amortized set growth, bounded by peak concurrent running (or holding) jobs
 }
 
-func (m *Manager) recycleHold(he *holdEntry) {
-	*he = holdEntry{}
-	m.freeHold = append(m.freeHold, he)
+// setDrop swap-removes rec from the dense set it is in.
+//
+//simlint:hotpath
+func setDrop(set *[]*schedRec, rec *schedRec) {
+	s := *set
+	last := len(s) - 1
+	s[rec.pos] = s[last]
+	s[rec.pos].pos = rec.pos
+	s[last] = nil
+	*set = s[:last]
 }
 
 // New creates a Manager bound to engine eng.
@@ -339,22 +384,20 @@ func New(eng *sim.Engine, opt Options) *Manager {
 		}
 	}
 	m := &Manager{
-		name:        name,
-		eng:         eng,
-		pool:        opt.Pool,
-		pol:         pol,
-		bf:          mode,
-		est:         est,
-		cfg:         opt.Cosched,
-		obs:         obs,
-		peers:       make(map[string]cosched.Peer),
-		jobs:        make(map[job.ID]*job.Job),
-		running:     make(map[job.ID]*runEntry),
-		holding:     make(map[job.ID]*holdEntry),
-		demoted:     make(map[job.ID]bool),
-		lastYieldAt: make(map[job.ID]sim.Time),
-		core:        opt.Core,
-		holdBudget:  -1,
+		name:       name,
+		eng:        eng,
+		pool:       opt.Pool,
+		pol:        pol,
+		bf:         mode,
+		est:        est,
+		cfg:        opt.Cosched,
+		obs:        obs,
+		peers:      make(map[string]cosched.Peer),
+		jobs:       make(map[job.ID]*job.Job),
+		recs:       make([]*schedRec, 1),
+		lastYield:  noYield,
+		core:       opt.Core,
+		holdBudget: -1,
 	}
 	m.boostFn = m.boost
 	m.estFn = m.est.Estimate
@@ -368,34 +411,26 @@ func New(eng *sim.Engine, opt Options) *Manager {
 		if j.State == job.Cancelled {
 			return // withdrawn before arrival
 		}
-		// Submit resets SubmitTime to now, which equals j.SubmitTime.
-		if err := m.Submit(j); err != nil {
+		// admit resets SubmitTime to now, which equals j.SubmitTime.
+		if err := m.admit(j); err != nil {
 			panic(fmt.Sprintf("resmgr %s: replay submit job %d: %v", m.name, j.ID, err))
 		}
 	}
 	m.completeFn = func(end sim.Time, arg any) {
-		m.completeJob(arg.(*job.Job), end)
+		m.completeJob(arg.(*schedRec), end)
 	}
 	m.replayFn = m.replayStep
 	if m.core == CoreIncremental {
 		// The queue stays pre-sorted only when the canonical order is a
 		// function of queue membership alone: time-invariant scores and no
 		// per-yield boosts (demotion iterations fall back to a full sort
-		// per iteration instead of disabling the mode). Otherwise an
-		// id→position index gives O(1) removal.
+		// per iteration instead of disabling the mode). Otherwise each
+		// record's queue position gives O(1) removal.
 		m.sortedQueue = policy.IsTimeInvariant(pol) && !m.cfg.YieldBoost
-		if !m.sortedQueue {
-			m.queuePos = make(map[job.ID]int)
-		}
 		// The timeline caches each running job's endBy at start, so it is
 		// maintainable only while the estimator's predictions cannot drift
 		// afterwards; unstable estimators rebuild per iteration.
 		m.maintainTL = predict.IsStable(est)
-		// Skips may span instants only when plan emptiness is monotone in
-		// now — see iterFP. Conservative backfilling re-derives every
-		// reservation from a full profile, so it stays same-instant.
-		m.acrossInstant = policy.IsTimeInvariant(pol) && m.maintainTL &&
-			mode != BackfillConservative
 	}
 	return m
 }
@@ -414,6 +449,15 @@ func (m *Manager) Engine() *sim.Engine { return m.eng }
 
 // Iterations returns how many scheduling iterations have run.
 func (m *Manager) Iterations() uint64 { return m.iterations }
+
+// IterationStats returns how many iterations ended in each IterOutcome; the
+// counts sum to Iterations().
+func (m *Manager) IterationStats() [NumIterOutcomes]uint64 { return m.iterStats }
+
+// Skips returns how many scheduling iterations were elided because no queued
+// job's charge fit the free nodes. Elided iterations still count in
+// Iterations().
+func (m *Manager) Skips() uint64 { return m.iterStats[IterElided] }
 
 // AddPeer registers the peer serving the named remote domain.
 func (m *Manager) AddPeer(domain string, p cosched.Peer) { m.peers[domain] = p }
@@ -467,11 +511,19 @@ func (m *Manager) Submit(j *job.Job) error {
 		}
 		m.addJob(j)
 	}
+	return m.admit(j)
+}
+
+// admit moves a registered job into the queue. Trace replay enters here:
+// the jobs it submits are the ones SubmitTrace/SubmitAt registered, so the
+// registry has nothing to check.
+func (m *Manager) admit(j *job.Job) error {
 	if err := j.Advance(job.Queued); err != nil {
 		return err
 	}
 	now := m.eng.Now()
 	j.SubmitTime = now
+	m.acquireRec(j)
 	m.enqueue(j)
 	m.obs.JobSubmitted(now, j)
 	m.RequestIteration()
@@ -549,7 +601,7 @@ func (m *Manager) replayStep(now sim.Time) {
 			if j.State == job.Cancelled {
 				continue // withdrawn before arrival; see Cancel
 			}
-			if err := m.Submit(j); err != nil {
+			if err := m.admit(j); err != nil {
 				panic(fmt.Sprintf("resmgr %s: replay submit job %d: %v", m.name, j.ID, err))
 			}
 		}
@@ -639,26 +691,22 @@ func (m *Manager) Cancel(id job.ID) error {
 	case job.Unsubmitted:
 		// The replay submit event (if any) checks the state and skips.
 	case job.Queued:
-		m.removeFromQueue(id)
-		delete(m.lastYieldAt, id)
+		m.removeFromQueue(j)
+		m.releaseRec(m.recs[j.Sched])
 	case job.Holding:
-		he := m.holding[id]
-		j.HeldNodeSeconds += int64(he.alloc.Allocated) * (now - j.HoldStart)
-		if err := m.pool.Release(now, he.alloc.ID); err != nil {
-			panic(fmt.Sprintf("resmgr %s: cancel hold: %v", m.name, err))
-		}
-		delete(m.holding, id)
-		m.recycleHold(he)
+		rec := m.recs[j.Sched]
+		m.unhold(rec, now)
+		m.releaseRec(rec)
 		m.scheduleReleaseScan()
 	case job.Running:
-		re := m.running[id]
-		re.end.Cancel()
-		if err := m.pool.Release(now, re.alloc.ID); err != nil {
+		rec := m.recs[j.Sched]
+		rec.end.Cancel()
+		if err := m.pool.Release(now, rec.alloc.ID); err != nil {
 			panic(fmt.Sprintf("resmgr %s: cancel run: %v", m.name, err))
 		}
-		m.runReleaseDrop(re)
-		delete(m.running, id)
-		m.recycleRun(re)
+		m.runReleaseDrop(rec)
+		setDrop(&m.running, rec)
+		m.releaseRec(rec)
 	default:
 		return fmt.Errorf("%w: job %d is %s", ErrBadState, id, j.State)
 	}
@@ -686,10 +734,7 @@ func (m *Manager) RequestIteration() {
 // boost computes the per-job additive priority adjustment: iteration-scoped
 // demotion for released holders, escalation boosts for repeat yielders.
 func (m *Manager) boost(j *job.Job) float64 {
-	// boost runs once per queued job on every iteration; skipping the hash
-	// lookup while no demotions are live (the overwhelmingly common state)
-	// is a measurable win on large queues.
-	if len(m.demoted) > 0 && m.demoted[j.ID] {
+	if m.recs[j.Sched].demoted {
 		return policy.DemotionBoost
 	}
 	if m.cfg.YieldBoost {
@@ -700,83 +745,43 @@ func (m *Manager) boost(j *job.Job) float64 {
 
 // Iterate runs one scheduling iteration: order the queue, plan starts with
 // (optional) EASY backfill, then push each planned job through Run_Job.
-// The incremental core consults its skip-cache first — when no planner
-// input has changed since an iteration whose plan was empty, planning is
-// elided outright (the iteration still counts in Iterations()).
+//
+// The incremental core first asks whether any queued job's charge fits the
+// free nodes. Every entry of every planner's plan charges at least its job's
+// charge against the nodes free at this instant, so when none fits the plan
+// is empty and ordering and planning are elided outright (the iteration still
+// counts in Iterations()). Completions free their nodes before the
+// same-instant iteration fires (PriorityEnd < PrioritySchedule), so the test
+// is exact, not heuristic. The reference core plans every iteration.
 func (m *Manager) Iterate(now sim.Time) {
 	m.iterations++
+	if m.core == CoreIncremental && !m.anyQueuedFits() {
+		m.iterStats[IterElided]++
+		return
+	}
+
 	// A job that yielded at this instant gave up its slot for the rest of
 	// the instant: excluding it from the plan lets other jobs use the
 	// nodes it declined (the "additional scheduling iteration" yieldJob
 	// requests), and prevents a yield livelock within one event time.
 	eligible := m.queue
-	excluded := 0
-	for i, j := range m.queue {
-		if j.YieldCount > 0 && m.lastYieldAt[j.ID] == now {
-			buf := m.eligBuf[:0]
-			if cap(buf) < len(m.queue) {
-				buf = make([]*job.Job, 0, len(m.queue))
-			}
-			buf = append(buf, m.queue[:i]...)
-			excluded++
-			for _, k := range m.queue[i+1:] {
-				if k.YieldCount > 0 && m.lastYieldAt[k.ID] == now {
-					excluded++
-					continue
-				}
-				buf = append(buf, k)
-			}
-			m.eligBuf = buf
-			eligible = buf
-			break
-		}
-	}
-
-	// Stale-timeline check before fingerprinting: a correction bumps
-	// timelineV, so a cached empty plan computed against the old release
-	// bounds cannot be replayed.
-	if m.maintainTL && len(m.timeline) > 0 && m.timeline[0].EndBy <= now {
-		m.timelineRebuild(now)
-	}
-	// Demotion iterations (the release-scan deadlock breaker) reorder via
-	// boosts the fingerprint does not see; they bypass and poison the
-	// cache rather than widen it for a once-per-interval event.
-	useCache := m.core == CoreIncremental && len(m.demoted) == 0
-	var fp iterFP
-	if useCache {
-		fp = m.fingerprint(now, excluded)
-		if m.lastFPValid && fp == m.lastFP && m.lastEmpty {
-			m.skips++
-			return
-		}
-	}
-
-	// A completely full pool cannot start, hold, or backfill anything at
-	// this instant — every plan entry charges at least one node — so the
-	// plan is empty by construction under every planner and the whole
-	// score/sort/plan pass can be skipped. Completions free their nodes
-	// before the same-instant scheduling iteration fires (PriorityEnd <
-	// PrioritySchedule), so the shortcut is exact, not heuristic.
-	if m.pool.Free() == 0 {
-		if m.core == CoreIncremental {
-			if useCache {
-				m.lastFP, m.lastEmpty, m.lastFPValid = fp, true, true
-			} else {
-				m.lastFPValid = false
-			}
-		}
-		return
+	if m.lastYield == now {
+		eligible = m.withoutYielders(now)
 	}
 
 	var ordered []*job.Job
-	if m.sortedQueue && len(m.demoted) == 0 {
+	if m.sortedQueue && !m.demoting {
 		// The queue storage already holds the canonical order and every
 		// boost is zero (time-invariant policy, yield-boost off, no
 		// demotions), so Orderer.Order would return this exact
 		// permutation — skip the score-and-sort entirely.
 		ordered = eligible
 	} else {
-		ordered = m.ord.Order(m.pol, eligible, now, m.boostFn)
+		boost := m.boostFn
+		if !m.demoting && !m.cfg.YieldBoost {
+			boost = nil // every boost is zero: spare the call per queued job
+		}
+		ordered = m.ord.Order(m.pol, eligible, now, boost)
 	}
 
 	releases := m.planReleases(now)
@@ -791,17 +796,7 @@ func (m *Manager) Iterate(now sim.Time) {
 	}
 	m.planBuf = plan[:0]
 
-	if m.core == CoreIncremental {
-		if useCache {
-			// Record the pre-execution state: if the plan is empty,
-			// execution changes nothing and an identical future state may
-			// skip; if not, execution bumps versions and the entry is inert.
-			m.lastFP, m.lastEmpty, m.lastFPValid = fp, len(plan) == 0, true
-		} else {
-			m.lastFPValid = false
-		}
-	}
-
+	m.outcome = IterPlannedNothing
 	for _, d := range plan {
 		j := d.Job
 		if j.State != job.Queued {
@@ -812,6 +807,21 @@ func (m *Manager) Iterate(now sim.Time) {
 		}
 		m.RunJob(j, now, d.HoldSafe)
 	}
+	m.iterStats[m.outcome]++
+}
+
+// withoutYielders returns the queue minus the jobs that yielded at now, in
+// queue order, built in eligBuf. Iterate calls it only when some job
+// yielded at now, so an instant without yields costs one comparison.
+func (m *Manager) withoutYielders(now sim.Time) []*job.Job {
+	buf := m.eligBuf[:0]
+	for _, j := range m.queue {
+		if m.recs[j.Sched].yieldAt != now {
+			buf = append(buf, j)
+		}
+	}
+	m.eligBuf = buf
+	return buf
 }
 
 // RunJob is Algorithm 1: start, hold, or yield a scheduled job j that the
@@ -825,7 +835,7 @@ func (m *Manager) RunJob(j *job.Job, now sim.Time, holdSafe bool) {
 
 	// Lines 34–36: coscheduling disabled → start normally.
 	if !m.cfg.Enabled || !j.Paired() {
-		m.startJob(j, now)
+		m.startJobAt(j, now, now)
 		return
 	}
 
@@ -869,7 +879,7 @@ func (m *Manager) RunJob(j *job.Job, now sim.Time, holdSafe bool) {
 		}
 	}
 	if len(toRelease)+len(toTry) == 0 {
-		m.startJob(j, now)
+		m.startJobAt(j, now, now)
 		return
 	}
 
@@ -887,7 +897,7 @@ func (m *Manager) RunJob(j *job.Job, now sim.Time, holdSafe bool) {
 		}
 		if started {
 			// Line 14 + lines 7–8: start self, then release holders.
-			m.startJob(j, now)
+			m.startJobAt(j, now, now)
 			for _, mi := range toRelease {
 				if err := startMateAt(mi.peer, mi.ref.Job, now); err != nil {
 					// Peer failure after our start: nothing to undo —
@@ -943,17 +953,15 @@ func (m *Manager) holdOrYield(j *job.Job, now sim.Time, holdSafe bool) {
 	}
 }
 
-// startJob transitions a queued job to Running on freshly allocated nodes
-// and schedules its completion. The planner guaranteed the allocation fits.
-func (m *Manager) startJob(j *job.Job, now sim.Time) {
-	m.startJobAt(j, now, now)
-}
-
-// startJobAt is startJob recording `at` as the job's start instant. at == now
-// everywhere except when a remote resolver proposed the co-start instant over
-// the wire (cosched.CoStarter) or a reconciliation adopts a surviving mate's
+// startJobAt transitions a queued job to Running on freshly allocated nodes
+// (the planner guaranteed the allocation fits), schedules its completion and
+// records `at` as the job's start instant. at == now everywhere except when
+// a remote resolver proposed the co-start instant over the wire
+// (cosched.CoStarter) or a reconciliation adopts a surviving mate's
 // historical start; the completion is always scheduled from the local clock,
 // so adopted instants never rewind the engine.
+//
+//simlint:hotpath
 func (m *Manager) startJobAt(j *job.Job, at, now sim.Time) {
 	alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocRun)
 	if err != nil {
@@ -966,46 +974,39 @@ func (m *Manager) startJobAt(j *job.Job, at, now sim.Time) {
 		panic(fmt.Sprintf("resmgr %s: startJob: %v", m.name, err))
 	}
 	j.StartTime = at
-	m.removeFromQueue(j.ID)
-	if len(m.lastYieldAt) > 0 {
-		delete(m.lastYieldAt, j.ID)
-	}
-	entry := m.newRunEntry(alloc)
-	m.runReleaseAdd(entry, j)
-	entry.end = m.eng.AfterArg(j.Runtime, sim.PriorityEnd, m.completeFn, j)
-	m.running[j.ID] = entry
+	m.removeFromQueue(j)
+	rec := m.recs[j.Sched]
+	rec.alloc = alloc
+	m.runReleaseAdd(rec)
+	setAdd(&m.running, rec)
+	rec.end = m.eng.AfterArg(j.Runtime, sim.PriorityEnd, m.completeFn, rec)
+	m.outcome = IterStarted
 	m.obs.JobStarted(at, j)
 }
 
-// startHeldJob converts a Holding job's allocation to Run and schedules
-// completion — the "its mate got ready, start now" path.
-func (m *Manager) startHeldJob(j *job.Job, now sim.Time) error {
-	return m.startHeldJobAt(j, now, now)
-}
-
-// startHeldJobAt is startHeldJob recording `at` as the start instant (see
-// startJobAt). Held-node-seconds accrue to the local clock: the hold really
-// did occupy nodes until now, whatever instant the pair agrees to record.
+// startHeldJobAt converts a Holding job's allocation to Run and schedules
+// completion — the "its mate got ready, start now" path — recording `at` as
+// the start instant (see startJobAt). Held-node-seconds accrue to the local
+// clock: the hold really did occupy nodes until now, whatever instant the
+// pair agrees to record.
 func (m *Manager) startHeldJobAt(j *job.Job, at, now sim.Time) error {
-	he, ok := m.holding[j.ID]
-	if !ok {
+	if j.State != job.Holding {
 		return fmt.Errorf("%w: job %d not holding", ErrBadState, j.ID)
 	}
-	if _, err := m.pool.Convert(now, he.alloc.ID, cluster.AllocRun); err != nil {
+	rec := m.recs[j.Sched]
+	if _, err := m.pool.Convert(now, rec.alloc.ID, cluster.AllocRun); err != nil {
 		return err
 	}
-	delete(m.holding, j.ID)
+	setDrop(&m.holding, rec)
 	m.scheduleReleaseScan()
-	j.HeldNodeSeconds += int64(he.alloc.Allocated) * (now - j.HoldStart)
+	j.HeldNodeSeconds += int64(rec.alloc.Allocated) * (now - j.HoldStart)
 	if err := j.Advance(job.Running); err != nil {
 		panic(fmt.Sprintf("resmgr %s: startHeldJob: %v", m.name, err))
 	}
 	j.StartTime = at
-	entry := m.newRunEntry(he.alloc)
-	m.recycleHold(he)
-	m.runReleaseAdd(entry, j)
-	entry.end = m.eng.AfterArg(j.Runtime, sim.PriorityEnd, m.completeFn, j)
-	m.running[j.ID] = entry
+	m.runReleaseAdd(rec)
+	setAdd(&m.running, rec)
+	rec.end = m.eng.AfterArg(j.Runtime, sim.PriorityEnd, m.completeFn, rec)
 	m.obs.JobStarted(at, j)
 	return nil
 }
@@ -1023,8 +1024,11 @@ func (m *Manager) holdJob(j *job.Job, now sim.Time) {
 	}
 	j.HoldStart = now
 	j.HoldCount++
-	m.removeFromQueue(j.ID)
-	m.holding[j.ID] = m.newHoldEntry(alloc)
+	m.removeFromQueue(j)
+	rec := m.recs[j.Sched]
+	rec.alloc = alloc
+	setAdd(&m.holding, rec)
+	m.outcome = max(m.outcome, IterHeld)
 	m.obs.JobHeld(now, j)
 	m.scheduleReleaseScan()
 }
@@ -1034,10 +1038,32 @@ func (m *Manager) holdJob(j *job.Job, now sim.Time) {
 // use the nodes it declined.
 func (m *Manager) yieldJob(j *job.Job, now sim.Time) {
 	j.YieldCount++
-	m.lastYieldAt[j.ID] = now
-	m.yieldV++ // yield counts and same-instant exclusions feed the fingerprint
+	m.recs[j.Sched].yieldAt = now
+	m.lastYield = now
+	m.outcome = max(m.outcome, IterYielded)
 	m.obs.JobYielded(now, j)
 	m.RequestIteration()
+}
+
+// unhold ends rec's job's hold: held time accrued to now, nodes back in the
+// pool, record out of the holding set. The caller moves the job on.
+func (m *Manager) unhold(rec *schedRec, now sim.Time) {
+	j := rec.j
+	j.HeldNodeSeconds += int64(rec.alloc.Allocated) * (now - j.HoldStart)
+	if err := m.pool.Release(now, rec.alloc.ID); err != nil {
+		panic(fmt.Sprintf("resmgr %s: release hold of job %d: %v", m.name, j.ID, err))
+	}
+	setDrop(&m.holding, rec)
+	rec.alloc = nil
+}
+
+// requeueHeld returns a holding job to the queue, its nodes to the pool.
+func (m *Manager) requeueHeld(rec *schedRec, now sim.Time) {
+	m.unhold(rec, now)
+	if err := rec.j.Advance(job.Queued); err != nil {
+		panic(fmt.Sprintf("resmgr %s: requeue held job %d: %v", m.name, rec.j.ID, err))
+	}
+	m.enqueue(rec.j)
 }
 
 // scheduleReleaseScan (re)arms the release timer at the earliest instant a
@@ -1051,8 +1077,8 @@ func (m *Manager) scheduleReleaseScan() {
 		return // a scan is already armed; it re-arms itself while holds exist
 	}
 	due := sim.Time(math.MaxInt64)
-	for id := range m.holding {
-		if t := m.jobs[id].HoldStart + m.cfg.ReleaseInterval; t < due {
+	for _, rec := range m.holding {
+		if t := rec.j.HoldStart + m.cfg.ReleaseInterval; t < due {
 			due = t
 		}
 	}
@@ -1078,51 +1104,43 @@ func (m *Manager) scheduleReleaseScan() {
 // enhancement exists to break). Holders whose nodes nobody takes re-hold
 // within the same iteration; the rest stay queued.
 func (m *Manager) releaseScanFire(now sim.Time) {
-	due := make([]*job.Job, 0, len(m.holding))
-	for id := range m.holding {
-		due = append(due, m.jobs[id])
-	}
-	// Map iteration order is random; sort for reproducible simulations.
-	slices.SortFunc(due, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
-	for _, j := range due {
-		he := m.holding[j.ID]
-		j.HeldNodeSeconds += int64(he.alloc.Allocated) * (now - j.HoldStart)
-		if err := m.pool.Release(now, he.alloc.ID); err != nil {
-			panic(fmt.Sprintf("resmgr %s: release scan: %v", m.name, err))
-		}
-		delete(m.holding, j.ID)
-		m.recycleHold(he)
-		if err := j.Advance(job.Queued); err != nil {
-			panic(fmt.Sprintf("resmgr %s: release scan: %v", m.name, err))
-		}
-		m.enqueue(j)
-		m.demoted[j.ID] = true
-		m.obs.JobReleased(now, j, true)
+	// The iteration below may hold again, so release from a copy, in
+	// ascending job-ID order: the order is visible in event logs.
+	due := append(m.dueBuf[:0], m.holding...)
+	slices.SortFunc(due, func(a, b *schedRec) int { return cmp.Compare(a.j.ID, b.j.ID) })
+	for _, rec := range due {
+		m.requeueHeld(rec, now)
+		rec.demoted = true
+		m.obs.JobReleased(now, rec.j, true)
 	}
 	if len(due) > 0 {
 		// One iteration with every released holder demoted to the back;
-		// the demotion window is exactly this iteration.
+		// the demotion window is exactly this iteration. (Nothing completes
+		// inside an iteration, so every record is still its job's.)
+		m.demoting = true
 		m.Iterate(now)
-		for _, j := range due {
-			delete(m.demoted, j.ID)
+		m.demoting = false
+		for _, rec := range due {
+			rec.demoted = false
 		}
 	}
+	clear(due)
+	m.dueBuf = due
 	m.scheduleReleaseScan()
 }
 
 // completeJob finishes a running job, frees its nodes, and triggers a new
 // scheduling iteration.
-func (m *Manager) completeJob(j *job.Job, now sim.Time) {
-	re, ok := m.running[j.ID]
-	if !ok {
-		return
-	}
-	if err := m.pool.Release(now, re.alloc.ID); err != nil {
+//
+//simlint:hotpath
+func (m *Manager) completeJob(rec *schedRec, now sim.Time) {
+	j := rec.j
+	if err := m.pool.Release(now, rec.alloc.ID); err != nil {
 		panic(fmt.Sprintf("resmgr %s: completeJob: %v", m.name, err))
 	}
-	m.runReleaseDrop(re)
-	delete(m.running, j.ID)
-	m.recycleRun(re)
+	m.runReleaseDrop(rec)
+	setDrop(&m.running, rec)
+	m.releaseRec(rec)
 	if err := j.Advance(job.Completed); err != nil {
 		panic(fmt.Sprintf("resmgr %s: completeJob: %v", m.name, err))
 	}

@@ -38,6 +38,7 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 		m.addJob(j)
 	case job.Queued:
 		m.addJob(j)
+		m.acquireRec(j)
 		m.enqueue(j)
 	case job.Holding:
 		alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocHold)
@@ -45,7 +46,9 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 			return fmt.Errorf("restore hold for job %d: %w", j.ID, err)
 		}
 		m.addJob(j)
-		m.holding[j.ID] = &holdEntry{alloc: alloc}
+		rec := m.acquireRec(j)
+		rec.alloc = alloc
+		setAdd(&m.holding, rec)
 		m.scheduleReleaseScan()
 	case job.Running:
 		alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocRun)
@@ -53,20 +56,21 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 			return fmt.Errorf("restore run for job %d: %w", j.ID, err)
 		}
 		m.addJob(j)
-		entry := &runEntry{alloc: alloc}
-		m.runReleaseAdd(entry, j)
+		rec := m.acquireRec(j)
+		rec.alloc = alloc
+		m.runReleaseAdd(rec)
+		setAdd(&m.running, rec)
 		end := j.StartTime + sim.Time(j.Runtime)
 		if end < now {
 			// The job finished while the daemon was down; complete it at
 			// the first opportunity rather than rewinding the clock.
 			end = now
 		}
-		ref, err := m.eng.AtArg(end, sim.PriorityEnd, m.completeFn, j)
+		ref, err := m.eng.AtArg(end, sim.PriorityEnd, m.completeFn, rec)
 		if err != nil {
 			return fmt.Errorf("restore completion for job %d: %w", j.ID, err)
 		}
-		entry.end = ref
-		m.running[j.ID] = entry
+		rec.end = ref
 	case job.Completed:
 		m.addJob(j)
 		m.completed++
@@ -85,19 +89,7 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 // knows the job — it re-enters Run_Job on the next iteration, where the
 // unknown mate now means "start normally".
 func (m *Manager) releaseHold(j *job.Job, now sim.Time) {
-	he, ok := m.holding[j.ID]
-	if !ok {
-		return
-	}
-	j.HeldNodeSeconds += int64(he.alloc.Allocated) * (now - j.HoldStart)
-	if err := m.pool.Release(now, he.alloc.ID); err != nil {
-		panic(fmt.Sprintf("resmgr %s: reconcile release: %v", m.name, err))
-	}
-	delete(m.holding, j.ID)
-	if err := j.Advance(job.Queued); err != nil {
-		panic(fmt.Sprintf("resmgr %s: reconcile release: %v", m.name, err))
-	}
-	m.enqueue(j)
+	m.requeueHeld(m.recs[j.Sched], now)
 	m.obs.JobReleased(now, j, true)
 	m.scheduleReleaseScan()
 	m.RequestIteration()

@@ -7,8 +7,9 @@
 // jobs occupy most of the machine, and every queued job needs more nodes
 // than remain free, so each scheduling iteration plans nothing. That is the
 // hot path of a loaded simulation — Iterate runs on every queue/pool change
-// and usually starts nothing — and the path the incremental core's
-// skip-cache, sorted queue, and maintained timeline optimize.
+// and usually starts nothing. It is a no-fit state: the incremental core
+// elides these iterations outright (smallest queued charge > free nodes),
+// while the reference core orders and plans each one.
 package schedbench
 
 import (
@@ -82,8 +83,9 @@ func Steady(core resmgr.Core, queued int) (eng *sim.Engine, m *resmgr.Manager, b
 
 // Churn cancels victim (a queued blocked job) and submits a replacement,
 // returning the replacement and next ID. Driving Iterate between Churn calls
-// exercises queue removal/insertion and cache invalidation rather than the
-// pure skip path; callers typically rotate victims through the blocked set.
+// exercises queue removal/insertion and the smallest-charge bound's upkeep
+// rather than the pure elided path (the replacement is as blocked as the
+// victim); callers typically rotate victims through the blocked set.
 func Churn(m *resmgr.Manager, victim *job.Job, nextID job.ID) (*job.Job, job.ID) {
 	if err := m.Cancel(victim.ID); err != nil {
 		panic(fmt.Sprintf("schedbench: churn cancel: %v", err))
