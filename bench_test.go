@@ -491,13 +491,17 @@ func BenchmarkAblationRuntimePrediction(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Kernel micro-benchmarks.
 
-// BenchmarkEngineEventThroughput measures raw event scheduling/dispatch.
+// BenchmarkEngineEventThroughput measures raw event scheduling/dispatch:
+// one op is a future event plus the same-instant follow-up it schedules when
+// it fires, the shape of a state change requesting a scheduling iteration.
 func BenchmarkEngineEventThroughput(b *testing.B) {
 	e := sim.NewEngine()
+	nop := func(sim.Time) {}
+	h := func(sim.Time) { e.After(0, sim.PrioritySchedule, nop) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.After(sim.Duration(i%1000), sim.PriorityDefault, func(sim.Time) {})
+		e.After(sim.Duration(i%1000), sim.PriorityDefault, h)
 		if i%1024 == 1023 {
 			for e.Step() {
 			}

@@ -63,6 +63,11 @@ sh bench/run.sh --workload sweep_wire --seed 1 --seconds 3 --trace 0
 # digest, stops it equalling bench/golden.json, and exits 1 here.
 sh bench/run.sh --workload sweep_paper --seed 1 --seconds 3 --trace 0
 
+# Problem-size digest smoke: three seconds (at least three rounds) of
+# mega_cell at seed 1, so the third sweep golden digest — one HH cell at
+# half a million Intrepid jobs — is gated on every run too.
+sh bench/run.sh --workload mega_cell --seed 1 --seconds 3 --trace 0
+
 # Crash-recovery gate: the acceptance test SIGKILLs a live daemon
 # mid-run, restarts it on the same journal, and verifies co-starts from
 # the event logs; the drain test checks the SIGTERM peer notification.
@@ -81,6 +86,13 @@ go test -run '^$' -fuzz 'FuzzDecodeEntries' -fuzztime 10s ./internal/journal
 # every payload must decode to what json.Unmarshal alone gives (same value,
 # same error-ness) and every value must encode to json.Marshal's bytes.
 go test -run '^$' -fuzz 'FuzzFrameCodec' -fuzztime 10s ./internal/proto
+
+# Event-order fuzz smoke: ten seconds of the differential target for the
+# engine's same-instant lane. Every programme of schedules (at now below, at
+# and above what is pending; later), cancels, Every series, Step/RunUntil
+# calls and NextTime/Pending probes must read the same on the engine as on
+# the scan-for-the-minimum oracle kept in the test file.
+go test -run '^$' -fuzz 'FuzzEngineOrder' -fuzztime 10s ./internal/sim
 
 # Debug-build hardening: the backfill sortedness asserts and the
 # invariant package's fail-fast deadlock monitor only compile under

@@ -92,17 +92,36 @@ type Orderer struct {
 // ties by earlier submit time, then smaller ID. The input slice is not
 // modified. The result is backed by the Orderer's reusable buffer.
 func (o *Orderer) Order(p Policy, q []*job.Job, now sim.Time, boost Boost) []*job.Job {
-	if cap(o.tmp) < len(q) {
-		o.tmp = make([]scored, len(q))
-		o.out = make([]*job.Job, len(q))
+	return o.OrderFitting(p, q, now, boost, nil, 0)
+}
+
+// OrderFitting is Order over the only jobs a plan without per-job
+// reservations (no backfilling, or EASY) can contain when free nodes are free:
+// those whose charge fits — any other can neither start in priority order nor
+// backfill — plus, if some job fits, the one among the rest that Order ranks
+// first, the only one that can become the blocked head. Every job is scored
+// once in queue order, as Order scores them. A nil charge fits every job.
+func (o *Orderer) OrderFitting(p Policy, q []*job.Job, now sim.Time, boost Boost, charge func(nodes int) int, free int) []*job.Job {
+	if cap(o.tmp) < len(q)+1 {
+		// Geometric, so a queue creeping upward does not reallocate at every
+		// new maximum; the +1 is the head's slot.
+		n := max(len(q)+1, 2*cap(o.tmp))
+		o.tmp, o.out = make([]scored, n), make([]*job.Job, n)
 	}
-	tmp := o.tmp[:len(q)]
-	for i, j := range q {
+	tmp, head := o.tmp[:0], scored{}
+	for _, j := range q {
 		s := p.Score(j, now)
 		if boost != nil {
 			s += boost(j)
 		}
-		tmp[i] = scored{j, s}
+		if charge == nil || charge(j.Nodes) <= free {
+			tmp = append(tmp, scored{j, s})
+		} else if head.j == nil || Precedes(s, j, head.s, head.j) {
+			head = scored{j, s}
+		}
+	}
+	if head.j != nil && len(tmp) > 0 {
+		tmp = append(tmp, head)
 	}
 	// The comparator is a strict total order (ID breaks all ties), so an
 	// unstable sort is safe and the unique sorted permutation makes the
@@ -113,7 +132,7 @@ func (o *Orderer) Order(p Policy, q []*job.Job, now sim.Time, boost Boost) []*jo
 	// slices.SortFunc's closure dispatch) was the sweep's largest single
 	// CPU sink.
 	sortScored(tmp)
-	out := o.out[:len(q)]
+	out := o.out[:len(tmp)]
 	for i := range tmp {
 		out[i] = tmp[i].j
 		tmp[i].j = nil // drop the reference so reused buffers don't pin jobs

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -316,4 +318,94 @@ func ids(js []*job.Job) []job.ID {
 		out[i] = j.ID
 	}
 	return out
+}
+
+// callLog records the jobs a policy was asked to score, in call order.
+type callLog struct {
+	Policy
+	scored []job.ID
+}
+
+func (c *callLog) Score(j *job.Job, now sim.Time) float64 {
+	c.scored = append(c.scored, j.ID)
+	return c.Policy.Score(j, now)
+}
+
+// TestOrderFittingIsOrderMinusUnplannable pins what the reduced order is:
+// Order's permutation with every non-fitting job but the first removed (and
+// that one too when nothing fits), built from the same Score and boost calls
+// in the same sequence.
+func TestOrderFittingIsOrderMinusUnplannable(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	pow2 := func(n int) int { // partitioned pool: next power of two, at least 8
+		c := 8
+		for c < n {
+			c *= 2
+		}
+		return c
+	}
+	for trial := 0; trial < 500; trial++ {
+		q := make([]*job.Job, rng.Intn(24))
+		for i := range q {
+			q[i] = mkjob(job.ID(i+1), 1+rng.Intn(64), sim.Time(rng.Intn(5)*100), sim.Duration(60+rng.Intn(3)*600))
+		}
+		charge := func(n int) int { return n }
+		if trial%2 == 1 {
+			charge = pow2
+		}
+		free, now := rng.Intn(80), sim.Time(1000)
+		boost := func(j *job.Job) float64 { return YieldBoost(int(j.ID) % 3) }
+
+		full := &callLog{Policy: WFP{}}
+		var want []job.ID
+		blocked, fits := false, 0
+		for _, j := range Order(full, q, now, boost) {
+			if charge(j.Nodes) <= free {
+				want = append(want, j.ID)
+				fits++
+			} else if !blocked {
+				want = append(want, j.ID)
+				blocked = true
+			}
+		}
+		if fits == 0 {
+			want = nil
+		}
+
+		reduced := &callLog{Policy: WFP{}}
+		var o Orderer
+		got := ids(o.OrderFitting(reduced, q, now, boost, charge, free))
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (free %d): reduced order %v, want %v", trial, free, got, want)
+		}
+		if !slices.Equal(reduced.scored, full.scored) {
+			t.Fatalf("trial %d: Score calls %v, Order made %v", trial, reduced.scored, full.scored)
+		}
+		if all := ids(o.OrderFitting(WFP{}, q, now, boost, nil, 0)); !slices.Equal(all, ids(Order(WFP{}, q, now, boost))) {
+			t.Fatalf("trial %d: nil charge gave %v, not the full order", trial, all)
+		}
+	}
+}
+
+// TestOrdererGrowsGeometrically: a queue that creeps upward one job at a
+// time must not reallocate the Orderer's buffers at every new maximum.
+func TestOrdererGrowsGeometrically(t *testing.T) {
+	var o Orderer
+	var q []*job.Job
+	var last **job.Job
+	grown := 0
+	for i := 0; i < 4096; i++ {
+		q = append(q, mkjob(job.ID(i+1), 4, sim.Time(i), 600))
+		out := o.Order(FCFS{}, q, 5000, nil)
+		if &out[0] != &o.out[0] || cap(o.out) < len(q)+1 {
+			t.Fatalf("queue of %d: result not backed by a buffer with room for the head slot (cap %d)", len(q), cap(o.out))
+		}
+		if p := &o.out[0]; p != last {
+			last = p
+			grown++
+		}
+	}
+	if grown > 14 {
+		t.Fatalf("buffers reallocated %d times growing to 4096 jobs, want at most log2(4096)+2", grown)
+	}
 }

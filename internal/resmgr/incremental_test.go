@@ -288,6 +288,48 @@ func TestNoElisionWhileOnlyFitIsExcludedYielder(t *testing.T) {
 	}
 }
 
+// TestYieldInstantWithNothingEligibleFittingPlansNothing: the elision's test
+// counts a job that yielded at this instant, but the follow-up iteration's plan
+// excludes it. When the yielder is the only queued job that fits, nothing
+// eligible fits and the iteration starts nothing and counts as
+// planned-nothing — by the incremental core's early return as by the
+// reference core's empty plan.
+func TestYieldInstantWithNothingEligibleFittingPlansNothing(t *testing.T) {
+	for _, core := range []Core{CoreIncremental, CoreReference} {
+		cfg := cosched.DefaultConfig(cosched.Yield)
+		eng := sim.NewEngine()
+		// WFP: a time-varying policy, so the incremental core orders the
+		// queue on every iteration instead of keeping it sorted.
+		mk := func(name string) *Manager {
+			return New(eng, Options{Name: name, Pool: cluster.New(name, 100), Policy: policy.WFP{},
+				Backfilling: true, Cosched: cfg, Core: core})
+		}
+		a, b := mk("A"), mk("B")
+		a.AddPeer("B", b)
+		b.AddPeer("A", a)
+		filler := job.New(1, 80, 0, 600, 600)
+		ja := job.New(2, 10, 0, 600, 600)      // fits the 20 free nodes, yields: its mate is not there yet
+		blocked := job.New(3, 50, 0, 600, 600) // eligible at the yield instant, does not fit
+		jb := job.New(2, 10, 5000, 600, 600)
+		pairJobs(ja, jb)
+		submitAll(t, a, filler, ja, blocked)
+		submitAll(t, b, jb)
+		eng.RunUntil(0)
+		if filler.State != job.Running || ja.State != job.Queued || ja.YieldCount != 1 || blocked.State != job.Queued {
+			t.Fatalf("%s: filler %s, ja %s after %d yields, blocked %s", core, filler.State, ja.State, ja.YieldCount, blocked.State)
+		}
+		want := [NumIterOutcomes]uint64{IterStarted: 1, IterPlannedNothing: 1}
+		if st := a.IterationStats(); st != want || a.Iterations() != 2 {
+			t.Fatalf("%s: iterations=%d stats=%v, want %v", core, a.Iterations(), st, want)
+		}
+		// An iteration that reaches the planner resets m.outcome first; the
+		// incremental core's must have returned before that.
+		if reached := a.outcome == IterPlannedNothing; reached != (core == CoreReference) {
+			t.Fatalf("%s: follow-up iteration reached the planner = %v", core, reached)
+		}
+	}
+}
+
 // TestYieldHoldStartCompleteLeavesNoState is the regression test for the
 // per-job state a yield used to leave behind: a job that yields, escalates
 // to a hold (MaxYields), co-starts from the hold and completes must leave

@@ -752,7 +752,10 @@ func (m *Manager) boost(j *job.Job) float64 {
 // is empty and ordering and planning are elided outright (the iteration still
 // counts in Iterations()). Completions free their nodes before the
 // same-instant iteration fires (PriorityEnd < PrioritySchedule), so the test
-// is exact, not heuristic. The reference core plans every iteration.
+// is exact, not heuristic. Past it, under the none and EASY planners, the core
+// orders only what a plan can contain: the eligible jobs whose charge fits and
+// the first that does not (see policy.Orderer.OrderFitting). The reference
+// core orders the whole queue and plans on every iteration.
 func (m *Manager) Iterate(now sim.Time) {
 	m.iterations++
 	if m.core == CoreIncremental && !m.anyQueuedFits() {
@@ -781,7 +784,18 @@ func (m *Manager) Iterate(now sim.Time) {
 		if !m.demoting && !m.cfg.YieldBoost {
 			boost = nil // every boost is zero: spare the call per queued job
 		}
-		ordered = m.ord.Order(m.pol, eligible, now, boost)
+		// Conservative backfilling reserves for every blocked job and the
+		// reference core is the oracle: both order the whole queue (nil).
+		var charge backfill.ChargeFunc
+		if m.core == CoreIncremental && m.bf != BackfillConservative {
+			charge = m.pool.ChargeFor
+		}
+		ordered = m.ord.OrderFitting(m.pol, eligible, now, boost, charge, m.pool.Free())
+	}
+	if len(ordered) == 0 {
+		// Nothing eligible fits (anyQueuedFits counts yielders): an empty plan.
+		m.iterStats[IterPlannedNothing]++
+		return
 	}
 
 	releases := m.planReleases(now)

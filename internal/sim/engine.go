@@ -8,6 +8,10 @@
 //
 // Time is modelled as int64 seconds of virtual time. Nothing in the kernel
 // depends on the wall clock.
+//
+// An event waits in the binary heap or, when it is due at the very instant it
+// was scheduled (as every scheduling-iteration request is), in a short sorted
+// lane beside it; the smaller of the two heads fires next, so the order is one.
 package sim
 
 import (
@@ -180,8 +184,10 @@ func (h *eventHeap) pop() *event {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
-	free    []*event // recycled event structs; see recycle
+	queue   eventHeap // events scheduled for an instant later than the one they were scheduled at
+	lane    []*event  // lane[head:]: those scheduled for that very instant, by (priority, seq); their time equals now
+	head    int       // index of the lane's next event; the lane is reset to empty when it drains
+	free    []*event  // recycled event structs; see recycle
 	fired   uint64
 	running bool
 }
@@ -244,7 +250,55 @@ func (e *Engine) Pending() int {
 			n++
 		}
 	}
+	for _, ev := range e.lane[e.head:] {
+		if !ev.canceled {
+			n++
+		}
+	}
 	return n
+}
+
+// laneAdd files an event due now in the lane: seq only grows, so its place is
+// the tail unless its priority value is below the tail's, and then it bubbles
+// back past just those.
+//
+//simlint:hotpath
+func (e *Engine) laneAdd(ev *event) {
+	e.lane = append(e.lane, ev) //simlint:allow R6 amortized lane growth, bounded by the peak count of events pending at one instant
+	i := len(e.lane) - 1
+	for ; i > e.head && ev.priority < e.lane[i-1].priority; i-- {
+		e.lane[i] = e.lane[i-1]
+	}
+	e.lane[i] = ev
+	ev.index = 0 // queued, as EventRef.Pending reads it, though not in the heap
+}
+
+// next returns the next event in (time, priority, seq) order (canceled or
+// not, nil when none is queued) and whether it is the lane's head.
+func (e *Engine) next() (ev *event, lane bool) {
+	if e.head < len(e.lane) && (len(e.queue) == 0 || eventLess(e.lane[e.head], e.queue[0])) {
+		return e.lane[e.head], true
+	}
+	if len(e.queue) == 0 {
+		return nil, false
+	}
+	return e.queue[0], false
+}
+
+// pop removes and returns what next returns.
+//
+//simlint:hotpath
+func (e *Engine) pop() *event {
+	ev, lane := e.next()
+	if !lane {
+		return e.queue.pop()
+	}
+	e.lane[e.head] = nil
+	if e.head++; e.head == len(e.lane) {
+		e.lane, e.head = e.lane[:0], 0
+	}
+	ev.index = -1
+	return ev
 }
 
 // ErrPastEvent is returned by At when scheduling before the current time.
@@ -262,7 +316,11 @@ func (e *Engine) At(t Time, p Priority, h Handler) (EventRef, error) {
 	ev := e.newEvent()
 	ev.time, ev.priority, ev.seq, ev.handler = t, p, e.seq, h
 	e.seq++
-	e.queue.push(ev)
+	if t != e.now {
+		e.queue.push(ev)
+	} else {
+		e.laneAdd(ev)
+	}
 	return EventRef{ev, ev.gen}, nil
 }
 
@@ -288,7 +346,11 @@ func (e *Engine) AtArg(t Time, p Priority, h ArgHandler, arg any) (EventRef, err
 	ev := e.newEvent()
 	ev.time, ev.priority, ev.seq, ev.argH, ev.arg = t, p, e.seq, h, arg
 	e.seq++
-	e.queue.push(ev)
+	if t != e.now {
+		e.queue.push(ev)
+	} else {
+		e.laneAdd(ev)
+	}
 	return EventRef{ev, ev.gen}, nil
 }
 
@@ -334,8 +396,13 @@ func (e *Engine) Every(interval Duration, p Priority, h Handler) EventRef {
 //
 //simlint:hotpath
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
+	for len(e.queue)+len(e.lane) > 0 {
+		var ev *event
+		if len(e.lane) == 0 {
+			ev = e.queue.pop() // the common case, spared a call
+		} else {
+			ev = e.pop()
+		}
 		if ev.canceled {
 			e.recycle(ev)
 			continue
@@ -371,14 +438,7 @@ func (e *Engine) Run() Time {
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 {
-		next := e.peek()
-		if next == nil {
-			break
-		}
-		if next.time > deadline {
-			break
-		}
+	for next := e.peek(); next != nil && next.time <= deadline; next = e.peek() {
 		e.Step()
 	}
 	if e.now < deadline {
@@ -403,13 +463,11 @@ func (e *Engine) NextTime() (Time, bool) {
 // peek returns the next non-canceled event without popping, draining any
 // canceled events it encounters on the way.
 func (e *Engine) peek() *event {
-	for len(e.queue) > 0 {
-		ev := e.queue[0]
+	for ev, _ := e.next(); ev != nil; ev, _ = e.next() {
 		if !ev.canceled {
 			return ev
 		}
-		e.queue.pop()
-		e.recycle(ev)
+		e.recycle(e.pop())
 	}
 	return nil
 }

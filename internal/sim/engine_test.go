@@ -346,7 +346,14 @@ func TestAtArgPassesPayload(t *testing.T) {
 // pool is warm, the schedule→fire→recycle cycle performs no allocations.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine()
-	h := func(Time) {}
+	nop := func(Time) {}
+	// Each event requests two same-instant follow-ups, as a state change
+	// requests a scheduling iteration: the second bubbles ahead of the
+	// first in the lane, and both must come from the pool too.
+	h := func(Time) {
+		e.After(0, PrioritySchedule, nop)
+		e.After(0, PriorityEnd, nop)
+	}
 	// Warm the pool past the loop's concurrent event count.
 	for i := 0; i < 64; i++ {
 		e.After(Duration(i), PriorityDefault, h)

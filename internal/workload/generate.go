@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"cosched/internal/job"
 	"cosched/internal/sim"
@@ -180,7 +181,7 @@ func Generate(spec Spec) ([]*job.Job, error) {
 			wall += 5*sim.Minute - rem
 		}
 		j := job.New(job.ID(i+1), nodes, sim.Time(t), rt, wall)
-		j.Name = fmt.Sprintf("%s-%d", spec.Name, i+1)
+		j.Name = spec.Name + "-" + strconv.Itoa(i+1)
 		j.User = user
 		jobs = append(jobs, j)
 	}

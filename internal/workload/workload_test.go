@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -115,6 +116,9 @@ func TestGenerateBasicShape(t *testing.T) {
 	for i, j := range jobs {
 		if j.ID != job.ID(i+1) {
 			t.Fatalf("job %d has ID %d", i, j.ID)
+		}
+		if want := fmt.Sprintf("%s-%d", spec.Name, i+1); j.Name != want {
+			t.Fatalf("job %d is named %q, want %q", i, j.Name, want)
 		}
 		if err := j.Validate(); err != nil {
 			t.Fatalf("job %d invalid: %v", i, err)
