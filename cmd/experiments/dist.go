@@ -164,3 +164,46 @@ func splitAddrs(s string) []string {
 	}
 	return out
 }
+
+// runDistSmoke is the CI gate: a tiny load sweep in process at
+// -parallel 1 and again through two spawned worker processes, failing
+// unless the rendered tables are byte-identical.
+func runDistSmoke(cfg experiments.Config) error {
+	fmt.Println("=== distributed sweep smoke (differential vs in-process) ===")
+	serialCfg := cfg
+	serialCfg.Parallelism = 1
+	serialCfg.Dist = nil
+	serial, err := experiments.RunLoadSweep(serialCfg)
+	if err != nil {
+		return err
+	}
+	distCfg := cfg
+	distCfg.Dist = &procDistributor{Workers: 2, Quiet: true}
+	dist, err := experiments.RunLoadSweep(distCfg)
+	if err != nil {
+		return err
+	}
+	if renderLoadTables(serial) != renderLoadTables(dist) {
+		return fmt.Errorf("distributed load-sweep tables differ from in-process tables")
+	}
+	fmt.Println("differential load sweep: tables byte-identical across 2 worker processes")
+	return nil
+}
+
+// renderLoadTables renders every Figures 3–6 table plus the paired
+// fractions into one string for byte-level comparison.
+func renderLoadTables(s *experiments.LoadSweep) string {
+	var b []byte
+	for _, util := range s.Utils {
+		b = append(b, fmt.Sprintf("paired %.2f: %.6f\n", util, s.PairedFraction[util])...)
+	}
+	f3a, f3b := s.Fig3Table()
+	f4a, f4b := s.Fig4Table()
+	f5a, f5b := s.Fig5Table()
+	f6a, f6b := s.Fig6Table()
+	for _, t := range []interface{ Render() string }{f3a, f3b, f4a, f4b, f5a, f5b, f6a, f6b} {
+		b = append(b, t.Render()...)
+		b = append(b, '\n')
+	}
+	return string(b)
+}

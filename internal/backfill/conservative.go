@@ -11,8 +11,8 @@ import (
 // order, and a lower-priority job may start now only if doing so cannot
 // delay any reservation ahead of it. Compared to EASY (Plan), conservative
 // backfilling trades some throughput for strict no-starvation guarantees —
-// the ablation bench quantifies the difference under this repository's
-// workloads.
+// RunAblations (cmd/experiments -exp ablations) quantifies the difference
+// under this repository's workloads.
 //
 // total is the machine size; free the currently idle nodes; releases the
 // bounded future releases of running jobs (held coscheduling allocations

@@ -28,7 +28,6 @@ type Domain struct {
 	Backfilling  bool   `json:"backfilling"`
 	BackfillMode string `json:"backfill_mode,omitempty"` // "easy" | "conservative"
 	Estimator    string `json:"estimator,omitempty"`     // "walltime" | "user-average"
-	SchedCore    string `json:"sched_core,omitempty"`    // "incremental" (default) | "reference"
 
 	// Cosched settings.
 	CoschedEnabled  bool    `json:"cosched_enabled"`
@@ -131,7 +130,6 @@ func (f *File) Build() (coupled.Options, error) {
 			Backfilling:  d.Backfilling,
 			BackfillMode: d.BackfillMode,
 			Estimator:    d.Estimator,
-			SchedCore:    d.SchedCore,
 			Cosched:      cc,
 			Trace:        tr,
 		}

@@ -6,8 +6,7 @@
 // internal/workload for the calibration method and the substitution note
 // in DESIGN.md), runs the coupled simulator across the four scheme
 // combinations plus a no-coscheduling baseline, and returns typed rows
-// that cmd/experiments renders as tables and bench_test.go asserts shapes
-// over.
+// that cmd/experiments renders as tables.
 package experiments
 
 import (
@@ -88,8 +87,7 @@ type Config struct {
 	// most of the computing nodes in hold status"): a job whose hold
 	// would push the held fraction above it yields instead. The paper's
 	// experiments ran with the whole system holdable (§V-B), which is the
-	// default here (1.0); the threshold is exercised by the ablation
-	// bench.
+	// default here (1.0); the threshold is exercised by RunAblations.
 	MaxHeldFraction float64
 	// SchedCore names the resource manager scheduling core forwarded to
 	// every simulated domain: "" or "incremental" for the default

@@ -6,17 +6,15 @@ import (
 	"strings"
 )
 
-// simImpureAllowed lists the repo subtrees exempt from R2: command-line
-// tools and examples measure real elapsed time, internal/live is the
-// real-time driver whose whole job is mapping virtual to wall-clock time,
-// and internal/benchsuite is the scientific benchmark harness — its whole
-// job is timing real executions, so wall-clock reads are its subject
-// matter, not a determinism leak.
+// simPurePackage reports whether R2 applies to the package. Exempt are
+// the command-line tools and examples, which measure real elapsed time,
+// and internal/live, the real-time driver whose whole job is mapping
+// virtual to wall-clock time.
 func simPurePackage(path string) bool {
 	if !strings.HasPrefix(path, "cosched/internal/") {
 		return false
 	}
-	return !inRepoPackage(path, "live") && !inRepoPackage(path, "benchsuite")
+	return !inRepoPackage(path, "live")
 }
 
 // rngConstructors are the math/rand{,/v2} package-level functions that

@@ -28,9 +28,8 @@ import (
 // population, so no Bessel correction applies. The streaming
 // Accumulator.Summary (streaming.go) follows the same convention — the
 // two paths must agree bit-for-bit on mean/stddev for the
-// batch-vs-streaming differential tests. Contrast benchsuite.Stats,
-// which uses the sample form (÷ n−1) because benchmark runs ARE a
-// sample; and Stderr below, which needs the sample form by definition.
+// batch-vs-streaming differential tests. Contrast Stderr below, which
+// needs the sample form (÷ n−1) by definition.
 type Summary struct {
 	Count  int
 	Mean   float64

@@ -6,7 +6,8 @@
 // the same user's recent actual runtimes — tightens the shadow-time
 // estimate and improves both wait times and backfill accuracy. The resource
 // manager consults an Estimator when building its release profile and
-// backfill candidates; the ablation bench quantifies the effect.
+// backfill candidates; RunAblations (cmd/experiments -exp ablations)
+// quantifies the effect.
 package predict
 
 import (

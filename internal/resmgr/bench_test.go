@@ -50,7 +50,7 @@ func BenchmarkIterateChurn(b *testing.B) {
 }
 
 // TestSteadyScenarioSettles pins the shared benchmark scenario's invariants
-// so the committed BENCH_sched.json numbers stay comparable across changes:
+// so its numbers stay comparable across changes:
 // the blocked queue never drains, the incremental core elides every
 // iteration over it (also across a churn step, which leaves nothing that
 // fits), and the reference core plans every one.

@@ -1,7 +1,6 @@
 // Package schedbench builds the standard scheduler-core benchmark scenario
-// shared by the resmgr BenchmarkIterate suite and the cmd/experiments
-// -schedbench / -schedsmoke modes, so the committed BENCH_sched.json numbers
-// and the in-repo benchmarks measure exactly the same workload.
+// shared by the resmgr BenchmarkIterate suite and bench/'s per-layer
+// resmgr.iterate_* rows, so both measure exactly the same workload.
 //
 // The scenario is a blocked steady state on an Intrepid-sized pool: filler
 // jobs occupy most of the machine, and every queued job needs more nodes
