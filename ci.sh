@@ -69,6 +69,16 @@ sh bench/run.sh --workload sweep_paper --seed 1 --seconds 3 --trace 0
 # RSS is a gated benchmark metric rather than a budget asserted here.
 sh bench/run.sh --workload mega_cell --seed 1 --seconds 3 --trace 0
 
+# Live-path smoke: three seconds of live_pairs at seed 1 — two daemons
+# wired as coschedd wires them, pairs co-started over loopback TCP by an
+# admin client, journals written. Its output checks fail on a pair whose
+# halves start at different instants or after a failed peer call, and after
+# every epoch reopen both journals cold → Replay → Restore →
+# invariant.VerifyRecovery, which puts the admin and journal codecs (the
+# bytes one run writes are the bytes the next reads) behind a gate on every
+# CI run.
+sh bench/run.sh --workload live_pairs --seed 1 --seconds 3 --trace 0
+
 # Crash-recovery gate: the acceptance test SIGKILLs a live daemon
 # mid-run, restarts it on the same journal, and verifies co-starts from
 # the event logs; the drain test checks the SIGTERM peer notification.
@@ -87,6 +97,13 @@ go test -run '^$' -fuzz 'FuzzDecodeEntries' -fuzztime 10s ./internal/journal
 # every payload must decode to what json.Unmarshal alone gives (same value,
 # same error-ness) and every value must encode to json.Marshal's bytes.
 go test -run '^$' -fuzz 'FuzzFrameCodec' -fuzztime 10s ./internal/proto
+
+# The same differential contract for the other codecs built from
+# internal/wirejson: the admin frames, the write-ahead entries and the
+# snapshot file, ten seconds each, seeded from testdata/fuzz.
+go test -run '^$' -fuzz 'FuzzAdminCodec' -fuzztime 10s ./internal/live
+go test -run '^$' -fuzz 'FuzzEntryCodec' -fuzztime 10s ./internal/journal
+go test -run '^$' -fuzz 'FuzzSnapshotCodec' -fuzztime 10s ./internal/journal
 
 # Event-order fuzz smoke: ten seconds of the differential target for the
 # engine's same-instant lane. Every programme of schedules (at now below, at
@@ -112,14 +129,16 @@ go test -race -count=2 ./internal/distsweep
 go test -race -run 'WorkerSIGKILLMidSweep' ./cmd/experiments
 go run ./cmd/experiments -distsmoke -factor 0.05 -reps 1
 
-# Memory-architecture gate: the steady-state zero-alloc assertions
-# (engine event churn, the EASY planner, the pool's slot table and the
-# resource manager's submit → start → complete spine must report 0
-# allocs/op). Throughput is NOT gated here: shared CI machines make
-# wall-clock assertions flaky; bench/run.sh measures it.
-go test -run 'ZeroAlloc|WithoutAllocating' -count=1 \
+# Memory-architecture gate: the steady-state zero-alloc assertions (engine
+# event churn, the EASY planner, the pool's slot table, the resource
+# manager's submit → start → complete spine, a probe_mate round trip, a
+# journaled transition, an admin response through its codec and a driver
+# wake-up must report 0 allocs/op). Throughput is NOT gated here: shared CI
+# machines make wall-clock assertions flaky; bench/run.sh measures it.
+go test -run 'ZeroAlloc|WithoutAllocating|AllocatesNothing' -count=1 \
     ./internal/sim ./internal/arena ./internal/backfill ./internal/workload \
-    ./internal/resmgr ./internal/cluster
+    ./internal/resmgr ./internal/cluster \
+    ./internal/journal ./internal/live ./internal/proto
 
 # Chaos-campaign gate: 25 deterministic fault-injection campaigns from a
 # fixed seed, under -race, across all three seams (journal VFS faults,

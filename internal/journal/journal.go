@@ -11,6 +11,17 @@
 //	journal.wal   — framed transition records appended since that
 //	                snapshot: [u32 length][u32 CRC-32 (IEEE)][JSON entry].
 //
+// Both are JSON as encoding/json defines it — json.Marshal of a Snapshot,
+// json.Marshal of an Entry — and both are normally written and read without
+// it: AppendRecord (under Store.Append) and Store.Compact write through the
+// encoders in codec.go, DecodeEntries and Open read through its strict
+// parsers, all built from internal/wirejson under the rule stated there.
+// An entry or snapshot an encoder cannot write verbatim (a job name that
+// needs an escape) is written by json.Marshal, and a payload outside the
+// canonical shape (written by another tool, or by hand) is read by
+// json.Unmarshal, so a journal directory means the same to a daemon with
+// the codec and to one without.
+//
 // The reader is torn-write tolerant by construction: a crash mid-append
 // leaves a partial record (or a record whose checksum fails) at the tail,
 // and DecodeEntries truncates to the last valid record instead of failing.
@@ -106,20 +117,26 @@ const headerSize = 8
 const MaxRecordSize = 1 << 20
 
 // AppendRecord appends the framed encoding of e to buf and returns the
-// extended slice (append-style, so writers can reuse one buffer).
+// extended slice (append-style, so writers can reuse one buffer): the
+// payload is written in place behind room left for its header.
 func AppendRecord(buf []byte, e *Entry) ([]byte, error) {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return buf, fmt.Errorf("journal: marshal entry %d: %w", e.Seq, err)
+	start := len(buf) + headerSize
+	out, ok := appendEntry(append(buf, make([]byte, headerSize)...), e)
+	if !ok {
+		slow := *e // a copy, so that only an entry encoding/json has to write moves to the heap
+		payload, err := json.Marshal(&slow)
+		if err != nil {
+			return buf, fmt.Errorf("journal: marshal entry %d: %w", e.Seq, err)
+		}
+		out = append(out[:start], payload...)
 	}
+	payload := out[start:]
 	if len(payload) > MaxRecordSize {
 		return buf, fmt.Errorf("journal: entry %d exceeds MaxRecordSize", e.Seq)
 	}
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...), nil
+	binary.BigEndian.PutUint32(out[start-headerSize:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(out[start-4:], crc32.ChecksumIEEE(payload))
+	return out, nil
 }
 
 // TornTail reports where and why decoding stopped before the end of the
@@ -133,6 +150,23 @@ type TornTail struct {
 // Error implements error.
 func (t *TornTail) Error() string {
 	return fmt.Sprintf("journal: torn tail at byte %d: %s", t.Off, t.Reason)
+}
+
+// decodeEntry decodes one record's payload: through the strict parser, and
+// through json.Unmarshal if that refuses it.
+func decodeEntry(payload []byte) (Entry, error) {
+	var e Entry
+	if parseEntry(payload, &e) {
+		return e, nil
+	}
+	return unmarshalEntry(payload)
+}
+
+// unmarshalEntry is a function of its own so that only the entries
+// encoding/json has to read are decoded on the heap.
+func unmarshalEntry(payload []byte) (e Entry, err error) {
+	err = json.Unmarshal(payload, &e)
+	return e, err
 }
 
 // DecodeEntries decodes the longest valid prefix of a write-ahead log. It
@@ -159,8 +193,8 @@ func DecodeEntries(data []byte) ([]Entry, int64, *TornTail) {
 		if sum := crc32.ChecksumIEEE(payload); sum != binary.BigEndian.Uint32(data[off+4:off+8]) {
 			return out, off, &TornTail{Off: off, Reason: "checksum mismatch"}
 		}
-		var e Entry
-		if err := json.Unmarshal(payload, &e); err != nil {
+		e, err := decodeEntry(payload)
+		if err != nil {
 			return out, off, &TornTail{Off: off, Reason: "undecodable payload: " + err.Error()}
 		}
 		if e.Seq <= lastSeq {

@@ -72,7 +72,9 @@ func (r *Recorder) append(e *Entry) {
 }
 
 // describe fills the job-description fields carried by expect/submit
-// records, which must let replay rebuild a job the snapshot never saw.
+// records, which must let replay rebuild a job the snapshot never saw. The
+// entry shares the job's Mates: Store.Append serializes it before the
+// observer callback returns.
 func describe(e *Entry, j *job.Job) {
 	e.Name = j.Name
 	e.User = j.User
@@ -80,7 +82,7 @@ func describe(e *Entry, j *job.Job) {
 	e.Runtime = j.Runtime
 	e.Walltime = j.Walltime
 	e.Submit = j.SubmitTime
-	e.Mates = append([]job.MateRef(nil), j.Mates...)
+	e.Mates = j.Mates
 }
 
 // JobExpected implements resmgr.ExpectObserver.

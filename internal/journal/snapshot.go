@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"sort"
 
 	"cosched/internal/job"
@@ -32,7 +33,8 @@ type JobRecord struct {
 	ReadyAt   sim.Time `json:"ready_at,omitempty"`
 }
 
-// RecordJob serializes a live job.
+// RecordJob serializes a live job. The record shares the job's Mates, which
+// nothing writes once the job is submitted (see job.Job.Mates).
 func RecordJob(j *job.Job) JobRecord {
 	return JobRecord{
 		ID:       j.ID,
@@ -42,7 +44,7 @@ func RecordJob(j *job.Job) JobRecord {
 		Runtime:  j.Runtime,
 		Walltime: j.Walltime,
 		Submit:   j.SubmitTime,
-		Mates:    append([]job.MateRef(nil), j.Mates...),
+		Mates:    j.Mates,
 
 		State:     j.State.String(),
 		Start:     j.StartTime,
@@ -57,7 +59,8 @@ func RecordJob(j *job.Job) JobRecord {
 }
 
 // Job rebuilds the live job. The state name must parse; everything else is
-// carried verbatim.
+// carried verbatim — Mates as a copy, since replayed state outlives the
+// snapshot and entries it was read from.
 func (r JobRecord) Job() (*job.Job, error) {
 	st, err := job.ParseState(r.State)
 	if err != nil {
@@ -87,12 +90,36 @@ func (r JobRecord) Job() (*job.Job, error) {
 
 // Snapshot is a compacting checkpoint: the domain's complete job table as
 // of write-ahead sequence number Seq at virtual time T. Entries with
-// sequence numbers ≤ Seq are already folded in and skipped on replay.
+// sequence numbers ≤ Seq are already folded in and skipped on replay. A
+// snapshot taken by ManagerSnapshot shares every job's Mates with the
+// manager; Store.Compact encodes it before returning, on the manager's
+// thread, so nothing else ever sees that.
 type Snapshot struct {
 	Domain string      `json:"domain"`
 	Seq    uint64      `json:"seq"`
 	T      sim.Time    `json:"t"`
 	Jobs   []JobRecord `json:"jobs"`
+}
+
+// marshalSnapshot returns json.Marshal(snap), written into buf when the
+// hand-written encoder can.
+func marshalSnapshot(buf []byte, snap *Snapshot) ([]byte, error) {
+	if out, ok := appendSnapshot(buf, snap); ok {
+		return out, nil
+	}
+	return json.Marshal(snap)
+}
+
+// decodeSnapshot decodes a snapshot file: through the strict parser, and
+// through json.Unmarshal if that refuses it.
+func decodeSnapshot(data []byte) (*Snapshot, error) {
+	snap := new(Snapshot)
+	if parseSnapshot(data, snap) {
+		return snap, nil
+	}
+	*snap = Snapshot{}
+	err := json.Unmarshal(data, snap)
+	return snap, err
 }
 
 // ManagerSnapshot captures a manager's current job table (sorted by job ID

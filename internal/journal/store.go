@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -64,7 +63,8 @@ type Store struct {
 
 	mu       sync.Mutex
 	f        File
-	buf      []byte
+	buf      []byte // the last appended record; reused
+	snapBuf  []byte // the last snapshot written; reused
 	seq      uint64
 	appended uint64 // entries since open/compact; drives snapshot cadence
 	dirty    bool   // unsynced bytes in the WAL
@@ -102,11 +102,11 @@ func Open(dir string, opt Options) (*Store, error) {
 	s := &Store{dir: dir, opt: opt, fs: vfs}
 
 	if data, err := vfs.ReadFile(filepath.Join(dir, snapName)); err == nil {
-		var snap Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
+		snap, err := decodeSnapshot(data)
+		if err != nil {
 			return nil, fmt.Errorf("journal: corrupt snapshot %s: %w", snapName, err)
 		}
-		s.snap = &snap
+		s.snap = snap
 		s.seq = snap.Seq
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("journal: read snapshot: %w", err)
@@ -285,10 +285,11 @@ func (s *Store) Compact(snap Snapshot) error {
 		return err
 	}
 	snap.Seq = s.seq
-	data, err := json.Marshal(&snap)
+	data, err := marshalSnapshot(s.snapBuf[:0], &snap)
 	if err != nil {
 		return fmt.Errorf("journal: marshal snapshot: %w", err)
 	}
+	s.snapBuf = data
 	tmp := filepath.Join(s.dir, snapTmpName)
 	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

@@ -24,8 +24,9 @@ const (
 	OpInfo   = "info"
 )
 
-// AdminRequest is one admin call to a live daemon, framed with the same
-// codec as the peer protocol.
+// AdminRequest is one admin call to a live daemon, framed like the peer
+// protocol's calls (proto.WriteFrame) and, like them, written and read by a
+// hand-written codec (codec.go) inside encoding/json's definition.
 type AdminRequest struct {
 	Seq   uint64   `json:"seq"`
 	Op    string   `json:"op"`
@@ -121,15 +122,19 @@ func (s *AdminServer) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	frames := proto.NewFrameReader(conn)
+	// One request and one response for the connection's life, reset per
+	// frame: passing their addresses to the framing moves them to the heap.
+	var req AdminRequest
+	var resp AdminResponse
 	for {
-		var req AdminRequest
+		req = AdminRequest{}
 		if err := frames.ReadFrame(&req); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && s.logger != nil {
 				s.logger.Printf("admin: read: %v", err)
 			}
 			return
 		}
-		resp := s.dispatch(req)
+		resp = s.dispatch(req)
 		if err := proto.WriteFrame(conn, &resp); err != nil {
 			return
 		}
@@ -161,8 +166,7 @@ func (s *AdminServer) dispatch(req AdminRequest) AdminResponse {
 				resp.State = job.Unsubmitted.String()
 				return // already known; idempotent
 			}
-			j := wireToJob(w)
-			if err := s.mgr.Expect(j); err != nil {
+			if _, err := s.expect(w); err != nil {
 				resp.Error = err.Error()
 				return
 			}
@@ -182,8 +186,8 @@ func (s *AdminServer) dispatch(req AdminRequest) AdminResponse {
 					return
 				}
 			} else {
-				j = wireToJob(w)
-				if err := s.mgr.Expect(j); err != nil {
+				var err error
+				if j, err = s.expect(w); err != nil {
 					resp.Error = err.Error()
 					return
 				}
@@ -230,6 +234,22 @@ func (s *AdminServer) dispatch(req AdminRequest) AdminResponse {
 	return resp
 }
 
+// expect registers an admin submission with the manager as a job yet to be
+// submitted, refusing one wider than the pool: no release could ever make it
+// fit, so it would queue for ever and its mates on the other domains would
+// hold or yield for it, release interval after release interval. The job
+// keeps w's mates without copying them; a decoded WireJob is never used
+// again.
+func (s *AdminServer) expect(w *WireJob) (*job.Job, error) {
+	if total := s.mgr.Pool().Total(); w.Nodes > total {
+		return nil, fmt.Errorf("job %d asks for %d nodes; %s has %d", w.ID, w.Nodes, s.mgr.Name(), total)
+	}
+	j := job.New(w.ID, w.Nodes, 0, w.Runtime, w.Walltime)
+	j.Name = w.Name
+	j.Mates = w.Mates
+	return j, s.mgr.Expect(j)
+}
+
 // Close shuts the listener and connections down.
 func (s *AdminServer) Close() error {
 	s.mu.Lock()
@@ -253,6 +273,10 @@ type AdminClient struct {
 	conn   net.Conn
 	frames *proto.FrameReader // buffered reads of conn
 	seq    uint64
+	// The frames of the call in progress: fields, so that handing their
+	// addresses to the framing does not allocate a pair per call.
+	req  AdminRequest
+	resp AdminResponse
 }
 
 // DialAdmin connects to a daemon's admin port.
@@ -272,13 +296,14 @@ func (c *AdminClient) call(req AdminRequest) (AdminResponse, error) {
 	defer c.mu.Unlock()
 	c.seq++
 	req.Seq = c.seq
-	if err := proto.WriteFrame(c.conn, &req); err != nil {
+	c.req, c.resp = req, AdminResponse{}
+	if err := proto.WriteFrame(c.conn, &c.req); err != nil {
 		return AdminResponse{}, err
 	}
-	var resp AdminResponse
-	if err := c.frames.ReadFrame(&resp); err != nil {
+	if err := c.frames.ReadFrame(&c.resp); err != nil {
 		return AdminResponse{}, err
 	}
+	resp := c.resp
 	if resp.Seq != req.Seq {
 		// A late answer to an earlier request: every later response on this
 		// connection would be off by one too, so the connection is retired.
@@ -289,14 +314,6 @@ func (c *AdminClient) call(req AdminRequest) (AdminResponse, error) {
 		return resp, errors.New(resp.Error)
 	}
 	return resp, nil
-}
-
-// wireToJob converts an admin submission to a job record.
-func wireToJob(w *WireJob) *job.Job {
-	j := job.New(w.ID, w.Nodes, 0, w.Runtime, w.Walltime)
-	j.Name = w.Name
-	j.Mates = append([]job.MateRef(nil), w.Mates...)
-	return j
 }
 
 // Info fetches daemon state.

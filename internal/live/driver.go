@@ -111,6 +111,10 @@ func (d *Driver) Run(ctx context.Context) {
 		d.base = d.eng.Now()
 	}
 	d.mu.Unlock()
+	// One timer for the loop's life: every admin and peer call nudges the
+	// loop, and a time.After per wake-up was three allocations each.
+	timer := time.NewTimer(0)
+	defer timer.Stop()
 	for {
 		d.mu.Lock()
 		vnow := d.virtualNowLocked()
@@ -132,11 +136,20 @@ func (d *Driver) Run(ctx context.Context) {
 			break
 		}
 		d.mu.Unlock()
+		// Stop-and-drain before Reset: a nudge may have ended the last sleep
+		// with the timer's expiry still unread.
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(sleep)
 		select {
 		case <-ctx.Done():
 			return
 		case <-d.wake:
-		case <-time.After(sleep):
+		case <-timer.C:
 		}
 	}
 }

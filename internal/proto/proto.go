@@ -34,8 +34,9 @@
 // (usually) one read per side.
 //
 // encoding/json defines the payload; Request and Response also have a
-// hand-written codec (codec.go) that WriteFrame and ReadFrame reach by a
-// type switch and that is not a second format. The encoder appends exactly
+// hand-written codec (codec.go), built from internal/wirejson and held to
+// the rule stated there, that WriteFrame and ReadFrame reach by a type
+// switch and that is not a second format. The encoder appends exactly
 // json.Marshal's bytes and leaves to encoding/json any frame it cannot
 // write verbatim: one with views, or with a string holding anything but
 // printable ASCII free of `"`, `\`, `<`, `>` and `&`. The parser takes only
@@ -44,11 +45,14 @@
 // true/false, strings of those same plain bytes, nothing after the closing
 // brace — and passes every other payload, untouched, to json.Unmarshal,
 // which accepts, rejects and decodes it as it always has. So peers with and
-// without the codec interoperate, reconcile_mates and every non-proto user
-// of the framing (admin, distsweep) stay on encoding/json, and a
-// steady-state probe_mate round trip allocates nothing: method and status
-// names decode to this package's and cosched's own strings, and Client and
-// Server call the typed forms so their frames never escape through `any`.
+// without the codec interoperate, reconcile_mates stays on encoding/json,
+// and a steady-state probe_mate round trip allocates nothing: method and
+// status names decode to this package's and cosched's own strings, and
+// Client and Server call the typed forms so their frames never escape
+// through `any`. The framing's other users come in two kinds. live's admin
+// frames bring a codec of their own under the same rule, which WriteFrame
+// and ReadFrame find through FrameCodec; distsweep's frames have none and
+// are encoded and decoded by encoding/json, as is any other value.
 //
 // Fault tolerance is part of the contract: any transport error or timeout
 // surfaces as an error from the Peer method, which Algorithm 1 maps to
@@ -157,6 +161,19 @@ var (
 	ErrBadMethod     = errors.New("proto: unknown method")
 )
 
+// FrameCodec is how a frame type outside this package brings its own
+// hand-written codec (built from internal/wirejson, under its rule) to
+// WriteFrame and ReadFrame: both try it first and hand to encoding/json what
+// it declines.
+type FrameCodec interface {
+	// AppendFrame appends json.Marshal of the value to b, or reports false,
+	// having appended nothing the caller may keep.
+	AppendFrame(b []byte) ([]byte, bool)
+	// ParseFrame decodes a canonical payload into the value as
+	// json.Unmarshal would, or reports false with the value untouched.
+	ParseFrame(payload []byte) bool
+}
+
 // frameBuf is the scratch a WriteFrame call builds its frame in: four
 // header bytes, then the JSON payload, handed to the writer as one slice.
 // The encoder is bound to the buffer once, so a pooled frameBuf encodes
@@ -218,8 +235,8 @@ func (f *frameBuf) send(w io.Writer) error {
 // on a socket (one rendezvous on a net.Pipe) and is never interleaved with
 // a partial header. Nothing is written when encoding fails or the payload
 // exceeds MaxFrameSize. A *Request or *Response takes the hand-written
-// encoder (same bytes, see writeRequest); every other type is encoded by
-// encoding/json.
+// encoder (same bytes, see writeRequest) and a FrameCodec its own; every
+// other type, and every value those decline, is encoded by encoding/json.
 func WriteFrame(w io.Writer, v any) error {
 	switch v := v.(type) {
 	case *Request:
@@ -233,6 +250,12 @@ func WriteFrame(w io.Writer, v any) error {
 	}
 	f := newFrame()
 	defer f.release()
+	if c, ok := v.(FrameCodec); ok {
+		if payload, ok := c.AppendFrame(f.buf.AvailableBuffer()); ok {
+			f.buf.Write(payload)
+			return f.send(w)
+		}
+	}
 	if err := f.encodeJSON(v); err != nil {
 		return err
 	}
@@ -339,9 +362,9 @@ func readPayload(r io.Reader, hdr, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// unmarshalFrame decodes a payload into v: a *Request or *Response through
-// the strict parser first, everything else — and every payload the parser
-// does not recognise — through json.Unmarshal.
+// unmarshalFrame decodes a payload into v: a *Request, *Response or
+// FrameCodec through its strict parser first, everything else — and every
+// payload the parser does not recognise — through json.Unmarshal.
 func unmarshalFrame(payload []byte, v any) error {
 	switch v := v.(type) {
 	case *Request:
@@ -351,6 +374,10 @@ func unmarshalFrame(payload []byte, v any) error {
 	case *Response:
 		if v != nil {
 			return unmarshalResponse(payload, v)
+		}
+	case FrameCodec:
+		if v.ParseFrame(payload) {
+			return nil
 		}
 	}
 	return unmarshalJSON(payload, v)
