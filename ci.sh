@@ -4,8 +4,10 @@
 #
 # The race-enabled test run covers the parallel sweep pool (cells fan out
 # across goroutines; TestLoadSweepParallelDeterminism byte-compares serial
-# against parallel tables); every figure reproduction is smoked by the
-# sweep_paper golden-digest leg below.
+# against parallel tables) and the streaming-ingestion differentials
+# (SubmitTraceStream vs SubmitTrace, AnalyzeStream vs Analyze, traceinfo
+# render-twice); every figure reproduction is smoked by the sweep_paper
+# golden-digest leg below.
 set -eux
 
 # Formatting and static analysis: gofmt must be clean, vet runs under both
@@ -117,18 +119,6 @@ go test -run '^$' -fuzz 'FuzzEngineOrder' -fuzztime 10s ./internal/sim
 # -tags debug; run their suites together with the asserts live.
 go test -tags debug ./internal/invariant ./internal/backfill
 
-# Distributed-sweep gate: the coordinator/worker protocol (heartbeats,
-# failure detection, deterministic re-dispatch) reruns under -race, the
-# SIGKILL acceptance test kills a real worker process mid-sweep and
-# byte-compares the merged tables against serial, and the smoke runs a
-# tiny load sweep across two spawned worker processes and fails on any
-# table mismatch against the in-process run. The streaming-ingestion
-# differentials (SubmitTraceStream vs SubmitTrace, AnalyzeStream vs
-# Analyze, traceinfo render-twice) ride in the main -race pass above.
-go test -race -count=2 ./internal/distsweep
-go test -race -run 'WorkerSIGKILLMidSweep' ./cmd/experiments
-go run ./cmd/experiments -distsmoke -factor 0.05 -reps 1
-
 # Memory-architecture gate: the steady-state zero-alloc assertions (engine
 # event churn, the EASY planner, the pool's slot table, the resource
 # manager's submit → start → complete spine, a probe_mate round trip, a
@@ -141,12 +131,12 @@ go test -run 'ZeroAlloc|WithoutAllocating|AllocatesNothing' -count=1 \
     ./internal/journal ./internal/live ./internal/proto
 
 # Chaos-campaign gate: 25 deterministic fault-injection campaigns from a
-# fixed seed, under -race, across all three seams (journal VFS faults,
-# asymmetric peer-link faults, coordinator SIGKILL/resume). Every campaign
-# must pass its invariant gates — no stuck jobs, co-start accounting
-# consistent with dropped calls, every surviving journal replayable, sweep
-# tables byte-identical to the serial oracle — and any failure prints a
-# one-line seeded repro. The -chaosinject leg corrupts one resumed table
-# cell on purpose and must FAIL, proving the byte-identity gate can trip.
+# fixed seed, under -race, across both seams (journal VFS faults,
+# asymmetric peer-link faults). Every campaign must pass its invariant
+# gates — no stuck jobs, co-start accounting consistent with dropped calls,
+# every surviving journal replayable, the clean-filesystem journal whole —
+# and any failure prints a one-line seeded repro. The -chaosinject leg flips
+# one byte of that journal on purpose and must FAIL, proving the gate can
+# trip.
 go run -race ./cmd/experiments -chaoscampaign 25 -chaosseed 1
 ! go run ./cmd/experiments -chaoscampaign 1 -chaosseed 1 -chaosinject

@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -45,42 +46,18 @@ func main() {
 		svgDir      = flag.String("svg", "", "also render each figure as an SVG into this directory")
 		par         = flag.Int("parallel", 0, "sweep-cell workers: 0 = one per core, 1 = serial, N = at most N")
 		profDir     = flag.String("pprof", "", "write cpu.pprof and allocs.pprof profiles of the run into this directory")
-		distWorker  = flag.Bool("distworker", false, "run as a sweep worker: dial the -distconnect address, serve one sweep, exit")
-		distServe   = flag.String("distserve", "", "run as a standing sweep worker listening on this address (serves one sweep per connection, forever)")
-		distWorkers = flag.Int("distworkers", 0, "fan sweep groups across N spawned worker processes")
-		distConnect = flag.String("distconnect", "", "comma-separated worker addresses to dial (workers started with -distserve)")
-		distSmoke   = flag.Bool("distsmoke", false, "run a tiny load sweep in-process and across 2 worker processes and fail unless the rendered tables are byte-identical")
-		chaosN      = flag.Int("chaoscampaign", 0, "run N seeded deterministic fault-injection campaigns across the journal, peerlink, and distsweep seams, gating robustness invariants")
+		chaosN      = flag.Int("chaoscampaign", 0, "run N seeded deterministic fault-injection campaigns across the journal and peerlink seams, gating robustness invariants")
 		chaosSeed   = flag.Uint64("chaosseed", 1, "chaoscampaign: first campaign seed (seeds are consecutive; a failing seed's printed repro replays it alone)")
-		chaosInject = flag.Bool("chaosinject", false, "chaoscampaign: corrupt one distsweep row before the byte-identity gate — CI's deterministic proof the campaign fails loudly")
+		chaosInject = flag.Bool("chaosinject", false, "chaoscampaign: flip one byte of a journal record before the recovery gates — CI's deterministic proof the campaign fails loudly")
 	)
 	flag.Parse()
 	want, err := parseExperiments(*exp)
+	if err == nil {
+		err = checkSizes(*factor, *reps, *par, *chaosN)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
-	}
-
-	// Worker modes dispatch before anything else: they are spawned by a
-	// coordinator process and speak JSON on their socket.
-	if *distWorker {
-		addrs := splitAddrs(*distConnect)
-		if len(addrs) != 1 {
-			fmt.Fprintln(os.Stderr, "experiments: -distworker needs exactly one -distconnect address")
-			os.Exit(2)
-		}
-		if err := runDistWorker(addrs[0]); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: distworker: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *distServe != "" {
-		if err := runDistServe(*distServe); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: distserve: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	// The arena/free-list memory architecture keeps the live set small and
@@ -96,9 +73,6 @@ func main() {
 	cfg := experiments.DefaultConfig(*seed, *factor)
 	cfg.Reps = *reps
 	cfg.Parallelism = *par
-	if *distWorkers > 0 || *distConnect != "" {
-		cfg.Dist = &procDistributor{Workers: *distWorkers, Connect: splitAddrs(*distConnect)}
-	}
 
 	if *profDir != "" {
 		stop, err := startProfiles(*profDir)
@@ -111,13 +85,6 @@ func main() {
 	if *chaosN > 0 {
 		if err := runChaosCampaign(*chaosN, *chaosSeed, *chaosInject); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: chaoscampaign: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *distSmoke {
-		if err := runDistSmoke(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: distsmoke: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -273,6 +240,24 @@ func parseExperiments(spec string) (map[string]bool, error) {
 		return nil, fmt.Errorf("unknown experiment %s (want %s)", strings.Join(unknown, ", "), experimentUsage)
 	}
 	return want, nil
+}
+
+// checkSizes refuses the sizes experiments.Config would otherwise repair
+// in silence (a non-positive -factor or -reps becomes 1) or pass through
+// (a negative -parallel): a run that is not the one asked for should not
+// start.
+func checkSizes(factor float64, reps, par, chaosN int) error {
+	switch {
+	case !(factor > 0) || math.IsInf(factor, 0): // !(x > 0) also catches NaN
+		return fmt.Errorf("-factor %v: the job-count scale must be a positive finite number", factor)
+	case reps < 1:
+		return fmt.Errorf("-reps %d: need at least one repetition per cell", reps)
+	case par < 0:
+		return fmt.Errorf("-parallel %d: want 0 (one worker per core), 1 (serial) or a positive cap", par)
+	case chaosN < 0:
+		return fmt.Errorf("-chaoscampaign %d: the campaign count cannot be negative", chaosN)
+	}
+	return nil
 }
 
 // writeCharts renders the named charts as SVG files under dir (no-op when

@@ -2,29 +2,12 @@ package coupled
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
 	"cosched/internal/cosched"
-	"cosched/internal/job"
 	"cosched/internal/sim"
 	"cosched/internal/workload"
 )
-
-// jobFeed adapts a slice to resmgr.JobSource for the differential test.
-type jobFeed struct {
-	jobs []*job.Job
-	idx  int
-}
-
-func (f *jobFeed) NextJob() (*job.Job, error) {
-	if f.idx >= len(f.jobs) {
-		return nil, io.EOF
-	}
-	j := f.jobs[f.idx]
-	f.idx++
-	return j, nil
-}
 
 func renderResult(res *Result) string {
 	return fmt.Sprintf("A=%+v\nB=%+v\nmakespan=%d total=%d done=%d stuck=%d viol=%d iters=%d",
@@ -48,8 +31,8 @@ func TestStreamedCoupledRunMatchesMaterialized(t *testing.T) {
 		} else {
 			opt = Options{
 				Domains: []DomainConfig{
-					{Name: "A", Nodes: 64, Backfilling: true, Cosched: cosched.DefaultConfig(cosched.Hold), TraceStream: &jobFeed{jobs: a}, StreamWindow: window},
-					{Name: "B", Nodes: 8, Backfilling: true, Cosched: cosched.DefaultConfig(cosched.Yield), TraceStream: &jobFeed{jobs: b}, StreamWindow: window},
+					{Name: "A", Nodes: 64, Backfilling: true, Cosched: cosched.DefaultConfig(cosched.Hold), TraceStream: workload.NewSliceIter(a), StreamWindow: window},
+					{Name: "B", Nodes: 8, Backfilling: true, Cosched: cosched.DefaultConfig(cosched.Yield), TraceStream: workload.NewSliceIter(b), StreamWindow: window},
 				},
 				Horizon: 365 * sim.Day,
 			}
@@ -68,40 +51,9 @@ func TestStreamedCoupledRunMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestStreamedRunFromRepeatStream drives a long synthetic workload — reps
-// offset copies of a base month — through the streaming path end to end:
-// every job completes and the registry never materializes the repetition.
-func TestStreamedRunFromRepeatStream(t *testing.T) {
-	base, _ := smallTraces(31, 40, 0)
-	const reps = 6
-	rs, err := workload.NewRepeatStream(base, reps, 7*sim.Day, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Options{
-		Domains: []DomainConfig{
-			{Name: "A", Nodes: 64, Backfilling: true, TraceStream: rs, StreamWindow: 32},
-		},
-		Horizon: 2 * 365 * sim.Day,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	if res.TotalJobs != 40*reps {
-		t.Fatalf("total = %d, want %d", res.TotalJobs, 40*reps)
-	}
-	if res.StuckJobs != 0 || res.CompletedJobs != 40*reps {
-		t.Fatalf("completed %d/%d, stuck %d", res.CompletedJobs, res.TotalJobs, res.StuckJobs)
-	}
-	if live := len(s.Manager("A").JobsOrdered()); live != 0 {
-		t.Fatalf("%d jobs left in registry", live)
-	}
-}
-
 func TestStreamRequiresExplicitHorizon(t *testing.T) {
 	_, err := New(Options{Domains: []DomainConfig{
-		{Name: "A", Nodes: 64, TraceStream: &jobFeed{}},
+		{Name: "A", Nodes: 64, TraceStream: workload.NewSliceIter(nil)},
 	}})
 	if err == nil {
 		t.Fatal("streaming without horizon accepted")
@@ -112,7 +64,7 @@ func TestStreamAndTraceMutuallyExclusive(t *testing.T) {
 	a, _ := smallTraces(7, 10, 0)
 	_, err := New(Options{
 		Domains: []DomainConfig{
-			{Name: "A", Nodes: 64, Trace: a, TraceStream: &jobFeed{jobs: a}},
+			{Name: "A", Nodes: 64, Trace: a, TraceStream: workload.NewSliceIter(a)},
 		},
 		Horizon: 365 * sim.Day,
 	})

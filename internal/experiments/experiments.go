@@ -109,12 +109,10 @@ type Config struct {
 	// violation fails the run with an error. Used by the differential
 	// tests; costs roughly one pool-and-queue scan per lifecycle event.
 	Audit bool
-	// Dist, when non-nil, fans sweep groups out through a Distributor —
-	// worker processes or remote machines — instead of the in-process
-	// parallel.Map path. Results merge in group-index order, so any
-	// distributor that honors the RunGroups contract yields tables
-	// byte-identical to the in-process run. Never serialized: workers
-	// receive a Config with Dist cleared and always compute locally.
+	// Dist, when non-nil, has a Distributor compute the sweep's groups
+	// instead of the parallel.Map path. Results merge in group-index
+	// order, so any distributor that honors the RunGroups contract yields
+	// tables byte-identical to the in-process run. Never serialized.
 	Dist Distributor `json:"-"`
 }
 

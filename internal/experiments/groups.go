@@ -6,15 +6,15 @@ import (
 	"cosched/internal/workload"
 )
 
-// The sweep runners fan work out in two shapes: in-process goroutines over
+// The sweep runners compute their cells in two shapes: goroutines over
 // individual (point, rep, cell) units (parallel.Map), and — when
-// Config.Dist is set — whole *groups* dispatched to worker processes. A
-// group is everything derived from one (point, rep) trace generation: the
-// no-coscheduling baseline plus one cell per scheme combination. Groups
-// are the distribution quantum because trace generation dominates cell
-// setup cost; shipping a group index instead of a trace keeps the wire
-// payload at a few bytes while the worker regenerates the identical
-// workload from the group's seed.
+// Config.Dist is set — whole *groups* computed by the Distributor and
+// handed back as rows. A group is everything derived from one (point, rep)
+// trace generation: the no-coscheduling baseline plus one cell per scheme
+// combination. A group is named by its index alone, because whoever
+// computes it regenerates the identical workload from the group's seed.
+// Config.Dist is how bench/ feeds its traced cells through the sweep's own
+// merge and render; nothing else in the tree sets it.
 
 // SweepKind selects which sweep a group index refers to.
 type SweepKind string
@@ -38,8 +38,8 @@ func sweepPoints(kind SweepKind) ([]float64, error) {
 }
 
 // groupSeed reproduces the per-(point, rep) trace seed used by the
-// in-process snapshot builders; both must agree or distributed cells
-// would simulate different workloads than local ones.
+// in-process snapshot builders; both must agree or a Distributor's cells
+// would simulate different workloads than the sweep's own.
 func groupSeed(kind SweepKind, cfg Config, ui, rep int) uint64 {
 	if kind == KindProp {
 		return cfg.Seed + uint64(ui*1000+rep*104729)
@@ -63,11 +63,11 @@ func NumGroups(kind SweepKind, cfg Config) (int, error) {
 func RowsPerGroup() int { return 1 + len(Combos) }
 
 // CellRow is one unit's result in wire form: a baseline (Combo < 0) or a
-// combo cell, tagged with its group and intra-group position so the
-// coordinator can merge rows in deterministic unit order. All fields are
+// combo cell, tagged with its group and intra-group position so
+// distResults can merge rows in deterministic unit order. All fields are
 // plain values — encoding/json round-trips float64 exactly (shortest
-// round-trip representation), so a row that crossed a socket merges to
-// the same bits as one computed in process.
+// round-trip representation), so a row that was serialized merges to the
+// same bits as one that was not.
 type CellRow struct {
 	Group int      `json:"group"`
 	Combo int      `json:"combo"` // index into Combos; -1 = baseline
@@ -80,8 +80,8 @@ type CellRow struct {
 // sweep would: regenerate the (point, rep) trace pair from the group seed,
 // freeze it, and materialize private jobs per cell from the shared
 // snapshot. Rows come back in the serial unit order — baseline first, then
-// Combos in figure order — so the coordinator's index-order merge replays
-// the serial accumulation bit-for-bit.
+// Combos in figure order — so distResults' index-order merge replays the
+// serial accumulation bit-for-bit.
 func RunSweepGroup(kind SweepKind, cfg Config, g int) ([]CellRow, error) {
 	cfg = cfg.normalized()
 	points, err := sweepPoints(kind)
@@ -134,11 +134,10 @@ func RunSweepGroup(kind SweepKind, cfg Config, g int) ([]CellRow, error) {
 	return rows, nil
 }
 
-// Distributor runs every group of a sweep somewhere — worker processes,
-// remote machines, or an in-process stub — and returns the rows indexed by
-// group. Implementations may compute groups in any order or more than once
-// (re-dispatch after a worker failure); the contract is only that slot g
-// holds the RowsPerGroup() rows RunSweepGroup(kind, cfg, g) produces.
+// Distributor computes every group of a sweep and returns the rows indexed
+// by group. Implementations may compute groups in any order or more than
+// once; the contract is only that slot g holds the RowsPerGroup() rows
+// RunSweepGroup(kind, cfg, g) produces.
 type Distributor interface {
 	RunGroups(kind SweepKind, cfg Config, numGroups int) ([][]CellRow, error)
 }

@@ -3,12 +3,12 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 )
 
-// jsonDistributor is an in-process Distributor that mimics the wire:
-// every group's config and rows make a JSON round trip, exactly what the
-// distsweep coordinator/worker pair does over a socket, and groups run in
+// jsonDistributor is a Distributor that serializes everything it touches:
+// every group's config and rows make a JSON round trip, and groups run in
 // a scrambled order to prove the merge depends only on indices.
 type jsonDistributor struct{ t *testing.T }
 
@@ -137,5 +137,44 @@ func TestRunSweepGroupValidation(t *testing.T) {
 		if r.Group != 0 || r.Combo != i-1 {
 			t.Fatalf("row %d mislabeled: %+v", i, r)
 		}
+	}
+}
+
+// badDistributor computes every group honestly and then breaks the
+// RunGroups contract in one way before handing the rows back.
+type badDistributor struct{ spoil func([][]CellRow) [][]CellRow }
+
+func (d badDistributor) RunGroups(kind SweepKind, cfg Config, numGroups int) ([][]CellRow, error) {
+	out := make([][]CellRow, numGroups)
+	for g := range out {
+		rows, err := RunSweepGroup(kind, cfg, g)
+		if err != nil {
+			return nil, err
+		}
+		out[g] = rows
+	}
+	return d.spoil(out), nil
+}
+
+// TestDistResultsRefusesBrokenContract: rows that do not fill their slots
+// exactly are an error, never a silently different table.
+func TestDistResultsRefusesBrokenContract(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		spoil  func([][]CellRow) [][]CellRow
+		errHas string
+	}{
+		{"wrong group count", func(g [][]CellRow) [][]CellRow { return g[1:] }, "groups, want"},
+		{"short group", func(g [][]CellRow) [][]CellRow { g[2] = g[2][:len(g[2])-1]; return g }, "group 2 has"},
+		{"mislabelled row", func(g [][]CellRow) [][]CellRow { g[1][3].Combo = 0; return g }, "group 1 row 3 mislabeled"},
+		{"row from another group", func(g [][]CellRow) [][]CellRow { g[0], g[1] = g[1], g[0]; return g }, "group 0 row 0 mislabeled"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Seed: 1, JobFactor: 0.01, Reps: 1, Dist: badDistributor{tc.spoil}}
+			_, err := RunLoadSweep(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+				t.Fatalf("RunLoadSweep = %v, want an error containing %q", err, tc.errHas)
+			}
+		})
 	}
 }

@@ -93,8 +93,8 @@ func RunLoadSweep(cfg Config) (*LoadSweep, error) {
 
 	var results []*loadResult
 	if cfg.Dist != nil {
-		// Distributed fan-out: worker processes compute whole groups and
-		// the rows land here in unit order (see distResults).
+		// The Distributor computes whole groups and the rows land here in
+		// unit order (see distResults).
 		var err error
 		results, err = distResults(KindLoad, cfg)
 		if err != nil {

@@ -72,7 +72,7 @@ func RunProportionSweep(cfg Config) (*ProportionSweep, error) {
 
 	var results []*loadResult
 	if cfg.Dist != nil {
-		// Distributed fan-out — see RunLoadSweep and distResults.
+		// The Distributor computes the groups — see RunLoadSweep and distResults.
 		var err error
 		results, err = distResults(KindProp, cfg)
 		if err != nil {

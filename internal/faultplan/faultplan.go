@@ -1,15 +1,16 @@
 // Package faultplan is the deterministic fault-campaign engine: it
 // composes fault schedules — what fails, when, and for how long — from a
 // single seeded splitmix64 stream and replays them bit-identically. One
-// Plan drives three seams at once:
+// Plan drives two seams at once:
 //
 //   - the journal's filesystem (FaultFS): short writes, EIO on
 //     append/fsync/rename, disk-full, and torn final frames;
 //   - the peer wire (PeerScript, consumed by proto.FaultInjector): one-way
 //     partitions, slow-link latency ramps, duplicated delivery, connection
-//     drops, and whole-server restarts;
-//   - the distributed-sweep coordinator (CoordKill): a kill point measured
-//     in delivered rows, exercised against the checkpoint/resume path.
+//     drops, and whole-server restarts.
+//
+// RunCampaign drives one coupled simulation under a Plan and gates the
+// robustness invariants; cmd/experiments -chaoscampaign loops it over seeds.
 //
 // Determinism is the contract: New(seed, profile) is a pure function, so
 // any failing campaign is reproducible from its seed alone (Plan.Repro
@@ -31,9 +32,8 @@ import (
 type Seam string
 
 const (
-	SeamJournal   Seam = "journal"
-	SeamPeerlink  Seam = "peerlink"
-	SeamDistsweep Seam = "distsweep"
+	SeamJournal  Seam = "journal"
+	SeamPeerlink Seam = "peerlink"
 )
 
 // Kind is a fault class. The comment on each constant states the unit of
@@ -79,13 +79,6 @@ const (
 	KindPartition Kind = "one-way-partition"
 	// KindRestart restarts every peer server at virtual second At.
 	KindRestart Kind = "server-restart"
-
-	// Distsweep seam.
-
-	// KindCoordKill abandons the coordinator after the At-th delivered
-	// row; the campaign then resumes a fresh coordinator from the
-	// checkpoint file.
-	KindCoordKill Kind = "coordinator-kill"
 )
 
 // Fault is one scheduled injection.
@@ -154,11 +147,6 @@ type Profile struct {
 	// RestartsMax server-restart instants, drawn in [1, RestartSpanSec].
 	RestartsMax    int
 	RestartSpanSec int
-
-	// SweepRows is the distsweep row horizon; CoordKillChance the
-	// probability the campaign kills the coordinator mid-sweep.
-	SweepRows       int
-	CoordKillChance float64
 }
 
 // DefaultProfile is the campaign shape the chaos gate runs.
@@ -177,8 +165,6 @@ func DefaultProfile() Profile {
 		PartitionLenMax: 250,
 		RestartsMax:     2,
 		RestartSpanSec:  4 * 3600,
-		SweepRows:       12,
-		CoordKillChance: 0.75,
 	}
 }
 
@@ -236,11 +222,6 @@ func New(seed uint64, p Profile) *Plan {
 		add(Fault{Seam: SeamPeerlink, Kind: KindRestart, At: 1 + ps.Intn(p.RestartSpanSec)})
 	}
 
-	ds := NewStream(seed).Derive("distsweep")
-	if ds.Float64() < p.CoordKillChance {
-		add(Fault{Seam: SeamDistsweep, Kind: KindCoordKill, At: 1 + ds.Intn(p.SweepRows-1)})
-	}
-
 	sort.SliceStable(plan.Faults, func(a, b int) bool {
 		x, y := plan.Faults[a], plan.Faults[b]
 		if x.Seam != y.Seam {
@@ -291,27 +272,6 @@ func (p *Plan) Restarts() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// CoordKill returns the distsweep kill point in delivered rows, or -1 if
-// this campaign leaves the coordinator alone.
-func (p *Plan) CoordKill() int {
-	for _, f := range p.Faults {
-		if f.Kind == KindCoordKill {
-			return f.At
-		}
-	}
-	return -1
-}
-
-// Has reports whether the plan schedules any fault of the given kind.
-func (p *Plan) Has(k Kind) bool {
-	for _, f := range p.Faults {
-		if f.Kind == k {
-			return true
-		}
-	}
-	return false
 }
 
 // Encode renders the plan canonically; two plans are bit-identical iff

@@ -39,7 +39,7 @@ func TestPlanDeterministic(t *testing.T) {
 
 // TestPlanSeamsAreIndependent: one seam's draws never shift another's.
 // Zeroing out the journal seam (JournalFaultMax=0) must leave the peerlink
-// and distsweep schedules untouched.
+// schedule untouched.
 func TestPlanSeamsAreIndependent(t *testing.T) {
 	prof := faultplan.DefaultProfile()
 	noJournal := prof
@@ -47,12 +47,10 @@ func TestPlanSeamsAreIndependent(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		full := faultplan.New(seed, prof)
 		slim := faultplan.New(seed, noJournal)
-		for _, seam := range []faultplan.Seam{faultplan.SeamPeerlink, faultplan.SeamDistsweep} {
-			a := fmt.Sprint(full.ForSeam(seam))
-			b := fmt.Sprint(slim.ForSeam(seam))
-			if a != b {
-				t.Fatalf("seed %d: %s schedule shifted when the journal seam was disabled:\n%s\n%s", seed, seam, a, b)
-			}
+		a := fmt.Sprint(full.ForSeam(faultplan.SeamPeerlink))
+		b := fmt.Sprint(slim.ForSeam(faultplan.SeamPeerlink))
+		if a != b {
+			t.Fatalf("seed %d: peerlink schedule shifted when the journal seam was disabled:\n%s\n%s", seed, a, b)
 		}
 	}
 }

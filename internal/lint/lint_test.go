@@ -97,41 +97,52 @@ func checkFixture(t *testing.T, name string) []Finding {
 	return active
 }
 
-var wantRe = regexp.MustCompile(`// want "([^"]+)"`)
+var (
+	wantRe      = regexp.MustCompile(`// want "([^"]+)"`)
+	knownMissRe = regexp.MustCompile(`// known miss "([^"]+)"`)
+)
 
-// parseWants reads the fixture's `// want "substring"` expectations,
-// keyed by 1-based line number.
-func parseWants(t *testing.T, path string) map[int]string {
+// parseMarks reads the fixture's `// want "substring"` expectations (or,
+// with knownMissRe, its recorded misses), keyed by 1-based line number.
+func parseMarks(t *testing.T, path string, re *regexp.Regexp) map[int]string {
 	t.Helper()
 	src, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := make(map[int]string)
+	marks := make(map[int]string)
 	for i, line := range strings.Split(string(src), "\n") {
-		if m := wantRe.FindStringSubmatch(line); m != nil {
-			wants[i+1] = m[1]
+		if m := re.FindStringSubmatch(line); m != nil {
+			marks[i+1] = m[1]
 		}
 	}
-	return wants
+	return marks
 }
 
 // TestRuleFixtures is the golden harness: every `// want` line must
 // produce a matching finding, and no finding may appear on a line
-// without one. Deleting or de-fanging a rule fails its fixture.
+// without one. Deleting or de-fanging a rule fails its fixture. A
+// `// known miss "R<n>"` line records a defect of this repo's history the
+// rule cannot see (r8.go: the live lock cycle of ROADMAP item 1); the day
+// the rule reports it, the marker becomes a `// want`.
 func TestRuleFixtures(t *testing.T) {
 	for _, name := range []string{
-		"r1.go", "r2.go", "r2interproc.go", "r3.go", "r4.go", "r4dist.go",
+		"r1.go", "r2.go", "r2interproc.go", "r3.go", "r4.go",
 		"r4interproc.go", "r5.go", "r6.go", "r7.go", "r8.go", "r9.go",
 	} {
 		t.Run(name, func(t *testing.T) {
 			findings := checkFixture(t, name)
-			wants := parseWants(t, "testdata/"+name)
+			wants := parseMarks(t, "testdata/"+name, wantRe)
 			if len(wants) == 0 {
 				t.Fatalf("fixture %s declares no // want expectations", name)
 			}
+			misses := parseMarks(t, "testdata/"+name, knownMissRe)
 			matched := make(map[int]bool)
 			for _, f := range findings {
+				if misses[f.Pos.Line] == f.Rule {
+					t.Errorf("%s now reports its recorded known miss — make the marker a // want and widen the rule's package scope: %s", f.Rule, f)
+					continue
+				}
 				text := fmt.Sprintf("%s: %s", f.Rule, f.Msg)
 				if sub, ok := wants[f.Pos.Line]; ok && strings.Contains(text, sub) {
 					matched[f.Pos.Line] = true

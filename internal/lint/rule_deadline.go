@@ -8,10 +8,8 @@ import (
 // checkDeadline implements R9: a network read in a protocol package must
 // be preceded — in the same function — by arming a read deadline on the
 // conn, either directly (SetReadDeadline/SetDeadline) or through a
-// helper/closure whose summary sets one (the coordinator's readDeadline
-// closure is the canonical shape). A read with no deadline turns a
-// silent peer into a goroutine leak that the 4-beat heartbeat contract
-// (PR 7) exists to prevent. Reads: proto.ReadFrame on a conn-like
+// helper/closure whose summary sets one. A read with no deadline turns a
+// silent peer into a leaked goroutine. Reads: proto.ReadFrame on a conn-like
 // argument, a raw .Read on a conn-like receiver, or ReadFrame on a
 // proto.FrameReader (the buffered reader of one connection; which conn it
 // wraps is not visible here, so any earlier deadline satisfies it). "Same
@@ -34,7 +32,7 @@ func checkDeadline(p *Pass) {
 // protocolPackage scopes R9 to the packages that own live sockets.
 func protocolPackage(path string) bool {
 	return inRepoPackage(path, "proto") || inRepoPackage(path, "peerlink") ||
-		inRepoPackage(path, "distsweep") || inRepoPackage(path, "fixture")
+		inRepoPackage(path, "fixture")
 }
 
 type deadlineEvent struct {
@@ -105,7 +103,7 @@ func (p *Pass) scanDeadlines(body *ast.BlockStmt) {
 		}
 		if !armed {
 			p.reportf(r.pos, "R9",
-				"%s on %q with no preceding read deadline in this function: a silent peer parks this goroutine forever — arm SetReadDeadline first (the 4-beat heartbeat contract)",
+				"%s on %q with no preceding read deadline in this function: a silent peer parks this goroutine forever — arm SetReadDeadline first",
 				r.desc, readConnName(r.path))
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // may not be discarded. The crash-safety argument of the journal (PR 5)
 // is an ordering argument — append, fsync, rename, truncate — and it
 // only holds if every step's error stops the sequence; a swallowed frame
-// write lets a sweep continue against a dead worker. Discard shapes:
+// write lets the caller carry on against a dead peer. Discard shapes:
 // a bare expression statement, an assignment with every error result
 // blank, and defer/go statements (whose return values are always
 // dropped). Test files are exempt — tests assert through the harness.

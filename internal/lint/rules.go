@@ -61,9 +61,7 @@ var Rules = []Rule{
 			"event loop serializes everything. Goroutines capturing a Manager " +
 			"or t.Parallel in its tests race the scheduler state; concurrency " +
 			"belongs in internal/parallel's deterministic cell pool, where each " +
-			"worker owns a private engine, or across process boundaries in " +
-			"internal/distsweep, whose coordinator goroutines hold only " +
-			"connections and serialized rows — never a Manager. Escape is " +
+			"worker owns a private engine — never a shared Manager. Escape is " +
 			"tracked through values: arguments and captured free variables " +
 			"whose types *contain* a Manager (struct fields, slices, maps) " +
 			"are flagged, as are calls to helpers whose summaries reach a " +
@@ -103,7 +101,7 @@ var Rules = []Rule{
 		Doc: "The journal's crash-safety proof (PR 5) is an ordering argument " +
 			"— append, fsync, rename, truncate — and it only holds if every " +
 			"step's error stops the sequence; a frame write whose failure is " +
-			"swallowed lets a sweep keep feeding a dead worker. Discarding " +
+			"swallowed lets the caller carry on against a dead peer. Discarding " +
 			"the error from journal.Store.Append/Compact/Close/Sync, " +
 			"proto.WriteFrame, or (inside internal/journal) a raw file " +
 			"Sync/Close/Write or os.Rename — via `_ =`, a bare statement, " +
@@ -117,11 +115,11 @@ var Rules = []Rule{
 	{
 		ID:    "R8",
 		Title: "no mutex held across a blocking call",
-		Doc: "The heartbeat-stall shape: a goroutine holds a link mutex while " +
+		Doc: "The stalled-link shape: a goroutine holds a link mutex while " +
 			"writing to a peer that stopped reading, the TCP window fills, " +
 			"the write parks, and every goroutine that needs the mutex — " +
-			"including the heartbeat that would have detected the dead peer " +
-			"— parks behind it. In peerlink/distsweep/journal, no " +
+			"including the one that would have noticed the dead peer " +
+			"— parks behind it. In peerlink/journal, no " +
 			"sync.Mutex/RWMutex may be held (lexically, including " +
 			"defer-Unlock) across network reads/writes, channel operations, " +
 			"selects without default, exec waits, or time.Sleep, directly or " +
@@ -135,9 +133,8 @@ var Rules = []Rule{
 		ID:    "R9",
 		Title: "network reads must be preceded by a read deadline",
 		Doc: "A conn read with no deadline turns a silent peer into a " +
-			"permanently parked goroutine; PR 7's liveness contract is that " +
-			"every read is bounded by 4 heartbeat intervals. In protocol " +
-			"packages (proto/peerlink/distsweep), every proto.ReadFrame on a " +
+			"permanently parked goroutine; every read must be bounded. In " +
+			"protocol packages (proto/peerlink), every proto.ReadFrame on a " +
 			"conn-like value, every proto.FrameReader.ReadFrame and every " +
 			"raw conn.Read must be lexically " +
 			"preceded, in the same function, by SetReadDeadline/SetDeadline " +

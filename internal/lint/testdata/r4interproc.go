@@ -32,8 +32,8 @@ func helperEscape(m *resmgr.Manager) {
 	go tick() // want "R4"
 }
 
-// rowsOnly escapes only the serialized rows — the distsweep contract —
-// so no finding.
+// rowsOnly escapes only the serialized rows, never the Manager beside
+// them, so no finding.
 func rowsOnly(c *cell, out chan<- []string) {
 	rows := c.rows
 	go func() { out <- rows }()

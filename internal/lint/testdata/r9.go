@@ -31,9 +31,8 @@ func readWithDeadline(conn net.Conn, at time.Time) error {
 	return proto.ReadFrame(conn, &v)
 }
 
-// readViaHelper arms the deadline through a closure — the coordinator's
-// readDeadline shape. The closure's summary carries SetsDeadline, so the
-// later read is satisfied.
+// readViaHelper arms the deadline through a closure. The closure's
+// summary carries SetsDeadline, so the later read is satisfied.
 func readViaHelper(conn net.Conn, at time.Time) error {
 	arm := func() error { return conn.SetReadDeadline(at) }
 	if err := arm(); err != nil {

@@ -15,7 +15,7 @@ const (
 	// degraded-mode hold budget.
 	MetricHoldsRefused = "cosched_holds_refused_total"
 	// MetricCampaignFaults counts faults actually fired during a chaos
-	// campaign, labeled by seam (journal / peerlink / distsweep).
+	// campaign, labeled by seam (journal / peerlink).
 	MetricCampaignFaults = "cosched_campaign_faults_injected_total"
 )
 

@@ -49,10 +49,10 @@
 // and a steady-state probe_mate round trip allocates nothing: method and
 // status names decode to this package's and cosched's own strings, and
 // Client and Server call the typed forms so their frames never escape
-// through `any`. The framing's other users come in two kinds. live's admin
-// frames bring a codec of their own under the same rule, which WriteFrame
-// and ReadFrame find through FrameCodec; distsweep's frames have none and
-// are encoded and decoded by encoding/json, as is any other value.
+// through `any`. The framing's other user, live's admin frames, brings a
+// codec of its own under the same rule, which WriteFrame and ReadFrame find
+// through FrameCodec; any other value is encoded and decoded by
+// encoding/json.
 //
 // Fault tolerance is part of the contract: any transport error or timeout
 // surfaces as an error from the Peer method, which Algorithm 1 maps to

@@ -21,80 +21,6 @@ type JobIter interface {
 	NextJob() (*job.Job, error)
 }
 
-// RepeatStream yields reps offset copies of a base trace — e.g. a year of
-// load from a one-month base — without ever materializing the repetition.
-// Copy k shifts submit times by k×period and job IDs by k×idStride, and
-// remaps mate references by the same ID stride so cross-domain pairs stay
-// aligned when both domains repeat with a common stride.
-//
-// Each yielded job is a fresh allocation: jobs carry mutable simulation
-// state, so copies must not alias the base.
-type RepeatStream struct {
-	base     []*job.Job
-	reps     int
-	period   sim.Duration
-	idStride job.ID
-	rep, idx int
-}
-
-// NewRepeatStream sorts base into (SubmitTime, ID) order and prepares reps
-// copies. period must exceed the largest base submit time so the output
-// stays submit-sorted across copy boundaries. idStride 0 derives
-// max(base ID)+1; pass an explicit common stride when two paired domains
-// must stay consistent.
-func NewRepeatStream(base []*job.Job, reps int, period sim.Duration, idStride job.ID) (*RepeatStream, error) {
-	if reps <= 0 {
-		return nil, fmt.Errorf("workload: reps %d must be positive", reps)
-	}
-	sorted := bySubmit(base)
-	var maxSubmit sim.Time
-	var maxID job.ID
-	for _, j := range sorted {
-		if j.SubmitTime > maxSubmit {
-			maxSubmit = j.SubmitTime
-		}
-		if j.ID > maxID {
-			maxID = j.ID
-		}
-	}
-	if len(sorted) > 0 && reps > 1 && period <= sim.Duration(maxSubmit) {
-		return nil, fmt.Errorf("workload: repeat period %d must exceed max base submit %d to keep the stream sorted", period, maxSubmit)
-	}
-	if idStride == 0 {
-		idStride = maxID + 1
-	}
-	return &RepeatStream{base: sorted, reps: reps, period: period, idStride: idStride}, nil
-}
-
-// Jobs returns the total number of jobs the stream will yield.
-func (r *RepeatStream) Jobs() int { return len(r.base) * r.reps }
-
-// IDStride returns the per-copy ID offset in use (after derivation).
-func (r *RepeatStream) IDStride() job.ID { return r.idStride }
-
-// NextJob yields the next copy, io.EOF after the last repetition.
-func (r *RepeatStream) NextJob() (*job.Job, error) {
-	if r.idx >= len(r.base) {
-		r.rep++
-		r.idx = 0
-	}
-	if r.rep >= r.reps || len(r.base) == 0 {
-		return nil, io.EOF
-	}
-	b := r.base[r.idx]
-	r.idx++
-	idOff := job.ID(r.rep) * r.idStride
-	j := job.New(b.ID+idOff, b.Nodes, b.SubmitTime+sim.Time(r.rep)*sim.Time(r.period), b.Runtime, b.Walltime)
-	j.User = b.User
-	if len(b.Mates) > 0 {
-		j.Mates = make([]job.MateRef, len(b.Mates))
-		for i, m := range b.Mates {
-			j.Mates[i] = job.MateRef{Domain: m.Domain, Job: m.Job + idOff}
-		}
-	}
-	return j, nil
-}
-
 // AnalyzeStream computes TraceStats from a job stream in one pass and
 // bounded memory: exact ValueDists (one counter per distinct value) replace
 // the per-job []float64 buffers, so the result — and hence Render — is
@@ -169,8 +95,8 @@ func AnalyzeStream(src JobIter, totalNodes int) (TraceStats, error) {
 }
 
 // SliceIter adapts a materialized, submit-sorted job slice to JobIter — the
-// bridge the differential tests use to compare streaming and materialized
-// paths over identical jobs.
+// bridge the differential tests here and in internal/coupled use to compare
+// streaming and materialized paths over identical jobs.
 type SliceIter struct {
 	jobs []*job.Job
 	idx  int

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"io"
 	"reflect"
 	"testing"
 
@@ -54,82 +53,5 @@ func TestAnalyzeStreamRejectsUnsorted(t *testing.T) {
 	}
 	if _, err := AnalyzeStream(NewSliceIter(jobs), 512); err == nil {
 		t.Fatal("unsorted source accepted")
-	}
-}
-
-func TestRepeatStreamSortedAndOffset(t *testing.T) {
-	base := []*job.Job{
-		job.New(3, 8, 200, 300, 400),
-		job.New(1, 4, 0, 60, 60),
-		job.New(2, 2, 200, 100, 100),
-	}
-	base[1].Mates = []job.MateRef{{Domain: "eureka", Job: 1}}
-	rs, err := NewRepeatStream(base, 3, 1000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Jobs() != 9 {
-		t.Fatalf("Jobs() = %d, want 9", rs.Jobs())
-	}
-	if rs.IDStride() != 4 {
-		t.Fatalf("IDStride = %d, want maxID+1 = 4", rs.IDStride())
-	}
-	var got []*job.Job
-	var prev sim.Time
-	seen := map[job.ID]bool{}
-	for {
-		j, err := rs.NextJob()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.SubmitTime < prev {
-			t.Fatalf("stream went backwards: t=%d after t=%d", j.SubmitTime, prev)
-		}
-		prev = j.SubmitTime
-		if seen[j.ID] {
-			t.Fatalf("duplicate ID %d", j.ID)
-		}
-		seen[j.ID] = true
-		got = append(got, j)
-	}
-	if len(got) != 9 {
-		t.Fatalf("yielded %d jobs, want 9", len(got))
-	}
-	// Copy 2 of job 1: ID 1+2*4=9, submit 0+2*1000=2000, mate remapped.
-	var copy2 *job.Job
-	for _, j := range got {
-		if j.ID == 9 {
-			copy2 = j
-		}
-	}
-	if copy2 == nil || copy2.SubmitTime != 2000 {
-		t.Fatalf("copy 2 of job 1 wrong: %+v", copy2)
-	}
-	if len(copy2.Mates) != 1 || copy2.Mates[0].Job != 9 || copy2.Mates[0].Domain != "eureka" {
-		t.Fatalf("mate not remapped: %+v", copy2.Mates)
-	}
-	// Copies must not alias base jobs.
-	for _, j := range got {
-		for _, b := range base {
-			if j == b {
-				t.Fatal("stream yielded an aliased base job")
-			}
-		}
-	}
-}
-
-func TestRepeatStreamRejectsShortPeriod(t *testing.T) {
-	base := []*job.Job{job.New(1, 4, 500, 60, 60)}
-	if _, err := NewRepeatStream(base, 2, 500, 0); err == nil {
-		t.Fatal("period <= max submit accepted")
-	}
-	if _, err := NewRepeatStream(base, 1, 0, 0); err != nil {
-		t.Fatalf("single rep should not need a period: %v", err)
-	}
-	if _, err := NewRepeatStream(base, 0, 1000, 0); err == nil {
-		t.Fatal("zero reps accepted")
 	}
 }
