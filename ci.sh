@@ -4,10 +4,10 @@
 #
 # The race-enabled test run covers the parallel sweep pool (cells fan out
 # across goroutines; TestLoadSweepParallelDeterminism byte-compares serial
-# against parallel tables) and the streaming-ingestion differentials
-# (SubmitTraceStream vs SubmitTrace, AnalyzeStream vs Analyze, traceinfo
-# render-twice); every figure reproduction is smoked by the sweep_paper
-# golden-digest leg below.
+# against parallel tables, TestGoldenTablesAndCharts pins every table and
+# chart of all six experiments at 1 and 8 workers) and the SWF streaming
+# differentials (AnalyzeStream vs Analyze, traceinfo render-twice); every
+# figure reproduction is smoked by the sweep_paper golden-digest leg below.
 set -eux
 
 # Formatting and static analysis: gofmt must be clean, vet runs under both
@@ -130,13 +130,12 @@ go test -run 'ZeroAlloc|WithoutAllocating|AllocatesNothing' -count=1 \
     ./internal/resmgr ./internal/cluster \
     ./internal/journal ./internal/live ./internal/proto
 
-# Chaos-campaign gate: 25 deterministic fault-injection campaigns from a
-# fixed seed, under -race, across both seams (journal VFS faults,
-# asymmetric peer-link faults). Every campaign must pass its invariant
-# gates — no stuck jobs, co-start accounting consistent with dropped calls,
-# every surviving journal replayable, the clean-filesystem journal whole —
-# and any failure prints a one-line seeded repro. The -chaosinject leg flips
-# one byte of that journal on purpose and must FAIL, proving the gate can
-# trip.
-go run -race ./cmd/experiments -chaoscampaign 25 -chaosseed 1
-! go run ./cmd/experiments -chaoscampaign 1 -chaosseed 1 -chaosinject
+# Chaos-campaign gate: 25 deterministic fault-injection campaigns, seeds
+# 1–25 as subtests, under -race and uncached, across both seams (journal VFS
+# faults, asymmetric peer-link faults). Every campaign must pass its
+# invariant gates — no stuck jobs, co-start accounting consistent with
+# dropped calls, every surviving journal replayable, the clean-filesystem
+# journal whole — and a failing seed prints the one-line `go test -run`
+# repro. The last subtest flips one byte of that journal on purpose and
+# passes only if the gate trips, proving a campaign can fail.
+go test -race -count=1 -run TestRunCampaign ./internal/faultplan

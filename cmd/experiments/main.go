@@ -5,18 +5,21 @@
 //
 //	experiments -exp all                 # everything at paper scale
 //	experiments -exp fig3 -factor 0.1    # one figure at 10% job count
-//	experiments -exp validate -reps 3
+//	experiments -exp load,ablations -reps 3   # average each cell over 3 runs
 //	experiments -exp all -parallel 0     # fan cells across every core
 //
 // Figures come in pairs that share simulations (3–6 share the load sweep,
 // 7–10 the proportion sweep); asking for any figure in a group runs the
 // whole group's simulations once and prints only the requested tables.
 //
-// Every sweep fans its (point × combo × rep) cells across -parallel
-// workers (0 = one per core, 1 = serial). Each cell derives its traces
-// from its own (point, rep) seed and results are aggregated by cell
-// index, so tables are byte-identical for every -parallel value; only
-// wall-clock time changes.
+// -reps averages the load and proportion sweeps, the ablations and the
+// reservation comparison over that many runs per cell; validate and nway
+// run every cell once whatever -reps says.
+//
+// Every experiment fans its cells across -parallel workers (0 = one per
+// core, 1 = serial). Each group of cells derives its traces from its own
+// seed and results are aggregated by cell index, so tables are
+// byte-identical for every -parallel value; only wall-clock time changes.
 package main
 
 import (
@@ -39,21 +42,18 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "comma-separated experiments: "+experimentUsage)
-		seed        = flag.Uint64("seed", 1, "workload random seed")
-		factor      = flag.Float64("factor", 1.0, "job-count scale factor (1.0 = paper scale)")
-		reps        = flag.Int("reps", 1, "repetitions per cell (paper used 10)")
-		svgDir      = flag.String("svg", "", "also render each figure as an SVG into this directory")
-		par         = flag.Int("parallel", 0, "sweep-cell workers: 0 = one per core, 1 = serial, N = at most N")
-		profDir     = flag.String("pprof", "", "write cpu.pprof and allocs.pprof profiles of the run into this directory")
-		chaosN      = flag.Int("chaoscampaign", 0, "run N seeded deterministic fault-injection campaigns across the journal and peerlink seams, gating robustness invariants")
-		chaosSeed   = flag.Uint64("chaosseed", 1, "chaoscampaign: first campaign seed (seeds are consecutive; a failing seed's printed repro replays it alone)")
-		chaosInject = flag.Bool("chaosinject", false, "chaoscampaign: flip one byte of a journal record before the recovery gates — CI's deterministic proof the campaign fails loudly")
+		exp     = flag.String("exp", "all", "comma-separated experiments: "+experimentUsage)
+		seed    = flag.Uint64("seed", 1, "workload random seed")
+		factor  = flag.Float64("factor", 1.0, "job-count scale factor (1.0 = paper scale)")
+		reps    = flag.Int("reps", 1, "repetitions averaged per cell of the load and proportion sweeps, the ablations and the reservation comparison (paper used 10); validate and nway run every cell once")
+		svgDir  = flag.String("svg", "", "also render each figure as an SVG into this directory")
+		par     = flag.Int("parallel", 0, "sweep-cell workers: 0 = one per core, 1 = serial, N = at most N")
+		profDir = flag.String("pprof", "", "write cpu.pprof and allocs.pprof profiles of the run into this directory")
 	)
 	flag.Parse()
 	want, err := parseExperiments(*exp)
 	if err == nil {
-		err = checkSizes(*factor, *reps, *par, *chaosN)
+		err = checkSizes(*factor, *reps, *par)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -81,13 +81,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer stop()
-	}
-	if *chaosN > 0 {
-		if err := runChaosCampaign(*chaosN, *chaosSeed, *chaosInject); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: chaoscampaign: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	all := want["all"]
@@ -118,64 +111,44 @@ func main() {
 			return nil
 		})
 	}
-	if anyOf("load", "fig3", "fig4", "fig5", "fig6") {
-		run("load sweep (Figures 3-6)", func() error {
-			sweep, err := experiments.RunLoadSweep(cfg)
+	for _, sw := range []struct {
+		name, title string
+		firstFig    int
+		run         func(experiments.Config) (*experiments.Sweep, error)
+	}{
+		{"load", "load sweep (Figures 3-6)", 3, experiments.RunLoadSweep},
+		{"prop", "proportion sweep (Figures 7-10)", 7, experiments.RunProportionSweep},
+	} {
+		fig := func(i int) string { return fmt.Sprintf("fig%d", sw.firstFig+i) }
+		if !anyOf(sw.name, fig(0), fig(1), fig(2), fig(3)) {
+			continue
+		}
+		run(sw.title, func() error {
+			sweep, err := sw.run(cfg)
 			if err != nil {
 				return err
 			}
-			// Iterate Utils, not the map: map range order would make
-			// otherwise byte-identical runs print in different orders.
-			for _, util := range sweep.Utils {
-				fmt.Printf("paired fraction at eureka_util %.2f: %.1f%%\n", util, sweep.PairedFraction[util]*100)
-			}
-			fmt.Println()
-			if err := writeCharts(*svgDir, sweep.Charts()); err != nil {
-				return err
-			}
-			printPair := func(a, b *metrics.Table) {
-				fmt.Println(a.Render())
-				fmt.Println(b.Render())
-			}
-			if anyOf("load", "fig3") {
-				printPair(sweep.Fig3Table())
-			}
-			if anyOf("load", "fig4") {
-				printPair(sweep.Fig4Table())
-			}
-			if anyOf("load", "fig5") {
-				printPair(sweep.Fig5Table())
-			}
-			if anyOf("load", "fig6") {
-				printPair(sweep.Fig6Table())
-			}
-			return nil
-		})
-	}
-	if anyOf("prop", "fig7", "fig8", "fig9", "fig10") {
-		run("proportion sweep (Figures 7-10)", func() error {
-			sweep, err := experiments.RunProportionSweep(cfg)
-			if err != nil {
-				return err
+			if sweep.Kind == experiments.KindLoad {
+				// Iterate Points, not the map: map range order would make
+				// otherwise byte-identical runs print in different orders.
+				for _, util := range sweep.Points {
+					fmt.Printf("paired fraction at eureka_util %.2f: %.1f%%\n", util, sweep.PairedFraction[util]*100)
+				}
+				fmt.Println()
 			}
 			if err := writeCharts(*svgDir, sweep.Charts()); err != nil {
 				return err
 			}
-			printPair := func(a, b *metrics.Table) {
-				fmt.Println(a.Render())
-				fmt.Println(b.Render())
-			}
-			if anyOf("prop", "fig7") {
-				printPair(sweep.Fig7Table())
-			}
-			if anyOf("prop", "fig8") {
-				printPair(sweep.Fig8Table())
-			}
-			if anyOf("prop", "fig9") {
-				printPair(sweep.Fig9Table())
-			}
-			if anyOf("prop", "fig10") {
-				printPair(sweep.Fig10Table())
+			// A sweep numbers its own figures: Fig3Table on the proportion
+			// sweep is Figure 7, and so on.
+			for i, tables := range []func() (a, b *metrics.Table){
+				sweep.Fig3Table, sweep.Fig4Table, sweep.Fig5Table, sweep.Fig6Table,
+			} {
+				if anyOf(sw.name, fig(i)) {
+					a, b := tables()
+					fmt.Println(a.Render())
+					fmt.Println(b.Render())
+				}
 			}
 			return nil
 		})
@@ -246,7 +219,7 @@ func parseExperiments(spec string) (map[string]bool, error) {
 // in silence (a non-positive -factor or -reps becomes 1) or pass through
 // (a negative -parallel): a run that is not the one asked for should not
 // start.
-func checkSizes(factor float64, reps, par, chaosN int) error {
+func checkSizes(factor float64, reps, par int) error {
 	switch {
 	case !(factor > 0) || math.IsInf(factor, 0): // !(x > 0) also catches NaN
 		return fmt.Errorf("-factor %v: the job-count scale must be a positive finite number", factor)
@@ -254,8 +227,6 @@ func checkSizes(factor float64, reps, par, chaosN int) error {
 		return fmt.Errorf("-reps %d: need at least one repetition per cell", reps)
 	case par < 0:
 		return fmt.Errorf("-parallel %d: want 0 (one worker per core), 1 (serial) or a positive cap", par)
-	case chaosN < 0:
-		return fmt.Errorf("-chaoscampaign %d: the campaign count cannot be negative", chaosN)
 	}
 	return nil
 }

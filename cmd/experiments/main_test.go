@@ -66,11 +66,10 @@ func TestCheckSizes(t *testing.T) {
 		factor float64
 		reps   int
 		par    int
-		chaos  int
 		errHas string // "" means the sizes are accepted
 	}{
 		{name: "defaults", factor: 1, reps: 1},
-		{name: "small factor many reps capped pool", factor: 0.01, reps: 10, par: 8, chaos: 25},
+		{name: "small factor many reps capped pool", factor: 0.01, reps: 10, par: 8},
 		{name: "factor zero", factor: 0, reps: 1, errHas: "-factor 0"},
 		{name: "factor negative", factor: -1, reps: 1, errHas: "-factor -1"},
 		{name: "factor NaN", factor: math.NaN(), reps: 1, errHas: "-factor NaN"},
@@ -78,10 +77,9 @@ func TestCheckSizes(t *testing.T) {
 		{name: "reps zero", factor: 1, reps: 0, errHas: "-reps 0"},
 		{name: "reps negative", factor: 1, reps: -3, errHas: "-reps -3"},
 		{name: "parallel negative", factor: 1, reps: 1, par: -2, errHas: "-parallel -2"},
-		{name: "chaoscampaign negative", factor: 1, reps: 1, chaos: -1, errHas: "-chaoscampaign -1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkSizes(tc.factor, tc.reps, tc.par, tc.chaos)
+			err := checkSizes(tc.factor, tc.reps, tc.par)
 			if tc.errHas == "" {
 				if err != nil {
 					t.Fatalf("checkSizes refused valid sizes: %v", err)

@@ -59,16 +59,6 @@ type DomainConfig struct {
 	// Trace is the domain's workload, sorted by submit time. Jobs are
 	// mutated during the run; pass workload.Clone copies to reuse traces.
 	Trace []*job.Job
-	// TraceStream, when non-nil, replaces Trace with a pull source replayed
-	// through resmgr.SubmitTraceStream: memory tracks the look-ahead window
-	// plus live jobs instead of the trace length. Streaming runs require an
-	// explicit Options.Horizon (the default bound is derived by scanning the
-	// trace, which a stream cannot afford). Mutually exclusive with Trace.
-	TraceStream resmgr.JobSource
-	// StreamWindow sizes the TraceStream look-ahead; <= 0 selects
-	// resmgr.DefaultStreamWindow. Paired streams need a window covering the
-	// maximum submit-index skew between mates (see SubmitTraceStream).
-	StreamWindow int
 	// Observer, when non-nil, receives lifecycle callbacks.
 	Observer resmgr.Observer
 }
@@ -125,10 +115,6 @@ type Sim struct {
 	traces   map[string][]*job.Job
 	horizon  sim.Time
 	cleanup  []func()
-	// streaming is set when any domain replays from a TraceStream; the run
-	// loop then derives its done condition from the managers' registered
-	// counts instead of a precomputed trace total.
-	streaming bool
 }
 
 // New builds the engine, domains, and peer wiring, and schedules every
@@ -221,26 +207,7 @@ func New(opt Options) (*Sim, error) {
 	// differ from run to run.
 	var lastSubmit sim.Time
 	var maxRuntime sim.Duration
-	streams := make(map[string]resmgr.JobSource)
-	for _, dc := range opt.Domains {
-		if dc.TraceStream != nil {
-			if len(dc.Trace) > 0 {
-				return nil, fmt.Errorf("coupled: domain %q: Trace and TraceStream are mutually exclusive", dc.Name)
-			}
-			if opt.Horizon <= 0 {
-				return nil, fmt.Errorf("coupled: domain %q streams its trace; an explicit Options.Horizon is required", dc.Name)
-			}
-			streams[dc.Name] = dc.TraceStream
-			if err := s.managers[dc.Name].SubmitTraceStream(dc.TraceStream, dc.StreamWindow); err != nil {
-				return nil, fmt.Errorf("coupled: domain %q: %w", dc.Name, err)
-			}
-			s.streaming = true
-		}
-	}
 	for _, name := range s.order {
-		if streams[name] != nil {
-			continue
-		}
 		tr := s.traces[name]
 		m := s.managers[name]
 		for _, j := range tr {
@@ -346,23 +313,7 @@ func (s *Sim) Run() *Result {
 		}
 		return n
 	}
-	// With streams the trace total is unknown up front: the run is done
-	// when every stream has drained AND every registered job is terminal.
-	// Registered counts only grow, so checking done() first is safe.
-	finished := func() bool {
-		if !s.streaming {
-			return done() >= total
-		}
-		reg := 0
-		for _, m := range ms {
-			if !m.TraceDone() {
-				return false
-			}
-			reg += m.RegisteredCount()
-		}
-		return done() >= reg
-	}
-	for !finished() {
+	for done() < total {
 		if !s.eng.Step() {
 			break // drained with incomplete jobs: deadlock/starvation
 		}
@@ -370,13 +321,6 @@ func (s *Sim) Run() *Result {
 			res.HitHorizon = true
 			break
 		}
-	}
-	if s.streaming {
-		total = 0
-		for _, m := range ms {
-			total += m.RegisteredCount()
-		}
-		res.TotalJobs = total
 	}
 	res.Makespan = s.eng.Now()
 	res.CompletedJobs = done()
@@ -386,11 +330,7 @@ func (s *Sim) Run() *Result {
 	for name, m := range s.managers {
 		m.Pool().Sync(res.Makespan)
 		res.Iterations += m.Iterations()
-		span := res.Makespan
-		// CollectReport folds the registry in registration order; in
-		// streaming mode it also includes the jobs already folded out, so
-		// both modes report identical bytes for identical runs.
-		res.Reports[name] = m.CollectReport(m.Pool().Total(), span)
+		res.Reports[name] = m.CollectReport(m.Pool().Total(), res.Makespan)
 	}
 	res.CoStartViolations = s.verifyCoStarts()
 	return res

@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"cosched/internal/cosched"
-	"cosched/internal/coupled"
 	"cosched/internal/job"
 	"cosched/internal/metrics"
-	"cosched/internal/parallel"
 	"cosched/internal/sim"
-	"cosched/internal/workload"
 )
 
 // AblationRow is one configuration variant's outcome on the shared
@@ -18,13 +14,7 @@ import (
 type AblationRow struct {
 	Group   string // which knob is being swept
 	Variant string // the knob's value
-
-	IntrepidWait float64 // minutes
-	EurekaWait   float64
-	SyncMin      float64 // paired-job sync, both domains averaged
-	LossNH       float64 // node-hours lost to holds, summed
-	Stuck        int
-	CoStartViol  int
+	Outcome
 }
 
 // Ablations sweeps the design knobs DESIGN.md §5 calls out — release
@@ -35,17 +25,11 @@ type Ablations struct {
 	Rows   []AblationRow
 }
 
-// ablationVariant describes one cell.
+// ablationVariant describes one cell: a knob, its value, and how the
+// hold-hold setup is changed to get there.
 type ablationVariant struct {
 	group, name string
-	mutate      func(*ablationSetup)
-}
-
-// ablationSetup carries the mutable knobs.
-type ablationSetup struct {
-	intrepid, eureka cosched.Config
-	backfillMode     string
-	estimator        string
+	mutate      func(*pairSetup)
 }
 
 // RunAblations executes every variant.
@@ -58,7 +42,7 @@ func RunAblations(cfg Config) (*Ablations, error) {
 		min := min
 		variants = append(variants, ablationVariant{
 			group: "release_interval", name: fmt.Sprintf("%dmin", min),
-			mutate: func(s *ablationSetup) {
+			mutate: func(s *pairSetup) {
 				s.intrepid.ReleaseInterval = sim.Duration(min) * sim.Minute
 				s.eureka.ReleaseInterval = sim.Duration(min) * sim.Minute
 			},
@@ -68,7 +52,7 @@ func RunAblations(cfg Config) (*Ablations, error) {
 		frac := frac
 		variants = append(variants, ablationVariant{
 			group: "max_held_fraction", name: fmt.Sprintf("%.0f%%", frac*100),
-			mutate: func(s *ablationSetup) {
+			mutate: func(s *pairSetup) {
 				s.intrepid.MaxHeldFraction = frac
 				s.eureka.MaxHeldFraction = frac
 			},
@@ -76,107 +60,45 @@ func RunAblations(cfg Config) (*Ablations, error) {
 	}
 	variants = append(variants,
 		ablationVariant{group: "yield_escalation", name: "plain_yield",
-			mutate: func(s *ablationSetup) {
+			mutate: func(s *pairSetup) {
 				s.intrepid.Scheme, s.eureka.Scheme = cosched.Yield, cosched.Yield
 			}},
 		ablationVariant{group: "yield_escalation", name: "max_yields_3",
-			mutate: func(s *ablationSetup) {
+			mutate: func(s *pairSetup) {
 				s.intrepid.Scheme, s.eureka.Scheme = cosched.Yield, cosched.Yield
 				s.intrepid.MaxYields, s.eureka.MaxYields = 3, 3
 			}},
 		ablationVariant{group: "yield_escalation", name: "yield_boost",
-			mutate: func(s *ablationSetup) {
+			mutate: func(s *pairSetup) {
 				s.intrepid.Scheme, s.eureka.Scheme = cosched.Yield, cosched.Yield
 				s.intrepid.YieldBoost, s.eureka.YieldBoost = true, true
 			}},
 		ablationVariant{group: "backfill", name: "easy",
-			mutate: func(s *ablationSetup) { s.backfillMode = "easy" }},
+			mutate: func(s *pairSetup) { s.backfillMode = "easy" }},
 		ablationVariant{group: "backfill", name: "conservative",
-			mutate: func(s *ablationSetup) { s.backfillMode = "conservative" }},
+			mutate: func(s *pairSetup) { s.backfillMode = "conservative" }},
 		ablationVariant{group: "estimator", name: "walltime",
-			mutate: func(s *ablationSetup) { s.estimator = "walltime" }},
+			mutate: func(s *pairSetup) { s.estimator = "walltime" }},
 		ablationVariant{group: "estimator", name: "user-average",
-			mutate: func(s *ablationSetup) { s.estimator = "user-average" }},
+			mutate: func(s *pairSetup) { s.estimator = "user-average" }},
 	)
 
-	// Every (variant, rep) cell regenerates the shared workload from the
-	// rep seed and runs on its own engine; cells fan out across
-	// Config.Parallelism workers and merge variant-major, rep-ascending.
-	type ablationUnit struct {
-		vi, rep int
-	}
-	var units []ablationUnit
-	for vi := range variants {
-		for rep := 0; rep < cfg.Reps; rep++ {
-			units = append(units, ablationUnit{vi, rep})
-		}
-	}
-
-	results, err := parallel.Map(context.Background(), cfg.workers(), len(units), func(i int) (*AblationRow, error) {
-		u := units[i]
-		v := variants[u.vi]
-		intr, eur, err := ablationTraces(cfg, cfg.Seed+uint64(u.rep*271))
-		if err != nil {
-			return nil, err
-		}
-		setup := ablationSetup{
-			intrepid:     cosched.DefaultConfig(cosched.Hold),
-			eureka:       cosched.DefaultConfig(cosched.Hold),
-			backfillMode: "easy",
-			estimator:    "walltime",
-		}
-		setup.intrepid.ReleaseInterval = cfg.ReleaseInterval
-		setup.eureka.ReleaseInterval = cfg.ReleaseInterval
-		v.mutate(&setup)
-
-		s, err := coupled.New(coupled.Options{Domains: []coupled.DomainConfig{
-			{Name: DomIntrepid, Nodes: IntrepidNodes, Backfilling: true,
-				BackfillMode: setup.backfillMode, Estimator: setup.estimator,
-				Cosched: setup.intrepid, Trace: intr, SchedCore: cfg.SchedCore},
-			{Name: DomEureka, Nodes: EurekaNodes, Backfilling: true,
-				BackfillMode: setup.backfillMode, Estimator: setup.estimator,
-				Cosched: setup.eureka, Trace: eur, SchedCore: cfg.SchedCore},
-		}})
-		if err != nil {
-			return nil, err
-		}
-		res := s.Run()
-		ri, re := res.Reports[DomIntrepid], res.Reports[DomEureka]
-		return &AblationRow{
-			Group:        v.group,
-			Variant:      v.name,
-			IntrepidWait: ri.Wait.Mean,
-			EurekaWait:   re.Wait.Mean,
-			SyncMin:      (ri.PairedSync.Mean + re.PairedSync.Mean) / 2,
-			LossNH:       ri.LostNodeHours + re.LostNodeHours,
-			Stuck:        res.StuckJobs,
-			CoStartViol:  res.CoStartViolations,
-		}, nil
-	})
+	// One group per repetition — the shared workload, generated from the rep
+	// seed — and one cell per variant.
+	results, err := runGrid(cfg, cfg.Reps, len(variants),
+		func(rep int) (*tracePair, error) {
+			return freezePair(ablationTraces(cfg, cfg.Seed+uint64(rep*271)))
+		},
+		onPair(func(_, vi int, intr, eur []*job.Job) (Outcome, error) {
+			setup := cfg.setup(Combo{Intrepid: cosched.Hold, Eureka: cosched.Hold})
+			variants[vi].mutate(&setup)
+			return pairOutcome(cfg, setup, intr, eur)
+		}))
 	if err != nil {
 		return nil, err
 	}
-
-	for vi, v := range variants {
-		row := AblationRow{Group: v.group, Variant: v.name}
-		for i, u := range units {
-			if u.vi != vi {
-				continue
-			}
-			r := results[i]
-			row.IntrepidWait += r.IntrepidWait
-			row.EurekaWait += r.EurekaWait
-			row.SyncMin += r.SyncMin
-			row.LossNH += r.LossNH
-			row.Stuck += r.Stuck
-			row.CoStartViol += r.CoStartViol
-		}
-		f := 1.0 / float64(cfg.Reps)
-		row.IntrepidWait *= f
-		row.EurekaWait *= f
-		row.SyncMin *= f
-		row.LossNH *= f
-		out.Rows = append(out.Rows, row)
+	for vi, o := range meanOverReps(results, cfg.Reps, len(variants)) {
+		out.Rows = append(out.Rows, AblationRow{Group: variants[vi].group, Variant: variants[vi].name, Outcome: o})
 	}
 	return out, nil
 }
@@ -192,10 +114,7 @@ func ablationTraces(cfg Config, seed uint64) (intr, eur []*job.Job, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	workload.PairNearest(workload.NewRNG(seed+2),
-		workload.Eligible(intr, MaxPairedIntrepidNodes),
-		workload.Eligible(eur, MaxPairedEurekaNodes),
-		DomIntrepid, DomEureka, len(intr)/10, PairMaxGap)
+	pairNearest(seed, intr, eur, len(intr)/10)
 	return intr, eur, nil
 }
 
@@ -219,7 +138,7 @@ func (a *Ablations) Table() *metrics.Table {
 		t.AddRow(r.Group, r.Variant,
 			fmt.Sprintf("%.1f", r.IntrepidWait),
 			fmt.Sprintf("%.1f", r.EurekaWait),
-			fmt.Sprintf("%.1f", r.SyncMin),
+			fmt.Sprintf("%.1f", r.PairSync),
 			fmt.Sprintf("%.0f", r.LossNH),
 			fmt.Sprintf("%d", r.CoStartViol),
 			fmt.Sprintf("%d", r.Stuck))

@@ -16,43 +16,55 @@ type NamedChart struct {
 // comboNames is the fixed series order for figure charts (matches Combos).
 var comboNames = []string{"HH", "HY", "YH", "YY"}
 
-// Charts renders the load sweep as Figures 3–6 (a and b panels each).
-func (s *LoadSweep) Charts() []NamedChart {
-	utilLabel := func(u float64) string { return fmt.Sprintf("%.2f", u) }
-	var out []NamedChart
-	out = append(out,
-		NamedChart{"fig3a", s.waitChart("Figure 3(a): Intrepid avg. wait by Eureka load",
-			utilLabel, func(c *Cell) float64 { return c.IntrepidWait },
-			func(b *Baseline) float64 { return b.IntrepidWait }, "minutes")},
-		NamedChart{"fig3b", s.waitChart("Figure 3(b): Eureka avg. wait by Eureka load",
-			utilLabel, func(c *Cell) float64 { return c.EurekaWait },
-			func(b *Baseline) float64 { return b.EurekaWait }, "minutes")},
-		NamedChart{"fig4a", s.waitChart("Figure 4(a): Intrepid avg. slowdown by Eureka load",
-			utilLabel, func(c *Cell) float64 { return c.IntrepidSlowdown },
-			func(b *Baseline) float64 { return b.IntrepidSlowdown }, "slowdown")},
-		NamedChart{"fig4b", s.waitChart("Figure 4(b): Eureka avg. slowdown by Eureka load",
-			utilLabel, func(c *Cell) float64 { return c.EurekaSlowdown },
-			func(b *Baseline) float64 { return b.EurekaSlowdown }, "slowdown")},
-	)
-	out = append(out,
-		NamedChart{"fig5a", s.syncChart("Figure 5(a): Intrepid paired-job sync time", true)},
-		NamedChart{"fig5b", s.syncChart("Figure 5(b): Eureka paired-job sync time", false)},
-		NamedChart{"fig6a", s.lossChart("Figure 6(a): Intrepid service-unit loss (hold side)", true)},
-		NamedChart{"fig6b", s.lossChart("Figure 6(b): Eureka service-unit loss (hold side)", false)},
-	)
-	return out
+// Charts renders the sweep's four figures, (a) and (b) panels each: 3–6
+// for the load sweep, 7–10 for the proportion sweep.
+func (s *Sweep) Charts() []NamedChart {
+	sp := s.spec
+	panel := func(n int, side, what string, c *chart.BarChart) NamedChart {
+		machine := map[string]string{"a": "Intrepid", "b": "Eureka"}[side]
+		c.Title = fmt.Sprintf("Figure %d(%s): %s %s", sp.firstFig+n, side, machine, what)
+		return NamedChart{fmt.Sprintf("fig%d%s", sp.firstFig+n, side), c}
+	}
+	out := []NamedChart{
+		panel(0, "a", "avg. wait by "+sp.by, s.comboChart("minutes", "%.1f",
+			func(c *Cell) float64 { return c.IntrepidWait }, func(b *Baseline) float64 { return b.IntrepidWait })),
+		panel(0, "b", "avg. wait by "+sp.by, s.comboChart("minutes", "%.1f",
+			func(c *Cell) float64 { return c.EurekaWait }, func(b *Baseline) float64 { return b.EurekaWait })),
+		panel(1, "a", "avg. slowdown by "+sp.by, s.comboChart("slowdown", sp.slowdownFmt,
+			func(c *Cell) float64 { return c.IntrepidSlowdown }, func(b *Baseline) float64 { return b.IntrepidSlowdown })),
+		panel(1, "b", "avg. slowdown by "+sp.by, s.comboChart("slowdown", sp.slowdownFmt,
+			func(c *Cell) float64 { return c.EurekaSlowdown }, func(b *Baseline) float64 { return b.EurekaSlowdown })),
+	}
+	if sp.kind == KindLoad {
+		// Figures 5 and 6 are drawn the way the paper draws them: one group
+		// per (load, remote scheme).
+		return append(out,
+			panel(2, "a", "paired-job sync time", s.syncChart(true)),
+			panel(2, "b", "paired-job sync time", s.syncChart(false)),
+			panel(3, "a", "service-unit loss (hold side)", s.lossChart(true)),
+			panel(3, "b", "service-unit loss (hold side)", s.lossChart(false)))
+	}
+	// Figures 9 and 10 keep one bar per combo at each proportion.
+	return append(out,
+		panel(2, "a", "paired-job sync time by proportion", s.comboChart("minutes", "%.1f",
+			func(c *Cell) float64 { return c.IntrepidSync }, nil)),
+		panel(2, "b", "paired-job sync time by proportion", s.comboChart("minutes", "%.1f",
+			func(c *Cell) float64 { return c.EurekaSync }, nil)),
+		panel(3, "a", "service-unit loss by proportion", s.comboChart("node-hours", "%.0f",
+			func(c *Cell) float64 { return c.IntrepidLossNH }, nil)),
+		panel(3, "b", "service-unit loss by proportion", s.comboChart("node-hours", "%.0f",
+			func(c *Cell) float64 { return c.EurekaLossNH }, nil)))
 }
 
-// waitChart builds a combos-by-sweep-point grouped bar chart with the
-// baseline reference.
-func (s *LoadSweep) waitChart(title string, label func(float64) string,
-	cell func(*Cell) float64, base func(*Baseline) float64, ylabel string) *chart.BarChart {
-	c := &chart.BarChart{
-		Title: title, YLabel: ylabel, Series: comboNames,
-		HasBaseline: true, ValueFmt: "%.1f",
-	}
-	for _, x := range s.Utils {
-		g := chart.Group{Label: label(x), Baseline: base(s.Baselines[x])}
+// comboChart builds a combos-by-sweep-point grouped bar chart, with the
+// baseline reference when base is non-nil.
+func (s *Sweep) comboChart(ylabel, valueFmt string, cell func(*Cell) float64, base func(*Baseline) float64) *chart.BarChart {
+	c := &chart.BarChart{YLabel: ylabel, Series: comboNames, HasBaseline: base != nil, ValueFmt: valueFmt}
+	for _, x := range s.Points {
+		g := chart.Group{Label: s.spec.label(x)}
+		if base != nil {
+			g.Baseline = base(s.Baselines[x])
+		}
 		for _, combo := range Combos {
 			g.Values = append(g.Values, cell(s.Cell(x, combo)))
 		}
@@ -61,25 +73,22 @@ func (s *LoadSweep) waitChart(title string, label func(float64) string,
 	return c
 }
 
-// syncChart builds the Figure 5 shape: (load, remote scheme) groups with
+// syncChart builds the Figure 5 shape: (point, remote scheme) groups with
 // local hold/yield bars.
-func (s *LoadSweep) syncChart(title string, intrepid bool) *chart.BarChart {
-	c := &chart.BarChart{
-		Title: title, YLabel: "minutes",
-		Series: []string{"local=hold", "local=yield"}, ValueFmt: "%.1f",
-	}
-	for _, u := range s.Utils {
-		for _, remote := range []cosched.Scheme{cosched.Hold, cosched.Yield} {
+func (s *Sweep) syncChart(intrepid bool) *chart.BarChart {
+	c := &chart.BarChart{YLabel: "minutes", Series: []string{"local=hold", "local=yield"}, ValueFmt: "%.1f"}
+	for _, x := range s.Points {
+		for _, remote := range schemes {
 			var h, y float64
 			if intrepid {
-				h = s.Cell(u, Combo{Intrepid: cosched.Hold, Eureka: remote}).IntrepidSync
-				y = s.Cell(u, Combo{Intrepid: cosched.Yield, Eureka: remote}).IntrepidSync
+				h = s.Cell(x, Combo{Intrepid: cosched.Hold, Eureka: remote}).IntrepidSync
+				y = s.Cell(x, Combo{Intrepid: cosched.Yield, Eureka: remote}).IntrepidSync
 			} else {
-				h = s.Cell(u, Combo{Intrepid: remote, Eureka: cosched.Hold}).EurekaSync
-				y = s.Cell(u, Combo{Intrepid: remote, Eureka: cosched.Yield}).EurekaSync
+				h = s.Cell(x, Combo{Intrepid: remote, Eureka: cosched.Hold}).EurekaSync
+				y = s.Cell(x, Combo{Intrepid: remote, Eureka: cosched.Yield}).EurekaSync
 			}
 			c.Groups = append(c.Groups, chart.Group{
-				Label:  fmt.Sprintf("%.2f/%s", u, remote.Short()),
+				Label:  s.spec.label(x) + "/" + remote.Short(),
 				Values: []float64{h, y},
 			})
 		}
@@ -88,73 +97,24 @@ func (s *LoadSweep) syncChart(title string, intrepid bool) *chart.BarChart {
 }
 
 // lossChart builds the Figure 6 shape: single node-hour series per
-// (load, remote) group.
-func (s *LoadSweep) lossChart(title string, intrepid bool) *chart.BarChart {
-	c := &chart.BarChart{
-		Title: title, YLabel: "node-hours",
-		Series: []string{"node-hours"}, ValueFmt: "%.0f",
-	}
-	for _, u := range s.Utils {
-		for _, remote := range []cosched.Scheme{cosched.Hold, cosched.Yield} {
+// (point, remote) group.
+func (s *Sweep) lossChart(intrepid bool) *chart.BarChart {
+	c := &chart.BarChart{YLabel: "node-hours", Series: []string{"node-hours"}, ValueFmt: "%.0f"}
+	for _, x := range s.Points {
+		for _, remote := range schemes {
 			var v float64
-			var lbl string
 			if intrepid {
-				v = s.Cell(u, Combo{Intrepid: cosched.Hold, Eureka: remote}).IntrepidLossNH
-				lbl = fmt.Sprintf("%.2f/%s", u, remote.Short())
+				v = s.Cell(x, Combo{Intrepid: cosched.Hold, Eureka: remote}).IntrepidLossNH
 			} else {
-				v = s.Cell(u, Combo{Intrepid: remote, Eureka: cosched.Hold}).EurekaLossNH
-				lbl = fmt.Sprintf("%.2f/%s", u, remote.Short())
+				v = s.Cell(x, Combo{Intrepid: remote, Eureka: cosched.Hold}).EurekaLossNH
 			}
-			c.Groups = append(c.Groups, chart.Group{Label: lbl, Values: []float64{v}})
+			c.Groups = append(c.Groups, chart.Group{
+				Label:  s.spec.label(x) + "/" + remote.Short(),
+				Values: []float64{v},
+			})
 		}
 	}
 	return c
-}
-
-// Charts renders the proportion sweep as Figures 7–10.
-func (s *ProportionSweep) Charts() []NamedChart {
-	var out []NamedChart
-	mk := func(name, title, ylabel, fmtStr string,
-		cell func(*Cell) float64, base func(*Baseline) float64) NamedChart {
-		c := &chart.BarChart{
-			Title: title, YLabel: ylabel, Series: comboNames,
-			HasBaseline: base != nil, ValueFmt: fmtStr,
-		}
-		for _, p := range s.Proportions {
-			g := chart.Group{Label: propLabel(p)}
-			if base != nil {
-				g.Baseline = base(s.Baselines[p])
-			}
-			for _, combo := range Combos {
-				g.Values = append(g.Values, cell(s.Cell(p, combo)))
-			}
-			c.Groups = append(c.Groups, g)
-		}
-		return NamedChart{name, c}
-	}
-	out = append(out,
-		mk("fig7a", "Figure 7(a): Intrepid avg. wait by paired proportion", "minutes", "%.1f",
-			func(c *Cell) float64 { return c.IntrepidWait },
-			func(b *Baseline) float64 { return b.IntrepidWait }),
-		mk("fig7b", "Figure 7(b): Eureka avg. wait by paired proportion", "minutes", "%.1f",
-			func(c *Cell) float64 { return c.EurekaWait },
-			func(b *Baseline) float64 { return b.EurekaWait }),
-		mk("fig8a", "Figure 8(a): Intrepid avg. slowdown by paired proportion", "slowdown", "%.2f",
-			func(c *Cell) float64 { return c.IntrepidSlowdown },
-			func(b *Baseline) float64 { return b.IntrepidSlowdown }),
-		mk("fig8b", "Figure 8(b): Eureka avg. slowdown by paired proportion", "slowdown", "%.2f",
-			func(c *Cell) float64 { return c.EurekaSlowdown },
-			func(b *Baseline) float64 { return b.EurekaSlowdown }),
-		mk("fig9a", "Figure 9(a): Intrepid paired-job sync time by proportion", "minutes", "%.1f",
-			func(c *Cell) float64 { return c.IntrepidSync }, nil),
-		mk("fig9b", "Figure 9(b): Eureka paired-job sync time by proportion", "minutes", "%.1f",
-			func(c *Cell) float64 { return c.EurekaSync }, nil),
-		mk("fig10a", "Figure 10(a): Intrepid service-unit loss by proportion", "node-hours", "%.0f",
-			func(c *Cell) float64 { return c.IntrepidLossNH }, nil),
-		mk("fig10b", "Figure 10(b): Eureka service-unit loss by proportion", "node-hours", "%.0f",
-			func(c *Cell) float64 { return c.EurekaLossNH }, nil),
-	)
-	return out
 }
 
 // Chart renders the N-way sweep as a grouped bar chart (group sync by
@@ -166,7 +126,7 @@ func (s *NWaySweep) Chart() NamedChart {
 	}
 	for _, w := range NWayWidths {
 		g := chart.Group{Label: fmt.Sprintf("width %d", w)}
-		for _, scheme := range []cosched.Scheme{cosched.Hold, cosched.Yield} {
+		for _, scheme := range schemes {
 			for _, r := range s.Rows {
 				if r.Width == w && r.Scheme == scheme {
 					g.Values = append(g.Values, r.GroupSync)

@@ -17,7 +17,7 @@ import (
 // cell's mutations into the shared snapshot shows up as a field diff here.
 func TestSnapshotIsolationAcrossCells(t *testing.T) {
 	cfg := testConfig().normalized()
-	intr, eur, _, err := loadSweepTraces(cfg, cfg.Seed, 0.75)
+	intr, eur, err := loadSweepTraces(cfg, cfg.Seed, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestSnapshotIsolationAcrossCells(t *testing.T) {
 	wantIntr := workload.Clone(intr)
 	wantEur := workload.Clone(eur)
 
-	pair := tracePair{intr: workload.Capture(intr), eur: workload.Capture(eur)}
+	pair, _ := freezePair(intr, eur, nil)
 
 	// Run the most mutation-heavy cell (hold/hold) twice from the same
 	// snapshot, each on its own buffers, as parallel workers would.
@@ -33,8 +33,7 @@ func TestSnapshotIsolationAcrossCells(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		var buf cellBuffers
 		ci, ce := pair.materialize(&buf)
-		cell := Cell{Combo: combo, X: 0.75}
-		if err := runCell(&cell, cfg, combo, ci, ce); err != nil {
+		if _, err := simulatePair(cfg, cfg.setup(combo), ci, ce); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 	}

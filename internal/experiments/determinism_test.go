@@ -5,19 +5,21 @@ import (
 	"testing"
 )
 
-// propFingerprint renders every cell metric of a proportion sweep in %x so
+// fingerprint renders every baseline and cell metric of a sweep in %x so
 // run-to-run comparisons are exact, not rounded.
-func propFingerprint(s *ProportionSweep) []string {
+func fingerprint(s *Sweep) []string {
 	var out []string
-	for _, prop := range s.Proportions {
-		b := s.Baselines[prop]
-		out = append(out, fmt.Sprintf("base %v iw=%x ew=%x isd=%x esd=%x iu=%x eu=%x",
-			prop, b.IntrepidWait, b.EurekaWait, b.IntrepidSlowdown, b.EurekaSlowdown, b.IntrepidUtil, b.EurekaUtil))
+	for _, x := range s.Points {
+		b := s.Baselines[x]
+		out = append(out, fmt.Sprintf("base %v iw=%x ew=%x isd=%x esd=%x iu=%x eu=%x frac=%x",
+			x, b.IntrepidWait, b.EurekaWait, b.IntrepidSlowdown, b.EurekaSlowdown,
+			b.IntrepidUtil, b.EurekaUtil, s.PairedFraction[x]))
 		for _, combo := range Combos {
-			c := s.Cell(prop, combo)
-			out = append(out, fmt.Sprintf("cell %v %s iw=%x ew=%x isd=%x esd=%x isy=%x esy=%x ilnh=%x elnh=%x stuck=%d viol=%d paired=%d",
-				prop, combo.Label(), c.IntrepidWait, c.EurekaWait, c.IntrepidSlowdown, c.EurekaSlowdown,
-				c.IntrepidSync, c.EurekaSync, c.IntrepidLossNH, c.EurekaLossNH, c.Stuck, c.CoStartViol, c.PairedJobs))
+			c := s.Cell(x, combo)
+			out = append(out, fmt.Sprintf("cell %v %s iw=%x ew=%x isd=%x esd=%x isy=%x esy=%x ilnh=%x elnh=%x samples=%x/%x stuck=%d viol=%d paired=%d",
+				x, combo.Label(), c.IntrepidWait, c.EurekaWait, c.IntrepidSlowdown, c.EurekaSlowdown,
+				c.IntrepidSync, c.EurekaSync, c.IntrepidLossNH, c.EurekaLossNH,
+				c.IntrepidWaitSamples, c.EurekaWaitSamples, c.Stuck, c.CoStartViol, c.PairedJobs))
 		}
 	}
 	return out
@@ -35,13 +37,13 @@ func TestProportionSweepRunToRunDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := propFingerprint(first)
+	ref := fingerprint(first)
 	for round := 0; round < 2; round++ {
 		s, err := RunProportionSweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := propFingerprint(s)
+		got := fingerprint(s)
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Errorf("round %d line %d:\n  first %s\n  now   %s", round, i, ref[i], got[i])

@@ -1,21 +1,20 @@
 // Package experiments reproduces the evaluation of Tang et al. (ICPP 2011)
 // §V: the capability validation (§V-B), the Eureka-load sweep behind
-// Figures 3–6, and the paired-proportion sweep behind Figures 7–10.
+// Figures 3–6, and the paired-proportion sweep behind Figures 7–10 — plus
+// this repo's own §III comparison, design ablations and N-way extension.
 //
 // Each experiment builds calibrated synthetic traces (see
 // internal/workload for the calibration method and the substitution note
-// in DESIGN.md), runs the coupled simulator across the four scheme
-// combinations plus a no-coscheduling baseline, and returns typed rows
-// that cmd/experiments renders as tables.
+// in DESIGN.md), runs the coupled simulator over a grid of groups × cells
+// through the one runner in grid.go, and returns typed rows that
+// cmd/experiments renders as tables.
 package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"cosched/internal/cosched"
 	"cosched/internal/coupled"
-	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/metrics"
 	"cosched/internal/parallel"
@@ -76,7 +75,9 @@ type Config struct {
 	// for speed; relative shapes are stable under scaling.
 	JobFactor float64
 	// Reps runs each cell this many times with distinct seeds and
-	// averages the scalar metrics (the paper ran 10).
+	// averages the scalar metrics (the paper ran 10). The sweeps, the
+	// ablations and the reservation comparison average; the validation
+	// grid and the N-way sweep run every cell once and do not read it.
 	Reps int
 	// ReleaseInterval is the hold-release period (paper: 20 minutes).
 	ReleaseInterval sim.Duration
@@ -95,24 +96,25 @@ type Config struct {
 	// path. Both must produce byte-identical tables; the differential
 	// tests assert it.
 	SchedCore string
-	// Parallelism caps how many sweep cells execute concurrently: 0 uses
-	// one worker per core (GOMAXPROCS), 1 reproduces the serial path, and
+	// Parallelism caps how many cells execute concurrently: 0 uses one
+	// worker per core (GOMAXPROCS), 1 reproduces the serial path, and
 	// N > 1 uses min(N, cells) workers. Every cell owns a private engine
-	// and traces seeded by its (point, rep) coordinates, and results are
-	// aggregated by cell index, so every setting yields bit-identical
+	// and private jobs materialized from its group's traces, and results
+	// are aggregated by cell index, so every setting yields bit-identical
 	// tables; only wall-clock time changes.
 	Parallelism int
-	// Audit attaches an invariant.Auditor to every simulated domain and a
-	// cross-domain deadlock Monitor to every cell: each lifecycle event is
+	// Audit attaches an invariant.Auditor to both domains of every
+	// Intrepid/Eureka coupled cell (simulatePair) and a cross-domain
+	// deadlock Monitor to the cell: each lifecycle event is
 	// re-checked against the scheduler's invariants and the wait-for graph
 	// is scanned for circular waits outliving the release interval. Any
 	// violation fails the run with an error. Used by the differential
 	// tests; costs roughly one pool-and-queue scan per lifecycle event.
 	Audit bool
-	// Dist, when non-nil, has a Distributor compute the sweep's groups
-	// instead of the parallel.Map path. Results merge in group-index
-	// order, so any distributor that honors the RunGroups contract yields
-	// tables byte-identical to the in-process run. Never serialized.
+	// Dist, when non-nil, has a Distributor compute the load and proportion
+	// sweeps' rows instead of runGrid. The rows merge in group-index order
+	// either way, so any distributor that honors the RunGroups contract
+	// yields tables byte-identical to the in-process run. Never serialized.
 	Dist Distributor `json:"-"`
 }
 
@@ -210,6 +212,17 @@ func eurekaProportionTrace(cfg Config, seed uint64, intrepidJobs int) ([]*job.Jo
 	return jobs, nil
 }
 
+// pairNearest links want nearest-in-time pairs between the size-eligible
+// subsets of the two traces; mates are at most PairMaxGap apart, as real
+// associated submissions are. The draw uses seed+2 (seed and seed+1
+// generated the traces).
+func pairNearest(seed uint64, intr, eur []*job.Job, want int) {
+	workload.PairNearest(workload.NewRNG(seed+2),
+		workload.Eligible(intr, MaxPairedIntrepidNodes),
+		workload.Eligible(eur, MaxPairedEurekaNodes),
+		DomIntrepid, DomEureka, want, PairMaxGap)
+}
+
 func scaleCount(n int, factor float64) int {
 	s := int(float64(n)*factor + 0.5)
 	if s < 10 {
@@ -241,12 +254,6 @@ type Cell struct {
 	IntrepidWaitSamples, EurekaWaitSamples []float64
 }
 
-// cellKey indexes sweep cells by (sweep point, combo) for O(1) lookup.
-type cellKey struct {
-	x     float64
-	combo Combo
-}
-
 // Baseline is the no-coscheduling reference for one sweep point.
 type Baseline struct {
 	X                                float64
@@ -255,102 +262,31 @@ type Baseline struct {
 	IntrepidUtil, EurekaUtil         float64
 }
 
-// auditHarness is the per-cell invariant instrumentation built when
-// Config.Audit is set: one deferred Auditor per domain (the coupled.Sim
-// constructs its managers internally, so observers must exist first) and
-// one shared deadlock Monitor tapped into every auditor's chain.
-type auditHarness struct {
-	mon  *invariant.Monitor
-	auds []*invariant.Auditor
-}
-
-// attach wires the harness into the domain configs before coupled.New.
-func newAuditHarness(domains []coupled.DomainConfig) *auditHarness {
-	h := &auditHarness{mon: invariant.NewMonitor()}
-	for i := range domains {
-		aud := invariant.NewDeferred(h.mon.Tap(domains[i].Observer))
-		domains[i].Observer = aud
-		h.auds = append(h.auds, aud)
-	}
-	return h
-}
-
-// bind completes the deferred wiring once the managers exist.
-func (h *auditHarness) bind(s *coupled.Sim, domains []coupled.DomainConfig) {
-	for i := range domains {
-		mgr := s.Manager(domains[i].Name)
-		h.auds[i].Bind(mgr)
-		h.mon.Register(mgr)
-	}
-}
-
-// err collapses every recorded violation into one error, nil when clean.
-func (h *auditHarness) err() error {
-	var all []string
-	for _, aud := range h.auds {
-		all = append(all, aud.Violations()...)
-	}
-	all = append(all, h.mon.Violations()...)
-	if len(all) == 0 {
-		return nil
-	}
-	return fmt.Errorf("invariant audit: %d violation(s):\n  %s", len(all), strings.Join(all, "\n  "))
-}
-
-// runCell executes one (combo, traces) cell and accumulates into c.
-func runCell(c *Cell, cfg Config, combo Combo, intrepid, eureka []*job.Job) error {
-	intrCfg := cosched.DefaultConfig(combo.Intrepid)
-	intrCfg.ReleaseInterval = cfg.ReleaseInterval
-	intrCfg.MaxHeldFraction = cfg.MaxHeldFraction
-	eurCfg := cosched.DefaultConfig(combo.Eureka)
-	eurCfg.ReleaseInterval = cfg.ReleaseInterval
-	eurCfg.MaxHeldFraction = cfg.MaxHeldFraction
-
-	domains := []coupled.DomainConfig{
-		{Name: DomIntrepid, Nodes: IntrepidNodes, Backfilling: true, Cosched: intrCfg, Trace: intrepid, SchedCore: cfg.SchedCore},
-		{Name: DomEureka, Nodes: EurekaNodes, Backfilling: true, Cosched: eurCfg, Trace: eureka, SchedCore: cfg.SchedCore},
-	}
-	var audit *auditHarness
-	if cfg.Audit {
-		audit = newAuditHarness(domains)
-	}
-	s, err := coupled.New(coupled.Options{Domains: domains})
-	if err != nil {
-		return err
-	}
-	if audit != nil {
-		audit.bind(s, domains)
-	}
-	res := s.Run()
-	if audit != nil {
-		if err := audit.err(); err != nil {
-			return fmt.Errorf("combo %s: %w", combo.Label(), err)
-		}
-	}
+// newCell folds one simulated cell's reports into a single-repetition
+// Cell; the caller fills in Combo and X.
+func newCell(res *coupled.Result) Cell {
 	ri := res.Reports[DomIntrepid]
 	re := res.Reports[DomEureka]
-	c.IntrepidWait += ri.Wait.Mean
-	c.EurekaWait += re.Wait.Mean
-	c.IntrepidWaitSamples = append(c.IntrepidWaitSamples, ri.Wait.Mean)
-	c.EurekaWaitSamples = append(c.EurekaWaitSamples, re.Wait.Mean)
-	c.IntrepidSlowdown += ri.Slowdown.Mean
-	c.EurekaSlowdown += re.Slowdown.Mean
-	c.IntrepidSync += ri.PairedSync.Mean
-	c.EurekaSync += re.PairedSync.Mean
-	c.IntrepidLossNH += ri.LostNodeHours
-	c.EurekaLossNH += re.LostNodeHours
-	c.IntrepidLossPct += 100 * ri.LostUtilization
-	c.EurekaLossPct += 100 * re.LostUtilization
-	c.PairedJobs += ri.PairedCount
-	c.Stuck += res.StuckJobs
-	c.CoStartViol += res.CoStartViolations
-	return nil
+	return Cell{
+		IntrepidWait:        ri.Wait.Mean,
+		EurekaWait:          re.Wait.Mean,
+		IntrepidWaitSamples: []float64{ri.Wait.Mean},
+		EurekaWaitSamples:   []float64{re.Wait.Mean},
+		IntrepidSlowdown:    ri.Slowdown.Mean,
+		EurekaSlowdown:      re.Slowdown.Mean,
+		IntrepidSync:        ri.PairedSync.Mean,
+		EurekaSync:          re.PairedSync.Mean,
+		IntrepidLossNH:      ri.LostNodeHours,
+		EurekaLossNH:        re.LostNodeHours,
+		IntrepidLossPct:     100 * ri.LostUtilization,
+		EurekaLossPct:       100 * re.LostUtilization,
+		PairedJobs:          ri.PairedCount,
+		Stuck:               res.StuckJobs,
+		CoStartViol:         res.CoStartViolations,
+	}
 }
 
-// add accumulates one rep's result into c. The parallel sweep runners
-// execute each rep as its own cell and merge in ascending rep order, so
-// every float lands in the accumulator in exactly the order the serial
-// loop produced — bit-identical output for any worker count.
+// add accumulates another repetition's result into c (see meanOverReps).
 func (c *Cell) add(o *Cell) {
 	c.IntrepidWait += o.IntrepidWait
 	c.EurekaWait += o.EurekaWait
@@ -383,41 +319,22 @@ func (c *Cell) average(reps int) {
 	c.EurekaLossPct *= f
 }
 
-// runBaseline executes the no-coscheduling reference for one trace pair.
-func runBaseline(b *Baseline, cfg Config, intrepid, eureka []*job.Job) error {
-	domains := []coupled.DomainConfig{
-		{Name: DomIntrepid, Nodes: IntrepidNodes, Backfilling: true, Trace: intrepid, SchedCore: cfg.SchedCore},
-		{Name: DomEureka, Nodes: EurekaNodes, Backfilling: true, Trace: eureka, SchedCore: cfg.SchedCore},
-	}
-	var audit *auditHarness
-	if cfg.Audit {
-		audit = newAuditHarness(domains)
-	}
-	s, err := coupled.New(coupled.Options{Domains: domains})
-	if err != nil {
-		return err
-	}
-	if audit != nil {
-		audit.bind(s, domains)
-	}
-	res := s.Run()
-	if audit != nil {
-		if err := audit.err(); err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-	}
+// newBaseline folds the no-coscheduling run of one trace pair into a
+// single-repetition Baseline; the caller fills in X.
+func newBaseline(res *coupled.Result) Baseline {
 	ri := res.Reports[DomIntrepid]
 	re := res.Reports[DomEureka]
-	b.IntrepidWait += ri.Wait.Mean
-	b.EurekaWait += re.Wait.Mean
-	b.IntrepidSlowdown += ri.Slowdown.Mean
-	b.EurekaSlowdown += re.Slowdown.Mean
-	b.IntrepidUtil += ri.Utilization
-	b.EurekaUtil += re.Utilization
-	return nil
+	return Baseline{
+		IntrepidWait:     ri.Wait.Mean,
+		EurekaWait:       re.Wait.Mean,
+		IntrepidSlowdown: ri.Slowdown.Mean,
+		EurekaSlowdown:   re.Slowdown.Mean,
+		IntrepidUtil:     ri.Utilization,
+		EurekaUtil:       re.Utilization,
+	}
 }
 
-// add accumulates one rep's baseline into b (see Cell.add).
+// add accumulates another repetition's baseline into b.
 func (b *Baseline) add(o *Baseline) {
 	b.IntrepidWait += o.IntrepidWait
 	b.EurekaWait += o.EurekaWait
@@ -435,6 +352,57 @@ func (b *Baseline) average(reps int) {
 	b.EurekaSlowdown *= f
 	b.IntrepidUtil *= f
 	b.EurekaUtil *= f
+}
+
+// Outcome is a two-domain run in the columns the ablation and §III tables
+// share, averaged over Reps runs.
+type Outcome struct {
+	IntrepidWait, EurekaWait float64 // minutes, all jobs
+	IntrepidUtil, EurekaUtil float64
+	PairSync                 float64 // minutes, paired jobs of both domains averaged
+	LossNH                   float64 // node-hours lost to holds, both domains summed
+	Stuck                    int
+	CoStartViol              int
+}
+
+// newOutcome folds one run's per-domain reports into a single-repetition
+// Outcome. It takes the fields of a result rather than a *coupled.Result
+// because the metascheduler and co-reservation simulators report the same
+// way through their own result types.
+func newOutcome(reports map[string]metrics.DomainReport, stuck, viol int) Outcome {
+	ri, re := reports[DomIntrepid], reports[DomEureka]
+	return Outcome{
+		IntrepidWait: ri.Wait.Mean,
+		EurekaWait:   re.Wait.Mean,
+		IntrepidUtil: ri.Utilization,
+		EurekaUtil:   re.Utilization,
+		PairSync:     (ri.PairedSync.Mean + re.PairedSync.Mean) / 2,
+		LossNH:       ri.LostNodeHours + re.LostNodeHours,
+		Stuck:        stuck,
+		CoStartViol:  viol,
+	}
+}
+
+// add accumulates another repetition's outcome into o.
+func (o *Outcome) add(r *Outcome) {
+	o.IntrepidWait += r.IntrepidWait
+	o.EurekaWait += r.EurekaWait
+	o.IntrepidUtil += r.IntrepidUtil
+	o.EurekaUtil += r.EurekaUtil
+	o.PairSync += r.PairSync
+	o.LossNH += r.LossNH
+	o.Stuck += r.Stuck
+	o.CoStartViol += r.CoStartViol
+}
+
+func (o *Outcome) average(reps int) {
+	f := 1.0 / float64(reps)
+	o.IntrepidWait *= f
+	o.EurekaWait *= f
+	o.IntrepidUtil *= f
+	o.EurekaUtil *= f
+	o.PairSync *= f
+	o.LossNH *= f
 }
 
 // fmtMin renders minutes with one decimal for the tables.

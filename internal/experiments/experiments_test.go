@@ -189,6 +189,31 @@ func TestValidationPasses(t *testing.T) {
 	}
 }
 
+// TestRepsDoNotApplyToValidateAndNWay pins the documented behaviour of
+// -reps: the validation grid and the N-way sweep run every cell once, so
+// their tables are the same at any Reps.
+func TestRepsDoNotApplyToValidateAndNWay(t *testing.T) {
+	var want [2]string
+	for _, reps := range []int{1, 3} {
+		cfg := DefaultConfig(3, 0.02)
+		cfg.Reps = reps
+		v, err := RunValidation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := RunNWaySweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [2]string{v.Table().Render(), n.Table().Render()}
+		if reps == 1 {
+			want = got
+		} else if got != want {
+			t.Errorf("tables at Reps %d differ from Reps 1:\n%s\n%s\nwant:\n%s\n%s", reps, got[0], got[1], want[0], want[1])
+		}
+	}
+}
+
 func TestRepsAveraging(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep simulations are not short")
@@ -226,13 +251,13 @@ func TestReservationComparison(t *testing.T) {
 	}
 	// Coordinated systems never violate co-start.
 	for _, name := range []string{"cosched(HY)", "cosched(YY)", "metascheduler", "co-reservation"} {
-		if r := c.Row(name); r.CoStartViolations != 0 {
-			t.Errorf("%s: %d co-start violations", name, r.CoStartViolations)
+		if r := c.Row(name); r.CoStartViol != 0 {
+			t.Errorf("%s: %d co-start violations", name, r.CoStartViol)
 		}
 	}
 	// The uncoordinated baseline must show violations (that is the point
 	// of coordinating at all).
-	if c.Row("baseline").CoStartViolations == 0 {
+	if c.Row("baseline").CoStartViol == 0 {
 		t.Error("uncoordinated baseline co-started every pair by accident")
 	}
 	// The paper's §III argument: co-reservation fragments the machines,

@@ -13,15 +13,13 @@ import (
 func runHoldYieldCell(t *testing.T, core string) *coupled.Sim {
 	t.Helper()
 	cfg := DefaultConfig(1, 0.05).normalized()
-	intr, eur, _, err := loadSweepTraces(cfg, cfg.Seed, 0.75)
+	cfg.SchedCore = core
+	intr, eur, err := loadSweepTraces(cfg, cfg.Seed, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
-	intrCfg, eurCfg := cosched.DefaultConfig(cosched.Hold), cosched.DefaultConfig(cosched.Yield)
-	s, err := coupled.New(coupled.Options{Domains: []coupled.DomainConfig{
-		{Name: DomIntrepid, Nodes: IntrepidNodes, Backfilling: true, Cosched: intrCfg, Trace: intr, SchedCore: core},
-		{Name: DomEureka, Nodes: EurekaNodes, Backfilling: true, Cosched: eurCfg, Trace: eur, SchedCore: core},
-	}})
+	setup := cfg.setup(Combo{Intrepid: cosched.Hold, Eureka: cosched.Yield})
+	s, err := coupled.New(coupled.Options{Domains: pairDomains(cfg, setup, intr, eur)})
 	if err != nil {
 		t.Fatal(err)
 	}

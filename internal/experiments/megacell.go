@@ -14,7 +14,7 @@ import (
 // snapshots so the simulated cell exercises the exact copy-on-write
 // materialization path the sweeps use.
 type MegaTraces struct {
-	pair tracePair
+	pair *tracePair
 	// IntrepidJobs and EurekaJobs are the realized trace lengths (the
 	// Intrepid count can differ from the request by rounding).
 	IntrepidJobs, EurekaJobs int
@@ -36,15 +36,16 @@ func BuildMegaTraces(cfg Config, intrepidJobs int, eurekaUtil float64) (*MegaTra
 	}
 	base := workload.IntrepidSpec(cfg.Seed).Jobs
 	cfg.JobFactor = float64(intrepidJobs) / float64(base)
-	intr, eur, frac, err := loadSweepTraces(cfg, cfg.Seed, eurekaUtil)
+	intr, eur, err := loadSweepTraces(cfg, cfg.Seed, eurekaUtil)
+	pair, err := freezePair(intr, eur, err)
 	if err != nil {
 		return nil, err
 	}
 	return &MegaTraces{
-		pair:           tracePair{intr: workload.Capture(intr), eur: workload.Capture(eur), frac: frac},
+		pair:           pair,
 		IntrepidJobs:   len(intr),
 		EurekaJobs:     len(eur),
-		PairedFraction: frac,
+		PairedFraction: workload.PairedFraction(intr),
 		EurekaUtil:     eurekaUtil,
 	}, nil
 }
@@ -57,11 +58,12 @@ func BuildMegaTraces(cfg Config, intrepidJobs int, eurekaUtil float64) (*MegaTra
 // the call.
 func (t *MegaTraces) Run(cfg Config, combo Combo) (*Cell, error) {
 	cfg = cfg.normalized()
-	buf := new(cellBuffers)
-	intr, eur := t.pair.materialize(buf)
-	c := &Cell{Combo: combo, X: t.EurekaUtil}
-	if err := runCell(c, cfg, combo, intr, eur); err != nil {
+	intr, eur := t.pair.materialize(new(cellBuffers))
+	res, err := simulatePair(cfg, cfg.setup(combo), intr, eur)
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	c := newCell(res)
+	c.Combo, c.X = combo, t.EurekaUtil
+	return &c, nil
 }

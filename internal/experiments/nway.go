@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"cosched/internal/cosched"
 	"cosched/internal/coupled"
 	"cosched/internal/job"
 	"cosched/internal/metrics"
-	"cosched/internal/parallel"
 	"cosched/internal/sim"
 	"cosched/internal/workload"
 )
@@ -66,43 +64,46 @@ type NWaySweep struct {
 	Rows         []NWayRow
 }
 
+// nwayUnit is one cell of the extension sweep; width 0 is the no-groups
+// baseline.
+type nwayUnit struct {
+	width  int
+	scheme cosched.Scheme
+}
+
+// nwayWorkload is one cell's four traces and the co-start groups linked
+// across them.
+type nwayWorkload struct {
+	traces [][]*job.Job
+	groups [][]*job.Job
+}
+
 // RunNWaySweep measures co-start group widths 2–4 across four
-// heterogeneous domains under both schemes. Each (width, scheme) cell
-// builds its own four traces and engine, so the cells — including the
-// no-groups baseline — fan out across Config.Parallelism workers and the
-// rows keep their fixed enumeration order.
+// heterogeneous domains under both schemes. The grid is one group per
+// (width, scheme) — plus the no-groups baseline — with a single cell each:
+// the linked groups are part of the workload, so no two cells share one,
+// and the cell simulates the group's traces directly instead of a frozen
+// copy. N-way takes no repetitions (Config.Reps does not apply).
 func RunNWaySweep(cfg Config) (*NWaySweep, error) {
 	cfg = cfg.normalized()
-	out := &NWaySweep{Config: cfg}
-
-	type nwayUnit struct {
-		width  int
-		scheme cosched.Scheme
-	}
 	units := []nwayUnit{{0, cosched.Yield}} // index 0: the no-groups baseline
 	for _, width := range NWayWidths {
-		for _, scheme := range []cosched.Scheme{cosched.Hold, cosched.Yield} {
+		for _, scheme := range schemes {
 			units = append(units, nwayUnit{width, scheme})
 		}
 	}
-
-	rows, err := parallel.Map(context.Background(), cfg.workers(), len(units), func(i int) (*NWayRow, error) {
-		return runNWayCell(cfg, units[i].width, units[i].scheme)
-	})
+	rows, err := runGrid(cfg, len(units), 1,
+		func(g int) (*nwayWorkload, error) { return nwayTraces(cfg, units[g].width) },
+		func(g, _ int, w *nwayWorkload) (NWayRow, error) { return runNWayCell(cfg, units[g], w) })
 	if err != nil {
 		return nil, err
 	}
-	out.BaselineWait = rows[0].AvgWait
-	for _, row := range rows[1:] {
-		out.Rows = append(out.Rows, *row)
-	}
-	return out, nil
+	return &NWaySweep{Config: cfg, BaselineWait: rows[0].AvgWait, Rows: rows[1:]}, nil
 }
 
-// runNWayCell builds the four-domain workload, links groups of the given
-// width (0 = baseline, no groups), and simulates.
-func runNWayCell(cfg Config, width int, scheme cosched.Scheme) (*NWayRow, error) {
-	row := &NWayRow{Width: width, Scheme: scheme}
+// nwayTraces builds the four-domain workload and links groups of the given
+// width (0 = baseline, no groups).
+func nwayTraces(cfg Config, width int) (*nwayWorkload, error) {
 	traces := make([][]*job.Job, len(nwayDomains))
 	for i, d := range nwayDomains {
 		spec := workload.Spec{
@@ -162,19 +163,24 @@ func runNWayCell(cfg Config, width int, scheme cosched.Scheme) (*NWayRow, error)
 			groups = append(groups, members)
 		}
 	}
+	return &nwayWorkload{traces, groups}, nil
+}
 
-	cc := cosched.DefaultConfig(scheme)
+// runNWayCell simulates one unit's workload and measures its groups.
+func runNWayCell(cfg Config, u nwayUnit, w *nwayWorkload) (NWayRow, error) {
+	row := NWayRow{Width: u.width, Scheme: u.scheme}
+	cc := cosched.DefaultConfig(u.scheme)
 	cc.ReleaseInterval = cfg.ReleaseInterval
 	var dcs []coupled.DomainConfig
 	for i, d := range nwayDomains {
 		dcs = append(dcs, coupled.DomainConfig{
 			Name: d.name, Nodes: d.nodes, Backfilling: true,
-			Cosched: cc, Trace: traces[i], SchedCore: cfg.SchedCore,
+			Cosched: cc, Trace: w.traces[i], SchedCore: cfg.SchedCore,
 		})
 	}
 	s, err := coupled.New(coupled.Options{Domains: dcs})
 	if err != nil {
-		return nil, err
+		return row, err
 	}
 	res := s.Run()
 	row.Stuck = res.StuckJobs
@@ -186,7 +192,7 @@ func runNWayCell(cfg Config, width int, scheme cosched.Scheme) (*NWayRow, error)
 	}
 	var syncSum float64
 	var members int
-	for _, g := range groups {
+	for _, g := range w.groups {
 		var first sim.Time
 		for i, m := range g {
 			syncSum += float64(m.SyncTime()) / 60

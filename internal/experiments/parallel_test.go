@@ -10,7 +10,7 @@ import (
 // paired fractions, every Figures 3–6 table, and the raw per-rep sample
 // vectors printed with %x so no float bit can hide behind rounding —
 // into one string for byte-level comparison.
-func renderLoadSweep(s *LoadSweep) string {
+func renderLoadSweep(s *Sweep) string {
 	var b strings.Builder
 	for _, util := range s.Utils {
 		fmt.Fprintf(&b, "paired %.2f: %x\n", util, s.PairedFraction[util])

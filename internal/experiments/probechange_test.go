@@ -50,26 +50,22 @@ func TestProbeAnswerChangeOnSweepPass(t *testing.T) {
 	}
 	cfg := DefaultConfig(1, 1.0).normalized()
 	cfg.Reps, cfg.Parallelism = 2, 1
-	loadPairs, err := buildLoadTracePairs(cfg, LoadSweepUtils)
-	if err != nil {
-		t.Fatal(err)
-	}
-	propPairs, err := buildPropTracePairs(cfg, ProportionSweepPoints)
-	if err != nil {
-		t.Fatal(err)
+	var pairs []*tracePair
+	for _, sp := range []*sweepSpec{sweepSpecs[KindLoad], sweepSpecs[KindProp]} {
+		for g := 0; g < len(sp.points)*cfg.Reps; g++ {
+			pair, err := sp.freeze(cfg, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs = append(pairs, pair)
+		}
 	}
 	var count probeCounts
 	var buf cellBuffers
-	for _, pair := range append(loadPairs, propPairs...) {
+	for _, pair := range pairs {
 		for _, combo := range Combos {
 			intr, eur := pair.materialize(&buf)
-			intrCfg, eurCfg := cosched.DefaultConfig(combo.Intrepid), cosched.DefaultConfig(combo.Eureka)
-			intrCfg.ReleaseInterval, eurCfg.ReleaseInterval = cfg.ReleaseInterval, cfg.ReleaseInterval
-			intrCfg.MaxHeldFraction, eurCfg.MaxHeldFraction = cfg.MaxHeldFraction, cfg.MaxHeldFraction
-			s, err := coupled.New(coupled.Options{Domains: []coupled.DomainConfig{
-				{Name: DomIntrepid, Nodes: IntrepidNodes, Backfilling: true, Cosched: intrCfg, Trace: intr},
-				{Name: DomEureka, Nodes: EurekaNodes, Backfilling: true, Cosched: eurCfg, Trace: eur},
-			}})
+			s, err := coupled.New(coupled.Options{Domains: pairDomains(cfg, cfg.setup(combo), intr, eur)})
 			if err != nil {
 				t.Fatal(err)
 			}

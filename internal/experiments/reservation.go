@@ -1,30 +1,22 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"cosched/internal/cosched"
-	"cosched/internal/coupled"
 	"cosched/internal/job"
 	"cosched/internal/metasched"
 	"cosched/internal/metrics"
-	"cosched/internal/parallel"
 	"cosched/internal/reserve"
-	"cosched/internal/workload"
 )
 
 // ReservationRow captures one system's results in the coscheduling-vs-
-// co-reservation comparison.
+// co-reservation comparison. PairSync is the coscheduling sync time, or the
+// reservation lead time for co-reservation; LossNH is 0 for the systems
+// that never hold.
 type ReservationRow struct {
 	System string // "cosched(HY)", "cosched(YY)", "co-reservation", "baseline"
-
-	IntrepidWait, EurekaWait float64 // minutes, all jobs
-	IntrepidUtil, EurekaUtil float64
-	PairSync                 float64 // minutes: cosched sync / reservation latency
-	LossNH                   float64 // node-hours lost to holds (0 for reservation)
-	Stuck                    int
-	CoStartViolations        int
+	Outcome
 }
 
 // ReservationComparison is the §III quantitative argument: advance
@@ -37,180 +29,92 @@ type ReservationComparison struct {
 }
 
 // reservationSystems enumerates the compared coordination mechanisms in
-// table order. The coupled-simulator systems carry their scheme configs;
-// kind selects the simulator.
+// table order; each simulates one rep's traces and reports its Outcome.
 var reservationSystems = []struct {
 	label string
-	kind  string // "cosched", "metasched", "reserve"
-	cc    func(cfg Config) (cosched.Config, cosched.Config)
+	run   func(cfg Config, intr, eur []*job.Job) (Outcome, error)
 }{
 	// (a) uncoordinated baseline.
-	{"baseline", "cosched", func(Config) (cosched.Config, cosched.Config) {
-		return cosched.Config{}, cosched.Config{}
-	}},
+	{"baseline", coschedSystem(nil)},
 	// (b) coscheduling hold-yield; (c) yield-yield.
-	{"cosched(HY)", "cosched", func(cfg Config) (cosched.Config, cosched.Config) {
-		ci := cosched.DefaultConfig(cosched.Hold)
-		ce := cosched.DefaultConfig(cosched.Yield)
-		ci.ReleaseInterval, ce.ReleaseInterval = cfg.ReleaseInterval, cfg.ReleaseInterval
-		return ci, ce
-	}},
-	{"cosched(YY)", "cosched", func(cfg Config) (cosched.Config, cosched.Config) {
-		ci := cosched.DefaultConfig(cosched.Yield)
-		ce := cosched.DefaultConfig(cosched.Yield)
-		ci.ReleaseInterval, ce.ReleaseInterval = cfg.ReleaseInterval, cfg.ReleaseInterval
-		return ci, ce
-	}},
-	// (d) metascheduler: a single global portal owning both machines.
-	{"metascheduler", "metasched", nil},
-	// (e) advance co-reservation (HARC/GUR style).
-	{"co-reservation", "reserve", nil},
-}
-
-// RunReservationComparison runs the same paired workload (Intrepid at high
-// load, Eureka at medium, 10 % pairs) under (a) no coordination,
-// (b) coscheduling with hold-yield, (c) coscheduling with yield-yield,
-// (d) a metascheduler with a global submission portal (GridWay/Moab
-// style), and (e) the advance co-reservation baseline (HARC/GUR style).
-// Each (system, rep) cell builds its own traces from the rep seed and runs
-// on its own engine; cells fan out across Config.Parallelism workers and
-// merge back system-major, rep-ascending.
-func RunReservationComparison(cfg Config) (*ReservationComparison, error) {
-	cfg = cfg.normalized()
-	out := &ReservationComparison{Config: cfg}
-
-	type resUnit struct {
-		sys, rep int
-	}
-	var units []resUnit
-	for si := range reservationSystems {
-		for rep := 0; rep < cfg.Reps; rep++ {
-			units = append(units, resUnit{si, rep})
-		}
-	}
-
-	results, err := parallel.Map(context.Background(), cfg.workers(), len(units), func(i int) (*ReservationRow, error) {
-		u := units[i]
-		return runReservationRep(cfg, u.sys, u.rep)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	for si, sys := range reservationSystems {
-		row := ReservationRow{System: sys.label}
-		for i, u := range units {
-			if u.sys == si {
-				row.add(results[i])
-			}
-		}
-		scaleRow(&row, cfg.Reps)
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// runReservationRep executes one rep of one compared system and returns
-// its unscaled (single-rep) row.
-func runReservationRep(cfg Config, si, rep int) (*ReservationRow, error) {
-	sys := reservationSystems[si]
-	seed := cfg.Seed + uint64(rep*613)
-	intr, err := intrepidTrace(cfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	eur, err := eurekaProportionTrace(cfg, seed+1, len(intr))
-	if err != nil {
-		return nil, err
-	}
-	want := len(intr) / 10
-	workload.PairNearest(workload.NewRNG(seed+2),
-		workload.Eligible(intr, MaxPairedIntrepidNodes),
-		workload.Eligible(eur, MaxPairedEurekaNodes),
-		DomIntrepid, DomEureka, want, PairMaxGap)
-
-	row := &ReservationRow{System: sys.label}
-	switch sys.kind {
-	case "cosched":
-		ci, ce := sys.cc(cfg)
-		s, err := coupled.New(coupled.Options{Domains: []coupled.DomainConfig{
-			{Name: DomIntrepid, Nodes: IntrepidNodes, Backfilling: true, Cosched: ci, Trace: intr, SchedCore: cfg.SchedCore},
-			{Name: DomEureka, Nodes: EurekaNodes, Backfilling: true, Cosched: ce, Trace: eur, SchedCore: cfg.SchedCore},
-		}})
-		if err != nil {
-			return nil, err
-		}
-		res := s.Run()
-		ri, re := res.Reports[DomIntrepid], res.Reports[DomEureka]
-		row.IntrepidWait = ri.Wait.Mean
-		row.EurekaWait = re.Wait.Mean
-		row.IntrepidUtil = ri.Utilization
-		row.EurekaUtil = re.Utilization
-		row.PairSync = (ri.PairedSync.Mean + re.PairedSync.Mean) / 2
-		row.LossNH = ri.LostNodeHours + re.LostNodeHours
-		row.Stuck = res.StuckJobs
-		row.CoStartViolations = res.CoStartViolations
-	case "metasched":
-		tr := map[string][]*job.Job{DomIntrepid: intr, DomEureka: eur}
+	{"cosched(HY)", coschedSystem(&Combo{Intrepid: cosched.Hold, Eureka: cosched.Yield})},
+	{"cosched(YY)", coschedSystem(&Combo{Intrepid: cosched.Yield, Eureka: cosched.Yield})},
+	// (d) metascheduler: a single global portal owning both machines
+	// (GridWay/Moab style).
+	{"metascheduler", func(_ Config, intr, eur []*job.Job) (Outcome, error) {
 		s, err := metasched.New(metasched.Options{Domains: []metasched.DomainConfig{
 			{Name: DomIntrepid, Nodes: IntrepidNodes, Trace: intr},
 			{Name: DomEureka, Nodes: EurekaNodes, Trace: eur},
 		}})
 		if err != nil {
-			return nil, err
+			return Outcome{}, err
 		}
-		res := s.Run(tr)
-		ri, re := res.Reports[DomIntrepid], res.Reports[DomEureka]
-		row.IntrepidWait = ri.Wait.Mean
-		row.EurekaWait = re.Wait.Mean
-		row.IntrepidUtil = ri.Utilization
-		row.EurekaUtil = re.Utilization
-		row.PairSync = (ri.PairedSync.Mean + re.PairedSync.Mean) / 2
-		row.Stuck = res.StuckJobs
-		row.CoStartViolations = res.CoStartViolations
-	case "reserve":
+		res := s.Run(map[string][]*job.Job{DomIntrepid: intr, DomEureka: eur})
+		return newOutcome(res.Reports, res.StuckJobs, res.CoStartViolations), nil
+	}},
+	// (e) advance co-reservation (HARC/GUR style).
+	{"co-reservation", func(_ Config, intr, eur []*job.Job) (Outcome, error) {
 		s, err := reserve.New(reserve.Options{Domains: []reserve.DomainConfig{
 			{Name: DomIntrepid, Nodes: IntrepidNodes, Trace: intr},
 			{Name: DomEureka, Nodes: EurekaNodes, Trace: eur},
 		}})
 		if err != nil {
-			return nil, err
+			return Outcome{}, err
 		}
 		res := s.Run()
-		ri, re := res.Reports[DomIntrepid], res.Reports[DomEureka]
-		row.IntrepidWait = ri.Wait.Mean
-		row.EurekaWait = re.Wait.Mean
-		row.IntrepidUtil = ri.Utilization
-		row.EurekaUtil = re.Utilization
-		row.PairSync = res.PairLatency.Mean
-		row.Stuck = res.StuckJobs
-		row.CoStartViolations = res.CoStartViolations
-	default:
-		return nil, fmt.Errorf("experiments: unknown comparison system kind %q", sys.kind)
+		o := newOutcome(res.Reports, res.StuckJobs, res.CoStartViolations)
+		o.PairSync = res.PairLatency.Mean
+		return o, nil
+	}},
+}
+
+// coschedSystem is the coupled simulator under one scheme combination, or
+// with coscheduling off when combo is nil.
+func coschedSystem(combo *Combo) func(cfg Config, intr, eur []*job.Job) (Outcome, error) {
+	return func(cfg Config, intr, eur []*job.Job) (Outcome, error) {
+		var ps pairSetup
+		if combo != nil {
+			ps = cfg.setup(*combo)
+		}
+		return pairOutcome(cfg, ps, intr, eur)
 	}
-	return row, nil
 }
 
-// add accumulates one rep's row into r (see Cell.add).
-func (r *ReservationRow) add(o *ReservationRow) {
-	r.IntrepidWait += o.IntrepidWait
-	r.EurekaWait += o.EurekaWait
-	r.IntrepidUtil += o.IntrepidUtil
-	r.EurekaUtil += o.EurekaUtil
-	r.PairSync += o.PairSync
-	r.LossNH += o.LossNH
-	r.Stuck += o.Stuck
-	r.CoStartViolations += o.CoStartViolations
+// RunReservationComparison runs the same paired workload (Intrepid at high
+// load, the §V-E Eureka workload, 10 % pairs) under every system of
+// reservationSystems: one group per repetition, generated from the rep
+// seed, and one cell per system.
+func RunReservationComparison(cfg Config) (*ReservationComparison, error) {
+	cfg = cfg.normalized()
+	out := &ReservationComparison{Config: cfg}
+	results, err := runGrid(cfg, cfg.Reps, len(reservationSystems),
+		func(rep int) (*tracePair, error) {
+			return freezePair(reservationTraces(cfg, cfg.Seed+uint64(rep*613)))
+		},
+		onPair(func(_, si int, intr, eur []*job.Job) (Outcome, error) {
+			return reservationSystems[si].run(cfg, intr, eur)
+		}))
+	if err != nil {
+		return nil, err
+	}
+	for si, o := range meanOverReps(results, cfg.Reps, len(reservationSystems)) {
+		out.Rows = append(out.Rows, ReservationRow{System: reservationSystems[si].label, Outcome: o})
+	}
+	return out, nil
 }
 
-func scaleRow(r *ReservationRow, reps int) {
-	f := 1.0 / float64(reps)
-	r.IntrepidWait *= f
-	r.EurekaWait *= f
-	r.IntrepidUtil *= f
-	r.EurekaUtil *= f
-	r.PairSync *= f
-	r.LossNH *= f
+// reservationTraces builds the comparison's workload.
+func reservationTraces(cfg Config, seed uint64) (intr, eur []*job.Job, err error) {
+	intr, err = intrepidTrace(cfg, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	eur, err = eurekaProportionTrace(cfg, seed+1, len(intr))
+	if err != nil {
+		return nil, nil, err
+	}
+	pairNearest(seed, intr, eur, len(intr)/10)
+	return intr, eur, nil
 }
 
 // Row returns the named system's row, or nil.
@@ -235,7 +139,7 @@ func (c *ReservationComparison) Table() *metrics.Table {
 			fmt.Sprintf("%.1f", r.PairSync),
 			fmt.Sprintf("%.0f", r.LossNH),
 			fmt.Sprintf("%.3f", r.IntrepidUtil),
-			fmt.Sprintf("%d", r.CoStartViolations),
+			fmt.Sprintf("%d", r.CoStartViol),
 			fmt.Sprintf("%d", r.Stuck))
 	}
 	t.Caption = "pair_sync: extra wait imposed on paired jobs (cosched) / reservation lead time (co-reservation)"

@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"cosched/internal/cosched"
 	"cosched/internal/coupled"
 	"cosched/internal/job"
 	"cosched/internal/metrics"
-	"cosched/internal/parallel"
 	"cosched/internal/sim"
-	"cosched/internal/workload"
 )
 
 // ValidationCase is one cell of the §V-B capability-validation grid.
@@ -50,63 +47,55 @@ func (v *Validation) Passed() bool {
 
 // RunValidation executes the capability-validation grid: every scheme
 // combination × Eureka load × pair proportion, plus the deadlock
-// demonstration. Grid cells are independent (each regenerates its traces
-// from the (util, proportion) seed) and fan out across
-// Config.Parallelism workers; cases are collected in grid-index order.
+// demonstration. One group per (load, proportion), generated from that
+// point's seed, one cell per combination, each run once: the grid asks
+// whether every cell completes and co-starts, not for a mean, so
+// Config.Reps does not apply.
 func RunValidation(cfg Config) (*Validation, error) {
 	cfg = cfg.normalized()
-	v := &Validation{}
 	utils := []float64{0.25, 0.50, 0.75}
 	props := []float64{0.05, 0.10}
 
-	type gridUnit struct {
-		ui, pi, ci int
-	}
-	var units []gridUnit
-	for ui := range utils {
-		for pi := range props {
-			for ci := range Combos {
-				units = append(units, gridUnit{ui, pi, ci})
+	cases, err := runGrid(cfg, len(utils)*len(props), len(Combos),
+		func(g int) (*tracePair, error) {
+			ui, pi := g/len(props), g%len(props)
+			return freezePair(validationTraces(cfg, cfg.Seed+uint64(ui*100+pi*10), utils[ui], props[pi]))
+		},
+		onPair(func(g, ci int, intr, eur []*job.Job) (ValidationCase, error) {
+			vc := ValidationCase{Combo: Combos[ci], EurekaUtil: utils[g/len(props)], PairProp: props[g%len(props)]}
+			res, err := simulatePair(cfg, cfg.setup(vc.Combo), intr, eur)
+			if err != nil {
+				return vc, err
 			}
-		}
-	}
-
-	cases, err := parallel.Map(context.Background(), cfg.workers(), len(units), func(i int) (ValidationCase, error) {
-		u := units[i]
-		util, prop, combo := utils[u.ui], props[u.pi], Combos[u.ci]
-		vc := ValidationCase{Combo: combo, EurekaUtil: util, PairProp: prop}
-		seed := cfg.Seed + uint64(u.ui*100+u.pi*10)
-		intr, err := intrepidTrace(cfg, seed)
-		if err != nil {
-			return vc, err
-		}
-		eur, err := eurekaTraceAtUtil(cfg, seed+1, util)
-		if err != nil {
-			return vc, err
-		}
-		rng := workload.NewRNG(seed + 2)
-		want := int(float64(len(intr))*prop + 0.5)
-		workload.PairNearest(rng,
-			workload.Eligible(intr, MaxPairedIntrepidNodes),
-			workload.Eligible(eur, MaxPairedEurekaNodes),
-			DomIntrepid, DomEureka, want, PairMaxGap)
-		cell := &Cell{Combo: combo, X: util}
-		if err := runCell(cell, cfg, combo, intr, eur); err != nil {
-			return vc, err
-		}
-		vc.TotalJobs = len(intr) + len(eur)
-		vc.Completed = vc.TotalJobs - cell.Stuck
-		vc.CoStartViolations = cell.CoStartViol
-		vc.Deadlocked = cell.Stuck > 0
-		return vc, nil
-	})
+			vc.TotalJobs = len(intr) + len(eur)
+			vc.Completed = vc.TotalJobs - res.StuckJobs
+			vc.CoStartViolations = res.CoStartViolations
+			vc.Deadlocked = res.StuckJobs > 0
+			return vc, nil
+		}))
 	if err != nil {
 		return nil, err
 	}
-	v.Cases = cases
-	v.DeadlockWithoutRelease = runFig2Scenario(cfg.SchedCore, 0)
-	v.DeadlockWithRelease = runFig2Scenario(cfg.SchedCore, cfg.ReleaseInterval)
-	return v, nil
+	return &Validation{
+		Cases:                  cases,
+		DeadlockWithoutRelease: runFig2Scenario(cfg.SchedCore, 0),
+		DeadlockWithRelease:    runFig2Scenario(cfg.SchedCore, cfg.ReleaseInterval),
+	}, nil
+}
+
+// validationTraces builds one grid point's workload: Eureka at the given
+// load, the given share of all Intrepid jobs paired.
+func validationTraces(cfg Config, seed uint64, util, prop float64) (intr, eur []*job.Job, err error) {
+	intr, err = intrepidTrace(cfg, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	eur, err = eurekaTraceAtUtil(cfg, seed+1, util)
+	if err != nil {
+		return nil, nil, err
+	}
+	pairNearest(seed, intr, eur, int(float64(len(intr))*prop+0.5))
+	return intr, eur, nil
 }
 
 // runFig2Scenario reproduces the paper's Figure 2 circular-wait scenario

@@ -10,7 +10,7 @@
 //     drops, and whole-server restarts.
 //
 // RunCampaign drives one coupled simulation under a Plan and gates the
-// robustness invariants; cmd/experiments -chaoscampaign loops it over seeds.
+// robustness invariants; TestRunCampaign loops it over seeds 1–25.
 //
 // Determinism is the contract: New(seed, profile) is a pure function, so
 // any failing campaign is reproducible from its seed alone (Plan.Repro
@@ -297,7 +297,7 @@ func (p *Plan) String() string {
 
 // Repro is the one-line command that replays exactly this campaign.
 func (p *Plan) Repro() string {
-	return fmt.Sprintf("go run ./cmd/experiments -chaoscampaign 1 -chaosseed %d", p.Seed)
+	return fmt.Sprintf("go test ./internal/faultplan -run 'TestRunCampaign/seed=%d'", p.Seed)
 }
 
 // Stream is a splitmix64 PRNG — the same generator the workload and

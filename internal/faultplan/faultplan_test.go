@@ -57,7 +57,7 @@ func TestPlanSeamsAreIndependent(t *testing.T) {
 
 func TestPlanReproNamesSeed(t *testing.T) {
 	p := faultplan.New(77, faultplan.DefaultProfile())
-	if want := "-chaosseed 77"; !strings.Contains(p.Repro(), want) {
+	if want := "TestRunCampaign/seed=77"; !strings.Contains(p.Repro(), want) {
 		t.Fatalf("Repro() = %q, want it to contain %q", p.Repro(), want)
 	}
 }

@@ -5,28 +5,20 @@ import (
 	"cosched/internal/sim"
 )
 
-// Collector is the incremental form of Collect: jobs are folded in one at a
-// time and the report is rendered at the end. Collect is now a loop over a
-// Collector, so the two cannot drift; the streaming trace-replay path in
-// resmgr folds jobs as their windows retire, in registration order, and
-// produces reports byte-identical to collecting the full job slice.
+// collector is the fold behind Collect: jobs are added one at a time and
+// the report is rendered at the end.
 //
-// Add order is the float-accumulation order. For reproducible reports, feed
+// add order is the float-accumulation order. For reproducible reports, feed
 // jobs in registration order (Manager.Jobs()).
-type Collector struct {
+type collector struct {
 	r                 DomainReport
 	waits, sds, syncs Accumulator
 	lostNodeSec       int64
 	busyNodeSec       int64
 }
 
-// NewCollector starts an empty collector for one domain.
-func NewCollector(domain string) *Collector {
-	return &Collector{r: DomainReport{Domain: domain}}
-}
-
-// Add folds one job into the report-in-progress.
-func (c *Collector) Add(j *job.Job) {
+// add folds one job into the report-in-progress.
+func (c *collector) add(j *job.Job) {
 	c.r.TotalJobs++
 	c.r.Yields += j.YieldCount
 	c.r.Holds += j.HoldCount
@@ -49,10 +41,10 @@ func (c *Collector) Add(j *job.Job) {
 	}
 }
 
-// Report renders the folded jobs into a DomainReport. span is the simulated
-// period used for loss/utilization rates; totalNodes the pool size. Report
-// may be called more than once (e.g. once per span candidate).
-func (c *Collector) Report(totalNodes int, span sim.Duration) DomainReport {
+// report renders the folded jobs into a DomainReport. span is the simulated
+// period used for loss/utilization rates; totalNodes the pool size. It does
+// not consume the fold.
+func (c *collector) report(totalNodes int, span sim.Duration) DomainReport {
 	r := c.r
 	r.Span = span
 	r.Wait = c.waits.Summary()

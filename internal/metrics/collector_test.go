@@ -8,8 +8,8 @@ import (
 )
 
 // TestCollectorMatchesCollect: folding jobs one at a time must produce the
-// same DomainReport struct (same float bits) as the batch Collect, since
-// the streaming replay path relies on Collector for byte-identical tables.
+// same DomainReport struct (same float bits) as the batch Collect, and
+// rendering the report must not consume the fold.
 func TestCollectorMatchesCollect(t *testing.T) {
 	jobs := []*job.Job{
 		mkdone(1, 10, 0, 600, 600, false),
@@ -27,17 +27,17 @@ func TestCollectorMatchesCollect(t *testing.T) {
 	span := sim.Duration(7200)
 	want := Collect("dom", jobs, 64, span)
 
-	c := NewCollector("dom")
+	c := collector{r: DomainReport{Domain: "dom"}}
 	for _, j := range jobs {
-		c.Add(j)
+		c.add(j)
 	}
-	got := c.Report(64, span)
+	got := c.report(64, span)
 	if got != want {
 		t.Fatalf("Collector report:\n got %+v\nwant %+v", got, want)
 	}
 
 	// Report is idempotent across calls.
-	if again := c.Report(64, span); again != want {
+	if again := c.report(64, span); again != want {
 		t.Fatalf("second Report diverged: %+v", again)
 	}
 }

@@ -147,15 +147,13 @@ type DomainReport struct {
 // collecting a million-job domain costs no per-job memory. Values
 // accumulate in the order jobs are listed; Manager.Jobs() returns
 // registration order, which is deterministic, so reports are reproducible
-// at any worker count. Collect is a fold over a Collector (collector.go) —
-// the incremental path used by streaming trace replay shares every float
-// operation with this one.
+// at any worker count.
 func Collect(domain string, jobs []*job.Job, totalNodes int, span sim.Duration) DomainReport {
-	c := NewCollector(domain)
+	c := collector{r: DomainReport{Domain: domain}}
 	for _, j := range jobs {
-		c.Add(j)
+		c.add(j)
 	}
-	return c.Report(totalNodes, span)
+	return c.report(totalNodes, span)
 }
 
 // AvgWaitMinutes is a convenience accessor for the figure tables.

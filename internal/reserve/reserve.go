@@ -14,7 +14,6 @@ package reserve
 
 import (
 	"fmt"
-	"sort"
 
 	"cosched/internal/job"
 	"cosched/internal/metrics"
@@ -277,7 +276,7 @@ func canonicalKey(domA string, idA job.ID, domB string, idB job.ID) pairKey {
 
 func less(a, b pairKey) bool {
 	if a.domain != b.domain {
-		return sort.StringsAreSorted([]string{a.domain, b.domain})
+		return a.domain < b.domain
 	}
 	return a.id < b.id
 }

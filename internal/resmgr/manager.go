@@ -208,9 +208,9 @@ type Manager struct {
 	// from outside: peer calls, admin Submit/Cancel, Expect and Restore.
 	jobs map[job.ID]*job.Job
 	// all mirrors jobs in insertion order. Jobs() iterates it instead of
-	// the map so downstream consumers (streaming metrics, audits) see a
-	// deterministic order without sorting; nothing is ever removed from
-	// the registry, so the two stay in lockstep.
+	// the map so downstream consumers (metrics, audits) see a deterministic
+	// order without sorting; nothing is ever removed from the registry, so
+	// the two stay in lockstep.
 	all   []*job.Job
 	queue []*job.Job
 
@@ -288,22 +288,6 @@ type Manager struct {
 	replay    []*job.Job
 	replayIdx int
 	replayFn  sim.Handler
-
-	// Streaming trace replay (SubmitTraceStream): the pull source feeding
-	// the cursor window, the look-ahead size, and the fold state that lets
-	// terminal jobs leave the registry — see stream.go. allHead is the
-	// index of the first live registry entry; entries before it were folded
-	// into collector (registration order) and evicted.
-	streaming        bool
-	src              JobSource
-	streamWindow     int
-	srcDone          bool
-	streamErr        error
-	streamStarted    bool
-	lastStreamSubmit sim.Time
-	collector        *metrics.Collector
-	allHead          int
-	folded           int
 }
 
 // acquireRec gives j a scheduler record, recycled when one is idle, and
@@ -552,7 +536,7 @@ func (m *Manager) SubmitAt(j *job.Job) error {
 // event per job in trace order (both fire in PrioritySubmit band, in
 // sequence order). Call once per manager, before the run starts.
 func (m *Manager) SubmitTrace(jobs []*job.Job) error {
-	if m.replay != nil || m.streaming {
+	if m.replay != nil {
 		return fmt.Errorf("resmgr %s: SubmitTrace called twice", m.name)
 	}
 	if len(m.jobs) == 0 && len(jobs) > 0 {
@@ -586,40 +570,19 @@ func (m *Manager) armReplay() {
 }
 
 // replayStep submits every trace job due at the current instant, then
-// re-arms the chain for the next arrival. In streaming mode the window is
-// refilled between submission bursts: a refill may surface more jobs due
-// at this same instant, which must submit now to match what SubmitTrace
-// would have done with the materialized trace.
+// re-arms the chain for the next arrival.
 func (m *Manager) replayStep(now sim.Time) {
-	for {
-		for m.replayIdx < len(m.replay) {
-			j := m.replay[m.replayIdx]
-			if j.SubmitTime != now {
-				break
-			}
-			m.replayIdx++
-			if j.State == job.Cancelled {
-				continue // withdrawn before arrival; see Cancel
-			}
-			if err := m.admit(j); err != nil {
-				panic(fmt.Sprintf("resmgr %s: replay submit job %d: %v", m.name, j.ID, err))
-			}
-		}
-		if !m.streaming || m.srcDone || m.streamErr != nil {
+	for m.replayIdx < len(m.replay) {
+		j := m.replay[m.replayIdx]
+		if j.SubmitTime != now {
 			break
 		}
-		before := len(m.replay) - m.replayIdx
-		if err := m.refillStream(); err != nil {
-			// A bad source stops further arrivals; the jobs already in
-			// flight finish normally and StreamErr reports the cause.
-			m.streamErr = err
-			break
+		m.replayIdx++
+		if j.State == job.Cancelled {
+			continue // withdrawn before arrival; see Cancel
 		}
-		if len(m.replay)-m.replayIdx == before {
-			break // window already full (or drained): nothing new due now
-		}
-		if m.replayIdx >= len(m.replay) || m.replay[m.replayIdx].SubmitTime != now {
-			break
+		if err := m.admit(j); err != nil {
+			panic(fmt.Sprintf("resmgr %s: replay submit job %d: %v", m.name, j.ID, err))
 		}
 	}
 	m.armReplay()
@@ -632,21 +595,24 @@ func (m *Manager) Job(id job.ID) (*job.Job, bool) {
 }
 
 // Jobs returns all known jobs (any state) in registration order. The order
-// is deterministic — streaming metrics accumulate in it — and the slice is
-// freshly allocated; the pointed-to jobs are live. In streaming mode,
-// terminal jobs already folded out of the registry are absent (their
-// contribution lives in the manager's collector; see CollectReport).
+// is deterministic — metrics accumulate in it — and the slice is freshly
+// allocated; the pointed-to jobs are live.
 func (m *Manager) Jobs() []*job.Job {
-	live := m.all[m.allHead:]
-	out := make([]*job.Job, len(live))
-	copy(out, live)
+	out := make([]*job.Job, len(m.all))
+	copy(out, m.all)
 	return out
 }
 
 // JobsOrdered returns the internal registration-ordered job slice without
 // copying. Callers must not mutate it; it is meant for read-only metric
 // sweeps over very large job populations.
-func (m *Manager) JobsOrdered() []*job.Job { return m.all[m.allHead:] }
+func (m *Manager) JobsOrdered() []*job.Job { return m.all }
+
+// CollectReport renders the domain's metrics report over the registry in
+// registration order.
+func (m *Manager) CollectReport(totalNodes int, span sim.Duration) metrics.DomainReport {
+	return metrics.Collect(m.name, m.all, totalNodes, span)
+}
 
 // QueueLength returns the number of queued jobs.
 func (m *Manager) QueueLength() int { return len(m.queue) }
@@ -716,7 +682,6 @@ func (m *Manager) Cancel(id job.ID) error {
 	j.EndTime = now
 	m.cancelled++
 	m.obs.JobCancelled(now, j)
-	m.foldTerminalPrefix()
 	m.RequestIteration()
 	return nil
 }
@@ -1165,7 +1130,6 @@ func (m *Manager) completeJob(rec *schedRec, now sim.Time) {
 	}
 	m.completed++
 	m.obs.JobCompleted(now, j)
-	m.foldTerminalPrefix()
 	m.RequestIteration()
 }
 

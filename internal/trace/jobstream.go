@@ -24,9 +24,8 @@ var ErrUnsorted = errors.New("trace: stream not sorted by submit time")
 // record is an error — silently reordering would need the whole trace in
 // memory.
 //
-// NextJob's (job, io.EOF) contract matches workload.JobIter and
-// resmgr.JobSource, so a JobStream plugs straight into streaming analysis
-// and streaming replay.
+// NextJob's (job, io.EOF) contract matches workload.JobIter, so a JobStream
+// plugs straight into workload.AnalyzeStream (cmd/traceinfo's path).
 type JobStream struct {
 	s       *Stream
 	tie     []*job.Job // same-submit batch, sorted by ID before draining

@@ -12,10 +12,8 @@ import (
 
 // JobIter is a pull source of jobs in (SubmitTime, ID) order, ending with
 // io.EOF. It is the streaming counterpart of a materialized []*job.Job from
-// trace.ToJobs: consumers (AnalyzeStream, resmgr's streaming replay) hold
-// only a bounded window of jobs at a time, so trace length stops being a
-// memory term. trace.JobStream and resmgr.JobSource share this shape;
-// any of them satisfies the others structurally.
+// trace.ToJobs: AnalyzeStream holds one job at a time, so trace length
+// stops being a memory term. trace.JobStream satisfies it structurally.
 type JobIter interface {
 	// NextJob returns the next job, or io.EOF when the source is drained.
 	NextJob() (*job.Job, error)
@@ -92,25 +90,4 @@ func AnalyzeStream(src JobIter, totalNodes int) (TraceStats, error) {
 		return st.SizeHistogram[a].Nodes < st.SizeHistogram[b].Nodes
 	})
 	return st, nil
-}
-
-// SliceIter adapts a materialized, submit-sorted job slice to JobIter — the
-// bridge the differential tests here and in internal/coupled use to compare
-// streaming and materialized paths over identical jobs.
-type SliceIter struct {
-	jobs []*job.Job
-	idx  int
-}
-
-// NewSliceIter wraps jobs (must already be in (SubmitTime, ID) order).
-func NewSliceIter(jobs []*job.Job) *SliceIter { return &SliceIter{jobs: jobs} }
-
-// NextJob implements JobIter.
-func (s *SliceIter) NextJob() (*job.Job, error) {
-	if s.idx >= len(s.jobs) {
-		return nil, io.EOF
-	}
-	j := s.jobs[s.idx]
-	s.idx++
-	return j, nil
 }

@@ -1,12 +1,30 @@
 package workload
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
 	"cosched/internal/job"
 	"cosched/internal/sim"
 )
+
+// sliceIter adapts a materialized, submit-sorted job slice to JobIter, so
+// the differential tests compare AnalyzeStream and Analyze over identical
+// jobs.
+type sliceIter struct {
+	jobs []*job.Job
+	idx  int
+}
+
+func (s *sliceIter) NextJob() (*job.Job, error) {
+	if s.idx >= len(s.jobs) {
+		return nil, io.EOF
+	}
+	j := s.jobs[s.idx]
+	s.idx++
+	return j, nil
+}
 
 // genStatsTrace builds a workload exercising the stats paths: duplicate
 // submit seconds, many size classes, paired jobs, runtime/walltime spread.
@@ -31,7 +49,7 @@ func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 60, 777} {
 		jobs := genStatsTrace(n)
 		want := Analyze(jobs, 512)
-		got, err := AnalyzeStream(NewSliceIter(bySubmit(jobs)), 512)
+		got, err := AnalyzeStream(&sliceIter{jobs: bySubmit(jobs)}, 512)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -51,7 +69,7 @@ func TestAnalyzeStreamRejectsUnsorted(t *testing.T) {
 		job.New(1, 4, 100, 60, 60),
 		job.New(2, 4, 50, 60, 60),
 	}
-	if _, err := AnalyzeStream(NewSliceIter(jobs), 512); err == nil {
+	if _, err := AnalyzeStream(&sliceIter{jobs: jobs}, 512); err == nil {
 		t.Fatal("unsorted source accepted")
 	}
 }
