@@ -12,23 +12,22 @@ set -eux
 
 # Formatting and static analysis: gofmt must be clean, vet runs under both
 # tag sets (the debug-only assert files are code too), and simlint
-# enforces the repo's determinism and scheduling contracts (R1–R9; see
-# ARCHITECTURE.md §6) before anything slower runs — under both tag sets
-# too, since the interprocedural rules (R7–R9) cover the protocol and
-# journal code that the debug-only files exercise. The -json run gates
-# that the machine-readable output stays parseable (the CLI re-decodes
-# its own output before printing) and leaves the findings inventory
-# behind as a build artifact for run-to-run diffing.
+# enforces the repo's determinism and scheduling contracts (six rules, R1,
+# R2 and R4–R7, each matched at the call site; see ARCHITECTURE.md §6)
+# before anything slower runs — under both tag sets too, since the
+# debug-only files are sim-pure code like any other. The untagged run is
+# the -json one: it exits 1 on an active finding (naming it on stderr) and
+# 2 if its own output does not re-parse, and leaves the findings
+# inventory behind as a build artifact for run-to-run diffing.
 test -z "$(gofmt -l .)"
 go vet ./...
 go vet -tags debug ./...
 go build ./...
-go run ./cmd/simlint ./...
-go run ./cmd/simlint -tags debug ./...
 go run ./cmd/simlint -json ./... > /tmp/ci_simlint.json
+go run ./cmd/simlint -tags debug ./...
 
-# The lint package's own suite (golden rule fixtures, interprocedural
-# summaries, repo self-check, JSON round-trip) under -race: the engine
+# The lint package's own suite (golden rule fixtures, repo self-check with
+# the rule-admission check, JSON round-trip) under -race: the engine
 # type-checks and runs rules across GOMAXPROCS workers.
 go test -race -count=1 ./internal/lint
 
@@ -116,8 +115,12 @@ go test -run '^$' -fuzz 'FuzzEngineOrder' -fuzztime 10s ./internal/sim
 
 # Debug-build hardening: the backfill sortedness asserts and the
 # invariant package's fail-fast deadlock monitor only compile under
-# -tags debug; run their suites together with the asserts live.
-go test -tags debug ./internal/invariant ./internal/backfill
+# -tags debug; run their suites together with the asserts live. resmgr,
+# coupled and experiments ride along because the planner's two production
+# call sites are in resmgr.Manager: with the tag, assertReleasesSorted
+# checks the release timeline of every plan those suites' sweeps make.
+go test -tags debug ./internal/invariant ./internal/backfill \
+    ./internal/resmgr ./internal/coupled ./internal/experiments
 
 # Memory-architecture gate: the steady-state zero-alloc assertions (engine
 # event churn, the EASY planner, the pool's slot table, the resource

@@ -124,12 +124,16 @@ func freeAddr(t *testing.T) string {
 }
 
 // dialAdmin connects to a daemon's admin port, waiting for it to come up.
+// The timeout is also each call's deadline, after which the client retires
+// its connection; it must outlast -peer-timeout (2 s), because a daemon
+// answers admin calls under the driver lock and can hold that lock across
+// one peer call to the daemon this test has just killed or is restarting.
 func dialAdmin(t *testing.T, addr string) *live.AdminClient {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	var lastErr error
 	for time.Now().Before(deadline) {
-		c, err := live.DialAdmin(addr, time.Second)
+		c, err := live.DialAdmin(addr, 5*time.Second)
 		if err == nil {
 			if _, err = c.Info(); err == nil {
 				return c

@@ -1,14 +1,12 @@
 // Command simlint is the repository's determinism and contract analyzer:
-// it type-checks every package (tests included), builds a module-wide
-// call graph with per-function summaries, and enforces the rules
-// cataloged in internal/lint and ARCHITECTURE.md §6 — map-iteration order
-// leaking into ordered state, wall-clock/global-RNG use in sim-pure
-// packages (including transitively, through helpers), the backfill
-// sortedness contract, Manager concurrency and escape, floating-point
-// equality, hot-path allocations, discarded durability errors, mutexes
-// held across blocking calls, and undeadlined network reads. Intentional
-// exceptions carry a `//simlint:allow R<n> <reason>` comment; stale or
-// reasonless allows are themselves findings.
+// it type-checks every package (tests included) and enforces the six
+// rules cataloged in internal/lint and ARCHITECTURE.md §6 — map-iteration
+// order leaking into ordered state, wall-clock/global-RNG use in sim-pure
+// packages, Manager concurrency and escape, floating-point equality,
+// hot-path allocations, and discarded durability errors. Each rule
+// matches at the call site; none follows calls. Intentional exceptions
+// carry a `//simlint:allow R<n> <reason>` comment; stale or reasonless
+// allows are themselves findings.
 //
 // Usage:
 //
@@ -80,6 +78,9 @@ func main() {
 		active := 0
 		for _, f := range all {
 			if !f.Allowed {
+				// stdout is usually redirected to a file; name the
+				// failure where the person running the gate sees it.
+				fmt.Fprintln(os.Stderr, f)
 				active++
 			}
 		}

@@ -27,8 +27,8 @@ import (
 	"sort"
 )
 
-// Seam names the subsystem a fault targets. The values double as the
-// `seam` label on the cosched_campaign_faults_injected_total metric.
+// Seam names the subsystem a fault targets. RunCampaign keys its fired-
+// fault totals by it.
 type Seam string
 
 const (

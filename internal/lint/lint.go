@@ -40,11 +40,7 @@ type Pass struct {
 	// Path is the import path rules match package membership against
 	// (test-variant suffixes stripped).
 	Path string
-	// Sums is the module-wide propagated summary table; nil-safe through
-	// its accessors so single-package harnesses still work.
-	Sums *Summaries
 
-	facts    *pkgFacts
 	findings []Finding
 }
 
@@ -85,8 +81,8 @@ func Run(dir string, tags []string, patterns ...string) ([]Finding, error) {
 
 // RunAll is Run without the allow filter: suppressed findings stay in the
 // result, marked Allowed with their directive's reason. The pipeline is
-// load → parallel typecheck → fact collection → module-wide summary
-// fixpoint → parallel rule execution → deterministic position sort.
+// load → parallel typecheck → parallel rule execution → deterministic
+// position sort.
 func RunAll(dir string, tags []string, patterns ...string) ([]Finding, error) {
 	table, targets, err := Load(dir, tags, patterns...)
 	if err != nil {
@@ -97,19 +93,13 @@ func RunAll(dir string, tags []string, patterns ...string) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	facts := make([]*pkgFacts, len(units))
-	for i, u := range units {
-		facts[i] = collectFacts(fset, u.files, u.info, u.target.Path)
-	}
-	sums := buildSummaries(facts)
 
-	// Rules are pure per-unit given the shared read-only summary table,
-	// so they fan out like typechecking does. Results merge in unit
-	// order and then sort globally, keeping output byte-stable at any
-	// GOMAXPROCS.
+	// Rules read one unit and nothing else, so they fan out like
+	// typechecking does. Results merge in unit order and then sort
+	// globally, keeping output byte-stable at any GOMAXPROCS.
 	results := make([][]Finding, len(units))
 	parallelEach(len(units), func(i int) {
-		results[i] = checkUnit(fset, units[i], facts[i], sums)
+		results[i] = checkUnit(fset, units[i])
 	})
 	var all []Finding
 	for _, r := range results {
@@ -174,10 +164,10 @@ func sortFindings(all []Finding) {
 // package's //simlint:allow directives: a matching directive marks a
 // finding Allowed (same line or the line directly below); directives that
 // suppress nothing (stale) or carry no reason are findings themselves.
-func checkUnit(fset *token.FileSet, u *unit, facts *pkgFacts, sums *Summaries) []Finding {
+func checkUnit(fset *token.FileSet, u *unit) []Finding {
 	p := &Pass{
 		Fset: fset, Files: u.files, Pkg: u.pkg, Info: u.info,
-		Path: u.target.Path, Sums: sums, facts: facts,
+		Path: u.target.Path,
 	}
 	for _, r := range Rules {
 		r.Check(p)

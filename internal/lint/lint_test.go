@@ -11,13 +11,11 @@ import (
 	"testing"
 
 	"go/token"
-	"go/types"
 )
 
 // fixturePath is the synthetic import path fixtures are checked under: it
-// must look sim-pure so R2 is active, and the rules scoped to protocol/
-// durability packages treat internal/fixture as in-scope so R7–R9
-// fixtures exercise them.
+// must look sim-pure so R2 is active, and R7's raw-file checks treat
+// internal/fixture as in scope so its fixture exercises them.
 const fixturePath = "cosched/internal/fixture"
 
 var (
@@ -39,47 +37,22 @@ func repoTable(t *testing.T) map[string]*Package {
 	return tableVal
 }
 
-// fixtureHelpers maps fixtures to support files type-checked first as
-// their own packages (under cosched/cmd/<name>) and preloaded into the
-// fixture's importer — the interprocedural R2 fixture needs an impure
-// helper package to call into.
-var fixtureHelpers = map[string][]string{
-	"r2interproc.go": {"helperpkg.go"},
-}
-
 // checkFixtureAll type-checks one testdata file as its own package under
-// the sim-pure fixture path, collects facts for it (and its helper
-// packages), builds summaries, and runs every rule plus allow marking.
+// the sim-pure fixture path and runs every rule plus allow marking.
 // Allowed findings stay in the result.
 func checkFixtureAll(t *testing.T, name string) []Finding {
 	t.Helper()
 	fset := token.NewFileSet()
-	table := repoTable(t)
-	extra := make(map[string]*types.Package)
-	var facts []*pkgFacts
-	for _, h := range fixtureHelpers[name] {
-		path := "cosched/cmd/" + strings.TrimSuffix(h, ".go")
-		target := &Package{ImportPath: path, Path: path, Files: []string{"testdata/" + h}}
-		files, pkg, info, err := typecheck(fset, target, table, extra)
-		if err != nil {
-			t.Fatalf("typechecking helper %s: %v", h, err)
-		}
-		extra[path] = pkg
-		facts = append(facts, collectFacts(fset, files, info, path))
-	}
 	target := &Package{
 		ImportPath: fixturePath,
 		Path:       fixturePath,
 		Files:      []string{"testdata/" + name},
 	}
-	files, pkg, info, err := typecheck(fset, target, table, extra)
+	files, pkg, info, err := typecheck(fset, target, repoTable(t))
 	if err != nil {
 		t.Fatalf("typechecking %s: %v", name, err)
 	}
-	fxFacts := collectFacts(fset, files, info, fixturePath)
-	sums := buildSummaries(append(facts, fxFacts))
-	u := &unit{target: target, files: files, pkg: pkg, info: info}
-	out := checkUnit(fset, u, fxFacts, sums)
+	out := checkUnit(fset, &unit{target: target, files: files, pkg: pkg, info: info})
 	sortFindings(out)
 	return out
 }
@@ -97,52 +70,40 @@ func checkFixture(t *testing.T, name string) []Finding {
 	return active
 }
 
-var (
-	wantRe      = regexp.MustCompile(`// want "([^"]+)"`)
-	knownMissRe = regexp.MustCompile(`// known miss "([^"]+)"`)
-)
+var wantRe = regexp.MustCompile(`// want "([^"]+)"`)
 
-// parseMarks reads the fixture's `// want "substring"` expectations (or,
-// with knownMissRe, its recorded misses), keyed by 1-based line number.
-func parseMarks(t *testing.T, path string, re *regexp.Regexp) map[int]string {
+// parseWants reads the fixture's `// want "substring"` expectations,
+// keyed by 1-based line number.
+func parseWants(t *testing.T, path string) map[int]string {
 	t.Helper()
 	src, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	marks := make(map[int]string)
+	wants := make(map[int]string)
 	for i, line := range strings.Split(string(src), "\n") {
-		if m := re.FindStringSubmatch(line); m != nil {
-			marks[i+1] = m[1]
+		if m := wantRe.FindStringSubmatch(line); m != nil {
+			wants[i+1] = m[1]
 		}
 	}
-	return marks
+	return wants
 }
 
 // TestRuleFixtures is the golden harness: every `// want` line must
 // produce a matching finding, and no finding may appear on a line
-// without one. Deleting or de-fanging a rule fails its fixture. A
-// `// known miss "R<n>"` line records a defect of this repo's history the
-// rule cannot see (r8.go: the live lock cycle of ROADMAP item 1); the day
-// the rule reports it, the marker becomes a `// want`.
+// without one. Deleting or de-fanging a rule fails its fixture.
 func TestRuleFixtures(t *testing.T) {
 	for _, name := range []string{
-		"r1.go", "r2.go", "r2interproc.go", "r3.go", "r4.go",
-		"r4interproc.go", "r5.go", "r6.go", "r7.go", "r8.go", "r9.go",
+		"r1.go", "r2.go", "r4.go", "r4interproc.go", "r5.go", "r6.go", "r7.go",
 	} {
 		t.Run(name, func(t *testing.T) {
 			findings := checkFixture(t, name)
-			wants := parseMarks(t, "testdata/"+name, wantRe)
+			wants := parseWants(t, "testdata/"+name)
 			if len(wants) == 0 {
 				t.Fatalf("fixture %s declares no // want expectations", name)
 			}
-			misses := parseMarks(t, "testdata/"+name, knownMissRe)
 			matched := make(map[int]bool)
 			for _, f := range findings {
-				if misses[f.Pos.Line] == f.Rule {
-					t.Errorf("%s now reports its recorded known miss — make the marker a // want and widen the rule's package scope: %s", f.Rule, f)
-					continue
-				}
 				text := fmt.Sprintf("%s: %s", f.Rule, f.Msg)
 				if sub, ok := wants[f.Pos.Line]; ok && strings.Contains(text, sub) {
 					matched[f.Pos.Line] = true
@@ -215,6 +176,9 @@ func TestCleanFixture(t *testing.T) {
 // on the active subset — allows only mark, never drop silently — and a
 // second run must be byte-identical to the first (the parallel
 // typecheck/rule fan-out may not perturb finding order).
+//
+// It also checks the admission rule of rules.go: every rule in the catalog
+// has a finding in the tree today, or an entry in historicalDefects.
 func TestRepoSelfCheck(t *testing.T) {
 	for _, tags := range [][]string{nil, {"debug"}} {
 		findings, err := Run("../..", tags, "./...")
@@ -230,7 +194,9 @@ func TestRepoSelfCheck(t *testing.T) {
 		t.Fatalf("simlint RunAll: %v", err)
 	}
 	var active int
+	fired := make(map[string]bool)
 	for _, f := range all {
+		fired[f.Rule] = true
 		if !f.Allowed {
 			active++
 		}
@@ -244,6 +210,11 @@ func TestRepoSelfCheck(t *testing.T) {
 	if len(all) == 0 {
 		t.Error("RunAll retained no allowed findings — the tree carries //simlint:allow directives")
 	}
+	for _, r := range Rules {
+		if !fired[r.ID] && historicalDefects[r.ID] == "" {
+			t.Errorf("%s (%s) has no finding in the tree and no entry in historicalDefects: a rule that catches nothing here and never did is deleted, not kept", r.ID, r.Title)
+		}
+	}
 	again, err := RunAll("../..", nil, "./...")
 	if err != nil {
 		t.Fatalf("simlint RunAll (second run): %v", err)
@@ -253,12 +224,19 @@ func TestRepoSelfCheck(t *testing.T) {
 	}
 }
 
+// historicalDefects names, for a rule with no finding in the tree today,
+// the defect of this repo's history it would have caught and the fixture
+// function that reproduces its shape.
+var historicalDefects = map[string]string{
+	"R1": "PR 2: coupled.New ranged the traces map while scheduling submissions, flipping proportion-sweep cells between runs (testdata/r1.go mapRangeSchedule)",
+}
+
 // TestJSONRoundTrip pins the -json schema: encode → decode is lossless
 // and the encoder preserves the engine's stable order.
 func TestJSONRoundTrip(t *testing.T) {
 	in := []Finding{
 		{Rule: "R7", Msg: "discarded error", Allowed: false},
-		{Rule: "R9", Msg: "no deadline", Allowed: true, Reason: "client owns liveness"},
+		{Rule: "R4", Msg: "goroutine receives a Manager", Allowed: true, Reason: "serialized by the driver"},
 	}
 	in[0].Pos.Filename, in[0].Pos.Line, in[0].Pos.Column = "a/b.go", 10, 2
 	in[1].Pos.Filename, in[1].Pos.Line, in[1].Pos.Column = "a/c.go", 3, 1
@@ -285,12 +263,12 @@ func TestSortFindingsStable(t *testing.T) {
 	}
 	got := []Finding{
 		mk("b.go", 1, 1, "R2"), mk("a.go", 9, 1, "R1"),
-		mk("a.go", 2, 5, "R9"), mk("a.go", 2, 5, "R7"), mk("a.go", 2, 1, "R3"),
+		mk("a.go", 2, 5, "R7"), mk("a.go", 2, 5, "R5"), mk("a.go", 2, 1, "R4"),
 	}
 	sortFindings(got)
 	want := []Finding{
-		mk("a.go", 2, 1, "R3"), mk("a.go", 2, 5, "R7"),
-		mk("a.go", 2, 5, "R9"), mk("a.go", 9, 1, "R1"), mk("b.go", 1, 1, "R2"),
+		mk("a.go", 2, 1, "R4"), mk("a.go", 2, 5, "R5"),
+		mk("a.go", 2, 5, "R7"), mk("a.go", 9, 1, "R1"), mk("b.go", 1, 1, "R2"),
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("sort order wrong:\n%s", findingList(got))

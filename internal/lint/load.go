@@ -143,7 +143,7 @@ func typecheckAll(fset *token.FileSet, targets []*Package, table map[string]*Pac
 	errs := make([]error, len(targets))
 	parallelEach(len(targets), func(i int) {
 		t := targets[i]
-		files, pkg, info, err := typecheck(fset, t, table, nil)
+		files, pkg, info, err := typecheck(fset, t, table)
 		if err != nil {
 			errs[i] = err
 			return

@@ -20,9 +20,6 @@ import (
 // config struct no longer slips past the rule. Named types declared in
 // internal/live are exempt from the containment walk: the live Driver
 // owns a Manager by design and serializes access behind its own mutex.
-// Calls to named functions are checked through their summaries — a
-// helper that reaches a Manager through a free variable or package
-// global is as unsafe on a goroutine as a literal that does.
 func checkConcurrency(p *Pass) {
 	if p.Path == "cosched/internal/parallel" {
 		return
@@ -46,9 +43,7 @@ func checkConcurrency(p *Pass) {
 	}
 }
 
-// checkGoStmt reports at most one finding per go statement: the direct
-// escape scan wins over the callee-summary path so a literal that both
-// captures a Manager and calls a capturing helper reports once.
+// checkGoStmt reports at most one finding per go statement.
 func (p *Pass) checkGoStmt(g *ast.GoStmt) {
 	for _, esc := range p.goEscapes(g.Call) {
 		t := p.typeOf(esc.expr)
@@ -66,13 +61,6 @@ func (p *Pass) checkGoStmt(g *ast.GoStmt) {
 				"goroutine %s %q (type %s contains a *resmgr.Manager): the Manager is single-threaded by contract; fan work out through internal/parallel instead",
 				esc.how, esc.name, t.String())
 			return
-		}
-	}
-	if sum := p.calleeSummary(g.Call); sum != nil && sum.CapturesManager {
-		if _, isLit := ast.Unparen(g.Call.Fun).(*ast.FuncLit); !isLit {
-			p.reportf(g.Pos(), "R4",
-				"goroutine runs %s, which reaches a *resmgr.Manager defined outside it: the Manager is single-threaded by contract; fan work out through internal/parallel instead",
-				p.calleeDisplay(g.Call))
 		}
 	}
 }
@@ -140,11 +128,25 @@ func (p *Pass) typeOf(e ast.Expr) types.Type {
 	return nil
 }
 
+// exprName renders a selector chain ("c.mgr") for the finding message,
+// or "value" when the expression is not a plain ident/selector chain.
 func exprName(e ast.Expr) string {
 	if path := exprPath(e); path != "" {
 		return path
 	}
 	return "value"
+}
+
+func exprPath(e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		if base := exprPath(e.X); base != "" {
+			return base + "." + e.Sel.Name
+		}
+	}
+	return ""
 }
 
 // typeContainsManager reports whether t transitively contains a

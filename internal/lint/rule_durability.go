@@ -90,12 +90,29 @@ func (p *Pass) durableCall(call *ast.CallExpr) (string, bool) {
 			return "os." + fn.Name(), true
 		}
 	}
-	// A helper whose summary is durable is durability-critical itself:
-	// wrapping a frame write in a closure must not launder its error.
-	if sum := p.calleeSummary(call); sum != nil && sum.Durable {
-		return p.calleeDisplay(call), true
-	}
 	return "", false
+}
+
+// durableStoreMethods are the journal.Store mutations on the crash-safe
+// ordering path; their errors decide whether state survives a crash.
+var durableStoreMethods = map[string]bool{
+	"Append": true, "Compact": true, "Close": true, "Sync": true,
+}
+
+// durableFileMethods are the journal.File handle operations on the WAL's
+// crash-safe ordering path. Every write the store makes flows through
+// this interface (the fault-injection seam), so a swallowed error here is
+// exactly a swallowed injected fault.
+var durableFileMethods = map[string]bool{
+	"Write": true, "Sync": true, "Truncate": true, "Close": true,
+}
+
+// durableFSMethods are the journal.FS operations whose failure breaks the
+// append → fsync → rename → syncdir compaction ordering. MkdirAll /
+// OpenFile / ReadFile are setup reads whose errors already fail loudly at
+// open time.
+var durableFSMethods = map[string]bool{
+	"Rename": true, "Truncate": true, "SyncDir": true,
 }
 
 // durabilityFilePackage scopes the raw file-syscall checks (fsync,

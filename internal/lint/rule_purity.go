@@ -45,15 +45,10 @@ func isPackageLevel(f *types.Func) bool {
 // checkPurity implements R2: sim-pure packages may not read the wall
 // clock or draw from the global (implicitly seeded) RNG. Methods on an
 // explicitly constructed *rand.Rand are fine; the package-level forwards
-// to the shared global source are not.
-//
-// The rule is interprocedural: beyond the direct std-lib calls, any call
-// whose resolvable callee lives in a non-sim-pure module package (cmd/,
-// internal/live) and whose summary transitively reaches the wall clock
-// or global RNG is flagged with the proving call chain — a one-line
-// wrapper around time.Now in a cmd/ package no longer launders impurity
-// into sim code. Calls to other sim-pure packages are not re-flagged:
-// their own direct violations (or allows) are reported where they live.
+// to the shared global source are not. Only the std-lib call itself is
+// matched: every package a sim-pure package can import is sim-pure too
+// (none imports internal/live, and main packages cannot be imported), so
+// a wrapper is reported where it lives.
 func checkPurity(p *Pass) {
 	if !simPurePackage(p.Path) {
 		return
@@ -81,32 +76,8 @@ func checkPurity(p *Pass) {
 						"global-RNG call %s.%s in sim-pure package %s; draw from an explicitly seeded rand.New(...) instead",
 						fn.Pkg().Path(), fn.Name(), p.Path)
 				}
-			default:
-				p.checkTransitivePurity(call, fn)
 			}
 			return true
 		})
-	}
-}
-
-// checkTransitivePurity flags calls from sim-pure code into impure
-// module helpers, with the summary's via-chain as evidence.
-func (p *Pass) checkTransitivePurity(call *ast.CallExpr, fn *types.Func) {
-	path := fn.Pkg().Path()
-	if simPurePackage(path) || !strings.HasPrefix(path, "cosched/") {
-		return
-	}
-	sum := p.Sums.of(fn)
-	if sum == nil {
-		return
-	}
-	if sum.WallClock {
-		p.reportf(call.Pos(), "R2",
-			"call to %s transitively reaches the wall clock (via %s) in sim-pure package %s; simulation time is sim.Time, driven by the engine",
-			displayName(funcKey(fn)), strings.Join(sum.WallVia, " → "), p.Path)
-	} else if sum.GlobalRNG {
-		p.reportf(call.Pos(), "R2",
-			"call to %s transitively draws from the global RNG (via %s) in sim-pure package %s; draw from an explicitly seeded rand.New(...) instead",
-			displayName(funcKey(fn)), strings.Join(sum.RNGVia, " → "), p.Path)
 	}
 }

@@ -9,6 +9,11 @@ import (
 // Rule is one simlint check. Every rule encodes a repo contract or a past
 // bug; Doc is the one-paragraph rationale `simlint -rules` prints and
 // ARCHITECTURE.md §6 catalogs.
+//
+// Admission: a rule stays while it has a finding (allowed or not) in the
+// tree, or a named defect in this repo's history with a must-fail fixture;
+// TestRepoSelfCheck enforces it. IDs are never renumbered or reused —
+// //simlint:allow directives name them — so the sequence has gaps.
 type Rule struct {
 	ID    string
 	Title string
@@ -36,23 +41,11 @@ var Rules = []Rule{
 			"from explicitly seeded sources; time.Now/time.Sleep or the global " +
 			"math/rand functions make results machine- and run-dependent. " +
 			"Applies to every cosched/internal package except internal/live " +
-			"(the real-time driver); cmd/ and examples/ are exempt. The rule " +
-			"is interprocedural: a call into a non-sim-pure module helper " +
-			"whose summary transitively reaches the wall clock or global RNG " +
-			"is flagged with the proving call chain, so a one-line wrapper " +
-			"around time.Now cannot launder impurity into sim code.",
+			"(the real-time driver); cmd/ and examples/ are exempt. The " +
+			"std-lib call itself is what is matched: a sim-pure package can " +
+			"only import other sim-pure packages, so a wrapper around " +
+			"time.Now is reported where it is written.",
 		Check: checkPurity,
-	},
-	{
-		ID:    "R3",
-		Title: "backfill planner callers must pass a canonically sorted timeline",
-		Doc: "backfill.Plan/PlanInto/PlanConservative/PlanConservativeInto " +
-			"require releases sorted by (EndBy asc, Nodes asc); a mis-sorted " +
-			"list silently computes a wrong shadow time. The contract is only " +
-			"asserted under -tags debug, so statically: the releases argument " +
-			"must come from the manager's maintained timeline, a producer call, " +
-			"a provably sorted constant literal, or a prior backfill.SortReleases.",
-		Check: checkReleases,
 	},
 	{
 		ID:    "R4",
@@ -64,9 +57,8 @@ var Rules = []Rule{
 			"worker owns a private engine — never a shared Manager. Escape is " +
 			"tracked through values: arguments and captured free variables " +
 			"whose types *contain* a Manager (struct fields, slices, maps) " +
-			"are flagged, as are calls to helpers whose summaries reach a " +
-			"Manager through free variables or globals. Named internal/live " +
-			"types are exempt — the Driver serializes its Manager by design.",
+			"are flagged. Named internal/live types are exempt — the Driver " +
+			"serializes its Manager by design.",
 		Check: checkConcurrency,
 	},
 	{
@@ -105,44 +97,10 @@ var Rules = []Rule{
 			"the error from journal.Store.Append/Compact/Close/Sync, " +
 			"proto.WriteFrame, or (inside internal/journal) a raw file " +
 			"Sync/Close/Write or os.Rename — via `_ =`, a bare statement, " +
-			"defer, or go — is a finding. Helpers are summarized: wrapping a " +
-			"frame write in a closure does not launder its error. Genuinely " +
-			"best-effort sends (a farewell frame on an already-failed " +
-			"connection) carry a //simlint:allow R7 stating why losing the " +
-			"write is safe.",
+			"defer, or go — is a finding. Genuinely best-effort sends (a " +
+			"farewell frame on an already-failed connection) carry a " +
+			"//simlint:allow R7 stating why losing the write is safe.",
 		Check: checkDurability,
-	},
-	{
-		ID:    "R8",
-		Title: "no mutex held across a blocking call",
-		Doc: "The stalled-link shape: a goroutine holds a link mutex while " +
-			"writing to a peer that stopped reading, the TCP window fills, " +
-			"the write parks, and every goroutine that needs the mutex — " +
-			"including the one that would have noticed the dead peer " +
-			"— parks behind it. In peerlink/journal, no " +
-			"sync.Mutex/RWMutex may be held (lexically, including " +
-			"defer-Unlock) across network reads/writes, channel operations, " +
-			"selects without default, exec waits, or time.Sleep, directly or " +
-			"through a callee's summary. sync.Cond.Wait is exempt (it " +
-			"releases its mutex while parked), as is file I/O; internal/" +
-			"proto's sequential request/response client is out of scope by " +
-			"design.",
-		Check: checkLockBlock,
-	},
-	{
-		ID:    "R9",
-		Title: "network reads must be preceded by a read deadline",
-		Doc: "A conn read with no deadline turns a silent peer into a " +
-			"permanently parked goroutine; every read must be bounded. In " +
-			"protocol packages (proto/peerlink), every proto.ReadFrame on a " +
-			"conn-like value, every proto.FrameReader.ReadFrame and every " +
-			"raw conn.Read must be lexically " +
-			"preceded, in the same function, by SetReadDeadline/SetDeadline " +
-			"on that conn or by a call to a helper/closure whose summary " +
-			"arms one. Reads that legitimately wait forever (an idle server " +
-			"between requests whose liveness the client owns) carry a " +
-			"//simlint:allow R9 saying who bounds the wait.",
-		Check: checkDeadline,
 	},
 }
 

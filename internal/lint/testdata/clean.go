@@ -1,25 +1,12 @@
-// A fixture with zero findings: each shape here is the sanctioned
-// counterpart of a violation in the rule fixtures — the maintained
-// timeline feeding the planner, and sorted-key rendering of a map.
+// A fixture with zero findings: the sanctioned counterpart of a violation
+// in the rule fixtures — sorted-key rendering of a map.
 package fixture
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"cosched/internal/backfill"
-	"cosched/internal/job"
-	"cosched/internal/sim"
 )
-
-type core struct {
-	timeline []backfill.Release
-}
-
-func (c *core) plan(q []*job.Job, now sim.Time) []backfill.Decision {
-	return backfill.Plan(q, 8, func(n int) int { return n }, c.timeline, now, true, nil)
-}
 
 func render(waits map[string]float64) string {
 	domains := make([]string, 0, len(waits))

@@ -1,6 +1,7 @@
-// Interprocedural R4 fixtures: a Manager escaping into a goroutine
-// wrapped in a struct, through a method value, or via a helper whose
-// summary captures one — not just as a directly referenced ident.
+// R4 containment fixtures: a Manager escaping into a goroutine as a bare
+// argument (the shape of the tree's one R4 finding, coschedd's
+// reconcilePeers launch), wrapped in a struct, or through a captured
+// struct pointer — not just as a directly referenced ident.
 package fixture
 
 import "cosched/internal/resmgr"
@@ -9,6 +10,13 @@ type cell struct {
 	mgr  *resmgr.Manager
 	rows []string
 }
+
+// argEscape hands the goroutine the Manager itself.
+func argEscape(m *resmgr.Manager) {
+	go reconcile(m) // want "R4"
+}
+
+func reconcile(*resmgr.Manager) {}
 
 // structArgEscape hands the goroutine a struct that *contains* the
 // Manager: same race, one indirection.
@@ -23,13 +31,6 @@ func fieldCapture(c *cell) {
 	go func() { // want "R4"
 		c.mgr.RequestIteration()
 	}()
-}
-
-// helperEscape launches a closure variable whose body captures the
-// Manager — the direct ident scan sees only `tick`, the summary sees m.
-func helperEscape(m *resmgr.Manager) {
-	tick := func() { m.RequestIteration() }
-	go tick() // want "R4"
 }
 
 // rowsOnly escapes only the serialized rows, never the Manager beside

@@ -61,20 +61,6 @@ func vfsOpenChecked(fs journal.FS) (journal.File, error) {
 	return fs.OpenFile("wal", os.O_RDWR, 0o644)
 }
 
-// vfsLaundered wraps a VFS fsync in a helper: the helper's summary is
-// durable, so discarding its error is the same bug one frame up.
-func vfsLaundered(f journal.File) {
-	flush := func() error { return f.Sync() }
-	_ = flush() // want "R7"
-}
-
-// launderedWrite wraps the frame write in a closure: the closure's
-// summary is durable, so discarding *its* error is the same bug.
-func launderedWrite(w io.Writer, v any) {
-	send := func() error { return proto.WriteFrame(w, v) }
-	_ = send() // want "R7"
-}
-
 // propagated is the sanctioned shape: every durability error reaches the
 // caller.
 func propagated(s *journal.Store, e *journal.Entry, f *os.File, w io.Writer, v any) error {

@@ -11,27 +11,12 @@ import (
 	"os"
 )
 
-// preloadImporter satisfies imports from already source-checked packages
-// before falling back to compiler export data — fixture harnesses use it
-// to let one synthetic package import another.
-type preloadImporter struct {
-	extra map[string]*types.Package
-	base  types.Importer
-}
-
-func (p preloadImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := p.extra[path]; ok {
-		return pkg, nil
-	}
-	return p.base.Import(path)
-}
-
 // typecheck parses and type-checks one lint target from source. Imports
 // are satisfied from the compiler export data recorded in the package
-// table (or the extra preloaded packages), so only the target itself is
-// parsed. A fresh importer is built per target because test variants can
-// map the same nominal import path to different export data.
-func typecheck(fset *token.FileSet, target *Package, table map[string]*Package, extra map[string]*types.Package) ([]*ast.File, *types.Package, *types.Info, error) {
+// table, so only the target itself is parsed. A fresh importer is built
+// per target because test variants can map the same nominal import path
+// to different export data.
+func typecheck(fset *token.FileSet, target *Package, table map[string]*Package) ([]*ast.File, *types.Package, *types.Info, error) {
 	var files []*ast.File
 	for _, path := range target.Files {
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
@@ -60,12 +45,8 @@ func typecheck(fset *token.FileSet, target *Package, table map[string]*Package, 
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	var imp types.Importer = importer.ForCompiler(fset, "gc", lookup)
-	if len(extra) > 0 {
-		imp = preloadImporter{extra: extra, base: imp}
-	}
 	conf := types.Config{
-		Importer: imp,
+		Importer: importer.ForCompiler(fset, "gc", lookup),
 		// Example files compile against the package's documented API;
 		// FakeImportC is irrelevant here but harmless.
 		FakeImportC: true,

@@ -273,19 +273,24 @@ type AdminClient struct {
 	conn   net.Conn
 	frames *proto.FrameReader // buffered reads of conn
 	seq    uint64
+	// timeout bounds each round trip; 0 means no deadline.
+	timeout time.Duration
 	// The frames of the call in progress: fields, so that handing their
 	// addresses to the framing does not allocate a pair per call.
 	req  AdminRequest
 	resp AdminResponse
 }
 
-// DialAdmin connects to a daemon's admin port.
+// DialAdmin connects to a daemon's admin port. timeout bounds both the TCP
+// connect and each round trip (the contract of proto.Dial), so a daemon
+// that accepted the connection and stopped answering fails the call
+// instead of parking the caller.
 func DialAdmin(addr string, timeout time.Duration) (*AdminClient, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return &AdminClient{conn: conn, frames: proto.NewFrameReader(conn)}, nil
+	return &AdminClient{conn: conn, frames: proto.NewFrameReader(conn), timeout: timeout}, nil
 }
 
 // Close closes the connection.
@@ -297,10 +302,21 @@ func (c *AdminClient) call(req AdminRequest) (AdminResponse, error) {
 	c.seq++
 	req.Seq = c.seq
 	c.req, c.resp = req, AdminResponse{}
-	if err := proto.WriteFrame(c.conn, &c.req); err != nil {
-		return AdminResponse{}, err
+	var err error
+	if c.timeout > 0 {
+		err = c.conn.SetDeadline(time.Now().Add(c.timeout))
 	}
-	if err := c.frames.ReadFrame(&c.resp); err != nil {
+	if err == nil {
+		err = proto.WriteFrame(c.conn, &c.req)
+	}
+	if err == nil {
+		err = c.frames.ReadFrame(&c.resp)
+	}
+	if err != nil {
+		// The exchange died part-way: its response may still arrive and
+		// would pair with the next request, so the connection is retired
+		// and later calls fail fast.
+		c.conn.Close()
 		return AdminResponse{}, err
 	}
 	resp := c.resp

@@ -462,3 +462,55 @@ func TestAdminClientRejectsStaleResponse(t *testing.T) {
 		t.Fatalf("call after a mismatch = %v, want the closed connection's error", err)
 	}
 }
+
+// TestAdminCallTimesOutOnSilentServer: the timeout DialAdmin takes bounds
+// each round trip, not only the connect. A daemon that accepts and never
+// answers must fail the call within the bound — cosubmit would otherwise
+// park forever on it — and the connection is retired, so the next call
+// fails at once rather than pairing with a late response.
+func TestAdminCallTimesOutOnSilentServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan struct{})
+	defer close(done)
+	go func() { // accepts, reads nothing, writes nothing
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		<-done
+		conn.Close()
+	}()
+	const bound = 200 * time.Millisecond
+	c, err := DialAdmin(ln.Addr().String(), bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	errc := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := c.Info()
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("Info against a silent server = %v, want a timeout error", err)
+		}
+		if took := time.Since(start); took < bound/2 || took > 10*bound {
+			t.Fatalf("Info returned after %v, want about %v", took, bound)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Info against a silent server is still parked after 5 s: no deadline on the admin round trip")
+	}
+	start = time.Now()
+	if _, err := c.Info(); err == nil || time.Since(start) > bound/2 {
+		t.Fatalf("call after a timed-out one = %v after %v, want an immediate error from the retired connection", err, time.Since(start))
+	}
+}

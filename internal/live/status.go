@@ -21,7 +21,8 @@ import (
 // statusReadHeaderTimeout bounds how long a status connection may dawdle
 // over its request headers. Without it a slow-loris client (or a wedged
 // monitoring agent) pins a goroutine + connection per request forever —
-// the same class of hang simlint R9 forbids on raw protocol conns.
+// the same class of hang the per-call deadlines of proto.Client and
+// AdminClient rule out on protocol conns.
 const statusReadHeaderTimeout = 10 * time.Second
 
 // StatusSnapshot is the daemon state served by the status endpoint.
@@ -114,10 +115,6 @@ func NewStatusServer(mgr *resmgr.Manager, driver *Driver, logger *log.Logger) *S
 	s.reg.Collect(s.collectMetrics)
 	return s
 }
-
-// Metrics returns the server's registry so the daemon can register extra
-// collectors (journal counters, custom gauges) before Listen.
-func (s *StatusServer) Metrics() *obs.Registry { return s.reg }
 
 // WatchPeers registers peer links whose health snapshots are included in
 // every status snapshot. Call before Listen.

@@ -1,17 +1,14 @@
 // Package obs is a dependency-free Prometheus-text-format metrics
-// registry for the live daemons: counters and gauges, registered once and
-// rendered as the standard text exposition (version 0.0.4) on a /metrics
-// endpoint. It exists so a coschedd fleet is scrapable by any Prometheus-
-// compatible collector without pulling a client library into the module.
+// registry for the live daemons: counter and gauge samples rendered as the
+// standard text exposition (version 0.0.4) on a /metrics endpoint. It
+// exists so a coschedd fleet is scrapable by any Prometheus-compatible
+// collector without pulling a client library into the module.
 //
-// Two kinds of series feed a render:
-//
-//   - owned metrics (Counter, Gauge): long-lived handles the caller
-//     mutates directly (Inc/Add/Set);
-//   - collected samples: callbacks registered with Collect run at render
-//     time and emit point-in-time values — the natural shape for state
-//     that already has an authoritative owner (peerlink.Link counters,
-//     the manager's queue depth under the driver lock).
+// Every series is collected: callbacks registered with Collect run at
+// render time and emit point-in-time values read from the state's
+// authoritative owner (peerlink.Link counters, the manager's queue depth
+// under the driver lock, journal.Store.Stats). The registry holds no
+// values of its own.
 //
 // Rendering is deterministic: families sort by metric name and series
 // sort by label signature, so two renders of unchanged state are
@@ -46,148 +43,36 @@ func (k Kind) String() string {
 	return "gauge"
 }
 
-// Registry holds metric families and collector callbacks. The zero value
-// is not usable; call New.
+// Registry holds the collector callbacks.
 type Registry struct {
 	mu         sync.Mutex
-	families   map[string]*family
-	names      []string // sorted family names, maintained on registration
 	collectors []func(*Emitter)
 }
 
-// family is one metric name: its metadata and its owned series.
-type family struct {
-	name, help string
-	kind       Kind
-	series     map[string]*value // label signature -> owned series
-}
-
-// value is one owned series. Mutations take the registry lock: scrape
-// frequency is human-scale, so a single lock is simpler and cheaper than
-// per-series atomics plus a registration lock.
-type value struct {
-	reg *Registry
-	fam *family
-	sig string
-	val float64
-}
-
-// Counter is an owned cumulative series.
-type Counter struct{ v *value }
-
-// Gauge is an owned settable series.
-type Gauge struct{ v *value }
-
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{families: map[string]*family{}}
-}
-
-// Counter registers (or fetches) the counter series name{labels...}.
-// labels alternate key, value. Invalid or inconsistently-typed
-// registrations panic: metric identity is a programming decision, not
-// runtime input.
-func (r *Registry) Counter(name, help string, labels ...string) Counter {
-	return Counter{r.series(name, help, KindCounter, labels)}
-}
-
-// Gauge registers (or fetches) the gauge series name{labels...}.
-func (r *Registry) Gauge(name, help string, labels ...string) Gauge {
-	return Gauge{r.series(name, help, KindGauge, labels)}
+	return &Registry{}
 }
 
 // Collect registers a callback that runs on every render and emits
 // point-in-time samples. Callbacks run in registration order; the samples
-// they emit are merged with owned series and sorted, so emission order
-// never affects output order.
+// they emit are sorted, so emission order never affects output order.
 func (r *Registry) Collect(fn func(*Emitter)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.collectors = append(r.collectors, fn)
 }
 
-// series registers a family (first use) and returns the owned series for
-// the given label signature.
-func (r *Registry) series(name, help string, kind Kind, labels []string) *value {
-	sig := labelSignature(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.registerLocked(name, help, kind)
-	if v, ok := f.series[sig]; ok {
-		return v
-	}
-	v := &value{reg: r, fam: f, sig: sig}
-	f.series[sig] = v
-	return v
-}
-
-// registerLocked finds or creates the family, enforcing one (kind, help)
-// per name.
-func (r *Registry) registerLocked(name, help string, kind Kind) *family {
-	mustValidName(name)
-	if f, ok := r.families[name]; ok {
-		if f.kind != kind {
-			panic(fmt.Sprintf("obs: metric %s re-registered as %s (was %s)", name, kind, f.kind))
-		}
-		return f
-	}
-	f := &family{name: name, help: help, kind: kind, series: map[string]*value{}}
-	r.families[name] = f
-	i := sort.SearchStrings(r.names, name)
-	r.names = append(r.names, "")
-	copy(r.names[i+1:], r.names[i:])
-	r.names[i] = name
-	return f
-}
-
-// Inc adds 1.
-func (c Counter) Inc() { c.Add(1) }
-
-// Add adds delta, which must be non-negative for a counter.
-func (c Counter) Add(delta float64) {
-	if delta < 0 {
-		panic(fmt.Sprintf("obs: counter %s decreased by %g", c.v.fam.name, -delta))
-	}
-	c.v.reg.mu.Lock()
-	c.v.val += delta
-	c.v.reg.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c Counter) Value() float64 {
-	c.v.reg.mu.Lock()
-	defer c.v.reg.mu.Unlock()
-	return c.v.val
-}
-
-// Set replaces the gauge's value.
-func (g Gauge) Set(v float64) {
-	g.v.reg.mu.Lock()
-	g.v.val = v
-	g.v.reg.mu.Unlock()
-}
-
-// Add adjusts the gauge by delta (either sign).
-func (g Gauge) Add(delta float64) {
-	g.v.reg.mu.Lock()
-	g.v.val += delta
-	g.v.reg.mu.Unlock()
-}
-
-// Value returns the current gauge value.
-func (g Gauge) Value() float64 {
-	g.v.reg.mu.Lock()
-	defer g.v.reg.mu.Unlock()
-	return g.v.val
-}
-
 // Emitter receives samples from Collect callbacks during one render.
 type Emitter struct {
-	samples map[string]map[string]float64 // name -> signature -> value
-	meta    map[string]struct {
-		help string
-		kind Kind
-	}
+	families map[string]*family
+}
+
+// family is one metric name: its metadata and the samples emitted for it.
+type family struct {
+	help    string
+	kind    Kind
+	samples map[string]float64 // label signature -> value
 }
 
 // Counter emits one cumulative sample. The value is the collector's
@@ -202,24 +87,19 @@ func (e *Emitter) Gauge(name, help string, v float64, labels ...string) {
 	e.emit(name, help, KindGauge, v, labels)
 }
 
+// emit records one sample. Invalid names and a name emitted under two
+// kinds panic: metric identity is a programming decision, not runtime
+// input.
 func (e *Emitter) emit(name, help string, kind Kind, v float64, labels []string) {
 	mustValidName(name)
-	if m, ok := e.meta[name]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: collected metric %s emitted as %s (was %s)", name, kind, m.kind))
-		}
-	} else {
-		e.meta[name] = struct {
-			help string
-			kind Kind
-		}{help, kind}
-	}
-	sigs, ok := e.samples[name]
+	f, ok := e.families[name]
 	if !ok {
-		sigs = map[string]float64{}
-		e.samples[name] = sigs
+		f = &family{help: help, kind: kind, samples: map[string]float64{}}
+		e.families[name] = f
+	} else if f.kind != kind {
+		panic(fmt.Sprintf("obs: collected metric %s emitted as %s (was %s)", name, kind, f.kind))
 	}
-	sigs[labelSignature(labels)] = v
+	f.samples[labelSignature(labels)] = v
 }
 
 // Render produces the full text exposition. Output is stable: families in
@@ -232,76 +112,35 @@ func (r *Registry) Render() []byte {
 	r.mu.Unlock()
 
 	// Collectors run without the registry lock: they take their own locks
-	// (driver, link) and may themselves touch owned metrics.
-	em := &Emitter{
-		samples: map[string]map[string]float64{},
-		meta: map[string]struct {
-			help string
-			kind Kind
-		}{},
-	}
+	// (driver, link, journal store).
+	em := &Emitter{families: map[string]*family{}}
 	for _, fn := range collectors {
 		fn(em)
 	}
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
-
-	type renderFam struct {
-		name, help string
-		kind       Kind
-		sigs       []string
-		vals       map[string]float64
-	}
-	fams := map[string]*renderFam{}
-	add := func(name, help string, kind Kind) *renderFam {
-		f, ok := fams[name]
-		if !ok {
-			f = &renderFam{name: name, help: help, kind: kind, vals: map[string]float64{}}
-			fams[name] = f
-		}
-		return f
-	}
-	for _, name := range r.names {
-		of := r.families[name]
-		f := add(name, of.help, of.kind)
-		for sig, v := range of.series {
-			if _, dup := f.vals[sig]; !dup {
-				f.sigs = append(f.sigs, sig)
-			}
-			f.vals[sig] = v.val
-		}
-	}
-	for name, sigs := range em.samples {
-		m := em.meta[name]
-		f := add(name, m.help, m.kind)
-		for sig, v := range sigs {
-			if _, dup := f.vals[sig]; !dup {
-				f.sigs = append(f.sigs, sig)
-			}
-			f.vals[sig] = v // collected samples win over a same-name owned series
-		}
-	}
-
-	names := make([]string, 0, len(fams))
-	for name := range fams {
+	names := make([]string, 0, len(em.families))
+	for name := range em.families {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
 	var b strings.Builder
 	for _, name := range names {
-		f := fams[name]
+		f := em.families[name]
 		if f.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", name, f.kind)
-		sort.Strings(f.sigs)
-		for _, sig := range f.sigs {
+		sigs := make([]string, 0, len(f.samples))
+		for sig := range f.samples {
+			sigs = append(sigs, sig)
+		}
+		sort.Strings(sigs)
+		for _, sig := range sigs {
 			b.WriteString(name)
 			b.WriteString(sig)
 			b.WriteByte(' ')
-			b.WriteString(formatValue(f.vals[sig]))
+			b.WriteString(formatValue(f.samples[sig]))
 			b.WriteByte('\n')
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,13 +13,15 @@ import (
 
 func TestRenderStableOrderAndTwiceIdentical(t *testing.T) {
 	r := New()
-	// Register deliberately out of name order, and series out of label
-	// order, to prove sorting is the registry's job.
-	r.Gauge("zeta_depth", "queue depth", "domain", "b").Set(4)
-	r.Counter("alpha_total", "a counter", "peer", "z").Add(2)
-	r.Counter("alpha_total", "a counter", "peer", "a").Add(7)
-	r.Gauge("zeta_depth", "queue depth", "domain", "a").Set(1)
+	// Emit deliberately out of name order, and series out of label order,
+	// across two collectors, to prove sorting is the registry's job.
 	r.Collect(func(e *Emitter) {
+		e.Gauge("zeta_depth", "queue depth", 4, "domain", "b")
+		e.Counter("alpha_total", "a counter", 2, "peer", "z")
+		e.Counter("alpha_total", "a counter", 7, "peer", "a")
+	})
+	r.Collect(func(e *Emitter) {
+		e.Gauge("zeta_depth", "queue depth", 1, "domain", "a")
 		e.Gauge("middle_gauge", "collected", 3.5)
 	})
 
@@ -44,79 +47,40 @@ zeta_depth{domain="b"} 4
 	}
 }
 
-func TestCounterAndGaugeSemantics(t *testing.T) {
+// emitPanics reports whether emitting through fn panics.
+func emitPanics(fn func(*Emitter)) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
 	r := New()
-	c := r.Counter("ops_total", "")
-	c.Inc()
-	c.Add(2)
-	if got := c.Value(); got != 3 {
-		t.Fatalf("counter = %g, want 3", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("negative counter add did not panic")
-			}
-		}()
-		c.Add(-1)
-	}()
-
-	g := r.Gauge("depth", "")
-	g.Set(10)
-	g.Add(-4)
-	if got := g.Value(); got != 6 {
-		t.Fatalf("gauge = %g, want 6", got)
-	}
-
-	// Same (name, labels) registration returns the same series.
-	if r.Counter("ops_total", "").Value() != 3 {
-		t.Fatal("re-registration did not return the existing series")
-	}
-	// Re-registering a counter name as a gauge is a programming error.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("kind mismatch did not panic")
-			}
-		}()
-		r.Gauge("ops_total", "")
-	}()
+	r.Collect(fn)
+	r.Render()
+	return false
 }
 
 func TestInvalidNamesPanic(t *testing.T) {
-	r := New()
 	for _, bad := range []string{"", "2bad", "has-dash", "has space"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("metric name %q accepted", bad)
-				}
-			}()
-			r.Counter(bad, "")
-		}()
+		if !emitPanics(func(e *Emitter) { e.Counter(bad, "", 1) }) {
+			t.Fatalf("metric name %q accepted", bad)
+		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("label name with colon accepted")
-			}
-		}()
-		r.Counter("ok_total", "", "bad:label", "v")
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("odd label list accepted")
-			}
-		}()
-		r.Counter("ok_total", "", "only_key")
-	}()
+	if !emitPanics(func(e *Emitter) { e.Counter("ok_total", "", 1, "bad:label", "v") }) {
+		t.Fatal("label name with colon accepted")
+	}
+	if !emitPanics(func(e *Emitter) { e.Counter("ok_total", "", 1, "only_key") }) {
+		t.Fatal("odd label list accepted")
+	}
+	// Emitting a counter name as a gauge is a programming error.
+	if !emitPanics(func(e *Emitter) {
+		e.Counter("ops_total", "", 1, "peer", "a")
+		e.Gauge("ops_total", "", 1, "peer", "b")
+	}) {
+		t.Fatal("kind mismatch did not panic")
+	}
 }
 
 func TestLabelEscapingRoundTrips(t *testing.T) {
 	r := New()
 	hostile := "a\"b\\c\nd"
-	r.Gauge("esc", "help with \\ and\nnewline", "k", hostile).Set(1)
+	r.Collect(func(e *Emitter) { e.Gauge("esc", "help with \\ and\nnewline", 1, "k", hostile) })
 	out := r.Render()
 	if strings.Contains(string(out), "\nd\"") {
 		t.Fatalf("unescaped newline in output:\n%s", out)
@@ -157,7 +121,7 @@ func TestCollectedSamplesAndParse(t *testing.T) {
 	}
 	// Label order is canonicalized, so a reordered query still hits.
 	r2 := New()
-	r2.Gauge("multi", "", "b", "2", "a", "1").Set(5)
+	r2.Collect(func(e *Emitter) { e.Gauge("multi", "", 5, "b", "2", "a", "1") })
 	scr2, err := Parse(r2.Render())
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +155,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 
 func TestHandlerServesExposition(t *testing.T) {
 	r := New()
-	r.Counter("served_total", "requests").Add(5)
+	r.Collect(func(e *Emitter) { e.Counter("served_total", "requests", 5) })
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL)
@@ -215,39 +179,27 @@ func TestHandlerServesExposition(t *testing.T) {
 	}
 }
 
+// The registry's lock guards the collector list, so a Collect may land
+// while scrapes render; run under -race.
 func TestConcurrentMutationIsSafe(t *testing.T) {
 	r := New()
-	c := r.Counter("races_total", "")
-	g := r.Gauge("level", "")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				c.Inc()
-				g.Set(float64(n))
+			for j := 0; j < 50; j++ {
+				r.Collect(func(e *Emitter) { e.Gauge("level", "", float64(n), "worker", strconv.Itoa(n)) })
 				_ = r.Render()
 			}
 		}(i)
 	}
 	wg.Wait()
-	if got := c.Value(); got != 8*500 {
-		t.Fatalf("counter = %g, want %d", got, 8*500)
-	}
-}
-
-// Collected samples shadow an owned series of the same identity: the
-// collector's value is authoritative for that scrape.
-func TestCollectedShadowsOwned(t *testing.T) {
-	r := New()
-	r.Gauge("depth", "").Set(1)
-	r.Collect(func(e *Emitter) { e.Gauge("depth", "", 9) })
 	scr, err := Parse(r.Render())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := scr.Value("depth"); v != 9 {
-		t.Fatalf("depth = %g, want collected 9", v)
+	if got := len(scr.Series()); got != 8 {
+		t.Fatalf("%d series after 8 workers registered collectors, want 8", got)
 	}
 }
