@@ -112,7 +112,12 @@ func main() {
 		if err := sf.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("time series (%d samples) written to %s\n%s", rec.Len(), *seriesPath, rec.Summary())
+		// With -json, stdout is the document and nothing else.
+		notes := os.Stdout
+		if *asJSON {
+			notes = os.Stderr
+		}
+		fmt.Fprintf(notes, "time series (%d samples) written to %s\n%s", rec.Len(), *seriesPath, rec.Summary())
 	}
 
 	if *asJSON {

@@ -6,14 +6,14 @@
 //
 // Domains coordinate only through the cosched.Peer interface. By default
 // managers are wired to each other directly (in-process); with
-// UseWireProtocol the calls travel through the length-prefixed JSON
-// protocol over an in-memory pipe, exercising the exact code path the live
-// daemons use.
+// UseWireProtocol every call is a length-prefixed JSON frame built by a
+// proto.Client and parsed, dispatched and answered by a proto.Server — the
+// code the live daemons run — on the calling goroutine, so a wire-mode
+// simulation is as single-threaded and deterministic as a direct one.
 package coupled
 
 import (
 	"fmt"
-	"net"
 	"sort"
 
 	"cosched/internal/cluster"
@@ -66,8 +66,9 @@ type DomainConfig struct {
 // Options configures a coupled simulation.
 type Options struct {
 	Domains []DomainConfig
-	// UseWireProtocol routes every peer call through proto over net.Pipe
-	// instead of direct method calls.
+	// UseWireProtocol routes every peer call through proto frames
+	// (proto.Client → proto.Server.InProcessConn) instead of direct method
+	// calls. The schedule is byte-identical either way.
 	UseWireProtocol bool
 	// Horizon bounds virtual time; 0 derives a generous bound from the
 	// traces. Hitting the horizon marks remaining jobs stuck.
@@ -114,7 +115,6 @@ type Sim struct {
 	order    []string
 	traces   map[string][]*job.Job
 	horizon  sim.Time
-	cleanup  []func()
 }
 
 // New builds the engine, domains, and peer wiring, and schedules every
@@ -188,7 +188,7 @@ func New(opt Options) (*Sim, error) {
 			if a == b {
 				continue
 			}
-			peer, err := s.makePeer(s.managers[b], opt.UseWireProtocol)
+			peer, err := makePeer(s.managers[b], opt.UseWireProtocol)
 			if err != nil {
 				return nil, err
 			}
@@ -257,22 +257,18 @@ func sortedBySubmit(tr []*job.Job) bool {
 	return true
 }
 
-// makePeer wires a direct or wire-protocol peer for manager m.
-func (s *Sim) makePeer(m *resmgr.Manager, wire bool) (cosched.Peer, error) {
+// makePeer wires a direct or wire-protocol peer for manager m. The wire
+// peer is a proto.Client on the in-process conn of a proto.Server around m:
+// no goroutine, no lock (the call runs on the engine's goroutine) and nothing
+// to close when the simulation is dropped.
+func makePeer(m *resmgr.Manager, wire bool) (cosched.Peer, error) {
 	if !wire {
 		return m, nil
 	}
-	server := proto.NewServer(m, nil, nil)
-	clientEnd, serverEnd := net.Pipe()
-	go server.ServeConn(serverEnd)
-	client := proto.NewClient(clientEnd, 0)
+	client := proto.NewClient(proto.NewServer(m, nil, nil).InProcessConn(), 0)
 	if _, err := client.Ping(); err != nil {
-		return nil, fmt.Errorf("coupled: pipe peer ping: %w", err)
+		return nil, fmt.Errorf("coupled: wire peer ping: %w", err)
 	}
-	s.cleanup = append(s.cleanup, func() {
-		client.Close()
-		server.Close()
-	})
 	return client, nil
 }
 
@@ -286,13 +282,6 @@ func (s *Sim) Manager(name string) *resmgr.Manager { return s.managers[name] }
 // Run executes the simulation to completion (all jobs done, events
 // drained, or horizon reached) and collects the result.
 func (s *Sim) Run() *Result {
-	defer func() {
-		for _, f := range s.cleanup {
-			f()
-		}
-		s.cleanup = nil
-	}()
-
 	total := 0
 	for _, tr := range s.traces {
 		total += len(tr)

@@ -1,6 +1,7 @@
 package coupled
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -351,6 +352,46 @@ func TestOversizeJobRejected(t *testing.T) {
 		{Name: "A", Nodes: 10, Trace: []*job.Job{big}},
 	}}); err == nil {
 		t.Fatal("job larger than the pool accepted")
+	}
+}
+
+// TestWireSimLeavesNoGoroutines: wire mode runs on the caller's goroutine,
+// so no way of abandoning a Sim — a New that fails after the peers were
+// wired, a Sim never Run, a Run — can leave one behind. (With a serving
+// goroutine per directed peer behind net.Pipe, ten failed News left twenty.)
+func TestWireSimLeavesNoGoroutines(t *testing.T) {
+	wireSim := func(oversize bool) (*Sim, error) {
+		a, b := smallTraces(5, 20, 0.3)
+		if oversize {
+			a = []*job.Job{job.New(1, 100, 0, 10, 10)}
+		}
+		return New(Options{
+			Domains: []DomainConfig{
+				{Name: "A", Nodes: 64, Backfilling: true, Cosched: cosched.DefaultConfig(cosched.Hold), Trace: a},
+				{Name: "B", Nodes: 8, Backfilling: true, Cosched: cosched.DefaultConfig(cosched.Yield), Trace: b},
+			},
+			UseWireProtocol: true,
+		})
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		if _, err := wireSim(true); err == nil {
+			t.Fatal("job larger than the pool accepted")
+		}
+	}
+	if _, err := wireSim(false); err != nil { // built, never Run
+		t.Fatal(err)
+	}
+	s, err := wireSim(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := s.Run(); res.StuckJobs != 0 || res.CoStartViolations != 0 {
+		t.Fatalf("wire run: %d stuck, %d co-start violations", res.StuckJobs, res.CoStartViolations)
+	}
+	// More, not different: an earlier test's goroutine may still be exiting.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before, %d after; a wire-mode Sim must start none", before, after)
 	}
 }
 

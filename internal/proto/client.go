@@ -34,7 +34,8 @@ type Client struct {
 }
 
 // NewClient wraps conn. timeout bounds each round trip; 0 means no
-// deadline (useful for net.Pipe transports inside single-threaded tests).
+// deadline (a Server.InProcessConn never blocks; a net.Pipe inside a
+// single-threaded test has nothing to time out against).
 func NewClient(conn net.Conn, timeout time.Duration) *Client {
 	return &Client{conn: conn, frames: NewFrameReader(conn), timeout: timeout}
 }

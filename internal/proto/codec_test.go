@@ -203,3 +203,24 @@ func TestProbeMateRoundTripAllocatesNothing(t *testing.T) {
 		t.Fatalf("a probe_mate round trip allocates %v times, want 0", allocs)
 	}
 }
+
+// TestInProcessRoundTripAllocatesNothing is the same pin for the transport a
+// simulation uses (Server.InProcessConn): neither the client's frames nor
+// the conn's two buffers allocate once warm.
+func TestInProcessRoundTripAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	backend := newFakeBackend()
+	backend.statuses[7] = cosched.StatusQueuing
+	c := NewClient(NewServer(backend, nil, nil).InProcessConn(), 0)
+	want := cosched.MateProbe{Known: true, Status: cosched.StatusQueuing, CanStart: true}
+	allocs := testing.AllocsPerRun(500, func() {
+		if got, err := c.ProbeMate(7); err != nil || got != want {
+			t.Fatalf("ProbeMate(7) = %+v, %v; want %+v", got, err, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("an in-process probe_mate round trip allocates %v times, want 0", allocs)
+	}
+}

@@ -27,11 +27,13 @@
 // practicality is that two administratively independent resource managers
 // need only these calls, with no shared configuration and no global
 // submission portal. A Client implements cosched.Peer and its extensions
-// over any net.Conn (TCP between real daemons, net.Pipe inside tests and
-// simulations); a Server dispatches requests to any cosched.Peer (normally
-// a resmgr.Manager). A frame is written with one Write and read through a
-// per-connection buffered FrameReader, so a call costs one write and
-// (usually) one read per side.
+// over any net.Conn; a Server dispatches requests to any cosched.Peer
+// (normally a resmgr.Manager). Between real daemons the conn is TCP, served
+// by a goroutine per connection (ServeConn); a simulation has no connection
+// to cross and writes to Server.InProcessConn, which parses, dispatches and
+// answers the frame on the calling goroutine — the same bytes, one thread. A
+// frame is written with one Write and read through a per-connection buffered
+// FrameReader, so a call costs one write and (usually) one read per side.
 //
 // encoding/json defines the payload; Request and Response also have a
 // hand-written codec (codec.go), built from internal/wirejson and held to
@@ -232,9 +234,9 @@ func (f *frameBuf) send(w io.Writer) error {
 
 // WriteFrame writes a length-prefixed JSON encoding of v with a single
 // Write: header and payload leave together, so a frame costs one syscall
-// on a socket (one rendezvous on a net.Pipe) and is never interleaved with
-// a partial header. Nothing is written when encoding fails or the payload
-// exceeds MaxFrameSize. A *Request or *Response takes the hand-written
+// on a socket and is never interleaved with a partial header. Nothing is
+// written when encoding fails or the payload exceeds MaxFrameSize. A
+// *Request or *Response takes the hand-written
 // encoder (same bytes, see writeRequest) and a FrameCodec its own; every
 // other type, and every value those decline, is encoded by encoding/json.
 func WriteFrame(w io.Writer, v any) error {

@@ -12,9 +12,9 @@ import (
 )
 
 // Server exposes a cosched.Peer (normally a resmgr.Manager) to remote
-// domains. Each connection is served by its own goroutine; backend access
-// is serialized through an optional sync.Locker so the single-threaded
-// Manager stays safe under the live daemon's concurrency.
+// domains. Each network connection is served by its own goroutine; backend
+// access is serialized through an optional sync.Locker so the
+// single-threaded Manager stays safe under the live daemon's concurrency.
 type Server struct {
 	backend cosched.Peer
 	lock    sync.Locker
@@ -28,8 +28,8 @@ type Server struct {
 }
 
 // NewServer wraps backend. lock may be nil when the caller guarantees
-// single-threaded access (e.g. net.Pipe peers inside one simulation
-// goroutine never run concurrently with the engine). logger may be nil.
+// single-threaded access (a simulation calls through InProcessConn, so the
+// backend runs on the engine's own goroutine). logger may be nil.
 func NewServer(backend cosched.Peer, lock sync.Locker, logger *log.Logger) *Server {
 	return &Server{
 		backend: backend,
@@ -77,8 +77,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// ServeConn answers requests on conn until EOF or error. It may also be
-// called directly with one end of a net.Pipe.
+// ServeConn answers requests on conn until EOF or error: what a TCP daemon
+// runs, on a goroutine of its own, per connection. (A simulation calls
+// through InProcessConn instead.)
 func (s *Server) ServeConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -88,30 +89,32 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}()
 	frames := NewFrameReader(conn)
 	for {
-		// The typed forms of FrameReader.ReadFrame and WriteFrame: req and
-		// resp stay on the stack, so serving a request allocates nothing.
 		// The read carries no deadline: a peer connection idles between
 		// requests by design, request liveness is bounded by the client's
 		// own per-call deadlines, and shutdown closes the conn to unblock it.
-		var req Request
 		payload, err := frames.next()
 		if err == nil {
-			err = unmarshalRequest(payload, &req)
+			err = s.answer(payload, conn)
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && s.logger != nil {
-				s.logger.Printf("proto server: read: %v", err)
-			}
-			return
-		}
-		resp := s.dispatch(req)
-		if err := writeResponse(conn, &resp); err != nil {
-			if s.logger != nil {
-				s.logger.Printf("proto server: write: %v", err)
+				s.logger.Printf("proto server: %v", err)
 			}
 			return
 		}
 	}
+}
+
+// answer is the server's step for one request frame, whatever carried it:
+// parse, dispatch, write the response frame to w. The typed forms of
+// ReadFrame and WriteFrame keep req and resp on the stack: no allocation.
+func (s *Server) answer(payload []byte, w io.Writer) error {
+	var req Request
+	if err := unmarshalRequest(payload, &req); err != nil {
+		return err
+	}
+	resp := s.dispatch(req)
+	return writeResponse(w, &resp)
 }
 
 // dispatch executes one request against the backend.
