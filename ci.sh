@@ -137,9 +137,9 @@ go test -run 'ZeroAlloc|WithoutAllocating|AllocatesNothing' -count=1 \
 # Chaos-campaign gate: 25 deterministic fault-injection campaigns, seeds
 # 1–25 as subtests, under -race and uncached, across both seams (journal VFS
 # faults, asymmetric peer-link faults). Every campaign must pass its
-# invariant gates — no stuck jobs, co-start accounting consistent with
-# dropped calls, every surviving journal replayable, the clean-filesystem
-# journal whole — and a failing seed prints the one-line `go test -run`
-# repro. The last subtest flips one byte of that journal on purpose and
+# invariant gates — no stuck jobs, co-start violations within the calls
+# the injectors failed or dropped, every surviving journal replayable, the
+# clean-filesystem journal whole — and a failing seed prints the one-line
+# `go test -run` repro. The last subtest flips one byte of that journal on purpose and
 # passes only if the gate trips, proving a campaign can fail.
 go test -race -count=1 -run TestRunCampaign ./internal/faultplan

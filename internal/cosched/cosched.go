@@ -178,10 +178,12 @@ func (c Config) EffectiveMaxHeldFraction() float64 {
 }
 
 // Peer is the lightweight coordination protocol one resource manager speaks
-// to another. Implementations: resmgr.Manager (direct, in-process) and
-// proto.Client (length-prefixed JSON over a net.Conn). Every method's error
-// return maps to StatusUnknown semantics at the call site: the algorithm is
-// fault-tolerant and starts jobs normally when a peer cannot be reached.
+// to another. Implementations: resmgr.Manager, which answers it (a direct,
+// in-process peer), and proto.Caller, which speaks it as requests over any
+// proto.Exchanger — a wire client, a resilient peerlink.Link, a fault
+// injector. Every method's error return maps to StatusUnknown semantics at
+// the call site: the algorithm is fault-tolerant and starts jobs normally
+// when a peer cannot be reached.
 type Peer interface {
 	// PeerName returns the remote domain's name.
 	PeerName() string
@@ -240,8 +242,8 @@ type MateProbe struct {
 // three. The answers equal those of the three calls made at the same
 // instant (nothing can change the remote state between them in a
 // simulation; between live daemons one snapshot under the remote lock is
-// the more consistent of the two). Implemented by resmgr.Manager,
-// proto.Client/Server, peerlink.Link and proto.FaultInjector; callers go
+// the more consistent of the two). Implemented by resmgr.Manager and
+// proto.Caller (proto.Server answers a probe_mate for any Peer); callers go
 // through ProbeMate, which serves plain Peers too.
 type Prober interface {
 	ProbeMate(id job.ID) (MateProbe, error)
@@ -294,9 +296,9 @@ type MateView struct {
 // knows the job is released back to the queue (it re-enters Run_Job), a
 // hold whose mate is already running adopts the mate's start instant, and
 // a hold facing a mate that also holds is co-started now by the caller.
-// Implemented by resmgr.Manager, proto.Client/Server, and peerlink.Link;
-// discovered by type assertion so plain Peer implementations (tests,
-// older tools) remain valid.
+// Implemented by resmgr.Manager and proto.Caller; discovered by type
+// assertion so plain Peer implementations (tests, older tools) remain
+// valid.
 type Reconciler interface {
 	// ReconcileMates reports the caller's views of every pair shared with
 	// this domain (from is the caller's domain name) and returns this

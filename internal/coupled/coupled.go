@@ -181,20 +181,18 @@ func New(opt Options) (*Sim, error) {
 		s.traces[dc.Name] = dc.Trace
 	}
 
-	// Wire every domain to every other.
+	// Wire every domain to every other; the n-th directed link's fault
+	// injector (if any) is seeded FaultSeed+n.
 	seed := opt.FaultSeed
 	for _, a := range s.order {
 		for _, b := range s.order {
 			if a == b {
 				continue
 			}
-			peer, err := makePeer(s.managers[b], opt.UseWireProtocol)
+			seed++
+			peer, err := makePeer(s.managers[b], opt, seed)
 			if err != nil {
 				return nil, err
-			}
-			if opt.FaultRate > 0 {
-				seed++
-				peer = proto.NewFaultInjector(peer, opt.FaultRate, seed)
 			}
 			s.managers[a].AddPeer(b, peer)
 		}
@@ -257,19 +255,29 @@ func sortedBySubmit(tr []*job.Job) bool {
 	return true
 }
 
-// makePeer wires a direct or wire-protocol peer for manager m. The wire
-// peer is a proto.Client on the in-process conn of a proto.Server around m:
-// no goroutine, no lock (the call runs on the engine's goroutine) and nothing
-// to close when the simulation is dropped.
-func makePeer(m *resmgr.Manager, wire bool) (cosched.Peer, error) {
-	if !wire {
+// makePeer wires the peer through which a domain calls manager m: m itself
+// when the wiring is direct and fault-free, otherwise one proto.Exchanger
+// chain — m → proto.Server → [proto.Client on the server's in-process conn,
+// with UseWireProtocol] → [proto.FaultInjector, with FaultRate] — spoken
+// through a proto.Caller. No goroutine, no lock (every call runs on the
+// engine's goroutine) and nothing to close when the simulation is dropped.
+func makePeer(m *resmgr.Manager, opt Options, seed uint64) (cosched.Peer, error) {
+	if !opt.UseWireProtocol && opt.FaultRate <= 0 {
 		return m, nil
 	}
-	client := proto.NewClient(proto.NewServer(m, nil, nil).InProcessConn(), 0)
-	if _, err := client.Ping(); err != nil {
-		return nil, fmt.Errorf("coupled: wire peer ping: %w", err)
+	srv := proto.NewServer(m, nil, nil)
+	var ex proto.Exchanger = srv
+	if opt.UseWireProtocol {
+		client := proto.NewClient(srv.InProcessConn(), 0)
+		if _, err := client.Ping(); err != nil {
+			return nil, fmt.Errorf("coupled: wire peer ping: %w", err)
+		}
+		ex = client
 	}
-	return client, nil
+	if opt.FaultRate > 0 {
+		ex = proto.NewFaultInjector(ex, opt.FaultRate, seed)
+	}
+	return proto.Caller{Exchanger: ex}, nil
 }
 
 // Engine exposes the shared engine (for tests that co-schedule extra

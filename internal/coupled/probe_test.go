@@ -117,9 +117,11 @@ func runProbeScenario(t *testing.T, sc probeScenario, wiring string) string {
 				if _, isProber := peer.(cosched.Prober); isProber {
 					t.Fatal("plainPeer exposes cosched.Prober; the fallback would not run")
 				}
+				seed++
 				if sc.faultRate > 0 {
-					seed++
-					peer = proto.NewFaultInjector(peer, sc.faultRate, seed)
+					// As New wires a faulted direct peer: the injector wraps
+					// the dispatch of a proto.Server around it.
+					peer = proto.NewFaultInjector(proto.NewServer(peer, nil, nil), sc.faultRate, seed)
 				}
 				s.managers[a].AddPeer(b, peer)
 			}
@@ -140,8 +142,9 @@ func runProbeScenario(t *testing.T, sc probeScenario, wiring string) string {
 // wrapper (the three-call composition in cosched.ProbeMate) and over the
 // wire protocol (probe_mate frames), and requires byte-identical event logs
 // and Results: the combined probe is exact, not approximate. The faulted
-// cell holds too because a FaultInjector draws once per probe whichever way
-// the answer is then gathered.
+// cell holds too because a FaultInjector draws once per exchange, and a
+// probe_mate is one exchange whichever way the server behind it then
+// gathers the answer.
 func TestProbeDifferential(t *testing.T) {
 	for _, sc := range probeScenarios() {
 		sc := sc

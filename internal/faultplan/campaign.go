@@ -127,13 +127,15 @@ func RunCampaign(plan *Plan, corrupt bool) (fired map[Seam]int, failures []strin
 		mgrB.SetHoldBudget(campHoldCap)
 	}
 
-	// Replace the direct peer wiring with script-driven injectors: dir 0 is
-	// a→b, dir 1 is b→a. Rate 0 means every drop, duplicate, delay, and
-	// partition comes from the plan alone.
+	// Replace the direct peer wiring with script-driven injectors over each
+	// manager's proto.Server (the dispatch a wire peer's server runs): dir 0
+	// is a→b, dir 1 is b→a. Rate 0 means every duplicate, delay and
+	// partition comes from the plan alone. No dropper is wired — there is no
+	// connection to cut — so a scheduled drop is never performed.
 	scriptAB := NewPeerScript(plan, 0)
 	scriptBA := NewPeerScript(plan, 1)
-	ia := proto.NewFaultInjector(mgrB, 0, 1).WithScript(scriptAB)
-	ib := proto.NewFaultInjector(mgrA, 0, 2).WithScript(scriptBA)
+	ia := proto.NewFaultInjector(proto.NewServer(mgrB, nil, nil), 0, 1).WithScript(scriptAB)
+	ib := proto.NewFaultInjector(proto.NewServer(mgrA, nil, nil), 0, 2).WithScript(scriptBA)
 	mgrA.AddPeer(campDomB, ia)
 	mgrB.AddPeer(campDomA, ib)
 
@@ -155,18 +157,22 @@ func RunCampaign(plan *Plan, corrupt bool) (fired map[Seam]int, failures []strin
 
 	res := s.Run()
 	fired[SeamJournal] = len(ffs.Fired())
+	// Per-call faults count as the injectors performed them; windowed ones
+	// (ramps, partitions) once each, as the scripts issued them.
 	fired[SeamPeerlink] = len(scriptAB.Fired()) + len(scriptBA.Fired())
+	for _, inj := range []*proto.FaultInjector{ia, ib} {
+		fired[SeamPeerlink] += inj.Dropped() + inj.Duplicated()
+	}
 
 	// Gate: chaos may delay or un-coordinate work, never wedge it.
 	if res.StuckJobs > 0 || res.Deadlocked {
 		fail("coupled run stuck: %d/%d jobs never finished (horizon hit: %v)",
 			res.StuckJobs, res.TotalJobs, res.HitHorizon)
 	}
-	// Gate: every co-start violation must be explained by a failed or
-	// dropped coordination call; a fault-free wire means zero violations.
-	dropA, _, failA, _ := scriptAB.Stats()
-	dropB, _, failB, _ := scriptBA.Stats()
-	badCalls := dropA + failA + dropB + failB
+	// Gate: every co-start violation must be explained by a coordination
+	// call the injectors failed or dropped; a fault-free wire means zero
+	// violations.
+	badCalls := ia.Failed() + ia.Dropped() + ib.Failed() + ib.Dropped()
 	if badCalls == 0 && res.CoStartViolations != 0 {
 		fail("%d co-start violation(s) with zero injected coordination failures", res.CoStartViolations)
 	}

@@ -14,9 +14,10 @@ import (
 // prints the command). Each seed's plan must be a pure function of the
 // seed, every campaign must pass its gates, and across the seeds both seams
 // must actually fire; seeds 1 and 2 run twice and must fire the same faults
-// on replay. Then the deterministic must-fail path: one flipped journal
-// byte has to trip the clean-filesystem gate, proving a campaign can
-// actually fail.
+// on replay. A plan of nothing but drops reports no peerlink fault fired,
+// since nothing performs them. Then the deterministic must-fail path: one
+// flipped journal byte has to trip the clean-filesystem gate, proving a
+// campaign can actually fail.
 func TestRunCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a campaign is a full coupled simulation with two journals on disk")
@@ -56,6 +57,37 @@ func TestRunCampaign(t *testing.T) {
 			t.Errorf("no %s fault fired in 25 campaigns; the seam exercised nothing", seam)
 		}
 	}
+	t.Run("scheduled drops are not performed", func(t *testing.T) {
+		// The campaign wires no dropper — its peers have no connection to
+		// cut — so a drop directive changes nothing and must neither count as
+		// an injected fault nor budget a co-start violation. Seven of seed
+		// 14's scheduled drops land on calls the campaign makes; with the
+		// other peerlink faults removed, that seam fires nothing.
+		plan := faultplan.New(14, prof)
+		var faults []faultplan.Fault
+		drops := 0
+		for _, f := range plan.Faults {
+			switch {
+			case f.Kind == faultplan.KindDrop:
+				drops++
+			case f.Seam == faultplan.SeamPeerlink:
+				continue
+			}
+			faults = append(faults, f)
+		}
+		if drops == 0 {
+			t.Fatalf("seed 14 schedules no drop:\n  %s", plan)
+		}
+		plan.Faults = faults
+		fired, failures := faultplan.RunCampaign(plan, false)
+		if len(failures) > 0 {
+			t.Errorf("campaign failed its gates:\n  %s", strings.Join(failures, "\n  "))
+		}
+		if fired[faultplan.SeamPeerlink] != 0 {
+			t.Fatalf("%d scheduled drop(s) and no other peerlink fault: %d peerlink fault(s) reported fired, want 0 — no harness wires a dropper",
+				drops, fired[faultplan.SeamPeerlink])
+		}
+	})
 	t.Run("flipped byte must fail", func(t *testing.T) {
 		_, failures := faultplan.RunCampaign(faultplan.New(1, prof), true)
 		if len(failures) != 1 || !strings.Contains(failures[0], "journal b torn") {

@@ -64,7 +64,9 @@ const (
 	// Peerlink seam: At counts intercepted calls on one direction's
 	// injector (Dir selects the direction), except KindRestart.
 
-	// KindDrop cuts the connection under the At-th call.
+	// KindDrop cuts the connection under the At-th call, through the
+	// injector's dropper. RunCampaign's peers have no connection and its
+	// injectors no dropper, so there a drop is scheduled and not performed.
 	KindDrop Kind = "drop"
 	// KindDup delivers the At-th call twice; the duplicate's response is
 	// discarded, modeling at-least-once delivery.

@@ -13,28 +13,24 @@ import (
 // a virtual-clock harness is deterministic, so the same plan always hits
 // the same calls.
 type PeerScript struct {
-	mu      sync.Mutex
-	n       int
-	drops   map[int]Fault
-	dups    map[int]Fault
-	ramps   []Fault // windowed: sorted by At
-	parts   []Fault // windowed: sorted by At
-	fired   []Fault
-	dropped int
-	dupped  int
-	failed  int
-	delayed int
+	mu    sync.Mutex
+	n     int
+	drops map[int]bool
+	dups  map[int]bool
+	ramps []Fault // windowed: sorted by At
+	parts []Fault // windowed: sorted by At
+	fired []Fault
 }
 
 // NewPeerScript builds the script for direction dir of plan.
 func NewPeerScript(plan *Plan, dir int) *PeerScript {
-	s := &PeerScript{drops: map[int]Fault{}, dups: map[int]Fault{}}
+	s := &PeerScript{drops: map[int]bool{}, dups: map[int]bool{}}
 	for _, f := range plan.Peer(dir) {
 		switch f.Kind {
 		case KindDrop:
-			s.drops[f.At] = f
+			s.drops[f.At] = true
 		case KindDup:
-			s.dups[f.At] = f
+			s.dups[f.At] = true
 		case KindLatencyRamp:
 			s.ramps = append(s.ramps, f)
 		case KindPartition:
@@ -51,24 +47,13 @@ func (s *PeerScript) NextCall() proto.CallDirective {
 	defer s.mu.Unlock()
 	i := s.n
 	s.n++
-	var d proto.CallDirective
-	if f, ok := s.drops[i]; ok {
-		d.Drop = true
-		s.dropped++
-		s.fired = append(s.fired, f)
-	}
-	if f, ok := s.dups[i]; ok {
-		d.Duplicate = true
-		s.dupped++
-		s.fired = append(s.fired, f)
-	}
+	d := proto.CallDirective{Drop: s.drops[i], Duplicate: s.dups[i]}
 	for _, f := range s.ramps {
 		if i >= f.At && i < f.At+f.Len {
 			// Linear ramp: the link degrades across the window, from
 			// near-zero to Arg microseconds at the top.
 			frac := float64(i-f.At+1) / float64(f.Len)
 			d.Delay = time.Duration(frac*float64(f.Arg)) * time.Microsecond
-			s.delayed++
 			if i == f.At {
 				s.fired = append(s.fired, f)
 			}
@@ -77,7 +62,6 @@ func (s *PeerScript) NextCall() proto.CallDirective {
 	for _, f := range s.parts {
 		if i >= f.At && i < f.At+f.Len {
 			d.Fail = true
-			s.failed++
 			if i == f.At {
 				s.fired = append(s.fired, f)
 			}
@@ -86,29 +70,15 @@ func (s *PeerScript) NextCall() proto.CallDirective {
 	return d
 }
 
-// Fired returns the faults that actually triggered (windowed faults count
-// once, at their first covered call).
+// Fired returns the windowed faults (latency ramps, partitions) that
+// covered at least one call, each once. A drop or duplicate is only a
+// directive: the injector may not perform it (a drop needs a dropper, and a
+// failed call is never delivered twice), so FaultInjector.Dropped and
+// Duplicated count those.
 func (s *PeerScript) Fired() []Fault {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Fault(nil), s.fired...)
-}
-
-// Stats returns how many calls were dropped, duplicated, failed
-// (partition), and delayed (ramp), in that order.
-func (s *PeerScript) Stats() (dropped, dupped, failed, delayed int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped, s.dupped, s.failed, s.delayed
-}
-
-// Partitioned reports whether any partition window overlapped a call that
-// actually happened — the faults whose errors Algorithm 1 is allowed to
-// answer with an unpaired fallback start.
-func (s *PeerScript) Partitioned() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed > 0
 }
 
 var _ proto.CallScript = (*PeerScript)(nil)

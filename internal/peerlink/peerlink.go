@@ -1,8 +1,10 @@
 // Package peerlink maintains a resilient connection to one remote
-// coscheduling domain: a self-healing cosched.Peer that wraps the wire
+// coscheduling domain: a self-healing proto.Exchanger that wraps the wire
 // client (internal/proto) with lazy dialing, exponential backoff between
 // redials, a circuit breaker, per-call deadline budgets, and transport/
-// remote error classification.
+// remote error classification. A Link speaks the typed peer vocabulary
+// (cosched.Peer and its extensions) through its embedded proto.Caller, so a
+// live daemon hands it to its manager as the peer.
 //
 // The design target is Algorithm 1's fault-tolerance rule ("status
 // unknown ⇒ start normally"), which only degrades *gracefully* if a dead
@@ -21,7 +23,8 @@
 // desynced) and counts toward the breaker. Transport failures that
 // provably died before the request left this host (dial/deadline/write
 // stage) are retried once on a fresh connection within the call's budget;
-// ambiguous read-stage failures are retried only for idempotent queries.
+// ambiguous read-stage failures are retried only for the methods
+// proto.Idempotent names.
 //
 // The breaker state machine:
 //
@@ -39,9 +42,10 @@
 // jitter factor in [0.5, 1), and calls arriving inside the gate fail
 // instantly.
 //
-// Wall-clock reads are confined to Link.now; simulations wire peers
-// directly (or over net.Pipe with an injected clock) and never pace
-// against real time.
+// Wall-clock reads are confined to Link.now, which Config.Now overrides: a
+// Link is the live daemons' transport, and a test that runs one under a
+// simulation injects the engine's virtual clock. (Simulations themselves
+// call their peers through proto.Server.InProcessConn and use no Link.)
 package peerlink
 
 import (
@@ -51,10 +55,7 @@ import (
 	"sync"
 	"time"
 
-	"cosched/internal/cosched"
-	"cosched/internal/job"
 	"cosched/internal/proto"
-	"cosched/internal/sim"
 )
 
 // State is the circuit-breaker state of a Link.
@@ -83,17 +84,11 @@ func (s State) String() string {
 	}
 }
 
-// Transport is the connection a Link manages: the wire client
-// (proto.Client) in production, or a scriptable fake in tests. It carries
-// the full protocol including the co-start-instant, probe and
-// reconciliation extensions (proto.Client implements all three; fakes must
-// too).
+// Transport is the connection a Link manages: an Exchanger it can close —
+// the wire client (proto.Client) in production, or a one-method fake in
+// tests. The whole protocol, extensions included, crosses it as requests.
 type Transport interface {
-	cosched.Peer
-	cosched.CoStarter
-	cosched.Prober
-	cosched.Reconciler
-	Ping() (string, error)
+	proto.Exchanger
 	Close() error
 }
 
@@ -160,11 +155,12 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Link is a resilient cosched.Peer over one remote domain. Safe for
-// concurrent use: the live daemon calls it from the scheduler (under the
-// driver lock), the status server snapshots it from HTTP goroutines, and
-// tests probe it directly.
+// Link is a resilient proto.Exchanger over one remote domain, and a
+// cosched.Peer through its Caller. Safe for concurrent use: the live daemon
+// calls it from the scheduler (under the driver lock), the status server
+// snapshots it from HTTP goroutines, and tests probe it directly.
 type Link struct {
+	proto.Caller
 	cfg Config
 
 	mu     sync.Mutex
@@ -222,7 +218,9 @@ func New(cfg Config) *Link {
 	if cfg.MinHealthy == 0 {
 		cfg.MinHealthy = time.Second
 	}
-	return &Link{cfg: cfg, rng: cfg.Seed}
+	l := &Link{cfg: cfg, rng: cfg.Seed}
+	l.Caller = proto.Caller{Exchanger: l}
+	return l
 }
 
 // now reads the link's clock.
@@ -475,8 +473,11 @@ func (l *Link) retryAllowed(err error, idempotent bool, deadline time.Time) bool
 	return closed && l.now().Before(deadline)
 }
 
-// do runs one peer call through the full failure machinery.
-func (l *Link) do(idempotent bool, fn func(t Transport) error) error {
+// Exchange implements proto.Exchanger: one request through the full
+// failure machinery — acquire a connection (or fail fast), send, and on a
+// transport failure retry once on a fresh connection when
+// proto.Idempotent(req.Method) or the failure stage says it is safe.
+func (l *Link) Exchange(req proto.Request) (proto.Response, error) {
 	l.mu.Lock()
 	l.calls++
 	l.mu.Unlock()
@@ -484,37 +485,35 @@ func (l *Link) do(idempotent bool, fn func(t Transport) error) error {
 
 	t, gen, err := l.acquire()
 	if err != nil {
-		return err
+		return proto.Response{}, err
 	}
-	if err := fn(t); err != nil {
-		if proto.IsRemote(err) {
-			l.noteRemote()
-			return err
-		}
-		l.discard(t, gen, err)
-		if !l.retryAllowed(err, idempotent, deadline) {
-			return err
-		}
-		t2, gen2, err2 := l.acquire()
-		if err2 != nil {
-			return err // the first attempt's error is the informative one
-		}
-		l.mu.Lock()
-		l.retries++
-		l.mu.Unlock()
-		if err3 := fn(t2); err3 != nil {
-			if proto.IsRemote(err3) {
-				l.noteRemote()
-				return err3
-			}
-			l.discard(t2, gen2, err3)
-			return err3
-		}
+	resp, err := l.attempt(t, gen, req)
+	if err == nil || proto.IsRemote(err) || !l.retryAllowed(err, proto.Idempotent(req.Method), deadline) {
+		return resp, err
+	}
+	t, gen, err2 := l.acquire()
+	if err2 != nil {
+		return resp, err // the first attempt's error is the informative one
+	}
+	l.mu.Lock()
+	l.retries++
+	l.mu.Unlock()
+	return l.attempt(t, gen, req)
+}
+
+// attempt sends req once on t and books the outcome: a success or a remote
+// refusal proves the connection healthy; a transport failure retires it.
+func (l *Link) attempt(t Transport, gen uint64, req proto.Request) (proto.Response, error) {
+	resp, err := t.Exchange(req)
+	switch {
+	case err == nil:
 		l.onSuccess()
-		return nil
+	case proto.IsRemote(err):
+		l.noteRemote()
+	default:
+		l.discard(t, gen, err)
 	}
-	l.onSuccess()
-	return nil
+	return resp, err
 }
 
 // BreakConn force-closes the current connection without recording a
@@ -557,134 +556,14 @@ func (l *Link) State() State {
 	return l.state
 }
 
-// Probe issues one Ping through the link's full failure machinery — the
+// Probe issues one ping through the link's full failure machinery — the
 // way an operator (or a test) drives a tripped breaker through its
 // half-open probe without waiting for scheduler traffic.
 func (l *Link) Probe() error {
-	return l.do(true, func(t Transport) error {
-		_, err := t.Ping()
-		return err
-	})
+	_, err := l.Exchange(proto.Request{Method: proto.MethodPing})
+	return err
 }
 
-var _ cosched.Peer = (*Link)(nil)
-
-// PeerName implements cosched.Peer from configuration — never the network.
+// PeerName implements proto.Exchanger from configuration — never the
+// network.
 func (l *Link) PeerName() string { return l.cfg.Name }
-
-// GetMateJob implements cosched.Peer.
-func (l *Link) GetMateJob(id job.ID) (bool, error) {
-	var known bool
-	err := l.do(true, func(t Transport) error {
-		k, err := t.GetMateJob(id)
-		if err == nil {
-			known = k
-		}
-		return err
-	})
-	return known, err
-}
-
-// GetMateStatus implements cosched.Peer.
-func (l *Link) GetMateStatus(id job.ID) (cosched.MateStatus, error) {
-	st := cosched.StatusUnknown
-	err := l.do(true, func(t Transport) error {
-		s, err := t.GetMateStatus(id)
-		if err == nil {
-			st = s
-		}
-		return err
-	})
-	return st, err
-}
-
-// CanStartMate implements cosched.Peer.
-func (l *Link) CanStartMate(id job.ID) (bool, error) {
-	var ok bool
-	err := l.do(true, func(t Transport) error {
-		o, err := t.CanStartMate(id)
-		if err == nil {
-			ok = o
-		}
-		return err
-	})
-	return ok, err
-}
-
-// TryStartMate implements cosched.Peer. Not idempotent: a read-stage
-// failure is never retried (the mate may already be starting).
-func (l *Link) TryStartMate(id job.ID) (bool, error) {
-	var ok bool
-	err := l.do(false, func(t Transport) error {
-		o, err := t.TryStartMate(id)
-		if err == nil {
-			ok = o
-		}
-		return err
-	})
-	return ok, err
-}
-
-// StartMate implements cosched.Peer. Not idempotent (see TryStartMate).
-func (l *Link) StartMate(id job.ID) error {
-	return l.do(false, func(t Transport) error {
-		return t.StartMate(id)
-	})
-}
-
-var (
-	_ cosched.CoStarter  = (*Link)(nil)
-	_ cosched.Prober     = (*Link)(nil)
-	_ cosched.Reconciler = (*Link)(nil)
-)
-
-// ProbeMate implements cosched.Prober. A pure query, so idempotent: an
-// ambiguous read-stage failure may retry on a fresh connection.
-func (l *Link) ProbeMate(id job.ID) (cosched.MateProbe, error) {
-	var probe cosched.MateProbe
-	err := l.do(true, func(t Transport) error {
-		p, err := t.ProbeMate(id)
-		if err == nil {
-			probe = p
-		}
-		return err
-	})
-	return probe, err
-}
-
-// TryStartMateAt implements cosched.CoStarter. Not idempotent (see
-// TryStartMate).
-func (l *Link) TryStartMateAt(id job.ID, at sim.Time) (bool, error) {
-	var ok bool
-	err := l.do(false, func(t Transport) error {
-		o, err := t.TryStartMateAt(id, at)
-		if err == nil {
-			ok = o
-		}
-		return err
-	})
-	return ok, err
-}
-
-// StartMateAt implements cosched.CoStarter. Not idempotent.
-func (l *Link) StartMateAt(id job.ID, at sim.Time) error {
-	return l.do(false, func(t Transport) error {
-		return t.StartMateAt(id, at)
-	})
-}
-
-// ReconcileMates implements cosched.Reconciler. Idempotent by the
-// handshake's design (every resolution action converges and repeats as a
-// no-op), so an ambiguous read-stage failure may retry on a fresh
-// connection like any query.
-func (l *Link) ReconcileMates(from string, views []cosched.MateView) ([]cosched.MateView, error) {
-	var out []cosched.MateView
-	err := l.do(true, func(t Transport) error {
-		o, err := t.ReconcileMates(from, views)
-		if err == nil {
-			out = o
-		}
-		return err
-	})
-	return out, err
-}

@@ -11,33 +11,28 @@ import (
 	"cosched/internal/job"
 	"cosched/internal/peerlink"
 	"cosched/internal/proto"
-	"cosched/internal/sim"
 )
 
-// fakeConn is a scriptable Transport: fail decides each round trip's fate.
+// fakeConn is a scriptable Transport: fail decides each exchange's fate;
+// otherwise it answers as a healthy peer whose mate is queuing and
+// startable.
 type fakeConn struct {
 	id   int
 	fail func(c *fakeConn, method string) error
 
 	mu     sync.Mutex
-	calls  int
 	closed bool
 }
 
-func (c *fakeConn) roundTrip(method string) error {
-	c.mu.Lock()
-	c.calls++
-	c.mu.Unlock()
-	if c.fail != nil {
-		return c.fail(c, method)
-	}
-	return nil
-}
+func (c *fakeConn) PeerName() string { return "fake" }
 
-func (c *fakeConn) Calls() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.calls
+func (c *fakeConn) Exchange(req proto.Request) (proto.Response, error) {
+	if c.fail != nil {
+		if err := c.fail(c, req.Method); err != nil {
+			return proto.Response{}, err
+		}
+	}
+	return proto.Response{Domain: "fake", Known: true, Status: cosched.StatusQueuing.String(), OK: true}, nil
 }
 
 func (c *fakeConn) Closed() bool {
@@ -51,52 +46,6 @@ func (c *fakeConn) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	return nil
-}
-
-func (c *fakeConn) Ping() (string, error) { return "fake", c.roundTrip(proto.MethodPing) }
-func (c *fakeConn) PeerName() string      { return "fake" }
-
-func (c *fakeConn) GetMateJob(id job.ID) (bool, error) {
-	return true, c.roundTrip(proto.MethodGetMateJob)
-}
-
-func (c *fakeConn) GetMateStatus(id job.ID) (cosched.MateStatus, error) {
-	if err := c.roundTrip(proto.MethodGetMateStatus); err != nil {
-		return cosched.StatusUnknown, err
-	}
-	return cosched.StatusQueuing, nil
-}
-
-func (c *fakeConn) CanStartMate(id job.ID) (bool, error) {
-	return true, c.roundTrip(proto.MethodCanStartMate)
-}
-
-func (c *fakeConn) ProbeMate(id job.ID) (cosched.MateProbe, error) {
-	if err := c.roundTrip(proto.MethodProbeMate); err != nil {
-		return cosched.MateProbe{}, err
-	}
-	return cosched.MateProbe{Known: true, Status: cosched.StatusQueuing, CanStart: true}, nil
-}
-
-func (c *fakeConn) TryStartMate(id job.ID) (bool, error) {
-	return true, c.roundTrip(proto.MethodTryStartMate)
-}
-
-func (c *fakeConn) StartMate(id job.ID) error { return c.roundTrip(proto.MethodStartMate) }
-
-func (c *fakeConn) TryStartMateAt(id job.ID, at sim.Time) (bool, error) {
-	return true, c.roundTrip(proto.MethodTryStartMate)
-}
-
-func (c *fakeConn) StartMateAt(id job.ID, at sim.Time) error {
-	return c.roundTrip(proto.MethodStartMate)
-}
-
-func (c *fakeConn) ReconcileMates(from string, views []cosched.MateView) ([]cosched.MateView, error) {
-	if err := c.roundTrip(proto.MethodReconcile); err != nil {
-		return nil, err
-	}
-	return nil, nil
 }
 
 // harness provides a fake clock and a scriptable dialer.
@@ -390,57 +339,6 @@ func TestWriteStageFailureRetriesOnFreshConn(t *testing.T) {
 	}
 	if l.State() != peerlink.Closed {
 		t.Fatalf("state = %v", l.State())
-	}
-}
-
-func TestReadStageFailureNotRetriedForNonIdempotentCalls(t *testing.T) {
-	h := newHarness()
-	h.onConn = func(c *fakeConn, method string) error {
-		if c.id == 1 {
-			return &proto.TransportError{Method: method, Stage: proto.StageRead,
-				Err: errors.New("i/o timeout")}
-		}
-		return nil
-	}
-	l := newTestLink(h, nil)
-	// TryStartMate's request may have reached the peer: no retry.
-	if _, err := l.TryStartMate(5); err == nil {
-		t.Fatal("ambiguous TryStartMate was retried to success")
-	}
-	if h.dialCount() != 1 {
-		t.Fatalf("dials = %d, want 1 (no retry dial)", h.dialCount())
-	}
-	if snap := l.Snapshot(); snap.Retries != 0 {
-		t.Fatalf("retries = %d, want 0", snap.Retries)
-	}
-
-	// An idempotent query IS retried through the same ambiguity: on a fresh
-	// link, conn 1 read-fails, the retry dials conn 2 and succeeds.
-	h2 := newHarness()
-	h2.onConn = h.onConn
-	l2 := newTestLink(h2, func(c *peerlink.Config) { c.Dial = h2.dial; c.Now = h2.now })
-	st, err := l2.GetMateStatus(7)
-	if err != nil || st != cosched.StatusQueuing {
-		t.Fatalf("GetMateStatus = %v, %v (want retried success)", st, err)
-	}
-	if h2.dialCount() != 2 {
-		t.Fatalf("dials = %d, want 2", h2.dialCount())
-	}
-	if snap := l2.Snapshot(); snap.Retries != 1 {
-		t.Fatalf("retries = %d, want 1", snap.Retries)
-	}
-
-	// ProbeMate is a pure query too: same ambiguity, same retry, and the
-	// retried answer is the one returned.
-	h3 := newHarness()
-	h3.onConn = h.onConn
-	l3 := newTestLink(h3, func(c *peerlink.Config) { c.Dial = h3.dial; c.Now = h3.now })
-	probe, err := l3.ProbeMate(7)
-	if want := (cosched.MateProbe{Known: true, Status: cosched.StatusQueuing, CanStart: true}); err != nil || probe != want {
-		t.Fatalf("ProbeMate = %+v, %v (want retried %+v)", probe, err, want)
-	}
-	if snap := l3.Snapshot(); h3.dialCount() != 2 || snap.Retries != 1 {
-		t.Fatalf("dials = %d, retries = %d, want 2 and 1", h3.dialCount(), snap.Retries)
 	}
 }
 

@@ -5,15 +5,12 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"cosched/internal/cosched"
-	"cosched/internal/job"
-	"cosched/internal/sim"
 )
 
-// Client implements cosched.Peer over a single connection. Calls are
-// serialized (one outstanding request at a time), matching the synchronous
-// structure of Algorithm 1. Safe for concurrent use.
+// Client is the Exchanger over a single connection, and speaks the typed
+// vocabulary through its Caller. Calls are serialized (one outstanding
+// request at a time), matching the synchronous structure of Algorithm 1.
+// Safe for concurrent use.
 //
 // A Client is single-use with respect to transport failures: after any
 // read/write/deadline error the connection may hold a stale, half-read, or
@@ -24,12 +21,13 @@ import (
 // "sequence mismatch" against the previous call's late answer. Callers
 // that want to survive transport failures redial (see internal/peerlink).
 type Client struct {
+	Caller
 	mu      sync.Mutex
 	conn    net.Conn
 	frames  *FrameReader // buffered reads of conn
 	seq     uint64
 	timeout time.Duration
-	domain  string // learned from Ping; "" until then
+	domain  string // learned from the last ping; "" until then
 	broken  bool
 }
 
@@ -37,7 +35,9 @@ type Client struct {
 // deadline (a Server.InProcessConn never blocks; a net.Pipe inside a
 // single-threaded test has nothing to time out against).
 func NewClient(conn net.Conn, timeout time.Duration) *Client {
-	return &Client{conn: conn, frames: NewFrameReader(conn), timeout: timeout}
+	c := &Client{conn: conn, frames: NewFrameReader(conn), timeout: timeout}
+	c.Caller = Caller{c}
+	return c
 }
 
 // Dial connects to a coscheduling daemon over TCP. timeout bounds both the
@@ -81,8 +81,8 @@ func (c *Client) breakLocked(method, stage string, err error) error {
 	return &TransportError{Method: method, Stage: stage, Err: err}
 }
 
-// call performs one round trip.
-func (c *Client) call(req Request) (Response, error) {
+// Exchange implements Exchanger: one round trip on the connection.
+func (c *Client) Exchange(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken {
@@ -118,114 +118,22 @@ func (c *Client) call(req Request) (Response, error) {
 	if resp.Error != "" {
 		return resp, &RemoteError{Method: req.Method, Msg: resp.Error}
 	}
+	if req.Method == MethodPing {
+		c.domain = resp.Domain
+	}
 	return resp, nil
 }
 
 // Ping checks liveness and returns the remote domain name.
 func (c *Client) Ping() (string, error) {
-	resp, err := c.call(Request{Method: MethodPing})
-	if err != nil {
-		return "", err
-	}
-	c.mu.Lock()
-	c.domain = resp.Domain
-	c.mu.Unlock()
-	return resp.Domain, nil
+	resp, err := c.Exchange(Request{Method: MethodPing})
+	return resp.Domain, err
 }
 
-var _ cosched.Peer = (*Client)(nil)
-
-// PeerName implements cosched.Peer; it returns the domain learned from the
-// last Ping (Dial pings automatically).
+// PeerName implements Exchanger; it returns the domain learned from the
+// last ping exchanged (Dial pings automatically).
 func (c *Client) PeerName() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.domain
-}
-
-// GetMateJob implements cosched.Peer.
-func (c *Client) GetMateJob(id job.ID) (bool, error) {
-	resp, err := c.call(Request{Method: MethodGetMateJob, JobID: id})
-	if err != nil {
-		return false, err
-	}
-	return resp.Known, nil
-}
-
-// GetMateStatus implements cosched.Peer.
-func (c *Client) GetMateStatus(id job.ID) (cosched.MateStatus, error) {
-	resp, err := c.call(Request{Method: MethodGetMateStatus, JobID: id})
-	if err != nil {
-		return cosched.StatusUnknown, err
-	}
-	return cosched.ParseMateStatus(resp.Status)
-}
-
-// CanStartMate implements cosched.Peer.
-func (c *Client) CanStartMate(id job.ID) (bool, error) {
-	resp, err := c.call(Request{Method: MethodCanStartMate, JobID: id})
-	if err != nil {
-		return false, err
-	}
-	return resp.OK, nil
-}
-
-// TryStartMate implements cosched.Peer.
-func (c *Client) TryStartMate(id job.ID) (bool, error) {
-	resp, err := c.call(Request{Method: MethodTryStartMate, JobID: id})
-	if err != nil {
-		return false, err
-	}
-	return resp.OK, nil
-}
-
-// StartMate implements cosched.Peer.
-func (c *Client) StartMate(id job.ID) error {
-	_, err := c.call(Request{Method: MethodStartMate, JobID: id})
-	return err
-}
-
-var (
-	_ cosched.CoStarter  = (*Client)(nil)
-	_ cosched.Prober     = (*Client)(nil)
-	_ cosched.Reconciler = (*Client)(nil)
-)
-
-// ProbeMate implements cosched.Prober: one round trip for the three
-// queries Run_Job makes about a mate.
-func (c *Client) ProbeMate(id job.ID) (cosched.MateProbe, error) {
-	resp, err := c.call(Request{Method: MethodProbeMate, JobID: id})
-	if err != nil {
-		return cosched.MateProbe{}, err
-	}
-	st, err := cosched.ParseMateStatus(resp.Status)
-	if err != nil {
-		return cosched.MateProbe{}, err
-	}
-	return cosched.MateProbe{Known: resp.Known, Status: st, CanStart: resp.OK}, nil
-}
-
-// TryStartMateAt implements cosched.CoStarter: TryStartMate carrying the
-// caller's proposed co-start instant.
-func (c *Client) TryStartMateAt(id job.ID, at sim.Time) (bool, error) {
-	resp, err := c.call(Request{Method: MethodTryStartMate, JobID: id, At: &at})
-	if err != nil {
-		return false, err
-	}
-	return resp.OK, nil
-}
-
-// StartMateAt implements cosched.CoStarter.
-func (c *Client) StartMateAt(id job.ID, at sim.Time) error {
-	_, err := c.call(Request{Method: MethodStartMate, JobID: id, At: &at})
-	return err
-}
-
-// ReconcileMates implements cosched.Reconciler over the wire.
-func (c *Client) ReconcileMates(from string, views []cosched.MateView) ([]cosched.MateView, error) {
-	resp, err := c.call(Request{Method: MethodReconcile, From: from, Views: ViewsToWire(views)})
-	if err != nil {
-		return nil, err
-	}
-	return ViewsFromWire(resp.Views)
 }

@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"cosched/internal/cosched"
-	"cosched/internal/job"
-	"cosched/internal/sim"
 )
 
 // ErrInjected is the error surfaced by a FaultInjector on a failed call.
@@ -39,12 +35,12 @@ type CallScript interface {
 	NextCall() CallDirective
 }
 
-// FaultInjector wraps a Peer and injects a deterministic, seeded stream of
-// chaos — the middleware used to exercise Algorithm 1's fault-tolerance
-// path ("status unknown ⇒ start normally") under partial failures, without
-// killing the peer entirely. Three independent modes compose per call, in
-// a fixed order so the stream stays reproducible (same seed and call
-// sequence ⇒ same chaos):
+// FaultInjector wraps an Exchanger and injects a deterministic, seeded
+// stream of chaos — the middleware used to exercise Algorithm 1's
+// fault-tolerance path ("status unknown ⇒ start normally") under partial
+// failures, without killing the peer entirely. Three independent modes
+// compose per call, in a fixed order so the stream stays reproducible (same
+// seed and call sequence ⇒ same chaos):
 //
 //  1. latency (WithLatency): sleep before forwarding, simulating a slow
 //     network — only meaningful on the live/wire path, where it exercises
@@ -55,6 +51,11 @@ type CallScript interface {
 //  3. injected failure (the NewFaultInjector rate): fail the call outright
 //     with ErrInjected.
 //
+// Whatever it wraps — a Client, a peerlink.Link, or a Server around a
+// manager the simulation calls directly — the draw happens once per request,
+// so a combined probe_mate costs one draw whichever way the answer is then
+// gathered. The typed vocabulary comes from the embedded Caller.
+//
 // A scheduled CallScript (WithScript) composes on top: its directive is
 // consulted first and merged with the probabilistic draws, which happen in
 // the same fixed order whether or not a script is present, so rate-only
@@ -64,7 +65,8 @@ type CallScript interface {
 // several goroutines. Configuration (WithLatency, WithDrops, WithScript)
 // must finish before the first call.
 type FaultInjector struct {
-	inner cosched.Peer
+	Caller
+	inner Exchanger
 	// rate is the failure probability per call, in [0, 1].
 	rate float64
 	// latencyRate/latency: injected-delay probability and duration.
@@ -91,8 +93,10 @@ type FaultInjector struct {
 
 // NewFaultInjector wraps inner, failing each call with the given
 // probability. Rates outside [0, 1] are clamped.
-func NewFaultInjector(inner cosched.Peer, rate float64, seed uint64) *FaultInjector {
-	return &FaultInjector{inner: inner, rate: clampRate(rate), state: seed}
+func NewFaultInjector(inner Exchanger, rate float64, seed uint64) *FaultInjector {
+	f := &FaultInjector{inner: inner, rate: clampRate(rate), state: seed}
+	f.Caller = Caller{f}
+	return f
 }
 
 func clampRate(r float64) float64 {
@@ -179,8 +183,8 @@ func (f *FaultInjector) next() float64 {
 }
 
 // outcome is intercept's decision for one call: an error to surface
-// without forwarding, or a duplicate-delivery flag the wrapper methods
-// honor after the first forward.
+// without forwarding, or a duplicate-delivery flag Exchange honors after the
+// first forward.
 type outcome struct {
 	err error
 	dup bool
@@ -226,7 +230,7 @@ func (f *FaultInjector) intercept() outcome {
 	}
 	f.mu.Unlock()
 	if d.Delay > 0 {
-		//simlint:allow R2 injected wire latency for the live chaos harness; the sim-pure harnesses configure no latency
+		//simlint:allow R2 injected wire latency is a real sleep by design: it exercises per-call deadline budgets on the live path, and the chaos campaign's scripted ramps (at most 150 µs a call) pace its simulation against the wall too
 		time.Sleep(d.Delay)
 	}
 	if drop {
@@ -235,153 +239,22 @@ func (f *FaultInjector) intercept() outcome {
 	return outcome{err: err, dup: dup}
 }
 
-var _ cosched.Peer = (*FaultInjector)(nil)
-
-// PeerName implements cosched.Peer.
+// PeerName implements Exchanger.
 func (f *FaultInjector) PeerName() string { return f.inner.PeerName() }
 
-// GetMateJob implements cosched.Peer.
-func (f *FaultInjector) GetMateJob(id job.ID) (bool, error) {
+// Exchange implements Exchanger: one chaos draw per request, then the
+// request is forwarded — and, on a Duplicate directive, forwarded again with
+// the repeat's answer discarded (at-least-once delivery: a state-changing
+// repeat must be absorbed, e.g. an already-running mate reports started
+// without re-starting, which is what the chaos campaign verifies).
+func (f *FaultInjector) Exchange(req Request) (Response, error) {
 	o := f.intercept()
 	if o.err != nil {
-		return false, o.err
+		return Response{}, o.err
 	}
-	known, err := f.inner.GetMateJob(id)
+	resp, err := f.inner.Exchange(req)
 	if o.dup {
-		f.inner.GetMateJob(id) // duplicate delivery: response discarded
+		f.inner.Exchange(req)
 	}
-	return known, err
-}
-
-// GetMateStatus implements cosched.Peer.
-func (f *FaultInjector) GetMateStatus(id job.ID) (cosched.MateStatus, error) {
-	o := f.intercept()
-	if o.err != nil {
-		return cosched.StatusUnknown, o.err
-	}
-	st, err := f.inner.GetMateStatus(id)
-	if o.dup {
-		f.inner.GetMateStatus(id) // duplicate delivery: response discarded
-	}
-	return st, err
-}
-
-// CanStartMate implements cosched.Peer.
-func (f *FaultInjector) CanStartMate(id job.ID) (bool, error) {
-	o := f.intercept()
-	if o.err != nil {
-		return false, o.err
-	}
-	ok, err := f.inner.CanStartMate(id)
-	if o.dup {
-		f.inner.CanStartMate(id) // duplicate delivery: response discarded
-	}
-	return ok, err
-}
-
-// TryStartMate implements cosched.Peer.
-func (f *FaultInjector) TryStartMate(id job.ID) (bool, error) {
-	o := f.intercept()
-	if o.err != nil {
-		return false, o.err
-	}
-	ok, err := f.inner.TryStartMate(id)
-	if o.dup {
-		// At-least-once delivery of a state-changing request: the repeat
-		// must be absorbed (an already-running mate reports started
-		// without re-starting), which is exactly what the chaos campaign
-		// verifies.
-		f.inner.TryStartMate(id)
-	}
-	return ok, err
-}
-
-// StartMate implements cosched.Peer.
-func (f *FaultInjector) StartMate(id job.ID) error {
-	o := f.intercept()
-	if o.err != nil {
-		return o.err
-	}
-	err := f.inner.StartMate(id)
-	if o.dup {
-		f.inner.StartMate(id) // duplicate delivery: response discarded
-	}
-	return err
-}
-
-var (
-	_ cosched.CoStarter  = (*FaultInjector)(nil)
-	_ cosched.Prober     = (*FaultInjector)(nil)
-	_ cosched.Reconciler = (*FaultInjector)(nil)
-)
-
-// ProbeMate implements cosched.Prober with one chaos draw and the query
-// semantics of GetMateStatus, so a schedule hits the one call Run_Job makes
-// per mate rather than three calls it no longer makes. A plain-Peer inner
-// is asked the three queries behind that single draw.
-func (f *FaultInjector) ProbeMate(id job.ID) (cosched.MateProbe, error) {
-	o := f.intercept()
-	if o.err != nil {
-		return cosched.MateProbe{}, o.err
-	}
-	probe, err := cosched.ProbeMate(f.inner, id)
-	if o.dup {
-		cosched.ProbeMate(f.inner, id) // duplicate delivery: response discarded
-	}
-	return probe, err
-}
-
-// TryStartMateAt implements cosched.CoStarter; the chaos draw is identical
-// to TryStartMate's (one intercept per call), so wrapping an extension-aware
-// peer leaves historical seed streams untouched. A plain-Peer inner degrades
-// to the instant-free call.
-func (f *FaultInjector) TryStartMateAt(id job.ID, at sim.Time) (bool, error) {
-	o := f.intercept()
-	if o.err != nil {
-		return false, o.err
-	}
-	if cs, ok := f.inner.(cosched.CoStarter); ok {
-		started, err := cs.TryStartMateAt(id, at)
-		if o.dup {
-			// The duplicate proposes the same co-start instant; a started
-			// mate absorbs it as "already running".
-			cs.TryStartMateAt(id, at)
-		}
-		return started, err
-	}
-	return f.inner.TryStartMate(id)
-}
-
-// StartMateAt implements cosched.CoStarter.
-func (f *FaultInjector) StartMateAt(id job.ID, at sim.Time) error {
-	o := f.intercept()
-	if o.err != nil {
-		return o.err
-	}
-	if cs, ok := f.inner.(cosched.CoStarter); ok {
-		err := cs.StartMateAt(id, at)
-		if o.dup {
-			cs.StartMateAt(id, at) // duplicate delivery: response discarded
-		}
-		return err
-	}
-	return f.inner.StartMate(id)
-}
-
-// ReconcileMates implements cosched.Reconciler with one chaos draw, like
-// every other intercepted call.
-func (f *FaultInjector) ReconcileMates(from string, views []cosched.MateView) ([]cosched.MateView, error) {
-	o := f.intercept()
-	if o.err != nil {
-		return nil, o.err
-	}
-	r, ok := f.inner.(cosched.Reconciler)
-	if !ok {
-		return nil, fmt.Errorf("proto: inner peer %T does not support reconciliation", f.inner)
-	}
-	views2, err := r.ReconcileMates(from, views)
-	if o.dup {
-		r.ReconcileMates(from, views) // duplicate delivery: the exchange is idempotent by contract
-	}
-	return views2, err
+	return resp, err
 }

@@ -2,38 +2,42 @@
 // (ICPP 2011) on the wire: length-prefixed JSON request/response frames,
 // one Request answered by one Response with the same Seq.
 //
-//	method           carries            answers          implements
-//	ping             —                  domain           Client.Ping
-//	probe_mate       job_id             known,status,ok  cosched.Prober
-//	get_mate_job     job_id             known            cosched.Peer
-//	get_mate_status  job_id             status           cosched.Peer
-//	can_start_mate   job_id             ok               cosched.Peer
-//	try_start_mate   job_id, at?        ok               cosched.Peer / CoStarter with at
-//	start_mate       job_id, at?        —                cosched.Peer / CoStarter with at
-//	reconcile_mates  from, views        views            cosched.Reconciler
+//	method           carries            answers          Caller method                        retry
+//	ping             —                  domain           (Client.Ping)                        yes
+//	probe_mate       job_id             known,status,ok  ProbeMate (cosched.Prober)           yes
+//	get_mate_job     job_id             known            GetMateJob (cosched.Peer)            yes
+//	get_mate_status  job_id             status           GetMateStatus (cosched.Peer)         yes
+//	can_start_mate   job_id             ok               CanStartMate (cosched.Peer)          yes
+//	try_start_mate   job_id, at?        ok               TryStartMate[At] (Peer/CoStarter)    no
+//	start_mate       job_id, at?        —                StartMate[At] (Peer/CoStarter)       no
+//	reconcile_mates  from, views        views            ReconcileMates (cosched.Reconciler)  yes
 //
 // probe_mate is what Algorithm 1 sends: the three read-only queries
 // Run_Job makes about a mate, answered from one snapshot in one round
 // trip. The three single-query methods stay served for peers that only
 // speak cosched.Peer (cosched.ProbeMate composes the probe from them). at
 // is the caller's proposed co-start instant; without it the callee stamps
-// its own clock. ping, the probe, the three queries and reconcile_mates
-// are idempotent — internal/peerlink may replay them after an ambiguous
-// failure; try_start_mate and start_mate are not. Any method the server
-// does not know is answered with an ErrBadMethod error string, which the
-// client surfaces as a RemoteError like any other refusal.
+// its own clock. The retry column is Idempotent: internal/peerlink may
+// replay those methods after an ambiguous failure, never try_start_mate or
+// start_mate. Any method the server does not know is answered with an
+// ErrBadMethod error string, which the client surfaces as a RemoteError
+// like any other refusal.
 //
 // The protocol is deliberately minimal — the paper's argument for
 // practicality is that two administratively independent resource managers
 // need only these calls, with no shared configuration and no global
-// submission portal. A Client implements cosched.Peer and its extensions
-// over any net.Conn; a Server dispatches requests to any cosched.Peer
-// (normally a resmgr.Manager). Between real daemons the conn is TCP, served
-// by a goroutine per connection (ServeConn); a simulation has no connection
-// to cross and writes to Server.InProcessConn, which parses, dispatches and
-// answers the frame on the calling goroutine — the same bytes, one thread. A
-// frame is written with one Write and read through a per-connection buffered
-// FrameReader, so a call costs one write and (usually) one read per side.
+// submission portal. Every layer between Run_Job and a remote manager is an
+// Exchanger — one Request in, one Response out — and the typed calls above
+// are written once, in Caller, over any of them: a Server dispatches a
+// request to any cosched.Peer (normally a resmgr.Manager), a Client carries
+// it over any net.Conn, a FaultInjector wraps either with seeded chaos, and
+// internal/peerlink adds redial and retry. Between real daemons the conn is
+// TCP, served by a goroutine per connection (ServeConn); a simulation has no
+// connection to cross and writes to Server.InProcessConn, which parses,
+// dispatches and answers the frame on the calling goroutine — the same
+// bytes, one thread. A frame is written with one Write and read through a
+// per-connection buffered FrameReader, so a call costs one write and
+// (usually) one read per side.
 //
 // encoding/json defines the payload; Request and Response also have a
 // hand-written codec (codec.go), built from internal/wirejson and held to
@@ -57,7 +61,7 @@
 // encoding/json.
 //
 // Fault tolerance is part of the contract: any transport error or timeout
-// surfaces as an error from the Peer method, which Algorithm 1 maps to
+// surfaces as an error from the Caller method, which Algorithm 1 maps to
 // "status unknown" and a normal (uncoordinated) job start.
 package proto
 

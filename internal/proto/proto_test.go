@@ -308,18 +308,6 @@ func TestServerPropagatesBackendErrors(t *testing.T) {
 	}
 }
 
-func TestServerRejectsUnknownMethod(t *testing.T) {
-	backend := newFakeBackend()
-	server := NewServer(backend, nil, nil)
-	resp := server.dispatch(Request{Seq: 5, Method: "bogus"})
-	if resp.Error == "" {
-		t.Fatal("unknown method accepted")
-	}
-	if resp.Seq != 5 {
-		t.Fatalf("seq = %d, want 5", resp.Seq)
-	}
-}
-
 func TestClientServerOverTCP(t *testing.T) {
 	backend := newFakeBackend()
 	backend.statuses[3] = cosched.StatusQueuing
@@ -420,8 +408,8 @@ func TestSequenceMismatchDetected(t *testing.T) {
 func TestFaultInjectorDeterminismAndRate(t *testing.T) {
 	backend := newFakeBackend()
 	backend.statuses[1] = cosched.StatusQueuing
-	a := NewFaultInjector(backend, 0.3, 42)
-	b := NewFaultInjector(backend, 0.3, 42)
+	a := NewFaultInjector(NewServer(backend, nil, nil), 0.3, 42)
+	b := NewFaultInjector(NewServer(backend, nil, nil), 0.3, 42)
 	var patternA, patternB []bool
 	for i := 0; i < 500; i++ {
 		_, errA := a.GetMateStatus(1)
@@ -465,8 +453,8 @@ func (s *onceScript) NextCall() CallDirective {
 func TestFaultInjectorProbeMateIsOneDraw(t *testing.T) {
 	backend := newFakeBackend()
 	backend.statuses[1] = cosched.StatusQueuing
-	a := NewFaultInjector(backend, 0.3, 42)
-	b := NewFaultInjector(backend, 0.3, 42)
+	a := NewFaultInjector(NewServer(backend, nil, nil), 0.3, 42)
+	b := NewFaultInjector(NewServer(backend, nil, nil), 0.3, 42)
 	for i := 0; i < 500; i++ {
 		_, errA := a.GetMateStatus(1)
 		probe, errB := b.ProbeMate(1)
@@ -485,7 +473,7 @@ func TestFaultInjectorProbeMateIsOneDraw(t *testing.T) {
 	}
 
 	counted := &countingProber{}
-	dup := NewFaultInjector(counted, 0, 1).WithScript(&onceScript{CallDirective{Duplicate: true}})
+	dup := NewFaultInjector(NewServer(counted, nil, nil), 0, 1).WithScript(&onceScript{CallDirective{Duplicate: true}})
 	if _, err := dup.ProbeMate(1); err != nil || counted.probes != 2 || dup.Duplicated() != 1 {
 		t.Fatalf("duplicated probe: err = %v, inner probed %d times, Duplicated() = %d; want nil, 2, 1", err, counted.probes, dup.Duplicated())
 	}
@@ -507,8 +495,8 @@ func (p *countingProber) ProbeMate(job.ID) (cosched.MateProbe, error) {
 
 func TestFaultInjectorRateClamps(t *testing.T) {
 	backend := newFakeBackend()
-	never := NewFaultInjector(backend, -1, 1)
-	always := NewFaultInjector(backend, 2, 1)
+	never := NewFaultInjector(NewServer(backend, nil, nil), -1, 1)
+	always := NewFaultInjector(NewServer(backend, nil, nil), 2, 1)
 	for i := 0; i < 50; i++ {
 		if _, err := never.GetMateJob(1); err != nil {
 			t.Fatal("rate 0 injector failed a call")

@@ -12,9 +12,10 @@ import (
 )
 
 // Server exposes a cosched.Peer (normally a resmgr.Manager) to remote
-// domains. Each network connection is served by its own goroutine; backend
-// access is serialized through an optional sync.Locker so the
-// single-threaded Manager stays safe under the live daemon's concurrency.
+// domains, and is itself the innermost Exchanger. Each network connection
+// is served by its own goroutine; backend access is serialized through an
+// optional sync.Locker so the single-threaded Manager stays safe under the
+// live daemon's concurrency.
 type Server struct {
 	backend cosched.Peer
 	lock    sync.Locker
@@ -115,6 +116,20 @@ func (s *Server) answer(payload []byte, w io.Writer) error {
 	}
 	resp := s.dispatch(req)
 	return writeResponse(w, &resp)
+}
+
+// PeerName implements Exchanger: the backend's domain name.
+func (s *Server) PeerName() string { return s.backend.PeerName() }
+
+// Exchange implements Exchanger with no connection at all: the request is
+// dispatched to the backend on the caller's goroutine, and a refusal comes
+// back as the RemoteError a Client would return for it.
+func (s *Server) Exchange(req Request) (Response, error) {
+	resp := s.dispatch(req)
+	if resp.Error != "" {
+		return resp, &RemoteError{Method: req.Method, Msg: resp.Error}
+	}
+	return resp, nil
 }
 
 // dispatch executes one request against the backend.
