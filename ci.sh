@@ -62,6 +62,14 @@ sh bench/run.sh --workload sweep_wire --seed 1 --seconds 3 --trace 0
 # digest, stops it equalling bench/golden.json, and exits 1 here.
 sh bench/run.sh --workload sweep_paper --seed 1 --seconds 3 --trace 0
 
+# Paper-scale digest smoke: every table of all six experiments at -factor
+# 1.0, one rep, seed 1, cells fanned across every core. Timings and file
+# paths go to stderr, so stdout is the same bytes on every run and its
+# SHA-256 is pinned; a change that moves any paper-scale number exits 1
+# here (TestGoldenTablesAndCharts pins -factor 0.05 only). About a second.
+test "$(go run ./cmd/experiments -exp all -factor 1.0 -reps 1 -seed 1 -parallel 0 2>/dev/null | sha256sum)" = \
+    "d536ea11ead1607d4f11beb8b7f2851ee22a5d90ad6e83de17023e5a80e03464  -"
+
 # Problem-size digest smoke: three seconds (at least three rounds) of
 # mega_cell at seed 1, so the third sweep golden digest — one HH cell at
 # half a million Intrepid jobs — is gated on every run too. Its output

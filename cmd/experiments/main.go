@@ -18,8 +18,9 @@
 //
 // Every experiment fans its cells across -parallel workers (0 = one per
 // core, 1 = serial). Each group of cells derives its traces from its own
-// seed and results are aggregated by cell index, so tables are
-// byte-identical for every -parallel value; only wall-clock time changes.
+// seed and results are aggregated by cell index, so stdout is
+// byte-identical for every -parallel value and every run; wall-clock
+// times and the paths of written files go to stderr.
 package main
 
 import (
@@ -249,7 +250,7 @@ func writeCharts(dir string, charts []experiments.NamedChart) error {
 		if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", path)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	}
 	return nil
 }
@@ -275,7 +276,7 @@ func startProfiles(dir string) (stop func(), err error) {
 	return func() {
 		pprof.StopCPUProfile()
 		cpuFile.Close()
-		fmt.Printf("wrote %s\n", cpuPath)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", cpuPath)
 		allocPath := filepath.Join(dir, "allocs.pprof")
 		allocFile, err := os.Create(allocPath)
 		if err != nil {
@@ -288,11 +289,13 @@ func startProfiles(dir string) (stop func(), err error) {
 			fmt.Fprintf(os.Stderr, "experiments: pprof: %v\n", err)
 			return
 		}
-		fmt.Printf("wrote %s\n", allocPath)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", allocPath)
 	}, nil
 }
 
-// run times one experiment group and exits on error.
+// run times one experiment group and exits on error. The timing goes to
+// stderr, as do the "wrote" lines, so stdout is the same bytes on every
+// run of the same flags.
 func run(name string, f func() error) {
 	fmt.Printf("=== %s ===\n", name)
 	start := time.Now()
@@ -300,5 +303,6 @@ func run(name string, f func() error) {
 		fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
 		os.Exit(1)
 	}
-	fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", name, time.Since(start).Round(time.Millisecond))
+	fmt.Println()
 }

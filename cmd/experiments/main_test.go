@@ -1,10 +1,68 @@
 package main
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"cosched/internal/chart"
+	"cosched/internal/experiments"
 )
+
+// captureOutput runs f with os.Stdout and os.Stderr redirected to files
+// and returns what each received.
+func captureOutput(t *testing.T, f func()) (stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	var files [2]*os.File
+	for i := range files {
+		fh, err := os.Create(filepath.Join(dir, fmt.Sprint(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fh.Close()
+		files[i] = fh
+	}
+	saved := [2]*os.File{os.Stdout, os.Stderr}
+	os.Stdout, os.Stderr = files[0], files[1]
+	defer func() { os.Stdout, os.Stderr = saved[0], saved[1] }()
+	f()
+	var out [2]string
+	for i, fh := range files {
+		b, err := os.ReadFile(fh.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(b)
+	}
+	return out[0], out[1]
+}
+
+// TestRunStdoutIsTheSameEveryRun pins that nothing run-dependent reaches
+// stdout: the experiment's own output and the block's closing blank line
+// do, while the wall-clock time and the paths of written charts go to
+// stderr. Two runs of the same flags then print the same stdout bytes.
+func TestRunStdoutIsTheSameEveryRun(t *testing.T) {
+	svgDir := t.TempDir()
+	stdout, stderr := captureOutput(t, func() {
+		run("stub", func() error {
+			fmt.Println("table")
+			c := &chart.BarChart{Series: []string{"s"}, Groups: []chart.Group{{Label: "g", Values: []float64{1}}}}
+			return writeCharts(svgDir, []experiments.NamedChart{{Name: "fig", Chart: c}})
+		})
+	})
+	if want := "=== stub ===\ntable\n\n"; stdout != want {
+		t.Errorf("stdout = %q, want %q", stdout, want)
+	}
+	for _, s := range []string{"(stub completed in ", "wrote " + filepath.Join(svgDir, "fig.svg")} {
+		if !strings.Contains(stderr, s) {
+			t.Errorf("stderr %q lacks %q", stderr, s)
+		}
+	}
+}
 
 // TestParseExperiments pins -exp validation: every name in the list must
 // be known, and the error names each one that is not, so a typo beside a

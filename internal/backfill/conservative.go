@@ -2,7 +2,6 @@ package backfill
 
 import (
 	"cosched/internal/job"
-	"cosched/internal/profile"
 	"cosched/internal/sim"
 )
 
@@ -17,19 +16,17 @@ import (
 // total is the machine size; free the currently idle nodes; releases the
 // bounded future releases of running jobs (held coscheduling allocations
 // must not be listed — their nodes are modelled as occupied indefinitely),
-// in the canonical sorted order (see SortReleases). The timeline commits
-// below are order-independent, but the shared contract keeps the degraded
-// Plan fallback and the debug-build invariant uniform across planners.
+// in the canonical sorted order (see SortReleases), which lets the
+// timeline be seeded in one pass.
 func PlanConservative(ordered []*job.Job, total, free int, charge ChargeFunc, releases []Release, now sim.Time, estimate EstimateFunc) []Decision {
 	return PlanConservativeInto(nil, ordered, total, free, charge, releases, now, estimate)
 }
 
 // PlanConservativeInto is PlanConservative with caller-owned result
 // storage, mirroring PlanInto: the returned plan is built in dst[:0] and
-// aliases it. The availability timeline itself is still rebuilt per call —
-// conservative reservations depend on every queued job, so there is no
-// cheap incremental form — but the per-iteration result allocation goes
-// away for managers that pass a reusable buffer.
+// aliases it. The timeline is seeded afresh from the releases on every
+// call — conservative reservations depend on every queued job, so there is
+// no cheap incremental form.
 func PlanConservativeInto(dst []Decision, ordered []*job.Job, total, free int, charge ChargeFunc, releases []Release, now sim.Time, estimate EstimateFunc) []Decision {
 	assertReleasesSorted(releases)
 	if charge == nil {
@@ -39,31 +36,37 @@ func PlanConservativeInto(dst []Decision, ordered []*job.Job, total, free int, c
 		estimate = func(j *job.Job) sim.Duration { return j.Walltime }
 	}
 
-	tl := profile.New(total)
-	// Model current occupancy: bounded releases end at their EndBy; any
-	// remaining busy nodes (coscheduling holds) never release.
-	releasing := 0
+	// Model current occupancy: bounded releases end at their EndBy (at
+	// least a second out); the busy nodes no release lists (coscheduling
+	// holds) never free. In a consistent snapshot the usage at now is
+	// total − free; one that claims more than the machine degrades to a
+	// strict priority-order prefix.
+	releasing, bounded := 0, 0
 	for _, r := range releases {
 		releasing += r.Nodes
+		bounded += max(r.Nodes, 0)
+	}
+	held := max(total-free-releasing, 0)
+	if held+bounded > total {
+		return PlanInto(dst, ordered, free, charge, nil, now, false, estimate)
+	}
+	tl := NewTimeline(total)
+	tl.at, tl.used = append(tl.at, now), append(tl.used, held+bounded)
+	drop := func(at sim.Time, nodes int) {
+		last := len(tl.at) - 1
+		if at != tl.at[last] {
+			tl.at, tl.used = append(tl.at, at), append(tl.used, tl.used[last])
+			last++
+		}
+		tl.used[last] -= nodes
 	}
 	for _, r := range releases {
-		if r.Nodes <= 0 {
-			continue
-		}
-		dur := r.EndBy - now
-		if dur < 1 {
-			dur = 1
-		}
-		if _, err := tl.Commit(now, dur, r.Nodes); err != nil {
-			// Inconsistent snapshot (more claimed than capacity):
-			// degrade to a strict priority-order prefix.
-			return PlanInto(dst, ordered, free, charge, nil, now, false, estimate)
+		if r.Nodes > 0 {
+			drop(max(r.EndBy, now+1), r.Nodes)
 		}
 	}
-	if neverFree := total - free - releasing; neverFree > 0 {
-		if _, err := tl.Commit(now, sim.Duration(profile.Infinity-now), neverFree); err != nil {
-			return PlanInto(dst, ordered, free, charge, nil, now, false, estimate)
-		}
+	if held > 0 {
+		drop(Infinity, held)
 	}
 
 	// First pass: place every job on the timeline in priority order;
@@ -84,12 +87,10 @@ func PlanConservativeInto(dst []Decision, ordered []*job.Job, total, free int, c
 			dur = 1
 		}
 		start := tl.EarliestStart(now, dur, c)
-		if start == profile.Infinity {
+		if start == Infinity {
 			continue
 		}
-		if _, err := tl.Commit(start, dur, c); err != nil {
-			continue
-		}
+		tl.Add(start, dur, c)
 		if start == now {
 			starts = append(starts, candidate{j, c, dur})
 		}
@@ -103,16 +104,8 @@ func PlanConservativeInto(dst []Decision, ordered []*job.Job, total, free int, c
 		plan = make([]Decision, 0, len(starts))
 	}
 	for _, cand := range starts {
-		holdSafe := tl.CanCommit(saturate(now, cand.dur), sim.Duration(profile.Infinity/4), cand.c)
+		holdSafe := tl.Fits(saturate(now, cand.dur), Infinity/4, cand.c)
 		plan = append(plan, Decision{Job: cand.j, HoldSafe: holdSafe})
 	}
 	return plan
-}
-
-func saturate(t sim.Time, d sim.Duration) sim.Time {
-	s := t + d
-	if s < t {
-		return profile.Infinity
-	}
-	return s
 }

@@ -25,3 +25,16 @@ func ExamplePlan() {
 	// Output:
 	// start job 2 (hold-safe: false)
 }
+
+// ExampleTimeline plans jobs onto an availability timeline, the substrate
+// of conservative backfilling and of the co-reservation baseline.
+func ExampleTimeline() {
+	tl := backfill.NewTimeline(100)
+	// A running job occupies 70 nodes until t=500.
+	tl.Add(0, 500, 70)
+	fmt.Println("30 nodes now:", tl.EarliestStart(0, 1000, 30))
+	fmt.Println("60 nodes now:", tl.EarliestStart(0, 1000, 60))
+	// Output:
+	// 30 nodes now: 0
+	// 60 nodes now: 500
+}

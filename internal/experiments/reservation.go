@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"cosched/internal/baseline"
 	"cosched/internal/cosched"
 	"cosched/internal/job"
-	"cosched/internal/metasched"
 	"cosched/internal/metrics"
-	"cosched/internal/reserve"
 )
 
 // ReservationRow captures one system's results in the coscheduling-vs-
@@ -41,31 +40,29 @@ var reservationSystems = []struct {
 	{"cosched(YY)", coschedSystem(&Combo{Intrepid: cosched.Yield, Eureka: cosched.Yield})},
 	// (d) metascheduler: a single global portal owning both machines
 	// (GridWay/Moab style).
-	{"metascheduler", func(_ Config, intr, eur []*job.Job) (Outcome, error) {
-		s, err := metasched.New(metasched.Options{Domains: []metasched.DomainConfig{
-			{Name: DomIntrepid, Nodes: IntrepidNodes, Trace: intr},
-			{Name: DomEureka, Nodes: EurekaNodes, Trace: eur},
-		}})
-		if err != nil {
-			return Outcome{}, err
-		}
-		res := s.Run(map[string][]*job.Job{DomIntrepid: intr, DomEureka: eur})
-		return newOutcome(res.Reports, res.StuckJobs, res.CoStartViolations), nil
-	}},
+	{"metascheduler", baselineSystem(baseline.Metaschedule, false)},
 	// (e) advance co-reservation (HARC/GUR style).
-	{"co-reservation", func(_ Config, intr, eur []*job.Job) (Outcome, error) {
-		s, err := reserve.New(reserve.Options{Domains: []reserve.DomainConfig{
+	{"co-reservation", baselineSystem(baseline.CoReserve, true)},
+}
+
+// baselineSystem is one §III comparator run over the pair's two machines;
+// with leadTime, PairSync is the reservation lead time rather than the
+// paired jobs' sync time.
+func baselineSystem(run func([]baseline.DomainConfig) (*baseline.Result, error), leadTime bool) func(cfg Config, intr, eur []*job.Job) (Outcome, error) {
+	return func(_ Config, intr, eur []*job.Job) (Outcome, error) {
+		res, err := run([]baseline.DomainConfig{
 			{Name: DomIntrepid, Nodes: IntrepidNodes, Trace: intr},
 			{Name: DomEureka, Nodes: EurekaNodes, Trace: eur},
-		}})
+		})
 		if err != nil {
 			return Outcome{}, err
 		}
-		res := s.Run()
 		o := newOutcome(res.Reports, res.StuckJobs, res.CoStartViolations)
-		o.PairSync = res.PairLatency.Mean
+		if leadTime {
+			o.PairSync = res.PairLatency.Mean
+		}
 		return o, nil
-	}},
+	}
 }
 
 // coschedSystem is the coupled simulator under one scheme combination, or
