@@ -146,8 +146,12 @@ go test -run 'ZeroAlloc|WithoutAllocating|AllocatesNothing' -count=1 \
 # 1–25 as subtests, under -race and uncached, across both seams (journal VFS
 # faults, asymmetric peer-link faults). Every campaign must pass its
 # invariant gates — no stuck jobs, co-start violations within the calls
-# the injectors failed or dropped, every surviving journal replayable, the
+# the injectors failed, every surviving journal replayable, the
 # clean-filesystem journal whole — and a failing seed prints the one-line
-# `go test -run` repro. The last subtest flips one byte of that journal on purpose and
-# passes only if the gate trips, proving a campaign can fail.
-go test -race -count=1 -run TestRunCampaign ./internal/faultplan
+# `go test -run` repro. The last subtest flips one byte of that journal on
+# purpose and passes only if the gate trips, proving a campaign can fail.
+# The run is verbose into a log so the totals line, the faults the 25 seeds
+# performed per seam and per kind, is echoed; on failure the whole log is.
+go test -race -count=1 -v -run TestRunCampaign ./internal/faultplan > /tmp/ci_campaign.log ||
+    { cat /tmp/ci_campaign.log; exit 1; }
+grep 'injected fault totals' /tmp/ci_campaign.log

@@ -275,7 +275,7 @@ func makePeer(m *resmgr.Manager, opt Options, seed uint64) (cosched.Peer, error)
 		ex = client
 	}
 	if opt.FaultRate > 0 {
-		ex = proto.NewFaultInjector(ex, opt.FaultRate, seed)
+		ex = proto.NewFaultInjector(ex, proto.NewRateScript(seed, proto.Rates{Fail: opt.FaultRate}), nil)
 	}
 	return proto.Caller{Exchanger: ex}, nil
 }

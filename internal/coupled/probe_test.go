@@ -121,7 +121,7 @@ func runProbeScenario(t *testing.T, sc probeScenario, wiring string) string {
 				if sc.faultRate > 0 {
 					// As New wires a faulted direct peer: the injector wraps
 					// the dispatch of a proto.Server around it.
-					peer = proto.NewFaultInjector(proto.NewServer(peer, nil, nil), sc.faultRate, seed)
+					peer = proto.NewFaultInjector(proto.NewServer(peer, nil, nil), proto.NewRateScript(seed, proto.Rates{Fail: sc.faultRate}), nil)
 				}
 				s.managers[a].AddPeer(b, peer)
 			}

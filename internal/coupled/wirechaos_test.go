@@ -133,9 +133,9 @@ func TestChaosWireRunCoStartsExactly(t *testing.T) {
 			// No outright failures (rate 0): those would surface to
 			// Algorithm 1 as "status unknown" and legitimately break pairs.
 			// Drops and latency must be absorbed by the link.
-			inj := proto.NewFaultInjector(link, 0, seed).
-				WithLatency(0.10, 100*time.Microsecond).
-				WithDrops(0.15, link.BreakConn)
+			inj := proto.NewFaultInjector(link, proto.NewRateScript(seed, proto.Rates{
+				Latency: 0.10, Delay: 100 * time.Microsecond, Drop: 0.15,
+			}), link.BreakConn)
 			injectors = append(injectors, inj)
 			s.Manager(from).AddPeer(to, inj)
 		}
@@ -245,7 +245,7 @@ func TestChaosWireRunIsDeterministic(t *testing.T) {
 				})
 				seed++
 				s.Manager(from).AddPeer(to,
-					proto.NewFaultInjector(link, 0, seed).WithDrops(0.2, link.BreakConn))
+					proto.NewFaultInjector(link, proto.NewRateScript(seed, proto.Rates{Drop: 0.2}), link.BreakConn))
 			}
 		}
 		res := s.Run()

@@ -32,8 +32,9 @@ const (
 // the plan's journal faults wired under domain a's write-ahead journal and
 // the peerlink faults scripted onto both coordination directions, plus
 // reconcile-and-compact drills at every scheduled restart instant. It
-// returns how many scheduled faults fired per seam and one line per gate
-// the run failed (none for a clean campaign).
+// returns the faults that fired — journal faults in firing order, then
+// each direction's peer faults in call order, then the restart drills that
+// ran — and one line per gate the run failed (none for a clean campaign).
 //
 // Gates: the workload always drains (graceful degradation means storage
 // and peer faults never wedge the scheduler); co-start violations are
@@ -44,8 +45,7 @@ const (
 // corrupt flips one byte of domain b's journal — the one on the clean
 // filesystem — before the recovery gates read it: the deterministic proof
 // that a campaign can fail.
-func RunCampaign(plan *Plan, corrupt bool) (fired map[Seam]int, failures []string) {
-	fired = map[Seam]int{}
+func RunCampaign(plan *Plan, corrupt bool) (fired []Fault, failures []string) {
 	fail := func(format string, args ...any) {
 		failures = append(failures, fmt.Sprintf(format, args...))
 	}
@@ -129,13 +129,12 @@ func RunCampaign(plan *Plan, corrupt bool) (fired map[Seam]int, failures []strin
 
 	// Replace the direct peer wiring with script-driven injectors over each
 	// manager's proto.Server (the dispatch a wire peer's server runs): dir 0
-	// is a→b, dir 1 is b→a. Rate 0 means every duplicate, delay and
-	// partition comes from the plan alone. No dropper is wired — there is no
-	// connection to cut — so a scheduled drop is never performed.
+	// is a→b, dir 1 is b→a. There is no connection under a Server, so no
+	// dropper.
 	scriptAB := NewPeerScript(plan, 0)
 	scriptBA := NewPeerScript(plan, 1)
-	ia := proto.NewFaultInjector(proto.NewServer(mgrB, nil, nil), 0, 1).WithScript(scriptAB)
-	ib := proto.NewFaultInjector(proto.NewServer(mgrA, nil, nil), 0, 2).WithScript(scriptBA)
+	ia := proto.NewFaultInjector(proto.NewServer(mgrB, nil, nil), scriptAB, nil)
+	ib := proto.NewFaultInjector(proto.NewServer(mgrA, nil, nil), scriptBA, nil)
 	mgrA.AddPeer(campDomB, ia)
 	mgrB.AddPeer(campDomA, ib)
 
@@ -143,12 +142,14 @@ func RunCampaign(plan *Plan, corrupt bool) (fired map[Seam]int, failures []strin
 	// reconciliation handshake (through the faulted path — errors are what
 	// a real restart would retry) and force a compaction so Compact's
 	// rename/dir-fsync ordering sits inside the fault schedule too.
+	var drills []Fault
 	for i, at := range plan.Restarts() {
 		caller, callee, link := mgrA, campDomB, cosched.Peer(ia)
 		if i%2 == 1 {
 			caller, callee, link = mgrB, campDomA, ib
 		}
 		s.Engine().After(sim.Duration(at), sim.PriorityDefault, func(now sim.Time) {
+			drills = append(drills, Fault{Seam: SeamPeerlink, Kind: KindRestart, At: at})
 			_, _ = caller.ReconcileWith(callee, link) //nolint — a real daemon retries; the drill tolerates faulted exchanges
 			//simlint:allow R7 the drill injects compaction faults on purpose; the post-run recovery gate validates whatever ordering survived on disk
 			_ = storeA.Compact(journal.ManagerSnapshot(mgrA))
@@ -156,13 +157,7 @@ func RunCampaign(plan *Plan, corrupt bool) (fired map[Seam]int, failures []strin
 	}
 
 	res := s.Run()
-	fired[SeamJournal] = len(ffs.Fired())
-	// Per-call faults count as the injectors performed them; windowed ones
-	// (ramps, partitions) once each, as the scripts issued them.
-	fired[SeamPeerlink] = len(scriptAB.Fired()) + len(scriptBA.Fired())
-	for _, inj := range []*proto.FaultInjector{ia, ib} {
-		fired[SeamPeerlink] += inj.Dropped() + inj.Duplicated()
-	}
+	fired = append(append(append(ffs.Fired(), scriptAB.Fired()...), scriptBA.Fired()...), drills...)
 
 	// Gate: chaos may delay or un-coordinate work, never wedge it.
 	if res.StuckJobs > 0 || res.Deadlocked {
@@ -170,9 +165,8 @@ func RunCampaign(plan *Plan, corrupt bool) (fired map[Seam]int, failures []strin
 			res.StuckJobs, res.TotalJobs, res.HitHorizon)
 	}
 	// Gate: every co-start violation must be explained by a coordination
-	// call the injectors failed or dropped; a fault-free wire means zero
-	// violations.
-	badCalls := ia.Failed() + ia.Dropped() + ib.Failed() + ib.Dropped()
+	// call the injectors failed; a fault-free wire means zero violations.
+	badCalls := ia.Failed() + ib.Failed()
 	if badCalls == 0 && res.CoStartViolations != 0 {
 		fail("%d co-start violation(s) with zero injected coordination failures", res.CoStartViolations)
 	}

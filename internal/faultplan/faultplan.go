@@ -1,23 +1,23 @@
 // Package faultplan is the deterministic fault-campaign engine: it
 // composes fault schedules — what fails, when, and for how long — from a
-// single seeded splitmix64 stream and replays them bit-identically. One
-// Plan drives two seams at once:
+// seed and replays them bit-identically. One Plan drives two seams at
+// once:
 //
 //   - the journal's filesystem (FaultFS): short writes, EIO on
 //     append/fsync/rename, disk-full, and torn final frames;
-//   - the peer wire (PeerScript, consumed by proto.FaultInjector): one-way
-//     partitions, slow-link latency ramps, duplicated delivery, connection
-//     drops, and whole-server restarts.
+//   - the peer wire (PeerScript, the proto.CallScript a
+//     proto.FaultInjector applies): one-way partitions and duplicated
+//     delivery, plus whole-server restarts.
 //
 // RunCampaign drives one coupled simulation under a Plan and gates the
 // robustness invariants; TestRunCampaign loops it over seeds 1–25.
 //
-// Determinism is the contract: New(seed, profile) is a pure function, so
-// any failing campaign is reproducible from its seed alone (Plan.Repro
-// prints the one-line command). Schedules are op-indexed, not wall-clock
-// indexed — the Nth write fails, not the write nearest some instant — so a
-// replay under different goroutine interleavings still injects the exact
-// same faults.
+// Determinism is the contract: New(seed) is a pure function, so any
+// failing campaign is reproducible from its seed alone (Plan.Repro prints
+// the one-line command). Schedules are op-indexed, not wall-clock indexed
+// — the Nth write fails, not the write nearest some instant — so a replay
+// under different goroutine interleavings still injects the exact same
+// faults.
 package faultplan
 
 import (
@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"cosched/internal/workload"
 )
 
 // Seam names the subsystem a fault targets. RunCampaign keys its fired-
@@ -64,20 +66,13 @@ const (
 	// Peerlink seam: At counts intercepted calls on one direction's
 	// injector (Dir selects the direction), except KindRestart.
 
-	// KindDrop cuts the connection under the At-th call, through the
-	// injector's dropper. RunCampaign's peers have no connection and its
-	// injectors no dropper, so there a drop is scheduled and not performed.
-	KindDrop Kind = "drop"
 	// KindDup delivers the At-th call twice; the duplicate's response is
 	// discarded, modeling at-least-once delivery.
 	KindDup Kind = "duplicate"
-	// KindLatencyRamp delays calls At..At+Len-1, ramping linearly from 0
-	// up to Arg microseconds — a link going slowly bad.
-	KindLatencyRamp Kind = "latency-ramp"
 	// KindPartition fails calls At..At+Len-1 outright on this direction
-	// only — a one-way partition. Unlike drops and latency, partition
-	// errors surface to Algorithm 1 as "status unknown", so the paper's
-	// fault-tolerance fallback (start normally) legitimately fires.
+	// only — a one-way partition. Partition errors surface to Algorithm 1
+	// as "status unknown", so the paper's fault-tolerance fallback (start
+	// normally) legitimately fires.
 	KindPartition Kind = "one-way-partition"
 	// KindRestart restarts every peer server at virtual second At.
 	KindRestart Kind = "server-restart"
@@ -94,8 +89,7 @@ type Fault struct {
 	At int `json:"at"`
 	// Len is the window length in ops for windowed kinds.
 	Len int `json:"len,omitempty"`
-	// Arg is the kind-specific magnitude (bytes for short writes,
-	// microseconds for latency ramps).
+	// Arg is the bytes a short write leaves.
 	Arg int64 `json:"arg,omitempty"`
 }
 
@@ -113,77 +107,44 @@ func (f Fault) String() string {
 	return s
 }
 
-// Plan is one campaign's full fault schedule, a pure function of
-// (Seed, Profile).
+// Plan is one campaign's full fault schedule, a pure function of Seed.
 type Plan struct {
 	Seed   uint64  `json:"seed"`
 	Faults []Fault `json:"faults"`
 }
 
-// Profile bounds what New may schedule. The zero value is not useful;
-// start from DefaultProfile.
-type Profile struct {
-	// JournalWrites is the write-op horizon journal faults scatter over;
-	// JournalFaultMax bounds how many journal faults one campaign draws
-	// (0..max uniformly, so some campaigns leave the journal untouched —
-	// those are the "surviving" runs that gate full recovery equality).
-	JournalWrites   int
-	JournalFaultMax int
+// The campaign shape New draws. Journal faults scatter over the first
+// journalWrites writes, 0..journalFaultMax of them uniformly, so some
+// campaigns leave the journal untouched — the "surviving" runs that gate
+// full recovery equality. Each of the peerDirections call streams gets
+// 0..dupsMax duplicates over its first peerCalls calls and, with
+// probability partitionChance, one one-way partition up to
+// partitionLenMax calls long. 0..restartsMax server restarts fall in
+// [1, restartSpanSec] virtual seconds.
+const (
+	journalWrites   = 400
+	journalFaultMax = 2
+	peerDirections  = 2
+	peerCalls       = 2000
+	dupsMax         = 20
+	partitionChance = 0.35
+	partitionLenMax = 250
+	restartsMax     = 2
+	restartSpanSec  = 4 * 3600
+)
 
-	// PeerDirections is how many independent call streams (links) the
-	// campaign drives; PeerCalls is the per-direction call horizon.
-	PeerDirections int
-	PeerCalls      int
-	// DropsMax / DupsMax bound the per-direction single-call faults.
-	DropsMax int
-	DupsMax  int
-	// RampsMax latency ramps per direction, each up to RampLenMax calls
-	// long and RampMaxMicros microseconds at the top of the ramp.
-	RampsMax      int
-	RampLenMax    int
-	RampMaxMicros int64
-	// PartitionChance is the per-direction probability of one one-way
-	// partition window of up to PartitionLenMax calls.
-	PartitionChance float64
-	PartitionLenMax int
-	// RestartsMax server-restart instants, drawn in [1, RestartSpanSec].
-	RestartsMax    int
-	RestartSpanSec int
-}
-
-// DefaultProfile is the campaign shape the chaos gate runs.
-func DefaultProfile() Profile {
-	return Profile{
-		JournalWrites:   400,
-		JournalFaultMax: 2,
-		PeerDirections:  2,
-		PeerCalls:       2000,
-		DropsMax:        30,
-		DupsMax:         20,
-		RampsMax:        2,
-		RampLenMax:      200,
-		RampMaxMicros:   150,
-		PartitionChance: 0.35,
-		PartitionLenMax: 250,
-		RestartsMax:     2,
-		RestartSpanSec:  4 * 3600,
-	}
-}
-
-// New derives the campaign schedule for seed under p. It is a pure
-// function: the same (seed, p) always yields the same Plan, which is what
-// makes every campaign replayable from its one-line repro command.
-func New(seed uint64, p Profile) *Plan {
+// New derives the campaign schedule for seed. It is a pure function: the
+// same seed always yields the same Plan, which is what makes every
+// campaign replayable from its one-line repro command.
+func New(seed uint64) *Plan {
 	plan := &Plan{Seed: seed}
 	add := func(f Fault) { plan.Faults = append(plan.Faults, f) }
 
-	// Each seam draws from its own derived stream, so one seam's draw
-	// count never shifts another seam's schedule.
-	js := NewStream(seed).Derive("journal")
+	js := derive(seed, "journal")
 	jKinds := []Kind{KindShortWrite, KindWriteEIO, KindFsyncEIO, KindRenameEIO, KindDiskFull, KindTornTail}
-	for i, n := 0, js.Intn(p.JournalFaultMax+1); i < n; i++ {
+	for i, n := 0, js.Intn(journalFaultMax+1); i < n; i++ {
 		k := jKinds[js.Intn(len(jKinds))]
-		f := Fault{Seam: SeamJournal, Kind: k, At: js.Intn(p.JournalWrites)}
+		f := Fault{Seam: SeamJournal, Kind: k, At: js.Intn(journalWrites)}
 		switch k {
 		case KindShortWrite:
 			f.Arg = int64(1 + js.Intn(7)) // leave 1..7 bytes: inside the frame header or the payload
@@ -196,32 +157,21 @@ func New(seed uint64, p Profile) *Plan {
 		add(f)
 	}
 
-	ps := NewStream(seed).Derive("peerlink")
-	for dir := 0; dir < p.PeerDirections; dir++ {
-		for i, n := 0, ps.Intn(p.DropsMax+1); i < n; i++ {
-			add(Fault{Seam: SeamPeerlink, Kind: KindDrop, Dir: dir, At: ps.Intn(p.PeerCalls)})
+	ps := derive(seed, "peerlink")
+	for dir := 0; dir < peerDirections; dir++ {
+		for i, n := 0, ps.Intn(dupsMax+1); i < n; i++ {
+			add(Fault{Seam: SeamPeerlink, Kind: KindDup, Dir: dir, At: ps.Intn(peerCalls)})
 		}
-		for i, n := 0, ps.Intn(p.DupsMax+1); i < n; i++ {
-			add(Fault{Seam: SeamPeerlink, Kind: KindDup, Dir: dir, At: ps.Intn(p.PeerCalls)})
-		}
-		for i, n := 0, ps.Intn(p.RampsMax+1); i < n; i++ {
-			add(Fault{
-				Seam: SeamPeerlink, Kind: KindLatencyRamp, Dir: dir,
-				At:  ps.Intn(p.PeerCalls),
-				Len: 1 + ps.Intn(p.RampLenMax),
-				Arg: 1 + int64(ps.Intn(int(p.RampMaxMicros))),
-			})
-		}
-		if ps.Float64() < p.PartitionChance {
+		if ps.Float64() < partitionChance {
 			add(Fault{
 				Seam: SeamPeerlink, Kind: KindPartition, Dir: dir,
-				At:  ps.Intn(p.PeerCalls),
-				Len: 1 + ps.Intn(p.PartitionLenMax),
+				At:  ps.Intn(peerCalls),
+				Len: 1 + ps.Intn(partitionLenMax),
 			})
 		}
 	}
-	for i, n := 0, ps.Intn(p.RestartsMax+1); i < n; i++ {
-		add(Fault{Seam: SeamPeerlink, Kind: KindRestart, At: 1 + ps.Intn(p.RestartSpanSec)})
+	for i, n := 0, ps.Intn(restartsMax+1); i < n; i++ {
+		add(Fault{Seam: SeamPeerlink, Kind: KindRestart, At: 1 + ps.Intn(restartSpanSec)})
 	}
 
 	sort.SliceStable(plan.Faults, func(a, b int) bool {
@@ -240,7 +190,7 @@ func New(seed uint64, p Profile) *Plan {
 	return plan
 }
 
-// Seam returns the plan's faults for one seam, in schedule order.
+// ForSeam returns the plan's faults for one seam, in schedule order.
 func (p *Plan) ForSeam(s Seam) []Fault {
 	var out []Fault
 	for _, f := range p.Faults {
@@ -302,43 +252,11 @@ func (p *Plan) Repro() string {
 	return fmt.Sprintf("go test ./internal/faultplan -run 'TestRunCampaign/seed=%d'", p.Seed)
 }
 
-// Stream is a splitmix64 PRNG — the same generator the workload and
-// fault-injector layers use, kept local so the plan layer has no
-// dependencies.
-type Stream struct{ state uint64 }
-
-// NewStream returns a stream seeded with seed.
-func NewStream(seed uint64) *Stream { return &Stream{state: seed} }
-
-// Next returns the next 64 uniform bits.
-func (s *Stream) Next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Float64 returns a uniform value in [0, 1).
-func (s *Stream) Float64() float64 {
-	return float64(s.Next()>>11) / float64(1<<53)
-}
-
-// Intn returns a uniform value in [0, n). n <= 0 returns 0.
-func (s *Stream) Intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(s.Next() % uint64(n))
-}
-
-// Derive returns a child stream whose state folds the label into the
-// parent's next draw, so differently-labeled children are independent and
-// one child's draw count never shifts a sibling's sequence. Derivation
-// order from one parent matters only if the same parent is also used for
-// draws; the plan generator derives all children from fresh parents.
-func (s *Stream) Derive(label string) *Stream {
+// derive returns seed's stream for one seam: the seed's first draw folded
+// with the label's FNV-1a hash, so each seam draws from a stream of its own
+// and one seam's draw count never shifts another's schedule.
+func derive(seed uint64, label string) *workload.RNG {
 	h := fnv.New64a()
 	h.Write([]byte(label))
-	return NewStream(s.Next() ^ h.Sum64())
+	return workload.NewRNG(workload.NewRNG(seed).Uint64() ^ h.Sum64())
 }

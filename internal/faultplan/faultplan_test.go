@@ -2,6 +2,9 @@ package faultplan_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,21 +13,20 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"cosched/internal/faultplan"
 	"cosched/internal/journal"
+	"cosched/internal/proto"
 )
 
 // TestPlanDeterministic is the engine's core contract: New is a pure
-// function of (seed, profile), so any campaign replays bit-identically
-// from its seed alone.
+// function of the seed, so any campaign replays bit-identically from its
+// seed alone.
 func TestPlanDeterministic(t *testing.T) {
-	prof := faultplan.DefaultProfile()
 	encodings := map[string]bool{}
 	for seed := uint64(1); seed <= 100; seed++ {
-		a := faultplan.New(seed, prof).Encode()
-		b := faultplan.New(seed, prof).Encode()
+		a := faultplan.New(seed).Encode()
+		b := faultplan.New(seed).Encode()
 		if !bytes.Equal(a, b) {
 			t.Fatalf("seed %d: two generations differ:\n%s\n%s", seed, a, b)
 		}
@@ -37,50 +39,31 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlanSeamsAreIndependent: one seam's draws never shift another's.
-// Zeroing out the journal seam (JournalFaultMax=0) must leave the peerlink
-// schedule untouched.
-func TestPlanSeamsAreIndependent(t *testing.T) {
-	prof := faultplan.DefaultProfile()
-	noJournal := prof
-	noJournal.JournalFaultMax = 0
-	for seed := uint64(1); seed <= 50; seed++ {
-		full := faultplan.New(seed, prof)
-		slim := faultplan.New(seed, noJournal)
-		a := fmt.Sprint(full.ForSeam(faultplan.SeamPeerlink))
-		b := fmt.Sprint(slim.ForSeam(faultplan.SeamPeerlink))
-		if a != b {
-			t.Fatalf("seed %d: peerlink schedule shifted when the journal seam was disabled:\n%s\n%s", seed, a, b)
+// TestPlanJournalScheduleIsPinned: the journal seam draws from a stream of
+// its own, so a change to what the peer seam draws must leave every seed's
+// journal schedule alone. The digest covers the journal faults of seeds
+// 1–100 and was recorded when the peer seam still drew drops and latency
+// ramps.
+func TestPlanJournalScheduleIsPinned(t *testing.T) {
+	const want = "5c1a80510e5365f0b77c4cf053d5328a581729bc9fdda055aa97f12c5de9f1c7"
+	h := sha256.New()
+	for seed := uint64(1); seed <= 100; seed++ {
+		b, err := json.Marshal(faultplan.New(seed).ForSeam(faultplan.SeamJournal))
+		if err != nil {
+			t.Fatal(err)
 		}
+		h.Write(b)
+		h.Write([]byte{'\n'})
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("journal schedules of seeds 1–100 digest to %s, want %s", got, want)
 	}
 }
 
 func TestPlanReproNamesSeed(t *testing.T) {
-	p := faultplan.New(77, faultplan.DefaultProfile())
+	p := faultplan.New(77)
 	if want := "TestRunCampaign/seed=77"; !strings.Contains(p.Repro(), want) {
 		t.Fatalf("Repro() = %q, want it to contain %q", p.Repro(), want)
-	}
-}
-
-func TestStreamDeriveIsStableAndIndependent(t *testing.T) {
-	a1 := faultplan.NewStream(9).Derive("journal")
-	a2 := faultplan.NewStream(9).Derive("journal")
-	b := faultplan.NewStream(9).Derive("peerlink")
-	same, diff := 0, 0
-	for i := 0; i < 64; i++ {
-		x := a1.Next()
-		if x == a2.Next() {
-			same++
-		}
-		if x != b.Next() {
-			diff++
-		}
-	}
-	if same != 64 {
-		t.Fatalf("identical derivations agreed on %d/64 draws", same)
-	}
-	if diff < 60 {
-		t.Fatalf("differently-labeled derivations collided on %d/64 draws", 64-diff)
 	}
 }
 
@@ -93,7 +76,8 @@ func TestFaultFSReplaysJournalSchedule(t *testing.T) {
 		{Seam: faultplan.SeamJournal, Kind: faultplan.KindDiskFull, At: 2},
 		{Seam: faultplan.SeamJournal, Kind: faultplan.KindFsyncEIO, At: 1},
 		{Seam: faultplan.SeamJournal, Kind: faultplan.KindRenameEIO, At: 0},
-		{Seam: faultplan.SeamJournal, Kind: faultplan.KindTornTail, At: 3},
+		{Seam: faultplan.SeamJournal, Kind: faultplan.KindWriteEIO, At: 3},
+		{Seam: faultplan.SeamJournal, Kind: faultplan.KindTornTail, At: 4},
 	}}
 	ffs := faultplan.NewFaultFS(plan, nil)
 	dir := t.TempDir()
@@ -127,10 +111,14 @@ func TestFaultFSReplaysJournalSchedule(t *testing.T) {
 	if err := ffs.Rename(path, path+".new"); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("rename 0 = %v, want EIO", err)
 	}
-	// Write 3: torn tail — reports full success, half lands, then the
+	// Write 3: EIO, nothing lands.
+	if n, err := f.Write(payload); !errors.Is(err, syscall.EIO) || n != 0 {
+		t.Fatalf("write 3 = (%d, %v), want (0, EIO)", n, err)
+	}
+	// Write 4: torn tail — reports full success, half lands, then the
 	// process is notionally dead.
 	if n, err := f.Write(payload); err != nil || n != len(payload) {
-		t.Fatalf("write 3 = (%d, %v), want silent success", n, err)
+		t.Fatalf("write 4 = (%d, %v), want silent success", n, err)
 	}
 	if !ffs.Crashed() {
 		t.Fatal("torn tail did not crash the FS")
@@ -154,12 +142,12 @@ func TestFaultFSReplaysJournalSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 10 (clean) + 3 (short) + 0 (enospc) + 5 (torn half of 10).
+	// 10 (clean) + 3 (short) + 0 (enospc) + 0 (EIO) + 5 (torn half of 10).
 	if len(data) != 18 {
 		t.Fatalf("on-disk bytes = %d, want 18", len(data))
 	}
-	if fired := ffs.Fired(); len(fired) != 5 {
-		t.Fatalf("fired = %v, want all 5 faults", fired)
+	if fired := ffs.Fired(); len(fired) != 6 {
+		t.Fatalf("fired = %v, want all 6 faults", fired)
 	}
 }
 
@@ -193,40 +181,57 @@ func TestFaultFSPoisonsStore(t *testing.T) {
 	}
 }
 
-// TestPeerScriptReplaysDirectives checks the call-indexed mapping from
-// plan faults to injector directives: drops, dups, the linear latency
-// ramp, and the partition window. Only the windowed faults count as fired
-// by the script; the per-call ones are the injector's to perform.
+// countingExchanger answers every request and counts the deliveries.
+type countingExchanger struct{ delivered int }
+
+func (c *countingExchanger) PeerName() string { return "counted" }
+
+func (c *countingExchanger) Exchange(proto.Request) (proto.Response, error) {
+	c.delivered++
+	return proto.Response{}, nil
+}
+
+// TestPeerScriptReplaysDirectives runs one direction's script through a
+// FaultInjector, call by call: the duplicate reaches the peer twice, a call
+// inside the partition window fails with ErrInjected without reaching it,
+// a duplicate scheduled inside the window is not delivered, and the other
+// direction's faults do not leak in. Fired lists exactly what was
+// performed.
 func TestPeerScriptReplaysDirectives(t *testing.T) {
+	dup := faultplan.Fault{Seam: faultplan.SeamPeerlink, Kind: faultplan.KindDup, Dir: 0, At: 3}
+	part := faultplan.Fault{Seam: faultplan.SeamPeerlink, Kind: faultplan.KindPartition, Dir: 0, At: 10, Len: 3}
 	plan := &faultplan.Plan{Seed: 3, Faults: []faultplan.Fault{
-		{Seam: faultplan.SeamPeerlink, Kind: faultplan.KindDrop, Dir: 0, At: 2},
-		{Seam: faultplan.SeamPeerlink, Kind: faultplan.KindDup, Dir: 0, At: 3},
-		{Seam: faultplan.SeamPeerlink, Kind: faultplan.KindLatencyRamp, Dir: 0, At: 5, Len: 4, Arg: 100},
-		{Seam: faultplan.SeamPeerlink, Kind: faultplan.KindPartition, Dir: 0, At: 10, Len: 3},
-		// Direction 1 faults must not leak into direction 0's script.
-		{Seam: faultplan.SeamPeerlink, Kind: faultplan.KindDrop, Dir: 1, At: 0},
+		dup, part,
+		{Seam: faultplan.SeamPeerlink, Kind: faultplan.KindDup, Dir: 0, At: 11},
+		{Seam: faultplan.SeamPeerlink, Kind: faultplan.KindDup, Dir: 1, At: 0},
+		{Seam: faultplan.SeamPeerlink, Kind: faultplan.KindPartition, Dir: 1, At: 1, Len: 5},
 	}}
 	s := faultplan.NewPeerScript(plan, 0)
+	peer := &countingExchanger{}
+	inj := proto.NewFaultInjector(peer, s, nil)
 	for i := 0; i < 15; i++ {
-		d := s.NextCall()
-		if got, want := d.Drop, i == 2; got != want {
-			t.Fatalf("call %d: Drop = %v, want %v", i, got, want)
-		}
-		if got, want := d.Duplicate, i == 3; got != want {
-			t.Fatalf("call %d: Duplicate = %v, want %v", i, got, want)
-		}
-		if got, want := d.Fail, i >= 10 && i < 13; got != want {
-			t.Fatalf("call %d: Fail = %v, want %v", i, got, want)
-		}
-		inRamp := i >= 5 && i < 9
-		if (d.Delay > 0) != inRamp {
-			t.Fatalf("call %d: Delay = %v, want ramp=%v", i, d.Delay, inRamp)
-		}
-		if i == 8 && d.Delay != 100*time.Microsecond {
-			t.Fatalf("ramp top delay = %v, want 100µs", d.Delay)
+		before := peer.delivered
+		_, err := inj.Exchange(proto.Request{Method: proto.MethodPing})
+		delivered := peer.delivered - before
+		switch {
+		case i >= 10 && i < 13:
+			if !errors.Is(err, proto.ErrInjected) || delivered != 0 {
+				t.Fatalf("call %d in the partition: err = %v, delivered %d time(s); want ErrInjected, 0", i, err, delivered)
+			}
+		case i == 3:
+			if err != nil || delivered != 2 {
+				t.Fatalf("duplicated call %d: err = %v, delivered %d time(s); want nil, 2", i, err, delivered)
+			}
+		default:
+			if err != nil || delivered != 1 {
+				t.Fatalf("call %d: err = %v, delivered %d time(s); want nil, 1", i, err, delivered)
+			}
 		}
 	}
-	if fired := s.Fired(); len(fired) != 2 {
-		t.Fatalf("fired = %v, want the 2 dir-0 windowed faults, once each", fired)
+	if inj.Duplicated() != 1 || inj.Failed() != 3 {
+		t.Fatalf("injector duplicated %d, failed %d; want 1, 3", inj.Duplicated(), inj.Failed())
+	}
+	if got, want := fmt.Sprint(s.Fired()), fmt.Sprint([]faultplan.Fault{dup, part}); got != want {
+		t.Fatalf("fired = %s, want %s", got, want)
 	}
 }

@@ -2,37 +2,29 @@ package faultplan
 
 import (
 	"sync"
-	"time"
 
 	"cosched/internal/proto"
 )
 
-// PeerScript replays one direction's peerlink faults call by call; it
-// implements proto.CallScript and plugs into a proto.FaultInjector via
-// WithScript. Calls are indexed from 0 in interception order, which under
-// a virtual-clock harness is deterministic, so the same plan always hits
-// the same calls.
+// PeerScript replays one direction's peerlink faults call by call: it is
+// the proto.CallScript of that direction's proto.FaultInjector. Calls are
+// indexed from 0 in interception order, which under a virtual-clock
+// harness is deterministic, so the same plan always hits the same calls.
 type PeerScript struct {
 	mu    sync.Mutex
 	n     int
-	drops map[int]bool
-	dups  map[int]bool
-	ramps []Fault // windowed: sorted by At
-	parts []Fault // windowed: sorted by At
+	dups  map[int]Fault
+	parts []Fault // sorted by At
 	fired []Fault
 }
 
 // NewPeerScript builds the script for direction dir of plan.
 func NewPeerScript(plan *Plan, dir int) *PeerScript {
-	s := &PeerScript{drops: map[int]bool{}, dups: map[int]bool{}}
+	s := &PeerScript{dups: map[int]Fault{}}
 	for _, f := range plan.Peer(dir) {
 		switch f.Kind {
-		case KindDrop:
-			s.drops[f.At] = true
 		case KindDup:
-			s.dups[f.At] = true
-		case KindLatencyRamp:
-			s.ramps = append(s.ramps, f)
+			s.dups[f.At] = f
 		case KindPartition:
 			s.parts = append(s.parts, f)
 		}
@@ -47,18 +39,7 @@ func (s *PeerScript) NextCall() proto.CallDirective {
 	defer s.mu.Unlock()
 	i := s.n
 	s.n++
-	d := proto.CallDirective{Drop: s.drops[i], Duplicate: s.dups[i]}
-	for _, f := range s.ramps {
-		if i >= f.At && i < f.At+f.Len {
-			// Linear ramp: the link degrades across the window, from
-			// near-zero to Arg microseconds at the top.
-			frac := float64(i-f.At+1) / float64(f.Len)
-			d.Delay = time.Duration(frac*float64(f.Arg)) * time.Microsecond
-			if i == f.At {
-				s.fired = append(s.fired, f)
-			}
-		}
-	}
+	var d proto.CallDirective
 	for _, f := range s.parts {
 		if i >= f.At && i < f.At+f.Len {
 			d.Fail = true
@@ -67,14 +48,18 @@ func (s *PeerScript) NextCall() proto.CallDirective {
 			}
 		}
 	}
+	// A failed call never reaches the peer, so a duplicate inside a
+	// partition window is not delivered.
+	if f, ok := s.dups[i]; ok && !d.Fail {
+		d.Duplicate = true
+		s.fired = append(s.fired, f)
+	}
 	return d
 }
 
-// Fired returns the windowed faults (latency ramps, partitions) that
-// covered at least one call, each once. A drop or duplicate is only a
-// directive: the injector may not perform it (a drop needs a dropper, and a
-// failed call is never delivered twice), so FaultInjector.Dropped and
-// Duplicated count those.
+// Fired returns, in call order, the faults the injector performed: each
+// partition that covered at least one call, once, and each duplicate
+// outside a partition window.
 func (s *PeerScript) Fired() []Fault {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -39,10 +39,9 @@ func TestLiveChaosCoStartOverTCP(t *testing.T) {
 		Cooldown: 50 * time.Millisecond, Seed: 2,
 	})
 	defer lb.Close()
-	ia := proto.NewFaultInjector(la, 0, 11).
-		WithLatency(0.2, time.Millisecond).WithDrops(0.2, la.BreakConn)
-	ib := proto.NewFaultInjector(lb, 0, 12).
-		WithLatency(0.2, time.Millisecond).WithDrops(0.2, lb.BreakConn)
+	chaos := proto.Rates{Latency: 0.2, Delay: time.Millisecond, Drop: 0.2}
+	ia := proto.NewFaultInjector(la, proto.NewRateScript(11, chaos), la.BreakConn)
+	ib := proto.NewFaultInjector(lb, proto.NewRateScript(12, chaos), lb.BreakConn)
 	a.driver.Do(func() { a.mgr.AddPeer("b", ia) })
 	b.driver.Do(func() { b.mgr.AddPeer("a", ib) })
 

@@ -98,7 +98,7 @@ func TestExchangeConformance(t *testing.T) {
 			return c
 		}},
 		{"FaultInjector/rate 0", func(_ *testing.T, srv *proto.Server) proto.Exchanger {
-			return proto.NewFaultInjector(srv, 0, 1)
+			return proto.NewFaultInjector(srv, proto.NewRateScript(1, proto.Rates{}), nil)
 		}},
 		{"Link/in-process Client", func(_ *testing.T, srv *proto.Server) proto.Exchanger {
 			return peerlink.New(peerlink.Config{Name: "remote", Dial: func(string, time.Duration, time.Duration) (peerlink.Transport, error) {

@@ -408,8 +408,8 @@ func TestSequenceMismatchDetected(t *testing.T) {
 func TestFaultInjectorDeterminismAndRate(t *testing.T) {
 	backend := newFakeBackend()
 	backend.statuses[1] = cosched.StatusQueuing
-	a := NewFaultInjector(NewServer(backend, nil, nil), 0.3, 42)
-	b := NewFaultInjector(NewServer(backend, nil, nil), 0.3, 42)
+	a := NewFaultInjector(NewServer(backend, nil, nil), NewRateScript(42, Rates{Fail: 0.3}), nil)
+	b := NewFaultInjector(NewServer(backend, nil, nil), NewRateScript(42, Rates{Fail: 0.3}), nil)
 	var patternA, patternB []bool
 	for i := 0; i < 500; i++ {
 		_, errA := a.GetMateStatus(1)
@@ -453,8 +453,8 @@ func (s *onceScript) NextCall() CallDirective {
 func TestFaultInjectorProbeMateIsOneDraw(t *testing.T) {
 	backend := newFakeBackend()
 	backend.statuses[1] = cosched.StatusQueuing
-	a := NewFaultInjector(NewServer(backend, nil, nil), 0.3, 42)
-	b := NewFaultInjector(NewServer(backend, nil, nil), 0.3, 42)
+	a := NewFaultInjector(NewServer(backend, nil, nil), NewRateScript(42, Rates{Fail: 0.3}), nil)
+	b := NewFaultInjector(NewServer(backend, nil, nil), NewRateScript(42, Rates{Fail: 0.3}), nil)
 	for i := 0; i < 500; i++ {
 		_, errA := a.GetMateStatus(1)
 		probe, errB := b.ProbeMate(1)
@@ -473,7 +473,7 @@ func TestFaultInjectorProbeMateIsOneDraw(t *testing.T) {
 	}
 
 	counted := &countingProber{}
-	dup := NewFaultInjector(NewServer(counted, nil, nil), 0, 1).WithScript(&onceScript{CallDirective{Duplicate: true}})
+	dup := NewFaultInjector(NewServer(counted, nil, nil), &onceScript{CallDirective{Duplicate: true}}, nil)
 	if _, err := dup.ProbeMate(1); err != nil || counted.probes != 2 || dup.Duplicated() != 1 {
 		t.Fatalf("duplicated probe: err = %v, inner probed %d times, Duplicated() = %d; want nil, 2, 1", err, counted.probes, dup.Duplicated())
 	}
@@ -495,14 +495,55 @@ func (p *countingProber) ProbeMate(job.ID) (cosched.MateProbe, error) {
 
 func TestFaultInjectorRateClamps(t *testing.T) {
 	backend := newFakeBackend()
-	never := NewFaultInjector(NewServer(backend, nil, nil), -1, 1)
-	always := NewFaultInjector(NewServer(backend, nil, nil), 2, 1)
+	never := NewFaultInjector(NewServer(backend, nil, nil), NewRateScript(1, Rates{Fail: -1}), nil)
+	always := NewFaultInjector(NewServer(backend, nil, nil), NewRateScript(1, Rates{Fail: 2}), nil)
 	for i := 0; i < 50; i++ {
 		if _, err := never.GetMateJob(1); err != nil {
 			t.Fatal("rate 0 injector failed a call")
 		}
 		if _, err := always.GetMateJob(1); err == nil {
 			t.Fatal("rate 1 injector passed a call")
+		}
+	}
+}
+
+// TestRateScriptStreamIsPinned pins the first 64 directives of two seeded
+// streams under two rate sets, one digit per call (1 delay + 2 drop + 4
+// fail). The expected strings were read, call by call, from the injector's
+// Delayed/Dropped/Failed counters when the rates were injector modes, so a
+// seeded chaos run (coupled FaultRate, the wire and live chaos tests)
+// reproduces draw for draw.
+func TestRateScriptStreamIsPinned(t *testing.T) {
+	failOnly := Rates{Fail: 0.3}
+	all := Rates{Latency: 0.2, Delay: time.Nanosecond, Drop: 0.2, Fail: 0.3}
+	for _, tc := range []struct {
+		seed  uint64
+		rates Rates
+		want  string
+	}{
+		{7, failOnly, "0400040040400000000004000040000404004044000440000000440400000000"},
+		{7, all, "2442000140205160060000040000342014100000440001012010426002140001"},
+		{42, failOnly, "0440404000400004404004004400000000004404044000440004404000044004"},
+		{42, all, "6200021110001506031401001240004404014040075020102000020011214201"},
+	} {
+		s := NewRateScript(tc.seed, tc.rates)
+		got := make([]byte, 64)
+		for i := range got {
+			d := s.NextCall()
+			v := 0
+			if d.Delay > 0 {
+				v |= 1
+			}
+			if d.Drop {
+				v |= 2
+			}
+			if d.Fail {
+				v |= 4
+			}
+			got[i] = byte('0' + v)
+		}
+		if string(got) != tc.want {
+			t.Errorf("seed %d, %+v:\n got %s\nwant %s", tc.seed, tc.rates, got, tc.want)
 		}
 	}
 }

@@ -114,9 +114,9 @@ func TestFaultInjectorConcurrent(t *testing.T) {
 	backend := newFakeBackend()
 	backend.statuses[1] = cosched.StatusQueuing
 	var dropped sync.Map
-	f := NewFaultInjector(NewServer(backend, nil, nil), 0.2, 99).
-		WithLatency(0.1, time.Microsecond).
-		WithDrops(0.1, func() { dropped.Store("hit", true) })
+	f := NewFaultInjector(NewServer(backend, nil, nil),
+		NewRateScript(99, Rates{Fail: 0.2, Latency: 0.1, Delay: time.Microsecond, Drop: 0.1}),
+		func() { dropped.Store("hit", true) })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -152,7 +152,7 @@ func TestFaultInjectorLatencyMode(t *testing.T) {
 	backend := newFakeBackend()
 	backend.statuses[1] = cosched.StatusQueuing
 	const d = 20 * time.Millisecond
-	f := NewFaultInjector(NewServer(backend, nil, nil), 0, 1).WithLatency(1, d)
+	f := NewFaultInjector(NewServer(backend, nil, nil), NewRateScript(1, Rates{Latency: 1, Delay: d}), nil)
 	//simlint:allow R2 measuring real injected wire latency, not simulation time
 	start := time.Now()
 	if _, err := f.GetMateStatus(1); err != nil {
@@ -171,7 +171,7 @@ func TestFaultInjectorDropMode(t *testing.T) {
 	backend := newFakeBackend()
 	backend.statuses[1] = cosched.StatusQueuing
 	var drops int
-	f := NewFaultInjector(NewServer(backend, nil, nil), 0, 1).WithDrops(1, func() { drops++ })
+	f := NewFaultInjector(NewServer(backend, nil, nil), NewRateScript(1, Rates{Drop: 1}), func() { drops++ })
 	for i := 0; i < 5; i++ {
 		// Drops cut the wire but do not fail the forwarded call themselves.
 		if _, err := f.GetMateStatus(1); err != nil {
@@ -189,9 +189,8 @@ func TestFaultInjectorModeDeterminism(t *testing.T) {
 	backend := newFakeBackend()
 	backend.statuses[1] = cosched.StatusQueuing
 	mk := func() *FaultInjector {
-		return NewFaultInjector(NewServer(backend, nil, nil), 0.3, 7).
-			WithLatency(0.2, 0).
-			WithDrops(0.2, func() {})
+		return NewFaultInjector(NewServer(backend, nil, nil),
+			NewRateScript(7, Rates{Fail: 0.3, Latency: 0.2, Drop: 0.2}), func() {})
 	}
 	a, b := mk(), mk()
 	for i := 0; i < 500; i++ {
