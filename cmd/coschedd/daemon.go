@@ -53,7 +53,7 @@ func runDaemon(cfg *daemonConfig) error {
 		pool = cluster.New(cfg.name, cfg.nodes)
 	}
 
-	obsList := teeObserver{logObserver{logger}}
+	obsList := resmgr.Tee{logObserver{l: logger}}
 	var elog *eventlog.Log // nil unless -log is set; also records peer-breaker transitions
 	if cfg.logPath != "" {
 		lf, err := openEventLog(cfg.logPath)

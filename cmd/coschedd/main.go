@@ -193,8 +193,11 @@ func main() {
 	}
 }
 
-// logObserver prints job lifecycle events.
-type logObserver struct{ l *log.Logger }
+// logObserver prints job lifecycle events; peer decisions are not printed.
+type logObserver struct {
+	resmgr.NullObserver
+	l *log.Logger
+}
 
 func (o logObserver) JobExpected(now sim.Time, j *job.Job) {
 	o.l.Printf("t=%d expect job %d (%d nodes)", now, j.ID, j.Nodes)
@@ -219,73 +222,4 @@ func (o logObserver) JobReleased(now sim.Time, j *job.Job, requeued bool) {
 }
 func (o logObserver) JobCancelled(now sim.Time, j *job.Job) {
 	o.l.Printf("t=%d CANCEL job %d", now, j.ID)
-}
-
-// teeObserver fans lifecycle events out to several observers, forwarding
-// the optional expect/peer-decision extensions to members that implement
-// them.
-type teeObserver []resmgr.Observer
-
-var (
-	_ resmgr.Observer             = (teeObserver)(nil)
-	_ resmgr.ExpectObserver       = (teeObserver)(nil)
-	_ resmgr.PeerDecisionObserver = (teeObserver)(nil)
-)
-
-func (t teeObserver) JobSubmitted(now sim.Time, j *job.Job) {
-	for _, o := range t {
-		o.JobSubmitted(now, j)
-	}
-}
-
-func (t teeObserver) JobStarted(now sim.Time, j *job.Job) {
-	for _, o := range t {
-		o.JobStarted(now, j)
-	}
-}
-
-func (t teeObserver) JobCompleted(now sim.Time, j *job.Job) {
-	for _, o := range t {
-		o.JobCompleted(now, j)
-	}
-}
-
-func (t teeObserver) JobHeld(now sim.Time, j *job.Job) {
-	for _, o := range t {
-		o.JobHeld(now, j)
-	}
-}
-
-func (t teeObserver) JobYielded(now sim.Time, j *job.Job) {
-	for _, o := range t {
-		o.JobYielded(now, j)
-	}
-}
-
-func (t teeObserver) JobReleased(now sim.Time, j *job.Job, requeued bool) {
-	for _, o := range t {
-		o.JobReleased(now, j, requeued)
-	}
-}
-
-func (t teeObserver) JobCancelled(now sim.Time, j *job.Job) {
-	for _, o := range t {
-		o.JobCancelled(now, j)
-	}
-}
-
-func (t teeObserver) JobExpected(now sim.Time, j *job.Job) {
-	for _, o := range t {
-		if eo, ok := o.(resmgr.ExpectObserver); ok {
-			eo.JobExpected(now, j)
-		}
-	}
-}
-
-func (t teeObserver) PeerDecision(now sim.Time, method string, id job.ID, ok bool) {
-	for _, o := range t {
-		if po, is := o.(resmgr.PeerDecisionObserver); is {
-			po.PeerDecision(now, method, id, ok)
-		}
-	}
 }

@@ -13,7 +13,6 @@ import (
 	"cosched/internal/coupled"
 	"cosched/internal/job"
 	"cosched/internal/policy"
-	"cosched/internal/queues"
 	"cosched/internal/sim"
 	"cosched/internal/trace"
 	"cosched/internal/workload"
@@ -44,16 +43,6 @@ type Domain struct {
 	// Queues optionally routes the domain's jobs through named submission
 	// queues whose priorities scale the base policy (Cobalt-style).
 	Queues []QueueSpec `json:"queues,omitempty"`
-}
-
-// QueueSpec is the JSON form of one submission queue.
-type QueueSpec struct {
-	Name        string  `json:"name"`
-	MinNodes    int     `json:"min_nodes,omitempty"`
-	MaxNodes    int     `json:"max_nodes,omitempty"`
-	MaxWallMins int64   `json:"max_walltime_minutes,omitempty"`
-	Priority    float64 `json:"priority,omitempty"`
-	Default     bool    `json:"default,omitempty"`
 }
 
 // Synthetic requests a generated workload.
@@ -134,15 +123,13 @@ func (f *File) Build() (coupled.Options, error) {
 			Trace:        tr,
 		}
 		if len(d.Queues) > 0 {
-			router, err := buildQueues(d, tr)
-			if err != nil {
-				return opt, fmt.Errorf("config: domain %q: %w", d.Name, err)
-			}
 			base, ok := policy.ByName(d.Policy)
 			if !ok {
 				return opt, fmt.Errorf("config: domain %q: unknown policy %q", d.Name, d.Policy)
 			}
-			dc.PolicyImpl = router.Policy(base)
+			if dc.PolicyImpl, err = routeQueues(d.Queues, tr, base); err != nil {
+				return opt, fmt.Errorf("config: domain %q: %w", d.Name, err)
+			}
 		}
 		opt.Domains = append(opt.Domains, dc)
 	}
@@ -165,33 +152,6 @@ func (f *File) Build() (coupled.Options, error) {
 		}
 	}
 	return opt, nil
-}
-
-// buildQueues constructs a queue router for the domain and routes every
-// trace job through it, rejecting configurations whose queues cannot admit
-// part of the workload.
-func buildQueues(d Domain, tr []*job.Job) (*queues.Router, error) {
-	specs := make([]queues.Spec, len(d.Queues))
-	for i, q := range d.Queues {
-		specs[i] = queues.Spec{
-			Name:        q.Name,
-			MinNodes:    q.MinNodes,
-			MaxNodes:    q.MaxNodes,
-			MaxWalltime: sim.Duration(q.MaxWallMins) * sim.Minute,
-			Priority:    q.Priority,
-			Default:     q.Default,
-		}
-	}
-	router, err := queues.NewRouter(specs)
-	if err != nil {
-		return nil, err
-	}
-	for _, j := range tr {
-		if _, err := router.Route(j); err != nil {
-			return nil, err
-		}
-	}
-	return router, nil
 }
 
 // buildTrace loads or generates the domain's workload.

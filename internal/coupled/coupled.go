@@ -39,7 +39,7 @@ type DomainConfig struct {
 	// "fairshare"); empty selects WFP.
 	Policy string
 	// PolicyImpl, when non-nil, overrides Policy with a concrete
-	// implementation (e.g. a queue-routing wrapper from internal/queues).
+	// implementation (e.g. internal/config's queue-routing wrapper).
 	PolicyImpl policy.Policy
 	// Backfilling enables backfill (the paper's setting: WFP plus EASY).
 	Backfilling bool
@@ -161,10 +161,6 @@ func New(opt Options) (*Sim, error) {
 		} else {
 			pool = cluster.New(dc.Name, dc.Nodes)
 		}
-		obs := dc.Observer
-		if obs == nil {
-			obs = resmgr.NullObserver{}
-		}
 		m := resmgr.New(eng, resmgr.Options{
 			Name:        dc.Name,
 			Pool:        pool,
@@ -173,7 +169,7 @@ func New(opt Options) (*Sim, error) {
 			Mode:        mode,
 			Estimator:   est,
 			Cosched:     dc.Cosched,
-			Observer:    obs,
+			Observer:    dc.Observer,
 			Core:        core,
 		})
 		s.managers[dc.Name] = m

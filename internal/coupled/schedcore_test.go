@@ -8,6 +8,7 @@ import (
 	"cosched/internal/cosched"
 	"cosched/internal/invariant"
 	"cosched/internal/job"
+	"cosched/internal/resmgr"
 	"cosched/internal/sim"
 )
 
@@ -64,13 +65,12 @@ func runSchedCoreScenario(t *testing.T, sc schedCoreScenario, core string, seed 
 	ca.ReleaseInterval, cb.ReleaseInterval = sc.release, sc.release
 	ca.YieldBoost, cb.YieldBoost = sc.yieldBoost, sc.yieldBoost
 	mon := invariant.NewMonitor()
-	audA := invariant.NewDeferred(mon.Tap(nil))
-	audB := invariant.NewDeferred(mon.Tap(nil))
+	audA, audB := invariant.NewDeferred(), invariant.NewDeferred()
 	s, err := New(Options{Domains: []DomainConfig{
 		{Name: "A", Nodes: 64, Policy: sc.policy, Backfilling: true, BackfillMode: sc.mode,
-			Estimator: sc.estimator, SchedCore: core, Cosched: ca, Trace: a, Observer: audA},
+			Estimator: sc.estimator, SchedCore: core, Cosched: ca, Trace: a, Observer: resmgr.Tee{audA, mon}},
 		{Name: "B", Nodes: 8, Policy: sc.policy, Backfilling: true, BackfillMode: sc.mode,
-			Estimator: sc.estimator, SchedCore: core, Cosched: cb, Trace: b, Observer: audB},
+			Estimator: sc.estimator, SchedCore: core, Cosched: cb, Trace: b, Observer: resmgr.Tee{audB, mon}},
 	}})
 	if err != nil {
 		t.Fatalf("%s/%s: %v", sc.name, core, err)

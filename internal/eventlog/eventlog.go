@@ -139,8 +139,9 @@ func (l *Log) Observer(domain string) resmgr.Observer {
 }
 
 type observer struct {
-	log    *Log
-	domain string
+	resmgr.NullObserver // expectations and peer decisions are not logged
+	log                 *Log
+	domain              string
 }
 
 func (o *observer) JobSubmitted(now sim.Time, j *job.Job) {

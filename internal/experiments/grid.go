@@ -12,6 +12,7 @@ import (
 	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/parallel"
+	"cosched/internal/resmgr"
 	"cosched/internal/workload"
 )
 
@@ -191,19 +192,24 @@ func pairOutcome(cfg Config, ps pairSetup, intr, eur []*job.Job) (Outcome, error
 // auditHarness is the per-cell invariant instrumentation built when
 // Config.Audit is set: one deferred Auditor per domain (the coupled.Sim
 // constructs its managers internally, so observers must exist first) and
-// one shared deadlock Monitor tapped into every auditor's chain.
+// one deadlock Monitor shared by every domain.
 type auditHarness struct {
 	mon  *invariant.Monitor
 	auds []*invariant.Auditor
 }
 
 // newAuditHarness wires the harness into the domain configs before
-// coupled.New.
+// coupled.New: each domain's observer becomes auditor, then monitor, then
+// whatever observer the domain already had.
 func newAuditHarness(domains []coupled.DomainConfig) *auditHarness {
 	h := &auditHarness{mon: invariant.NewMonitor()}
 	for i := range domains {
-		aud := invariant.NewDeferred(h.mon.Tap(domains[i].Observer))
-		domains[i].Observer = aud
+		aud := invariant.NewDeferred()
+		tee := resmgr.Tee{aud, h.mon}
+		if inner := domains[i].Observer; inner != nil {
+			tee = append(tee, inner)
+		}
+		domains[i].Observer = tee
 		h.auds = append(h.auds, aud)
 	}
 	return h

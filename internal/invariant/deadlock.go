@@ -32,6 +32,8 @@ import (
 // deadlock by design, so it stays a detection only — tests assert on it
 // directly.
 type Monitor struct {
+	resmgr.NullObserver // expectations and peer decisions trigger no scan
+
 	domains map[string]*resmgr.Manager
 	order   []string
 
@@ -56,8 +58,9 @@ type cycleState struct {
 	violated bool
 }
 
-// NewMonitor returns an empty monitor; Register each domain, then Tap the
-// per-domain observer chains so every lifecycle event triggers a scan.
+// NewMonitor returns an empty monitor; Register each domain, and make the
+// monitor an observer of every one (through resmgr.Tee beside other
+// observers) so every lifecycle event triggers a scan.
 func NewMonitor() *Monitor {
 	return &Monitor{
 		domains: make(map[string]*resmgr.Manager),
@@ -84,15 +87,6 @@ func (mon *Monitor) Violations() []string { return mon.violations }
 
 // Scans returns how many wait-for-graph scans have run.
 func (mon *Monitor) Scans() int { return mon.scans }
-
-// Tap wraps inner (nil allowed) so that every observer event runs a
-// wait-for-graph scan before forwarding. Attach one tap per domain.
-func (mon *Monitor) Tap(inner resmgr.Observer) resmgr.Observer {
-	if inner == nil {
-		inner = resmgr.NullObserver{}
-	}
-	return &tap{mon: mon, inner: inner}
-}
 
 // scan rebuilds the cross-domain wait-for graph and reconciles the set of
 // live cycles against the previously observed ones.
@@ -251,21 +245,14 @@ func (t *tarjan) strongconnect(v string) {
 	t.sccs = append(t.sccs, scc)
 }
 
-// tap is the per-domain observer adapter: scan, then forward.
-type tap struct {
-	mon   *Monitor
-	inner resmgr.Observer
-}
+var _ resmgr.Observer = (*Monitor)(nil)
 
-var _ resmgr.Observer = (*tap)(nil)
-
-func (t *tap) JobSubmitted(now sim.Time, j *job.Job) { t.mon.scan(now); t.inner.JobSubmitted(now, j) }
-func (t *tap) JobStarted(now sim.Time, j *job.Job)   { t.mon.scan(now); t.inner.JobStarted(now, j) }
-func (t *tap) JobCompleted(now sim.Time, j *job.Job) { t.mon.scan(now); t.inner.JobCompleted(now, j) }
-func (t *tap) JobHeld(now sim.Time, j *job.Job)      { t.mon.scan(now); t.inner.JobHeld(now, j) }
-func (t *tap) JobYielded(now sim.Time, j *job.Job)   { t.mon.scan(now); t.inner.JobYielded(now, j) }
-func (t *tap) JobReleased(now sim.Time, j *job.Job, requeued bool) {
-	t.mon.scan(now)
-	t.inner.JobReleased(now, j, requeued)
-}
-func (t *tap) JobCancelled(now sim.Time, j *job.Job) { t.mon.scan(now); t.inner.JobCancelled(now, j) }
+// The lifecycle notifications each run one scan; the monitor reads job
+// state from the registered managers, not from the event.
+func (mon *Monitor) JobSubmitted(now sim.Time, _ *job.Job)        { mon.scan(now) }
+func (mon *Monitor) JobStarted(now sim.Time, _ *job.Job)          { mon.scan(now) }
+func (mon *Monitor) JobCompleted(now sim.Time, _ *job.Job)        { mon.scan(now) }
+func (mon *Monitor) JobHeld(now sim.Time, _ *job.Job)             { mon.scan(now) }
+func (mon *Monitor) JobYielded(now sim.Time, _ *job.Job)          { mon.scan(now) }
+func (mon *Monitor) JobReleased(now sim.Time, _ *job.Job, _ bool) { mon.scan(now) }
+func (mon *Monitor) JobCancelled(now sim.Time, _ *job.Job)        { mon.scan(now) }

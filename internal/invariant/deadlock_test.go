@@ -12,32 +12,34 @@ import (
 	"cosched/internal/sim"
 )
 
-// fig2Monitored rebuilds the paper's Figure 2 HH deadlock with the
-// wait-for-graph monitor tapped into both domains: a1 holds all of A
-// waiting for b1 (queued on a full B), b2 holds all of B waiting for a2
-// (queued on a full A). The cycle closes at t=10 when the second pair's
-// submissions land.
-func fig2Monitored(t *testing.T, release sim.Duration) (*sim.Engine, *Monitor, [4]*job.Job) {
-	t.Helper()
-	cfg := cosched.DefaultConfig(cosched.Hold)
-	cfg.ReleaseInterval = release
+// monitoredPair builds domains A and B of the given size, each peered with
+// the other and both observed by one deadlock monitor.
+func monitoredPair(cfgA, cfgB cosched.Config, nodes int) (*sim.Engine, *Monitor, *resmgr.Manager, *resmgr.Manager) {
 	eng := sim.NewEngine()
 	mon := NewMonitor()
-	a := resmgr.New(eng, resmgr.Options{
-		Name: "A", Pool: cluster.New("A", 6),
-		Policy: policy.FCFS{}, Backfilling: true, Cosched: cfg,
-		Observer: mon.Tap(nil),
-	})
-	b := resmgr.New(eng, resmgr.Options{
-		Name: "B", Pool: cluster.New("B", 6),
-		Policy: policy.FCFS{}, Backfilling: true, Cosched: cfg,
-		Observer: mon.Tap(nil),
-	})
+	domain := func(name string, cfg cosched.Config) *resmgr.Manager {
+		m := resmgr.New(eng, resmgr.Options{
+			Name: name, Pool: cluster.New(name, nodes),
+			Policy: policy.FCFS{}, Backfilling: true, Cosched: cfg, Observer: mon,
+		})
+		mon.Register(m)
+		return m
+	}
+	a, b := domain("A", cfgA), domain("B", cfgB)
 	a.AddPeer("B", b)
 	b.AddPeer("A", a)
-	mon.Register(a)
-	mon.Register(b)
+	return eng, mon, a, b
+}
 
+// fig2Monitored rebuilds the paper's Figure 2 HH deadlock under the
+// wait-for-graph monitor: a1 holds all of A waiting for b1 (queued on a
+// full B), b2 holds all of B waiting for a2 (queued on a full A). Under HH
+// the cycle closes at t=10 when the second pair's submissions land.
+func fig2Monitored(t *testing.T, schemeA, schemeB cosched.Scheme, release sim.Duration) (*sim.Engine, *Monitor, [4]*job.Job) {
+	t.Helper()
+	cfgA, cfgB := cosched.DefaultConfig(schemeA), cosched.DefaultConfig(schemeB)
+	cfgA.ReleaseInterval, cfgB.ReleaseInterval = release, release
+	eng, mon, a, b := monitoredPair(cfgA, cfgB, 6)
 	a1 := job.New(1, 6, 0, 600, 600)
 	a2 := job.New(2, 6, 10, 600, 600)
 	b2 := job.New(2, 6, 0, 600, 600)
@@ -64,7 +66,7 @@ func fig2Monitored(t *testing.T, release sim.Duration) (*sim.Engine, *Monitor, [
 // must record exactly one cycle, at the t=10 event where the second
 // pair's submissions close the loop, with the two holders as its nodes.
 func TestDeadlockDetectedAtCycleClose(t *testing.T) {
-	eng, mon, jobs := fig2Monitored(t, 0)
+	eng, mon, jobs := fig2Monitored(t, cosched.Hold, cosched.Hold, 0)
 	eng.Run()
 	if jobs[0].State != job.Holding || jobs[3].State != job.Holding {
 		t.Fatalf("scenario drifted: a1=%s b2=%s, want both holding", jobs[0].State, jobs[3].State)
@@ -93,7 +95,7 @@ func TestDeadlockDetectedAtCycleClose(t *testing.T) {
 // the same cycle must form and then be broken within one release
 // interval — detected, never violated, and every job completes.
 func TestDeadlockClearedByReleaseInterval(t *testing.T) {
-	eng, mon, jobs := fig2Monitored(t, 20*sim.Minute)
+	eng, mon, jobs := fig2Monitored(t, cosched.Hold, cosched.Hold, 20*sim.Minute)
 	eng.Run()
 	for _, j := range jobs {
 		if j.State != job.Completed {
@@ -114,7 +116,7 @@ func TestDeadlockClearedByReleaseInterval(t *testing.T) {
 // (and panic in the debug build, where violations fail fast).
 func TestCycleOutlivingIntervalIsViolation(t *testing.T) {
 	interval := 20 * sim.Minute
-	eng, mon, _ := fig2Monitored(t, interval)
+	eng, mon, _ := fig2Monitored(t, cosched.Hold, cosched.Hold, interval)
 	eng.RunUntil(10)
 	if n := len(mon.Detections()); n != 1 {
 		t.Fatalf("detections after t=10: %d, want 1", n)
@@ -148,22 +150,7 @@ func TestCycleOutlivingIntervalIsViolation(t *testing.T) {
 func TestNoFalseCyclesWhenCapacitySuffices(t *testing.T) {
 	cfg := cosched.DefaultConfig(cosched.Hold)
 	cfg.ReleaseInterval = 20 * sim.Minute
-	eng := sim.NewEngine()
-	mon := NewMonitor()
-	a := resmgr.New(eng, resmgr.Options{
-		Name: "A", Pool: cluster.New("A", 100),
-		Policy: policy.FCFS{}, Backfilling: true, Cosched: cfg,
-		Observer: mon.Tap(nil),
-	})
-	b := resmgr.New(eng, resmgr.Options{
-		Name: "B", Pool: cluster.New("B", 100),
-		Policy: policy.FCFS{}, Backfilling: true, Cosched: cfg,
-		Observer: mon.Tap(nil),
-	})
-	a.AddPeer("B", b)
-	b.AddPeer("A", a)
-	mon.Register(a)
-	mon.Register(b)
+	eng, mon, a, b := monitoredPair(cfg, cfg, 100)
 	ja := job.New(1, 10, 0, 600, 600)
 	jb := job.New(1, 10, 30, 600, 600)
 	ja.Mates = []job.MateRef{{Domain: "B", Job: 1}}
@@ -208,49 +195,10 @@ func TestMixedSchemesNeverTrip(t *testing.T) {
 	for _, combo := range combos {
 		for _, rel := range releases {
 			t.Run(combo.name+"/"+rel.name, func(t *testing.T) {
-				cfgA := cosched.DefaultConfig(combo.schemeA)
-				cfgA.ReleaseInterval = rel.release
-				cfgB := cosched.DefaultConfig(combo.schemeB)
-				cfgB.ReleaseInterval = rel.release
-				eng := sim.NewEngine()
-				mon := NewMonitor()
-				a := resmgr.New(eng, resmgr.Options{
-					Name: "A", Pool: cluster.New("A", 6),
-					Policy: policy.FCFS{}, Backfilling: true, Cosched: cfgA,
-					Observer: mon.Tap(nil),
-				})
-				b := resmgr.New(eng, resmgr.Options{
-					Name: "B", Pool: cluster.New("B", 6),
-					Policy: policy.FCFS{}, Backfilling: true, Cosched: cfgB,
-					Observer: mon.Tap(nil),
-				})
-				a.AddPeer("B", b)
-				b.AddPeer("A", a)
-				mon.Register(a)
-				mon.Register(b)
-
-				// The exact Figure 2 shape that deadlocks under HH.
-				a1 := job.New(1, 6, 0, 600, 600)
-				a2 := job.New(2, 6, 10, 600, 600)
-				b2 := job.New(2, 6, 0, 600, 600)
-				b1 := job.New(1, 6, 10, 600, 600)
-				a1.Mates = []job.MateRef{{Domain: "B", Job: 1}}
-				b1.Mates = []job.MateRef{{Domain: "A", Job: 1}}
-				a2.Mates = []job.MateRef{{Domain: "B", Job: 2}}
-				b2.Mates = []job.MateRef{{Domain: "A", Job: 2}}
-				for _, j := range []*job.Job{a1, a2} {
-					if err := a.SubmitAt(j); err != nil {
-						t.Fatalf("submit A/%d: %v", j.ID, err)
-					}
-				}
-				for _, j := range []*job.Job{b2, b1} {
-					if err := b.SubmitAt(j); err != nil {
-						t.Fatalf("submit B/%d: %v", j.ID, err)
-					}
-				}
+				eng, mon, jobs := fig2Monitored(t, combo.schemeA, combo.schemeB, rel.release)
+				a1, a2, b1, b2 := jobs[0], jobs[1], jobs[2], jobs[3]
 				eng.Run()
-
-				for _, j := range []*job.Job{a1, a2, b1, b2} {
+				for _, j := range jobs {
 					if j.State != job.Completed {
 						t.Fatalf("job %s not completed under %s", j, combo.name)
 					}

@@ -1,5 +1,5 @@
 // Package invariant provides a runtime auditor for resource managers: an
-// Observer wrapper that re-checks the scheduler's cross-cutting invariants
+// Observer that re-checks the scheduler's cross-cutting invariants
 // at every lifecycle event and records violations instead of panicking.
 // Tests attach it to full simulations so a regression in allocation
 // accounting or the job state machine surfaces at the event where it
@@ -25,30 +25,24 @@ import (
 
 // Auditor observes one manager and accumulates violations.
 type Auditor struct {
-	mgr     *resmgr.Manager
-	inner   resmgr.Observer
-	lastNow sim.Time
+	resmgr.NullObserver // expectations and peer decisions are not audited
+	mgr                 *resmgr.Manager
+	lastNow             sim.Time
 
 	violations []string
 	events     int
 }
 
-// New wraps inner (nil allowed) with auditing against mgr.
-func New(mgr *resmgr.Manager, inner resmgr.Observer) *Auditor {
-	if inner == nil {
-		inner = resmgr.NullObserver{}
-	}
-	return &Auditor{mgr: mgr, inner: inner}
-}
+// New returns an auditor of mgr. Compose it with other observers through
+// resmgr.Tee.
+func New(mgr *resmgr.Manager) *Auditor { return &Auditor{mgr: mgr} }
 
 // NewDeferred returns an auditor with no manager bound yet. coupled.Sim
 // constructs its managers internally, so the Observer must exist before
 // the Manager does: pass the deferred auditor in DomainConfig.Observer,
 // then Bind it to Sim.Manager(name) before Run. Events observed before
 // Bind are themselves recorded as violations.
-func NewDeferred(inner resmgr.Observer) *Auditor {
-	return New(nil, inner)
-}
+func NewDeferred() *Auditor { return New(nil) }
 
 // Bind attaches the audited manager to a deferred auditor.
 func (a *Auditor) Bind(mgr *resmgr.Manager) { a.mgr = mgr }
@@ -122,7 +116,6 @@ func (a *Auditor) JobSubmitted(now sim.Time, j *job.Job) {
 	if j.State != job.Queued {
 		a.fail(now, "submitted job %d in state %s", j.ID, j.State)
 	}
-	a.inner.JobSubmitted(now, j)
 }
 
 // JobStarted implements resmgr.Observer.
@@ -137,7 +130,6 @@ func (a *Auditor) JobStarted(now sim.Time, j *job.Job) {
 	if j.WaitTime() < 0 {
 		a.fail(now, "job %d negative wait %d", j.ID, j.WaitTime())
 	}
-	a.inner.JobStarted(now, j)
 }
 
 // JobCompleted implements resmgr.Observer.
@@ -149,7 +141,6 @@ func (a *Auditor) JobCompleted(now sim.Time, j *job.Job) {
 	if j.EndTime-j.StartTime != j.Runtime {
 		a.fail(now, "job %d ran %d s, declared runtime %d", j.ID, j.EndTime-j.StartTime, j.Runtime)
 	}
-	a.inner.JobCompleted(now, j)
 }
 
 // JobHeld implements resmgr.Observer.
@@ -161,7 +152,6 @@ func (a *Auditor) JobHeld(now sim.Time, j *job.Job) {
 	if a.mgr.Pool().Held() <= 0 {
 		a.fail(now, "job %d held but pool shows no held nodes", j.ID)
 	}
-	a.inner.JobHeld(now, j)
 }
 
 // JobYielded implements resmgr.Observer.
@@ -173,7 +163,6 @@ func (a *Auditor) JobYielded(now sim.Time, j *job.Job) {
 	if j.YieldCount < 1 {
 		a.fail(now, "yield event with count %d", j.YieldCount)
 	}
-	a.inner.JobYielded(now, j)
 }
 
 // JobReleased implements resmgr.Observer.
@@ -182,7 +171,6 @@ func (a *Auditor) JobReleased(now sim.Time, j *job.Job, requeued bool) {
 	if j.State != job.Queued {
 		a.fail(now, "released job %d in state %s", j.ID, j.State)
 	}
-	a.inner.JobReleased(now, j, requeued)
 }
 
 // JobCancelled implements resmgr.Observer.
@@ -191,5 +179,4 @@ func (a *Auditor) JobCancelled(now sim.Time, j *job.Job) {
 	if j.State != job.Cancelled {
 		a.fail(now, "cancelled job %d in state %s", j.ID, j.State)
 	}
-	a.inner.JobCancelled(now, j)
 }

@@ -40,24 +40,19 @@ func TestFullSimulationUpholdsInvariants(t *testing.T) {
 		}
 		workload.PairNearest(workload.NewRNG(63), a, b, "A", "B", 25, sim.Hour)
 
-		// Auditors are installed through the coupled Observer hook; they
-		// need the managers, which exist only after New — wire lazily.
-		var audA, audB *Auditor
-		holderA := &lazyObserver{}
-		holderB := &lazyObserver{}
+		// The auditors need the managers, which exist only after New.
+		audA, audB := NewDeferred(), NewDeferred()
 		s, err := coupled.New(coupled.Options{Domains: []coupled.DomainConfig{
 			{Name: "A", Nodes: 64, Backfilling: true,
-				Cosched: cosched.DefaultConfig(schemes[0]), Trace: a, Observer: holderA},
+				Cosched: cosched.DefaultConfig(schemes[0]), Trace: a, Observer: audA},
 			{Name: "B", Nodes: 16, Backfilling: true,
-				Cosched: cosched.DefaultConfig(schemes[1]), Trace: b, Observer: holderB},
+				Cosched: cosched.DefaultConfig(schemes[1]), Trace: b, Observer: audB},
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		audA = New(s.Manager("A"), nil)
-		audB = New(s.Manager("B"), nil)
-		holderA.inner = audA
-		holderB.inner = audB
+		audA.Bind(s.Manager("A"))
+		audB.Bind(s.Manager("B"))
 
 		res := s.Run()
 		if res.StuckJobs != 0 || res.CoStartViolations != 0 {
@@ -74,32 +69,12 @@ func TestFullSimulationUpholdsInvariants(t *testing.T) {
 	}
 }
 
-// lazyObserver forwards to an inner observer installed after construction.
-type lazyObserver struct{ inner resmgr.Observer }
-
-func (l *lazyObserver) get() resmgr.Observer {
-	if l.inner == nil {
-		return resmgr.NullObserver{}
-	}
-	return l.inner
-}
-
-func (l *lazyObserver) JobSubmitted(now sim.Time, j *job.Job) { l.get().JobSubmitted(now, j) }
-func (l *lazyObserver) JobStarted(now sim.Time, j *job.Job)   { l.get().JobStarted(now, j) }
-func (l *lazyObserver) JobCompleted(now sim.Time, j *job.Job) { l.get().JobCompleted(now, j) }
-func (l *lazyObserver) JobHeld(now sim.Time, j *job.Job)      { l.get().JobHeld(now, j) }
-func (l *lazyObserver) JobYielded(now sim.Time, j *job.Job)   { l.get().JobYielded(now, j) }
-func (l *lazyObserver) JobReleased(now sim.Time, j *job.Job, r bool) {
-	l.get().JobReleased(now, j, r)
-}
-func (l *lazyObserver) JobCancelled(now sim.Time, j *job.Job) { l.get().JobCancelled(now, j) }
-
 // TestAuditorDetectsInconsistency feeds the auditor a fabricated bad event
 // to prove it actually fires.
 func TestAuditorDetectsInconsistency(t *testing.T) {
 	eng := sim.NewEngine()
 	m := resmgr.New(eng, resmgr.Options{Name: "X", Pool: cluster.New("X", 16)})
-	aud := New(m, nil)
+	aud := New(m)
 	j := job.New(1, 4, 0, 100, 100)
 	// A "started" job that is actually still unsubmitted, with a bogus
 	// start time.
@@ -112,12 +87,10 @@ func TestAuditorDetectsInconsistency(t *testing.T) {
 // TestAuditorCoversCancellation cancels jobs mid-simulation under audit.
 func TestAuditorCoversCancellation(t *testing.T) {
 	eng := sim.NewEngine()
-	m := resmgr.New(eng, resmgr.Options{Name: "C", Pool: cluster.New("C", 32), Backfilling: true})
-	aud := New(m, nil)
-	// resmgr has no observer setter; rebuild with the auditor attached.
-	m = resmgr.New(eng, resmgr.Options{Name: "C", Pool: cluster.New("C", 32),
+	aud := NewDeferred()
+	m := resmgr.New(eng, resmgr.Options{Name: "C", Pool: cluster.New("C", 32),
 		Backfilling: true, Observer: aud})
-	aud.mgr = m
+	aud.Bind(m)
 
 	running := job.New(1, 32, 0, 10000, 10000)
 	queued := job.New(2, 32, 5, 600, 600)
@@ -150,7 +123,7 @@ func TestAuditorCoversCancellation(t *testing.T) {
 func TestAuditorFlagsBadYieldAndHoldEvents(t *testing.T) {
 	eng := sim.NewEngine()
 	m := resmgr.New(eng, resmgr.Options{Name: "X", Pool: cluster.New("X", 16)})
-	aud := New(m, nil)
+	aud := New(m)
 	j := job.New(1, 4, 0, 100, 100)
 	aud.JobYielded(0, j)   // yield with count 0, state unsubmitted
 	aud.JobHeld(0, j)      // held with no pool-held nodes

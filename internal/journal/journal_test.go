@@ -2,6 +2,8 @@ package journal
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,8 @@ import (
 
 	"cosched/internal/cluster"
 	"cosched/internal/cosched"
+	"cosched/internal/eventlog"
+	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/policy"
 	"cosched/internal/resmgr"
@@ -462,8 +466,9 @@ func TestReplayRejectsIllegalHistories(t *testing.T) {
 }
 
 // liveDomain builds a manager journaled by a Recorder, closing over the
-// manager pointer the way the daemon does.
-func liveDomain(t *testing.T, eng *sim.Engine, name string, nodes int, store *Store) *resmgr.Manager {
+// manager pointer the way the daemon does; others observe it in a Tee
+// ahead of the recorder.
+func liveDomain(t *testing.T, eng *sim.Engine, name string, nodes int, store *Store, others ...resmgr.Observer) *resmgr.Manager {
 	t.Helper()
 	var m *resmgr.Manager
 	rec := NewRecorder(store, func() Snapshot { return ManagerSnapshot(m) }, func(err error) {
@@ -473,7 +478,7 @@ func liveDomain(t *testing.T, eng *sim.Engine, name string, nodes int, store *St
 		Name: name, Pool: cluster.New(name, nodes),
 		Policy: policy.FCFS{}, Backfilling: true,
 		Cosched:  cosched.DefaultConfig(cosched.Hold),
-		Observer: rec,
+		Observer: append(resmgr.Tee(others), rec),
 	})
 	return m
 }
@@ -553,6 +558,48 @@ func TestRecorderReplayMatchesLiveState(t *testing.T) {
 				t.Fatalf("%s job %d:\n replay %+v\n live   %+v", tc.m.Name(), j.ID, j, want)
 			}
 		}
+	}
+}
+
+// TestRecorderInTeeJournalsExpectAndPeerDecision: sharing a resmgr.Tee
+// with an auditor and an event log, the recorder still journals the two
+// transitions only it hears — the expectation of a1 and the start b1's
+// domain asks of A once a1 has held for it.
+func TestRecorderInTeeJournalsExpectAndPeerDecision(t *testing.T) {
+	dir := t.TempDir()
+	store := openStore(t, dir, Options{})
+	elog := eventlog.New(io.Discard)
+	aud := invariant.NewDeferred()
+	eng := sim.NewEngine()
+	a := liveDomain(t, eng, "A", 32, store, aud, elog.Observer("A"))
+	aud.Bind(a)
+	b := resmgr.New(eng, resmgr.Options{Name: "B", Pool: cluster.New("B", 32), Cosched: cosched.DefaultConfig(cosched.Hold)})
+	a.AddPeer("B", b)
+	b.AddPeer("A", a)
+	a1 := job.New(1, 16, 0, 600, 600)
+	b1 := job.New(1, 16, 100, 600, 600)
+	a1.Mates = []job.MateRef{{Domain: "B", Job: 1}}
+	b1.Mates = []job.MateRef{{Domain: "A", Job: 1}}
+	if err := errors.Join(a.SubmitAt(a1), b.SubmitAt(b1)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if a1.StartTime != 100 || b1.StartTime != 100 {
+		t.Fatalf("pair started at %d/%d, want 100/100", a1.StartTime, b1.StartTime)
+	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, entries := openStore(t, dir, Options{}).Recovered()
+	ops := map[Op]bool{}
+	for _, e := range entries {
+		ops[e.Op] = true
+	}
+	if !ops[OpExpect] || !ops[OpPeerDecision] {
+		t.Errorf("A's journal ops %v lack expect or peer-decision", ops)
+	}
+	if aud.Events() == 0 || len(aud.Violations()) != 0 || elog.Records() == 0 {
+		t.Errorf("auditor: %d events, violations %v; event log: %d records", aud.Events(), aud.Violations(), elog.Records())
 	}
 }
 

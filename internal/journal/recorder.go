@@ -27,13 +27,7 @@ type Recorder struct {
 	detached atomic.Bool
 }
 
-// Compile-time interface checks: the recorder hears every transition the
-// manager can report, including the optional extensions.
-var (
-	_ resmgr.Observer             = (*Recorder)(nil)
-	_ resmgr.ExpectObserver       = (*Recorder)(nil)
-	_ resmgr.PeerDecisionObserver = (*Recorder)(nil)
-)
+var _ resmgr.Observer = (*Recorder)(nil)
 
 // NewRecorder wires a recorder to a store. src produces the compacting
 // snapshot (typically ManagerSnapshot under the live driver's lock — the
@@ -51,9 +45,6 @@ func NewRecorder(store *Store, src func() Snapshot, onErr func(error)) *Recorder
 // no-ops. The daemon's degradation controller calls this when the store
 // poisons, switching the domain to loud journal-less operation.
 func (r *Recorder) Detach() { r.detached.Store(true) }
-
-// Detached reports whether Detach has been called.
-func (r *Recorder) Detached() bool { return r.detached.Load() }
 
 // append writes one entry, then compacts when the cadence is reached.
 func (r *Recorder) append(e *Entry) {
@@ -85,7 +76,7 @@ func describe(e *Entry, j *job.Job) {
 	e.Mates = j.Mates
 }
 
-// JobExpected implements resmgr.ExpectObserver.
+// JobExpected implements resmgr.Observer.
 func (r *Recorder) JobExpected(now sim.Time, j *job.Job) {
 	e := Entry{T: now, Op: OpExpect, Job: j.ID}
 	describe(&e, j)
@@ -150,7 +141,7 @@ func (r *Recorder) JobCancelled(now sim.Time, j *job.Job) {
 	r.append(&Entry{T: now, Op: OpCancel, Job: j.ID})
 }
 
-// PeerDecision implements resmgr.PeerDecisionObserver (audit-only).
+// PeerDecision implements resmgr.Observer (audit-only).
 func (r *Recorder) PeerDecision(now sim.Time, method string, id job.ID, ok bool) {
 	r.append(&Entry{T: now, Op: OpPeerDecision, Job: id, Method: method, OK: ok})
 }

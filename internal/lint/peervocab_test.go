@@ -23,11 +23,77 @@ var peerVocabulary = map[string]bool{
 // resmgr.Manager and spoken by proto.Caller over any proto.Exchanger, and by
 // nothing else. A transport, decorator or fault layer implements Exchange —
 // one method — and embeds a Caller; a type that declares one of the nine
-// methods itself is the hand-written forwarding layer coming back. Non-test
-// files under internal/, cmd/ and examples/ are checked; bench/ is not.
+// methods itself is the hand-written forwarding layer coming back.
 func TestPeerVocabularyWrittenOnce(t *testing.T) {
-	const root = "../.."
 	allowed := map[string]bool{"resmgr.Manager": true, "proto.Caller": true}
+	eachNonTestFile(t, func(fset *token.FileSet, f *ast.File) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || !peerVocabulary[fn.Name.Name] {
+				continue
+			}
+			typ := fn.Recv.List[0].Type
+			if star, ok := typ.(*ast.StarExpr); ok {
+				typ = star.X
+			}
+			recv := f.Name.Name + "." + types.ExprString(typ)
+			if !allowed[recv] {
+				t.Errorf("%s: %s declares %s; implement proto.Exchanger and embed proto.Caller instead",
+					fset.Position(fn.Pos()), recv, fn.Name.Name)
+			}
+		}
+	})
+}
+
+// TestObserverFanOutWrittenOnce: resmgr.Tee is the only fan-out over
+// lifecycle observers. A named type or struct field holding a
+// resmgr.Observer (or a slice of them) is a hand-written forwarder or a
+// wrapper chain coming back; a consumer embeds resmgr.NullObserver for what
+// it ignores and joins a Tee. Besides Tee, only the three places that hand
+// one observer to a manager may hold one.
+func TestObserverFanOutWrittenOnce(t *testing.T) {
+	allowed := map[string]bool{
+		"resmgr.Tee": true, "resmgr.Options.Observer": true,
+		"resmgr.Manager.obs": true, "coupled.DomainConfig.Observer": true,
+	}
+	eachNonTestFile(t, func(fset *token.FileSet, f *ast.File) {
+		pkg := f.Name.Name
+		check := func(pos token.Pos, name string, typ ast.Expr) {
+			if arr, ok := typ.(*ast.ArrayType); ok {
+				typ = arr.Elt
+			}
+			s := types.ExprString(typ)
+			if (s == "resmgr.Observer" || pkg == "resmgr" && s == "Observer") && !allowed[name] {
+				t.Errorf("%s: %s holds a resmgr.Observer; compose observers with resmgr.Tee instead",
+					fset.Position(pos), name)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			name := pkg + "." + ts.Name.Name
+			check(ts.Pos(), name, ts.Type)
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					fname := types.ExprString(field.Type) // embedded
+					if len(field.Names) > 0 {
+						fname = field.Names[0].Name
+					}
+					check(field.Pos(), name+"."+fname, field.Type)
+				}
+			}
+			return true
+		})
+	})
+}
+
+// eachNonTestFile parses every non-test Go file under internal/, cmd/ and
+// examples/ (not testdata; bench/ lies outside them) and hands it to fn.
+func eachNonTestFile(t *testing.T, fn func(*token.FileSet, *ast.File)) {
+	t.Helper()
+	const root = "../.."
 	fset := token.NewFileSet()
 	checked := 0
 	for _, dir := range []string{"internal", "cmd", "examples"} {
@@ -46,21 +112,7 @@ func TestPeerVocabularyWrittenOnce(t *testing.T) {
 				return err
 			}
 			checked++
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv == nil || !peerVocabulary[fn.Name.Name] {
-					continue
-				}
-				typ := fn.Recv.List[0].Type
-				if star, ok := typ.(*ast.StarExpr); ok {
-					typ = star.X
-				}
-				recv := f.Name.Name + "." + types.ExprString(typ)
-				if !allowed[recv] {
-					t.Errorf("%s: %s declares %s; implement proto.Exchanger and embed proto.Caller instead",
-						fset.Position(fn.Pos()), recv, fn.Name.Name)
-				}
-			}
+			fn(fset, f)
 			return nil
 		})
 		if err != nil {

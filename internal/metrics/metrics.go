@@ -156,15 +156,6 @@ func Collect(domain string, jobs []*job.Job, totalNodes int, span sim.Duration) 
 	return c.report(totalNodes, span)
 }
 
-// AvgWaitMinutes is a convenience accessor for the figure tables.
-func (r DomainReport) AvgWaitMinutes() float64 { return r.Wait.Mean }
-
-// AvgSlowdown is a convenience accessor for the figure tables.
-func (r DomainReport) AvgSlowdown() float64 { return r.Slowdown.Mean }
-
-// AvgSyncMinutes is a convenience accessor for the figure tables.
-func (r DomainReport) AvgSyncMinutes() float64 { return r.PairedSync.Mean }
-
 // String renders a one-line digest.
 func (r DomainReport) String() string {
 	return fmt.Sprintf("%s: %d/%d done (%d stuck) wait=%.1fm sd=%.2f sync=%.1fm loss=%.0f nh (%.2f%%) util=%.2f",

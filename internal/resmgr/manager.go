@@ -36,62 +36,6 @@ var (
 	ErrNoPeer       = errors.New("resmgr: no peer for domain")
 )
 
-// Observer receives job lifecycle notifications; all methods are optional
-// via the Null implementation. Used by tests, the metrics layer, and the
-// live daemon's log.
-type Observer interface {
-	JobSubmitted(now sim.Time, j *job.Job)
-	JobStarted(now sim.Time, j *job.Job)
-	JobCompleted(now sim.Time, j *job.Job)
-	JobHeld(now sim.Time, j *job.Job)
-	JobYielded(now sim.Time, j *job.Job)
-	JobReleased(now sim.Time, j *job.Job, requeued bool)
-	JobCancelled(now sim.Time, j *job.Job)
-}
-
-// ExpectObserver is an optional Observer extension notified when a job is
-// pre-registered with Expect. A crash-safe daemon must journal expectations:
-// a recovered manager that forgot an expected job would treat the mate's
-// queries as "unknown job" and break the pair's co-start guarantee.
-// Discovered by type assertion; plain Observers are unaffected.
-type ExpectObserver interface {
-	JobExpected(now sim.Time, j *job.Job)
-}
-
-// PeerDecisionObserver is an optional Observer extension recording the
-// outcome of inbound peer start requests (TryStartMate/StartMate). The
-// journal keeps these as audit records: replay does not need them (the
-// resulting start/hold transitions are journaled separately), but a
-// post-mortem of a recovery needs to know which starts were remotely
-// initiated. Discovered by type assertion.
-type PeerDecisionObserver interface {
-	PeerDecision(now sim.Time, method string, id job.ID, ok bool)
-}
-
-// NullObserver ignores every notification.
-type NullObserver struct{}
-
-// JobSubmitted implements Observer.
-func (NullObserver) JobSubmitted(sim.Time, *job.Job) {}
-
-// JobStarted implements Observer.
-func (NullObserver) JobStarted(sim.Time, *job.Job) {}
-
-// JobCompleted implements Observer.
-func (NullObserver) JobCompleted(sim.Time, *job.Job) {}
-
-// JobHeld implements Observer.
-func (NullObserver) JobHeld(sim.Time, *job.Job) {}
-
-// JobYielded implements Observer.
-func (NullObserver) JobYielded(sim.Time, *job.Job) {}
-
-// JobReleased implements Observer.
-func (NullObserver) JobReleased(sim.Time, *job.Job, bool) {}
-
-// JobCancelled implements Observer.
-func (NullObserver) JobCancelled(sim.Time, *job.Job) {}
-
 // schedRec is the scheduler's state for one job that is queued, holding or
 // running here. A record is acquired when the job enters the queue (or is
 // restored into a hold or a run) and returned when the job reaches a
@@ -476,9 +420,7 @@ func (m *Manager) Expect(j *job.Job) error {
 		return fmt.Errorf("%w: job %d is %s, want unsubmitted", ErrBadState, j.ID, j.State)
 	}
 	m.addJob(j)
-	if eo, ok := m.obs.(ExpectObserver); ok {
-		eo.JobExpected(m.eng.Now(), j)
-	}
+	m.obs.JobExpected(m.eng.Now(), j)
 	return nil
 }
 
@@ -630,9 +572,6 @@ func (m *Manager) HoldingCount() int { return len(m.holding) }
 // held-job table cannot survive a crash, so a degraded daemon keeps its
 // exposure bounded rather than refusing service outright.
 func (m *Manager) SetHoldBudget(n int) { m.holdBudget = n }
-
-// HoldBudget returns the current hold cap (-1 = none).
-func (m *Manager) HoldBudget() int { return m.holdBudget }
 
 // HoldsRefused returns how many holds the budget downgraded to yields.
 func (m *Manager) HoldsRefused() uint64 { return m.holdsRefused }
@@ -1163,14 +1102,6 @@ func startMateAt(p cosched.Peer, id job.ID, at sim.Time) error {
 	return p.StartMate(id)
 }
 
-// notePeerDecision forwards an inbound peer start decision to the optional
-// audit observer (the journal, in live mode).
-func (m *Manager) notePeerDecision(now sim.Time, method string, id job.ID, ok bool) {
-	if po, isPO := m.obs.(PeerDecisionObserver); isPO {
-		po.PeerDecision(now, method, id, ok)
-	}
-}
-
 // PeerName implements cosched.Peer.
 func (m *Manager) PeerName() string { return m.name }
 
@@ -1232,7 +1163,7 @@ func (m *Manager) TryStartMate(id job.ID) (bool, error) {
 func (m *Manager) TryStartMateAt(id job.ID, at sim.Time) (bool, error) {
 	j, ok := m.jobs[id]
 	if !ok {
-		m.notePeerDecision(m.eng.Now(), "try_start_mate", id, false)
+		m.obs.PeerDecision(m.eng.Now(), "try_start_mate", id, false)
 		return false, nil
 	}
 	now := m.eng.Now()
@@ -1246,14 +1177,14 @@ func (m *Manager) TryStartMateAt(id job.ID, at sim.Time) (bool, error) {
 		}
 	case job.Holding:
 		if err := m.startHeldJobAt(j, at, now); err != nil {
-			m.notePeerDecision(now, "try_start_mate", id, false)
+			m.obs.PeerDecision(now, "try_start_mate", id, false)
 			return false, err
 		}
 		started = true
 	case job.Running:
 		started = true
 	}
-	m.notePeerDecision(now, "try_start_mate", id, started)
+	m.obs.PeerDecision(now, "try_start_mate", id, started)
 	return started, nil
 }
 
@@ -1268,20 +1199,20 @@ func (m *Manager) StartMate(id job.ID) error {
 func (m *Manager) StartMateAt(id job.ID, at sim.Time) error {
 	j, ok := m.jobs[id]
 	if !ok {
-		m.notePeerDecision(m.eng.Now(), "start_mate", id, false)
+		m.obs.PeerDecision(m.eng.Now(), "start_mate", id, false)
 		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
 	}
 	now := m.eng.Now()
 	switch j.State {
 	case job.Holding:
 		err := m.startHeldJobAt(j, at, now)
-		m.notePeerDecision(now, "start_mate", id, err == nil)
+		m.obs.PeerDecision(now, "start_mate", id, err == nil)
 		return err
 	case job.Running:
-		m.notePeerDecision(now, "start_mate", id, true)
+		m.obs.PeerDecision(now, "start_mate", id, true)
 		return nil
 	default:
-		m.notePeerDecision(now, "start_mate", id, false)
+		m.obs.PeerDecision(now, "start_mate", id, false)
 		return fmt.Errorf("%w: job %d is %s, want holding", ErrBadState, id, j.State)
 	}
 }

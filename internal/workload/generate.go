@@ -264,12 +264,3 @@ func Clone(jobs []*job.Job) []*job.Job {
 	}
 	return out
 }
-
-// TotalDemand sums nodes × runtime over the trace.
-func TotalDemand(jobs []*job.Job) int64 {
-	var d int64
-	for _, j := range jobs {
-		d += j.NodeSeconds()
-	}
-	return d
-}

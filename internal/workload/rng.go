@@ -42,14 +42,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n).
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("workload: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // Exp returns an exponential variate with the given mean.
 func (r *RNG) Exp(mean float64) float64 {
 	u := r.Float64()
