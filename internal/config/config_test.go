@@ -120,19 +120,10 @@ func TestLoadRejectsBadConfigs(t *testing.T) {
 }
 
 func TestBuildRejectsBadDomains(t *testing.T) {
-	queued := func(queues string) string {
-		return `{"domains": [{"name": "d", "nodes": 4, "synthetic": {"system": "eureka", "jobs": 10},
-			"queues": ` + queues + `}]}`
-	}
 	cases := map[string]string{
-		"queue without name":    queued(`[{"default": true}]`),
-		"duplicate queue":       queued(`[{"name": "a"}, {"name": "a", "default": true}]`),
-		"two default queues":    queued(`[{"name": "a", "default": true}, {"name": "b", "default": true}]`),
-		"bad node bounds":       queued(`[{"name": "a", "min_nodes": 10, "max_nodes": 5, "default": true}]`),
-		"negative walltime":     queued(`[{"name": "a", "max_walltime_minutes": -1, "default": true}]`),
-		"negative priority":     queued(`[{"name": "a", "priority": -1, "default": true}]`),
-		"no queue admits a job": queued(`[{"name": "tiny", "min_nodes": 1000}]`),
-		"no workload":           `{"domains": [{"name": "d", "nodes": 4}]}`,
+		"no workload": `{"domains": [{"name": "d", "nodes": 4}]}`,
+		"no queue admits a job": `{"domains": [{"name": "d", "nodes": 4,
+			"synthetic": {"system": "eureka", "jobs": 10}, "queues": [{"name": "tiny", "min_nodes": 1000}]}]}`,
 		"both workloads": `{"domains": [{"name": "d", "nodes": 4,
 			"trace_file": "x.swf", "synthetic": {"system": "eureka"}}]}`,
 		"bad system": `{"domains": [{"name": "d", "nodes": 4,

@@ -15,9 +15,9 @@ func mkjob(id job.ID, nodes int, wall sim.Duration) *job.Job {
 	return job.New(id, nodes, 0, wall, wall)
 }
 
-// TestQueuesRouteAndScaleScores routes jobs through Intrepid-like queues
+// TestQueuesRouteByConstraints routes jobs through Intrepid-like queues
 // and reads each job's queue back from its score factor.
-func TestQueuesRouteAndScaleScores(t *testing.T) {
+func TestQueuesRouteByConstraints(t *testing.T) {
 	qs := []QueueSpec{
 		{Name: "prod-devel", MaxNodes: 2048, MaxWallMins: 60, Priority: 1.5},
 		{Name: "prod-long", MinNodes: 512, Priority: 0.8},
@@ -41,13 +41,54 @@ func TestQueuesRouteAndScaleScores(t *testing.T) {
 			t.Errorf("job %d score = %g, want %g", j.ID, got, want)
 		}
 	}
-	// Unrouted jobs pass through unscaled.
-	other := mkjob(9, 8, sim.Hour)
-	if got, want := p.Score(other, now), base.Score(other, now); got != want {
-		t.Fatalf("unrouted score = %g, want %g", got, want)
+}
+
+// TestQueuePolicyScalesScores: a queue's priority multiplies the base
+// score; priority 0 and unrouted jobs (job 3) leave it unscaled.
+func TestQueuePolicyScalesScores(t *testing.T) {
+	tr, base := []*job.Job{mkjob(1, 8, sim.Hour), mkjob(2, 64, sim.Hour)}, policy.WFP{}
+	p, err := routeQueues([]QueueSpec{{Name: "fast", MaxNodes: 8, Priority: 2}, {Name: "plain", Default: true}}, tr, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := sim.Time(30 * sim.Minute)
+	for i, j := range append(tr, mkjob(3, 8, sim.Hour)) {
+		if got, want := p.Score(j, now), []float64{2, 1, 1}[i]*base.Score(j, now); got != want {
+			t.Errorf("job %d score = %g, want %g", j.ID, got, want)
+		}
 	}
 	if !strings.HasSuffix(p.Name(), "+queues") {
 		t.Fatalf("policy name = %q", p.Name())
+	}
+}
+
+// TestQueuesRejectWhenNothingAdmits: a job that fits no queue, default
+// included, is an error rather than silently unscaled.
+func TestQueuesRejectWhenNothingAdmits(t *testing.T) {
+	big := []*job.Job{mkjob(1, 64, sim.Hour)}
+	for _, qs := range [][]QueueSpec{
+		{{Name: "tiny", MaxNodes: 8, Priority: 1}},
+		{{Name: "tiny", MaxNodes: 8, Default: true}},
+	} {
+		if _, err := routeQueues(qs, big, policy.WFP{}); err == nil {
+			t.Errorf("%+v routed a 64-node job", qs)
+		}
+	}
+}
+
+func TestQueueValidation(t *testing.T) {
+	bad := map[string][]QueueSpec{
+		"queue without name": {{Default: true}},
+		"duplicate queue":    {{Name: "a"}, {Name: "a", Default: true}},
+		"two default queues": {{Name: "a", Default: true}, {Name: "b", Default: true}},
+		"bad node bounds":    {{Name: "a", MinNodes: 10, MaxNodes: 5, Default: true}},
+		"negative walltime":  {{Name: "a", MaxWallMins: -1, Default: true}},
+		"negative priority":  {{Name: "a", Priority: -1, Default: true}},
+	}
+	for name, qs := range bad {
+		if _, err := routeQueues(qs, nil, policy.WFP{}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -493,6 +493,20 @@ func openStore(t *testing.T, dir string, opt Options) *Store {
 	return s
 }
 
+// submitRecoveryWorkload submits the recovery tests' workload: the a1/b1
+// pair (b1 arrives at 100), a 32-node a2 queued behind a1, and b3 on B.
+func submitRecoveryWorkload(t *testing.T, a, b *resmgr.Manager) (a1, a2, b1, b3 *job.Job) {
+	t.Helper()
+	a1, b1 = job.New(1, 16, 0, 600, 600), job.New(1, 16, 100, 600, 600)
+	a1.Mates = []job.MateRef{{Domain: "B", Job: 1}}
+	b1.Mates = []job.MateRef{{Domain: "A", Job: 1}}
+	a2, b3 = job.New(2, 32, 50, 300, 300), job.New(3, 8, 20, 200, 200)
+	if err := errors.Join(a.SubmitAt(a1), a.SubmitAt(a2), b.SubmitAt(b1), b.SubmitAt(b3)); err != nil {
+		t.Fatal(err)
+	}
+	return a1, a2, b1, b3
+}
+
 // TestRecorderReplayMatchesLiveState runs a coupled simulation under the
 // recorder and checks that replaying the journal reproduces the managers'
 // final job tables exactly. SnapshotEvery is tiny so compaction happens
@@ -506,21 +520,7 @@ func TestRecorderReplayMatchesLiveState(t *testing.T) {
 	b := liveDomain(t, eng, "B", 32, storeB)
 	a.AddPeer("B", b)
 	b.AddPeer("A", a)
-
-	a1 := job.New(1, 16, 0, 600, 600)
-	b1 := job.New(1, 16, 100, 600, 600)
-	a1.Mates = []job.MateRef{{Domain: "B", Job: 1}}
-	b1.Mates = []job.MateRef{{Domain: "A", Job: 1}}
-	a2 := job.New(2, 32, 50, 300, 300)
-	b3 := job.New(3, 8, 20, 200, 200)
-	for _, sub := range []struct {
-		m *resmgr.Manager
-		j *job.Job
-	}{{a, a1}, {a, a2}, {b, b1}, {b, b3}} {
-		if err := sub.m.SubmitAt(sub.j); err != nil {
-			t.Fatal(err)
-		}
-	}
+	a1, _, b1, _ := submitRecoveryWorkload(t, a, b)
 	eng.Run()
 	if a1.State != job.Completed || b1.State != job.Completed {
 		t.Fatalf("pair did not complete: %s / %s", a1.State, b1.State)
@@ -616,21 +616,7 @@ func TestRestoreContinuesAfterCrash(t *testing.T) {
 	b := liveDomain(t, eng, "B", 32, storeB)
 	a.AddPeer("B", b)
 	b.AddPeer("A", a)
-
-	a1 := job.New(1, 16, 0, 600, 600)
-	b1 := job.New(1, 16, 100, 600, 600)
-	a1.Mates = []job.MateRef{{Domain: "B", Job: 1}}
-	b1.Mates = []job.MateRef{{Domain: "A", Job: 1}}
-	a2 := job.New(2, 32, 50, 300, 300)
-	b3 := job.New(3, 8, 20, 200, 200)
-	for _, sub := range []struct {
-		m *resmgr.Manager
-		j *job.Job
-	}{{a, a1}, {a, a2}, {b, b1}, {b, b3}} {
-		if err := sub.m.SubmitAt(sub.j); err != nil {
-			t.Fatal(err)
-		}
-	}
+	a1, _, _, b3 := submitRecoveryWorkload(t, a, b)
 	eng.RunUntil(80) // crash: a1 holding, a2 queued, b3 running, b1 expected
 	if a1.State != job.Holding || b3.State != job.Running {
 		t.Fatalf("pre-crash states: a1=%s b3=%s", a1.State, b3.State)
@@ -648,7 +634,6 @@ func TestRestoreContinuesAfterCrash(t *testing.T) {
 	b = liveDomain(t, eng2, "B", 32, openStore(t, t.TempDir(), Options{}))
 	a.AddPeer("B", b)
 	b.AddPeer("A", a)
-	var restored []*job.Job
 	for _, rt := range []struct {
 		dir string
 		m   *resmgr.Manager
@@ -669,7 +654,6 @@ func TestRestoreContinuesAfterCrash(t *testing.T) {
 		if rt.m.Name() == "B" && (stats.Running != 1 || stats.Expected != 1) {
 			t.Fatalf("B restore stats: %s", stats)
 		}
-		restored = append(restored, st.Jobs...)
 	}
 	// b1 was only Expected before the crash; re-arm its arrival the way a
 	// trace player (or qsub) would after a restart.
@@ -706,7 +690,6 @@ func TestRestoreContinuesAfterCrash(t *testing.T) {
 	if a.Pool().Free() != 32 || b.Pool().Free() != 32 {
 		t.Fatalf("pools not drained: %s / %s", a.Pool(), b.Pool())
 	}
-	_ = restored
 }
 
 // buildBigLog builds n entries spread over n/4 jobs through a full

@@ -119,23 +119,6 @@ func TestQueueIndexInterleavedCancelSubmit(t *testing.T) {
 	}
 }
 
-// pairDomainsCore is pairDomains with an explicit scheduling core.
-func pairDomainsCore(t *testing.T, core Core, cfgA, cfgB cosched.Config) (*sim.Engine, *Manager, *Manager) {
-	t.Helper()
-	eng := sim.NewEngine()
-	a := New(eng, Options{
-		Name: "A", Pool: cluster.New("A", 100),
-		Policy: policy.FCFS{}, Backfilling: true, Cosched: cfgA, Core: core,
-	})
-	b := New(eng, Options{
-		Name: "B", Pool: cluster.New("B", 100),
-		Policy: policy.FCFS{}, Backfilling: true, Cosched: cfgB, Core: core,
-	})
-	a.AddPeer("B", b)
-	b.AddPeer("A", a)
-	return eng, a, b
-}
-
 // TestCancelHoldingJobRetriggersIteration pins the cancel→replan path on
 // both cores: cancelling a holding job frees its nodes and the iteration it
 // requests must start the blocked job at the same instant — in particular
@@ -144,7 +127,7 @@ func TestCancelHoldingJobRetriggersIteration(t *testing.T) {
 	for _, core := range []Core{CoreReference, CoreIncremental} {
 		t.Run(core.String(), func(t *testing.T) {
 			cfg := cosched.DefaultConfig(cosched.Hold)
-			eng, a, b := pairDomainsCore(t, core, cfg, cfg)
+			eng, a, b := pairDomainsCore(t, core, 100, 100, cfg, cfg)
 			ja := job.New(1, 100, 0, 600, 600)
 			jb := job.New(1, 10, 5000, 600, 600)
 			pairJobs(ja, jb)
@@ -272,7 +255,7 @@ func TestNoFitElisionEngagesAndLapses(t *testing.T) {
 // iteration is planned (over an empty eligible set), not counted as elided.
 func TestNoElisionWhileOnlyFitIsExcludedYielder(t *testing.T) {
 	cfg := cosched.DefaultConfig(cosched.Yield)
-	eng, a, b := pairDomainsCore(t, CoreIncremental, cfg, cfg)
+	eng, a, b := pairDomains(t, 100, 100, cfg, cfg)
 	ja := job.New(1, 10, 0, 600, 600)
 	jb := job.New(1, 10, 5000, 600, 600)
 	pairJobs(ja, jb)
@@ -337,7 +320,7 @@ func TestYieldInstantWithNothingEligibleFittingPlansNothing(t *testing.T) {
 func TestYieldHoldStartCompleteLeavesNoState(t *testing.T) {
 	cfg := cosched.DefaultConfig(cosched.Yield)
 	cfg.MaxYields = 1
-	eng, a, b := pairDomainsCore(t, CoreIncremental, cfg, cfg)
+	eng, a, b := pairDomains(t, 100, 100, cfg, cfg)
 	ja := job.New(1, 10, 0, 600, 600)
 	jb := job.New(1, 10, 5000, 600, 600)
 	pairJobs(ja, jb)

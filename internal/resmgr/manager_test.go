@@ -13,16 +13,18 @@ import (
 
 // pairDomains builds two managers on one engine, wired directly as peers.
 func pairDomains(t *testing.T, nodesA, nodesB int, cfgA, cfgB cosched.Config) (*sim.Engine, *Manager, *Manager) {
+	return pairDomainsCore(t, CoreIncremental, nodesA, nodesB, cfgA, cfgB)
+}
+
+// pairDomainsCore is pairDomains with an explicit scheduling core.
+func pairDomainsCore(t *testing.T, core Core, nodesA, nodesB int, cfgA, cfgB cosched.Config) (*sim.Engine, *Manager, *Manager) {
 	t.Helper()
 	eng := sim.NewEngine()
-	a := New(eng, Options{
-		Name: "A", Pool: cluster.New("A", nodesA),
-		Policy: policy.FCFS{}, Backfilling: true, Cosched: cfgA,
-	})
-	b := New(eng, Options{
-		Name: "B", Pool: cluster.New("B", nodesB),
-		Policy: policy.FCFS{}, Backfilling: true, Cosched: cfgB,
-	})
+	mk := func(name string, nodes int, cfg cosched.Config) *Manager {
+		return New(eng, Options{Name: name, Pool: cluster.New(name, nodes),
+			Policy: policy.FCFS{}, Backfilling: true, Cosched: cfg, Core: core})
+	}
+	a, b := mk("A", nodesA, cfgA), mk("B", nodesB, cfgB)
 	a.AddPeer("B", b)
 	b.AddPeer("A", a)
 	return eng, a, b
