@@ -5,9 +5,9 @@
 # The race-enabled test run covers the parallel sweep pool (cells fan out
 # across goroutines; TestLoadSweepParallelDeterminism byte-compares serial
 # against parallel tables, TestGoldenTablesAndCharts pins every table and
-# chart of all six experiments at 1 and 8 workers) and the SWF streaming
-# differentials (AnalyzeStream vs Analyze, traceinfo render-twice); every
-# figure reproduction is smoked by the sweep_paper golden-digest leg below.
+# chart of all six experiments at 1 and 8 workers); every figure
+# reproduction is smoked by the sweep_paper golden-digest leg below, and
+# the paper-scale output is pinned byte for byte by results_full.txt.
 set -eux
 
 # Formatting and static analysis: gofmt must be clean, vet runs under both
@@ -63,13 +63,15 @@ sh bench/run.sh --workload sweep_wire --seed 1 --seconds 3 --trace 0
 # digest, stops it equalling bench/golden.json, and exits 1 here.
 sh bench/run.sh --workload sweep_paper --seed 1 --seconds 3 --trace 0
 
-# Paper-scale digest smoke: every table of all six experiments at -factor
-# 1.0, one rep, seed 1, cells fanned across every core. Timings and file
-# paths go to stderr, so stdout is the same bytes on every run and its
-# SHA-256 is pinned; a change that moves any paper-scale number exits 1
-# here (TestGoldenTablesAndCharts pins -factor 0.05 only). About a second.
-test "$(go run ./cmd/experiments -exp all -factor 1.0 -reps 1 -seed 1 -parallel 0 2>/dev/null | sha256sum)" = \
-    "d536ea11ead1607d4f11beb8b7f2851ee22a5d90ad6e83de17023e5a80e03464  -"
+# Paper-scale pin: every table of all six experiments at -factor 1.0,
+# three reps, seed 1, cells fanned across every core, must equal
+# results_full.txt byte for byte. Timings and file paths go to stderr, so
+# stdout is the same bytes on every run at any -parallel; a change that
+# moves a paper-scale number exits 1 here and shows the moved cells in its
+# diff of results_full.txt (TestGoldenTablesAndCharts pins -factor 0.05
+# only). About three seconds.
+go run ./cmd/experiments -exp all -factor 1.0 -reps 3 -seed 1 -parallel 0 2>/dev/null |
+    cmp - results_full.txt
 
 # Problem-size digest smoke: three seconds (at least three rounds) of
 # mega_cell at seed 1, so the third sweep golden digest — one HH cell at

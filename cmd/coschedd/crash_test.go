@@ -183,7 +183,7 @@ func readLogs(t *testing.T, paths ...string) []eventlog.Record {
 	for _, p := range paths {
 		f, err := os.Open(p)
 		must(t, err)
-		recs, _, err := eventlog.ReadTolerant(f)
+		recs, _, err := eventlog.Read(f)
 		f.Close()
 		must(t, err)
 		out = append(out, recs...)

@@ -256,7 +256,7 @@ func runDaemon(cfg *daemonConfig) error {
 // daemon killed mid-write leaves a partial JSON line, and appending new
 // records straight onto it would corrupt the first post-restart record too.
 // A newline boundary confines the damage to the torn line itself, which
-// eventlog.ReadTolerant skips.
+// eventlog.Read skips.
 func openEventLog(path string) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {

@@ -171,7 +171,7 @@ func verifyLogFile(path string) {
 		fatal(err)
 	}
 	defer lf.Close()
-	recs, skipped, err := eventlog.ReadTolerant(lf)
+	recs, skipped, err := eventlog.Read(lf)
 	if err != nil {
 		fatal(err)
 	}

@@ -3,11 +3,9 @@
 // distributions. It reads the extended SWF format written by cmd/tracegen
 // (or any standard SWF trace).
 //
-// The trace streams through a single pass — one record in memory at a
-// time plus O(distinct values) histogram state — so a multi-GB SWF file
-// summarizes in constant memory. An unsorted file falls back to the
-// materialized reader (sorting needs the whole trace); unsorted stdin is
-// an error, since a consumed pipe cannot be re-read.
+// The whole trace is read into memory (about 0.4 KB per job) and sorted, so
+// a file and the same bytes on stdin print the same report, in any record
+// order.
 //
 // Usage:
 //
@@ -16,7 +14,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,70 +37,32 @@ func main() {
 		os.Exit(2)
 	}
 
-	path := flag.Arg(0)
-	var out string
-	var err error
-	if path == "-" {
-		out, err = summarize(os.Stdin, "stdin", *nodes)
-		if errors.Is(err, trace.ErrUnsorted) {
-			fatal(fmt.Errorf("%w; sort the trace or pass it as a file so traceinfo can materialize it", err))
+	in, name := io.Reader(os.Stdin), "stdin"
+	if path := flag.Arg(0); path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			fatal(err)
 		}
-	} else {
-		out, err = summarizeFile(path, *nodes)
+		defer f.Close()
+		in, name = f, path
 	}
+	out, err := summarize(in, name, *nodes)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Print(out)
 }
 
-// summarize streams one SWF trace and renders the full report: header
-// comments, the skipped-record note, and the workload statistics. The
-// whole pass holds one record plus the streaming histogram state.
+// summarize reads one SWF trace and renders the full report: header
+// comments, the skipped-record note, and the workload statistics.
 func summarize(r io.Reader, name string, nodes int) (string, error) {
-	return summarizeStream(trace.NewStream(r), name, nodes)
-}
-
-func summarizeStream(s *trace.Stream, name string, nodes int) (string, error) {
-	js := trace.NewJobStream(s)
-	st, err := workload.AnalyzeStream(js, nodes)
-	if err != nil {
-		return "", err
-	}
-	return render(s.Header(), js.Skipped(), st, name, nodes), nil
-}
-
-// summarizeFile streams path, falling back to the materialized reader
-// when the file is not submit-sorted (a file can be re-read; stdin
-// cannot).
-func summarizeFile(path string, nodes int) (string, error) {
-	fs, err := trace.OpenStream(path)
-	if err != nil {
-		return "", err
-	}
-	out, err := summarizeStream(fs.Stream, path, nodes)
-	fs.Close()
-	if !errors.Is(err, trace.ErrUnsorted) {
-		return out, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	hdr, recs, err := trace.Read(f)
+	hdr, recs, err := trace.Read(r)
 	if err != nil {
 		return "", err
 	}
 	jobs, skipped := trace.ToJobs(recs)
-	return render(hdr, skipped, workload.Analyze(jobs, nodes), path, nodes), nil
-}
-
-// render assembles the report; both the streaming and the materialized
-// paths funnel through it so their outputs are byte-identical.
-func render(hdr *trace.Header, skipped int, st workload.TraceStats, name string, nodes int) string {
 	var b strings.Builder
-	if hdr != nil && len(hdr.Order) > 0 {
+	if len(hdr.Order) > 0 {
 		b.WriteString("header:\n")
 		for _, k := range hdr.Order {
 			fmt.Fprintf(&b, "  %s: %s\n", k, hdr.Fields[k])
@@ -112,8 +71,8 @@ func render(hdr *trace.Header, skipped int, st workload.TraceStats, name string,
 	if skipped > 0 {
 		fmt.Fprintf(&b, "skipped %d records with unknown runtime/size\n", skipped)
 	}
-	b.WriteString(st.Render(name, nodes))
-	return b.String()
+	b.WriteString(workload.Analyze(jobs, nodes).Render(name, nodes))
+	return b.String(), nil
 }
 
 func fatal(err error) {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,11 +10,10 @@ import (
 	"cosched/internal/job"
 	"cosched/internal/sim"
 	"cosched/internal/trace"
-	"cosched/internal/workload"
 )
 
 // testTrace renders a small SWF trace with a header, a mix of sizes and
-// runtimes, and one invalid record (zero runtime) the skip rules reject.
+// runtimes, and one invalid record (unknown runtime) the skip rules reject.
 func testTrace(t *testing.T) []byte {
 	t.Helper()
 	var jobs []*job.Job
@@ -31,69 +29,68 @@ func testTrace(t *testing.T) []byte {
 	if err := trace.Write(&buf, hdr, trace.FromJobs(jobs)); err != nil {
 		t.Fatal(err)
 	}
-	// One record with unknown runtime: ToJobs and JobStream both skip it.
 	buf.WriteString("9999 999999 -1 -1 -1 -1 -1 4 -1 -1 1 1 1 -1 -1 -1 -1 -1\n")
 	return buf.Bytes()
 }
 
-// referenceRender is the materialized oracle: whole-file Read, ToJobs,
-// Analyze — the pre-streaming implementation's exact pipeline.
-func referenceRender(t *testing.T, src []byte, name string, nodes int) string {
-	t.Helper()
-	hdr, recs, err := trace.Read(bytes.NewReader(src))
+// TestSummarizeReportsHeaderSkipsAndStats pins the report's head: the
+// header comments, the skipped-record note, then the statistics.
+func TestSummarizeReportsHeaderSkipsAndStats(t *testing.T) {
+	got, err := summarize(bytes.NewReader(testTrace(t)), "x.swf", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, skipped := trace.ToJobs(recs)
-	return render(hdr, skipped, workload.Analyze(jobs, nodes), name, nodes)
-}
-
-// TestStreamingSummarizeMatchesMaterialized is the satellite's
-// render-twice gate: the streaming single-pass summary must be
-// byte-identical to the materialized pipeline, run after run.
-func TestStreamingSummarizeMatchesMaterialized(t *testing.T) {
-	src := testTrace(t)
-	const nodes = 64
-	want := referenceRender(t, src, "x.swf", nodes)
-	for round := 0; round < 2; round++ {
-		got, err := summarize(bytes.NewReader(src), "x.swf", nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("round %d: streaming summary differs:\n got:\n%s\nwant:\n%s", round, got, want)
-		}
-	}
-	if !strings.Contains(want, "skipped 1 records") {
-		t.Fatalf("fixture lost its skipped record:\n%s", want)
-	}
-	if !strings.Contains(want, "traceinfo-test") {
-		t.Fatalf("header line missing:\n%s", want)
+	want := "header:\n  Version: 2.2\n  Computer: traceinfo-test\n" +
+		"skipped 1 records with unknown runtime/size\n" +
+		"trace x.swf (machine 64 nodes)\n  jobs: 40  users: 6  paired: 0 (0.0%)\n"
+	if !strings.HasPrefix(got, want) {
+		t.Fatalf("report head:\n%s\nwant prefix:\n%s", got, want)
 	}
 }
 
-// TestSummarizeFileUnsortedFallsBack: a file out of submit order cannot
-// stream, so traceinfo re-reads it materialized and still reports.
-func TestSummarizeFileUnsortedFallsBack(t *testing.T) {
-	src := testTrace(t)
-	// Append a record far in the past: breaks streaming order.
-	src = append(src, "9998 5 -1 3600 4 -1 -1 4 3600 -1 1 1 1 -1 -1 -1 -1 -1\n"...)
+// TestUnsortedStdinMatchesFile: a trace out of submit order prints one
+// report whether it arrives as a file or on stdin, and that report is the
+// one its records give in submit order.
+func TestUnsortedStdinMatchesFile(t *testing.T) {
+	// A record far in the past, appended last.
+	src := append(testTrace(t), "9998 5 -1 3600 4 -1 -1 4 3600 -1 1 1 1 -1 -1 -1 -1 -1\n"...)
 	path := filepath.Join(t.TempDir(), "unsorted.swf")
 	if err := os.WriteFile(path, src, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := summarizeFile(path, 64)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := referenceRender(t, src, path, 64)
-	if got != want {
-		t.Fatalf("fallback summary differs:\n got:\n%s\nwant:\n%s", got, want)
+	defer f.Close()
+	fromFile, err := summarize(f, path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromStdin, err := summarize(bytes.NewReader(src), "stdin", 64)
+	if err != nil {
+		t.Fatalf("unsorted stdin: %v", err)
+	}
+	if got := strings.Replace(fromStdin, "trace stdin ", "trace "+path+" ", 1); got != fromFile {
+		t.Fatalf("stdin report differs from the file's:\n got:\n%s\nwant:\n%s", got, fromFile)
+	}
+	if !strings.Contains(fromFile, "jobs: 41 ") {
+		t.Fatalf("out-of-order record not counted:\n%s", fromFile)
 	}
 
-	// The same bytes on a pipe cannot fall back: the error must say so.
-	_, err = summarize(bytes.NewReader(src), "stdin", 64)
-	if !errors.Is(err, trace.ErrUnsorted) {
-		t.Fatalf("err = %v, want ErrUnsorted", err)
+	hdr, recs, err := trace.Read(bytes.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sorted bytes.Buffer
+	if err := trace.Write(&sorted, hdr, recs); err != nil {
+		t.Fatal(err)
+	}
+	inOrder, err := summarize(&sorted, "stdin", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inOrder != fromStdin {
+		t.Fatalf("report depends on record order:\n got:\n%s\nwant:\n%s", fromStdin, inOrder)
 	}
 }

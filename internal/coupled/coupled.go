@@ -196,9 +196,8 @@ func New(opt Options) (*Sim, error) {
 
 	// Schedule submissions and derive the default horizon. Domains are
 	// walked in declaration order, not map order: scheduling assigns the
-	// engine sequence numbers that break ties between same-instant events
-	// across domains, so a random walk here would make whole simulations
-	// differ from run to run.
+	// engine sequence numbers of each domain's first arrival, so a random
+	// walk here would make whole simulations differ from run to run.
 	var lastSubmit sim.Time
 	var maxRuntime sim.Duration
 	for _, name := range s.order {
@@ -221,8 +220,10 @@ func New(opt Options) (*Sim, error) {
 		// total trace length. It requires submit-time order; generated
 		// traces already have it, and a hand-built unsorted trace (e.g. the
 		// quickstart example) is stably sorted into a copy — same-instant
-		// jobs keep their trace order, which is exactly the order the old
-		// per-job submission events fired in (engine sequence ties).
+		// jobs keep their trace order. Across domains, same-instant
+		// arrivals fire in the order the chains were armed: the domain
+		// whose previous arrival was earlier goes first (EXPERIMENTS.md,
+		// "results_full.txt, the paper-scale pin").
 		if !sortedBySubmit(tr) {
 			tr = append([]*job.Job(nil), tr...)
 			sort.SliceStable(tr, func(a, b int) bool { return tr[a].SubmitTime < tr[b].SubmitTime })

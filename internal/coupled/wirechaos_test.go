@@ -171,9 +171,9 @@ func TestChaosWireRunCoStartsExactly(t *testing.T) {
 	if err := elog.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := eventlog.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	recs, skipped, err := eventlog.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil || skipped != 0 {
+		t.Fatalf("event log: skipped %d, err %v", skipped, err)
 	}
 	if v := eventlog.VerifyCoStarts(recs); len(v) != 0 {
 		t.Fatalf("chaos run: %d co-start violations from the event log: %v", len(v), v[0])

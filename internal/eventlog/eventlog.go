@@ -178,36 +178,12 @@ func (o *observer) JobCancelled(now sim.Time, j *job.Job) {
 	o.log.emit(Record{Time: now, Domain: o.domain, Kind: KindCancel, JobID: j.ID})
 }
 
-// Read parses a JSONL event log.
-func Read(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var out []Record
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return nil, fmt.Errorf("eventlog: line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadTolerant parses a JSONL event log, skipping malformed lines instead
-// of failing, and reports how many were skipped. A kill -9 can leave a
-// torn final line in a daemon's log (the restarted daemon guards against
-// it compounding, but the torn line itself remains), so post-crash
-// verification reads tolerantly where Read stays strict.
-func ReadTolerant(r io.Reader) ([]Record, int, error) {
+// Read parses a JSONL event log, skipping malformed lines instead of
+// failing, and reports how many were skipped. A kill -9 can leave a torn
+// final line in a daemon's log (the restarted daemon guards against it
+// compounding, but the torn line itself remains), so verification reads
+// past it; a caller that wants a clean log checks skipped == 0.
+func Read(r io.Reader) ([]Record, int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	var out []Record

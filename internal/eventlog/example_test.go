@@ -14,7 +14,7 @@ func ExampleVerifyCoStarts() {
 {"t":0,"domain":"B","kind":"submit","job":1,"mates":[{"Domain":"A","Job":1}]}
 {"t":100,"domain":"A","kind":"start","job":1}
 {"t":250,"domain":"B","kind":"start","job":1}`
-	records, err := eventlog.Read(strings.NewReader(log))
+	records, _, err := eventlog.Read(strings.NewReader(log))
 	if err != nil {
 		panic(err)
 	}

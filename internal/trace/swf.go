@@ -93,20 +93,35 @@ func Write(w io.Writer, hdr *Header, recs []Record) error {
 	return bw.Flush()
 }
 
-// Read parses a trace by collecting a whole Stream. Unknown comment lines
-// are ignored; `; key: value` comments populate the header. For large
-// files prefer NewStream directly and avoid materializing the record
-// slice.
+// Read parses a trace. Blank lines are skipped; `; key: value` comments,
+// wherever they appear, populate the header, and other comments are
+// ignored. A malformed record fails with its line number.
 func Read(r io.Reader) (*Header, []Record, error) {
-	s := NewStream(r)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	hdr := NewHeader()
 	var recs []Record
-	for s.Next() {
-		recs = append(recs, s.Record())
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		if strings.HasPrefix(line, ";") {
+			if k, v, ok := strings.Cut(strings.TrimSpace(line[1:]), ":"); ok {
+				hdr.Set(strings.TrimSpace(k), strings.TrimSpace(v))
+			}
+			continue
+		}
+		rec, err := parseLine(line)
+		if err != nil {
+			return nil, nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+		}
+		recs = append(recs, rec)
 	}
-	if err := s.Err(); err != nil {
+	if err := sc.Err(); err != nil {
 		return nil, nil, err
 	}
-	return s.Header(), recs, nil
+	return hdr, recs, nil
 }
 
 func parseLine(line string) (Record, error) {
@@ -187,40 +202,29 @@ func ParseMates(s string) ([]job.MateRef, error) {
 	return out, nil
 }
 
-// JobFromRecord converts one record to a simulator job, applying the same
-// validity rules as ToJobs: records with non-positive runtime or procs (SWF
-// uses -1 for unknown) or a negative submit are rejected with ok=false.
-// ToJobs and the streaming ingestion path both build on it, so a record is
-// accepted by one iff it is accepted by the other.
-func JobFromRecord(r Record) (j *job.Job, ok bool) {
-	nodes := r.Procs
-	if nodes <= 0 {
-		nodes = r.ReqProcs
-	}
-	if nodes <= 0 || r.Runtime <= 0 || r.Submit < 0 {
-		return nil, false
-	}
-	wall := r.ReqTime
-	if wall < r.Runtime {
-		wall = r.Runtime
-	}
-	j = job.New(r.JobID, nodes, r.Submit, r.Runtime, wall)
-	if r.UserID > 0 {
-		j.User = r.UserID
-	}
-	j.Mates = append([]job.MateRef(nil), r.Mates...)
-	return j, true
-}
-
-// ToJobs converts records to simulator jobs. Records rejected by
-// JobFromRecord are skipped; the count of skipped records is returned.
+// ToJobs converts records to simulator jobs in (SubmitTime, ID) order,
+// stable for duplicate IDs. Records with non-positive runtime or procs (SWF
+// uses -1 for unknown; requested procs stand in for allocated) or a
+// negative submit are skipped; the count of skipped records is returned.
 func ToJobs(recs []Record) (jobs []*job.Job, skipped int) {
 	for _, r := range recs {
-		j, ok := JobFromRecord(r)
-		if !ok {
+		nodes := r.Procs
+		if nodes <= 0 {
+			nodes = r.ReqProcs
+		}
+		if nodes <= 0 || r.Runtime <= 0 || r.Submit < 0 {
 			skipped++
 			continue
 		}
+		wall := r.ReqTime
+		if wall < r.Runtime {
+			wall = r.Runtime
+		}
+		j := job.New(r.JobID, nodes, r.Submit, r.Runtime, wall)
+		if r.UserID > 0 {
+			j.User = r.UserID
+		}
+		j.Mates = append([]job.MateRef(nil), r.Mates...)
 		jobs = append(jobs, j)
 	}
 	sort.SliceStable(jobs, func(i, k int) bool {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -101,16 +102,68 @@ func TestReadRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestReadFoldsMidFileComments: `; key: value` comments anywhere in the
+// file join the header in order of appearance; records keep file order.
+func TestReadFoldsMidFileComments(t *testing.T) {
+	input := `; Version: 2.2
+1 0 -1 600 64 -1 -1 64 900 -1 1 7 -1 -1 -1 -1 -1 -1 eureka:1
+; MidFile: comment
+2 30 -1 120 8 -1 -1 8 120 -1 1 9 -1 -1 -1 -1 -1 -1 -1
+`
+	hdr, recs, err := Read(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(hdr.Order, ",") != "Version,MidFile" || hdr.Fields["MidFile"] != "comment" {
+		t.Fatalf("header = %v %v", hdr.Order, hdr.Fields)
+	}
+	if len(recs) != 2 || recs[0].JobID != 1 || recs[1].JobID != 2 {
+		t.Fatalf("records = %+v", recs)
+	}
+}
+
+func TestReadErrorCarriesLineNumber(t *testing.T) {
+	in := "; Version: 2.2\n\n1 0 -1 600 64 -1 -1 64 900 -1 1 7 -1 -1 -1 -1 -1 -1\nnot a record\n"
+	if _, _, err := Read(strings.NewReader(in)); err == nil || !strings.HasPrefix(err.Error(), "trace: line 4: ") {
+		t.Fatalf("err = %v, want trace: line 4 attribution", err)
+	}
+}
+
+// TestToJobsOrdersTiesByID: jobs come out by (SubmitTime, ID), whatever the
+// record order, with duplicate IDs left in record order.
+func TestToJobsOrdersTiesByID(t *testing.T) {
+	recs := []Record{
+		{JobID: 6, Submit: 95, Runtime: 120, Procs: 16},
+		{JobID: 9, Submit: 30, Runtime: 60, Procs: 8},
+		{JobID: 2, Submit: 30, Runtime: 60, Procs: 8},
+		{JobID: 3, Submit: 30, Runtime: -1, Procs: 8}, // skipped
+		{JobID: 7, Submit: 30, Runtime: 60, Procs: 8, UserID: 1},
+		{JobID: 5, Submit: 0, Runtime: 60, Procs: 4},
+		{JobID: 7, Submit: 30, Runtime: 60, Procs: 8, UserID: 2},
+		{JobID: 1, Submit: 95, Runtime: 10, Procs: 1},
+	}
+	jobs, skipped := ToJobs(recs)
+	var got []string
+	for _, j := range jobs {
+		got = append(got, fmt.Sprintf("%d@%d/u%d", j.ID, j.SubmitTime, j.User))
+	}
+	want := "5@0/u0 2@30/u0 7@30/u1 7@30/u2 9@30/u0 1@95/u0 6@95/u0"
+	if strings.Join(got, " ") != want || skipped != 1 {
+		t.Fatalf("jobs = %v skipped %d, want %s skipped 1", got, skipped, want)
+	}
+}
+
 func TestToJobsSkipsInvalid(t *testing.T) {
 	recs := []Record{
 		{JobID: 1, Submit: 0, Runtime: 600, Procs: 4},
 		{JobID: 2, Submit: 0, Runtime: -1, Procs: 4},   // unknown runtime
 		{JobID: 3, Submit: 0, Runtime: 600, Procs: -1}, // unknown procs, no req
 		{JobID: 4, Submit: 0, Runtime: 600, Procs: -1, ReqProcs: 8},
+		{JobID: 5, Submit: -1, Runtime: 600, Procs: 4}, // negative submit
 	}
 	jobs, skipped := ToJobs(recs)
-	if len(jobs) != 2 || skipped != 2 {
-		t.Fatalf("jobs=%d skipped=%d, want 2/2", len(jobs), skipped)
+	if len(jobs) != 2 || skipped != 3 {
+		t.Fatalf("jobs=%d skipped=%d, want 2/3", len(jobs), skipped)
 	}
 	if jobs[1].Nodes != 8 {
 		t.Fatalf("ReqProcs fallback failed: nodes=%d", jobs[1].Nodes)
