@@ -12,8 +12,8 @@ set -eux
 
 # Formatting and static analysis: gofmt must be clean, vet runs under both
 # tag sets (the debug-only assert files are code too), and simlint
-# enforces the repo's determinism and scheduling contracts (six rules, R1,
-# R2 and R4–R7, each matched at the call site; see ARCHITECTURE.md §6)
+# enforces the repo's determinism and scheduling contracts (five rules, R1,
+# R2 and R5–R7, each matched at the call site; see ARCHITECTURE.md §6)
 # before anything slower runs — under both tag sets too, since the
 # debug-only files are sim-pure code like any other. The untagged run is
 # the -json one: it exits 1 on an active finding (naming it on stderr) and

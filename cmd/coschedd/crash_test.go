@@ -29,7 +29,7 @@ const (
 
 // TestMain doubles as the daemon entry point: when re-execed with
 // COSCHEDD_HELPER=1 the test binary runs a real coschedd instead of the
-// test suite, so the crash tests exercise the exact runDaemon path.
+// test suite, so the crash tests exercise the exact run path of main.
 func TestMain(m *testing.M) {
 	if os.Getenv(helperEnv) == "1" {
 		args := strings.Split(os.Getenv(helperArgsEnv), "\x1f")
@@ -38,7 +38,7 @@ func TestMain(m *testing.M) {
 			fmt.Fprintf(os.Stderr, "coschedd helper: %v\n", err)
 			os.Exit(2)
 		}
-		if err := runDaemon(cfg); err != nil {
+		if err := run(*cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "coschedd helper: %v\n", err)
 			os.Exit(1)
 		}
@@ -219,8 +219,7 @@ func TestCrashRecoveryAcceptance(t *testing.T) {
 	bLog := filepath.Join(tmp, "b.log")
 	common := []string{
 		"-nodes", "32", "-policy", "fcfs", "-scheme", "hold",
-		"-release-minutes", "120", "-speedup", "200",
-		"-journal-fsync", "0s", "-snapshot-every", "4",
+		"-release-minutes", "120", "-speedup", "200", "-snapshot-every", "4",
 	}
 	aArgs := append([]string{
 		"-name", "A", "-listen", aPeer, "-admin", aAdmin, "-peer", "B=" + bPeer,
@@ -330,7 +329,7 @@ func TestGracefulDrainNotifiesPeers(t *testing.T) {
 	}
 	aArgs := append([]string{
 		"-name", "A", "-listen", aPeer, "-admin", aAdmin, "-peer", "B=" + bPeer,
-		"-journal-dir", filepath.Join(tmp, "ja"), "-journal-fsync", "0s",
+		"-journal-dir", filepath.Join(tmp, "ja"),
 	}, common...)
 	bArgs := append([]string{
 		"-name", "B", "-listen", bPeer, "-admin", bAdmin, "-peer", "A=" + aPeer,

@@ -4,7 +4,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFlagValidation(t *testing.T) {
@@ -14,17 +13,9 @@ func TestFlagValidation(t *testing.T) {
 		wantErr string // substring of the error; "" means the args must parse
 	}{
 		{"defaults", nil, ""},
-		{"journal flags", []string{"-journal-dir", "j", "-journal-fsync", "25ms", "-snapshot-every", "64"}, ""},
+		{"journal flags", []string{"-journal-dir", "j", "-snapshot-every", "64"}, ""},
 		{"release off", []string{"-release-minutes", "0"}, ""},
-		{"zero dial timeout", []string{"-peer-dial-timeout", "0s"}, "-peer-dial-timeout"},
-		{"negative dial timeout", []string{"-peer-dial-timeout", "-1s"}, "-peer-dial-timeout"},
-		{"zero breaker cooldown", []string{"-peer-breaker-cooldown", "0s"}, "-peer-breaker-cooldown"},
-		{"zero breaker fails", []string{"-peer-breaker-fails", "0"}, "-peer-breaker-fails"},
-		{"zero backoff base", []string{"-peer-backoff-base", "0s"}, "-peer-backoff-base"},
-		{"zero backoff max", []string{"-peer-backoff-max", "0s"}, "-peer-backoff-max"},
-		{"backoff ceiling below base", []string{"-peer-backoff-base", "1s", "-peer-backoff-max", "100ms"}, "-peer-backoff-max"},
 		{"zero peer timeout", []string{"-peer-timeout", "0s"}, "-peer-timeout"},
-		{"negative journal fsync", []string{"-journal-fsync", "-1ms"}, "-journal-fsync"},
 		{"zero snapshot cadence", []string{"-snapshot-every", "0"}, "-snapshot-every"},
 		{"negative snapshot cadence", []string{"-snapshot-every", "-3"}, "-snapshot-every"},
 		{"zero nodes", []string{"-nodes", "0"}, "-nodes"},
@@ -60,16 +51,10 @@ func TestFlagDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.journalDir != "" {
-		t.Fatalf("journaling should be off by default, got dir %q", cfg.journalDir)
+	if cfg.JournalDir != "" {
+		t.Fatalf("journaling should be off by default, got dir %q", cfg.JournalDir)
 	}
-	if cfg.journalFS != 0 {
-		t.Fatalf("default journal fsync should be 0 (sync every transition), got %v", cfg.journalFS)
-	}
-	if cfg.snapEvery != 1024 {
-		t.Fatalf("default snapshot cadence = %d, want 1024", cfg.snapEvery)
-	}
-	if cfg.dialTO != 2*time.Second || cfg.brkCool != 5*time.Second {
-		t.Fatalf("peer resilience defaults drifted: dial=%v cooldown=%v", cfg.dialTO, cfg.brkCool)
+	if cfg.SnapshotEvery != 1024 {
+		t.Fatalf("default snapshot cadence = %d, want 1024", cfg.SnapshotEvery)
 	}
 }

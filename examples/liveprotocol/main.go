@@ -18,89 +18,52 @@ import (
 	"log"
 	"time"
 
-	"cosched/internal/cluster"
-	"cosched/internal/cosched"
 	"cosched/internal/job"
 	"cosched/internal/live"
-	"cosched/internal/peerlink"
-	"cosched/internal/proto"
-	"cosched/internal/resmgr"
 	"cosched/internal/sim"
 )
 
-// domain bundles one live resource manager with its servers.
-type domain struct {
-	name   string
-	mgr    *resmgr.Manager
-	driver *live.Driver
-	peer   *proto.Server
-	admin  *live.AdminServer
-
-	peerAddr, adminAddr string
-}
-
-func startDomain(name string, nodes int, scheme cosched.Scheme) *domain {
-	eng := sim.NewEngine()
-	mgr := resmgr.New(eng, resmgr.Options{
-		Name:        name,
-		Pool:        cluster.New(name, nodes),
-		Backfilling: true,
-		Cosched:     cosched.DefaultConfig(scheme),
-	})
-	driver := live.NewDriver(eng, 60) // one virtual minute per wall second
-
-	peerSrv := proto.NewServer(mgr, driver, nil)
-	peerAddr, err := peerSrv.Listen("127.0.0.1:0")
+// startDaemon starts one daemon on loopback, its virtual clock one minute
+// per wall second — the daemon cmd/coschedd runs, built from the same
+// configuration.
+func startDaemon(name string, nodes int, scheme string) *live.Daemon {
+	d, err := live.Start(live.Config{
+		Name: name, Nodes: nodes, Scheme: scheme, Backfill: true,
+		Listen: "127.0.0.1:0", Admin: "127.0.0.1:0",
+		ReleaseMinutes: 20, MaxHeldFraction: 1, Speedup: 60,
+	}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	adminSrv := live.NewAdminServer(mgr, driver, nil)
-	adminAddr, err := adminSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	return &domain{
-		name: name, mgr: mgr, driver: driver,
-		peer: peerSrv, admin: adminSrv,
-		peerAddr: peerAddr.String(), adminAddr: adminAddr.String(),
-	}
+	return d
 }
 
 func main() {
-	hpc := startDomain("hpc", 512, cosched.Hold)
-	viz := startDomain("viz", 32, cosched.Yield)
-	defer hpc.peer.Close()
-	defer hpc.admin.Close()
-	defer viz.peer.Close()
-	defer viz.admin.Close()
+	hpc := startDaemon("hpc", 512, "hold")
+	viz := startDaemon("viz", 32, "yield")
 
 	// Cross-wire the peers over TCP through resilient links: lazy dialing
 	// (either daemon could have started first), redial backoff, and a
 	// circuit breaker so a dead partner costs microseconds, not a dial
-	// timeout per scheduling iteration — exactly the wiring cmd/coschedd
-	// uses.
-	hpcToViz := peerlink.New(peerlink.Config{Name: "viz", Addr: viz.peerAddr})
-	defer hpcToViz.Close()
-	vizToHpc := peerlink.New(peerlink.Config{Name: "hpc", Addr: hpc.peerAddr})
-	defer vizToHpc.Close()
-	hpc.driver.Do(func() { hpc.mgr.AddPeer("viz", hpcToViz) })
-	viz.driver.Do(func() { viz.mgr.AddPeer("hpc", vizToHpc) })
+	// timeout per scheduling iteration.
+	hpcToViz := hpc.Connect("viz", viz.PeerAddr())
+	viz.Connect("hpc", hpc.PeerAddr())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go hpc.driver.Run(ctx)
-	go viz.driver.Run(ctx)
+	go hpc.Run(ctx)
+	go viz.Run(ctx)
 
 	fmt.Printf("liveprotocol: hpc daemon (peer %s) + viz daemon (peer %s), 60x wall clock\n",
-		hpc.peerAddr, viz.peerAddr)
+		hpc.PeerAddr(), viz.PeerAddr())
 
 	// Submit the compute half of the pair now...
-	hpcAdmin, err := live.DialAdmin(hpc.adminAddr, time.Second)
+	hpcAdmin, err := live.DialAdmin(hpc.AdminAddr(), time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer hpcAdmin.Close()
-	vizAdmin, err := live.DialAdmin(viz.adminAddr, time.Second)
+	vizAdmin, err := live.DialAdmin(viz.AdminAddr(), time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

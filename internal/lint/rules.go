@@ -48,20 +48,6 @@ var Rules = []Rule{
 		Check: checkPurity,
 	},
 	{
-		ID:    "R4",
-		Title: "no goroutines or t.Parallel around a resmgr.Manager",
-		Doc: "resmgr.Manager is single-threaded by contract — the engine's " +
-			"event loop serializes everything. Goroutines capturing a Manager " +
-			"or t.Parallel in its tests race the scheduler state; concurrency " +
-			"belongs in internal/parallel's deterministic cell pool, where each " +
-			"worker owns a private engine — never a shared Manager. Escape is " +
-			"tracked through values: arguments and captured free variables " +
-			"whose types *contain* a Manager (struct fields, slices, maps) " +
-			"are flagged. Named internal/live types are exempt — the Driver " +
-			"serializes its Manager by design.",
-		Check: checkConcurrency,
-	},
-	{
 		ID:    "R5",
 		Title: "no floating-point == or != ",
 		Doc: "Metric aggregates are accumulated floats; bit-equality on them " +

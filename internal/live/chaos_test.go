@@ -1,14 +1,12 @@
 package live
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"testing"
 	"time"
 
-	"cosched/internal/cosched"
 	"cosched/internal/job"
 	"cosched/internal/obs"
 	"cosched/internal/peerlink"
@@ -22,41 +20,30 @@ import (
 // two daemons derive virtual time from the wall independently), the links
 // end healthy, and the status endpoint reports the chaos it weathered.
 func TestLiveChaosCoStartOverTCP(t *testing.T) {
-	a := startTestDomain(t, "a", 64, cosched.Hold, 2000)
-	b := startTestDomain(t, "b", 8, cosched.Yield, 2000)
+	a := startTestDomain(t, Config{Name: "a", Nodes: 64, Scheme: "hold", Speedup: 2000, Status: "127.0.0.1:0"})
+	b := startTestDomain(t, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 2000})
 
+	// Links tuned for fast redial, each behind a fault injector: the
+	// manager calls through the injector, while reconciliation, drain and
+	// the status page see the link.
 	la := peerlink.New(peerlink.Config{
 		Name: "b", Addr: b.peerAddr,
 		DialTimeout: time.Second, CallTimeout: 2 * time.Second,
 		BackoffBase: time.Millisecond, BackoffMax: 50 * time.Millisecond,
 		Cooldown: 50 * time.Millisecond, Seed: 1,
 	})
-	defer la.Close()
 	lb := peerlink.New(peerlink.Config{
 		Name: "a", Addr: a.peerAddr,
 		DialTimeout: time.Second, CallTimeout: 2 * time.Second,
 		BackoffBase: time.Millisecond, BackoffMax: 50 * time.Millisecond,
 		Cooldown: 50 * time.Millisecond, Seed: 2,
 	})
-	defer lb.Close()
 	chaos := proto.Rates{Latency: 0.2, Delay: time.Millisecond, Drop: 0.2}
 	ia := proto.NewFaultInjector(la, proto.NewRateScript(11, chaos), la.BreakConn)
 	ib := proto.NewFaultInjector(lb, proto.NewRateScript(12, chaos), lb.BreakConn)
-	a.driver.Do(func() { a.mgr.AddPeer("b", ia) })
-	b.driver.Do(func() { b.mgr.AddPeer("a", ib) })
-
-	ss := NewStatusServer(a.mgr, a.driver, nil)
-	ss.WatchPeers(la)
-	ssAddr, err := ss.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go a.driver.Run(ctx)
-	go b.driver.Run(ctx)
+	a.addPeer(la, ia)
+	b.addPeer(lb, ib)
+	ssAddr := a.statusAddr
 
 	// Connect, then restart b's peer server on the same address. The link's
 	// established connection dies with the old server; the machinery must
@@ -150,7 +137,7 @@ func TestLiveChaosCoStartOverTCP(t *testing.T) {
 	}
 
 	// The status endpoint exports the link's health counters.
-	resp, err := http.Get("http://" + ssAddr.String() + "/status.json")
+	resp, err := http.Get("http://" + ssAddr + "/status.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +160,7 @@ func TestLiveChaosCoStartOverTCP(t *testing.T) {
 	// racing the scheduler.
 	scrape := func() *obs.Scrape {
 		t.Helper()
-		resp, err := http.Get("http://" + ssAddr.String() + "/metrics")
+		resp, err := http.Get("http://" + ssAddr + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +207,7 @@ func TestLiveChaosCoStartOverTCP(t *testing.T) {
 // scheduler absorbs "status unknown" instead of stalling a full dial
 // timeout per iteration.
 func TestLiveBreakerFailsFastWithPeerDown(t *testing.T) {
-	b := startTestDomain(t, "b", 8, cosched.Yield, 2000)
+	b := startTestDomain(t, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 2000})
 	addr := b.peerAddr
 	b.peer.Close() // peer daemon is gone
 

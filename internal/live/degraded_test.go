@@ -6,44 +6,38 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
-	"cosched/internal/cosched"
 	"cosched/internal/faultplan"
-	"cosched/internal/journal"
+	"cosched/internal/job"
 	"cosched/internal/obs"
 )
 
-// TestDegradedModeMetricsExported drives a journal store into poisoning
-// through an injected fsync fault and checks the whole degradation surface:
-// the degraded gauge flips 0→1, the fsync-failure and campaign-fault
-// counters land on /metrics with exact values (pinned by a scrape →
-// authoritative-read → scrape sandwich where the source can move), the
-// status JSON carries the degraded reason, and the HTML page shows the
-// banner.
+// TestDegradedModeMetricsExported runs the daemon's storage-fault
+// degradation controller as it runs in coschedd: a journal on a fault FS
+// whose second fsync fails, admin submissions until the store poisons. The
+// controller must flip every surface at once — the degraded gauge 0→1, the
+// fsync-failure and poisoned series, the reason in /status.json and the
+// HTML banner — detach the recorder, so the append counter stops, and clamp
+// holds to -degraded-max-holds 0, so a pair that would hold yields and
+// counts one refused hold.
 func TestDegradedModeMetricsExported(t *testing.T) {
-	a := startTestDomain(t, "a", 16, cosched.Hold, 2000)
-
+	b := startTestDomain(t, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 2000})
 	plan := &faultplan.Plan{Seed: 9, Faults: []faultplan.Fault{
 		{Seam: faultplan.SeamJournal, Kind: faultplan.KindFsyncEIO, At: 2},
 	}}
-	ffs := faultplan.NewFaultFS(plan, nil)
-	store, err := journal.Open(t.TempDir(), journal.Options{FS: ffs})
+	a := startTestDomain(t, Config{Name: "a", Nodes: 16, Scheme: "hold", Speedup: 2000,
+		Status: "127.0.0.1:0", JournalDir: t.TempDir(), fs: faultplan.NewFaultFS(plan, nil)})
+	a.Connect("b", b.peerAddr)
+	ca, err := DialAdmin(a.adminAddr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
+	defer ca.Close()
 
-	ss := NewStatusServer(a.mgr, a.driver, nil)
-	ss.WatchJournal(store.Stats)
-	addr, err := ss.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-
-	scrape := func() *obs.Scrape {
+	get := func(path string) []byte {
 		t.Helper()
-		resp, err := http.Get("http://" + addr.String() + "/metrics")
+		resp, err := http.Get("http://" + a.statusAddr + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,91 +46,108 @@ func TestDegradedModeMetricsExported(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return body
+	}
+	metric := func(name string) float64 {
+		t.Helper()
+		body := get("/metrics")
 		s, err := obs.Parse(body)
 		if err != nil {
 			t.Fatalf("metrics exposition does not parse: %v\n%s", err, body)
 		}
-		return s
+		v, ok := s.Value(name, "domain", "a")
+		if !ok {
+			t.Fatalf("%s missing from /metrics:\n%s", name, body)
+		}
+		return v
+	}
+	// Solo jobs that run for the whole test, so no completion triggers a
+	// later scheduling pass.
+	nextID := job.ID(100)
+	submitSolo := func() {
+		t.Helper()
+		nextID++
+		if err := ca.Submit(WireJob{ID: nextID, Nodes: 1, Runtime: 1e7, Walltime: 1e7}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { st, err := ca.Status(nextID); return err == nil && st.Started })
 	}
 
-	// Healthy scrape: degraded gauge present and 0, no fsync failures yet.
-	s0 := scrape()
-	if v, ok := s0.Value(obs.MetricJournalDegraded, "domain", "a"); !ok || v != 0 {
-		t.Fatalf("%s = %g,%v before any fault, want 0", obs.MetricJournalDegraded, v, ok)
+	if v := metric(obs.MetricJournalDegraded); v != 0 {
+		t.Fatalf("%s = %g before any fault, want 0", obs.MetricJournalDegraded, v)
 	}
-	if v, ok := s0.Value(obs.MetricFsyncFailures, "domain", "a"); !ok || v != 0 {
-		t.Fatalf("%s = %g,%v before any fault, want 0", obs.MetricFsyncFailures, v, ok)
+	if v := metric(obs.MetricFsyncFailures); v != 0 {
+		t.Fatalf("%s = %g before any fault, want 0", obs.MetricFsyncFailures, v)
 	}
-
-	// Inject: append until the scheduled fsync EIO fires and poisons the
-	// store, then degrade exactly as the daemon's controller does.
-	for i := 0; i < 8 && store.Poisoned() == nil; i++ {
-		store.Append(&journal.Entry{Op: journal.OpHold, Job: 1}) //nolint — failure is the point
+	for i := 0; i < 8 && a.store.Poisoned() == nil; i++ {
+		submitSolo()
 	}
-	if store.Poisoned() == nil {
+	if a.store.Poisoned() == nil {
 		t.Fatal("store not poisoned by the scheduled fsync fault")
 	}
-	a.driver.Do(func() { a.mgr.SetHoldBudget(0) })
-	ss.SetDegraded("journal abandoned after storage fault: injected fsync EIO")
 
-	// Sandwich: the store keeps its own counters, so pin every exported
-	// series between two authoritative Stats() reads around the scrape.
-	before := store.Stats()
-	mid := scrape()
-	after := store.Stats()
-	for _, c := range []struct {
-		metric string
-		lo, hi uint64
-	}{
-		{"cosched_journal_appends_total", before.Appends, after.Appends},
-		{"cosched_journal_fsyncs_total", before.Fsyncs, after.Fsyncs},
-		{obs.MetricFsyncFailures, before.FsyncFailures, after.FsyncFailures},
+	for name, want := range map[string]float64{
+		obs.MetricJournalDegraded: 1, "cosched_journal_poisoned": 1,
+		obs.MetricFsyncFailures: 1, obs.MetricHoldsRefused: 0,
 	} {
-		v, ok := mid.Value(c.metric, "domain", "a")
-		if !ok {
-			t.Fatalf("%s missing from /metrics after degradation", c.metric)
+		if v := metric(name); v != want {
+			t.Fatalf("%s = %g after the store poisoned, want %g", name, v, want)
 		}
-		if v < float64(c.lo) || v > float64(c.hi) {
-			t.Fatalf("%s = %g outside Stats sandwich [%d, %d]", c.metric, v, c.lo, c.hi)
-		}
-	}
-	if v, _ := mid.Value(obs.MetricFsyncFailures, "domain", "a"); v != 1 {
-		t.Fatalf("%s = %g after one injected fsync fault, want 1", obs.MetricFsyncFailures, v)
-	}
-	if v, _ := mid.Value(obs.MetricJournalDegraded, "domain", "a"); v != 1 {
-		t.Fatalf("%s = %g after degradation, want 1", obs.MetricJournalDegraded, v)
-	}
-	if v, _ := mid.Value("cosched_journal_poisoned", "domain", "a"); v != 1 {
-		t.Fatalf("cosched_journal_poisoned = %g after poisoning, want 1", v)
-	}
-	if v, ok := mid.Value(obs.MetricHoldsRefused, "domain", "a"); !ok || v != 0 {
-		t.Fatalf("%s = %g,%v with no refused holds yet, want 0", obs.MetricHoldsRefused, v, ok)
-	}
-
-	// The JSON snapshot and the HTML page surface the same degradation.
-	resp, err := http.Get("http://" + addr.String() + "/status.json")
-	if err != nil {
-		t.Fatal(err)
 	}
 	var snap StatusSnapshot
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	resp.Body.Close()
-	if err != nil {
+	if err := json.Unmarshal(get("/status.json"), &snap); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(snap.Degraded, "storage fault") {
 		t.Fatalf("status.json degraded = %q, want the degradation reason", snap.Degraded)
 	}
-	page, err := http.Get("http://" + addr.String() + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	html, err := io.ReadAll(page.Body)
-	page.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(html), "DEGRADED") {
+	if !strings.Contains(string(get("/")), "DEGRADED") {
 		t.Fatal("status page does not show the DEGRADED banner")
+	}
+
+	// Detached: transitions no longer reach the store.
+	appends := metric("cosched_journal_appends_total")
+	submitSolo()
+	if v := metric("cosched_journal_appends_total"); v != appends {
+		t.Fatalf("cosched_journal_appends_total moved %g -> %g after degradation: recorder still attached", appends, v)
+	}
+
+	// Clamped: a's half of a pair whose mate b only expects would hold; the
+	// budget of 0 turns the hold into a yield.
+	cb, err := DialAdmin(b.adminAddr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb.Close()
+	if err := cb.Expect(WireJob{ID: 7, Nodes: 2, Runtime: 600, Walltime: 600, Mates: []job.MateRef{{Domain: "a", Job: 7}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ca.Submit(WireJob{ID: 7, Nodes: 4, Runtime: 600, Walltime: 600, Mates: []job.MateRef{{Domain: "b", Job: 7}}}); err != nil {
+		t.Fatal(err)
+	}
+	var state job.State
+	waitFor(t, func() bool {
+		decided := false
+		a.driver.Do(func() {
+			j, _ := a.mgr.Job(7)
+			state, decided = j.State, j.YieldCount > 0 || j.State == job.Holding
+		})
+		return decided
+	})
+	if state == job.Holding {
+		t.Fatal("job 7 holds on a degraded daemon with -degraded-max-holds 0")
+	}
+	if v := metric(obs.MetricHoldsRefused); v != 1 {
+		t.Fatalf("%s = %g after one refused hold, want 1", obs.MetricHoldsRefused, v)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 5 s")
+		}
 	}
 }

@@ -11,51 +11,34 @@ import (
 	"testing"
 	"time"
 
-	"cosched/internal/cluster"
-	"cosched/internal/cosched"
 	"cosched/internal/job"
 	"cosched/internal/obs"
 	"cosched/internal/proto"
-	"cosched/internal/resmgr"
 	"cosched/internal/sim"
 )
 
-// testDomain spins up one live manager with peer+admin servers on loopback.
-type testDomain struct {
-	mgr    *resmgr.Manager
-	driver *Driver
-	peer   *proto.Server
-	admin  *AdminServer
-
-	peerAddr, adminAddr string
-}
-
-func startTestDomain(t *testing.T, name string, nodes int, scheme cosched.Scheme, speedup float64) *testDomain {
+// startTestDomain starts a daemon with its peer and admin servers (and its
+// status page, if cfg.Status is set) on loopback, a 20-minute release
+// interval and EASY backfilling, and runs it until the test ends.
+func startTestDomain(t *testing.T, cfg Config) *Daemon {
 	t.Helper()
-	eng := sim.NewEngine()
-	mgr := resmgr.New(eng, resmgr.Options{
-		Name:        name,
-		Pool:        cluster.New(name, nodes),
-		Backfilling: true,
-		Cosched:     cosched.DefaultConfig(scheme),
-	})
-	d := NewDriver(eng, speedup)
-	ps := proto.NewServer(mgr, d, nil)
-	pa, err := ps.Listen("127.0.0.1:0")
+	cfg.Listen, cfg.Admin = "127.0.0.1:0", "127.0.0.1:0"
+	cfg.ReleaseMinutes, cfg.Backfill = 20, true
+	d, err := Start(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	as := NewAdminServer(mgr, d, nil)
-	aa, err := as.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		d.Run(ctx)
+		close(done)
+	}()
 	t.Cleanup(func() {
-		ps.Close()
-		as.Close()
+		cancel()
+		<-done
 	})
-	return &testDomain{mgr: mgr, driver: d, peer: ps, admin: as,
-		peerAddr: pa.String(), adminAddr: aa.String()}
+	return d
 }
 
 func TestDriverPacesEvents(t *testing.T) {
@@ -102,10 +85,7 @@ func TestDriverRejectsBadSpeedup(t *testing.T) {
 }
 
 func TestAdminSubmitAndStatus(t *testing.T) {
-	dom := startTestDomain(t, "solo", 64, cosched.Hold, 500)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go dom.driver.Run(ctx)
+	dom := startTestDomain(t, Config{Name: "solo", Nodes: 64, Scheme: "hold", Speedup: 500})
 
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
@@ -148,10 +128,7 @@ func TestAdminSubmitAndStatus(t *testing.T) {
 }
 
 func TestAdminExpectIdempotent(t *testing.T) {
-	dom := startTestDomain(t, "exp", 64, cosched.Hold, 500)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go dom.driver.Run(ctx)
+	dom := startTestDomain(t, Config{Name: "exp", Nodes: 64, Scheme: "hold", Speedup: 500})
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -178,26 +155,10 @@ func TestAdminExpectIdempotent(t *testing.T) {
 }
 
 func TestLiveCoStartOverTCP(t *testing.T) {
-	a := startTestDomain(t, "a", 64, cosched.Hold, 2000)
-	b := startTestDomain(t, "b", 8, cosched.Yield, 2000)
-
-	ab, err := proto.Dial(b.peerAddr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ab.Close()
-	ba, err := proto.Dial(a.peerAddr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ba.Close()
-	a.driver.Do(func() { a.mgr.AddPeer("b", ab) })
-	b.driver.Do(func() { b.mgr.AddPeer("a", ba) })
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go a.driver.Run(ctx)
-	go b.driver.Run(ctx)
+	a := startTestDomain(t, Config{Name: "a", Nodes: 64, Scheme: "hold", Speedup: 2000})
+	b := startTestDomain(t, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 2000})
+	a.Connect("b", b.peerAddr)
+	b.Connect("a", a.peerAddr)
 
 	ca, err := DialAdmin(a.adminAddr, time.Second)
 	if err != nil {
@@ -257,17 +218,8 @@ func TestLiveCoStartOverTCP(t *testing.T) {
 }
 
 func TestStatusServer(t *testing.T) {
-	dom := startTestDomain(t, "stat", 32, cosched.Hold, 500)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go dom.driver.Run(ctx)
-
-	ss := NewStatusServer(dom.mgr, dom.driver, nil)
-	addr, err := ss.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	dom := startTestDomain(t, Config{Name: "stat", Nodes: 32, Scheme: "hold", Speedup: 500, Status: "127.0.0.1:0"})
+	addr := dom.statusAddr
 
 	ac, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
@@ -280,7 +232,7 @@ func TestStatusServer(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	// JSON endpoint.
-	resp, err := http.Get("http://" + addr.String() + "/status.json")
+	resp, err := http.Get("http://" + addr + "/status.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +258,7 @@ func TestStatusServer(t *testing.T) {
 	}
 
 	// HTML page.
-	resp2, err := http.Get("http://" + addr.String() + "/")
+	resp2, err := http.Get("http://" + addr + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +273,7 @@ func TestStatusServer(t *testing.T) {
 		}
 	}
 	// Unknown paths 404.
-	resp3, err := http.Get("http://" + addr.String() + "/nope")
+	resp3, err := http.Get("http://" + addr + "/nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +287,7 @@ func TestStatusServer(t *testing.T) {
 	// Node counts only move when a job starts or completes, and the one
 	// submitted job runs for a virtual hour, so scrape and snapshot see
 	// the same allocation state.
-	resp4, err := http.Get("http://" + addr.String() + "/metrics")
+	resp4, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +322,7 @@ func TestStatusServer(t *testing.T) {
 	}
 	// Scraping twice must stay parseable and keep virtual time monotone.
 	v1, _ := scr.Value("cosched_virtual_time_seconds", "domain", "stat")
-	resp5, err := http.Get("http://" + addr.String() + "/metrics")
+	resp5, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,10 +342,7 @@ func TestStatusServer(t *testing.T) {
 }
 
 func TestAdminCancel(t *testing.T) {
-	dom := startTestDomain(t, "cxl", 32, cosched.Hold, 500)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go dom.driver.Run(ctx)
+	dom := startTestDomain(t, Config{Name: "cxl", Nodes: 32, Scheme: "hold", Speedup: 500})
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
 		t.Fatal(err)

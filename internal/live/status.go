@@ -3,18 +3,14 @@ package live
 import (
 	"encoding/json"
 	"html/template"
-	"log"
 	"net"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"cosched/internal/job"
-	"cosched/internal/journal"
 	"cosched/internal/obs"
 	"cosched/internal/peerlink"
-	"cosched/internal/resmgr"
 	"cosched/internal/sim"
 )
 
@@ -47,6 +43,12 @@ type StatusSnapshot struct {
 	// storage fault: the reason the journal was abandoned plus the hold
 	// budget now in force. Absent in healthy operation.
 	Degraded string `json:"degraded,omitempty"`
+
+	// Counters only /metrics exports, read in the same driver.Do as the
+	// rest; unexported, so /status.json does not carry them.
+	cancelled    int
+	iterations   uint64
+	holdsRefused uint64
 }
 
 // RecoveryInfo summarizes a daemon's boot-time recovery for the status
@@ -75,92 +77,28 @@ type StatusJobRow struct {
 	Yields int      `json:"yields"`
 }
 
-// StatusServer serves a human-readable status page ("/"), a JSON
-// snapshot ("/status.json"), and a Prometheus text exposition
-// ("/metrics") for one live daemon.
-type StatusServer struct {
-	mgr    *resmgr.Manager
-	driver *Driver
-	logger *log.Logger
-	links  []*peerlink.Link
-	srv    *http.Server
-	reg    *obs.Registry
-
-	recMu    sync.Mutex
-	recovery *RecoveryInfo
-	degraded string
-}
-
-// SetRecovery publishes (or updates, as reconciliation progresses) the
-// daemon's recovery summary. Safe to call from any goroutine.
-func (s *StatusServer) SetRecovery(info RecoveryInfo) {
-	s.recMu.Lock()
-	s.recovery = &info
-	s.recMu.Unlock()
-}
-
-// SetDegraded publishes the daemon's degraded-mode banner: the status
-// page shows it loudly and /metrics flips cosched_journal_degraded to 1.
-// Safe to call from any goroutine.
-func (s *StatusServer) SetDegraded(reason string) {
-	s.recMu.Lock()
-	s.degraded = reason
-	s.recMu.Unlock()
-}
-
-// NewStatusServer wraps a manager and its driver. logger receives serve
-// errors; nil discards them.
-func NewStatusServer(mgr *resmgr.Manager, driver *Driver, logger *log.Logger) *StatusServer {
-	s := &StatusServer{mgr: mgr, driver: driver, logger: logger, reg: obs.New()}
-	s.reg.Collect(s.collectMetrics)
-	return s
-}
-
-// WatchPeers registers peer links whose health snapshots are included in
-// every status snapshot. Call before Listen.
-func (s *StatusServer) WatchPeers(links ...*peerlink.Link) {
-	s.links = append(s.links, links...)
-}
-
-// WatchJournal exports the journal durability series on /metrics from a
-// stats callback (normally journal.Store.Stats). The callback takes only
-// the store's own lock, so a stalled disk can slow a scrape but never
-// deadlock it against the driver. Call before Listen.
-func (s *StatusServer) WatchJournal(stats func() journal.Stats) {
-	d := s.mgr.Name()
-	s.reg.Collect(func(e *obs.Emitter) {
-		st := stats()
-		e.Counter("cosched_journal_appends_total", "WAL entries appended since boot", float64(st.Appends), "domain", d)
-		e.Counter("cosched_journal_fsyncs_total", "WAL fsyncs issued since boot", float64(st.Fsyncs), "domain", d)
-		e.Counter("cosched_journal_compactions_total", "compacting snapshots taken since boot", float64(st.Compacts), "domain", d)
-		e.Gauge("cosched_journal_entries_pending_compact", "WAL entries appended since the last compact", float64(st.Pending), "domain", d)
-		e.Gauge("cosched_journal_seq", "last assigned journal sequence number", float64(st.Seq), "domain", d)
-		e.Counter(obs.MetricFsyncFailures, "journal fsync failures; any failure poisons the store permanently", float64(st.FsyncFailures), "domain", d)
-		poisoned := 0.0
-		if st.Poisoned {
-			poisoned = 1
-		}
-		e.Gauge("cosched_journal_poisoned", "1 once the journal store has latched a storage fault", poisoned, "domain", d)
-	})
-}
-
-// snapshot collects daemon state under the driver lock.
-func (s *StatusServer) snapshot() StatusSnapshot {
+// snapshot collects daemon state for the status page, /status.json and
+// /metrics. Everything the manager and the driver know is read in one
+// driver.Do, so one scrape never mixes two virtual instants.
+func (d *Daemon) snapshot() StatusSnapshot {
 	var snap StatusSnapshot
-	s.driver.Do(func() {
-		pool := s.mgr.Pool()
+	d.driver.Do(func() {
+		pool := d.mgr.Pool()
 		snap = StatusSnapshot{
-			Domain:     s.mgr.Name(),
-			VirtualNow: s.driver.virtualNowLocked(),
-			Nodes:      pool.Total(),
-			Free:       pool.Free(),
-			Held:       pool.Held(),
-			Running:    pool.Running(),
-			Queued:     s.mgr.QueueLength(),
-			Holding:    s.mgr.HoldingCount(),
-			Completed:  s.mgr.CompletedCount(),
+			Domain:       d.mgr.Name(),
+			VirtualNow:   d.driver.virtualNowLocked(),
+			Nodes:        pool.Total(),
+			Free:         pool.Free(),
+			Held:         pool.Held(),
+			Running:      pool.Running(),
+			Queued:       d.mgr.QueueLength(),
+			Holding:      d.mgr.HoldingCount(),
+			Completed:    d.mgr.CompletedCount(),
+			cancelled:    d.mgr.CancelledCount(),
+			iterations:   d.mgr.Iterations(),
+			holdsRefused: d.mgr.HoldsRefused(),
 		}
-		for _, j := range s.mgr.Jobs() {
+		for _, j := range d.mgr.Jobs() {
 			if j.State == job.Completed {
 				continue
 			}
@@ -174,81 +112,90 @@ func (s *StatusServer) snapshot() StatusSnapshot {
 	sort.Slice(snap.Jobs, func(a, b int) bool { return snap.Jobs[a].ID < snap.Jobs[b].ID })
 	// Link snapshots take only the link's own lock — outside driver.Do, so
 	// a wedged peer call can never block the status page.
-	for _, l := range s.links {
+	for _, l := range d.peerLinks() {
 		snap.Peers = append(snap.Peers, l.Snapshot())
 	}
-	s.recMu.Lock()
-	if s.recovery != nil {
-		info := *s.recovery
+	d.mu.Lock()
+	if d.recovery != nil {
+		info := *d.recovery
 		snap.Recovery = &info
 	}
-	snap.Degraded = s.degraded
-	s.recMu.Unlock()
+	snap.Degraded = d.degraded
+	d.mu.Unlock()
 	return snap
 }
 
 // collectMetrics emits the daemon's operational state as Prometheus
-// samples on every /metrics scrape. It reuses snapshot(), so the manager
-// reads happen under the driver lock and peer counters come from each
-// link's own lock — the same consistency the status page gets. Metric
-// names and label sets are part of the repo's observability contract; the
-// table lives in ARCHITECTURE.md.
-func (s *StatusServer) collectMetrics(e *obs.Emitter) {
-	snap := s.snapshot()
-	d := snap.Domain
-	e.Gauge("cosched_virtual_time_seconds", "virtual simulation time", float64(snap.VirtualNow), "domain", d)
-	e.Gauge("cosched_nodes_total", "pool capacity in nodes", float64(snap.Nodes), "domain", d)
-	e.Gauge("cosched_nodes_free", "free nodes", float64(snap.Free), "domain", d)
-	e.Gauge("cosched_nodes_held", "nodes held for coscheduling mates", float64(snap.Held), "domain", d)
-	e.Gauge("cosched_nodes_running", "nodes running jobs", float64(snap.Running), "domain", d)
-	e.Gauge("cosched_jobs_queued", "jobs waiting in the queue", float64(snap.Queued), "domain", d)
-	e.Gauge("cosched_jobs_holding", "jobs holding nodes for a mate", float64(snap.Holding), "domain", d)
-	e.Counter("cosched_jobs_completed_total", "jobs completed since boot", float64(snap.Completed), "domain", d)
-
-	// Counters the snapshot does not carry: cheap manager reads, taken
-	// under the driver lock like everything else.
-	var cancelled, iterations, refused float64
-	s.driver.Do(func() {
-		cancelled = float64(s.mgr.CancelledCount())
-		iterations = float64(s.mgr.Iterations())
-		refused = float64(s.mgr.HoldsRefused())
-	})
-	e.Counter("cosched_jobs_cancelled_total", "jobs cancelled since boot", cancelled, "domain", d)
-	e.Counter("cosched_scheduler_iterations_total", "scheduler Iterate passes since boot", iterations, "domain", d)
-	e.Counter(obs.MetricHoldsRefused, "Hold decisions downgraded to Yield by the degraded-mode hold budget", refused, "domain", d)
+// samples on every /metrics scrape, from one snapshot: the manager reads
+// happen under the driver lock and peer counters come from each link's own
+// lock — the same consistency the status page gets. Metric names and label
+// sets are part of the repo's observability contract; the table lives in
+// ARCHITECTURE.md.
+func (d *Daemon) collectMetrics(e *obs.Emitter) {
+	snap := d.snapshot()
+	dom := snap.Domain
+	e.Gauge("cosched_virtual_time_seconds", "virtual simulation time", float64(snap.VirtualNow), "domain", dom)
+	e.Gauge("cosched_nodes_total", "pool capacity in nodes", float64(snap.Nodes), "domain", dom)
+	e.Gauge("cosched_nodes_free", "free nodes", float64(snap.Free), "domain", dom)
+	e.Gauge("cosched_nodes_held", "nodes held for coscheduling mates", float64(snap.Held), "domain", dom)
+	e.Gauge("cosched_nodes_running", "nodes running jobs", float64(snap.Running), "domain", dom)
+	e.Gauge("cosched_jobs_queued", "jobs waiting in the queue", float64(snap.Queued), "domain", dom)
+	e.Gauge("cosched_jobs_holding", "jobs holding nodes for a mate", float64(snap.Holding), "domain", dom)
+	e.Counter("cosched_jobs_completed_total", "jobs completed since boot", float64(snap.Completed), "domain", dom)
+	e.Counter("cosched_jobs_cancelled_total", "jobs cancelled since boot", float64(snap.cancelled), "domain", dom)
+	e.Counter("cosched_scheduler_iterations_total", "scheduler Iterate passes since boot", float64(snap.iterations), "domain", dom)
+	e.Counter(obs.MetricHoldsRefused, "Hold decisions downgraded to Yield by the degraded-mode hold budget", float64(snap.holdsRefused), "domain", dom)
 
 	degraded := 0.0
 	if snap.Degraded != "" {
 		degraded = 1
 	}
-	e.Gauge(obs.MetricJournalDegraded, "1 while the daemon runs journal-less after a storage fault", degraded, "domain", d)
+	e.Gauge(obs.MetricJournalDegraded, "1 while the daemon runs journal-less after a storage fault", degraded, "domain", dom)
 
 	for _, p := range snap.Peers {
 		connected := 0.0
 		if p.Connected {
 			connected = 1
 		}
-		e.Gauge("cosched_peer_connected", "1 when the peer link has an established connection", connected, "domain", d, "peer", p.Name)
-		e.Gauge("cosched_peer_consecutive_failures", "consecutive transport failures feeding the breaker", float64(p.ConsecutiveFailures), "domain", d, "peer", p.Name)
-		e.Counter("cosched_peer_calls_total", "peer calls attempted", float64(p.Calls), "domain", d, "peer", p.Name)
-		e.Counter("cosched_peer_successes_total", "peer calls that succeeded", float64(p.Successes), "domain", d, "peer", p.Name)
-		e.Counter("cosched_peer_remote_errors_total", "peer calls rejected by the remote daemon", float64(p.RemoteErrors), "domain", d, "peer", p.Name)
-		e.Counter("cosched_peer_transport_errors_total", "peer calls lost to transport failures", float64(p.TransportErrors), "domain", d, "peer", p.Name)
-		e.Counter("cosched_peer_fast_fails_total", "peer calls rejected by an open breaker", float64(p.FastFails), "domain", d, "peer", p.Name)
-		e.Counter("cosched_peer_retries_total", "peer calls retried after a provably-unsent failure", float64(p.Retries), "domain", d, "peer", p.Name)
-		e.Counter("cosched_peer_dials_total", "connection dials", float64(p.Dials), "domain", d, "peer", p.Name)
-		e.Counter("cosched_peer_dial_errors_total", "failed connection dials", float64(p.DialErrors), "domain", d, "peer", p.Name)
-		e.Counter("cosched_peer_breaker_trips_total", "circuit-breaker open transitions", float64(p.Trips), "domain", d, "peer", p.Name)
+		e.Gauge("cosched_peer_connected", "1 when the peer link has an established connection", connected, "domain", dom, "peer", p.Name)
+		e.Gauge("cosched_peer_consecutive_failures", "consecutive transport failures feeding the breaker", float64(p.ConsecutiveFailures), "domain", dom, "peer", p.Name)
+		e.Counter("cosched_peer_calls_total", "peer calls attempted", float64(p.Calls), "domain", dom, "peer", p.Name)
+		e.Counter("cosched_peer_successes_total", "peer calls that succeeded", float64(p.Successes), "domain", dom, "peer", p.Name)
+		e.Counter("cosched_peer_remote_errors_total", "peer calls rejected by the remote daemon", float64(p.RemoteErrors), "domain", dom, "peer", p.Name)
+		e.Counter("cosched_peer_transport_errors_total", "peer calls lost to transport failures", float64(p.TransportErrors), "domain", dom, "peer", p.Name)
+		e.Counter("cosched_peer_fast_fails_total", "peer calls rejected by an open breaker", float64(p.FastFails), "domain", dom, "peer", p.Name)
+		e.Counter("cosched_peer_retries_total", "peer calls retried after a provably-unsent failure", float64(p.Retries), "domain", dom, "peer", p.Name)
+		e.Counter("cosched_peer_dials_total", "connection dials", float64(p.Dials), "domain", dom, "peer", p.Name)
+		e.Counter("cosched_peer_dial_errors_total", "failed connection dials", float64(p.DialErrors), "domain", dom, "peer", p.Name)
+		e.Counter("cosched_peer_breaker_trips_total", "circuit-breaker open transitions", float64(p.Trips), "domain", dom, "peer", p.Name)
 	}
 
 	if snap.Recovery != nil {
 		r := snap.Recovery
-		e.Gauge("cosched_recovery_completed_at_seconds", "virtual time the last journal recovery completed", float64(r.At), "domain", d)
-		e.Gauge("cosched_recovery_snapshot_seq", "journal snapshot sequence recovery loaded", float64(r.Snapshot), "domain", d)
-		e.Gauge("cosched_recovery_entries_replayed", "WAL entries replayed on top of the snapshot", float64(r.Entries), "domain", d)
-		e.Gauge("cosched_recovery_jobs_restored", "jobs re-installed by recovery", float64(r.Restored), "domain", d)
-		e.Gauge("cosched_recovery_peers_reconciled", "peers whose mate state was reconciled after restart", float64(r.Reconciled), "domain", d)
+		e.Gauge("cosched_recovery_completed_at_seconds", "virtual time the last journal recovery completed", float64(r.At), "domain", dom)
+		e.Gauge("cosched_recovery_snapshot_seq", "journal snapshot sequence recovery loaded", float64(r.Snapshot), "domain", dom)
+		e.Gauge("cosched_recovery_entries_replayed", "WAL entries replayed on top of the snapshot", float64(r.Entries), "domain", dom)
+		e.Gauge("cosched_recovery_jobs_restored", "jobs re-installed by recovery", float64(r.Restored), "domain", dom)
+		e.Gauge("cosched_recovery_peers_reconciled", "peers whose mate state was reconciled after restart", float64(r.Reconciled), "domain", dom)
 	}
+
+	if d.store == nil {
+		return
+	}
+	// Store.Stats takes only the store's own lock: a stalled disk can slow
+	// a scrape but never deadlock it against the driver.
+	st := d.store.Stats()
+	e.Counter("cosched_journal_appends_total", "WAL entries appended since boot", float64(st.Appends), "domain", dom)
+	e.Counter("cosched_journal_fsyncs_total", "WAL fsyncs issued since boot", float64(st.Fsyncs), "domain", dom)
+	e.Counter("cosched_journal_compactions_total", "compacting snapshots taken since boot", float64(st.Compacts), "domain", dom)
+	e.Gauge("cosched_journal_entries_pending_compact", "WAL entries appended since the last compact", float64(st.Pending), "domain", dom)
+	e.Gauge("cosched_journal_seq", "last assigned journal sequence number", float64(st.Seq), "domain", dom)
+	e.Counter(obs.MetricFsyncFailures, "journal fsync failures; any failure poisons the store permanently", float64(st.FsyncFailures), "domain", dom)
+	poisoned := 0.0
+	if st.Poisoned {
+		poisoned = 1
+	}
+	e.Gauge("cosched_journal_poisoned", "1 once the journal store has latched a storage fault", poisoned, "domain", dom)
 }
 
 var statusTemplate = template.Must(template.New("status").Parse(`<!doctype html>
@@ -289,8 +236,12 @@ DEGRADED — {{.Degraded}}</p>{{end}}
 </table>{{end}}
 </body></html>`))
 
-// Listen serves the status page on addr and returns the bound address.
-func (s *StatusServer) Listen(addr string) (net.Addr, error) {
+// serveStatus serves the status page ("/"), a JSON snapshot
+// ("/status.json") and a Prometheus text exposition ("/metrics") on addr.
+// Serve errors go to the daemon logger.
+func (d *Daemon) serveStatus(addr string) error {
+	reg := obs.New()
+	reg.Collect(d.collectMetrics)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -298,7 +249,7 @@ func (s *StatusServer) Listen(addr string) (net.Addr, error) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := statusTemplate.Execute(w, s.snapshot()); err != nil {
+		if err := statusTemplate.Execute(w, d.snapshot()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -306,28 +257,21 @@ func (s *StatusServer) Listen(addr string) (net.Addr, error) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(s.snapshot()); err != nil {
+		if err := enc.Encode(d.snapshot()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.Handle("/metrics", s.reg.Handler())
+	mux.Handle("/metrics", reg.Handler())
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: statusReadHeaderTimeout}
+	d.statusAddr = ln.Addr().String()
+	d.status = &http.Server{Handler: mux, ReadHeaderTimeout: statusReadHeaderTimeout}
 	go func() {
-		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed && s.logger != nil {
-			s.logger.Printf("status server: %v", err)
+		if err := d.status.Serve(ln); err != nil && err != http.ErrServerClosed {
+			d.logger.Printf("status server: %v", err)
 		}
 	}()
-	return ln.Addr(), nil
-}
-
-// Close stops the HTTP server.
-func (s *StatusServer) Close() error {
-	if s.srv == nil {
-		return nil
-	}
-	return s.srv.Close()
+	return nil
 }
