@@ -15,10 +15,11 @@ import (
 
 // TestDegradedModeMetricsExported runs the daemon's storage-fault
 // degradation controller as it runs in coschedd: a journal on a fault FS
-// whose second fsync fails, admin submissions until the store poisons. The
+// whose third fsync fails, admin submissions until the store poisons. The
 // controller must flip every surface at once — the degraded gauge 0→1, the
-// fsync-failure and poisoned series, the reason in /status.json and the
-// HTML banner — detach the recorder, so the append counter stops, and clamp
+// poisoned series, the reason in /status.json and the HTML banner — while
+// /metrics exports the store's exact append, fsync and fsync-failure counts;
+// it must detach the recorder, so the append counter stops, and clamp
 // holds to -degraded-max-holds 0, so a pair that would hold yields and
 // counts one refused hold.
 func TestDegradedModeMetricsExported(t *testing.T) {
@@ -86,10 +87,20 @@ func TestDegradedModeMetricsExported(t *testing.T) {
 		t.Fatal("store not poisoned by the scheduled fsync fault")
 	}
 
-	for name, want := range map[string]float64{
+	// A poisoned store never counts again, so its Stats are the exact values
+	// /metrics must export from here on. The three journal counters differ
+	// (3 appends, 2 fsyncs, 1 failure), so a swapped series cannot pass.
+	st := a.store.Stats()
+	if st.FsyncFailures != 1 || st.Appends == st.Fsyncs || st.Fsyncs == st.FsyncFailures || st.Appends == st.FsyncFailures {
+		t.Fatalf("store stats %+v: want one fsync failure and three distinct journal counters", st)
+	}
+	checks := map[string]float64{
 		obs.MetricJournalDegraded: 1, "cosched_journal_poisoned": 1,
-		obs.MetricFsyncFailures: 1, obs.MetricHoldsRefused: 0,
-	} {
+		obs.MetricFsyncFailures: float64(st.FsyncFailures), obs.MetricHoldsRefused: 0,
+		"cosched_journal_appends_total": float64(st.Appends),
+		"cosched_journal_fsyncs_total":  float64(st.Fsyncs),
+	}
+	for name, want := range checks {
 		if v := metric(name); v != want {
 			t.Fatalf("%s = %g after the store poisoned, want %g", name, v, want)
 		}
@@ -106,10 +117,9 @@ func TestDegradedModeMetricsExported(t *testing.T) {
 	}
 
 	// Detached: transitions no longer reach the store.
-	appends := metric("cosched_journal_appends_total")
 	submitSolo()
-	if v := metric("cosched_journal_appends_total"); v != appends {
-		t.Fatalf("cosched_journal_appends_total moved %g -> %g after degradation: recorder still attached", appends, v)
+	if v := metric("cosched_journal_appends_total"); v != float64(st.Appends) {
+		t.Fatalf("cosched_journal_appends_total moved %d -> %g after degradation: recorder still attached", st.Appends, v)
 	}
 
 	// Clamped: a's half of a pair whose mate b only expects would hold; the
