@@ -42,7 +42,7 @@ go test -race ./...
 go test -race -run 'SchedCoreDifferential' ./internal/experiments ./internal/coupled
 go test -run=NONE -bench=Iterate -benchtime=1x ./internal/resmgr
 
-# Protocol-resilience gate: the peer-link breaker/backoff machinery, the
+# Protocol-resilience gate: the peer-link breaker and retry machinery, the
 # proto client/server/fault-injector, and the live chaos harness are the
 # repo's most concurrency-heavy code (links are hammered from scheduler,
 # probe, and status threads at once). -count=2 reruns them uncached so

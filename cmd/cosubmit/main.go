@@ -7,8 +7,8 @@
 //	cosubmit -job intrepid=localhost:7101:512:600 \
 //	         -job eureka=localhost:7102:4:600 -wait
 //
-// Each -job flag is domain=adminAddr:nodes:runtimeSeconds. All submitted
-// jobs are linked into one co-start group.
+// Each -job flag is domain=adminAddr:nodes:runtimeSeconds, one per domain.
+// All submitted jobs are linked into one co-start group.
 package main
 
 import (
@@ -37,8 +37,15 @@ func (m *memberFlags) String() string { return fmt.Sprintf("%v", []memberSpec(*m
 
 func (m *memberFlags) Set(v string) error {
 	name, rest, ok := strings.Cut(v, "=")
-	if !ok {
+	if !ok || name == "" {
 		return fmt.Errorf("want domain=addr:nodes:runtime, got %q", v)
+	}
+	// One member per domain: the job ID is shared, so a second member on a
+	// domain would be taken as a repeat of the first.
+	for _, prev := range *m {
+		if prev.domain == name {
+			return fmt.Errorf("domain %q given twice", name)
+		}
 	}
 	parts := strings.Split(rest, ":")
 	if len(parts) != 4 && len(parts) != 3 {
@@ -71,7 +78,7 @@ func main() {
 		poll    = flag.Duration("poll", 500*time.Millisecond, "status poll interval with -wait")
 		timeout = flag.Duration("timeout", 10*time.Minute, "give up waiting after this long")
 	)
-	flag.Var(&members, "job", "group member as domain=adminAddr:nodes:runtimeSeconds (repeatable)")
+	flag.Var(&members, "job", "group member as domain=adminAddr:nodes:runtimeSeconds (repeatable, one per domain)")
 	flag.Parse()
 	if len(members) < 2 {
 		fmt.Fprintln(os.Stderr, "cosubmit: need at least two -job members to coschedule")

@@ -28,6 +28,14 @@ func TestMemberFlagParsing(t *testing.T) {
 	if m.String() == "" {
 		t.Fatal("String() empty")
 	}
+	// A domain already parsed is refused: its two members would share one
+	// job ID on one daemon.
+	if err := m.Set("hpc=otherhost:7101:8:60"); err == nil {
+		t.Fatal("repeated domain accepted")
+	}
+	if len(m) != len(cases) {
+		t.Fatalf("%d members after a refused repeat, want %d", len(m), len(cases))
+	}
 }
 
 func TestMemberFlagRejectsMalformed(t *testing.T) {
@@ -35,6 +43,7 @@ func TestMemberFlagRejectsMalformed(t *testing.T) {
 	for _, in := range []string{
 		"",               // nothing
 		"hpc",            // no '='
+		"=x:4:60",        // empty domain
 		"hpc=addr",       // too few segments
 		"hpc=a:b:c:d:e",  // too many segments
 		"hpc=addr:x:600", // bad node count

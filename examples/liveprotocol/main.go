@@ -43,9 +43,9 @@ func main() {
 	viz := startDaemon("viz", 32, "yield")
 
 	// Cross-wire the peers over TCP through resilient links: lazy dialing
-	// (either daemon could have started first), redial backoff, and a
-	// circuit breaker so a dead partner costs microseconds, not a dial
-	// timeout per scheduling iteration.
+	// (either daemon could have started first) and a circuit breaker so a
+	// dead partner costs microseconds, not a dial timeout per scheduling
+	// iteration.
 	hpcToViz := hpc.Connect("viz", viz.PeerAddr())
 	viz.Connect("hpc", hpc.PeerAddr())
 

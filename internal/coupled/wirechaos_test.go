@@ -103,7 +103,7 @@ func TestChaosWireRunCoStartsExactly(t *testing.T) {
 
 	// Replace the direct in-process peers with resilient links over the
 	// wire protocol, each wrapped in a fault injector. The link's clock is
-	// the engine's virtual clock, so backoff gates and call budgets follow
+	// the engine's virtual clock, so breaker cooldowns and call budgets follow
 	// simulation time and the run stays deterministic.
 	names := []string{"A", "B"}
 	dialers := map[string]*pipeDialer{}

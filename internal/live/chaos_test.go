@@ -29,13 +29,11 @@ func TestLiveChaosCoStartOverTCP(t *testing.T) {
 	la := peerlink.New(peerlink.Config{
 		Name: "b", Addr: b.peerAddr,
 		DialTimeout: time.Second, CallTimeout: 2 * time.Second,
-		BackoffBase: time.Millisecond, BackoffMax: 50 * time.Millisecond,
 		Cooldown: 50 * time.Millisecond, Seed: 1,
 	})
 	lb := peerlink.New(peerlink.Config{
 		Name: "a", Addr: a.peerAddr,
 		DialTimeout: time.Second, CallTimeout: 2 * time.Second,
-		BackoffBase: time.Millisecond, BackoffMax: 50 * time.Millisecond,
 		Cooldown: 50 * time.Millisecond, Seed: 2,
 	})
 	chaos := proto.Rates{Latency: 0.2, Delay: time.Millisecond, Drop: 0.2}
@@ -215,7 +213,6 @@ func TestLiveBreakerFailsFastWithPeerDown(t *testing.T) {
 		Name: "b", Addr: addr,
 		DialTimeout: 500 * time.Millisecond, CallTimeout: time.Second,
 		FailThreshold: 2, Cooldown: 10 * time.Second,
-		BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond,
 	})
 	defer l.Close()
 	deadline := time.Now().Add(5 * time.Second)

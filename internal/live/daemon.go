@@ -173,7 +173,7 @@ func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 	d.peerAddr = peerAddr.String()
 	logger.Printf("peer protocol on %s", peerAddr)
 
-	// Sorted, so jitter seeds — and therefore redial schedules — are
+	// Sorted, so jitter seeds — and therefore breaker probe schedules — are
 	// reproducible across restarts.
 	names := make([]string, 0, len(cfg.Peers))
 	for name := range cfg.Peers {
@@ -210,7 +210,7 @@ func (d *Daemon) PeerAddr() string { return d.peerAddr }
 func (d *Daemon) AdminAddr() string { return d.adminAddr }
 
 // Connect adds the remote domain name, serving the peer protocol on addr,
-// as a peer: a resilient link (lazy dial, backoff, circuit breaker), so
+// as a peer: a resilient link (lazy dial, circuit breaker), so
 // daemons can start in any order and survive peer outages without stalling
 // the scheduler. peerlink's defaults tune it, except for the per-call
 // budget, which is Config.PeerTimeout.

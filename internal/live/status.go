@@ -240,8 +240,6 @@ DEGRADED — {{.Degraded}}</p>{{end}}
 // ("/status.json") and a Prometheus text exposition ("/metrics") on addr.
 // Serve errors go to the daemon logger.
 func (d *Daemon) serveStatus(addr string) error {
-	reg := obs.New()
-	reg.Collect(d.collectMetrics)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -261,7 +259,7 @@ func (d *Daemon) serveStatus(addr string) error {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/metrics", obs.Handler(d.collectMetrics))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err

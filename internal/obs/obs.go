@@ -1,13 +1,13 @@
 // Package obs is a dependency-free Prometheus-text-format metrics
-// registry for the live daemons: counter and gauge samples rendered as the
-// standard text exposition (version 0.0.4) on a /metrics endpoint. It
+// exposition for the live daemons: counter and gauge samples rendered as
+// the standard text format (version 0.0.4) on a /metrics endpoint. It
 // exists so a coschedd fleet is scrapable by any Prometheus-compatible
 // collector without pulling a client library into the module.
 //
-// Every series is collected: callbacks registered with Collect run at
-// render time and emit point-in-time values read from the state's
-// authoritative owner (peerlink.Link counters, the manager's queue depth
-// under the driver lock, journal.Store.Stats). The registry holds no
+// Every series is collected: the collect function handed to Render or
+// Handler runs at render time and emits point-in-time values read from the
+// state's authoritative owner (peerlink.Link counters, the manager's queue
+// depth under the driver lock, journal.Store.Stats). The package holds no
 // values of its own.
 //
 // Rendering is deterministic: families sort by metric name and series
@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Kind is a metric family's exposition type.
@@ -43,27 +42,7 @@ func (k Kind) String() string {
 	return "gauge"
 }
 
-// Registry holds the collector callbacks.
-type Registry struct {
-	mu         sync.Mutex
-	collectors []func(*Emitter)
-}
-
-// New returns an empty registry.
-func New() *Registry {
-	return &Registry{}
-}
-
-// Collect registers a callback that runs on every render and emits
-// point-in-time samples. Callbacks run in registration order; the samples
-// they emit are sorted, so emission order never affects output order.
-func (r *Registry) Collect(fn func(*Emitter)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.collectors = append(r.collectors, fn)
-}
-
-// Emitter receives samples from Collect callbacks during one render.
+// Emitter receives samples from the collect function during one render.
 type Emitter struct {
 	families map[string]*family
 }
@@ -102,21 +81,13 @@ func (e *Emitter) emit(name, help string, kind Kind, v float64, labels []string)
 	f.samples[labelSignature(labels)] = v
 }
 
-// Render produces the full text exposition. Output is stable: families in
-// name order, series in label-signature order, values formatted with the
-// shortest round-trippable representation.
-func (r *Registry) Render() []byte {
-	r.mu.Lock()
-	collectors := make([]func(*Emitter), len(r.collectors))
-	copy(collectors, r.collectors)
-	r.mu.Unlock()
-
-	// Collectors run without the registry lock: they take their own locks
-	// (driver, link, journal store).
+// Render runs collect once and produces the full text exposition of what
+// it emitted. Output is stable: families in name order, series in
+// label-signature order, values formatted with the shortest
+// round-trippable representation, so emission order never affects it.
+func Render(collect func(*Emitter)) []byte {
 	em := &Emitter{families: map[string]*family{}}
-	for _, fn := range collectors {
-		fn(em)
-	}
+	collect(em)
 
 	names := make([]string, 0, len(em.families))
 	for name := range em.families {
@@ -147,11 +118,11 @@ func (r *Registry) Render() []byte {
 	return []byte(b.String())
 }
 
-// Handler serves the exposition over HTTP.
-func (r *Registry) Handler() http.Handler {
+// Handler serves Render(collect) over HTTP, collecting anew per request.
+func Handler(collect func(*Emitter)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", ContentType)
-		w.Write(r.Render())
+		w.Write(Render(collect))
 	})
 }
 

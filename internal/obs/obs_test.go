@@ -5,28 +5,26 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
-	"sync"
 	"testing"
 )
 
 func TestRenderStableOrderAndTwiceIdentical(t *testing.T) {
-	r := New()
 	// Emit deliberately out of name order, and series out of label order,
-	// across two collectors, to prove sorting is the registry's job.
-	r.Collect(func(e *Emitter) {
+	// from two collectors, to prove sorting is Render's job.
+	first := func(e *Emitter) {
 		e.Gauge("zeta_depth", "queue depth", 4, "domain", "b")
 		e.Counter("alpha_total", "a counter", 2, "peer", "z")
 		e.Counter("alpha_total", "a counter", 7, "peer", "a")
-	})
-	r.Collect(func(e *Emitter) {
+	}
+	second := func(e *Emitter) {
 		e.Gauge("zeta_depth", "queue depth", 1, "domain", "a")
 		e.Gauge("middle_gauge", "collected", 3.5)
-	})
+	}
+	both := func(e *Emitter) { first(e); second(e) }
 
-	one := r.Render()
-	two := r.Render()
+	one := Render(both)
+	two := Render(both)
 	if !bytes.Equal(one, two) {
 		t.Fatalf("render not byte-identical:\n%s\nvs\n%s", one, two)
 	}
@@ -50,9 +48,7 @@ zeta_depth{domain="b"} 4
 // emitPanics reports whether emitting through fn panics.
 func emitPanics(fn func(*Emitter)) (panicked bool) {
 	defer func() { panicked = recover() != nil }()
-	r := New()
-	r.Collect(fn)
-	r.Render()
+	Render(fn)
 	return false
 }
 
@@ -78,10 +74,8 @@ func TestInvalidNamesPanic(t *testing.T) {
 }
 
 func TestLabelEscapingRoundTrips(t *testing.T) {
-	r := New()
 	hostile := "a\"b\\c\nd"
-	r.Collect(func(e *Emitter) { e.Gauge("esc", "help with \\ and\nnewline", 1, "k", hostile) })
-	out := r.Render()
+	out := Render(func(e *Emitter) { e.Gauge("esc", "help with \\ and\nnewline", 1, "k", hostile) })
 	if strings.Contains(string(out), "\nd\"") {
 		t.Fatalf("unescaped newline in output:\n%s", out)
 	}
@@ -95,14 +89,12 @@ func TestLabelEscapingRoundTrips(t *testing.T) {
 }
 
 func TestCollectedSamplesAndParse(t *testing.T) {
-	r := New()
 	calls := 0
-	r.Collect(func(e *Emitter) {
+	out := Render(func(e *Emitter) {
 		calls++
 		e.Counter("peer_calls_total", "calls", 42, "peer", "b")
 		e.Gauge("jobs_queued", "depth", 17)
 	})
-	out := r.Render()
 	if calls != 1 {
 		t.Fatalf("collector ran %d times, want 1", calls)
 	}
@@ -120,9 +112,7 @@ func TestCollectedSamplesAndParse(t *testing.T) {
 		t.Fatalf("types = %+v", scr.Types)
 	}
 	// Label order is canonicalized, so a reordered query still hits.
-	r2 := New()
-	r2.Collect(func(e *Emitter) { e.Gauge("multi", "", 5, "b", "2", "a", "1") })
-	scr2, err := Parse(r2.Render())
+	scr2, err := Parse(Render(func(e *Emitter) { e.Gauge("multi", "", 5, "b", "2", "a", "1") }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +144,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 }
 
 func TestHandlerServesExposition(t *testing.T) {
-	r := New()
-	r.Collect(func(e *Emitter) { e.Counter("served_total", "requests", 5) })
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(Handler(func(e *Emitter) { e.Counter("served_total", "requests", 5) }))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL)
 	if err != nil {
@@ -176,30 +164,5 @@ func TestHandlerServesExposition(t *testing.T) {
 	}
 	if v, ok := scr.Value("served_total"); !ok || v != 5 {
 		t.Fatalf("served_total = %v, %v", v, ok)
-	}
-}
-
-// The registry's lock guards the collector list, so a Collect may land
-// while scrapes render; run under -race.
-func TestConcurrentMutationIsSafe(t *testing.T) {
-	r := New()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				r.Collect(func(e *Emitter) { e.Gauge("level", "", float64(n), "worker", strconv.Itoa(n)) })
-				_ = r.Render()
-			}
-		}(i)
-	}
-	wg.Wait()
-	scr, err := Parse(r.Render())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(scr.Series()); got != 8 {
-		t.Fatalf("%d series after 8 workers registered collectors, want 8", got)
 	}
 }

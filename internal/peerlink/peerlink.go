@@ -1,20 +1,19 @@
 // Package peerlink maintains a resilient connection to one remote
 // coscheduling domain: a self-healing proto.Exchanger that wraps the wire
-// client (internal/proto) with lazy dialing, exponential backoff between
-// redials, a circuit breaker, per-call deadline budgets, and transport/
-// remote error classification. A Link speaks the typed peer vocabulary
-// (cosched.Peer and its extensions) through its embedded proto.Caller, so a
-// live daemon hands it to its manager as the peer.
+// client (internal/proto) with lazy dialing, a circuit breaker, per-call
+// deadline budgets, and transport/remote error classification. A Link
+// speaks the typed peer vocabulary (cosched.Peer and its extensions)
+// through its embedded proto.Caller, so a live daemon hands it to its
+// manager as the peer.
 //
 // The design target is Algorithm 1's fault-tolerance rule ("status
 // unknown ⇒ start normally"), which only degrades *gracefully* if a dead
 // peer fails *fast*. A naive redial-per-call peer makes every scheduling
 // iteration of a healthy domain block on a full TCP dial timeout while
 // its partner is down — thousands of nodes idling behind one connect
-// syscall. A Link instead fails instantly whenever the breaker is open, a
-// redial is gated by backoff, or another dial is already in flight; the
-// scheduler absorbs the error as "status unknown" and moves on in
-// microseconds.
+// syscall. A Link instead fails instantly whenever the breaker is open or
+// another dial is already in flight; the scheduler absorbs the error as
+// "status unknown" and moves on in microseconds.
 //
 // Error classification is the second half of the contract: a remote
 // application error (proto.RemoteError — the peer answered "no") proves
@@ -29,18 +28,18 @@
 // The breaker state machine:
 //
 //	Closed ──(FailThreshold consecutive transport failures)──▶ Open
-//	Open ──(Cooldown elapsed; next call becomes the probe)──▶ HalfOpen
+//	Open ──(cooldown elapsed; next call becomes the probe)──▶ HalfOpen
 //	HalfOpen ──(probe succeeds)──▶ Closed   (counters reset)
 //	HalfOpen ──(probe fails)──▶ Open        (fresh cooldown)
 //
 // While Open, every call fails in O(1) with ErrCircuitOpen. While
 // HalfOpen, exactly one call is admitted as the probe; concurrent calls
-// fail fast. Backoff gates dial attempts in the Closed state (a link can
-// be disconnected without being tripped — e.g. right after a peer
-// restart): after k consecutive dial failures the next attempt waits
-// min(BackoffBase·2^(k-1), BackoffMax), scaled by a deterministic seeded
-// jitter factor in [0.5, 1), and calls arriving inside the gate fail
-// instantly.
+// fail fast. Each open window lasts Cooldown + Cooldown/2·u, u in [0, 1)
+// drawn from a splitmix64 stream seeded by Config.Seed, so links tripped
+// by one outage do not probe in lockstep and a seed reproduces the
+// schedule. The breaker is the only gate on redials: a Closed link that
+// lost its connection dials on the next call, and FailThreshold failed
+// dials in a row open it.
 //
 // Wall-clock reads are confined to Link.now, which Config.Now overrides: a
 // Link is the live daemons' transport, and a test that runs one under a
@@ -99,9 +98,6 @@ var (
 	// ErrCircuitOpen is returned while the breaker is open (or while a
 	// half-open probe is already in flight).
 	ErrCircuitOpen = errors.New("peerlink: circuit open")
-	// ErrDialBackoff is returned when a redial is gated by the backoff
-	// timer.
-	ErrDialBackoff = errors.New("peerlink: redial gated by backoff")
 	// ErrDialBusy is returned when another goroutine's dial is in flight.
 	ErrDialBusy = errors.New("peerlink: dial already in flight")
 )
@@ -124,23 +120,12 @@ type Config struct {
 	// FailThreshold is the number of consecutive transport failures that
 	// trips the breaker (default 3).
 	FailThreshold int
-	// Cooldown is how long the breaker stays open before admitting a
-	// half-open probe (default 5s).
+	// Cooldown is the shortest time the breaker stays open before
+	// admitting a half-open probe (default 5s); each open window adds a
+	// seeded jitter of up to Cooldown/2.
 	Cooldown time.Duration
-	// BackoffBase is the delay gate after the first failed dial
-	// (default 50ms); it doubles per consecutive failure up to BackoffMax
-	// (default 10s), scaled by deterministic jitter in [0.5, 1).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MinHealthy is how long a connection must stay up before the dial
-	// backoff window resets (default 1s; negative resets immediately on
-	// any successful dial). Without it, a flapping peer that accepts the
-	// TCP connect and dies on the first call would clear the accumulated
-	// backoff exponent on every dial, collapsing the schedule back to
-	// BackoffBase and turning the gate into a tight redial loop.
-	MinHealthy time.Duration
-	// Seed seeds the jitter stream (splitmix64), making backoff schedules
-	// reproducible.
+	// Seed seeds the cooldown jitter stream (splitmix64), making probe
+	// schedules reproducible.
 	Seed uint64
 	// Logger, if set, records connects, disconnects, and breaker
 	// transitions.
@@ -170,9 +155,6 @@ type Link struct {
 	rng    uint64 // jitter stream
 
 	consecFails int       // transport failures since the last success
-	dialFails   int       // consecutive dial failures (backoff exponent)
-	nextDialAt  time.Time // backoff gate; zero = no gate
-	connectedAt time.Time // when the current connection was dialed; zero = none
 	reopenAt    time.Time // when Open may admit a half-open probe
 	probing     bool      // a half-open probe call is in flight
 	dialing     bool      // a dial is in flight
@@ -209,15 +191,6 @@ func New(cfg Config) *Link {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 10 * time.Second
-	}
-	if cfg.MinHealthy == 0 {
-		cfg.MinHealthy = time.Second
-	}
 	l := &Link{cfg: cfg, rng: cfg.Seed}
 	l.Caller = proto.Caller{Exchanger: l}
 	return l
@@ -228,7 +201,7 @@ func (l *Link) now() time.Time {
 	if l.cfg.Now != nil {
 		return l.cfg.Now()
 	}
-	//simlint:allow R2 backoff gates and breaker cooldowns pace wall-clock redials to a real peer daemon; simulation harnesses inject a virtual clock via Config.Now
+	//simlint:allow R2 breaker cooldowns pace wall-clock redials to a real peer daemon; simulation harnesses inject a virtual clock via Config.Now
 	return time.Now()
 }
 
@@ -241,23 +214,6 @@ func (l *Link) nextRand() float64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	return float64(z>>11) / float64(1<<53)
-}
-
-// backoffLocked returns the gate delay after the k-th consecutive dial
-// failure (k ≥ 1): min(base·2^(k-1), max) scaled by jitter in [0.5, 1).
-func (l *Link) backoffLocked(k int) time.Duration {
-	d := l.cfg.BackoffBase
-	for i := 1; i < k; i++ {
-		d *= 2
-		if d >= l.cfg.BackoffMax || d <= 0 { // <= 0: overflow
-			d = l.cfg.BackoffMax
-			break
-		}
-	}
-	if d > l.cfg.BackoffMax {
-		d = l.cfg.BackoffMax
-	}
-	return d/2 + time.Duration(float64(d/2)*l.nextRand())
 }
 
 // setStateLocked transitions the breaker and returns a thunk that fires
@@ -296,30 +252,21 @@ func (l *Link) recordFailureLocked(err error) func() {
 	l.transportErrs++
 	l.lastErr = err.Error()
 	l.consecFails++
-	if l.probing || l.state == HalfOpen {
-		// The half-open probe failed: straight back to open.
-		l.probing = false
-		l.reopenAt = l.now().Add(l.cfg.Cooldown)
-		return l.setStateLocked(Open, err)
-	}
-	if l.state == Closed && l.consecFails >= l.cfg.FailThreshold {
-		l.reopenAt = l.now().Add(l.cfg.Cooldown)
-		return l.setStateLocked(Open, err)
+	// A failed half-open probe reopens at once; a closed breaker opens at
+	// the threshold.
+	if l.probing || l.state == HalfOpen || (l.state == Closed && l.consecFails >= l.cfg.FailThreshold) {
+		return l.openLocked(err)
 	}
 	return nil
 }
 
-// maybeResetBackoffLocked clears the dial-backoff window once the current
-// connection has proven itself healthy for MinHealthy. Callers hold l.mu.
-func (l *Link) maybeResetBackoffLocked(now time.Time) {
-	if l.client == nil || l.dialFails == 0 {
-		return
-	}
-	if l.cfg.MinHealthy > 0 && now.Sub(l.connectedAt) < l.cfg.MinHealthy {
-		return
-	}
-	l.dialFails = 0
-	l.nextDialAt = time.Time{}
+// openLocked trips the breaker for Cooldown + Cooldown/2·u, u drawn from
+// the seeded jitter stream, and returns the state-change thunk.
+func (l *Link) openLocked(cause error) func() {
+	l.probing = false
+	jitter := time.Duration(float64(l.cfg.Cooldown/2) * l.nextRand())
+	l.reopenAt = l.now().Add(l.cfg.Cooldown + jitter)
+	return l.setStateLocked(Open, cause)
 }
 
 // acquire returns a connected transport (dialing if necessary) or fails
@@ -328,7 +275,6 @@ func (l *Link) maybeResetBackoffLocked(now time.Time) {
 func (l *Link) acquire() (Transport, uint64, error) {
 	l.mu.Lock()
 	now := l.now()
-	l.maybeResetBackoffLocked(now)
 	var probed func() // Open -> HalfOpen notification, fired in order
 	switch l.state {
 	case Open:
@@ -362,12 +308,6 @@ func (l *Link) acquire() (Transport, uint64, error) {
 		fire(probed)
 		return nil, 0, fmt.Errorf("peerlink %s: %w", l.cfg.Name, ErrDialBusy)
 	}
-	if l.state == Closed && now.Before(l.nextDialAt) {
-		l.fastFails++
-		wait := l.nextDialAt.Sub(now)
-		l.mu.Unlock()
-		return nil, 0, fmt.Errorf("peerlink %s: %w (next attempt in %v)", l.cfg.Name, ErrDialBackoff, wait)
-	}
 	l.dialing = true
 	l.dials++
 	l.mu.Unlock()
@@ -384,8 +324,6 @@ func (l *Link) acquire() (Transport, uint64, error) {
 	l.dialing = false
 	if err != nil {
 		l.dialErrs++
-		l.dialFails++
-		l.nextDialAt = l.now().Add(l.backoffLocked(l.dialFails))
 		f := l.recordFailureLocked(err)
 		l.mu.Unlock()
 		fire(probed, f)
@@ -394,16 +332,6 @@ func (l *Link) acquire() (Transport, uint64, error) {
 	l.gen++
 	gen := l.gen
 	l.client = t
-	l.connectedAt = l.now()
-	if l.cfg.MinHealthy < 0 {
-		l.dialFails = 0
-		l.nextDialAt = time.Time{}
-	}
-	// With MinHealthy active, the accumulated backoff exponent survives
-	// the successful dial; maybeResetBackoffLocked clears it only once
-	// the connection has stayed up for the minimum healthy duration. A
-	// peer that accepts connects and dies on the first call therefore
-	// keeps climbing the schedule instead of resetting to BackoffBase.
 	logger := l.cfg.Logger
 	l.mu.Unlock()
 	fire(probed)
@@ -440,7 +368,6 @@ func (l *Link) onSuccess() {
 	l.successes++
 	l.consecFails = 0
 	l.probing = false
-	l.maybeResetBackoffLocked(l.now())
 	f := l.setStateLocked(Closed, nil)
 	l.mu.Unlock()
 	fire(f)

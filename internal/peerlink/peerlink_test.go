@@ -115,8 +115,6 @@ func newTestLink(h *harness, mutate func(*peerlink.Config)) *peerlink.Link {
 		CallTimeout:   2 * time.Second,
 		FailThreshold: 3,
 		Cooldown:      5 * time.Second,
-		BackoffBase:   100 * time.Millisecond,
-		BackoffMax:    time.Second,
 		Seed:          42,
 		Dial:          h.dial,
 		Now:           h.now,
@@ -132,12 +130,12 @@ func TestBreakerOpensAfterConsecutiveDialFailures(t *testing.T) {
 	h.setDialErr(errors.New("connection refused"))
 	l := newTestLink(h, nil)
 
-	// Three dial attempts (spaced past the backoff gates) trip the breaker.
+	// Three failed dials, one per call, trip the breaker.
 	for i := 0; i < 3; i++ {
 		if _, err := l.GetMateStatus(1); err == nil {
 			t.Fatalf("call %d against dead peer succeeded", i)
 		}
-		h.advance(2 * time.Second) // beyond any backoff gate
+		h.advance(2 * time.Second)
 	}
 	if l.State() != peerlink.Open {
 		t.Fatalf("state = %v after %d failures, want open", l.State(), 3)
@@ -147,7 +145,7 @@ func TestBreakerOpensAfterConsecutiveDialFailures(t *testing.T) {
 		t.Fatalf("dials = %d, want 3", dials)
 	}
 
-	// While open (the advance above consumed 2s of the 5s cooldown), calls
+	// While open (the advance above consumed 2s of the ≥5s cooldown), calls
 	// fail instantly with ErrCircuitOpen and never touch the dialer.
 	for i := 0; i < 10; i++ {
 		_, err := l.GetMateStatus(1)
@@ -165,35 +163,6 @@ func TestBreakerOpensAfterConsecutiveDialFailures(t *testing.T) {
 	snap := l.Snapshot()
 	if snap.State != "open" || snap.Trips != 1 || snap.FastFails < 11 {
 		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
-func TestBackoffGatesRedialsBetweenFailures(t *testing.T) {
-	h := newHarness()
-	h.setDialErr(errors.New("refused"))
-	l := newTestLink(h, func(c *peerlink.Config) { c.FailThreshold = 100 }) // keep breaker out of the way
-
-	if _, err := l.GetMateStatus(1); err == nil {
-		t.Fatal("dead dial succeeded")
-	}
-	// Immediately after a failed dial the gate is in effect: the next call
-	// fails fast with ErrDialBackoff, without a dial.
-	dials := h.dialCount()
-	_, err := l.GetMateStatus(1)
-	if !errors.Is(err, peerlink.ErrDialBackoff) {
-		t.Fatalf("gated error = %v, want ErrDialBackoff", err)
-	}
-	if h.dialCount() != dials {
-		t.Fatal("gated call dialed anyway")
-	}
-	// Past the gate (max backoff for one failure is BackoffBase), a real
-	// attempt happens again.
-	h.advance(150 * time.Millisecond)
-	if _, err := l.GetMateStatus(1); errors.Is(err, peerlink.ErrDialBackoff) {
-		t.Fatalf("expired gate still failing fast: %v", err)
-	}
-	if h.dialCount() != dials+1 {
-		t.Fatalf("dials = %d, want %d", h.dialCount(), dials+1)
 	}
 }
 
@@ -342,31 +311,47 @@ func TestWriteStageFailureRetriesOnFreshConn(t *testing.T) {
 	}
 }
 
-func TestBackoffScheduleDeterministicAndBounded(t *testing.T) {
-	h := newHarness()
-	a := newTestLink(h, nil)
-	b := newTestLink(h, nil)
-	c := newTestLink(h, func(cfg *peerlink.Config) { cfg.Seed = 99 })
-	base, max := 100*time.Millisecond, time.Second
-	var diverged bool
-	for k := 1; k <= 12; k++ {
-		da, db, dc := a.BackoffForTest(k), b.BackoffForTest(k), c.BackoffForTest(k)
-		if da != db {
-			t.Fatalf("same seed diverged at k=%d: %v vs %v", k, da, db)
+// TestCooldownJitterIsSeededAndBounded observes the breaker's open windows
+// through the fake clock alone: after each trip, the first call admitted as
+// the half-open probe (the dial count moves) comes within
+// [Cooldown, 1.5·Cooldown) of the trip, at an instant the seed decides.
+func TestCooldownJitterIsSeededAndBounded(t *testing.T) {
+	const cooldown, step = 5 * time.Second, time.Millisecond
+	windows := func(seed uint64) []time.Duration {
+		h := newHarness()
+		h.setDialErr(errors.New("refused"))
+		l := newTestLink(h, func(c *peerlink.Config) { c.Seed = seed })
+		for i := 0; i < 3; i++ {
+			l.GetMateStatus(1) // the third failed dial trips the breaker
 		}
-		if da != dc {
-			diverged = true
+		var out []time.Duration
+		for trip := 0; trip < 5; trip++ {
+			dials := h.dialCount()
+			var waited time.Duration
+			for h.dialCount() == dials {
+				h.advance(step)
+				waited += step
+				l.GetMateStatus(1)
+			}
+			// The probe's dial failed, reopening the breaker at this instant.
+			if waited < cooldown || waited-step >= cooldown*3/2 {
+				t.Fatalf("seed %d trip %d: probe admitted %v after the trip, want [%v, %v)",
+					seed, trip, waited, cooldown, cooldown*3/2)
+			}
+			out = append(out, waited)
 		}
-		full := base << (k - 1)
-		if full > max || full <= 0 {
-			full = max
+		return out
+	}
+	a, b, c := windows(42), windows(42), windows(99)
+	diverged := false
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same seed diverged at trip %d: %v vs %v", i, a, b)
 		}
-		if da < full/2 || da >= full {
-			t.Fatalf("backoff(k=%d) = %v outside [%v, %v)", k, da, full/2, full)
-		}
+		diverged = diverged || a[i] != c[i]
 	}
 	if !diverged {
-		t.Fatal("different seeds produced identical jitter streams")
+		t.Fatalf("seeds 42 and 99 gave the same open windows %v", a)
 	}
 }
 
@@ -476,99 +461,32 @@ func TestPeerNameIsConfigured(t *testing.T) {
 	}
 }
 
-// TestBackoffSurvivesFlappyDialUntilMinHealthy pins the satellite-bug fix:
-// the old acquire path reset dialFails to zero the moment a dial succeeded,
-// so a flapping peer (accepts the TCP connect, dies on the first call)
-// collapsed the exponential schedule back to BackoffBase on every flap and
-// the link hammered it at the minimum interval forever. The backoff
-// exponent must survive a successful dial until the connection has stayed
-// healthy for MinHealthy.
-func TestBackoffSurvivesFlappyDialUntilMinHealthy(t *testing.T) {
+// TestFlappingPeerIsDialedOncePerCooldown: a peer that accepts every
+// connect and fails every exchange must not be redialed at the call rate.
+// At the default configuration the breaker opens after exactly
+// FailThreshold dials and then admits one probe dial per cooldown.
+func TestFlappingPeerIsDialedOncePerCooldown(t *testing.T) {
 	h := newHarness()
-	h.setDialErr(errors.New("connection refused"))
-	l := newTestLink(h, func(cfg *peerlink.Config) {
-		cfg.FailThreshold = 100 // keep the breaker out of the way
-		// MinHealthy left at its 1s default: that is the behavior under test.
-	})
-
-	// Accumulate three dial failures; the exponent is now 3.
-	for i := 0; i < 3; i++ {
-		if _, err := l.GetMateStatus(1); err == nil {
-			t.Fatalf("call %d against dead peer succeeded", i)
-		}
-		h.advance(2 * time.Second) // beyond any backoff gate
-	}
-	if h.dialCount() != 3 {
-		t.Fatalf("dials = %d, want 3", h.dialCount())
-	}
-
-	// The peer flaps: the dial succeeds, then the connection dies on the
-	// very first call. (The write-stage failure is retried once on a fresh
-	// conn, which also dies — two dials, both short-lived.)
-	h.setDialErr(nil)
 	h.onConn = func(c *fakeConn, method string) error {
 		return &proto.TransportError{Method: method, Stage: proto.StageWrite,
 			Err: errors.New("connection reset by peer")}
 	}
-	if _, err := l.GetMateStatus(1); err == nil {
-		t.Fatal("call on flapping peer succeeded")
+	l := peerlink.New(peerlink.Config{Name: "mate", Addr: "test:0", Dial: h.dial, Now: h.now})
+	const threshold, cooldown, span = 3, 5 * time.Second, 60 * time.Second // defaults; 600 calls
+	openedAfter := 0
+	for i := 0; i < 600; i++ {
+		if _, err := l.GetMateStatus(1); err == nil {
+			t.Fatalf("call %d on flapping peer succeeded", i)
+		}
+		if openedAfter == 0 && l.State() == peerlink.Open {
+			openedAfter = h.dialCount()
+		}
+		h.advance(100 * time.Millisecond)
 	}
-	if h.dialCount() != 5 {
-		t.Fatalf("dials = %d, want 5 (flap + one retry on a fresh conn)", h.dialCount())
+	if openedAfter != threshold {
+		t.Fatalf("breaker opened after %d dials, want %d", openedAfter, threshold)
 	}
-
-	// Peer back to refusing outright. Neither flap connection lived
-	// MinHealthy, so this failure must continue the old schedule at
-	// exponent 4 — a gate of at least base*2^3/2 = 400ms even at minimum
-	// jitter — not restart it at backoff(1) < 100ms as the old code did.
-	h.setDialErr(errors.New("connection refused"))
-	h.onConn = nil
-	if _, err := l.GetMateStatus(1); err == nil {
-		t.Fatal("call against dead peer succeeded")
-	}
-	h.advance(150 * time.Millisecond) // past backoff(1), far short of backoff(4)
-	dials := h.dialCount()
-	if _, err := l.GetMateStatus(1); !errors.Is(err, peerlink.ErrDialBackoff) {
-		t.Fatalf("error after flap = %v, want ErrDialBackoff (exponent must survive the flap)", err)
-	}
-	if h.dialCount() != dials {
-		t.Fatal("gated call dialed anyway")
-	}
-
-	// The gate still expires: one more failure at the continued exponent.
-	h.advance(time.Second)
-	if _, err := l.GetMateStatus(1); err == nil {
-		t.Fatal("call against dead peer succeeded")
-	}
-	if h.dialCount() != dials+1 {
-		t.Fatalf("dials = %d, want %d (gate should have expired)", h.dialCount(), dials+1)
-	}
-
-	// Now the peer genuinely recovers. The first successful dial does NOT
-	// clear the window; only MinHealthy of proven uptime does.
-	h.setDialErr(nil)
-	h.advance(2 * time.Second) // past the accumulated gate
-	if _, err := l.GetMateStatus(1); err != nil {
-		t.Fatalf("call on recovered peer failed: %v", err)
-	}
-	h.advance(1500 * time.Millisecond) // > MinHealthy of uptime
-	if _, err := l.GetMateStatus(1); err != nil {
-		t.Fatalf("call on recovered peer failed: %v", err)
-	}
-
-	// With the window reset, a fresh outage restarts the schedule at
-	// backoff(1) < 100ms: a failure followed by a 150ms wait must redial.
-	l.BreakConn()
-	h.setDialErr(errors.New("connection refused"))
-	if _, err := l.GetMateStatus(1); err == nil {
-		t.Fatal("call against dead peer succeeded")
-	}
-	h.advance(150 * time.Millisecond)
-	dials = h.dialCount()
-	if _, err := l.GetMateStatus(1); err == nil {
-		t.Fatal("call against dead peer succeeded")
-	}
-	if h.dialCount() != dials+1 {
-		t.Fatalf("dials = %d, want %d (reset window should gate at backoff(1) < 150ms)", h.dialCount(), dials+1)
+	if max := threshold + int((span+cooldown-1)/cooldown); h.dialCount() > max {
+		t.Fatalf("%d dials in %v, want ≤ %d (one probe per cooldown)", h.dialCount(), span, max)
 	}
 }

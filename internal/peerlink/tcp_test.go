@@ -41,8 +41,6 @@ func TestLinkRecoversAcrossServerRestartOverTCP(t *testing.T) {
 		CallTimeout:   time.Second,
 		FailThreshold: 2,
 		Cooldown:      30 * time.Millisecond,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    5 * time.Millisecond,
 		Seed:          7,
 	})
 	defer l.Close()
@@ -97,7 +95,6 @@ func TestLinkDialErrorIsTransport(t *testing.T) {
 		Name:        "remote",
 		Addr:        addr.String(),
 		DialTimeout: 500 * time.Millisecond,
-		BackoffBase: time.Millisecond,
 	})
 	defer l.Close()
 	_, err = l.GetMateStatus(1)
