@@ -29,12 +29,12 @@ func TestLiveChaosCoStartOverTCP(t *testing.T) {
 	la := peerlink.New(peerlink.Config{
 		Name: "b", Addr: b.peerAddr,
 		DialTimeout: time.Second, CallTimeout: 2 * time.Second,
-		Cooldown: 50 * time.Millisecond, Seed: 1,
+		Cooldown: 50 * time.Millisecond,
 	})
 	lb := peerlink.New(peerlink.Config{
 		Name: "a", Addr: a.peerAddr,
 		DialTimeout: time.Second, CallTimeout: 2 * time.Second,
-		Cooldown: 50 * time.Millisecond, Seed: 2,
+		Cooldown: 50 * time.Millisecond,
 	})
 	chaos := proto.Rates{Latency: 0.2, Delay: time.Millisecond, Drop: 0.2}
 	ia := proto.NewFaultInjector(la, proto.NewRateScript(11, chaos), la.BreakConn)

@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log"
 	"net/http"
@@ -173,8 +172,8 @@ func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 	d.peerAddr = peerAddr.String()
 	logger.Printf("peer protocol on %s", peerAddr)
 
-	// Sorted, so jitter seeds — and therefore breaker probe schedules — are
-	// reproducible across restarts.
+	// Sorted, so the links — and the status page, reconciliation and drain
+	// that walk them — keep one order on every start.
 	names := make([]string, 0, len(cfg.Peers))
 	for name := range cfg.Peers {
 		names = append(names, name)
@@ -215,13 +214,10 @@ func (d *Daemon) AdminAddr() string { return d.adminAddr }
 // the scheduler. peerlink's defaults tune it, except for the per-call
 // budget, which is Config.PeerTimeout.
 func (d *Daemon) Connect(name, addr string) *peerlink.Link {
-	seed := fnv.New64a()
-	fmt.Fprintf(seed, "%s->%s", d.cfg.Name, name)
 	l := peerlink.New(peerlink.Config{
 		Name:          name,
 		Addr:          addr,
 		CallTimeout:   d.cfg.PeerTimeout,
-		Seed:          seed.Sum64(),
 		Logger:        d.logger,
 		OnStateChange: d.peerTransition,
 	})

@@ -28,18 +28,19 @@
 // The breaker state machine:
 //
 //	Closed ──(FailThreshold consecutive transport failures)──▶ Open
-//	Open ──(cooldown elapsed; next call becomes the probe)──▶ HalfOpen
+//	Closed ──(one dial that timed out)──▶ Open
+//	Open ──(Cooldown elapsed; next call becomes the probe)──▶ HalfOpen
 //	HalfOpen ──(probe succeeds)──▶ Closed   (counters reset)
 //	HalfOpen ──(probe fails)──▶ Open        (fresh cooldown)
 //
 // While Open, every call fails in O(1) with ErrCircuitOpen. While
 // HalfOpen, exactly one call is admitted as the probe; concurrent calls
-// fail fast. Each open window lasts Cooldown + Cooldown/2·u, u in [0, 1)
-// drawn from a splitmix64 stream seeded by Config.Seed, so links tripped
-// by one outage do not probe in lockstep and a seed reproduces the
-// schedule. The breaker is the only gate on redials: a Closed link that
-// lost its connection dials on the next call, and FailThreshold failed
-// dials in a row open it.
+// fail fast. The breaker is the only gate on redials: a Closed link that
+// lost its connection dials on the next call. A refused dial costs
+// microseconds, so it takes FailThreshold of them to open the breaker; a
+// dial that ran out DialTimeout (a black-holed peer) opens it at once,
+// because the scheduler calls under its driver lock and several peer
+// calls in one iteration would otherwise each wait DialTimeout.
 //
 // Wall-clock reads are confined to Link.now, which Config.Now overrides: a
 // Link is the live daemons' transport, and a test that runs one under a
@@ -51,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"net"
 	"sync"
 	"time"
 
@@ -118,14 +120,13 @@ type Config struct {
 	// longer call budget leaves room to redial and retry within one call.
 	CallTimeout time.Duration
 	// FailThreshold is the number of consecutive transport failures that
-	// trips the breaker (default 3).
+	// trips the breaker (default 3); a dial that times out trips it alone.
 	FailThreshold int
-	// Cooldown is the shortest time the breaker stays open before
-	// admitting a half-open probe (default 5s); each open window adds a
-	// seeded jitter of up to Cooldown/2.
+	// Cooldown is how long the breaker stays open before admitting a
+	// half-open probe (default 5s).
 	Cooldown time.Duration
-	// Seed seeds the cooldown jitter stream (splitmix64), making probe
-	// schedules reproducible.
+	// Seed is ignored: a Link draws no random numbers. It remains so that
+	// callers which still set it compile.
 	Seed uint64
 	// Logger, if set, records connects, disconnects, and breaker
 	// transitions.
@@ -152,7 +153,6 @@ type Link struct {
 	state  State
 	client Transport
 	gen    uint64 // bumped on every connect and discard; stale-failure guard
-	rng    uint64 // jitter stream
 
 	consecFails int       // transport failures since the last success
 	reopenAt    time.Time // when Open may admit a half-open probe
@@ -191,7 +191,7 @@ func New(cfg Config) *Link {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
 	}
-	l := &Link{cfg: cfg, rng: cfg.Seed}
+	l := &Link{cfg: cfg}
 	l.Caller = proto.Caller{Exchanger: l}
 	return l
 }
@@ -203,17 +203,6 @@ func (l *Link) now() time.Time {
 	}
 	//simlint:allow R2 breaker cooldowns pace wall-clock redials to a real peer daemon; simulation harnesses inject a virtual clock via Config.Now
 	return time.Now()
-}
-
-// nextRand draws a uniform value in [0, 1) from the seeded jitter stream.
-// Callers hold l.mu.
-func (l *Link) nextRand() float64 {
-	l.rng += 0x9e3779b97f4a7c15
-	z := l.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
 }
 
 // setStateLocked transitions the breaker and returns a thunk that fires
@@ -260,13 +249,19 @@ func (l *Link) recordFailureLocked(err error) func() {
 	return nil
 }
 
-// openLocked trips the breaker for Cooldown + Cooldown/2·u, u drawn from
-// the seeded jitter stream, and returns the state-change thunk.
+// openLocked trips the breaker for Cooldown and returns the state-change
+// thunk.
 func (l *Link) openLocked(cause error) func() {
 	l.probing = false
-	jitter := time.Duration(float64(l.cfg.Cooldown/2) * l.nextRand())
-	l.reopenAt = l.now().Add(l.cfg.Cooldown + jitter)
+	l.reopenAt = l.now().Add(l.cfg.Cooldown)
 	return l.setStateLocked(Open, cause)
+}
+
+// timedOut reports whether a dial ran out its DialTimeout (a black-holed
+// peer) rather than failing at once.
+func timedOut(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // acquire returns a connected transport (dialing if necessary) or fails
@@ -325,6 +320,12 @@ func (l *Link) acquire() (Transport, uint64, error) {
 	if err != nil {
 		l.dialErrs++
 		f := l.recordFailureLocked(err)
+		if l.state == Closed && timedOut(err) {
+			// The dial held its caller, and the scheduler's driver lock
+			// behind it, for DialTimeout; open now rather than let the
+			// iteration's next peer calls each wait that long again.
+			f = l.openLocked(err)
+		}
 		l.mu.Unlock()
 		fire(probed, f)
 		return nil, 0, err

@@ -3,6 +3,7 @@ package peerlink_test
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -50,12 +51,13 @@ func (c *fakeConn) Close() error {
 
 // harness provides a fake clock and a scriptable dialer.
 type harness struct {
-	mu      sync.Mutex
-	clock   time.Time
-	dialErr error // non-nil: dials fail with this
-	onConn  func(c *fakeConn, method string) error
-	dials   int
-	conns   []*fakeConn
+	mu       sync.Mutex
+	clock    time.Time
+	dialErr  error         // non-nil: dials fail with this
+	dialCost time.Duration // each dial advances the clock this much
+	onConn   func(c *fakeConn, method string) error
+	dials    int
+	conns    []*fakeConn
 }
 
 func newHarness() *harness {
@@ -84,6 +86,7 @@ func (h *harness) dial(addr string, dialTimeout, callTimeout time.Duration) (pee
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.dials++
+	h.clock = h.clock.Add(h.dialCost)
 	if h.dialErr != nil {
 		return nil, &proto.TransportError{Stage: proto.StageDial, Err: h.dialErr}
 	}
@@ -115,7 +118,6 @@ func newTestLink(h *harness, mutate func(*peerlink.Config)) *peerlink.Link {
 		CallTimeout:   2 * time.Second,
 		FailThreshold: 3,
 		Cooldown:      5 * time.Second,
-		Seed:          42,
 		Dial:          h.dial,
 		Now:           h.now,
 	}
@@ -311,47 +313,39 @@ func TestWriteStageFailureRetriesOnFreshConn(t *testing.T) {
 	}
 }
 
-// TestCooldownJitterIsSeededAndBounded observes the breaker's open windows
-// through the fake clock alone: after each trip, the first call admitted as
-// the half-open probe (the dial count moves) comes within
-// [Cooldown, 1.5·Cooldown) of the trip, at an instant the seed decides.
-func TestCooldownJitterIsSeededAndBounded(t *testing.T) {
-	const cooldown, step = 5 * time.Second, time.Millisecond
-	windows := func(seed uint64) []time.Duration {
-		h := newHarness()
-		h.setDialErr(errors.New("refused"))
-		l := newTestLink(h, func(c *peerlink.Config) { c.Seed = seed })
-		for i := 0; i < 3; i++ {
-			l.GetMateStatus(1) // the third failed dial trips the breaker
-		}
-		var out []time.Duration
-		for trip := 0; trip < 5; trip++ {
-			dials := h.dialCount()
-			var waited time.Duration
-			for h.dialCount() == dials {
-				h.advance(step)
-				waited += step
-				l.GetMateStatus(1)
+// TestBlackHoledPeerCostsOneDialTimeoutPerIteration: a peer whose connects
+// time out holds each dialing call for DialTimeout, and the scheduler makes
+// several peer calls per iteration under its driver lock. The first
+// timed-out dial must open the breaker, so no iteration waits through a
+// second one, and the breaker then admits one probe dial per cooldown.
+func TestBlackHoledPeerCostsOneDialTimeoutPerIteration(t *testing.T) {
+	const dialTimeout, cooldown = time.Second, 5 * time.Second // newTestLink's
+	h := newHarness()
+	h.setDialErr(os.ErrDeadlineExceeded)
+	h.dialCost = dialTimeout
+	l := newTestLink(h, nil)
+	begin := h.now()
+	var longest time.Duration
+	for iter := 0; iter < 600; iter++ {
+		start := h.now()
+		for call := 0; call < 5; call++ {
+			if _, err := l.ProbeMate(job.ID(call)); err == nil {
+				t.Fatalf("iteration %d call %d against a black hole succeeded", iter, call)
 			}
-			// The probe's dial failed, reopening the breaker at this instant.
-			if waited < cooldown || waited-step >= cooldown*3/2 {
-				t.Fatalf("seed %d trip %d: probe admitted %v after the trip, want [%v, %v)",
-					seed, trip, waited, cooldown, cooldown*3/2)
-			}
-			out = append(out, waited)
 		}
-		return out
-	}
-	a, b, c := windows(42), windows(42), windows(99)
-	diverged := false
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at trip %d: %v vs %v", i, a, b)
+		if hold := h.now().Sub(start); hold > longest {
+			longest = hold
 		}
-		diverged = diverged || a[i] != c[i]
+		if iter == 0 && (l.State() != peerlink.Open || h.dialCount() != 1) {
+			t.Fatalf("after one timed-out dial: state %v, %d dials; want open after 1", l.State(), h.dialCount())
+		}
+		h.advance(100 * time.Millisecond)
 	}
-	if !diverged {
-		t.Fatalf("seeds 42 and 99 gave the same open windows %v", a)
+	if longest > dialTimeout {
+		t.Fatalf("an iteration's calls took %v, want ≤ one DialTimeout (%v)", longest, dialTimeout)
+	}
+	if elapsed := h.now().Sub(begin); h.dialCount() > 1+int(elapsed/cooldown) {
+		t.Fatalf("%d dials in %v, want ≤ one per %v cooldown", h.dialCount(), elapsed, cooldown)
 	}
 }
 

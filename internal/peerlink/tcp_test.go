@@ -41,7 +41,6 @@ func TestLinkRecoversAcrossServerRestartOverTCP(t *testing.T) {
 		CallTimeout:   time.Second,
 		FailThreshold: 2,
 		Cooldown:      30 * time.Millisecond,
-		Seed:          7,
 	})
 	defer l.Close()
 
