@@ -23,18 +23,22 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"reflect"
 	"sort"
+	"strings"
 	"time"
 
 	"cosched/internal/config"
 	"cosched/internal/coupled"
 	"cosched/internal/eventlog"
 	"cosched/internal/metrics"
-	"cosched/internal/probe"
+	"cosched/internal/resmgr"
 	"cosched/internal/sim"
 )
 
@@ -48,6 +52,11 @@ func main() {
 		seriesMin  = flag.Int64("timeseries-minutes", 60, "sampling period for -timeseries, in virtual minutes")
 	)
 	flag.Parse()
+	if *seriesMin <= 0 {
+		fmt.Fprintln(os.Stderr, "cosim: -timeseries-minutes must be positive")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *verifyLog != "" {
 		verifyLogFile(*verifyLog)
 		return
@@ -87,26 +96,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var rec *probe.Recorder
+	var ser *series
 	if *seriesPath != "" {
 		domains := make([]string, 0, len(opt.Domains))
 		for _, d := range opt.Domains {
 			domains = append(domains, d.Name)
 		}
-		rec, err = probe.Attach(s, domains, sim.Duration(*seriesMin)*sim.Minute)
-		if err != nil {
-			fatal(err)
-		}
+		ser = sampleEvery(s, domains, sim.Duration(*seriesMin)*sim.Minute)
 	}
 	start := time.Now()
 	res := s.Run()
 	elapsed := time.Since(start)
-	if rec != nil {
+	if ser != nil {
 		sf, err := os.Create(*seriesPath)
 		if err != nil {
 			fatal(err)
 		}
-		if err := rec.WriteCSV(sf); err != nil {
+		if err := ser.writeCSV(sf); err != nil {
 			fatal(err)
 		}
 		if err := sf.Close(); err != nil {
@@ -117,7 +123,7 @@ func main() {
 		if *asJSON {
 			notes = os.Stderr
 		}
-		fmt.Fprintf(notes, "time series (%d samples) written to %s\n%s", rec.Len(), *seriesPath, rec.Summary())
+		fmt.Fprintf(notes, "time series (%d samples) written to %s\n%s", len(ser.samples), *seriesPath, ser.summary())
 	}
 
 	if *asJSON {
@@ -162,6 +168,83 @@ func main() {
 			fmt.Sprintf("%.3f", r.Utilization))
 	}
 	fmt.Println(t.Render())
+}
+
+// series is the -timeseries sampler: every domain's resmgr.Counts at a
+// fixed virtual period. It watches the hold cascade the paper warns of
+// (§IV-E2, most nodes in hold status), which end-of-run averages hide.
+type series struct {
+	domains []string
+	samples []sample // time-major, domain-minor
+}
+
+type sample struct {
+	at     sim.Time
+	domain string
+	resmgr.Counts
+}
+
+// sampleEvery arms the sampler on s; call it before Run. The sampler
+// re-arms only while other events are pending, so it never keeps the
+// simulation alive.
+func sampleEvery(s *coupled.Sim, domains []string, period sim.Duration) *series {
+	ser := &series{domains: domains}
+	eng := s.Engine()
+	var tick func(now sim.Time)
+	tick = func(now sim.Time) {
+		for _, d := range domains {
+			ser.samples = append(ser.samples, sample{now, d, s.Manager(d).Counts()})
+		}
+		if eng.Pending() > 0 {
+			eng.After(period, sim.PriorityMetrics, tick)
+		}
+	}
+	eng.After(period, sim.PriorityMetrics, tick)
+	return ser
+}
+
+// writeCSV writes the series with a header row. The columns after time_s
+// and domain are the resmgr.Counts fields /status.json carries, named by
+// their JSON tags, less the constant pool size.
+func (ser *series) writeCSV(w io.Writer) error {
+	ct := reflect.TypeOf(resmgr.Counts{})
+	header := "time_s,domain"
+	var cols []int
+	for i := 0; i < ct.NumField(); i++ {
+		if name := ct.Field(i).Tag.Get("json"); name != "-" && name != "nodes" {
+			header += "," + name
+			cols = append(cols, i)
+		}
+	}
+	bw := bufio.NewWriter(w)
+	bw.WriteString(header + "\n")
+	for _, s := range ser.samples {
+		fmt.Fprintf(bw, "%d,%s", s.at, s.domain)
+		v := reflect.ValueOf(s.Counts)
+		for _, i := range cols {
+			fmt.Fprintf(bw, ",%v", v.Field(i))
+		}
+		bw.WriteByte('\n')
+	}
+	return bw.Flush()
+}
+
+// summary renders one line per domain, in name order: the peak held
+// fraction and the peak queue length.
+func (ser *series) summary() string {
+	peakHeld := map[string]float64{}
+	peakQueue := map[string]int{}
+	for _, s := range ser.samples {
+		peakHeld[s.domain] = max(peakHeld[s.domain], float64(s.Held)/float64(s.Nodes))
+		peakQueue[s.domain] = max(peakQueue[s.domain], s.Queued)
+	}
+	doms := append([]string(nil), ser.domains...)
+	sort.Strings(doms)
+	var b strings.Builder
+	for _, d := range doms {
+		fmt.Fprintf(&b, "%s: peak held %.1f%%, peak queue %d jobs\n", d, 100*peakHeld[d], peakQueue[d])
+	}
+	return b.String()
 }
 
 // verifyLogFile replays an event log and reports co-start violations.

@@ -2,12 +2,21 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
+
+	"cosched/internal/cosched"
+	"cosched/internal/coupled"
+	"cosched/internal/job"
+	"cosched/internal/sim"
 )
 
 const (
@@ -26,17 +35,31 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// cosim runs the command and returns its stdout; it must exit 0.
-func cosim(t *testing.T, args ...string) []byte {
+// run runs the command and returns its exit code, stdout and stderr.
+func run(t *testing.T, args ...string) (code int, stdout, stderr []byte) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), helperEnv+"=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("cosim %v: %v\n%s", args, err, stderr.Bytes())
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("cosim %v: %v", args, err)
+		}
+		code = exit.ExitCode()
 	}
-	return stdout.Bytes()
+	return code, out.Bytes(), errOut.Bytes()
+}
+
+// cosim runs the command and returns its stdout; it must exit 0.
+func cosim(t *testing.T, args ...string) []byte {
+	t.Helper()
+	code, stdout, stderr := run(t, args...)
+	if code != 0 {
+		t.Fatalf("cosim %v: exit %d\n%s", args, code, stderr)
+	}
+	return stdout
 }
 
 // TestJSONOutputIsJSON: with -json, stdout is one JSON document whatever
@@ -90,5 +113,141 @@ func TestWireProtocolPrintsTheDirectTables(t *testing.T) {
 	}
 	if !bytes.Equal(direct, wire) {
 		t.Fatalf("wire-protocol report differs from the direct one:\n--- direct\n%s--- wire\n%s", direct, wire)
+	}
+}
+
+// TestTimeSeriesCSVIsPinned: the -timeseries CSV of configs/smallpair.json
+// at the default 60-minute period, and the summary printed with it, are
+// pinned: a change to the sampler or to resmgr.Counts that moves a byte
+// fails here.
+func TestTimeSeriesCSVIsPinned(t *testing.T) {
+	series := filepath.Join(t.TempDir(), "series.csv")
+	out := cosim(t, "-config", smallPair, "-timeseries", series, "-timeseries-minutes", "60")
+	raw, err := os.ReadFile(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSum = "511d20e80c7672d8edadc2fff39e5c8793ba16eee35d6268a15c999c421594d3"
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != wantSum {
+		t.Fatalf("CSV sha256 = %x, want %s", sum, wantSum)
+	}
+	want := "time series (1442 samples) written to " + series + "\n" +
+		"hpc: peak held 11.2%, peak queue 0 jobs\n" +
+		"viz: peak held 100.0%, peak queue 20 jobs\n"
+	if !bytes.HasPrefix(out, []byte(want)) {
+		t.Fatalf("stdout does not open with the summary:\n%s--- want\n%s", out, want)
+	}
+}
+
+// TestTimeSeriesMinutesMustBePositive: a period of zero or less is refused
+// as a usage error naming the flag, before the configuration is read (the
+// path below does not exist, which would exit 1).
+func TestTimeSeriesMinutesMustBePositive(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	for _, v := range []string{"0", "-5"} {
+		code, stdout, stderr := run(t, "-config", missing, "-timeseries", "x.csv", "-timeseries-minutes", v)
+		if code != 2 || len(stdout) != 0 || !strings.Contains(string(stderr), "-timeseries-minutes") {
+			t.Fatalf("-timeseries-minutes %s: exit %d, stdout %q, stderr %q; want exit 2 naming the flag", v, code, stdout, stderr)
+		}
+	}
+}
+
+// pairSim builds a two-domain simulation whose paired job on A holds 50 of
+// A's 100 nodes for the half hour until its mate on B is submitted.
+func pairSim(t *testing.T) *coupled.Sim {
+	t.Helper()
+	ja := job.New(1, 50, 0, sim.Hour, sim.Hour)
+	jb := job.New(1, 4, 30*sim.Minute, sim.Hour, sim.Hour)
+	ja.Mates = []job.MateRef{{Domain: "B", Job: 1}}
+	jb.Mates = []job.MateRef{{Domain: "A", Job: 1}}
+	extra := job.New(2, 20, 5*sim.Minute, 2*sim.Hour, 2*sim.Hour)
+	s, err := coupled.New(coupled.Options{Domains: []coupled.DomainConfig{
+		{Name: "A", Nodes: 100, Backfilling: true,
+			Cosched: cosched.DefaultConfig(cosched.Hold), Trace: []*job.Job{ja, extra}},
+		{Name: "B", Nodes: 8, Backfilling: true,
+			Cosched: cosched.DefaultConfig(cosched.Yield), Trace: []*job.Job{jb}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestTimeSeriesSamplesBothDomains(t *testing.T) {
+	s := pairSim(t)
+	ser := sampleEvery(s, []string{"A", "B"}, 10*sim.Minute)
+	if res := s.Run(); res.StuckJobs != 0 {
+		t.Fatalf("stuck = %d", res.StuckJobs)
+	}
+	domains := map[string]bool{}
+	sawHeld := false
+	for _, smp := range ser.samples {
+		domains[smp.domain] = true
+		sawHeld = sawHeld || smp.domain == "A" && smp.Held == 50
+		if smp.Free < 0 || smp.Held < 0 || smp.Queued < 0 {
+			t.Fatalf("negative sample: %+v", smp)
+		}
+	}
+	if !domains["A"] || !domains["B"] {
+		t.Fatalf("domains sampled: %v", domains)
+	}
+	// The 10-minute sampler sees the half-hour hold, so A's peak held
+	// fraction is its 50 of 100 nodes.
+	if !sawHeld {
+		t.Fatal("sampler never observed the 50 held nodes")
+	}
+	if sum := ser.summary(); !strings.HasPrefix(sum, "A: peak held 50.0%,") {
+		t.Fatalf("summary = %q, want A's peak held at 50%%", sum)
+	}
+}
+
+func TestTimeSeriesCSVRows(t *testing.T) {
+	s := pairSim(t)
+	ser := sampleEvery(s, []string{"A"}, 15*sim.Minute)
+	s.Run()
+	var buf bytes.Buffer
+	if err := ser.writeCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(ser.samples) == 0 || len(lines) != len(ser.samples)+1 {
+		t.Fatalf("csv lines = %d, want %d samples + header", len(lines), len(ser.samples))
+	}
+	if want := "time_s,domain,free,held,running_nodes,queued_jobs,holding_jobs,completed_jobs"; lines[0] != want {
+		t.Fatalf("header = %q, want %q", lines[0], want)
+	}
+	if !strings.HasPrefix(lines[1], "900,A,") {
+		t.Fatalf("first row = %q, want A's sample at t=900", lines[1])
+	}
+}
+
+// TestTimeSeriesDoesNotKeepSimAlive: A1 holds all of A for a mate queued
+// behind B2, which holds all of B for a mate queued behind A1. With no
+// release interval nothing breaks the deadlock, so the engine drains and
+// Run reports four stuck jobs at once. A sampler that re-armed whatever
+// was pending would keep the engine busy until the simulation horizon.
+func TestTimeSeriesDoesNotKeepSimAlive(t *testing.T) {
+	a1 := job.New(1, 100, 0, sim.Hour, sim.Hour)
+	a2 := job.New(2, 100, sim.Minute, sim.Hour, sim.Hour)
+	b2 := job.New(2, 8, 0, sim.Hour, sim.Hour)
+	b1 := job.New(1, 8, sim.Minute, sim.Hour, sim.Hour)
+	a1.Mates = []job.MateRef{{Domain: "B", Job: 1}}
+	b1.Mates = []job.MateRef{{Domain: "A", Job: 1}}
+	a2.Mates = []job.MateRef{{Domain: "B", Job: 2}}
+	b2.Mates = []job.MateRef{{Domain: "A", Job: 2}}
+	hold := cosched.DefaultConfig(cosched.Hold)
+	hold.ReleaseInterval = 0
+	s, err := coupled.New(coupled.Options{Domains: []coupled.DomainConfig{
+		{Name: "A", Nodes: 100, Cosched: hold, Trace: []*job.Job{a1, a2}},
+		{Name: "B", Nodes: 8, Cosched: hold, Trace: []*job.Job{b2, b1}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampleEvery(s, []string{"A", "B"}, sim.Minute)
+	res := s.Run()
+	if res.StuckJobs != 4 || res.HitHorizon || res.Makespan > sim.Hour {
+		t.Fatalf("stuck %d, horizon %v, makespan %d: want the deadlock reported when the engine drains",
+			res.StuckJobs, res.HitHorizon, res.Makespan)
 	}
 }

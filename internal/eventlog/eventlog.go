@@ -272,11 +272,20 @@ func VerifyCoStarts(records []Record) []Violation {
 			}
 		}
 	}
+	// The map range above visits jobs in random order, so the order must be
+	// total: one job with several violating mates sorts by mate too.
 	sort.Slice(out, func(a, b int) bool {
-		if out[a].Domain != out[b].Domain {
-			return out[a].Domain < out[b].Domain
+		x, y := out[a], out[b]
+		if x.Domain != y.Domain {
+			return x.Domain < y.Domain
 		}
-		return out[a].JobID < out[b].JobID
+		if x.JobID != y.JobID {
+			return x.JobID < y.JobID
+		}
+		if x.Mate.Domain != y.Mate.Domain {
+			return x.Mate.Domain < y.Mate.Domain
+		}
+		return x.Mate.Job < y.Mate.Job
 	})
 	return out
 }

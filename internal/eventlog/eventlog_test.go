@@ -118,6 +118,46 @@ func TestVerifyDetectsLonelyStart(t *testing.T) {
 	}
 }
 
+// TestVerifyCoStartsOrderIsTotal: the violations come out in (domain, job,
+// mate) order on every call, even when one job has several violating mates
+// and there are more than twelve violations (where sort.Slice stops being
+// an insertion sort and stops being stable).
+func TestVerifyCoStartsOrderIsTotal(t *testing.T) {
+	a1 := []job.MateRef{{Domain: "C", Job: 1}, {Domain: "B", Job: 1}}
+	recs := []Record{
+		{Time: 0, Domain: "A", Kind: KindSubmit, JobID: 1, Mates: a1},
+		{Time: 0, Domain: "B", Kind: KindSubmit, JobID: 1, Mates: []job.MateRef{{Domain: "A", Job: 1}}},
+		{Time: 0, Domain: "C", Kind: KindSubmit, JobID: 1, Mates: []job.MateRef{{Domain: "A", Job: 1}}},
+		{Time: 100, Domain: "A", Kind: KindStart, JobID: 1},
+		{Time: 200, Domain: "B", Kind: KindStart, JobID: 1},
+		{Time: 300, Domain: "C", Kind: KindStart, JobID: 1},
+	}
+	want := []Violation{
+		{Domain: "A", JobID: 1, Mate: a1[1], Start: 100, MateAt: 200, Reason: "start instants differ"},
+		{Domain: "A", JobID: 1, Mate: a1[0], Start: 100, MateAt: 300, Reason: "start instants differ"},
+	}
+	for id := job.ID(2); id <= 13; id++ {
+		recs = append(recs,
+			Record{Time: 0, Domain: "A", Kind: KindSubmit, JobID: id, Mates: []job.MateRef{{Domain: "B", Job: id}}},
+			Record{Time: 0, Domain: "B", Kind: KindSubmit, JobID: id, Mates: []job.MateRef{{Domain: "A", Job: id}}},
+			Record{Time: 100, Domain: "A", Kind: KindStart, JobID: id},
+			Record{Time: 150, Domain: "B", Kind: KindStart, JobID: id})
+		want = append(want, Violation{Domain: "A", JobID: id, Mate: job.MateRef{Domain: "B", Job: id},
+			Start: 100, MateAt: 150, Reason: "start instants differ"})
+	}
+	for i := 0; i < 50; i++ {
+		got := VerifyCoStarts(recs)
+		if len(got) != len(want) {
+			t.Fatalf("call %d: %d violations, want %d: %v", i, len(got), len(want), got)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("call %d: violation %d = %v, want %v", i, k, got[k], want[k])
+			}
+		}
+	}
+}
+
 func TestVerifyIgnoresUnstartedPairs(t *testing.T) {
 	recs := []Record{
 		{Time: 0, Domain: "A", Kind: KindSubmit, JobID: 1,

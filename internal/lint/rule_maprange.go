@@ -76,7 +76,7 @@ func (p *Pass) describeOrderSensitive(call *ast.CallExpr) string {
 	// the rest of the simulation.
 	if namedAs(recv, "cosched/internal/sim", "Engine") {
 		switch name {
-		case "At", "After", "Every", "Step", "Run", "RunUntil", "RunFor":
+		case "At", "After", "Every", "Step", "Run", "RunUntil":
 			return "event scheduling (sim.Engine." + name + ")"
 		}
 	}

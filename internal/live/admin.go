@@ -146,9 +146,9 @@ func (s *AdminServer) dispatch(req AdminRequest) AdminResponse {
 	switch req.Op {
 	case OpInfo:
 		s.driver.Do(func() {
+			c := s.mgr.Counts()
 			resp.Domain = s.mgr.Name()
-			resp.Nodes = s.mgr.Pool().Total()
-			resp.Free = s.mgr.Pool().Free()
+			resp.Nodes, resp.Free = c.Nodes, c.Free
 			resp.VirtualNow = s.driver.virtualNowLocked()
 		})
 	case OpExpect:

@@ -11,6 +11,7 @@ import (
 	"cosched/internal/job"
 	"cosched/internal/obs"
 	"cosched/internal/peerlink"
+	"cosched/internal/resmgr"
 	"cosched/internal/sim"
 )
 
@@ -23,16 +24,12 @@ const statusReadHeaderTimeout = 10 * time.Second
 
 // StatusSnapshot is the daemon state served by the status endpoint.
 type StatusSnapshot struct {
-	Domain     string         `json:"domain"`
-	VirtualNow sim.Time       `json:"virtual_now"`
-	Nodes      int            `json:"nodes"`
-	Free       int            `json:"free"`
-	Held       int            `json:"held"`
-	Running    int            `json:"running_nodes"`
-	Queued     int            `json:"queued_jobs"`
-	Holding    int            `json:"holding_jobs"`
-	Completed  int            `json:"completed_jobs"`
-	Jobs       []StatusJobRow `json:"jobs"`
+	Domain     string   `json:"domain"`
+	VirtualNow sim.Time `json:"virtual_now"`
+	// Counts carries the node and job counters under their /status.json
+	// keys; the ones tagged "-" only /metrics exports.
+	resmgr.Counts
+	Jobs []StatusJobRow `json:"jobs"`
 	// Peers reports the health of each watched peer link (breaker state,
 	// call and failure counters). Empty when the daemon has no peers.
 	Peers []peerlink.Snapshot `json:"peers,omitempty"`
@@ -43,12 +40,6 @@ type StatusSnapshot struct {
 	// storage fault: the reason the journal was abandoned plus the hold
 	// budget now in force. Absent in healthy operation.
 	Degraded string `json:"degraded,omitempty"`
-
-	// Counters only /metrics exports, read in the same driver.Do as the
-	// rest; unexported, so /status.json does not carry them.
-	cancelled    int
-	iterations   uint64
-	holdsRefused uint64
 }
 
 // RecoveryInfo summarizes a daemon's boot-time recovery for the status
@@ -83,20 +74,10 @@ type StatusJobRow struct {
 func (d *Daemon) snapshot() StatusSnapshot {
 	var snap StatusSnapshot
 	d.driver.Do(func() {
-		pool := d.mgr.Pool()
 		snap = StatusSnapshot{
-			Domain:       d.mgr.Name(),
-			VirtualNow:   d.driver.virtualNowLocked(),
-			Nodes:        pool.Total(),
-			Free:         pool.Free(),
-			Held:         pool.Held(),
-			Running:      pool.Running(),
-			Queued:       d.mgr.QueueLength(),
-			Holding:      d.mgr.HoldingCount(),
-			Completed:    d.mgr.CompletedCount(),
-			cancelled:    d.mgr.CancelledCount(),
-			iterations:   d.mgr.Iterations(),
-			holdsRefused: d.mgr.HoldsRefused(),
+			Domain:     d.mgr.Name(),
+			VirtualNow: d.driver.virtualNowLocked(),
+			Counts:     d.mgr.Counts(),
 		}
 		for _, j := range d.mgr.Jobs() {
 			if j.State == job.Completed {
@@ -142,9 +123,9 @@ func (d *Daemon) collectMetrics(e *obs.Emitter) {
 	e.Gauge("cosched_jobs_queued", "jobs waiting in the queue", float64(snap.Queued), "domain", dom)
 	e.Gauge("cosched_jobs_holding", "jobs holding nodes for a mate", float64(snap.Holding), "domain", dom)
 	e.Counter("cosched_jobs_completed_total", "jobs completed since boot", float64(snap.Completed), "domain", dom)
-	e.Counter("cosched_jobs_cancelled_total", "jobs cancelled since boot", float64(snap.cancelled), "domain", dom)
-	e.Counter("cosched_scheduler_iterations_total", "scheduler Iterate passes since boot", float64(snap.iterations), "domain", dom)
-	e.Counter(obs.MetricHoldsRefused, "Hold decisions downgraded to Yield by the degraded-mode hold budget", float64(snap.holdsRefused), "domain", dom)
+	e.Counter("cosched_jobs_cancelled_total", "jobs cancelled since boot", float64(snap.Cancelled), "domain", dom)
+	e.Counter("cosched_scheduler_iterations_total", "scheduler Iterate passes since boot", float64(snap.Iterations), "domain", dom)
+	e.Counter(obs.MetricHoldsRefused, "Hold decisions downgraded to Yield by the degraded-mode hold budget", float64(snap.HoldsRefused), "domain", dom)
 
 	degraded := 0.0
 	if snap.Degraded != "" {

@@ -545,11 +545,6 @@ func (m *Manager) Jobs() []*job.Job {
 	return out
 }
 
-// JobsOrdered returns the internal registration-ordered job slice without
-// copying. Callers must not mutate it; it is meant for read-only metric
-// sweeps over very large job populations.
-func (m *Manager) JobsOrdered() []*job.Job { return m.all }
-
 // CollectReport renders the domain's metrics report over the registry in
 // registration order.
 func (m *Manager) CollectReport(totalNodes int, span sim.Duration) metrics.DomainReport {
@@ -581,6 +576,40 @@ func (m *Manager) CompletedCount() int { return m.completed }
 
 // CancelledCount returns the number of cancelled jobs.
 func (m *Manager) CancelledCount() int { return m.cancelled }
+
+// Counts is one reading of a domain's node and job state. The JSON tags
+// are the names every surface reports it under: the daemon's /status.json
+// keys and the columns of cosim's -timeseries CSV. The counters tagged "-"
+// only the daemon's /metrics exports.
+type Counts struct {
+	Nodes     int `json:"nodes"`
+	Free      int `json:"free"`
+	Held      int `json:"held"`
+	Running   int `json:"running_nodes"`
+	Queued    int `json:"queued_jobs"`
+	Holding   int `json:"holding_jobs"`
+	Completed int `json:"completed_jobs"`
+
+	Cancelled    int    `json:"-"`
+	Iterations   uint64 `json:"-"`
+	HoldsRefused uint64 `json:"-"`
+}
+
+// Counts reads the domain's node and job state in one call.
+func (m *Manager) Counts() Counts {
+	return Counts{
+		Nodes:        m.pool.Total(),
+		Free:         m.pool.Free(),
+		Held:         m.pool.Held(),
+		Running:      m.pool.Running(),
+		Queued:       len(m.queue),
+		Holding:      len(m.holding),
+		Completed:    m.completed,
+		Cancelled:    m.cancelled,
+		Iterations:   m.iterations,
+		HoldsRefused: m.holdsRefused,
+	}
+}
 
 // Cancel withdraws a job (the qdel operation): a queued job leaves the
 // queue, a holding job releases its nodes, a running job is killed and its

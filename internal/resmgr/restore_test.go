@@ -336,7 +336,7 @@ func TestReconcileBothDaemonsRestartSimultaneously(t *testing.T) {
 	snapshot := func(w world) string {
 		var s string
 		for _, m := range []*Manager{w.a, w.b} {
-			for _, j := range m.JobsOrdered() {
+			for _, j := range m.Jobs() {
 				s += fmt.Sprintf("%s/%d:%s@%d;", m.Name(), j.ID, j.State, j.StartTime)
 			}
 		}

@@ -447,9 +447,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// RunFor is RunUntil(Now()+d).
-func (e *Engine) RunFor(d Duration) Time { return e.RunUntil(e.now + d) }
-
 // NextTime returns the time of the next pending event, if any. It is used
 // by the real-time driver to decide how long to sleep.
 func (e *Engine) NextTime() (Time, bool) {

@@ -265,11 +265,11 @@ func TestNextTime(t *testing.T) {
 func TestRunForAdvancesRelative(t *testing.T) {
 	e := NewEngine()
 	e.After(10, PriorityDefault, func(Time) {})
-	e.RunFor(25)
+	e.RunUntil(e.Now() + 25)
 	if e.Now() != 25 {
 		t.Fatalf("now = %d, want 25", e.Now())
 	}
-	e.RunFor(25)
+	e.RunUntil(e.Now() + 25)
 	if e.Now() != 50 {
 		t.Fatalf("now = %d, want 50", e.Now())
 	}
