@@ -1,7 +1,6 @@
-// Package config defines the JSON configuration consumed by cmd/cosim and
-// cmd/coschedd: a coupled-system description (domains, pools, policies,
-// coscheduling settings, trace sources) that maps directly onto
-// coupled.Options.
+// Package config defines the JSON configuration consumed by cmd/cosim: a
+// coupled-system description (domains, pools, policies, coscheduling
+// settings, trace sources) that maps directly onto coupled.Options.
 package config
 
 import (
@@ -111,25 +110,25 @@ func (f *File) Build() (coupled.Options, error) {
 			}
 			cc.Scheme = s
 		}
+		pol, ok := policy.ByName(d.Policy)
+		if !ok {
+			return opt, fmt.Errorf("config: domain %q: unknown policy %q", d.Name, d.Policy)
+		}
+		if len(d.Queues) > 0 {
+			if pol, err = routeQueues(d.Queues, tr, pol); err != nil {
+				return opt, fmt.Errorf("config: domain %q: %w", d.Name, err)
+			}
+		}
 		dc := coupled.DomainConfig{
 			Name:         d.Name,
 			Nodes:        d.Nodes,
 			MinPartition: d.MinPartition,
-			Policy:       d.Policy,
+			Policy:       pol,
 			Backfilling:  d.Backfilling,
 			BackfillMode: d.BackfillMode,
 			Estimator:    d.Estimator,
 			Cosched:      cc,
 			Trace:        tr,
-		}
-		if len(d.Queues) > 0 {
-			base, ok := policy.ByName(d.Policy)
-			if !ok {
-				return opt, fmt.Errorf("config: domain %q: unknown policy %q", d.Name, d.Policy)
-			}
-			if dc.PolicyImpl, err = routeQueues(d.Queues, tr, base); err != nil {
-				return opt, fmt.Errorf("config: domain %q: %w", d.Name, err)
-			}
 		}
 		opt.Domains = append(opt.Domains, dc)
 	}

@@ -130,6 +130,8 @@ func TestBuildRejectsBadDomains(t *testing.T) {
 			"synthetic": {"system": "cray"}}]}`,
 		"bad scheme": `{"domains": [{"name": "d", "nodes": 4, "scheme": "grab",
 			"synthetic": {"system": "eureka", "jobs": 10}}]}`,
+		"bad policy": `{"domains": [{"name": "d", "nodes": 4, "policy": "bogus",
+			"synthetic": {"system": "eureka", "jobs": 10}}]}`,
 		"unknown pair domain": `{"domains": [{"name": "d", "nodes": 4,
 			"synthetic": {"system": "eureka", "jobs": 10}}],
 			"pairs": [{"domain_a": "d", "domain_b": "nope"}]}`,

@@ -35,12 +35,8 @@ type DomainConfig struct {
 	// MinPartition, when positive, enables BG/P-style power-of-two
 	// partition allocation with this minimum size.
 	MinPartition int
-	// Policy names the queue policy ("wfp", "fcfs", "sjf", "largest",
-	// "fairshare"); empty selects WFP.
-	Policy string
-	// PolicyImpl, when non-nil, overrides Policy with a concrete
-	// implementation (e.g. internal/config's queue-routing wrapper).
-	PolicyImpl policy.Policy
+	// Policy orders the domain's queue; nil selects WFP.
+	Policy policy.Policy
 	// Backfilling enables backfill (the paper's setting: WFP plus EASY).
 	Backfilling bool
 	// BackfillMode optionally selects the planner when Backfilling is on:
@@ -136,13 +132,6 @@ func New(opt Options) (*Sim, error) {
 		if _, dup := s.managers[dc.Name]; dup {
 			return nil, fmt.Errorf("coupled: duplicate domain %q", dc.Name)
 		}
-		pol, ok := policy.ByName(dc.Policy)
-		if !ok {
-			return nil, fmt.Errorf("coupled: domain %q: unknown policy %q", dc.Name, dc.Policy)
-		}
-		if dc.PolicyImpl != nil {
-			pol = dc.PolicyImpl
-		}
 		est, ok := predict.ByName(dc.Estimator)
 		if !ok {
 			return nil, fmt.Errorf("coupled: domain %q: unknown estimator %q", dc.Name, dc.Estimator)
@@ -164,7 +153,7 @@ func New(opt Options) (*Sim, error) {
 		m := resmgr.New(eng, resmgr.Options{
 			Name:        dc.Name,
 			Pool:        pool,
-			Policy:      pol,
+			Policy:      dc.Policy,
 			Backfilling: dc.Backfilling,
 			Mode:        mode,
 			Estimator:   est,

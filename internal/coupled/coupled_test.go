@@ -290,11 +290,6 @@ func TestConfigValidation(t *testing.T) {
 	}}); err == nil {
 		t.Fatal("duplicate domain accepted")
 	}
-	if _, err := New(Options{Domains: []DomainConfig{
-		{Name: "A", Nodes: 4, Policy: "bogus"},
-	}}); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
 }
 
 func TestPartitionedIntrepidDomain(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"cosched/internal/cosched"
 	"cosched/internal/invariant"
 	"cosched/internal/job"
+	"cosched/internal/policy"
 	"cosched/internal/resmgr"
 	"cosched/internal/sim"
 )
@@ -19,7 +20,7 @@ import (
 // all of them), so the sweep covers every fallback combination.
 type schedCoreScenario struct {
 	name             string
-	policy           string
+	policy           policy.Policy
 	mode             string // backfill mode
 	estimator        string
 	schemeA, schemeB cosched.Scheme
@@ -29,25 +30,25 @@ type schedCoreScenario struct {
 
 var schedCoreScenarios = []schedCoreScenario{
 	// Fully incremental: sorted queue + maintained timeline.
-	{name: "fcfs_easy_walltime_HH", policy: "fcfs", mode: "easy", estimator: "walltime",
+	{name: "fcfs_easy_walltime_HH", policy: policy.FCFS{}, mode: "easy", estimator: "walltime",
 		schemeA: cosched.Hold, schemeB: cosched.Hold, release: 10 * sim.Minute},
 	// Time-varying policy: position-indexed queue + full sort per iteration.
-	{name: "wfp_easy_walltime_HY", policy: "wfp", mode: "easy", estimator: "walltime",
+	{name: "wfp_easy_walltime_HY", policy: policy.WFP{}, mode: "easy", estimator: "walltime",
 		schemeA: cosched.Hold, schemeB: cosched.Yield, release: 10 * sim.Minute},
 	// Conservative planner: the no-fit elision under full-profile planning.
-	{name: "sjf_conservative_walltime_YY", policy: "sjf", mode: "conservative", estimator: "walltime",
+	{name: "sjf_conservative_walltime_YY", policy: policy.SJF{}, mode: "conservative", estimator: "walltime",
 		schemeA: cosched.Yield, schemeB: cosched.Yield},
 	// Unstable estimator: timeline rebuilt per iteration.
-	{name: "fcfs_easy_useravg_HH", policy: "fcfs", mode: "easy", estimator: "user-average",
+	{name: "fcfs_easy_useravg_HH", policy: policy.FCFS{}, mode: "easy", estimator: "user-average",
 		schemeA: cosched.Hold, schemeB: cosched.Hold, release: 10 * sim.Minute},
 	// Everything degraded at once.
-	{name: "wfp_conservative_useravg_YY", policy: "wfp", mode: "conservative", estimator: "user-average",
+	{name: "wfp_conservative_useravg_YY", policy: policy.WFP{}, mode: "conservative", estimator: "user-average",
 		schemeA: cosched.Yield, schemeB: cosched.Yield},
 	// Yield boost disables the sorted queue even for a time-invariant policy.
-	{name: "fcfs_easy_walltime_YY_boost", policy: "fcfs", mode: "easy", estimator: "walltime",
+	{name: "fcfs_easy_walltime_YY_boost", policy: policy.FCFS{}, mode: "easy", estimator: "walltime",
 		schemeA: cosched.Yield, schemeB: cosched.Yield, yieldBoost: true},
 	// Largest-first exercises the third time-invariant policy's comparator.
-	{name: "largest_easy_walltime_HY", policy: "largest", mode: "easy", estimator: "walltime",
+	{name: "largest_easy_walltime_HY", policy: policy.LargestFirst{}, mode: "easy", estimator: "walltime",
 		schemeA: cosched.Hold, schemeB: cosched.Yield, release: 10 * sim.Minute},
 }
 

@@ -89,6 +89,39 @@ func TestObserverFanOutWrittenOnce(t *testing.T) {
 	})
 }
 
+// TestAcceptLoopWrittenOnce: proto.Acceptor is the only accept loop. Both
+// daemon endpoints (the peer port's proto.Server and the admin port's
+// live.AdminServer) hold one, so tracking, closing and the accept-error
+// rule live in one place; an Accept call anywhere else is a second loop
+// coming back. (The status page's http.Server accepts inside the standard
+// library.)
+func TestAcceptLoopWrittenOnce(t *testing.T) {
+	acceptor := filepath.Join("internal", "proto", "acceptor.go")
+	inAcceptor := 0
+	eachNonTestFile(t, func(fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Accept" {
+				return true
+			}
+			pos := fset.Position(call.Pos())
+			if strings.HasSuffix(pos.Filename, acceptor) {
+				inAcceptor++
+			} else {
+				t.Errorf("%s: calls Accept; serve connections through proto.Acceptor instead", pos)
+			}
+			return true
+		})
+	})
+	if inAcceptor != 1 {
+		t.Errorf("%s calls Accept %d times, want once", acceptor, inAcceptor)
+	}
+}
+
 // eachNonTestFile parses every non-test Go file under internal/, cmd/ and
 // examples/ (not testdata; bench/ lies outside them) and hands it to fn.
 func eachNonTestFile(t *testing.T, fn func(*token.FileSet, *ast.File)) {

@@ -66,61 +66,22 @@ type AdminServer struct {
 	mgr    *resmgr.Manager
 	driver *Driver
 	logger *log.Logger
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	acc    proto.Acceptor
 }
 
 // NewAdminServer wraps a manager and its driver.
 func NewAdminServer(mgr *resmgr.Manager, driver *Driver, logger *log.Logger) *AdminServer {
-	return &AdminServer{mgr: mgr, driver: driver, logger: logger, conns: make(map[net.Conn]struct{})}
+	return &AdminServer{mgr: mgr, driver: driver, logger: logger}
 }
 
 // Listen starts accepting admin connections.
 func (s *AdminServer) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serveConn(conn)
-			}()
-		}
-	}()
-	return ln.Addr(), nil
+	return s.acc.Listen(addr, s.logger, s.serveConn)
 }
 
+// serveConn answers admin calls on conn until EOF or error; the acceptor
+// closes conn.
 func (s *AdminServer) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	frames := proto.NewFrameReader(conn)
 	// One request and one response for the connection's life, reset per
 	// frame: passing their addresses to the framing moves them to the heap.
@@ -251,21 +212,7 @@ func (s *AdminServer) expect(w *WireJob) (*job.Job, error) {
 }
 
 // Close shuts the listener and connections down.
-func (s *AdminServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+func (s *AdminServer) Close() error { return s.acc.Close() }
 
 // AdminClient is the dial side of the admin interface.
 type AdminClient struct {

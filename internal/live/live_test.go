@@ -7,13 +7,16 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"cosched/internal/cluster"
 	"cosched/internal/job"
 	"cosched/internal/obs"
 	"cosched/internal/proto"
+	"cosched/internal/resmgr"
 	"cosched/internal/sim"
 )
 
@@ -461,5 +464,46 @@ func TestAdminCallTimesOutOnSilentServer(t *testing.T) {
 	start = time.Now()
 	if _, err := c.Info(); err == nil || time.Since(start) > bound/2 {
 		t.Fatalf("call after a timed-out one = %v after %v, want an immediate error from the retired connection", err, time.Since(start))
+	}
+}
+
+// TestAdminServerCloseIdleClient: Close on an admin server with a connected,
+// idle client returns nil only once the connection's serving goroutine has
+// exited, and the client's next call fails on the torn-down connection, not
+// with an error the server reported.
+func TestAdminServerCloseIdleClient(t *testing.T) {
+	eng := sim.NewEngine()
+	mgr := resmgr.New(eng, resmgr.Options{Name: "idle", Pool: cluster.New("idle", 10)})
+	before := runtime.NumGoroutine()
+	as := NewAdminServer(mgr, NewDriver(eng, 1), nil)
+	addr, err := as.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialAdmin(addr.String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Info(); err != nil { // the connection is now being served
+		t.Fatal(err)
+	}
+	if err := as.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	stacks := make([]byte, 1<<20)
+	if n := runtime.Stack(stacks, true); strings.Contains(string(stacks[:n]), "(*AdminServer).serveConn") {
+		t.Fatal("Close returned while serveConn was still running")
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i > 200 {
+			t.Fatalf("goroutines: %d before Listen, %d after Close", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond) // a goroutine past wg.Done may not have exited yet
+	}
+	_, err = c.Info()
+	var opErr *net.OpError
+	if err == nil || !errors.Is(err, io.EOF) && !errors.As(err, &opErr) {
+		t.Fatalf("Info after Close = %v, want the closed connection's error", err)
 	}
 }

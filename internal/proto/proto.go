@@ -32,7 +32,8 @@
 // request to any cosched.Peer (normally a resmgr.Manager), a Client carries
 // it over any net.Conn, a FaultInjector wraps either with seeded chaos, and
 // internal/peerlink adds redial and retry. Between real daemons the conn is
-// TCP, served by a goroutine per connection (ServeConn); a simulation has no
+// TCP, accepted by an Acceptor and served by a goroutine per connection
+// (ServeConn); a simulation has no
 // connection to cross and writes to Server.InProcessConn, which parses,
 // dispatches and answers the frame on the calling goroutine — the same
 // bytes, one thread. A frame is written with one Write and read through a
@@ -315,8 +316,9 @@ func ReadFrame(r io.Reader, v any) error {
 // FrameReader reads the frames of one connection through a buffered
 // reader, so a frame that arrived whole costs one Read of the connection
 // instead of two (header, payload), and decodes every frame from one
-// reused payload buffer. Not safe for concurrent use; Client and
-// Server.ServeConn each own one per connection.
+// reused payload buffer. Not safe for concurrent use; every reading end
+// owns one per connection: Client and Server.ServeConn on the peer port,
+// live's AdminClient and AdminServer on the admin port.
 type FrameReader struct {
 	br      *bufio.Reader
 	hdr     [4]byte

@@ -1,10 +1,14 @@
 package proto
 
 import (
+	"bytes"
 	"errors"
+	"log"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -301,6 +305,63 @@ func TestServerCloseRacesInFlightHandler(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestAcceptorRetriesAfterFailedAccept: an accept error other than a closed
+// listener (EMFILE: the process is out of descriptors) is logged and
+// retried, so the next connection is still served instead of queueing
+// unanswered in the backlog of a listener nobody accepts on.
+func TestAcceptorRetriesAfterFailedAccept(t *testing.T) {
+	clientEnd, serverEnd := net.Pipe()
+	defer clientEnd.Close()
+	ln := &fakeListener{
+		errs:   []error{&net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}},
+		conn:   serverEnd,
+		closed: make(chan struct{}),
+	}
+	var logged bytes.Buffer
+	srv := NewServer(newFakeBackend(), nil, nil)
+	srv.acc.start(ln, log.New(&logged, "", 0), srv.ServeConn)
+	c := NewClient(clientEnd, 5*time.Second)
+	if name, err := c.Ping(); err != nil || name != "fake" {
+		t.Fatalf("ping after a failed accept = %q, %v", name, err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if !strings.Contains(logged.String(), syscall.EMFILE.Error()) {
+		t.Errorf("accept error not logged; log = %q", logged.String())
+	}
+}
+
+// fakeListener returns errs from its first Accepts, then conn once, then
+// blocks until Close. Only the accept loop calls Accept.
+type fakeListener struct {
+	errs   []error
+	conn   net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (l *fakeListener) Accept() (net.Conn, error) {
+	if len(l.errs) > 0 {
+		err := l.errs[0]
+		l.errs = l.errs[1:]
+		return nil, err
+	}
+	if c := l.conn; c != nil {
+		l.conn = nil
+		return c, nil
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+
+func (l *fakeListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *fakeListener) Addr() net.Addr { return &net.TCPAddr{} }
 
 // TestServerCloseIdleClient: a connected but idle client's next call after
 // Close fails cleanly (the server closed the conn under it).

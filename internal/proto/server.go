@@ -20,74 +20,28 @@ type Server struct {
 	backend cosched.Peer
 	lock    sync.Locker
 	logger  *log.Logger
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	acc     Acceptor
 }
 
 // NewServer wraps backend. lock may be nil when the caller guarantees
 // single-threaded access (a simulation calls through InProcessConn, so the
 // backend runs on the engine's own goroutine). logger may be nil.
 func NewServer(backend cosched.Peer, lock sync.Locker, logger *log.Logger) *Server {
-	return &Server{
-		backend: backend,
-		lock:    lock,
-		logger:  logger,
-		conns:   make(map[net.Conn]struct{}),
-	}
+	return &Server{backend: backend, lock: lock, logger: logger}
 }
 
-// Listen starts accepting TCP connections on addr and returns the bound
-// address (useful with ":0").
+// Listen starts accepting TCP connections on addr, each served by ServeConn,
+// and returns the bound address (useful with ":0").
 func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr(), nil
+	return s.acc.Listen(addr, s.logger, s.ServeConn)
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.ServeConn(conn)
-		}()
-	}
-}
-
-// ServeConn answers requests on conn until EOF or error: what a TCP daemon
-// runs, on a goroutine of its own, per connection. (A simulation calls
+// ServeConn answers requests on conn until EOF or error, then hangs up: what
+// a TCP daemon runs, on a goroutine of its Acceptor, per connection, and
+// what a caller holding one end of a net.Pipe runs. (A simulation calls
 // through InProcessConn instead.)
 func (s *Server) ServeConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
+	defer conn.Close()
 	frames := NewFrameReader(conn)
 	for {
 		// The read carries no deadline: a peer connection idles between
@@ -206,18 +160,4 @@ func setErr(resp *Response, err error) {
 
 // Close stops the listener and all connections, then waits for the serving
 // goroutines to drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.acc.Close() }
