@@ -8,7 +8,9 @@
 // A Manager is driven entirely by a sim.Engine; the live daemon wraps the
 // same Manager in a real-time driver. Managers in different domains talk to
 // each other only through the cosched.Peer interface, so a direct in-process
-// peer and the wire protocol are interchangeable.
+// peer and the wire protocol are interchangeable. Run_Job's decision is a
+// pure function (decide) between the peer exchanges, and every decision
+// site changes job state through one apply step.
 package resmgr
 
 import (
@@ -192,7 +194,7 @@ type Manager struct {
 	holdBudget   int
 	holdsRefused uint64
 
-	// ord, releasesBuf, eligBuf, and planBuf are reusable per-iteration
+	// ord, releasesBuf, eligBuf, planBuf and mateBuf are reusable per-iteration
 	// buffers; Iterate runs on every queue/pool change, so allocating them
 	// fresh each time is a measurable share of a simulation's allocation
 	// bill. boostFn and estFn pin the bound-method closures once instead
@@ -201,6 +203,7 @@ type Manager struct {
 	releasesBuf []backfill.Release
 	eligBuf     []*job.Job
 	planBuf     []backfill.Decision
+	mateBuf     []mate
 	boostFn     policy.Boost
 	estFn       backfill.EstimateFunc
 
@@ -698,7 +701,7 @@ func (m *Manager) Iterate(now sim.Time) {
 
 	// A job that yielded at this instant gave up its slot for the rest of
 	// the instant: excluding it from the plan lets other jobs use the
-	// nodes it declined (the "additional scheduling iteration" yieldJob
+	// nodes it declined (the "additional scheduling iteration" a yield
 	// requests), and prevents a yield livelock within one event time.
 	eligible := m.queue
 	if m.lastYield == now {
@@ -771,225 +774,241 @@ func (m *Manager) withoutYielders(now sim.Time) []*job.Job {
 	return buf
 }
 
+// mate is one of a ready job's mates, kept in mateBuf in j.Mates order:
+// RunJob's probe fills it and decide sets its step.
+type mate struct {
+	peer  cosched.Peer
+	ref   job.MateRef
+	probe cosched.MateProbe
+	err   error // no peer for the mate's domain, or the probe failed
+	step  step
+}
+
+// step is what the co-start exchange does with one mate.
+type step uint8
+
+const (
+	stepNone    step = iota // the mate imposes no constraint
+	stepTry                 // queuing or unsubmitted: try_start_mate at the co-start instant
+	stepRelease             // holding: start_mate once the job has started
+)
+
+// verdict is what apply does with a job.
+type verdict uint8
+
+const (
+	start verdict = iota
+	hold
+	yield
+)
+
+// plan is decide's answer. Without coStart, v is the verdict. With it,
+// every stepTry mate is tried first: if all accept, the job starts and every
+// stepRelease mate is started; otherwise v (hold or yield) is the verdict.
+type plan struct {
+	coStart bool
+	v       verdict
+	refused bool // the hold budget turned a hold into the yield v
+}
+
+// knobs is the local state decide reads besides the job and its mates.
+type knobs struct {
+	cfg                 cosched.Config
+	holdSafe            bool // see RunJob
+	held, charge, total int  // nodes held now, the job's charge, the pool's size
+	holding, holdBudget int  // jobs holding now, and their cap (see SetHoldBudget)
+}
+
+// decide is Algorithm 1's decision for a ready job j, made from the local
+// knobs and the mates' probes alone: it does no I/O and changes nothing but
+// the mates' steps.
+func decide(j *job.Job, k knobs, mates []mate) plan {
+	// Lines 34–36: coscheduling disabled → start normally.
+	if !k.cfg.Enabled || !j.Paired() {
+		return plan{v: start}
+	}
+	// Partition the mates by what a simultaneous start needs. Fault
+	// tolerance: a mate whose peer is unconfigured or fails, that the peer
+	// does not know (lines 25–26 / 30–31), or that is already past
+	// coordination (running after a fault-tolerance fallback start,
+	// completed, cancelled) imposes no constraint. Every mate that needs a
+	// try must have probed as startable before any try is sent (for 2-way,
+	// one probe + one try: the paper's tryStartMate exchange). An N-way
+	// start is still not atomic: a refused try leaves the mates already
+	// tried running (ROADMAP item 11).
+	constrained, allStartable := false, true
+	for i := range mates {
+		mt, st := &mates[i], mates[i].probe.Status
+		mt.step = stepNone
+		switch {
+		case mt.err != nil || !mt.probe.Known:
+		case st == cosched.StatusHolding:
+			mt.step = stepRelease
+		case st == cosched.StatusQueuing || st == cosched.StatusUnsubmitted:
+			mt.step = stepTry
+			allStartable = allStartable && mt.probe.CanStart
+		}
+		constrained = constrained || mt.step != stepNone
+	}
+	if !constrained {
+		return plan{v: start}
+	}
+
+	// Lines 16–23: if the mate cannot run now, hold or yield per the local
+	// scheme with the §IV-E2 threshold rules. A hold that would delay a
+	// blocked higher-priority job's backfill reservation is downgraded to a
+	// yield regardless of configuration.
+	p := plan{coStart: allStartable, v: hold}
+	if k.cfg.Scheme == cosched.Yield || !k.holdSafe {
+		p.v = yield
+	}
+	// Max-yield escalation: a job that yielded too often may hold.
+	if p.v == yield && k.cfg.MaxYields > 0 && j.YieldCount >= k.cfg.MaxYields {
+		p.v = hold
+	}
+	// Held-fraction cap: a hold that would exceed the cap yields instead.
+	if p.v == hold && float64(k.held+k.charge)/float64(k.total) > k.cfg.EffectiveMaxHeldFraction() {
+		p.v = yield
+	}
+	// Degraded-mode hold budget: a journal-less daemon refuses holds
+	// beyond the ceiling — holds are exactly the state that cannot be
+	// rebuilt after a crash without a journal, so the budget bounds the
+	// blast radius while durability is gone. Refused holds yield.
+	if p.v == hold && k.holdBudget >= 0 && k.holding >= k.holdBudget {
+		p.v, p.refused = yield, true
+	}
+	return p
+}
+
 // RunJob is Algorithm 1: start, hold, or yield a scheduled job j that the
 // planner selected to run now with sufficient free nodes. holdSafe reports
 // whether the job may occupy its nodes indefinitely without trampling the
 // backfill reservation of a blocked higher-priority job; a job admitted
 // only for its bounded walltime must yield rather than hold, since a hold
 // is an unbounded occupation the EASY guarantee cannot absorb.
+//
+// It probes every mate (known, status and can-start in one exchange per
+// mate), decides, runs the plan's exchanges, and applies the verdict.
 func (m *Manager) RunJob(j *job.Job, now sim.Time, holdSafe bool) {
 	j.MarkReady(now)
-
-	// Lines 34–36: coscheduling disabled → start normally.
-	if !m.cfg.Enabled || !j.Paired() {
-		m.startJobAt(j, now, now)
-		return
-	}
-
-	// Probe every mate (one for the paper's pairs; several for the N-way
-	// extension) — known, status and can-start come from one exchange per
-	// mate — and partition them by what must happen for a simultaneous
-	// start. Fault tolerance: a mate whose peer is unconfigured or fails,
-	// that the peer does not know (lines 25–26 / 30–31), or that is already
-	// past coordination (running after a fault-tolerance fallback start,
-	// completed, cancelled) imposes no constraint.
-	type mateInfo struct {
-		peer cosched.Peer
-		ref  job.MateRef
-	}
-	// Coordination sets are tiny (one mate for the paper's pairs, a
-	// handful for N-way groups); stack-backed storage keeps this hot path
-	// off the heap, falling back to append growth only past 4 mates.
-	var releaseArr, tryArr [4]mateInfo
-	toRelease := releaseArr[:0] // holding: release into run once we start
-	toTry := tryArr[:0]         // queuing/unsubmitted: need TryStartMate
-	// An N-way group never starts partially: every mate that needs a
-	// TryStartMate must have probed as startable before any is issued.
-	// (For 2-way this is one probe + one try, matching the paper's
-	// tryStartMate exchange.)
-	allStartable := true
-	for _, ref := range j.Mates {
-		p, err := m.peerFor(ref)
-		if err != nil {
-			continue
-		}
-		probe, err := cosched.ProbeMate(p, ref.Job)
-		if err != nil || !probe.Known {
-			continue
-		}
-		switch probe.Status {
-		case cosched.StatusHolding:
-			toRelease = append(toRelease, mateInfo{p, ref})
-		case cosched.StatusQueuing, cosched.StatusUnsubmitted:
-			toTry = append(toTry, mateInfo{p, ref})
-			allStartable = allStartable && probe.CanStart
+	mates := m.mateBuf[:0]
+	if m.cfg.Enabled {
+		for _, ref := range j.Mates {
+			mt := mate{ref: ref}
+			if mt.peer, mt.err = m.peerFor(ref); mt.err == nil {
+				mt.probe, mt.err = cosched.ProbeMate(mt.peer, ref.Job)
+			}
+			mates = append(mates, mt)
 		}
 	}
-	if len(toRelease)+len(toTry) == 0 {
-		m.startJobAt(j, now, now)
-		return
-	}
+	m.mateBuf = mates
 
-	if allStartable {
-		// The resolver proposes now as the group's co-start instant; every
-		// callee records it verbatim (see cosched.CoStarter), so the whole
-		// group shares one start time even across live wall clocks.
-		started := true
-		for _, mi := range toTry {
-			ok, err := tryStartMateAt(mi.peer, mi.ref.Job, now)
-			if err != nil || !ok {
-				started = false
+	p := decide(j, knobs{cfg: m.cfg, holdSafe: holdSafe, held: m.pool.Held(), charge: m.pool.ChargeFor(j.Nodes),
+		total: m.pool.Total(), holding: len(m.holding), holdBudget: m.holdBudget}, mates)
+	// The resolver proposes now as the group's co-start instant; every
+	// callee records it verbatim (see cosched.CoStarter), so the whole
+	// group shares one start time even across live wall clocks.
+	v := p.v
+	if p.coStart {
+		v = start
+		for _, mt := range mates {
+			if mt.step != stepTry {
+				continue
+			}
+			if ok, err := tryStartMateAt(mt.peer, mt.ref.Job, now); err != nil || !ok {
+				v = p.v
 				break
 			}
 		}
-		if started {
-			// Line 14 + lines 7–8: start self, then release holders.
-			m.startJobAt(j, now, now)
-			for _, mi := range toRelease {
-				if err := startMateAt(mi.peer, mi.ref.Job, now); err != nil {
-					// Peer failure after our start: nothing to undo —
-					// the mate's own fault tolerance applies.
-					continue
-				}
-			}
-			return
-		}
 	}
-
-	// Lines 16–23: mate cannot run now → hold or yield per local scheme.
-	m.holdOrYield(j, now, holdSafe)
-}
-
-// holdOrYield applies the locally configured scheme with the §IV-E2
-// threshold adjustments and the reservation-safety constraint.
-func (m *Manager) holdOrYield(j *job.Job, now sim.Time, holdSafe bool) {
-	scheme := m.cfg.Scheme
-
-	// A hold that would delay a blocked higher-priority job's backfill
-	// reservation is downgraded to a yield regardless of configuration.
-	if !holdSafe {
-		scheme = cosched.Yield
-	}
-
-	// Max-yield escalation: a job that yielded too often may hold.
-	if scheme == cosched.Yield && m.cfg.MaxYields > 0 && j.YieldCount >= m.cfg.MaxYields {
-		scheme = cosched.Hold
-	}
-	// Held-fraction cap: a hold that would exceed the cap yields instead.
-	if scheme == cosched.Hold {
-		maxFrac := m.cfg.EffectiveMaxHeldFraction()
-		charge := m.pool.ChargeFor(j.Nodes)
-		frac := float64(m.pool.Held()+charge) / float64(m.pool.Total())
-		if frac > maxFrac {
-			scheme = cosched.Yield
-		}
-	}
-	// Degraded-mode hold budget: a journal-less daemon refuses holds
-	// beyond the ceiling — holds are exactly the state that cannot be
-	// rebuilt after a crash without a journal, so the budget bounds the
-	// blast radius while durability is gone. Refused holds yield.
-	if scheme == cosched.Hold && m.holdBudget >= 0 && len(m.holding) >= m.holdBudget {
+	if v == yield && p.refused {
 		m.holdsRefused++
-		scheme = cosched.Yield
 	}
-
-	if scheme == cosched.Hold {
-		m.holdJob(j, now)
-	} else {
-		m.yieldJob(j, now)
+	m.apply(j, v, now, now)
+	if p.coStart && v == start {
+		// Line 14 + lines 7–8: started self, now release the holders. A
+		// peer failure after our start has nothing to undo — the mate's
+		// own fault tolerance applies.
+		for _, mt := range mates {
+			if mt.step == stepRelease {
+				_ = startMateAt(mt.peer, mt.ref.Job, now)
+			}
+		}
 	}
 }
 
-// startJobAt transitions a queued job to Running on freshly allocated nodes
-// (the planner guaranteed the allocation fits), schedules its completion and
-// records `at` as the job's start instant. at == now everywhere except when
-// a remote resolver proposed the co-start instant over the wire
-// (cosched.CoStarter) or a reconciliation adopts a surviving mate's
-// historical start; the completion is always scheduled from the local clock,
-// so adopted instants never rewind the engine.
+// apply carries out verdict v on job j at now, and every decision site
+// applies through it:
+//   - start: a queued job runs on freshly allocated nodes, a holding job's
+//     held nodes convert to a run (held time accrues to now, whatever
+//     instant the pair agrees to record). The job records at as its start
+//     instant. at == now everywhere except when a remote resolver proposed
+//     the co-start instant over the wire (cosched.CoStarter) or a
+//     reconciliation adopts a surviving mate's historical start; the
+//     completion is always scheduled from the local clock, so adopted
+//     instants never rewind the engine.
+//   - hold: self.holdJob(j, N) allocates the nodes as held and arms the
+//     periodic release timer.
+//   - yield: self.yieldJob(j) keeps the job queued, records the yield and
+//     requests another scheduling iteration so other jobs can use the nodes
+//     it declined.
+//
+// apply accepts node state that changed since the decision: Iterate plans
+// once and then runs several jobs, and an earlier hold or a mate's try can
+// take nodes the plan counted. A start or hold of a queued job whose
+// allocation fails leaves the job queued, fires no observer event and moves
+// no IterOutcome; the next iteration decides again. Only a held start
+// reports an error.
 //
 //simlint:hotpath
-func (m *Manager) startJobAt(j *job.Job, at, now sim.Time) {
-	alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocRun)
-	if err != nil {
-		// Plan raced with a TryStartMate that consumed nodes; leave the
-		// job queued for the next iteration.
-		return
+func (m *Manager) apply(j *job.Job, v verdict, at, now sim.Time) error {
+	rec := m.recs[j.Sched]
+	if v == yield {
+		j.YieldCount++
+		rec.yieldAt, m.lastYield = now, now
+		m.outcome = max(m.outcome, IterYielded)
+		m.obs.JobYielded(now, j)
+		m.RequestIteration()
+		return nil
 	}
-	if err := j.Advance(job.Running); err != nil {
-		_ = m.pool.Release(now, alloc.ID)
-		panic(fmt.Sprintf("resmgr %s: startJob: %v", m.name, err))
+	state, kind := job.Running, cluster.AllocRun
+	if v == hold {
+		state, kind = job.Holding, cluster.AllocHold
+	}
+	if j.State == job.Holding {
+		if _, err := m.pool.Convert(now, rec.alloc.ID, kind); err != nil {
+			return err
+		}
+		setDrop(&m.holding, rec)
+		m.scheduleReleaseScan()
+		j.HeldNodeSeconds += int64(rec.alloc.Allocated) * (now - j.HoldStart)
+	} else {
+		alloc, err := m.pool.Allocate(now, j.Nodes, kind)
+		if err != nil {
+			return nil
+		}
+		m.removeFromQueue(j)
+		rec.alloc = alloc
+	}
+	if err := j.Advance(state); err != nil {
+		panic(fmt.Sprintf("resmgr %s: apply: %v", m.name, err))
+	}
+	if v == hold {
+		j.HoldStart = now
+		j.HoldCount++
+		setAdd(&m.holding, rec)
+		m.outcome = max(m.outcome, IterHeld)
+		m.obs.JobHeld(now, j)
+		m.scheduleReleaseScan()
+		return nil
 	}
 	j.StartTime = at
-	m.removeFromQueue(j)
-	rec := m.recs[j.Sched]
-	rec.alloc = alloc
 	m.runReleaseAdd(rec)
 	setAdd(&m.running, rec)
 	rec.end = m.eng.AfterArg(j.Runtime, sim.PriorityEnd, m.completeFn, rec)
 	m.outcome = IterStarted
 	m.obs.JobStarted(at, j)
-}
-
-// startHeldJobAt converts a Holding job's allocation to Run and schedules
-// completion — the "its mate got ready, start now" path — recording `at` as
-// the start instant (see startJobAt). Held-node-seconds accrue to the local
-// clock: the hold really did occupy nodes until now, whatever instant the
-// pair agrees to record.
-func (m *Manager) startHeldJobAt(j *job.Job, at, now sim.Time) error {
-	if j.State != job.Holding {
-		return fmt.Errorf("%w: job %d not holding", ErrBadState, j.ID)
-	}
-	rec := m.recs[j.Sched]
-	if _, err := m.pool.Convert(now, rec.alloc.ID, cluster.AllocRun); err != nil {
-		return err
-	}
-	setDrop(&m.holding, rec)
-	m.scheduleReleaseScan()
-	j.HeldNodeSeconds += int64(rec.alloc.Allocated) * (now - j.HoldStart)
-	if err := j.Advance(job.Running); err != nil {
-		panic(fmt.Sprintf("resmgr %s: startHeldJob: %v", m.name, err))
-	}
-	j.StartTime = at
-	m.runReleaseAdd(rec)
-	setAdd(&m.running, rec)
-	rec.end = m.eng.AfterArg(j.Runtime, sim.PriorityEnd, m.completeFn, rec)
-	m.obs.JobStarted(at, j)
 	return nil
-}
-
-// holdJob implements self.holdJob(j, N): allocate the nodes as held and
-// arm the periodic release timer.
-func (m *Manager) holdJob(j *job.Job, now sim.Time) {
-	alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocHold)
-	if err != nil {
-		return // lost the nodes inside this iteration; stay queued
-	}
-	if err := j.Advance(job.Holding); err != nil {
-		_ = m.pool.Release(now, alloc.ID)
-		panic(fmt.Sprintf("resmgr %s: holdJob: %v", m.name, err))
-	}
-	j.HoldStart = now
-	j.HoldCount++
-	m.removeFromQueue(j)
-	rec := m.recs[j.Sched]
-	rec.alloc = alloc
-	setAdd(&m.holding, rec)
-	m.outcome = max(m.outcome, IterHeld)
-	m.obs.JobHeld(now, j)
-	m.scheduleReleaseScan()
-}
-
-// yieldJob implements self.yieldJob(j): the job stays queued, its yield is
-// recorded, and another scheduling iteration is requested so other jobs can
-// use the nodes it declined.
-func (m *Manager) yieldJob(j *job.Job, now sim.Time) {
-	j.YieldCount++
-	m.recs[j.Sched].yieldAt = now
-	m.lastYield = now
-	m.outcome = max(m.outcome, IterYielded)
-	m.obs.JobYielded(now, j)
-	m.RequestIteration()
 }
 
 // unhold ends rec's job's hold: held time accrued to now, nodes back in the
@@ -1137,46 +1156,39 @@ func (m *Manager) PeerName() string { return m.name }
 // GetMateJob implements cosched.Peer: true if the job is registered here in
 // any state.
 func (m *Manager) GetMateJob(id job.ID) (bool, error) {
-	_, ok := m.jobs[id]
-	return ok, nil
+	p, _ := m.ProbeMate(id)
+	return p.Known, nil
 }
 
 // GetMateStatus implements cosched.Peer.
 func (m *Manager) GetMateStatus(id job.ID) (cosched.MateStatus, error) {
-	j, ok := m.jobs[id]
-	if !ok {
-		return cosched.StatusUnknown, nil
-	}
-	return cosched.FromJobState(j.State), nil
+	p, _ := m.ProbeMate(id)
+	return p.Status, nil
 }
 
 // CanStartMate implements cosched.Peer: reports whether TryStartMate would
 // succeed right now, without side effects.
 func (m *Manager) CanStartMate(id job.ID) (bool, error) {
-	j, ok := m.jobs[id]
-	return ok && m.canStart(j), nil
+	p, _ := m.ProbeMate(id)
+	return p.CanStart, nil
 }
 
-// canStart is CanStartMate's answer for a registered job.
-func (m *Manager) canStart(j *job.Job) bool {
-	switch j.State {
-	case job.Queued:
-		return m.pool.CanAllocate(j.Nodes)
-	case job.Holding, job.Running:
-		return true
-	default:
-		return false
-	}
-}
-
-// ProbeMate implements cosched.Prober: the three queries above from one
-// lookup.
+// ProbeMate implements cosched.Prober: the answers to the three queries
+// above from one lookup. An unknown job's probe is the zero MateProbe, whose
+// status is StatusUnknown.
 func (m *Manager) ProbeMate(id job.ID) (cosched.MateProbe, error) {
 	j, ok := m.jobs[id]
 	if !ok {
 		return cosched.MateProbe{}, nil
 	}
-	return cosched.MateProbe{Known: true, Status: cosched.FromJobState(j.State), CanStart: m.canStart(j)}, nil
+	p := cosched.MateProbe{Known: true, Status: cosched.FromJobState(j.State)}
+	switch j.State {
+	case job.Queued:
+		p.CanStart = m.pool.CanAllocate(j.Nodes)
+	case job.Holding, job.Running:
+		p.CanStart = true
+	}
+	return p, nil
 }
 
 // TryStartMate implements cosched.Peer: the "additional scheduling
@@ -1190,31 +1202,7 @@ func (m *Manager) TryStartMate(id job.ID) (bool, error) {
 // TryStartMateAt implements cosched.CoStarter: TryStartMate recording the
 // caller's proposed co-start instant as the mate's StartTime.
 func (m *Manager) TryStartMateAt(id job.ID, at sim.Time) (bool, error) {
-	j, ok := m.jobs[id]
-	if !ok {
-		m.obs.PeerDecision(m.eng.Now(), "try_start_mate", id, false)
-		return false, nil
-	}
-	now := m.eng.Now()
-	started := false
-	switch j.State {
-	case job.Queued:
-		if m.pool.CanAllocate(j.Nodes) {
-			j.MarkReady(now)
-			m.startJobAt(j, at, now)
-			started = j.State == job.Running
-		}
-	case job.Holding:
-		if err := m.startHeldJobAt(j, at, now); err != nil {
-			m.obs.PeerDecision(now, "try_start_mate", id, false)
-			return false, err
-		}
-		started = true
-	case job.Running:
-		started = true
-	}
-	m.obs.PeerDecision(now, "try_start_mate", id, started)
-	return started, nil
+	return m.startMate("try_start_mate", id, at)
 }
 
 // StartMate implements cosched.Peer: release a holding mate into execution
@@ -1226,22 +1214,33 @@ func (m *Manager) StartMate(id job.ID) error {
 // StartMateAt implements cosched.CoStarter: StartMate recording the
 // caller's proposed co-start instant as the mate's StartTime.
 func (m *Manager) StartMateAt(id job.ID, at sim.Time) error {
-	j, ok := m.jobs[id]
-	if !ok {
-		m.obs.PeerDecision(m.eng.Now(), "start_mate", id, false)
-		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
-	}
+	_, err := m.startMate("start_mate", id, at)
+	return err
+}
+
+// startMate is the callee's side of both start requests: read the job's
+// state, apply a start at the proposed instant, and report the outcome to
+// the observer once. A try may start a queued job that fits; a start_mate
+// wants a holding one and errs on anything but holding or running.
+func (m *Manager) startMate(method string, id job.ID, at sim.Time) (bool, error) {
 	now := m.eng.Now()
-	switch j.State {
-	case job.Holding:
-		err := m.startHeldJobAt(j, at, now)
-		m.obs.PeerDecision(now, "start_mate", id, err == nil)
-		return err
-	case job.Running:
-		m.obs.PeerDecision(now, "start_mate", id, true)
-		return nil
-	default:
-		m.obs.PeerDecision(now, "start_mate", id, false)
-		return fmt.Errorf("%w: job %d is %s, want holding", ErrBadState, id, j.State)
+	try := method == "try_start_mate"
+	j, ok := m.jobs[id]
+	var err error
+	switch {
+	case !ok:
+		if !try {
+			err = fmt.Errorf("%w: %d", ErrUnknownJob, id)
+		}
+	case j.State == job.Holding:
+		err = m.apply(j, start, at, now)
+	case j.State == job.Queued && try && m.pool.CanAllocate(j.Nodes):
+		j.MarkReady(now)
+		m.apply(j, start, at, now)
+	case j.State != job.Running && !try:
+		err = fmt.Errorf("%w: job %d is %s, want holding", ErrBadState, id, j.State)
 	}
+	started := ok && err == nil && j.State == job.Running
+	m.obs.PeerDecision(now, method, id, started)
+	return started, err
 }

@@ -8,8 +8,9 @@
 package resmgr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cosched/internal/cluster"
 	"cosched/internal/cosched"
@@ -40,24 +41,23 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 		m.addJob(j)
 		m.acquireRec(j)
 		m.enqueue(j)
-	case job.Holding:
-		alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocHold)
+	case job.Holding, job.Running:
+		kind := cluster.AllocRun
+		if j.State == job.Holding {
+			kind = cluster.AllocHold
+		}
+		alloc, err := m.pool.Allocate(now, j.Nodes, kind)
 		if err != nil {
-			return fmt.Errorf("restore hold for job %d: %w", j.ID, err)
+			return fmt.Errorf("restore %s job %d: %w", j.State, j.ID, err)
 		}
 		m.addJob(j)
 		rec := m.acquireRec(j)
 		rec.alloc = alloc
-		setAdd(&m.holding, rec)
-		m.scheduleReleaseScan()
-	case job.Running:
-		alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocRun)
-		if err != nil {
-			return fmt.Errorf("restore run for job %d: %w", j.ID, err)
+		if j.State == job.Holding {
+			setAdd(&m.holding, rec)
+			m.scheduleReleaseScan()
+			break
 		}
-		m.addJob(j)
-		rec := m.acquireRec(j)
-		rec.alloc = alloc
 		m.runReleaseAdd(rec)
 		setAdd(&m.running, rec)
 		end := j.StartTime + sim.Time(j.Runtime)
@@ -83,29 +83,18 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 	return nil
 }
 
-// releaseHold returns one holding job to the queue (outside the periodic
-// release scan): nodes freed, held time accrued, job requeued without the
-// demotion the scan applies. Used by reconciliation when the mate no longer
-// knows the job — it re-enters Run_Job on the next iteration, where the
-// unknown mate now means "start normally".
-func (m *Manager) releaseHold(j *job.Job, now sim.Time) {
-	m.requeueHeld(m.recs[j.Sched], now)
-	m.obs.JobReleased(now, j, true)
-	m.scheduleReleaseScan()
-	m.RequestIteration()
+// byID returns every registered job in ascending ID order.
+func (m *Manager) byID() []*job.Job {
+	out := slices.Clone(m.all)
+	slices.SortFunc(out, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // mateViews reports this manager's side of every pair shared with the named
 // domain, sorted by local job ID for deterministic exchanges.
 func (m *Manager) mateViews(domain string) []cosched.MateView {
-	ids := make([]job.ID, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	var out []cosched.MateView
-	for _, id := range ids {
-		j := m.jobs[id]
+	for _, j := range m.byID() {
 		for _, ref := range j.Mates {
 			if ref.Domain != domain {
 				continue
@@ -130,14 +119,8 @@ func (m *Manager) mateViews(domain string) []cosched.MateView {
 // Run_Job, start normally against our dead daemon) instead of waiting out
 // its release interval. Domains iterate in sorted order.
 func (m *Manager) DrainViews() map[string][]cosched.MateView {
-	ids := make([]job.ID, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	out := make(map[string][]cosched.MateView)
-	for _, id := range ids {
-		j := m.jobs[id]
+	for _, j := range m.byID() {
 		if j.State == job.Completed || j.State == job.Cancelled {
 			continue
 		}
@@ -152,43 +135,98 @@ func (m *Manager) DrainViews() map[string][]cosched.MateView {
 	return out
 }
 
-// ReconcileMates implements cosched.Reconciler (the callee side): apply the
-// caller's views to our holds, then report our current views back.
-//
-// For each of our holds paired into the calling domain:
-//   - the caller doesn't report the mate (or reports unknown) — the mate is
-//     lost; release the hold so Run_Job's fault tolerance takes over;
-//   - the mate is already running or completed — start now, adopting the
-//     mate's recorded start instant so the pair's log stays byte-exact;
-//   - the mate is holding too — keep holding; only the caller resolves
-//     both-holding, so exactly one resolver proposes the co-start instant;
-//   - the mate is queued or unsubmitted — keep holding, it is still coming.
-//
-// The exchange is idempotent: every action moves state toward agreement and
-// repeats as a no-op, so peerlink may retry it safely.
-func (m *Manager) ReconcileMates(from string, views []cosched.MateView) ([]cosched.MateView, error) {
-	now := m.eng.Now()
+// resolution is what one of our holds does about its mate's status as the
+// peer reported it in a reconciliation exchange.
+type resolution uint8
+
+const (
+	keep    resolution = iota // the mate is still coming: keep holding
+	release                   // the mate is lost: back to the queue
+	adopt                     // the mate already started: start at its instant
+	coStart                   // both hold: the caller co-starts the pair now
+)
+
+// resolve is the one rule resolving a hold against its mate's status (an
+// unreported pair reads as StatusUnknown):
+//   - unknown — the mate is lost; release the hold without the scan's
+//     demotion, so the job re-enters Run_Job, where the unknown mate now
+//     means "start normally";
+//   - running or completed — start now, adopting the mate's recorded start
+//     instant so the pair's log stays byte-exact;
+//   - holding — only the caller resolves both-holding, so exactly one
+//     resolver proposes the co-start instant; the callee keeps holding;
+//   - queued or unsubmitted — keep holding, the mate is still coming.
+func resolve(mate cosched.MateStatus, caller bool) resolution {
+	switch {
+	case mate == cosched.StatusUnknown:
+		return release
+	case mate == cosched.StatusRunning || mate == cosched.StatusCompleted:
+		return adopt
+	case mate == cosched.StatusHolding && caller:
+		return coStart
+	}
+	return keep
+}
+
+// resolveHolds resolves every hold of ours among views against the peer's
+// views (theirs) and counts the outcomes in rep. coStartMate starts the
+// mate of a both-holding pair at the proposed instant; the callee passes
+// nil, and never co-starts.
+func (m *Manager) resolveHolds(rep *ReconcileReport, views, theirs []cosched.MateView, coStartMate func(job.ID, sim.Time) error) error {
 	type pairKey struct{ local, mate job.ID }
-	reported := make(map[pairKey]cosched.MateView, len(views))
-	for _, v := range views {
-		// The caller's Local is our Mate and vice versa.
+	reported := make(map[pairKey]cosched.MateView, len(theirs))
+	for _, v := range theirs {
+		// Their Local is our Mate and vice versa.
 		reported[pairKey{local: v.Mate, mate: v.Local}] = v
 	}
-	for _, ours := range m.mateViews(from) {
+	now := m.eng.Now()
+	for _, ours := range views {
 		j := m.jobs[ours.Local]
 		if j == nil || j.State != job.Holding {
 			continue
 		}
-		rv, known := reported[pairKey{local: ours.Local, mate: ours.Mate}]
-		switch {
-		case !known || rv.Status == cosched.StatusUnknown:
-			m.releaseHold(j, now)
-		case rv.Status == cosched.StatusRunning || rv.Status == cosched.StatusCompleted:
-			if err := m.startHeldJobAt(j, rv.Start, now); err != nil {
-				return nil, fmt.Errorf("reconcile adopt start for job %d: %w", j.ID, err)
-			}
+		rv := reported[pairKey{local: ours.Local, mate: ours.Mate}]
+		at := rv.Start
+		switch resolve(rv.Status, coStartMate != nil) {
+		case keep:
+			rep.Kept++
+			continue
+		case release:
+			m.requeueHeld(m.recs[j.Sched], now)
+			m.obs.JobReleased(now, j, true)
+			m.scheduleReleaseScan()
 			m.RequestIteration()
+			rep.Released++
+			continue
+		case coStart:
+			// Our clock is the proposed instant; the peer records it verbatim.
+			if err := coStartMate(ours.Mate, now); err != nil {
+				rep.Kept++ // peer unreachable mid-handshake; retry later
+				continue
+			}
+			at = now
+			rep.CoStarts++
+		default:
+			rep.Adopted++
 		}
+		if err := m.apply(j, start, at, now); err != nil {
+			return fmt.Errorf("reconcile start of job %d: %w", j.ID, err)
+		}
+		m.RequestIteration()
+	}
+	return nil
+}
+
+// ReconcileMates implements cosched.Reconciler (the callee side): resolve
+// our holds paired into the calling domain against the caller's views, then
+// report our current views back.
+//
+// The exchange is idempotent: every action moves state toward agreement and
+// repeats as a no-op, so peerlink may retry it safely.
+func (m *Manager) ReconcileMates(from string, views []cosched.MateView) ([]cosched.MateView, error) {
+	var rep ReconcileReport
+	if err := m.resolveHolds(&rep, m.mateViews(from), views, nil); err != nil {
+		return nil, err
 	}
 	return m.mateViews(from), nil
 }
@@ -220,47 +258,8 @@ func (m *Manager) ReconcileWith(domain string, p cosched.Peer) (ReconcileReport,
 	if err != nil {
 		return rep, err
 	}
-	type pairKey struct{ local, mate job.ID }
-	theirs := make(map[pairKey]cosched.MateView, len(resp))
-	for _, v := range resp {
-		theirs[pairKey{local: v.Mate, mate: v.Local}] = v
-	}
-	now := m.eng.Now()
-	changed := false
-	for _, ours := range views {
-		j := m.jobs[ours.Local]
-		if j == nil || j.State != job.Holding {
-			continue
-		}
-		rv, known := theirs[pairKey{local: ours.Local, mate: ours.Mate}]
-		switch {
-		case !known || rv.Status == cosched.StatusUnknown:
-			m.releaseHold(j, now)
-			rep.Released++
-		case rv.Status == cosched.StatusHolding:
-			// Both sides held through the crash: co-start now. Our clock is
-			// the proposed instant; the peer records it verbatim.
-			if err := startMateAt(p, ours.Mate, now); err != nil {
-				rep.Kept++ // peer unreachable mid-handshake; retry later
-				continue
-			}
-			if err := m.startHeldJobAt(j, now, now); err != nil {
-				return rep, fmt.Errorf("reconcile co-start of job %d: %w", j.ID, err)
-			}
-			rep.CoStarts++
-			changed = true
-		case rv.Status == cosched.StatusRunning || rv.Status == cosched.StatusCompleted:
-			if err := m.startHeldJobAt(j, rv.Start, now); err != nil {
-				return rep, fmt.Errorf("reconcile adopt start for job %d: %w", j.ID, err)
-			}
-			rep.Adopted++
-			changed = true
-		default:
-			rep.Kept++
-		}
-	}
-	if changed {
-		m.RequestIteration()
-	}
-	return rep, nil
+	err = m.resolveHolds(&rep, views, resp, func(mate job.ID, at sim.Time) error {
+		return startMateAt(p, mate, at)
+	})
+	return rep, err
 }
