@@ -127,13 +127,13 @@ func TestTimeSeriesCSVIsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantSum = "511d20e80c7672d8edadc2fff39e5c8793ba16eee35d6268a15c999c421594d3"
+	const wantSum = "a7b6cc0c5af023073543a3132acc38d6c2b4e2b5f1155efa4470135f8165f7c7"
 	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != wantSum {
 		t.Fatalf("CSV sha256 = %x, want %s", sum, wantSum)
 	}
 	want := "time series (1442 samples) written to " + series + "\n" +
 		"hpc: peak held 11.2%, peak queue 0 jobs\n" +
-		"viz: peak held 100.0%, peak queue 20 jobs\n"
+		"viz: peak held 100.0%, peak queue 17 jobs\n"
 	if !bytes.HasPrefix(out, []byte(want)) {
 		t.Fatalf("stdout does not open with the summary:\n%s--- want\n%s", out, want)
 	}

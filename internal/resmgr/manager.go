@@ -862,8 +862,9 @@ func decide(j *job.Job, k knobs, mates []mate) plan {
 	if k.cfg.Scheme == cosched.Yield || !k.holdSafe {
 		p.v = yield
 	}
-	// Max-yield escalation: a job that yielded too often may hold.
-	if p.v == yield && k.cfg.MaxYields > 0 && j.YieldCount >= k.cfg.MaxYields {
+	// Max-yield escalation: a job that yielded too often may hold, if it
+	// may hold at all.
+	if p.v == yield && k.holdSafe && k.cfg.MaxYields > 0 && j.YieldCount >= k.cfg.MaxYields {
 		p.v = hold
 	}
 	// Held-fraction cap: a hold that would exceed the cap yields instead.

@@ -350,6 +350,33 @@ func TestMaxYieldsEscalatesToHold(t *testing.T) {
 	}
 }
 
+// TestMaxYieldsKeepsBackfillYielding: the max-yield escalation turns a
+// yield into a hold only for a hold-safe job. A job EASY admitted for its
+// bounded walltime ahead of a blocked job's reservation may start but not
+// hold, however often it has yielded.
+func TestMaxYieldsKeepsBackfillYielding(t *testing.T) {
+	cfg := cosched.DefaultConfig(cosched.Yield)
+	cfg.MaxYields = 1
+	eng, a, b := pairDomains(t, 100, 100, cfg, cfg)
+	filler := job.New(10, 60, 0, 1000, 1000) // runs until the reservation at 1000
+	head := job.New(11, 80, 1, 600, 600)     // blocked: 40 free, reserved at 1000
+	ja := job.New(1, 30, 2, 500, 500)        // backfilled: ends by 1000 but outgrows the 20 spare nodes
+	jb := job.New(1, 10, 5000, 600, 600)
+	nudge := job.New(12, 5, 50, 60, 60) // its arrival re-plans ja after one yield
+	pairJobs(ja, jb)
+	submitAll(t, a, filler, head, ja, nudge)
+	submitAll(t, b, jb)
+	eng.RunUntil(100)
+	if ja.State != job.Queued || ja.HoldCount != 0 || ja.YieldCount != 2 {
+		t.Fatalf("ja state=%s holds=%d yields=%d, want queued after two yields and no hold",
+			ja.State, ja.HoldCount, ja.YieldCount)
+	}
+	eng.Run()
+	if head.StartTime != 1000 {
+		t.Fatalf("head start = %d, want 1000: its reservation was trampled", head.StartTime)
+	}
+}
+
 func TestSubmitDuplicateRejected(t *testing.T) {
 	eng, a, _ := pairDomains(t, 10, 10, cosched.Config{}, cosched.Config{})
 	_ = eng
