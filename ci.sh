@@ -28,8 +28,8 @@ go run ./cmd/simlint -tags debug ./...
 
 # The lint package's own suite (golden rule fixtures, repo self-check with
 # the rule-admission check, JSON round-trip, and the written-once guards
-# TestPeerVocabularyWrittenOnce, TestObserverFanOutWrittenOnce and
-# TestAcceptLoopWrittenOnce) under -race: the engine type-checks and runs
+# TestPeerVocabularyWrittenOnce, TestPeerCallsOnlyInExchange,
+# TestObserverFanOutWrittenOnce and TestAcceptLoopWrittenOnce) under -race: the engine type-checks and runs
 # rules across GOMAXPROCS workers.
 go test -race -count=1 ./internal/lint
 

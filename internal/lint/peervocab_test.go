@@ -45,6 +45,61 @@ func TestPeerVocabularyWrittenOnce(t *testing.T) {
 	})
 }
 
+// TestPeerCallsOnlyInExchange: inside internal/resmgr, Algorithm 1's
+// decision (decide) and every apply step do no I/O; peer calls sit in two
+// exchange steps only, RunJob's (probe, try, start) and ReconcileWith's
+// handshake. A peer call is a coordination method called on anything but
+// the Manager itself, or a call of one of the helpers that make one
+// (cosched.ProbeMate, tryStartMateAt, startMateAt); the two local helpers'
+// own bodies are those calls.
+func TestPeerCallsOnlyInExchange(t *testing.T) {
+	dir := filepath.Join("internal", "resmgr") + string(filepath.Separator)
+	exchanges := map[string]bool{"RunJob": true, "ReconcileWith": true}
+	helpers := map[string]bool{"tryStartMateAt": true, "startMateAt": true}
+	inExchange := 0
+	eachNonTestFile(t, func(fset *token.FileSet, f *ast.File) {
+		if !strings.Contains(fset.Position(f.Pos()).Filename, dir) {
+			return
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || fn.Recv == nil && helpers[fn.Name.Name] {
+				continue
+			}
+			self := ""
+			if fn.Recv != nil && len(fn.Recv.List[0].Names) > 0 {
+				self = fn.Recv.List[0].Names[0].Name
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				peerCall := false
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					peerCall = helpers[fun.Name]
+				case *ast.SelectorExpr:
+					x, isIdent := fun.X.(*ast.Ident)
+					peerCall = peerVocabulary[fun.Sel.Name] && !(isIdent && x.Name == self)
+				}
+				switch {
+				case !peerCall:
+				case fn.Recv != nil && exchanges[fn.Name.Name]:
+					inExchange++
+				default:
+					t.Errorf("%s: %s calls %s; peer calls belong in RunJob's exchange step or ReconcileWith's handshake",
+						fset.Position(call.Pos()), fn.Name.Name, types.ExprString(call.Fun))
+				}
+				return true
+			})
+		}
+	})
+	if inExchange == 0 {
+		t.Error("found no peer call in RunJob or ReconcileWith; the guard no longer sees them")
+	}
+}
+
 // TestObserverFanOutWrittenOnce: resmgr.Tee is the only fan-out over
 // lifecycle observers. A named type or struct field holding a
 // resmgr.Observer (or a slice of them) is a hand-written forwarder or a

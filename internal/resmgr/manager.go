@@ -393,15 +393,6 @@ func (m *Manager) Skips() uint64 { return m.iterStats[IterElided] }
 // AddPeer registers the peer serving the named remote domain.
 func (m *Manager) AddPeer(domain string, p cosched.Peer) { m.peers[domain] = p }
 
-// peerFor returns the peer for a mate reference.
-func (m *Manager) peerFor(ref job.MateRef) (cosched.Peer, error) {
-	p, ok := m.peers[ref.Domain]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoPeer, ref.Domain)
-	}
-	return p, nil
-}
-
 // addJob is the single registration point for the job registry: every path
 // that writes m.jobs goes through it so the insertion-ordered mirror stays
 // consistent with the map.
@@ -822,7 +813,7 @@ type knobs struct {
 // decide is Algorithm 1's decision for a ready job j, made from the local
 // knobs and the mates' probes alone: it does no I/O and changes nothing but
 // the mates' steps.
-func decide(j *job.Job, k knobs, mates []mate) plan {
+func decide(j *job.Job, k *knobs, mates []mate) plan {
 	// Lines 34–36: coscheduling disabled → start normally.
 	if !k.cfg.Enabled || !j.Paired() {
 		return plan{v: start}
@@ -835,7 +826,7 @@ func decide(j *job.Job, k knobs, mates []mate) plan {
 	// try must have probed as startable before any try is sent (for 2-way,
 	// one probe + one try: the paper's tryStartMate exchange). An N-way
 	// start is still not atomic: a refused try leaves the mates already
-	// tried running (ROADMAP item 11).
+	// tried running (an open defect; see ROADMAP.md).
 	constrained, allStartable := false, true
 	for i := range mates {
 		mt, st := &mates[i], mates[i].probe.Status
@@ -895,16 +886,15 @@ func (m *Manager) RunJob(j *job.Job, now sim.Time, holdSafe bool) {
 	mates := m.mateBuf[:0]
 	if m.cfg.Enabled {
 		for _, ref := range j.Mates {
-			mt := mate{ref: ref}
-			if mt.peer, mt.err = m.peerFor(ref); mt.err == nil {
+			mt := mate{peer: m.peers[ref.Domain], ref: ref, err: ErrNoPeer}
+			if mt.peer != nil {
 				mt.probe, mt.err = cosched.ProbeMate(mt.peer, ref.Job)
 			}
 			mates = append(mates, mt)
 		}
 	}
 	m.mateBuf = mates
-
-	p := decide(j, knobs{cfg: m.cfg, holdSafe: holdSafe, held: m.pool.Held(), charge: m.pool.ChargeFor(j.Nodes),
+	p := decide(j, &knobs{cfg: m.cfg, holdSafe: holdSafe, held: m.pool.Held(), charge: m.pool.ChargeFor(j.Nodes),
 		total: m.pool.Total(), holding: len(m.holding), holdBudget: m.holdBudget}, mates)
 	// The resolver proposes now as the group's co-start instant; every
 	// callee records it verbatim (see cosched.CoStarter), so the whole
@@ -912,26 +902,25 @@ func (m *Manager) RunJob(j *job.Job, now sim.Time, holdSafe bool) {
 	v := p.v
 	if p.coStart {
 		v = start
-		for _, mt := range mates {
-			if mt.step != stepTry {
-				continue
-			}
-			if ok, err := tryStartMateAt(mt.peer, mt.ref.Job, now); err != nil || !ok {
-				v = p.v
-				break
+		for i := range mates {
+			if mt := &mates[i]; mt.step == stepTry {
+				if ok, err := tryStartMateAt(mt.peer, mt.ref.Job, now); err != nil || !ok {
+					v = p.v
+					break
+				}
 			}
 		}
 	}
 	if v == yield && p.refused {
 		m.holdsRefused++
 	}
-	m.apply(j, v, now, now)
+	_ = m.apply(j, v, now, now) // j is queued: only a held start errs
 	if p.coStart && v == start {
 		// Line 14 + lines 7–8: started self, now release the holders. A
 		// peer failure after our start has nothing to undo — the mate's
 		// own fault tolerance applies.
-		for _, mt := range mates {
-			if mt.step == stepRelease {
+		for i := range mates {
+			if mt := &mates[i]; mt.step == stepRelease {
 				_ = startMateAt(mt.peer, mt.ref.Job, now)
 			}
 		}
@@ -1237,7 +1226,7 @@ func (m *Manager) startMate(method string, id job.ID, at sim.Time) (bool, error)
 		err = m.apply(j, start, at, now)
 	case j.State == job.Queued && try && m.pool.CanAllocate(j.Nodes):
 		j.MarkReady(now)
-		m.apply(j, start, at, now)
+		err = m.apply(j, start, at, now)
 	case j.State != job.Running && !try:
 		err = fmt.Errorf("%w: job %d is %s, want holding", ErrBadState, id, j.State)
 	}

@@ -41,23 +41,24 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 		m.addJob(j)
 		m.acquireRec(j)
 		m.enqueue(j)
-	case job.Holding, job.Running:
-		kind := cluster.AllocRun
-		if j.State == job.Holding {
-			kind = cluster.AllocHold
-		}
-		alloc, err := m.pool.Allocate(now, j.Nodes, kind)
+	case job.Holding:
+		alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocHold)
 		if err != nil {
-			return fmt.Errorf("restore %s job %d: %w", j.State, j.ID, err)
+			return fmt.Errorf("restore hold for job %d: %w", j.ID, err)
 		}
 		m.addJob(j)
 		rec := m.acquireRec(j)
 		rec.alloc = alloc
-		if j.State == job.Holding {
-			setAdd(&m.holding, rec)
-			m.scheduleReleaseScan()
-			break
+		setAdd(&m.holding, rec)
+		m.scheduleReleaseScan()
+	case job.Running:
+		alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocRun)
+		if err != nil {
+			return fmt.Errorf("restore run for job %d: %w", j.ID, err)
 		}
+		m.addJob(j)
+		rec := m.acquireRec(j)
+		rec.alloc = alloc
 		m.runReleaseAdd(rec)
 		setAdd(&m.running, rec)
 		end := j.StartTime + sim.Time(j.Runtime)
@@ -140,10 +141,10 @@ func (m *Manager) DrainViews() map[string][]cosched.MateView {
 type resolution uint8
 
 const (
-	keep    resolution = iota // the mate is still coming: keep holding
-	release                   // the mate is lost: back to the queue
-	adopt                     // the mate already started: start at its instant
-	coStart                   // both hold: the caller co-starts the pair now
+	keepHold    resolution = iota // the mate is still coming
+	releaseHold                   // the mate is lost: back to the queue
+	adoptStart                    // the mate already started: start at its instant
+	coStartPair                   // both hold: the caller co-starts the pair now
 )
 
 // resolve is the one rule resolving a hold against its mate's status (an
@@ -156,16 +157,16 @@ const (
 //   - holding — only the caller resolves both-holding, so exactly one
 //     resolver proposes the co-start instant; the callee keeps holding;
 //   - queued or unsubmitted — keep holding, the mate is still coming.
-func resolve(mate cosched.MateStatus, caller bool) resolution {
+func resolve(st cosched.MateStatus, caller bool) resolution {
 	switch {
-	case mate == cosched.StatusUnknown:
-		return release
-	case mate == cosched.StatusRunning || mate == cosched.StatusCompleted:
-		return adopt
-	case mate == cosched.StatusHolding && caller:
-		return coStart
+	case st == cosched.StatusUnknown:
+		return releaseHold
+	case st == cosched.StatusRunning || st == cosched.StatusCompleted:
+		return adoptStart
+	case st == cosched.StatusHolding && caller:
+		return coStartPair
 	}
-	return keep
+	return keepHold
 }
 
 // resolveHolds resolves every hold of ours among views against the peer's
@@ -188,17 +189,17 @@ func (m *Manager) resolveHolds(rep *ReconcileReport, views, theirs []cosched.Mat
 		rv := reported[pairKey{local: ours.Local, mate: ours.Mate}]
 		at := rv.Start
 		switch resolve(rv.Status, coStartMate != nil) {
-		case keep:
+		case keepHold:
 			rep.Kept++
 			continue
-		case release:
+		case releaseHold:
 			m.requeueHeld(m.recs[j.Sched], now)
 			m.obs.JobReleased(now, j, true)
 			m.scheduleReleaseScan()
 			m.RequestIteration()
 			rep.Released++
 			continue
-		case coStart:
+		case coStartPair:
 			// Our clock is the proposed instant; the peer records it verbatim.
 			if err := coStartMate(ours.Mate, now); err != nil {
 				rep.Kept++ // peer unreachable mid-handshake; retry later
