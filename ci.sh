@@ -74,6 +74,14 @@ sh bench/run.sh --workload sweep_paper --seed 1 --seconds 3 --trace 0
 go run ./cmd/experiments -exp all -factor 1.0 -reps 3 -seed 1 -parallel 0 2>/dev/null |
     cmp - results_full.txt
 
+# Journal-verification smoke: the paper-scale Intrepid/Eureka configuration
+# journaled one directory per domain, then verified from those journals
+# alone — the §V-B check a live pair gets from its daemons' journals, here
+# on a simulated run. Under a second.
+rm -rf /tmp/ci_journal
+go run ./cmd/cosim -config configs/intrepid-eureka.json -journal /tmp/ci_journal > /dev/null
+go run ./cmd/cosim -verify /tmp/ci_journal/*
+
 # Problem-size digest smoke: three seconds (at least three rounds) of
 # mega_cell at seed 1, so the third sweep golden digest — one HH cell at
 # half a million Intrepid jobs — is gated on every run too. Its output
@@ -94,7 +102,7 @@ sh bench/run.sh --workload live_pairs --seed 1 --seconds 3 --trace 0
 
 # Crash-recovery gate: the acceptance test SIGKILLs a live daemon
 # mid-run, restarts it on the same journal, and verifies co-starts from
-# the event logs; the drain test checks the SIGTERM peer notification.
+# the journals; the drain test checks the SIGTERM peer notification.
 # Real processes and real sockets make these the most timing-sensitive
 # tests in the repo, so -count=2 under -race reruns them uncached.
 go test -race -count=2 -run 'Crash|Drain|Flag' ./cmd/coschedd

@@ -2,7 +2,7 @@
 // processes (re-execed test binary), real TCP, real SIGKILL/SIGTERM. The
 // invariant under test is the paper's §V-B check carried across a daemon
 // crash — every started pair co-starts at one instant, byte-verified from
-// the event logs alone.
+// the daemons' journals alone.
 package main
 
 import (
@@ -16,8 +16,9 @@ import (
 	"testing"
 	"time"
 
-	"cosched/internal/eventlog"
+	"cosched/internal/invariant"
 	"cosched/internal/job"
+	"cosched/internal/journal"
 	"cosched/internal/live"
 	"cosched/internal/sim"
 )
@@ -176,19 +177,27 @@ func must(t *testing.T, err error) {
 	}
 }
 
-// readLogs concatenates event logs tolerantly (a SIGKILL may tear a line).
-func readLogs(t *testing.T, paths ...string) []eventlog.Record {
+// loadJournals replays each daemon's journal directory, read-only, into
+// its final job states by domain.
+func loadJournals(t *testing.T, dirs ...string) map[string][]*job.Job {
 	t.Helper()
-	var out []eventlog.Record
-	for _, p := range paths {
-		f, err := os.Open(p)
+	out := map[string][]*job.Job{}
+	for _, dir := range dirs {
+		st, _, err := journal.Load(nil, dir)
 		must(t, err)
-		recs, _, err := eventlog.Read(f)
-		f.Close()
-		must(t, err)
-		out = append(out, recs...)
+		out[st.Domain] = st.Jobs
 	}
 	return out
+}
+
+// findJob returns the job with the given ID, or nil.
+func findJob(jobs []*job.Job, id job.ID) *job.Job {
+	for _, j := range jobs {
+		if j.ID == id {
+			return j
+		}
+	}
+	return nil
 }
 
 // pairJobs builds the two halves of one A↔B coupled pair.
@@ -206,8 +215,8 @@ func pairJobs(id job.ID, nodes int, runtime sim.Duration) (a, b live.WireJob) {
 // coupled run where one daemon is SIGKILLed mid-flight with a completed
 // pair, a restored hold, and a running job on the books; restarted on the
 // same journal, it must recover all three, reconcile with its mate over
-// the wire, co-start the pending pair, and leave event logs whose
-// co-starts verify byte-exactly.
+// the wire, co-start the pending pair, and leave journals whose co-starts
+// verify byte-exactly.
 func TestCrashRecoveryAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns live daemons")
@@ -215,19 +224,18 @@ func TestCrashRecoveryAcceptance(t *testing.T) {
 	tmp := t.TempDir()
 	aPeer, aAdmin := freeAddr(t), freeAddr(t)
 	bPeer, bAdmin := freeAddr(t), freeAddr(t)
-	aLog := filepath.Join(tmp, "a.log")
-	bLog := filepath.Join(tmp, "b.log")
+	ja, jb := filepath.Join(tmp, "ja"), filepath.Join(tmp, "jb")
 	common := []string{
 		"-nodes", "32", "-policy", "fcfs", "-scheme", "hold",
 		"-release-minutes", "120", "-speedup", "200", "-snapshot-every", "4",
 	}
 	aArgs := append([]string{
 		"-name", "A", "-listen", aPeer, "-admin", aAdmin, "-peer", "B=" + bPeer,
-		"-journal-dir", filepath.Join(tmp, "ja"), "-log", aLog,
+		"-journal-dir", ja,
 	}, common...)
 	bArgs := append([]string{
 		"-name", "B", "-listen", bPeer, "-admin", bAdmin, "-peer", "A=" + aPeer,
-		"-journal-dir", filepath.Join(tmp, "jb"), "-log", bLog,
+		"-journal-dir", jb,
 	}, common...)
 
 	da := startDaemon(t, aArgs)
@@ -260,7 +268,7 @@ func TestCrashRecoveryAcceptance(t *testing.T) {
 	must(t, ca.Submit(live.WireJob{ID: 5, Nodes: 4, Runtime: 3600, Walltime: 7200}))
 	waitState(t, ca, 5, "running")
 
-	// Crash A hard and restart it on the same journal, log, and ports.
+	// Crash A hard and restart it on the same journal and ports.
 	ca.Close()
 	da.kill9(t)
 	da2 := startDaemon(t, aArgs)
@@ -282,30 +290,21 @@ func TestCrashRecoveryAcceptance(t *testing.T) {
 	waitState(t, cb, 2, "completed")
 
 	// Graceful shutdown of the restarted A and the original B, then verify
-	// the whole run — crash included — from the logs alone.
+	// the whole run — crash included — from the journals alone.
 	ca.Close()
 	cb.Close()
 	da2.sigterm(t)
 	db.sigterm(t)
 
-	recs := readLogs(t, aLog, bLog)
-	if v := eventlog.VerifyCoStarts(recs); len(v) != 0 {
+	jobs := loadJournals(t, ja, jb)
+	if v := invariant.VerifyCoStarts(jobs, nil); len(v) != 0 {
 		t.Fatalf("co-start violations after crash recovery: %v", v)
 	}
-	stats := eventlog.Summarize(recs)
-	if stats.Recoveries == 0 {
-		t.Fatal("no recovery milestone in the event logs")
-	}
-	// The byte-exact check, spelled out: both start records of pair 2
-	// carry one identical instant even though one side crashed in between.
-	starts := map[string]sim.Time{}
-	for _, r := range recs {
-		if r.Kind == eventlog.KindStart && r.JobID == 2 {
-			starts[r.Domain] = r.Time
-		}
-	}
-	if len(starts) != 2 || starts["A"] != starts["B"] {
-		t.Fatalf("pair 2 start instants not byte-identical: %v", starts)
+	// The byte-exact check, spelled out: both halves of pair 2 carry one
+	// identical start instant even though one side crashed in between.
+	a2, b2 := findJob(jobs["A"], 2), findJob(jobs["B"], 2)
+	if a2 == nil || b2 == nil || a2.State != job.Completed || b2.State != job.Completed || a2.StartTime != b2.StartTime {
+		t.Fatalf("pair 2 not co-started in the journals: A %v, B %v", a2, b2)
 	}
 }
 
@@ -322,7 +321,7 @@ func TestGracefulDrainNotifiesPeers(t *testing.T) {
 	tmp := t.TempDir()
 	aPeer, aAdmin := freeAddr(t), freeAddr(t)
 	bPeer, bAdmin := freeAddr(t), freeAddr(t)
-	bLog := filepath.Join(tmp, "b.log")
+	jb := filepath.Join(tmp, "jb")
 	common := []string{
 		"-nodes", "32", "-policy", "fcfs", "-scheme", "hold",
 		"-release-minutes", "0", "-speedup", "200",
@@ -333,7 +332,7 @@ func TestGracefulDrainNotifiesPeers(t *testing.T) {
 	}, common...)
 	bArgs := append([]string{
 		"-name", "B", "-listen", bPeer, "-admin", bAdmin, "-peer", "A=" + aPeer,
-		"-log", bLog,
+		"-journal-dir", jb,
 	}, common...)
 
 	da := startDaemon(t, aArgs)
@@ -357,14 +356,16 @@ func TestGracefulDrainNotifiesPeers(t *testing.T) {
 	cb.Close()
 	db.sigterm(t)
 
-	recs := readLogs(t, bLog)
+	wal, err := os.ReadFile(filepath.Join(jb, "journal.wal"))
+	must(t, err)
+	entries, _, _ := journal.DecodeEntries(wal)
 	released := false
-	for _, r := range recs {
-		if r.Domain == "B" && r.Kind == eventlog.KindRelease && r.JobID == 1 {
+	for _, e := range entries {
+		if e.Op == journal.OpRelease && e.Job == 1 {
 			released = true
 		}
 	}
 	if !released {
-		t.Fatal("no release record for B/1: the drain notification never reached the peer")
+		t.Fatal("no release entry for B/1 in B's journal: the drain notification never reached the peer")
 	}
 }

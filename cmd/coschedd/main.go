@@ -70,7 +70,6 @@ func parseFlags(args []string, usageOut io.Writer) (*live.Config, error) {
 	fs.BoolVar(&cfg.Backfill, "backfill", true, "enable EASY backfilling")
 	fs.Float64Var(&cfg.Speedup, "speedup", 1.0, "virtual seconds per wall second")
 	fs.DurationVar(&cfg.PeerTimeout, "peer-timeout", 2*time.Second, "per-call peer RPC budget (round trip + one retry)")
-	fs.StringVar(&cfg.Log, "log", "", "append a JSONL event log to this path (verifiable with cosim -verify-log)")
 	fs.StringVar(&cfg.Status, "status", "", "serve an HTML/JSON status page on this address (e.g. :8080)")
 	fs.StringVar(&cfg.JournalDir, "journal-dir", "", "write-ahead journal directory; enables crash recovery (empty = no journal)")
 	fs.IntVar(&cfg.SnapshotEvery, "snapshot-every", 1024, "journal entries between compacting snapshots")

@@ -5,6 +5,8 @@
 //
 //	cosim -config sim.json
 //	cosim -config sim.json -json        # machine-readable output
+//	cosim -config sim.json -journal j   # journal each domain into j/<name>
+//	cosim -verify j/*                   # check co-starts across journals
 //
 // Example configuration:
 //
@@ -28,7 +30,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -36,7 +40,9 @@ import (
 
 	"cosched/internal/config"
 	"cosched/internal/coupled"
-	"cosched/internal/eventlog"
+	"cosched/internal/invariant"
+	"cosched/internal/job"
+	"cosched/internal/journal"
 	"cosched/internal/metrics"
 	"cosched/internal/resmgr"
 	"cosched/internal/sim"
@@ -44,10 +50,10 @@ import (
 
 func main() {
 	var (
-		cfgPath    = flag.String("config", "", "JSON configuration file (required unless -verify-log)")
+		cfgPath    = flag.String("config", "", "JSON configuration file (required unless -verify)")
 		asJSON     = flag.Bool("json", false, "emit the result as JSON")
-		logPath    = flag.String("log", "", "write a JSONL event log to this path")
-		verifyLog  = flag.String("verify-log", "", "verify co-starts in an existing event log and exit")
+		journalDir = flag.String("journal", "", "journal each domain's transitions into a new directory `dir`/<domain name>")
+		verify     = flag.Bool("verify", false, "verify co-starts across the journal directories given as arguments and exit")
 		seriesPath = flag.String("timeseries", "", "write a CSV time series of per-domain state to this path")
 		seriesMin  = flag.Int64("timeseries-minutes", 60, "sampling period for -timeseries, in virtual minutes")
 	)
@@ -57,8 +63,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *verifyLog != "" {
-		verifyLogFile(*verifyLog)
+	if *verify {
+		if flag.NArg() == 0 {
+			fmt.Fprintln(os.Stderr, "cosim: -verify needs journal directories as arguments")
+			flag.Usage()
+			os.Exit(2)
+		}
+		verifyJournals(flag.Args())
 		return
 	}
 	if *cfgPath == "" {
@@ -75,26 +86,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var elog *eventlog.Log
-	if *logPath != "" {
-		lf, err := os.Create(*logPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer lf.Close()
-		elog = eventlog.New(lf)
-		defer func() {
-			if err := elog.Flush(); err != nil {
-				fatal(err)
-			}
-		}()
-		for i := range opt.Domains {
-			opt.Domains[i].Observer = elog.Observer(opt.Domains[i].Name)
-		}
+	var stores []*journal.Store
+	if *journalDir != "" {
+		stores = openJournals(*journalDir, opt.Domains)
 	}
 	s, err := coupled.New(opt)
 	if err != nil {
 		fatal(err)
+	}
+	for i, st := range stores {
+		if err := st.Compact(journal.ManagerSnapshot(s.Manager(opt.Domains[i].Name))); err != nil {
+			fatal(err)
+		}
 	}
 	var ser *series
 	if *seriesPath != "" {
@@ -107,6 +110,11 @@ func main() {
 	start := time.Now()
 	res := s.Run()
 	elapsed := time.Since(start)
+	for _, st := range stores {
+		if err := st.Close(); err != nil {
+			fatal(err)
+		}
+	}
 	if ser != nil {
 		sf, err := os.Create(*seriesPath)
 		if err != nil {
@@ -247,32 +255,51 @@ func (ser *series) summary() string {
 	return b.String()
 }
 
-// verifyLogFile replays an event log and reports co-start violations.
-func verifyLogFile(path string) {
-	lf, err := os.Open(path)
-	if err != nil {
-		fatal(err)
+// openJournals opens a journal store for each domain at dir/<name> and makes
+// its recorder the domain's observer. The stores take no snapshot past the
+// first, which the caller compacts once the managers exist, so each WAL
+// keeps the run's whole history; and they fsync only on Close, since a
+// simulation that dies is run again rather than recovered.
+func openJournals(dir string, domains []coupled.DomainConfig) []*journal.Store {
+	stores := make([]*journal.Store, len(domains))
+	for i := range domains {
+		st, err := journal.Open(filepath.Join(dir, domains[i].Name), journal.Options{FsyncInterval: math.MaxInt64})
+		if err != nil {
+			fatal(err)
+		}
+		if snap, entries := st.Recovered(); snap != nil || len(entries) > 0 {
+			fatal(fmt.Errorf("journal %s is not empty", st.Dir()))
+		}
+		domains[i].Observer = journal.NewRecorder(st, nil, func(err error) { fatal(err) })
+		stores[i] = st
 	}
-	defer lf.Close()
-	recs, skipped, err := eventlog.Read(lf)
-	if err != nil {
-		fatal(err)
+	return stores
+}
+
+// verifyJournals loads each journal directory without writing to it,
+// prints what it holds, and checks that every started pair across them
+// co-started. It exits 1 on a violation.
+func verifyJournals(dirs []string) {
+	jobs := make(map[string][]*job.Job, len(dirs))
+	for _, dir := range dirs {
+		st, torn, err := journal.Load(nil, dir)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", dir, err))
+		}
+		if st.Domain == "" {
+			fatal(fmt.Errorf("%s: no snapshot names the journal's domain", dir))
+		}
+		if _, dup := jobs[st.Domain]; dup {
+			fatal(fmt.Errorf("%s: domain %s journaled twice", dir, st.Domain))
+		}
+		jobs[st.Domain] = st.Jobs
+		fmt.Printf("journal %s (%s): t=%d, snapshot seq %d + %d entries, %d jobs (%s)\n",
+			st.Domain, dir, st.T, st.SnapshotSeq, st.Entries, len(st.Jobs), journal.Tally(st.Jobs))
+		if torn != nil {
+			fmt.Printf("journal %s: read up to %v (a crash leaves one torn record; more suggests corruption)\n", st.Domain, torn)
+		}
 	}
-	stats := eventlog.Summarize(recs)
-	fmt.Printf("log: %d records, domains %v, %d submits / %d starts / %d completes, %d holds, %d yields, %d releases\n",
-		stats.Records, stats.Domains, stats.Submits, stats.Starts, stats.Completes,
-		stats.Holds, stats.Yields, stats.Releases)
-	if skipped > 0 {
-		fmt.Printf("log damage: %d malformed line(s) skipped (torn tail from a crash is expected; more suggests corruption)\n", skipped)
-	}
-	if stats.Recoveries > 0 {
-		fmt.Printf("recoveries: %d daemon restart milestone(s) in the log\n", stats.Recoveries)
-	}
-	if stats.PeerTransitions > 0 {
-		fmt.Printf("peer links: %d breaker transitions (outages and recoveries interleaved with the run)\n",
-			stats.PeerTransitions)
-	}
-	violations := eventlog.VerifyCoStarts(recs)
+	violations := invariant.VerifyCoStarts(jobs, nil)
 	if len(violations) == 0 {
 		fmt.Println("CO-START VERIFIED: every started pair started simultaneously")
 		return

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"cosched/internal/cosched"
 	"cosched/internal/coupled"
 	"cosched/internal/job"
+	"cosched/internal/journal"
 	"cosched/internal/sim"
 )
 
@@ -113,6 +115,78 @@ func TestWireProtocolPrintsTheDirectTables(t *testing.T) {
 	}
 	if !bytes.Equal(direct, wire) {
 		t.Fatalf("wire-protocol report differs from the direct one:\n--- direct\n%s--- wire\n%s", direct, wire)
+	}
+}
+
+// TestJournalThenVerify: -journal writes one journal directory per domain
+// without moving a number of the report, and -verify replays them and
+// finds every pair co-started. A copy of one directory whose journal moves
+// one half's start instant fails verification with exit 1, naming the
+// pair.
+func TestJournalThenVerify(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "j")
+	elapsed := regexp.MustCompile(`^(simulated \d+ jobs in )\S+`)
+	plain := elapsed.ReplaceAll(cosim(t, "-config", smallPair), []byte("${1}T"))
+	journaled := elapsed.ReplaceAll(cosim(t, "-config", smallPair, "-journal", dir), []byte("${1}T"))
+	if !bytes.Equal(plain, journaled) {
+		t.Fatalf("-journal changed the report:\n--- plain\n%s--- journaled\n%s", plain, journaled)
+	}
+	hpc, viz := filepath.Join(dir, "hpc"), filepath.Join(dir, "viz")
+	out := string(cosim(t, "-verify", hpc, viz))
+	for _, want := range []string{"journal hpc (" + hpc + "):", "journal viz (" + viz + "):", "completed=200", "CO-START VERIFIED"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("-verify output lacks %q:\n%s", want, out)
+		}
+	}
+
+	// Move the start of viz's first started paired job by a minute.
+	st, _, err := journal.Load(nil, viz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moved *job.Job
+	for _, j := range st.Jobs {
+		if j.Paired() && j.State == job.Completed {
+			moved = j
+			break
+		}
+	}
+	if moved == nil {
+		t.Fatal("viz journal holds no completed paired job")
+	}
+	wal, err := os.ReadFile(filepath.Join(viz, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _, torn := journal.DecodeEntries(wal)
+	if torn != nil {
+		t.Fatal(torn)
+	}
+	var rewritten []byte
+	for i := range entries {
+		if entries[i].Op == journal.OpStart && entries[i].Job == moved.ID {
+			entries[i].Start += sim.Minute
+		}
+		if rewritten, err = journal.AppendRecord(rewritten, &entries[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tampered := filepath.Join(t.TempDir(), "viz")
+	snap, err := os.ReadFile(filepath.Join(viz, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(os.Mkdir(tampered, 0o755),
+		os.WriteFile(filepath.Join(tampered, "snapshot.json"), snap, 0o644),
+		os.WriteFile(filepath.Join(tampered, "journal.wal"), rewritten, 0o644)); err != nil {
+		t.Fatal(err)
+	}
+	mate := moved.Mates[0]
+	want := fmt.Sprintf("VIOLATION: %s/job %d vs viz/job %d: start instants differ (start %d vs %d)",
+		mate.Domain, mate.Job, moved.ID, moved.StartTime, moved.StartTime+sim.Minute)
+	code, stdout, stderr := run(t, "-verify", hpc, tampered)
+	if code != 1 || !strings.Contains(string(stdout), want) {
+		t.Fatalf("-verify on the tampered copy: exit %d, want 1 and %q\nstdout:\n%s\nstderr:\n%s", code, want, stdout, stderr)
 	}
 }
 

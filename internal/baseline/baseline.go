@@ -18,6 +18,7 @@ package baseline
 import (
 	"fmt"
 
+	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/metrics"
 	"cosched/internal/sim"
@@ -81,27 +82,24 @@ func index(domains []DomainConfig) (map[string]map[job.ID]*job.Job, error) {
 }
 
 // newResult collects the per-domain reports of a finished run and checks
-// that every completed pair started at one instant.
+// that every pair whose halves both started started at one instant.
 func newResult(domains []DomainConfig, byID map[string]map[job.ID]*job.Job, makespan sim.Time, stuck int) *Result {
 	res := &Result{
 		Reports:   make(map[string]metrics.DomainReport, len(domains)),
 		StuckJobs: stuck,
 	}
+	jobs := make(map[string][]*job.Job, len(domains))
 	for _, dc := range domains {
 		res.Reports[dc.Name] = metrics.Collect(dc.Name, dc.Trace, dc.Nodes, makespan)
-		for _, j := range dc.Trace {
-			if !j.Paired() || j.State != job.Completed {
-				continue
-			}
-			for _, m := range j.Mates {
-				if dc.Name > m.Domain {
-					continue // counted from the mate's side
-				}
-				mate, ok := byID[m.Domain][m.Job]
-				if ok && mate.State == job.Completed && mate.StartTime != j.StartTime {
-					res.CoStartViolations++
-				}
-			}
+		jobs[dc.Name] = dc.Trace
+	}
+	mate := func(ref job.MateRef) (*job.Job, bool) {
+		j, ok := byID[ref.Domain][ref.Job]
+		return j, ok
+	}
+	for _, v := range invariant.VerifyCoStarts(jobs, mate) {
+		if v.Both() {
+			res.CoStartViolations++
 		}
 	}
 	return res

@@ -47,8 +47,8 @@ func testValidation(t *testing.T, run func([]DomainConfig) (*Result, error)) {
 
 // TestCoStartCheckCountsEachPairOnce runs the shared co-start check on
 // hand-set start times: a split pair is one violation however many
-// halves point at each other, and a pair whose mate is missing or still
-// running is none.
+// halves point at each other, a pair whose mate is missing is none, and a
+// running mate counts by its start instant as a completed one does.
 func TestCoStartCheckCountsEachPairOnce(t *testing.T) {
 	done := func(id job.ID, start sim.Time, mates ...job.MateRef) *job.Job {
 		j := job.New(id, 1, 0, 10, 10)
@@ -56,12 +56,12 @@ func TestCoStartCheckCountsEachPairOnce(t *testing.T) {
 		return j
 	}
 	running := job.New(3, 1, 0, 10, 10)
-	running.State = job.Running
+	running.State, running.StartTime = job.Running, 100
 	domains := []DomainConfig{
 		{Name: "a", Nodes: 4, Trace: []*job.Job{
 			done(1, 100, job.MateRef{Domain: "b", Job: 1}), // split from b/1
 			done(2, 100, job.MateRef{Domain: "b", Job: 2}), // co-started with b/2
-			done(3, 100, job.MateRef{Domain: "b", Job: 3}), // mate still running
+			done(3, 100, job.MateRef{Domain: "b", Job: 3}), // co-started, mate still running
 			done(4, 100, job.MateRef{Domain: "b", Job: 9}), // mate missing
 		}},
 		{Name: "b", Nodes: 4, Trace: []*job.Job{

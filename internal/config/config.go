@@ -138,6 +138,9 @@ func (f *File) Build() (coupled.Options, error) {
 		if !okA || !okB {
 			return opt, fmt.Errorf("config: pairing references unknown domain %q/%q", p.DomainA, p.DomainB)
 		}
+		if p.DomainA == p.DomainB {
+			return opt, fmt.Errorf("config: pairing of domain %q with itself: a pair's halves run on two domains", p.DomainA)
+		}
 		if p.Proportion > 0 {
 			if _, err := workload.PairByProportion(workload.NewRNG(p.Seed+1), a, b, p.DomainA, p.DomainB, p.Proportion); err != nil {
 				return opt, err

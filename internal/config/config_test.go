@@ -1,8 +1,10 @@
 package config
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cosched/internal/cosched"
@@ -143,6 +145,37 @@ func TestBuildRejectsBadDomains(t *testing.T) {
 		}
 		if _, err := f.Build(); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestBuildRejectsSelfPairing: a pairing whose two sides name one domain
+// would mate each of its jobs to itself; Build refuses it, naming the
+// domain.
+func TestBuildRejectsSelfPairing(t *testing.T) {
+	raw, err := os.ReadFile("../../configs/smallpair.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg map[string]any
+	if err := json.Unmarshal(raw, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, pairing := range []map[string]any{
+		{"domain_a": "viz", "domain_b": "viz"},
+		{"domain_a": "viz", "domain_b": "viz", "proportion": 0.1, "seed": 9},
+	} {
+		cfg["pairs"] = []any{pairing}
+		body, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := Load(writeConfig(t, string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Build(); err == nil || !strings.Contains(err.Error(), `"viz"`) {
+			t.Fatalf("pairing %v: Build error %v, want one naming \"viz\"", pairing, err)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"cosched/internal/cluster"
 	"cosched/internal/cosched"
+	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/metrics"
 	"cosched/internal/policy"
@@ -310,47 +311,28 @@ func (s *Sim) Run() *Result {
 	res.StuckJobs = total - res.CompletedJobs
 	res.Deadlocked = res.StuckJobs > 0
 
+	jobs := make(map[string][]*job.Job, len(s.managers))
 	for name, m := range s.managers {
 		m.Pool().Sync(res.Makespan)
 		res.Iterations += m.Iterations()
 		res.Reports[name] = m.CollectReport(m.Pool().Total(), res.Makespan)
+		jobs[name] = m.Jobs()
 	}
-	res.CoStartViolations = s.verifyCoStarts()
+	// A mate that never started is a stuck job, counted above; only pairs
+	// whose two halves started at different instants count here.
+	for _, v := range invariant.VerifyCoStarts(jobs, s.mate) {
+		if v.Both() {
+			res.CoStartViolations++
+		}
+	}
 	return res
 }
 
-// verifyCoStarts checks the paper's core guarantee: every pair (or N-way
-// group) of jobs that both started did so at the same virtual instant.
-func (s *Sim) verifyCoStarts() int {
-	violations := 0
-	for name, m := range s.managers {
-		for _, j := range m.Jobs() {
-			if !j.Paired() || !started(j) {
-				continue
-			}
-			for _, ref := range j.Mates {
-				rm, ok := s.managers[ref.Domain]
-				if !ok {
-					continue
-				}
-				mate, ok := rm.Job(ref.Job)
-				if !ok || !started(mate) {
-					continue
-				}
-				// Count each violating pair once (from the lexically
-				// smaller domain, or smaller ID within a domain).
-				if name > ref.Domain {
-					continue
-				}
-				if j.StartTime != mate.StartTime {
-					violations++
-				}
-			}
-		}
+// mate finds a job by its domain and ID.
+func (s *Sim) mate(ref job.MateRef) (*job.Job, bool) {
+	m, ok := s.managers[ref.Domain]
+	if !ok {
+		return nil, false
 	}
-	return violations
-}
-
-func started(j *job.Job) bool {
-	return j.State == job.Running || j.State == job.Completed
+	return m.Job(ref.Job)
 }

@@ -3,11 +3,14 @@ package coupled
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"cosched/internal/cosched"
-	"cosched/internal/eventlog"
 	"cosched/internal/job"
+	"cosched/internal/journal"
 	"cosched/internal/proto"
 	"cosched/internal/sim"
 	"cosched/internal/workload"
@@ -87,15 +90,26 @@ func threeWayDomains() []DomainConfig {
 	}
 }
 
-// runProbeScenario runs sc with its peers wired one of three ways and
-// returns the full event log followed by the printed Result.
-func runProbeScenario(t *testing.T, sc probeScenario, wiring string) string {
+// probeRun is what one run of a scenario leaves behind: each domain's
+// journal.wal bytes, in domain order, and the printed Result.
+type probeRun struct {
+	wals   [][]byte
+	result string
+}
+
+// runProbeScenario runs sc with its peers wired one of three ways, each
+// domain journaled from its first transition on.
+func runProbeScenario(t *testing.T, sc probeScenario, wiring string) probeRun {
 	t.Helper()
-	var buf bytes.Buffer
-	elog := eventlog.New(&buf)
 	domains := sc.domains()
+	stores := make([]*journal.Store, len(domains))
 	for i := range domains {
-		domains[i].Observer = elog.Observer(domains[i].Name)
+		st, err := journal.Open(filepath.Join(t.TempDir(), domains[i].Name), journal.Options{FsyncInterval: math.MaxInt64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = st
+		domains[i].Observer = journal.NewRecorder(st, nil, func(err error) { t.Errorf("%s/%s: journal: %v", sc.name, wiring, err) })
 	}
 	opt := Options{Domains: domains, UseWireProtocol: wiring == "wire", FaultRate: sc.faultRate, FaultSeed: 99}
 	if wiring == "plain" {
@@ -128,20 +142,54 @@ func runProbeScenario(t *testing.T, sc probeScenario, wiring string) string {
 		}
 	}
 	res := s.Run()
-	if err := elog.Flush(); err != nil {
-		t.Fatalf("%s/%s: event log: %v", sc.name, wiring, err)
-	}
 	if res.StuckJobs != 0 || (sc.faultRate == 0 && res.CoStartViolations != 0) {
 		t.Errorf("%s/%s: %d stuck jobs, %d co-start violations", sc.name, wiring, res.StuckJobs, res.CoStartViolations)
 	}
-	return buf.String() + fmt.Sprintf("%+v\n", *res)
+	run := probeRun{result: fmt.Sprintf("%+v", *res)}
+	for _, st := range stores {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wal, err := os.ReadFile(filepath.Join(st.Dir(), "journal.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wal) == 0 {
+			t.Fatalf("%s/%s: %s journaled nothing", sc.name, wiring, st.Dir())
+		}
+		run.wals = append(run.wals, wal)
+	}
+	return run
+}
+
+// diff describes the first difference between two runs: the Results, or
+// the first journal entry where a domain's WAL bytes part.
+func (r probeRun) diff(o probeRun) string {
+	if r.result != o.result {
+		return fmt.Sprintf("Result\n %s\nvs\n %s", r.result, o.result)
+	}
+	for d := range r.wals {
+		if bytes.Equal(r.wals[d], o.wals[d]) {
+			continue
+		}
+		a, _, _ := journal.DecodeEntries(r.wals[d])
+		b, _, _ := journal.DecodeEntries(o.wals[d])
+		for i := 0; i < min(len(a), len(b)); i++ {
+			if fmt.Sprint(a[i]) != fmt.Sprint(b[i]) {
+				return fmt.Sprintf("domain %d journal entry %d\n %+v\nvs\n %+v", d, i, a[i], b[i])
+			}
+		}
+		return fmt.Sprintf("domain %d journal: %d entries vs %d", d, len(a), len(b))
+	}
+	return ""
 }
 
 // TestProbeDifferential runs every scenario with direct Manager peers (the
 // Prober extension, in process), with the same peers behind a plain-Peer
 // wrapper (the three-call composition in cosched.ProbeMate) and over the
-// wire protocol (probe_mate frames), and requires byte-identical event logs
-// and Results: the combined probe is exact, not approximate. The faulted
+// wire protocol (probe_mate frames), and requires byte-identical journals —
+// every domain's journal.wal, peer decisions included — and Results: the
+// combined probe is exact, not approximate. The faulted
 // cell holds too because a FaultInjector draws once per exchange, and a
 // probe_mate is one exchange whichever way the server behind it then
 // gathers the answer.
@@ -151,8 +199,8 @@ func TestProbeDifferential(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			direct := runProbeScenario(t, sc, "direct")
 			for _, wiring := range []string{"plain", "wire"} {
-				if got := runProbeScenario(t, sc, wiring); got != direct {
-					t.Fatalf("%s wiring diverges from direct peers\ndirect:\n%s\n%s:\n%s", wiring, direct, wiring, got)
+				if d := direct.diff(runProbeScenario(t, sc, wiring)); d != "" {
+					t.Fatalf("%s wiring diverges from direct peers at %s", wiring, d)
 				}
 			}
 		})

@@ -1,16 +1,18 @@
 package coupled_test
 
 import (
-	"bytes"
+	"math"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"cosched/internal/cosched"
 	"cosched/internal/coupled"
-	"cosched/internal/eventlog"
+	"cosched/internal/invariant"
 	"cosched/internal/job"
+	"cosched/internal/journal"
 	"cosched/internal/peerlink"
 	"cosched/internal/proto"
 	"cosched/internal/sim"
@@ -79,25 +81,35 @@ func chaosTraces(seed uint64, jobsPerSide int) (a, b []*job.Job) {
 // under injected chaos — connection drops, injected latency, and whole
 // peer-server restarts mid-run — and the coupled simulation must still
 // finish every job with byte-exact co-starts, verified independently from
-// the event log. The chaos is confined to transport failures the link can
+// the domains' journals. The chaos is confined to transport failures the link can
 // heal (redial, retry-unsent); Algorithm 1 never sees an error, so the
 // paper's guarantee must hold exactly, not within a tolerance.
 func TestChaosWireRunCoStartsExactly(t *testing.T) {
-	var buf bytes.Buffer
-	elog := eventlog.New(&buf)
 	a, b := chaosTraces(31, 60)
-	s, err := coupled.New(coupled.Options{
-		Domains: []coupled.DomainConfig{
-			{Name: "A", Nodes: 64, Backfilling: true,
-				Cosched: cosched.DefaultConfig(cosched.Hold),
-				Trace:   a, Observer: elog.Observer("A")},
-			{Name: "B", Nodes: 8, Backfilling: true,
-				Cosched: cosched.DefaultConfig(cosched.Yield),
-				Trace:   b, Observer: elog.Observer("B")},
-		},
-	})
+	domains := []coupled.DomainConfig{
+		{Name: "A", Nodes: 64, Backfilling: true,
+			Cosched: cosched.DefaultConfig(cosched.Hold), Trace: a},
+		{Name: "B", Nodes: 8, Backfilling: true,
+			Cosched: cosched.DefaultConfig(cosched.Yield), Trace: b},
+	}
+	dir := t.TempDir()
+	stores := make([]*journal.Store, len(domains))
+	for i := range domains {
+		st, err := journal.Open(filepath.Join(dir, domains[i].Name), journal.Options{FsyncInterval: math.MaxInt64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = st
+		domains[i].Observer = journal.NewRecorder(st, nil, func(err error) { t.Errorf("journal: %v", err) })
+	}
+	s, err := coupled.New(coupled.Options{Domains: domains})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, st := range stores {
+		if err := st.Compact(journal.ManagerSnapshot(s.Manager(domains[i].Name))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	eng := s.Engine()
 
@@ -166,17 +178,24 @@ func TestChaosWireRunCoStartsExactly(t *testing.T) {
 		t.Fatalf("chaos run: %d co-start violations (in-memory check)", res.CoStartViolations)
 	}
 
-	// The acceptance criterion proper: zero violations per the log-replay
-	// verifier, trusting nothing from the run's memory.
-	if err := elog.Flush(); err != nil {
-		t.Fatal(err)
+	// The acceptance criterion proper: zero violations in the jobs replayed
+	// from the journals, trusting nothing from the run's memory.
+	jobs := map[string][]*job.Job{}
+	for _, st := range stores {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rs, torn, err := journal.Load(nil, st.Dir())
+		if err != nil || torn != nil {
+			t.Fatalf("journal %s: torn %v, err %v", st.Dir(), torn, err)
+		}
+		jobs[rs.Domain] = rs.Jobs
 	}
-	recs, skipped, err := eventlog.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil || skipped != 0 {
-		t.Fatalf("event log: skipped %d, err %v", skipped, err)
+	if len(jobs) != 2 || len(jobs["A"])+len(jobs["B"]) != res.TotalJobs {
+		t.Fatalf("journals replayed %d domains, %d+%d jobs; want A and B, %d jobs", len(jobs), len(jobs["A"]), len(jobs["B"]), res.TotalJobs)
 	}
-	if v := eventlog.VerifyCoStarts(recs); len(v) != 0 {
-		t.Fatalf("chaos run: %d co-start violations from the event log: %v", len(v), v[0])
+	if v := invariant.VerifyCoStarts(jobs, nil); len(v) != 0 {
+		t.Fatalf("chaos run: %d co-start violations from the journals: %v", len(v), v[0])
 	}
 
 	// The chaos must actually have happened — otherwise this test proves

@@ -1,4 +1,4 @@
-package invariant
+package invariant_test
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 	"cosched/internal/cluster"
 	"cosched/internal/cosched"
 	"cosched/internal/coupled"
+	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/resmgr"
 	"cosched/internal/sim"
@@ -41,7 +42,7 @@ func TestFullSimulationUpholdsInvariants(t *testing.T) {
 		workload.PairNearest(workload.NewRNG(63), a, b, "A", "B", 25, sim.Hour)
 
 		// The auditors need the managers, which exist only after New.
-		audA, audB := NewDeferred(), NewDeferred()
+		audA, audB := invariant.NewDeferred(), invariant.NewDeferred()
 		s, err := coupled.New(coupled.Options{Domains: []coupled.DomainConfig{
 			{Name: "A", Nodes: 64, Backfilling: true,
 				Cosched: cosched.DefaultConfig(schemes[0]), Trace: a, Observer: audA},
@@ -58,7 +59,7 @@ func TestFullSimulationUpholdsInvariants(t *testing.T) {
 		if res.StuckJobs != 0 || res.CoStartViolations != 0 {
 			t.Fatalf("%v: stuck=%d viol=%d", schemes, res.StuckJobs, res.CoStartViolations)
 		}
-		for _, aud := range []*Auditor{audA, audB} {
+		for _, aud := range []*invariant.Auditor{audA, audB} {
 			if aud.Events() == 0 {
 				t.Fatalf("%v: auditor saw no events", schemes)
 			}
@@ -74,7 +75,7 @@ func TestFullSimulationUpholdsInvariants(t *testing.T) {
 func TestAuditorDetectsInconsistency(t *testing.T) {
 	eng := sim.NewEngine()
 	m := resmgr.New(eng, resmgr.Options{Name: "X", Pool: cluster.New("X", 16)})
-	aud := New(m)
+	aud := invariant.New(m)
 	j := job.New(1, 4, 0, 100, 100)
 	// A "started" job that is actually still unsubmitted, with a bogus
 	// start time.
@@ -87,7 +88,7 @@ func TestAuditorDetectsInconsistency(t *testing.T) {
 // TestAuditorCoversCancellation cancels jobs mid-simulation under audit.
 func TestAuditorCoversCancellation(t *testing.T) {
 	eng := sim.NewEngine()
-	aud := NewDeferred()
+	aud := invariant.NewDeferred()
 	m := resmgr.New(eng, resmgr.Options{Name: "C", Pool: cluster.New("C", 32),
 		Backfilling: true, Observer: aud})
 	aud.Bind(m)
@@ -123,7 +124,7 @@ func TestAuditorCoversCancellation(t *testing.T) {
 func TestAuditorFlagsBadYieldAndHoldEvents(t *testing.T) {
 	eng := sim.NewEngine()
 	m := resmgr.New(eng, resmgr.Options{Name: "X", Pool: cluster.New("X", 16)})
-	aud := New(m)
+	aud := invariant.New(m)
 	j := job.New(1, 4, 0, 100, 100)
 	aud.JobYielded(0, j)   // yield with count 0, state unsubmitted
 	aud.JobHeld(0, j)      // held with no pool-held nodes

@@ -2,7 +2,9 @@
 // daemon: an append-only, checksummed, fsync-batched write-ahead log of
 // every resource-manager state transition, plus periodic compacting
 // snapshots, plus the replay/restore machinery that rebuilds a Manager's
-// queue, holding set, and running set after a crash.
+// queue, holding set, and running set after a crash. It is also the one
+// per-transition record on disk: Load replays a directory without writing
+// to it, which is how cosim -verify checks co-starts after a run.
 //
 // On disk a journal directory holds two files:
 //

@@ -3,7 +3,6 @@ package journal
 import (
 	"bytes"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,7 +11,6 @@ import (
 
 	"cosched/internal/cluster"
 	"cosched/internal/cosched"
-	"cosched/internal/eventlog"
 	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/policy"
@@ -245,6 +243,70 @@ func TestStoreTruncatesTornTailAndHeals(t *testing.T) {
 	_, entries = final.Recovered()
 	if len(entries) != 4 || entries[3].Job != 99 || entries[3].Seq != 4 {
 		t.Fatalf("healed log entries: %+v", entries)
+	}
+}
+
+// TestLoadLeavesTornTailUntouched: Load replays a directory whose WAL ends
+// in a torn record and reports the tear, but writes nothing — the directory
+// holds the same files with the same bytes afterwards, and the torn record
+// is still there for Open to cut.
+func TestLoadLeavesTornTailUntouched(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	if err := s.Compact(Snapshot{Domain: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range sampleEntries() {
+		if err := s.Append(&e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(dir, walName)
+	fi, err := os.Stat(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(wal, fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string, len(ents))
+		for _, de := range ents {
+			data, err := os.ReadFile(filepath.Join(dir, de.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[de.Name()] = string(data)
+		}
+		return out
+	}
+	before := files()
+
+	st, torn, err := Load(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if torn == nil {
+		t.Fatal("torn tail not reported")
+	}
+	// The torn record is the completion; the four before it replay.
+	if st.Domain != "A" || st.Entries != 4 || len(st.Jobs) != 1 || st.Jobs[0].State != job.Running || st.Jobs[0].StartTime != 100 {
+		t.Fatalf("loaded %+v, job %+v", st, st.Jobs)
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatal("Load changed the journal directory")
+	}
+	re := openStore(t, dir, Options{})
+	if re.Torn() == nil || re.Torn().Off != torn.Off {
+		t.Fatalf("Open after Load found torn tail %v, want %v", re.Torn(), torn)
 	}
 }
 
@@ -562,18 +624,20 @@ func TestRecorderReplayMatchesLiveState(t *testing.T) {
 }
 
 // TestRecorderInTeeJournalsExpectAndPeerDecision: sharing a resmgr.Tee
-// with an auditor and an event log, the recorder still journals the two
+// with an auditor and a deadlock monitor, the recorder still journals the two
 // transitions only it hears — the expectation of a1 and the start b1's
 // domain asks of A once a1 has held for it.
 func TestRecorderInTeeJournalsExpectAndPeerDecision(t *testing.T) {
 	dir := t.TempDir()
 	store := openStore(t, dir, Options{})
-	elog := eventlog.New(io.Discard)
 	aud := invariant.NewDeferred()
+	mon := invariant.NewMonitor()
 	eng := sim.NewEngine()
-	a := liveDomain(t, eng, "A", 32, store, aud, elog.Observer("A"))
+	a := liveDomain(t, eng, "A", 32, store, aud, mon)
 	aud.Bind(a)
 	b := resmgr.New(eng, resmgr.Options{Name: "B", Pool: cluster.New("B", 32), Cosched: cosched.DefaultConfig(cosched.Hold)})
+	mon.Register(a)
+	mon.Register(b)
 	a.AddPeer("B", b)
 	b.AddPeer("A", a)
 	a1 := job.New(1, 16, 0, 600, 600)
@@ -598,8 +662,8 @@ func TestRecorderInTeeJournalsExpectAndPeerDecision(t *testing.T) {
 	if !ops[OpExpect] || !ops[OpPeerDecision] {
 		t.Errorf("A's journal ops %v lack expect or peer-decision", ops)
 	}
-	if aud.Events() == 0 || len(aud.Violations()) != 0 || elog.Records() == 0 {
-		t.Errorf("auditor: %d events, violations %v; event log: %d records", aud.Events(), aud.Violations(), elog.Records())
+	if aud.Events() == 0 || len(aud.Violations()) != 0 || mon.Scans() == 0 {
+		t.Errorf("auditor: %d events, violations %v; monitor: %d scans", aud.Events(), aud.Violations(), mon.Scans())
 	}
 }
 

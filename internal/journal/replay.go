@@ -193,12 +193,20 @@ func (s RestoreStats) String() string {
 // allocations and rescheduling completions), and one scheduling iteration
 // is requested. The manager must be newly constructed with no jobs.
 func Restore(m *resmgr.Manager, st *RecoveredState) (RestoreStats, error) {
-	var stats RestoreStats
 	m.Engine().RunUntil(st.T)
 	for _, j := range st.Jobs {
 		if err := m.RestoreJob(j); err != nil {
-			return stats, fmt.Errorf("journal: restore job %d: %w", j.ID, err)
+			return RestoreStats{}, fmt.Errorf("journal: restore job %d: %w", j.ID, err)
 		}
+	}
+	m.RequestIteration()
+	return Tally(st.Jobs), nil
+}
+
+// Tally counts jobs by state.
+func Tally(jobs []*job.Job) RestoreStats {
+	var stats RestoreStats
+	for _, j := range jobs {
 		switch j.State {
 		case job.Unsubmitted:
 			stats.Expected++
@@ -214,31 +222,5 @@ func Restore(m *resmgr.Manager, st *RecoveredState) (RestoreStats, error) {
 			stats.Cancelled++
 		}
 	}
-	m.RequestIteration()
-	return stats, nil
-}
-
-// ReemitLifecycle replays each restored job's lifecycle through an
-// observer. The event log's buffered tail dies with a crash, so after a
-// restore the daemon re-emits the records the restored state implies;
-// records already flushed before the crash are re-written with identical
-// values, which downstream readers treat as harmless duplicates.
-func ReemitLifecycle(obs resmgr.Observer, jobs []*job.Job) {
-	for _, j := range jobs {
-		if j.State == job.Unsubmitted {
-			continue
-		}
-		obs.JobSubmitted(j.SubmitTime, j)
-		switch j.State {
-		case job.Holding:
-			obs.JobHeld(j.HoldStart, j)
-		case job.Running:
-			obs.JobStarted(j.StartTime, j)
-		case job.Completed:
-			obs.JobStarted(j.StartTime, j)
-			obs.JobCompleted(j.EndTime, j)
-		case job.Cancelled:
-			obs.JobCancelled(j.EndTime, j)
-		}
-	}
+	return stats
 }

@@ -100,32 +100,21 @@ func Open(dir string, opt Options) (*Store, error) {
 		return nil, fmt.Errorf("journal: create dir: %w", err)
 	}
 	s := &Store{dir: dir, opt: opt, fs: vfs}
-
-	if data, err := vfs.ReadFile(filepath.Join(dir, snapName)); err == nil {
-		snap, err := decodeSnapshot(data)
-		if err != nil {
-			return nil, fmt.Errorf("journal: corrupt snapshot %s: %w", snapName, err)
-		}
-		s.snap = snap
-		s.seq = snap.Seq
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("journal: read snapshot: %w", err)
+	var err error
+	if s.snap, s.entries, s.torn, err = read(vfs, dir); err != nil {
+		return nil, err
 	}
-
 	walPath := filepath.Join(dir, walName)
-	data, err := vfs.ReadFile(walPath)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("journal: read wal: %w", err)
-	}
-	entries, valid, torn := DecodeEntries(data)
-	s.entries, s.torn = entries, torn
-	if torn != nil {
-		if err := vfs.Truncate(walPath, valid); err != nil {
+	if s.torn != nil {
+		if err := vfs.Truncate(walPath, s.torn.Off); err != nil {
 			return nil, fmt.Errorf("journal: truncate torn wal: %w", err)
 		}
 	}
-	if n := len(entries); n > 0 && entries[n-1].Seq > s.seq {
-		s.seq = entries[n-1].Seq
+	if s.snap != nil {
+		s.seq = s.snap.Seq
+	}
+	if n := len(s.entries); n > 0 && s.entries[n-1].Seq > s.seq {
+		s.seq = s.entries[n-1].Seq
 	}
 
 	f, err := vfs.OpenFile(walPath, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
@@ -135,6 +124,44 @@ func Open(dir string, opt Options) (*Store, error) {
 	s.f = f
 	s.lastSync = s.now()
 	return s, nil
+}
+
+// Load reads the journal directory dir through fs (nil is the real disk)
+// and replays it: the snapshot and the valid WAL entries after it, folded
+// into final job states, plus a description of the torn WAL tail it read
+// past, if any. Unlike Open it writes nothing — no directory is created,
+// no torn tail truncated — so it can inspect a journal its daemon still
+// owns, or one left behind by a crash, and leave every byte as it was.
+func Load(fs FS, dir string) (*RecoveredState, *TornTail, error) {
+	if fs == nil {
+		fs = OSFS{}
+	}
+	snap, entries, torn, err := read(fs, dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := Replay(snap, entries)
+	return st, torn, err
+}
+
+// read is the read half of Open and Load: the snapshot (nil if none), the
+// WAL's longest valid prefix of entries, and its torn tail (nil if the log
+// ends cleanly; its Off is the length of that prefix).
+func read(fs FS, dir string) (*Snapshot, []Entry, *TornTail, error) {
+	var snap *Snapshot
+	if data, err := fs.ReadFile(filepath.Join(dir, snapName)); err == nil {
+		if snap, err = decodeSnapshot(data); err != nil {
+			return nil, nil, nil, fmt.Errorf("journal: corrupt snapshot %s: %w", snapName, err)
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, nil, nil, fmt.Errorf("journal: read snapshot: %w", err)
+	}
+	data, err := fs.ReadFile(filepath.Join(dir, walName))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, nil, nil, fmt.Errorf("journal: read wal: %w", err)
+	}
+	entries, _, torn := DecodeEntries(data)
+	return snap, entries, torn, nil
 }
 
 // Recovered returns what Open found: the snapshot (nil if none existed)

@@ -92,8 +92,11 @@ func (p *Pass) describeOrderSensitive(call *ast.CallExpr) string {
 	if namedAs(recv, "cosched/internal/metrics", "Table") && (name == "AddRow" || name == "AddRowf") {
 		return "ordered table rows (metrics.Table." + name + ")"
 	}
-	if namedAs(recv, "cosched/internal/eventlog", "Log") {
-		return "event-log emission (eventlog.Log." + name + ")"
+	// The transition record on disk: every append takes the next journal
+	// sequence number, so map order would reorder the WAL.
+	if namedAs(recv, "cosched/internal/journal", "Store") && name == "Append" ||
+		namedAs(recv, "cosched/internal/journal", "Recorder") && name != "Detach" {
+		return "journal record (" + recv.String() + "." + name + ")"
 	}
 	// Generic writer emission (strings.Builder, bytes.Buffer, files,
 	// bufio, network conns — anything with the io.Writer method set).

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"sort"
 
+	"cosched/internal/job"
+	"cosched/internal/journal"
 	"cosched/internal/sim"
 )
 
@@ -21,6 +23,21 @@ func mapRangeSchedule(eng *sim.Engine, delays map[int]sim.Duration) {
 		_ = id
 		eng.After(d, sim.PrioritySchedule, func(now sim.Time) {})
 	}
+}
+
+func mapRangeJournal(store *journal.Store, rec *journal.Recorder, byID map[job.ID]*job.Job) error {
+	for id := range byID { // want "R1"
+		if err := store.Append(&journal.Entry{Op: journal.OpCancel, Job: id}); err != nil {
+			return err
+		}
+	}
+	for _, j := range byID { // want "R1"
+		rec.JobSubmitted(0, j)
+	}
+	for range byID {
+		rec.Detach() // not a record: clean
+	}
+	return nil
 }
 
 // Collect, sort, then iterate the slice: the sanctioned shape. The

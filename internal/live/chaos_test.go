@@ -1,9 +1,14 @@
 package live
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log"
+	"net"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -232,5 +237,55 @@ func TestLiveBreakerFailsFastWithPeerDown(t *testing.T) {
 	}
 	if avg := time.Since(start) / n; avg > time.Millisecond {
 		t.Fatalf("open-breaker call averaged %v, want <1ms", avg)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer a logger can write while a test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestBreakerTransitionsReachTheDaemonLog: a daemon prints every breaker
+// transition of its peer links on its own logger, one line naming the
+// peer, the two states and the cause — whatever else is configured.
+func TestBreakerTransitionsReachTheDaemonLog(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	var out lockedBuffer
+	d, err := Start(Config{Name: "a", Nodes: 8, Scheme: "hold", Speedup: 2000,
+		Listen: "127.0.0.1:0", Admin: "127.0.0.1:0"}, log.New(&out, "", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close()
+	l := d.Connect("b", dead)
+	deadline := time.Now().Add(5 * time.Second)
+	for l.State() != peerlink.Open {
+		l.GetMateStatus(1)
+		if time.Now().After(deadline) {
+			t.Fatalf("breaker never opened; snapshot %+v", l.Snapshot())
+		}
+	}
+	want := "peerlink b: breaker closed -> open (proto: dial: "
+	if !strings.Contains(out.String(), want) {
+		t.Fatalf("daemon log lacks %q:\n%s", want, out.String())
 	}
 }

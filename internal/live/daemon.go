@@ -6,7 +6,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -14,7 +13,6 @@ import (
 
 	"cosched/internal/cluster"
 	"cosched/internal/cosched"
-	"cosched/internal/eventlog"
 	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/journal"
@@ -46,7 +44,6 @@ type Config struct {
 	Backfill         bool              // -backfill: EASY backfilling
 	Speedup          float64           // -speedup: virtual seconds per wall second
 	PeerTimeout      time.Duration     // -peer-timeout: per-call peer budget (0 = peerlink's default)
-	Log              string            // -log: JSONL event log path ("" = none)
 	Status           string            // -status: status page address ("" = none)
 	JournalDir       string            // -journal-dir ("" = no journal)
 	SnapshotEvery    int               // -snapshot-every: journal entries between snapshots
@@ -72,10 +69,8 @@ type Daemon struct {
 	admin  *AdminServer
 	status *http.Server
 
-	logFile *os.File
-	elog    *eventlog.Log // nil unless Config.Log is set
-	store   *journal.Store
-	rec     *journal.Recorder
+	store *journal.Store
+	rec   *journal.Recorder
 
 	peerAddr, adminAddr, statusAddr string
 
@@ -90,7 +85,7 @@ type Daemon struct {
 }
 
 // Start builds a daemon and opens its listeners, in this order: pool,
-// observers (the logger, the event log, the journal recorder), manager,
+// observers (the logger, the journal recorder), manager,
 // journal recovery, driver, peer server, peer links, admin server, status
 // page. It logs through logger (nil discards). On error everything opened
 // so far is closed again.
@@ -121,13 +116,6 @@ func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 	}
 
 	observers := resmgr.Tee{logObserver{l: logger}}
-	if cfg.Log != "" {
-		if d.logFile, err = openEventLog(cfg.Log); err != nil {
-			return nil, fmt.Errorf("event log: %w", err)
-		}
-		d.elog = eventlog.New(d.logFile)
-		observers = append(observers, d.elog.Observer(cfg.Name))
-	}
 	// The journal store opens — and recovers its contents — before the
 	// manager exists; the recorder joins the observer tee so the manager's
 	// very first transition is already journaled. Its snapshot source reads
@@ -215,11 +203,10 @@ func (d *Daemon) AdminAddr() string { return d.adminAddr }
 // budget, which is Config.PeerTimeout.
 func (d *Daemon) Connect(name, addr string) *peerlink.Link {
 	l := peerlink.New(peerlink.Config{
-		Name:          name,
-		Addr:          addr,
-		CallTimeout:   d.cfg.PeerTimeout,
-		Logger:        d.logger,
-		OnStateChange: d.peerTransition,
+		Name:        name,
+		Addr:        addr,
+		CallTimeout: d.cfg.PeerTimeout,
+		Logger:      d.logger, // breaker transitions: peer, from -> to (cause)
 	})
 	d.addPeer(l, l)
 	return l
@@ -233,21 +220,6 @@ func (d *Daemon) addPeer(l *peerlink.Link, p cosched.Peer) {
 	d.links = append(d.links, l)
 	d.mu.Unlock()
 	d.driver.Do(func() { d.mgr.AddPeer(l.PeerName(), p) })
-}
-
-// peerTransition records a peer-breaker transition in the event log.
-func (d *Daemon) peerTransition(peer string, from, to peerlink.State, cause error) {
-	if d.elog == nil {
-		return
-	}
-	msg := ""
-	if cause != nil {
-		msg = cause.Error()
-	}
-	// The hook fires inside peer calls, which the manager makes under the
-	// driver lock — the engine clock is safe here, while
-	// driver.VirtualNow() would deadlock on the same lock.
-	d.elog.PeerTransition(d.driver.eng.Now(), d.cfg.Name, peer, from.String(), to.String(), msg)
 }
 
 // peerLinks returns the links added so far.
@@ -302,12 +274,6 @@ func (d *Daemon) close() {
 		//simlint:allow R7 crash backstop only: the graceful drain path closes the store with error logging first, and a second Close returns nil
 		d.store.Close()
 	}
-	if d.elog != nil {
-		d.elog.Flush()
-	}
-	if d.logFile != nil {
-		d.logFile.Close()
-	}
 }
 
 // journalFailed is the recorder's error hook and the storage-fault
@@ -340,51 +306,20 @@ func (d *Daemon) journalFailed(err error) {
 	})
 }
 
-// openEventLog opens path for appending, healing a torn final line first: a
-// daemon killed mid-write leaves a partial JSON line, and appending new
-// records straight onto it would corrupt the first post-restart record too.
-// A newline boundary confines the damage to the torn line itself, which
-// eventlog.Read skips.
-func openEventLog(path string) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if n := st.Size(); n > 0 {
-		last := make([]byte, 1)
-		if _, err := f.ReadAt(last, n-1); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if last[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	}
-	return f, nil
-}
-
 // recoverFromJournal rebuilds the manager from what the store's Open pass
 // found: replay the snapshot + WAL tail into final job states, re-install
-// them, check the recovery invariants, re-emit the restored lifecycle into
-// the event log (whose buffered tail died with the crash), and compact the
-// journal to a fresh baseline so the next boot starts from one snapshot.
-// It leaves d.recovery nil when there was nothing to recover (fresh start
-// or no journal).
+// them, check the recovery invariants, and compact the journal to a fresh
+// baseline so the next boot starts from one snapshot. It leaves d.recovery
+// nil when there was nothing to recover (no journal, or one that holds no
+// job); a fresh journal still gets that first snapshot, so that every
+// journal directory names its domain.
 func (d *Daemon) recoverFromJournal() error {
 	if d.store == nil {
 		return nil
 	}
 	snap, entries := d.store.Recovered()
-	if snap == nil && len(entries) == 0 {
-		return nil
+	if (snap == nil || len(snap.Jobs) == 0) && len(entries) == 0 {
+		return d.store.Compact(journal.ManagerSnapshot(d.mgr))
 	}
 	torn := d.store.Torn()
 	if torn != nil {
@@ -401,13 +336,8 @@ func (d *Daemon) recoverFromJournal() error {
 	for _, v := range invariant.VerifyRecovery(d.mgr, st.Jobs) {
 		d.logger.Printf("RECOVERY INVARIANT VIOLATION: %s", v)
 	}
-	detail := fmt.Sprintf("recovered at t=%d: snapshot seq %d + %d entries, %d jobs (%s)",
+	d.logger.Printf("recovered at t=%d: snapshot seq %d + %d entries, %d jobs (%s)",
 		st.T, st.SnapshotSeq, st.Entries, stats.Total(), stats)
-	d.logger.Print(detail)
-	if d.elog != nil {
-		journal.ReemitLifecycle(d.elog.Observer(d.cfg.Name), st.Jobs)
-		d.elog.Recovery(st.T, d.cfg.Name, detail)
-	}
 	// Fold the recovered state into one fresh snapshot so the next restart
 	// replays from here, not from the whole pre-crash history.
 	if err := d.store.Compact(journal.ManagerSnapshot(d.mgr)); err != nil {
@@ -427,9 +357,9 @@ func (d *Daemon) recoverFromJournal() error {
 
 // reconcilePeers drives the caller side of the post-restart mate
 // reconciliation handshake against every peer, retrying per peer until the
-// exchange succeeds or ctx ends. Each outcome is logged, journaled as a
-// recovery milestone, and published to the status page. The manager is
-// touched only inside driver.Do, like the proto server's inbound calls.
+// exchange succeeds or ctx ends. Each outcome is logged and published to
+// the status page. The manager is touched only inside driver.Do, like the
+// proto server's inbound calls.
 func (d *Daemon) reconcilePeers(ctx context.Context, links []*peerlink.Link) {
 	var done []string
 	for _, l := range links {
@@ -441,9 +371,6 @@ func (d *Daemon) reconcilePeers(ctx context.Context, links []*peerlink.Link) {
 				detail := fmt.Sprintf("reconciled with %s: sent=%d co_starts=%d adopted=%d released=%d kept=%d",
 					rep.Peer, rep.Sent, rep.CoStarts, rep.Adopted, rep.Released, rep.Kept)
 				d.logger.Print(detail)
-				if d.elog != nil {
-					d.elog.Recovery(d.driver.VirtualNow(), d.cfg.Name, detail)
-				}
 				done = append(done, detail)
 				d.mu.Lock()
 				info := *d.recovery
@@ -473,8 +400,6 @@ func (d *Daemon) reconcilePeers(ctx context.Context, links []*peerlink.Link) {
 //     dead daemon;
 //  3. the journal syncs and closes, making every transition durable before
 //     the process exits.
-//
-// The event log flushes last.
 func (d *Daemon) drain(links []*peerlink.Link) {
 	d.peer.Close()
 	var views map[string][]cosched.MateView
@@ -493,11 +418,6 @@ func (d *Daemon) drain(links []*peerlink.Link) {
 	if d.store != nil {
 		if err := d.store.Close(); err != nil {
 			d.logger.Printf("drain: journal close: %v", err)
-		}
-	}
-	if d.elog != nil {
-		if err := d.elog.Flush(); err != nil {
-			d.logger.Printf("drain: event log flush: %v", err)
 		}
 	}
 }

@@ -24,8 +24,10 @@ import (
 // counts one refused hold.
 func TestDegradedModeMetricsExported(t *testing.T) {
 	b := startTestDomain(t, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 2000})
+	// Fsync 0 is the snapshot a journal's first owner writes; the fault
+	// fails the third WAL fsync after it.
 	plan := &faultplan.Plan{Seed: 9, Faults: []faultplan.Fault{
-		{Seam: faultplan.SeamJournal, Kind: faultplan.KindFsyncEIO, At: 2},
+		{Seam: faultplan.SeamJournal, Kind: faultplan.KindFsyncEIO, At: 3},
 	}}
 	a := startTestDomain(t, Config{Name: "a", Nodes: 16, Scheme: "hold", Speedup: 2000,
 		Status: "127.0.0.1:0", JournalDir: t.TempDir(), fs: faultplan.NewFaultFS(plan, nil)})

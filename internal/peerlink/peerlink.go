@@ -129,11 +129,9 @@ type Config struct {
 	// callers which still set it compile.
 	Seed uint64
 	// Logger, if set, records connects, disconnects, and breaker
-	// transitions.
+	// transitions, one line each: the peer, from -> to, and the cause
+	// (nil on recovery).
 	Logger *log.Logger
-	// OnStateChange, if set, is invoked (outside the link's lock) after
-	// every breaker transition; cause is nil on recovery.
-	OnStateChange func(name string, from, to State, cause error)
 	// Dial overrides the transport constructor (tests, net.Pipe links).
 	// The default dials Addr with proto.DialTimeouts.
 	Dial func(addr string, dialTimeout, callTimeout time.Duration) (Transport, error)
@@ -205,8 +203,8 @@ func (l *Link) now() time.Time {
 	return time.Now()
 }
 
-// setStateLocked transitions the breaker and returns a thunk that fires
-// the logger and OnStateChange hook — call it after releasing l.mu.
+// setStateLocked transitions the breaker and returns a thunk that logs
+// the transition — call it after releasing l.mu.
 func (l *Link) setStateLocked(to State, cause error) func() {
 	from := l.state
 	if from == to {
@@ -216,15 +214,11 @@ func (l *Link) setStateLocked(to State, cause error) func() {
 	if to == Open {
 		l.trips++
 	}
-	name, logger, cb := l.cfg.Name, l.cfg.Logger, l.cfg.OnStateChange
-	return func() {
-		if logger != nil {
-			logger.Printf("peerlink %s: breaker %s -> %s (%v)", name, from, to, cause)
-		}
-		if cb != nil {
-			cb(name, from, to, cause)
-		}
+	name, logger := l.cfg.Name, l.cfg.Logger
+	if logger == nil {
+		return nil
 	}
+	return func() { logger.Printf("peerlink %s: breaker %s -> %s (%v)", name, from, to, cause) }
 }
 
 func fire(fs ...func()) {

@@ -1,9 +1,12 @@
 package peerlink_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"log"
 	"os"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -171,12 +174,8 @@ func TestBreakerOpensAfterConsecutiveDialFailures(t *testing.T) {
 func TestHalfOpenProbeClosesOnSuccess(t *testing.T) {
 	h := newHarness()
 	h.setDialErr(errors.New("refused"))
-	var transitions []string
-	l := newTestLink(h, func(c *peerlink.Config) {
-		c.OnStateChange = func(name string, from, to peerlink.State, cause error) {
-			transitions = append(transitions, fmt.Sprintf("%s->%s", from, to))
-		}
-	})
+	var logged bytes.Buffer
+	l := newTestLink(h, func(c *peerlink.Config) { c.Logger = log.New(&logged, "", 0) })
 	for i := 0; i < 3; i++ {
 		l.GetMateStatus(1)
 		h.advance(time.Second)
@@ -212,9 +211,13 @@ func TestHalfOpenProbeClosesOnSuccess(t *testing.T) {
 	if h.dialCount() != dials {
 		t.Fatal("healthy link redialed")
 	}
-	want := []string{"closed->open", "open->half-open", "half-open->closed"}
-	if len(transitions) != 3 || transitions[0] != want[0] || transitions[1] != want[1] || transitions[2] != want[2] {
-		t.Fatalf("transitions = %v, want %v", transitions, want)
+	var transitions []string
+	for _, m := range regexp.MustCompile(`peerlink mate: breaker (\S+ -> \S+) \(`).FindAllStringSubmatch(logged.String(), -1) {
+		transitions = append(transitions, m[1])
+	}
+	want := []string{"closed -> open", "open -> half-open", "half-open -> closed"}
+	if fmt.Sprint(transitions) != fmt.Sprint(want) {
+		t.Fatalf("transitions = %v, want %v\n%s", transitions, want, logged.String())
 	}
 }
 
