@@ -145,8 +145,11 @@ go test -tags debug ./internal/invariant ./internal/backfill \
 # Memory-architecture gate: the steady-state zero-alloc assertions (engine
 # event churn, the EASY planner, the pool's slot table, the resource
 # manager's submit → start → complete spine, a probe_mate round trip over
-# ServeConn and one over the simulator's in-process conn, a
-# journaled transition, an admin response through its codec and a driver
+# ServeConn and one over the simulator's in-process conn, a start_mate
+# carrying its co-start instant over both
+# (TestStartMateAtRoundTripAllocatesNothing), a journaled transition, an
+# admin response through its codec, a submit with mates decoded into its
+# connection's scratch (TestAdminRequestCodecWithoutAllocating) and a driver
 # wake-up must report 0 allocs/op). Throughput is NOT gated here: shared CI
 # machines make wall-clock assertions flaky; bench/run.sh measures it.
 go test -run 'ZeroAlloc|WithoutAllocating|AllocatesNothing' -count=1 \

@@ -117,9 +117,10 @@ type Job struct {
 	// For the paper's 2-way pairing there is exactly one entry; the N-way
 	// extension allows several. Mates is written only while a trace or a
 	// submission is being built (the workload pairers, the SWF reader,
-	// Clone, the admin interface) and never once a manager has the job, so
-	// a journal entry or snapshot record may share the slice until it is
-	// encoded.
+	// Clone, the admin interface — which copies them out of the
+	// connection's decode scratch, overwritten by the next frame) and never
+	// once a manager has the job, so a journal entry or snapshot record may
+	// share the slice until it is encoded.
 	Mates []MateRef
 
 	// Mutable scheduling state (owned by the resource manager).

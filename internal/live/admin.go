@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -67,11 +68,16 @@ type AdminServer struct {
 	driver *Driver
 	logger *log.Logger
 	acc    proto.Acceptor
+	// submit is submitJob, bound once: every submission schedules it with
+	// its job as the argument instead of a closure of its own.
+	submit sim.ArgHandler
 }
 
 // NewAdminServer wraps a manager and its driver.
 func NewAdminServer(mgr *resmgr.Manager, driver *Driver, logger *log.Logger) *AdminServer {
-	return &AdminServer{mgr: mgr, driver: driver, logger: logger}
+	s := &AdminServer{mgr: mgr, driver: driver, logger: logger}
+	s.submit = s.submitJob
+	return s
 }
 
 // Listen starts accepting admin connections.
@@ -83,19 +89,22 @@ func (s *AdminServer) Listen(addr string) (net.Addr, error) {
 // closes conn.
 func (s *AdminServer) serveConn(conn net.Conn) {
 	frames := proto.NewFrameReader(conn)
-	// One request and one response for the connection's life, reset per
-	// frame: passing their addresses to the framing moves them to the heap.
-	var req AdminRequest
+	// One decode scratch and one response for the connection's life, reset
+	// per frame: passing their addresses on moves them to the heap once.
+	var scratch adminScratch
 	var resp AdminResponse
 	for {
-		req = AdminRequest{}
-		if err := frames.ReadFrame(&req); err != nil {
+		payload, err := frames.Next()
+		if err == nil {
+			err = scratch.decode(payload)
+		}
+		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && s.logger != nil {
 				s.logger.Printf("admin: read: %v", err)
 			}
 			return
 		}
-		resp = s.dispatch(req)
+		resp = s.dispatch(scratch.req)
 		if err := proto.WriteFrame(conn, &resp); err != nil {
 			return
 		}
@@ -123,15 +132,13 @@ func (s *AdminServer) dispatch(req AdminRequest) AdminResponse {
 		}
 		w := req.Job
 		s.driver.Do(func() {
-			if _, ok := s.mgr.Job(w.ID); ok {
-				resp.State = job.Unsubmitted.String()
-				return // already known; idempotent
-			}
-			if _, err := s.expect(w); err != nil {
+			// Idempotent for the same job: the answer is its state.
+			j, err := s.admit(OpExpect, w)
+			if err != nil {
 				resp.Error = err.Error()
 				return
 			}
-			resp.State = job.Unsubmitted.String()
+			resp.State = j.State.String()
 		})
 	case OpSubmit:
 		if req.Job == nil {
@@ -140,18 +147,13 @@ func (s *AdminServer) dispatch(req AdminRequest) AdminResponse {
 		}
 		w := req.Job
 		s.driver.Do(func() {
-			j, known := s.mgr.Job(w.ID)
-			if known {
-				if j.State != job.Unsubmitted {
-					resp.Error = fmt.Sprintf("job %d already %s", w.ID, j.State)
-					return
-				}
-			} else {
-				var err error
-				if j, err = s.expect(w); err != nil {
-					resp.Error = err.Error()
-					return
-				}
+			j, err := s.admit(OpSubmit, w)
+			if err == nil && j.State != job.Unsubmitted {
+				err = fmt.Errorf("job %d already %s", w.ID, j.State)
+			}
+			if err != nil {
+				resp.Error = err.Error()
+				return
 			}
 			// Land the submission at the wall-clock's virtual instant so
 			// wait-time accounting is correct even while the engine idles.
@@ -160,11 +162,7 @@ func (s *AdminServer) dispatch(req AdminRequest) AdminResponse {
 				at = now
 			}
 			j.SubmitTime = at
-			if _, err := s.mgr.Engine().At(at, sim.PrioritySubmit, func(sim.Time) {
-				if err := s.mgr.Submit(j); err != nil && s.logger != nil {
-					s.logger.Printf("admin: submit job %d: %v", j.ID, err)
-				}
-			}); err != nil {
+			if _, err := s.mgr.Engine().AtArg(at, sim.PrioritySubmit, s.submit, j); err != nil {
 				resp.Error = err.Error()
 				return
 			}
@@ -199,16 +197,51 @@ func (s *AdminServer) dispatch(req AdminRequest) AdminResponse {
 // submitted, refusing one wider than the pool: no release could ever make it
 // fit, so it would queue for ever and its mates on the other domains would
 // hold or yield for it, release interval after release interval. The job
-// keeps w's mates without copying them; a decoded WireJob is never used
-// again.
+// gets a copy of w's mates: w is the connection's decode scratch, which the
+// next frame overwrites.
 func (s *AdminServer) expect(w *WireJob) (*job.Job, error) {
 	if total := s.mgr.Pool().Total(); w.Nodes > total {
 		return nil, fmt.Errorf("job %d asks for %d nodes; %s has %d", w.ID, w.Nodes, s.mgr.Name(), total)
 	}
 	j := job.New(w.ID, w.Nodes, 0, w.Runtime, w.Walltime)
 	j.Name = w.Name
-	j.Mates = w.Mates
+	j.Mates = append([]job.MateRef(nil), w.Mates...)
 	return j, s.mgr.Expect(j)
+}
+
+// admit returns the job w names, registering it through expect if the
+// manager has never heard of it. A known job whose shape differs from w's
+// is refused, naming the job and the first field that differs: the daemon
+// would otherwise run the shape it has, not the one op just sent.
+func (s *AdminServer) admit(op string, w *WireJob) (*job.Job, error) {
+	j, ok := s.mgr.Job(w.ID)
+	if !ok {
+		return s.expect(w)
+	}
+	var field string
+	var have, sent any
+	switch {
+	case j.Nodes != w.Nodes:
+		field, have, sent = "nodes", j.Nodes, w.Nodes
+	case j.Runtime != w.Runtime:
+		field, have, sent = "runtime", j.Runtime, w.Runtime
+	case j.Walltime != max(w.Walltime, w.Runtime): // as job.New sets it
+		field, have, sent = "walltime", j.Walltime, w.Walltime
+	case !slices.Equal(j.Mates, w.Mates):
+		field, have, sent = "mates", j.Mates, w.Mates
+	default:
+		return j, nil
+	}
+	return nil, fmt.Errorf("%s: job %d %s %v differs from the %v it was expected with", op, j.ID, field, sent, have)
+}
+
+// submitJob is the submit event: it queues the job an admin submit
+// registered.
+func (s *AdminServer) submitJob(_ sim.Time, arg any) {
+	j := arg.(*job.Job)
+	if err := s.mgr.Submit(j); err != nil && s.logger != nil {
+		s.logger.Printf("admin: submit job %d: %v", j.ID, err)
+	}
 }
 
 // Close shuts the listener and connections down.
@@ -222,9 +255,11 @@ type AdminClient struct {
 	seq    uint64
 	// timeout bounds each round trip; 0 means no deadline.
 	timeout time.Duration
-	// The frames of the call in progress: fields, so that handing their
-	// addresses to the framing does not allocate a pair per call.
+	// The frames of the call in progress, and the job a submit or expect
+	// carries (req.Job points at it): fields, so that handing their
+	// addresses to the framing does not allocate per call.
 	req  AdminRequest
+	job  WireJob
 	resp AdminResponse
 }
 
@@ -243,12 +278,17 @@ func DialAdmin(addr string, timeout time.Duration) (*AdminClient, error) {
 // Close closes the connection.
 func (c *AdminClient) Close() error { return c.conn.Close() }
 
-func (c *AdminClient) call(req AdminRequest) (AdminResponse, error) {
+// call makes one round trip of op about job id, carrying a copy of w
+// unless w is nil.
+func (c *AdminClient) call(op string, id job.ID, w *WireJob) (AdminResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
-	req.Seq = c.seq
-	c.req, c.resp = req, AdminResponse{}
+	c.req, c.resp = AdminRequest{Seq: c.seq, Op: op, JobID: id}, AdminResponse{}
+	if w != nil {
+		c.job = *w
+		c.req.Job = &c.job
+	}
 	var err error
 	if c.timeout > 0 {
 		err = c.conn.SetDeadline(time.Now().Add(c.timeout))
@@ -267,11 +307,11 @@ func (c *AdminClient) call(req AdminRequest) (AdminResponse, error) {
 		return AdminResponse{}, err
 	}
 	resp := c.resp
-	if resp.Seq != req.Seq {
+	if resp.Seq != c.seq {
 		// A late answer to an earlier request: every later response on this
 		// connection would be off by one too, so the connection is retired.
 		c.conn.Close()
-		return AdminResponse{}, fmt.Errorf("admin: sequence mismatch: sent %d, got %d", req.Seq, resp.Seq)
+		return AdminResponse{}, fmt.Errorf("admin: sequence mismatch: sent %d, got %d", c.seq, resp.Seq)
 	}
 	if resp.Error != "" {
 		return resp, errors.New(resp.Error)
@@ -281,12 +321,12 @@ func (c *AdminClient) call(req AdminRequest) (AdminResponse, error) {
 
 // Info fetches daemon state.
 func (c *AdminClient) Info() (AdminResponse, error) {
-	return c.call(AdminRequest{Op: OpInfo})
+	return c.call(OpInfo, 0, nil)
 }
 
 // Submit sends a job.
 func (c *AdminClient) Submit(w WireJob) error {
-	_, err := c.call(AdminRequest{Op: OpSubmit, Job: &w})
+	_, err := c.call(OpSubmit, 0, &w)
 	return err
 }
 
@@ -294,17 +334,17 @@ func (c *AdminClient) Submit(w WireJob) error {
 // protocol: declare every member of a group everywhere before submitting
 // any of them).
 func (c *AdminClient) Expect(w WireJob) error {
-	_, err := c.call(AdminRequest{Op: OpExpect, Job: &w})
+	_, err := c.call(OpExpect, 0, &w)
 	return err
 }
 
 // Status queries one job.
 func (c *AdminClient) Status(id job.ID) (AdminResponse, error) {
-	return c.call(AdminRequest{Op: OpStatus, JobID: id})
+	return c.call(OpStatus, id, nil)
 }
 
 // Cancel withdraws a job.
 func (c *AdminClient) Cancel(id job.ID) error {
-	_, err := c.call(AdminRequest{Op: OpCancel, JobID: id})
+	_, err := c.call(OpCancel, id, nil)
 	return err
 }

@@ -1,6 +1,9 @@
 package live
 
 import (
+	"encoding/json"
+	"fmt"
+
 	"cosched/internal/job"
 	"cosched/internal/proto"
 	"cosched/internal/wirejson"
@@ -59,32 +62,13 @@ func (r *AdminRequest) ParseFrame(payload []byte) bool {
 	if r == nil {
 		return false
 	}
-	s := wirejson.Scan(payload)
 	req := *r
 	var w WireJob
 	if r.Job != nil {
 		w = *r.Job
 	}
-	var seen uint
-	for s.Next() {
-		switch string(s.Key()) {
-		case "seq":
-			s.Once(&seen, 1)
-			req.Seq = s.Uint()
-		case "op":
-			s.Once(&seen, 2)
-			req.Op = wirejson.Intern(s.Str(), opNames[:])
-		case "job":
-			s.Once(&seen, hasJob)
-			parseWireJob(&s, &w)
-		case "job_id":
-			s.Once(&seen, 8)
-			req.JobID = job.ID(s.Int())
-		default:
-			return false
-		}
-	}
-	if !s.Done() {
+	seen, ok := parseAdminRequest(payload, &req, &w, nil, nil)
+	if !ok {
 		return false
 	}
 	if seen&hasJob != 0 {
@@ -97,10 +81,83 @@ func (r *AdminRequest) ParseFrame(payload []byte) bool {
 	return true
 }
 
+// adminScratch is what serveConn decodes its connection's requests into:
+// one request, the one WireJob a submit or expect fills, the array its mates
+// decode into and the domain names they have named. A decoded request
+// aliases all of it until the next frame, so whoever keeps a slice of it
+// copies the slice (AdminServer.expect copies the mates).
+type adminScratch struct {
+	req     AdminRequest
+	job     WireJob
+	mates   []job.MateRef
+	domains []string
+}
+
+// decode sets s.req to payload decoded as json.Unmarshal decodes it into a
+// zero AdminRequest; a canonical payload decodes without allocating once
+// the connection has seen its mates' domains.
+//
+//simlint:hotpath
+func (s *adminScratch) decode(payload []byte) error {
+	s.req, s.job = AdminRequest{}, WireJob{}
+	seen, ok := parseAdminRequest(payload, &s.req, &s.job, s.mates, &s.domains)
+	if !ok {
+		s.req = AdminRequest{}
+		if err := json.Unmarshal(payload, &s.req); err != nil {
+			return fmt.Errorf("admin: unmarshal: %w", err)
+		}
+		return nil
+	}
+	if seen&hasJob != 0 {
+		s.req.Job = &s.job
+		if s.job.Mates != nil {
+			s.mates = s.job.Mates // keep the array, grown or not
+		}
+	}
+	return nil
+}
+
+// parseAdminRequest decodes a canonical payload into *req as json.Unmarshal
+// would, except that a "job" member decodes into *w, whatever req.Job
+// points at, and the job's mates into mates' array with their domain names
+// interned in *domains (see wirejson.Scanner.MatesInto). It returns the
+// members met, as seen bits, and false for every other payload, which
+// leaves *req untouched and *w in any state.
+//
+//simlint:hotpath
+func parseAdminRequest(payload []byte, req *AdminRequest, w *WireJob, mates []job.MateRef, domains *[]string) (uint, bool) {
+	s := wirejson.Scan(payload)
+	r := *req
+	var seen uint
+	for s.Next() {
+		switch string(s.Key()) {
+		case "seq":
+			s.Once(&seen, 1)
+			r.Seq = s.Uint()
+		case "op":
+			s.Once(&seen, 2)
+			r.Op = wirejson.Intern(s.Str(), opNames[:])
+		case "job":
+			s.Once(&seen, hasJob)
+			parseWireJob(&s, w, mates, domains)
+		case "job_id":
+			s.Once(&seen, 8)
+			r.JobID = job.ID(s.Int())
+		default:
+			return 0, false
+		}
+	}
+	if !s.Done() {
+		return 0, false
+	}
+	*req = r
+	return seen, true
+}
+
 // parseWireJob consumes the object a request's "job" member holds.
 //
 //simlint:hotpath
-func parseWireJob(s *wirejson.Scanner, w *WireJob) {
+func parseWireJob(s *wirejson.Scanner, w *WireJob, mates []job.MateRef, domains *[]string) {
 	var seen uint
 	for s.Object(); s.Next(); {
 		switch string(s.Key()) {
@@ -121,7 +178,7 @@ func parseWireJob(s *wirejson.Scanner, w *WireJob) {
 			w.Walltime = s.Int()
 		case "mates":
 			s.Once(&seen, 32)
-			w.Mates = s.Mates()
+			w.Mates = s.MatesInto(mates, domains)
 		default:
 			s.Fail()
 		}

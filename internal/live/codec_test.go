@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,24 @@ func decodeBothWays(t *testing.T, payload []byte) {
 		err, refErr = readFrame(payload, &resp), json.Unmarshal(payload, &refResp)
 		if (err == nil) != (refErr == nil) || !reflect.DeepEqual(resp, refResp) {
 			t.Fatalf("response %q (filled %v): codec %+v, %v; encoding/json %+v, %v", payload, filled, resp, err, refResp, refErr)
+		}
+	}
+	decodeInScratch(t, payload)
+}
+
+// decodeInScratch decodes payloads in turn into one adminScratch, as
+// serveConn decodes its connection's frames, and fails unless each decodes
+// as json.Unmarshal alone decodes it into a zero AdminRequest: same value,
+// same error-ness, nothing left over from the frame before.
+func decodeInScratch(t *testing.T, payloads ...[]byte) {
+	t.Helper()
+	var scratch adminScratch
+	for i, payload := range payloads {
+		var ref AdminRequest
+		err, refErr := scratch.decode(payload), json.Unmarshal(payload, &ref)
+		if (err == nil) != (refErr == nil) || !reflect.DeepEqual(scratch.req, ref) {
+			t.Fatalf("frame %d %q into connection scratch: %+v job %+v, %v; encoding/json %+v job %+v, %v",
+				i, payload, scratch.req, scratch.req.Job, err, ref, ref.Job, refErr)
 		}
 	}
 }
@@ -198,7 +217,8 @@ func TestAdminFramesMatchJSONMarshal(t *testing.T) {
 // of proto's FuzzFrameCodec: for arbitrary payload bytes a decode through
 // the framing must give what json.Unmarshal alone gives, for arbitrary
 // member values WriteFrame's payload must be json.Marshal's, and what was
-// written must decode both ways alike.
+// written must decode both ways alike — also as the frames of one
+// connection, decoded in turn into one reused scratch.
 func FuzzAdminCodec(f *testing.F) {
 	// payload, then the members of one request and one response: seq, two
 	// integers, a mask of which optional members are set, the number of
@@ -229,7 +249,17 @@ func FuzzAdminCodec(f *testing.F) {
 			}
 			req.Job = w
 		}
-		decodeBothWays(t, encodeBothWays(t, &req))
+		reqPayload := encodeBothWays(t, &req)
+		decodeBothWays(t, reqPayload)
+		// The same connection then carries a frame with no job, the request
+		// again, one with a mate more under another domain, and the fuzzed
+		// bytes between them.
+		more := AdminRequest{Seq: seq + 1, Op: OpSubmit, Job: &WireJob{ID: job.ID(v2), Mates: []job.MateRef{{Domain: s3, Job: 1}}}}
+		if req.Job != nil {
+			more.Job.Mates = append(slices.Clone(req.Job.Mates), more.Job.Mates...)
+		}
+		decodeInScratch(t, reqPayload, encodeBothWays(t, &AdminRequest{Seq: seq, Op: OpInfo}), payload,
+			reqPayload, encodeBothWays(t, &more), payload, reqPayload)
 		resp := AdminResponse{
 			Seq: seq, StartTime: opt(5, v1), Started: mask>>6&1 != 0,
 			Nodes: int(opt(7, v2)), Free: int(opt(8, v1)), VirtualNow: opt(9, v2),
@@ -260,6 +290,31 @@ func TestAdminResponseCodecWithoutAllocating(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("encoding and parsing an AdminResponse allocates %v times, want 0", allocs)
+	}
+}
+
+// TestAdminRequestCodecWithoutAllocating: a submit, the request a pair
+// costs two of (and its expect twin two more), decodes into the
+// connection's scratch — mates and their domain name included — without a
+// heap allocation once the connection has seen the domain.
+func TestAdminRequestCodecWithoutAllocating(t *testing.T) {
+	req := AdminRequest{Seq: 12345, Op: OpSubmit, Job: &WireJob{
+		ID: 7, Nodes: 16, Runtime: 600, Walltime: 900, Mates: []job.MateRef{{Domain: "beta", Job: 7}},
+	}}
+	payload, ok := req.AppendFrame(nil)
+	if !ok {
+		t.Fatalf("%+v not encoded", req)
+	}
+	var scratch adminScratch
+	decode := func() {
+		if err := scratch.decode(payload); err != nil || scratch.req.Seq != req.Seq || scratch.req.Op != req.Op ||
+			scratch.req.Job == nil || scratch.req.Job.ID != req.Job.ID || !slices.Equal(scratch.req.Job.Mates, req.Job.Mates) {
+			t.Fatalf("decode of %q: %+v job %+v, %v", payload, scratch.req, scratch.req.Job, err)
+		}
+	}
+	decode() // the connection's first frame names the domain and sizes the mates array
+	if allocs := testing.AllocsPerRun(200, decode); allocs != 0 {
+		t.Fatalf("decoding a submit with mates into connection scratch allocates %v times, want 0", allocs)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -154,6 +155,120 @@ func TestAdminExpectIdempotent(t *testing.T) {
 	// Submitting the expected job works.
 	if err := c.Submit(w); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// adminRoundTrip sends req on conn as an AdminClient would and returns the
+// answer whole, State included, which the typed Expect and Submit drop.
+func adminRoundTrip(t *testing.T, conn net.Conn, req AdminRequest) AdminResponse {
+	t.Helper()
+	var resp AdminResponse
+	if err := proto.WriteFrame(conn, &req); err != nil {
+		t.Fatal(err)
+	}
+	if err := proto.ReadFrame(conn, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestAdminRefusesSubmitThatDisagreesWithExpect: a submit or a repeated
+// expect of an expected job must carry the shape it was expected with; one
+// that differs is refused, naming the job and the field, instead of
+// silently running the expected shape. A repeated expect that agrees
+// answers the job's real state.
+func TestAdminRefusesSubmitThatDisagreesWithExpect(t *testing.T) {
+	dom := startTestDomain(t, Config{Name: "shape", Nodes: 64, Scheme: "hold", Speedup: 500})
+	c, err := DialAdmin(dom.adminAddr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	w := WireJob{ID: 7, Nodes: 4, Runtime: 3600, Walltime: 7200, Mates: []job.MateRef{{Domain: "other", Job: 7}}}
+	if err := c.Expect(w); err != nil {
+		t.Fatal(err)
+	}
+	differs := map[string]func(*WireJob){
+		"nodes":    func(b *WireJob) { b.Nodes = 8 },
+		"runtime":  func(b *WireJob) { b.Runtime = 1800 },
+		"walltime": func(b *WireJob) { b.Walltime = 9000 },
+		"mates":    func(b *WireJob) { b.Mates = []job.MateRef{{Domain: "other", Job: 8}} },
+	}
+	for field, change := range differs {
+		bad := w
+		change(&bad)
+		for op, call := range map[string]func(WireJob) error{OpExpect: c.Expect, OpSubmit: c.Submit} {
+			err := call(bad)
+			if err == nil {
+				t.Fatalf("%s with a different %s accepted", op, field)
+			}
+			for _, want := range []string{"job 7", field} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s error %q does not name %q", op, err, want)
+				}
+			}
+		}
+	}
+	if st, err := c.Status(7); err != nil || st.State != job.Unsubmitted.String() {
+		t.Fatalf("after the refusals job 7 is %+v, %v; want still unsubmitted", st, err)
+	}
+
+	// The agreeing submit goes through, and a repeated expect then answers
+	// the state the job is really in.
+	if err := c.Submit(w); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		st, err := c.Status(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Started {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started: %+v", st)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	conn, err := net.Dial("tcp", dom.adminAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if resp := adminRoundTrip(t, conn, AdminRequest{Seq: 1, Op: OpExpect, Job: &w}); resp.Error != "" || resp.State != job.Running.String() {
+		t.Fatalf("repeated expect of a running job answered %+v, want state %s", resp, job.Running)
+	}
+}
+
+// TestAdminExpectKeepsItsOwnMates: serveConn decodes every frame of a
+// connection into one scratch WireJob and one mates array, so the job an
+// expect registers must own a copy of its mates; a later frame on the same
+// connection naming other mates must leave them as they were.
+func TestAdminExpectKeepsItsOwnMates(t *testing.T) {
+	dom := startTestDomain(t, Config{Name: "keep", Nodes: 64, Scheme: "hold", Speedup: 500})
+	c, err := DialAdmin(dom.adminAddr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	want := []job.MateRef{{Domain: "left", Job: 1}}
+	for _, w := range []WireJob{
+		{ID: 1, Nodes: 1, Runtime: 60, Walltime: 60, Mates: want},
+		{ID: 2, Nodes: 1, Runtime: 60, Walltime: 60, Mates: []job.MateRef{{Domain: "right", Job: 2}}},
+	} {
+		if err := c.Expect(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []job.MateRef
+	dom.driver.Do(func() {
+		j, _ := dom.mgr.Job(1)
+		got = append(got, j.Mates...)
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("job 1's mates are %v after a second frame on its connection, want %v", got, want)
 	}
 }
 

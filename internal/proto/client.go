@@ -102,7 +102,7 @@ func (c *Client) Exchange(req Request) (Response, error) {
 		return Response{}, c.breakLocked(req.Method, StageWrite, err)
 	}
 	var resp Response
-	payload, err := c.frames.next()
+	payload, err := c.frames.Next()
 	if err == nil {
 		err = unmarshalResponse(payload, &resp)
 	}

@@ -66,10 +66,13 @@ const hasAt = 8
 // in any order; members the payload omits keep their value in *dst. It
 // reports false, with *dst untouched, for anything else — including frames
 // encoding/json accepts (whitespace, escapes, views, null, other key
-// spellings), which are the caller's to pass on.
+// spellings), which are the caller's to pass on. A decoded "at" goes where
+// dst.At points, else to atBuf — the caller's storage, so that a server
+// decodes every frame's "at" into one value per connection — else to a new
+// sim.Time; a frame without one leaves dst.At as it was.
 //
 //simlint:hotpath
-func parseRequest(payload []byte, dst *Request) bool {
+func parseRequest(payload []byte, dst *Request, atBuf *sim.Time) bool {
 	s := wirejson.Scan(payload)
 	var seen uint
 	req := *dst
@@ -100,7 +103,9 @@ func parseRequest(payload []byte, dst *Request) bool {
 	}
 	if seen&hasAt != 0 {
 		if req.At == nil {
-			req.At = new(sim.Time)
+			if req.At = atBuf; atBuf == nil {
+				req.At = new(sim.Time)
+			}
 		}
 		*req.At = at
 	}

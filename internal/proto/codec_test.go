@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cosched/internal/cosched"
+	"cosched/internal/job"
 	"cosched/internal/sim"
 )
 
@@ -95,7 +96,7 @@ func TestCodecRefusals(t *testing.T) {
 		"array":               `[1]`,
 	} {
 		t.Run(name, func(t *testing.T) {
-			if parseRequest([]byte(payload), new(Request)) {
+			if parseRequest([]byte(payload), new(Request), nil) {
 				t.Errorf("parseRequest accepted %q", payload)
 			}
 			if parseResponse([]byte(payload), new(Response)) {
@@ -119,7 +120,7 @@ func TestCodecAccepts(t *testing.T) {
 	} {
 		var req Request
 		var resp Response
-		if !parseRequest([]byte(payload), &req) && !parseResponse([]byte(payload), &resp) {
+		if !parseRequest([]byte(payload), &req, nil) && !parseResponse([]byte(payload), &resp) {
 			t.Errorf("neither parser accepted %q", payload)
 		}
 		decodeBothWays(t, []byte(payload))
@@ -164,7 +165,7 @@ func TestDecodedNamesAreInterned(t *testing.T) {
 	var req Request
 	var resp Response
 	allocs := testing.AllocsPerRun(100, func() {
-		if !parseRequest(reqPayload, &req) || !parseResponse(respPayload, &resp) {
+		if !parseRequest(reqPayload, &req, nil) || !parseResponse(respPayload, &resp) {
 			t.Fatal("canonical frame refused")
 		}
 	})
@@ -222,5 +223,59 @@ func TestInProcessRoundTripAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("an in-process probe_mate round trip allocates %v times, want 0", allocs)
+	}
+}
+
+// coStartBackend is a fakeBackend that speaks the CoStarter extension and
+// records the instant the last start request carried.
+type coStartBackend struct {
+	*fakeBackend
+	at sim.Time
+}
+
+func (b *coStartBackend) TryStartMateAt(_ job.ID, at sim.Time) (bool, error) {
+	b.at = at
+	return true, nil
+}
+
+func (b *coStartBackend) StartMateAt(_ job.ID, at sim.Time) error {
+	b.at = at
+	return nil
+}
+
+// TestStartMateAtRoundTripAllocatesNothing: a start_mate carrying the
+// co-start instant, over ServeConn and over the in-process conn, decodes its
+// "at" into the connection's own storage, so the round trip allocates
+// nothing once warm — and the backend still sees each frame's instant.
+func TestStartMateAtRoundTripAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for _, transport := range []string{"pipe", "in-process"} {
+		t.Run(transport, func(t *testing.T) {
+			backend := &coStartBackend{fakeBackend: newFakeBackend()}
+			server := NewServer(backend, nil, nil)
+			conn := server.InProcessConn()
+			if transport == "pipe" {
+				var serverEnd net.Conn
+				conn, serverEnd = net.Pipe()
+				go server.ServeConn(serverEnd)
+			}
+			c := NewClient(conn, 0)
+			defer func() {
+				c.Close()
+				server.Close()
+			}()
+			at := sim.Time(86400)
+			allocs := testing.AllocsPerRun(500, func() {
+				at++
+				if _, err := c.Exchange(Request{Method: MethodStartMate, JobID: 7, At: &at}); err != nil || backend.at != at {
+					t.Fatalf("start_mate at %d: %v; the backend saw %d", at, err, backend.at)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("a start_mate round trip carrying at allocates %v times, want 0", allocs)
+			}
+		})
 	}
 }

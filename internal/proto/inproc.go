@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync/atomic"
 	"time"
+
+	"cosched/internal/sim"
 )
 
 // InProcessConn returns the client end of a connection to s that has no
@@ -22,6 +24,7 @@ type inprocConn struct {
 	server *Server
 	in     []byte       // request bytes that do not yet make a whole frame
 	out    bytes.Buffer // response frames not yet read
+	at     sim.Time     // every request's "at" decodes here
 	closed atomic.Bool
 }
 
@@ -43,7 +46,7 @@ func (c *inprocConn) Write(p []byte) (int, error) {
 		if uint32(len(rest)-4) < n {
 			break
 		}
-		if err := c.server.answer(rest[4:4+n], &c.out); err != nil {
+		if err := c.server.answer(rest[4:4+n], &c.out, &c.at); err != nil {
 			c.closed.Store(true)
 			return 0, err
 		}

@@ -333,16 +333,17 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // ReadFrame reads the next frame into v. It blocks like a read of the
 // underlying connection, whose deadline (if any) bounds it.
 func (fr *FrameReader) ReadFrame(v any) error {
-	payload, err := fr.next()
+	payload, err := fr.Next()
 	if err != nil {
 		return err
 	}
 	return unmarshalFrame(payload, v)
 }
 
-// next reads the next frame's payload into the reused buffer; the bytes are
-// valid until the following call.
-func (fr *FrameReader) next() ([]byte, error) {
+// Next reads the next frame's payload into the reused buffer and returns it
+// undecoded, for a reader that decodes into scratch of its own; the bytes
+// are valid until the following call.
+func (fr *FrameReader) Next() ([]byte, error) {
 	payload, err := readPayload(fr.br, fr.hdr[:], fr.payload)
 	if err == nil && cap(payload) <= maxPooledFrame {
 		fr.payload = payload[:0]
@@ -377,7 +378,7 @@ func unmarshalFrame(payload []byte, v any) error {
 	switch v := v.(type) {
 	case *Request:
 		if v != nil {
-			return unmarshalRequest(payload, v)
+			return unmarshalRequest(payload, v, nil)
 		}
 	case *Response:
 		if v != nil {
@@ -401,9 +402,10 @@ func unmarshalJSON(payload []byte, v any) error {
 // unmarshalRequest is unmarshalFrame for a request, typed so the caller's
 // value does not escape: json.Unmarshal, when it has to run, decodes a heap
 // copy that is copied back whatever the outcome (a failed Unmarshal leaves
-// the members it got to set, as it always did).
-func unmarshalRequest(payload []byte, req *Request) error {
-	if parseRequest(payload, req) {
+// the members it got to set, as it always did). at is the storage a decoded
+// "at" may use (see parseRequest).
+func unmarshalRequest(payload []byte, req *Request, at *sim.Time) error {
+	if parseRequest(payload, req, at) {
 		return nil
 	}
 	slow := *req

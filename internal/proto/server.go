@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"cosched/internal/cosched"
+	"cosched/internal/sim"
 )
 
 // Server exposes a cosched.Peer (normally a resmgr.Manager) to remote
@@ -43,13 +44,14 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	frames := NewFrameReader(conn)
+	var at sim.Time // every frame's "at" decodes here
 	for {
 		// The read carries no deadline: a peer connection idles between
 		// requests by design, request liveness is bounded by the client's
 		// own per-call deadlines, and shutdown closes the conn to unblock it.
-		payload, err := frames.next()
+		payload, err := frames.Next()
 		if err == nil {
-			err = s.answer(payload, conn)
+			err = s.answer(payload, conn, &at)
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && s.logger != nil {
@@ -62,10 +64,11 @@ func (s *Server) ServeConn(conn net.Conn) {
 
 // answer is the server's step for one request frame, whatever carried it:
 // parse, dispatch, write the response frame to w. The typed forms of
-// ReadFrame and WriteFrame keep req and resp on the stack: no allocation.
-func (s *Server) answer(payload []byte, w io.Writer) error {
+// ReadFrame and WriteFrame keep req and resp on the stack, and a decoded
+// "at" lands in the connection's at: no allocation.
+func (s *Server) answer(payload []byte, w io.Writer, at *sim.Time) error {
 	var req Request
-	if err := unmarshalRequest(payload, &req); err != nil {
+	if err := unmarshalRequest(payload, &req, at); err != nil {
 		return err
 	}
 	resp := s.dispatch(req)

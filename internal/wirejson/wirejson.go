@@ -278,10 +278,16 @@ func (s *Scanner) Bool() bool {
 // Mates consumes what AppendOmitMates writes after its key: a non-empty
 // array of objects holding exactly "Domain" and "Job". The slice is new on
 // every call, so the caller may keep it.
+func (s *Scanner) Mates() []job.MateRef { return s.MatesInto(nil, nil) }
+
+// MatesInto is Mates decoding into dst[:0], reusing its array as
+// json.Unmarshal reuses a slice's, with each domain name interned in
+// *domains (see InternAdd) unless domains is nil. The result aliases dst's
+// array: a caller that keeps it copies it.
 //
 //simlint:hotpath
-func (s *Scanner) Mates() []job.MateRef {
-	var mates []job.MateRef
+func (s *Scanner) MatesInto(dst []job.MateRef, domains *[]string) []job.MateRef {
+	mates := dst[:0]
 	for s.Array(); s.Elem(); {
 		var m job.MateRef
 		var seen uint
@@ -289,7 +295,11 @@ func (s *Scanner) Mates() []job.MateRef {
 			switch string(s.Key()) {
 			case "Domain":
 				s.Once(&seen, 1)
-				m.Domain = string(s.Str())
+				if domains != nil {
+					m.Domain = InternAdd(s.Str(), domains)
+				} else {
+					m.Domain = string(s.Str())
+				}
 			case "Job":
 				s.Once(&seen, 2)
 				m.Job = job.ID(s.Int())
@@ -300,7 +310,7 @@ func (s *Scanner) Mates() []job.MateRef {
 		if seen != 3 {
 			s.bad = true
 		}
-		mates = append(mates, m) //simlint:allow R6 amortized growth of the slice the caller keeps: one allocation for a pair's single mate
+		mates = append(mates, m) //simlint:allow R6 amortized growth of dst, which a decoder reusing it grows once; one allocation for a kept pair's single mate
 	}
 	if len(mates) == 0 {
 		s.bad = true // json.Marshal omits an empty slice; `[]` decodes to a non-nil one
@@ -326,4 +336,27 @@ func Intern(b []byte, names []string) string {
 		}
 	}
 	return string(b)
+}
+
+// maxInterned bounds a table InternAdd grows: names past it are still
+// decoded, each copied afresh.
+const maxInterned = 16
+
+// InternAdd is Intern over a table the caller keeps and InternAdd grows: b
+// not yet in *names is copied once and added while the table has room, so
+// a decoder that keeps meeting the same few names — a connection naming its
+// mates' domains — decodes them without allocating.
+//
+//simlint:hotpath
+func InternAdd(b []byte, names *[]string) string {
+	for _, name := range *names {
+		if name == string(b) {
+			return name
+		}
+	}
+	name := string(b)
+	if len(*names) < maxInterned {
+		*names = append(*names, name) //simlint:allow R6 bounded growth of the caller's table, at most maxInterned names
+	}
+	return name
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"cosched/internal/job"
 )
@@ -142,5 +143,37 @@ func TestIntNRange(t *testing.T) {
 		if want, _ := json.Number(tc.in).Int64(); s.Done() != tc.ok || tc.ok && int64(v) != want {
 			t.Errorf("IntN(%s) = %d, done %v; want ok %v", tc.in, v, s.Done(), tc.ok)
 		}
+	}
+}
+
+// TestMatesIntoReusesItsArrayAndInternsDomains: MatesInto decodes into the
+// array it is given, as json.Unmarshal reuses a slice's, and hands back the
+// table's copy of a domain name it has met; a table that is full still
+// decodes, copying the names past it.
+func TestMatesIntoReusesItsArrayAndInternsDomains(t *testing.T) {
+	mates := func(s Scanner, dst []job.MateRef, domains *[]string) []job.MateRef {
+		s.Next()
+		s.Key()
+		return s.MatesInto(dst, domains)
+	}
+	payload := []byte(`{"mates":[{"Domain":"beta","Job":7}]}`)
+	var domains []string
+	first := mates(Scan(payload), nil, &domains)
+	second := mates(Scan(payload), first, &domains)
+	if len(second) != 1 || &second[0] != &first[0] {
+		t.Fatalf("second decode %v did not reuse the first's array", second)
+	}
+	if len(domains) != 1 || unsafe.StringData(second[0].Domain) != unsafe.StringData(domains[0]) {
+		t.Fatalf("domain %q not interned in %q", second[0].Domain, domains)
+	}
+	domains = domains[:0]
+	for i := range maxInterned + 2 {
+		name := []byte{'d', byte('a' + i)}
+		if got := InternAdd(name, &domains); got != string(name) {
+			t.Fatalf("InternAdd(%q) = %q", name, got)
+		}
+	}
+	if len(domains) != maxInterned {
+		t.Fatalf("the table holds %d names, want at most %d", len(domains), maxInterned)
 	}
 }
