@@ -150,8 +150,12 @@ go test -tags debug ./internal/invariant ./internal/backfill \
 # (TestStartMateAtRoundTripAllocatesNothing), a journaled transition, an
 # admin response through its codec, a submit with mates decoded into its
 # connection's scratch (TestAdminRequestCodecWithoutAllocating) and a driver
-# wake-up must report 0 allocs/op). Throughput is NOT gated here: shared CI
-# machines make wall-clock assertions flaky; bench/run.sh measures it.
+# wake-up must report 0 allocs/op; building a trace allocates per slab of
+# jobs, not per job (TestGenerateWithoutAllocatingPerJob), and pairing per
+# call, not per pair (TestPairNearestWithoutAllocatingPerPair,
+# TestPairByWindowAndPairCountWithoutAllocatingPerPair)). Throughput is NOT
+# gated here: shared CI machines make wall-clock assertions flaky;
+# bench/run.sh measures it.
 go test -run 'ZeroAlloc|WithoutAllocating|AllocatesNothing' -count=1 \
     ./internal/sim ./internal/arena ./internal/backfill ./internal/workload \
     ./internal/resmgr ./internal/cluster \

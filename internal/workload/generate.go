@@ -3,8 +3,8 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
+	"strings"
 
 	"cosched/internal/job"
 	"cosched/internal/sim"
@@ -116,8 +116,14 @@ func EurekaSpec(seed uint64) Spec {
 }
 
 // Generate produces the spec's jobs, sorted by submit time with IDs
-// 1..Jobs in that order. Arrivals are a Poisson process with mean
-// interarrival Span/Jobs.
+// 1..Jobs in that order and names "<Name>-<ID>". Arrivals are a Poisson
+// process with mean interarrival Span/Jobs.
+//
+// A trace costs one allocation per slab of up to 4096 jobs and a few more,
+// none per job: the jobs are cut from slabs and the names are substrings
+// of one string. A job the caller keeps therefore pins its slab, and a
+// name it keeps pins the trace's name string; copy either out (job.Clone,
+// strings.Clone) to keep it without the rest.
 func Generate(spec Spec) ([]*job.Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -149,6 +155,9 @@ func Generate(spec Spec) ([]*job.Job, error) {
 	}
 	meanGap := float64(spec.Span) / float64(spec.Jobs)
 
+	var slab []job.Job
+	names := traceNames(spec.Name, spec.Jobs)
+	nameOff := 0
 	jobs := make([]*job.Job, 0, spec.Jobs)
 	var t float64
 	for i := 0; i < spec.Jobs; i++ {
@@ -180,12 +189,57 @@ func Generate(spec Spec) ([]*job.Job, error) {
 		if rem := wall % (5 * sim.Minute); rem != 0 {
 			wall += 5*sim.Minute - rem
 		}
-		j := job.New(job.ID(i+1), nodes, sim.Time(t), rt, wall)
-		j.Name = spec.Name + "-" + strconv.Itoa(i+1)
+		if wall < rt {
+			wall = rt // as job.New normalises it
+		}
+		nameEnd := nameOff + len(spec.Name) + 1 + decimalLen(i+1)
+		if len(slab) == 0 {
+			slab = make([]job.Job, min(traceSlab, spec.Jobs-i))
+		}
+		j := &slab[0]
+		slab = slab[1:]
+		j.ID = job.ID(i + 1)
+		j.Name = names[nameOff:nameEnd]
 		j.User = user
+		j.Nodes = nodes
+		j.Runtime = rt
+		j.Walltime = wall
+		j.SubmitTime = sim.Time(t) // State is Unsubmitted, the zero value
+		nameOff = nameEnd
 		jobs = append(jobs, j)
 	}
 	return jobs, nil
+}
+
+// traceSlab is the most jobs Generate allocates at once, an arena slab's
+// worth. The last slab of a trace holds only the jobs left: a trace is
+// never reset for reuse, so a full slab would be waste.
+const traceSlab = 4096
+
+// traceNames returns "<name>-1" … "<name>-n" back to back in one string.
+func traceNames(name string, n int) string {
+	size := n * (len(name) + 1)
+	for i := 1; i <= n; i *= 10 {
+		size += n - i + 1 // every ID ≥ i has a digit for i's place
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var digits [20]byte
+	for i := 1; i <= n; i++ {
+		b.WriteString(name)
+		b.WriteByte('-')
+		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	}
+	return b.String()
+}
+
+// decimalLen returns the number of decimal digits of n > 0.
+func decimalLen(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // diurnalIntensity returns the relative arrival intensity at virtual time
@@ -231,8 +285,10 @@ func ScaleToUtilization(jobs []*job.Job, totalNodes int, target float64) (factor
 	if target <= 0 || target > 1.5 {
 		return 0, fmt.Errorf("workload: utilization target %g out of range (0, 1.5]", target)
 	}
-	if !sort.SliceIsSorted(jobs, func(a, b int) bool { return jobs[a].SubmitTime < jobs[b].SubmitTime }) {
-		return 0, fmt.Errorf("workload: jobs not sorted by submit time")
+	for i := 1; i < len(jobs); i++ {
+		if jobs[i].SubmitTime < jobs[i-1].SubmitTime {
+			return 0, fmt.Errorf("workload: jobs not sorted by submit time")
+		}
 	}
 	cur := OfferedLoad(jobs, totalNodes)
 	if cur <= 0 {

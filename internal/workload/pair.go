@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cosched/internal/job"
@@ -17,6 +18,7 @@ import (
 // domA and domB are the domain names the two traces will run in; both
 // traces must already be sorted by submit time.
 func PairByWindow(a, b []*job.Job, domA, domB string, window sim.Duration) int {
+	l := linker{pairs: min(len(a), len(b))}
 	pairs := 0
 	bi := 0
 	for _, ja := range a {
@@ -34,18 +36,20 @@ func PairByWindow(a, b []*job.Job, domA, domB string, window sim.Duration) int {
 		if jb.SubmitTime > ja.SubmitTime+window {
 			continue // no b-job close enough; try next a-job
 		}
-		link(ja, jb, domA, domB)
+		l.link(ja, jb, domA, domB)
 		pairs++
 		bi++
 	}
 	return pairs
 }
 
-// PairByProportion links round(p·min(len(a), len(b))) pairs, chosen
-// rank-wise: both traces are viewed in submit order and the i-th selected
-// a-job is linked to the equally ranked b-job, so mates arrive close
-// together without perturbing either arrival process. Selection of which
-// ranks participate is uniform from rng. It returns the number of pairs.
+// PairByProportion selects round(p·min(len(a), len(b))) ranks and pairs
+// them rank-wise: both traces are viewed in submit order and the i-th
+// selected a-job is linked to the equally ranked b-job, so mates arrive
+// close together without perturbing either arrival process. Selection of
+// which ranks participate is uniform from rng. It returns the number of
+// pairs linked, which is less than the number of ranks selected when some
+// of those ranks already have a mate on either side.
 func PairByProportion(rng *RNG, a, b []*job.Job, domA, domB string, p float64) (int, error) {
 	if p < 0 || p > 1 {
 		return 0, fmt.Errorf("workload: pair proportion %g out of [0,1]", p)
@@ -57,11 +61,12 @@ func PairByProportion(rng *RNG, a, b []*job.Job, domA, domB string, p float64) (
 	return PairCount(rng, a, b, domA, domB, int(float64(n)*p+0.5))
 }
 
-// PairCount links exactly want rank-wise pairs (capped by the shorter
-// trace), selected uniformly by rng, as PairByProportion does. It lets a
-// caller derive the pair budget from a different population than the
-// slices being paired — e.g. a size-filtered eligible subset of a larger
-// trace.
+// PairCount selects want ranks (at most the shorter trace's length)
+// uniformly by rng and pairs them rank-wise, as PairByProportion does,
+// skipping a rank whose job already has a mate on either side. It returns
+// the number of pairs linked. It lets a caller derive the pair budget from
+// a different population than the slices being paired — e.g. a
+// size-filtered eligible subset of a larger trace.
 func PairCount(rng *RNG, a, b []*job.Job, domA, domB string, want int) (int, error) {
 	n := len(a)
 	if len(b) < n {
@@ -78,13 +83,16 @@ func PairCount(rng *RNG, a, b []*job.Job, domA, domB string, want int) (int, err
 	perm := rng.Perm(n)
 	picked := perm[:want]
 	sort.Ints(picked)
+	l := linker{pairs: want}
+	pairs := 0
 	for _, i := range picked {
 		if sa[i].Paired() || sb[i].Paired() {
 			continue
 		}
-		link(sa[i], sb[i], domA, domB)
+		l.link(sa[i], sb[i], domA, domB)
+		pairs++
 	}
-	return want, nil
+	return pairs, nil
 }
 
 // PairNearest links up to want pairs, choosing a-jobs uniformly at random
@@ -92,13 +100,22 @@ func PairCount(rng *RNG, a, b []*job.Job, domA, domB string, want int) (int, err
 // maxGap. Unlike rank-wise pairing it is robust to the two traces spanning
 // slightly different periods: mates are always temporally close, as real
 // associated submissions are. It returns the number of pairs formed, which
-// may be less than want when candidates run out.
+// may be less than want when candidates run out. a and b hold distinct
+// jobs.
 func PairNearest(rng *RNG, a, b []*job.Job, domA, domB string, want int, maxGap sim.Duration) int {
 	if want <= 0 || len(a) == 0 || len(b) == 0 {
 		return 0
 	}
 	sa := bySubmit(a)
 	sb := bySubmit(b)
+	// The search runs over dense copies of b's submit times and mate
+	// state; only the b-job finally chosen is touched through its pointer.
+	submits := make([]sim.Time, len(sb))
+	taken := make([]bool, len(sb))
+	for i, j := range sb {
+		submits[i], taken[i] = j.SubmitTime, j.Paired()
+	}
+	l := linker{pairs: min(want, len(sa), len(sb))}
 	paired := 0
 	for _, ai := range rng.Perm(len(sa)) {
 		if paired >= want {
@@ -108,55 +125,39 @@ func PairNearest(rng *RNG, a, b []*job.Job, domA, domB string, want int, maxGap 
 		if ja.Paired() {
 			continue
 		}
-		bi := nearestUnpaired(sb, ja.SubmitTime, maxGap)
+		bi := nearestFree(submits, taken, ja.SubmitTime, maxGap)
 		if bi < 0 {
 			continue
 		}
-		link(ja, sb[bi], domA, domB)
+		taken[bi] = true
+		l.link(ja, sb[bi], domA, domB)
 		paired++
 	}
 	return paired
 }
 
-// nearestUnpaired returns the index of the unpaired job in sorted whose
-// submit time is closest to t and within maxGap, or -1.
-func nearestUnpaired(sorted []*job.Job, t sim.Time, maxGap sim.Duration) int {
-	idx := sort.Search(len(sorted), func(i int) bool { return sorted[i].SubmitTime >= t })
-	lo, hi := idx-1, idx
-	for lo >= 0 || hi < len(sorted) {
-		loGap, hiGap := sim.Duration(-1), sim.Duration(-1)
-		for lo >= 0 {
-			if g := t - sorted[lo].SubmitTime; g > maxGap {
-				lo = -1
-				break
-			} else if sorted[lo].Paired() {
-				lo--
-			} else {
-				loGap = t - sorted[lo].SubmitTime
-				break
-			}
-		}
-		for hi < len(sorted) {
-			if g := sorted[hi].SubmitTime - t; g > maxGap {
-				hi = len(sorted)
-				break
-			} else if sorted[hi].Paired() {
-				hi++
-			} else {
-				hiGap = sorted[hi].SubmitTime - t
-				break
-			}
-		}
-		switch {
-		case loGap >= 0 && (hiGap < 0 || loGap <= hiGap):
-			return lo
-		case hiGap >= 0:
-			return hi
-		default:
-			return -1
+// nearestFree returns the index of the slot not taken whose submit time is
+// closest to t and within maxGap, the earlier one on a tie, or -1. submits
+// is sorted.
+func nearestFree(submits []sim.Time, taken []bool, t sim.Time, maxGap sim.Duration) int {
+	at, _ := slices.BinarySearch(submits, t) // the first submit at or after t
+	before, after := -1, -1
+	for i := at - 1; i >= 0 && t-submits[i] <= maxGap; i-- {
+		if !taken[i] {
+			before = i
+			break
 		}
 	}
-	return -1
+	for i := at; i < len(submits) && submits[i]-t <= maxGap; i++ {
+		if !taken[i] {
+			after = i
+			break
+		}
+	}
+	if before >= 0 && (after < 0 || t-submits[before] <= submits[after]-t) {
+		return before
+	}
+	return after
 }
 
 // Eligible returns the jobs requesting at most maxNodes, preserving order.
@@ -174,10 +175,34 @@ func Eligible(jobs []*job.Job, maxNodes int) []*job.Job {
 	return out
 }
 
+// linker records two-way mate relationships for one pairer call. A job's
+// first mate comes from one flat array shared by the call, as a
+// three-index slice (len == cap), so a later append to any job's Mates
+// copies out instead of writing over the next job's mate; a job that
+// already has mates appends as before. A kept job's Mates therefore pins
+// the call's array.
+type linker struct {
+	pairs int // most pairs the call can link; the array holds two mates a pair
+	refs  []job.MateRef
+}
+
 // link records the two-way mate relationship.
-func link(ja, jb *job.Job, domA, domB string) {
-	ja.Mates = append(ja.Mates, job.MateRef{Domain: domB, Job: jb.ID})
-	jb.Mates = append(jb.Mates, job.MateRef{Domain: domA, Job: ja.ID})
+func (l *linker) link(ja, jb *job.Job, domA, domB string) {
+	l.add(ja, job.MateRef{Domain: domB, Job: jb.ID})
+	l.add(jb, job.MateRef{Domain: domA, Job: ja.ID})
+}
+
+func (l *linker) add(j *job.Job, m job.MateRef) {
+	if len(j.Mates) > 0 {
+		j.Mates = append(j.Mates, m)
+		return
+	}
+	if l.refs == nil {
+		l.refs = make([]job.MateRef, 0, 2*l.pairs)
+	}
+	n := len(l.refs)
+	l.refs = append(l.refs, m)
+	j.Mates = l.refs[n : n+1 : n+1]
 }
 
 // LinkGroup links one job per domain into an N-way co-start group (the
@@ -221,14 +246,25 @@ func PairedFraction(jobs []*job.Job) float64 {
 }
 
 // bySubmit returns the jobs sorted by submit time (stable on ID) without
-// modifying the input slice.
+// modifying the input slice: the input itself when it is already in that
+// order, as generated traces are, or a sorted copy.
 func bySubmit(jobs []*job.Job) []*job.Job {
+	sorted := true
+	for i := 1; i < len(jobs) && sorted; i++ {
+		sorted = !submitsBefore(jobs[i], jobs[i-1])
+	}
+	if sorted {
+		return jobs
+	}
 	out := append([]*job.Job(nil), jobs...)
-	sort.SliceStable(out, func(i, k int) bool {
-		if out[i].SubmitTime != out[k].SubmitTime {
-			return out[i].SubmitTime < out[k].SubmitTime
-		}
-		return out[i].ID < out[k].ID
-	})
+	sort.SliceStable(out, func(i, k int) bool { return submitsBefore(out[i], out[k]) })
 	return out
+}
+
+// submitsBefore orders jobs by submit time, then ID.
+func submitsBefore(x, y *job.Job) bool {
+	if x.SubmitTime != y.SubmitTime {
+		return x.SubmitTime < y.SubmitTime
+	}
+	return x.ID < y.ID
 }

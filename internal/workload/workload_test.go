@@ -283,6 +283,36 @@ func TestPairByProportion(t *testing.T) {
 	}
 }
 
+// A second proportion pass over a trace whose jobs already have mates
+// selects ranks it cannot link; it must report only the pairs it linked.
+func TestPairByProportionCountsOnlyLinkedPairs(t *testing.T) {
+	intr, err := Generate(IntrepidSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass, seed := range []uint64{2, 3} {
+		eur, err := Generate(EurekaSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := PairByProportion(NewRNG(seed), intr, eur, "intrepid", "eureka", 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		linked := 0
+		for _, j := range eur {
+			linked += len(j.Mates)
+		}
+		selected := int(float64(len(eur))*0.5 + 0.5)
+		if n != linked {
+			t.Fatalf("pass %d: reported %d pairs, linked %d (%d ranks selected)", pass+1, n, linked, selected)
+		}
+		if pass == 1 && linked >= selected {
+			t.Fatalf("second pass linked %d of %d selected ranks; the fixture no longer skips any", linked, selected)
+		}
+	}
+}
+
 func TestPairByProportionRejectsBadP(t *testing.T) {
 	a, _ := Generate(EurekaSpec(8))
 	b, _ := Generate(EurekaSpec(9))
