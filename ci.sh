@@ -47,7 +47,10 @@ go test -run=NONE -bench=Iterate -benchtime=1x ./internal/resmgr
 # proto client/server/fault-injector, and the live chaos harness are the
 # repo's most concurrency-heavy code (links are hammered from scheduler,
 # probe, and status threads at once). -count=2 reruns them uncached so
-# goroutine-interleaving flakes can't hide behind a cached pass.
+# goroutine-interleaving flakes can't hide behind a cached pass. The live
+# suite includes the deterministic daemon-pair tests: two daemons on one
+# stepped clock whose peer requests park in a gate until the test delivers
+# or fails them (TestLiveSymmetricDecisionStall, TestLiveLateTryIsRefused).
 go test -race -count=2 ./internal/proto ./internal/peerlink ./internal/live
 
 # Wire-equals-direct smoke: three seconds of the benchmark's sweep_wire

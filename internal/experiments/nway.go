@@ -148,9 +148,9 @@ func nwayTraces(cfg Config, width int) (*nwayWorkload, error) {
 					ok = false
 					break
 				}
-				// Mark immediately so the next domain's search cannot
-				// pick an already-claimed job (LinkGroup links at the
-				// end).
+				// No mark needed here: each member comes from a
+				// different domain's trace, and LinkGroup marks them
+				// paired before the next anchor's search.
 				members = append(members, m)
 				domains = append(domains, nwayDomains[d].name)
 			}

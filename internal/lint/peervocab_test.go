@@ -177,6 +177,51 @@ func TestAcceptLoopWrittenOnce(t *testing.T) {
 	}
 }
 
+// TestLiveTestsStepTheClock: internal/live's tests run the daemons on a
+// stepped clock and read state through the driver, so none of them waits on
+// the wall clock — except three that time something real: a socket
+// deadline, a goroutine's exit and a fast-fail's latency. A wall-clock call
+// anywhere else in those tests is a sleep-and-poll test coming back.
+func TestLiveTestsStepTheClock(t *testing.T) {
+	allowed := map[string]bool{
+		"TestAdminCallTimesOutOnSilentServer":  true,
+		"TestAdminServerCloseIdleClient":       true,
+		"TestLiveBreakerFailsFastWithPeerDown": true,
+	}
+	wall := map[string]bool{"Now": true, "Since": true, "After": true, "NewTimer": true, "Sleep": true}
+	paths, err := filepath.Glob(filepath.Join("..", "live", "*_test.go"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no internal/live tests found: %v", err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if ok && allowed[fn.Name.Name] {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" && wall[sel.Sel.Name] {
+					t.Errorf("%s: calls time.%s; step the test's clock instead", fset.Position(call.Pos()), sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
 // eachNonTestFile parses every non-test Go file under internal/, cmd/ and
 // examples/ (not testdata; bench/ lies outside them) and hands it to fn.
 func eachNonTestFile(t *testing.T, fn func(*token.FileSet, *ast.File)) {

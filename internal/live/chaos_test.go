@@ -18,15 +18,16 @@ import (
 	"cosched/internal/proto"
 )
 
-// TestLiveChaosCoStartOverTCP runs two real daemons whose peer links cross
-// a fault injector (latency + connection drops) and survive a peer-server
-// restart, then co-schedules a pair. The resilient links must absorb every
-// transport event: the pair still co-starts within the live tolerance (the
-// two daemons derive virtual time from the wall independently), the links
-// end healthy, and the status endpoint reports the chaos it weathered.
+// TestLiveChaosCoStartOverTCP runs two real daemons on one stepped clock
+// whose peer links cross a fault injector (latency + connection drops) and
+// survive a peer-server restart, then co-schedules a pair. The resilient
+// links must absorb every transport event: the pair still co-starts at one
+// instant, the links end healthy, and the status endpoint reports the chaos
+// it weathered.
 func TestLiveChaosCoStartOverTCP(t *testing.T) {
-	a := startTestDomain(t, Config{Name: "a", Nodes: 64, Scheme: "hold", Speedup: 2000, Status: "127.0.0.1:0"})
-	b := startTestDomain(t, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 2000})
+	clk := newStepClock()
+	a := startTestDomain(t, clk, Config{Name: "a", Nodes: 64, Scheme: "hold", Speedup: 1, Status: "127.0.0.1:0"})
+	b := startTestDomain(t, clk, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 1})
 
 	// Links tuned for fast redial, each behind a fault injector: the
 	// manager calls through the injector, while reconciliation, drain and
@@ -34,12 +35,12 @@ func TestLiveChaosCoStartOverTCP(t *testing.T) {
 	la := peerlink.New(peerlink.Config{
 		Name: "b", Addr: b.peerAddr,
 		DialTimeout: time.Second, CallTimeout: 2 * time.Second,
-		Cooldown: 50 * time.Millisecond,
+		Cooldown: 50 * time.Millisecond, Now: clk.Now,
 	})
 	lb := peerlink.New(peerlink.Config{
 		Name: "a", Addr: a.peerAddr,
 		DialTimeout: time.Second, CallTimeout: 2 * time.Second,
-		Cooldown: 50 * time.Millisecond,
+		Cooldown: 50 * time.Millisecond, Now: clk.Now,
 	})
 	chaos := proto.Rates{Latency: 0.2, Delay: time.Millisecond, Drop: 0.2}
 	ia := proto.NewFaultInjector(la, proto.NewRateScript(11, chaos), la.BreakConn)
@@ -102,33 +103,26 @@ func TestLiveChaosCoStartOverTCP(t *testing.T) {
 	if err := ca.Submit(wa); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond) // ≈10 virtual minutes of holding
+	// a's status settles a's pass before b's half arrives: two passes in
+	// flight at once would stall on each other's driver lock.
+	clk.Advance(time.Second)
+	if sa, err := ca.Status(1); err != nil || sa.State != job.Holding.String() {
+		t.Fatalf("a's half with its mate only expected: %+v, %v; want holding", sa, err)
+	}
+	clk.Advance(10 * time.Minute) // ten virtual minutes of holding
 	if err := cb.Submit(wb); err != nil {
 		t.Fatal(err)
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		sa, err1 := ca.Status(1)
-		sb, err2 := cb.Status(1)
-		if err1 == nil && err2 == nil && sa.Started && sb.Started {
-			diff := sa.StartTime - sb.StartTime
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > 30 {
-				t.Fatalf("start times differ by %d virtual seconds under chaos: %d vs %d",
-					diff, sa.StartTime, sb.StartTime)
-			}
-			if sa.StartTime < 60 {
-				t.Fatalf("a started at %d, should have held for its mate", sa.StartTime)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("pair never co-started under chaos")
-		}
-		time.Sleep(25 * time.Millisecond)
+	// b's status first: its driver lock is held across the pass that starts
+	// b's half and releases a's, so once b answers, a's start is in.
+	clk.Advance(time.Second)
+	sb, err2 := cb.Status(1)
+	sa, err1 := ca.Status(1)
+	if err1 != nil || err2 != nil || !sa.Started || !sb.Started {
+		t.Fatalf("pair not started under chaos: a %+v, %v; b %+v, %v", sa, err1, sb, err2)
+	}
+	if sa.StartTime != 601 || sb.StartTime != 601 {
+		t.Fatalf("halves started at %d and %d under chaos, want both at 601, when b's half arrived", sa.StartTime, sb.StartTime)
 	}
 
 	// Both links weathered the chaos and ended healthy.
@@ -210,7 +204,7 @@ func TestLiveChaosCoStartOverTCP(t *testing.T) {
 // scheduler absorbs "status unknown" instead of stalling a full dial
 // timeout per iteration.
 func TestLiveBreakerFailsFastWithPeerDown(t *testing.T) {
-	b := startTestDomain(t, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 2000})
+	b := startTestDomain(t, newStepClock(), Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 1})
 	addr := b.peerAddr
 	b.peer.Close() // peer daemon is gone
 
@@ -220,14 +214,7 @@ func TestLiveBreakerFailsFastWithPeerDown(t *testing.T) {
 		FailThreshold: 2, Cooldown: 10 * time.Second,
 	})
 	defer l.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for l.State() != peerlink.Open {
-		l.GetMateStatus(1)
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened; snapshot %+v", l.Snapshot())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	openBreaker(t, l)
 	const n = 200
 	start := time.Now()
 	for i := 0; i < n; i++ {
@@ -276,16 +263,21 @@ func TestBreakerTransitionsReachTheDaemonLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.close()
-	l := d.Connect("b", dead)
-	deadline := time.Now().Add(5 * time.Second)
-	for l.State() != peerlink.Open {
-		l.GetMateStatus(1)
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened; snapshot %+v", l.Snapshot())
-		}
-	}
+	openBreaker(t, d.Connect("b", dead))
 	want := "peerlink b: breaker closed -> open (proto: dial: "
 	if !strings.Contains(out.String(), want) {
 		t.Fatalf("daemon log lacks %q:\n%s", want, out.String())
+	}
+}
+
+// openBreaker calls l until its breaker opens: against a refused dial that
+// takes FailThreshold calls (3 by default).
+func openBreaker(t *testing.T, l *peerlink.Link) {
+	t.Helper()
+	for i := 0; l.State() != peerlink.Open; i++ {
+		if i == 10 {
+			t.Fatalf("breaker still closed after %d calls to a dead peer; snapshot %+v", i, l.Snapshot())
+		}
+		l.GetMateStatus(1)
 	}
 }

@@ -53,6 +53,9 @@ type Config struct {
 	// fs replaces the journal's filesystem so tests can inject storage
 	// faults; nil is the real disk.
 	fs journal.FS
+	// clock replaces the wall clock so tests can step time; nil is the
+	// wall clock.
+	clock clock
 }
 
 // Daemon is one live scheduling domain: a resource manager paced by a
@@ -150,6 +153,9 @@ func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 		return nil, err
 	}
 	d.driver = NewDriver(eng, cfg.Speedup)
+	if cfg.clock != nil {
+		d.driver.clock = cfg.clock
+	}
 
 	// Peer protocol server: remote domains coordinate against our manager.
 	d.peer = proto.NewServer(d.mgr, d.driver, logger)
@@ -200,13 +206,15 @@ func (d *Daemon) AdminAddr() string { return d.adminAddr }
 // as a peer: a resilient link (lazy dial, circuit breaker), so
 // daemons can start in any order and survive peer outages without stalling
 // the scheduler. peerlink's defaults tune it, except for the per-call
-// budget, which is Config.PeerTimeout.
+// budget, which is Config.PeerTimeout, and the clock, which is the
+// daemon's.
 func (d *Daemon) Connect(name, addr string) *peerlink.Link {
 	l := peerlink.New(peerlink.Config{
 		Name:        name,
 		Addr:        addr,
 		CallTimeout: d.cfg.PeerTimeout,
 		Logger:      d.logger, // breaker transitions: peer, from -> to (cause)
+		Now:         d.driver.clock.Now,
 	})
 	d.addPeer(l, l)
 	return l
@@ -384,7 +392,7 @@ func (d *Daemon) reconcilePeers(ctx context.Context, links []*peerlink.Link) {
 			select {
 			case <-ctx.Done():
 				return
-			case <-time.After(reconcileRetry):
+			case <-d.driver.clock.NewTimer(reconcileRetry).C():
 			}
 		}
 	}

@@ -23,13 +23,14 @@ import (
 // holds to -degraded-max-holds 0, so a pair that would hold yields and
 // counts one refused hold.
 func TestDegradedModeMetricsExported(t *testing.T) {
-	b := startTestDomain(t, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 2000})
+	clk := newStepClock()
+	b := startTestDomain(t, clk, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 1})
 	// Fsync 0 is the snapshot a journal's first owner writes; the fault
 	// fails the third WAL fsync after it.
 	plan := &faultplan.Plan{Seed: 9, Faults: []faultplan.Fault{
 		{Seam: faultplan.SeamJournal, Kind: faultplan.KindFsyncEIO, At: 3},
 	}}
-	a := startTestDomain(t, Config{Name: "a", Nodes: 16, Scheme: "hold", Speedup: 2000,
+	a := startTestDomain(t, clk, Config{Name: "a", Nodes: 16, Scheme: "hold", Speedup: 1,
 		Status: "127.0.0.1:0", JournalDir: t.TempDir(), fs: faultplan.NewFaultFS(plan, nil)})
 	a.Connect("b", b.peerAddr)
 	ca, err := DialAdmin(a.adminAddr, 5*time.Second)
@@ -73,7 +74,10 @@ func TestDegradedModeMetricsExported(t *testing.T) {
 		if err := ca.Submit(WireJob{ID: nextID, Nodes: 1, Runtime: 1e7, Walltime: 1e7}); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, func() bool { st, err := ca.Status(nextID); return err == nil && st.Started })
+		clk.Advance(time.Second)
+		if st, err := ca.Status(nextID); err != nil || !st.Started {
+			t.Fatalf("job %d one second after its submission: %+v, %v; want started", nextID, st, err)
+		}
 	}
 
 	if v := metric(obs.MetricJournalDegraded); v != 0 {
@@ -137,29 +141,11 @@ func TestDegradedModeMetricsExported(t *testing.T) {
 	if err := ca.Submit(WireJob{ID: 7, Nodes: 4, Runtime: 600, Walltime: 600, Mates: []job.MateRef{{Domain: "b", Job: 7}}}); err != nil {
 		t.Fatal(err)
 	}
-	var state job.State
-	waitFor(t, func() bool {
-		decided := false
-		a.driver.Do(func() {
-			j, _ := a.mgr.Job(7)
-			state, decided = j.State, j.YieldCount > 0 || j.State == job.Holding
-		})
-		return decided
-	})
-	if state == job.Holding {
-		t.Fatal("job 7 holds on a degraded daemon with -degraded-max-holds 0")
+	clk.Advance(time.Second)
+	if j := jobOf(a, 7); j.State != job.Queued || j.YieldCount != 1 {
+		t.Fatalf("job 7 is %s after %d yield(s) on a degraded daemon with -degraded-max-holds 0, want queued after one", j.State, j.YieldCount)
 	}
 	if v := metric(obs.MetricHoldsRefused); v != 1 {
 		t.Fatalf("%s = %g after one refused hold, want 1", obs.MetricHoldsRefused, v)
-	}
-}
-
-// waitFor polls cond until it holds, failing the test after five seconds.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached within 5 s")
-		}
 	}
 }

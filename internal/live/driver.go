@@ -17,12 +17,35 @@ import (
 	"cosched/internal/sim"
 )
 
-// Driver paces a sim.Engine against the wall clock.
+// clock is where the live stack reads time: the driver's pacing, the
+// reconcile retry and every peer link's breaker. A daemon runs on the wall
+// clock; tests step one by hand (Config.clock).
+type clock interface {
+	Now() time.Time
+	NewTimer(time.Duration) timer
+}
+
+// timer is the part of *time.Timer the driver uses.
+type timer interface {
+	C() <-chan time.Time
+	Stop() bool
+	Reset(time.Duration) bool
+}
+
+type wallClock struct{}
+type wallTimer struct{ *time.Timer }
+
+func (wallClock) Now() time.Time                 { return time.Now() }
+func (wallClock) NewTimer(d time.Duration) timer { return wallTimer{time.NewTimer(d)} }
+func (t wallTimer) C() <-chan time.Time          { return t.Timer.C }
+
+// Driver paces a sim.Engine against its clock.
 type Driver struct {
 	mu      sync.Mutex
 	eng     *sim.Engine
 	speedup float64
-	start   time.Time // wall instant Run began pacing
+	clock   clock
+	start   time.Time // clock instant Run began pacing
 	base    sim.Time  // virtual instant at start — nonzero after a recovery
 	wake    chan struct{}
 }
@@ -36,6 +59,7 @@ func NewDriver(eng *sim.Engine, speedup float64) *Driver {
 	return &Driver{
 		eng:     eng,
 		speedup: speedup,
+		clock:   wallClock{},
 		wake:    make(chan struct{}, 1),
 	}
 }
@@ -50,7 +74,7 @@ func (d *Driver) Lock() {
 	d.syncClockLocked()
 }
 
-// syncClockLocked advances the engine to the wall-implied virtual time.
+// syncClockLocked advances the engine to the clock-implied virtual time.
 func (d *Driver) syncClockLocked() {
 	if d.start.IsZero() {
 		return // Run not started; engine time is authoritative
@@ -83,7 +107,7 @@ func (d *Driver) nudge() {
 	}
 }
 
-// VirtualNow returns the current virtual time implied by the wall clock
+// VirtualNow returns the current virtual time implied by the clock
 // (not necessarily the engine clock, which only moves when events fire).
 // Valid once Run has started.
 func (d *Driver) VirtualNow() sim.Time {
@@ -98,22 +122,22 @@ func (d *Driver) virtualNowLocked() sim.Time {
 	}
 	// Pacing resumes from wherever the engine stood when Run began — after
 	// a crash recovery that is the replayed journal time, not zero.
-	return d.base + sim.Time(time.Since(d.start).Seconds()*d.speedup)
+	return d.base + sim.Time(d.clock.Now().Sub(d.start).Seconds()*d.speedup)
 }
 
 // Run paces the engine until ctx is canceled. Events fire when the scaled
-// wall clock reaches their virtual time; the loop sleeps in between and is
+// clock reaches their virtual time; the loop sleeps in between and is
 // woken early by Do/Unlock.
 func (d *Driver) Run(ctx context.Context) {
 	d.mu.Lock()
 	if d.start.IsZero() {
-		d.start = time.Now()
+		d.start = d.clock.Now()
 		d.base = d.eng.Now()
 	}
 	d.mu.Unlock()
 	// One timer for the loop's life: every admin and peer call nudges the
 	// loop, and a time.After per wake-up was three allocations each.
-	timer := time.NewTimer(0)
+	timer := d.clock.NewTimer(0)
 	defer timer.Stop()
 	for {
 		d.mu.Lock()
@@ -140,7 +164,7 @@ func (d *Driver) Run(ctx context.Context) {
 		// with the timer's expiry still unread.
 		if !timer.Stop() {
 			select {
-			case <-timer.C:
+			case <-timer.C():
 			default:
 			}
 		}
@@ -149,7 +173,7 @@ func (d *Driver) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-d.wake:
-		case <-timer.C:
+		case <-timer.C():
 		}
 	}
 }

@@ -21,33 +21,13 @@ import (
 	"cosched/internal/sim"
 )
 
-// startTestDomain starts a daemon with its peer and admin servers (and its
-// status page, if cfg.Status is set) on loopback, a 20-minute release
-// interval and EASY backfilling, and runs it until the test ends.
-func startTestDomain(t *testing.T, cfg Config) *Daemon {
-	t.Helper()
-	cfg.Listen, cfg.Admin = "127.0.0.1:0", "127.0.0.1:0"
-	cfg.ReleaseMinutes, cfg.Backfill = 20, true
-	d, err := Start(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		d.Run(ctx)
-		close(done)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-	})
-	return d
-}
-
+// TestDriverPacesEvents: Run fires an event when the clock, scaled by the
+// speedup, reaches its virtual instant, and not before.
 func TestDriverPacesEvents(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewDriver(eng, 1000) // 1000 virtual seconds per wall second
+	d := NewDriver(eng, 1000) // 1000 virtual seconds per clock second
+	clk := newStepClock()
+	clk.pace(d)
 	fired := make(chan sim.Time, 1)
 	d.Do(func() {
 		eng.After(100, sim.PriorityDefault, func(now sim.Time) { fired <- now })
@@ -55,27 +35,32 @@ func TestDriverPacesEvents(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go d.Run(ctx)
+	clk.Advance(99 * time.Millisecond)
+	d.Do(func() {})
 	select {
 	case now := <-fired:
-		if now != 100 {
-			t.Fatalf("event fired at %d, want 100", now)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("event did not fire within 2s wall (should take ~0.1s)")
+		t.Fatalf("event due at 100 fired at %d, before the clock reached it", now)
+	default:
+	}
+	clk.Advance(time.Millisecond)
+	if now := <-fired; now != 100 {
+		t.Fatalf("event fired at %d, want 100", now)
 	}
 }
 
 func TestDriverClockSyncOnLock(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDriver(eng, 1000)
+	clk := newStepClock()
+	clk.pace(d)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go d.Run(ctx)
-	time.Sleep(200 * time.Millisecond) // ≈200 virtual seconds
+	clk.Advance(200 * time.Millisecond) // 200 virtual seconds
 	var now sim.Time
 	d.Do(func() { now = eng.Now() })
-	if now < 100 {
-		t.Fatalf("engine clock %d did not catch up to the wall (~200)", now)
+	if now != 200 {
+		t.Fatalf("engine clock %d did not catch up to the clock (200)", now)
 	}
 }
 
@@ -89,7 +74,8 @@ func TestDriverRejectsBadSpeedup(t *testing.T) {
 }
 
 func TestAdminSubmitAndStatus(t *testing.T) {
-	dom := startTestDomain(t, Config{Name: "solo", Nodes: 64, Scheme: "hold", Speedup: 500})
+	clk := newStepClock()
+	dom := startTestDomain(t, clk, Config{Name: "solo", Nodes: 64, Scheme: "hold", Speedup: 1})
 
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
@@ -108,19 +94,9 @@ func TestAdminSubmitAndStatus(t *testing.T) {
 	if err := c.Submit(WireJob{ID: 1, Nodes: 16, Runtime: 60, Walltime: 120}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		st, err := c.Status(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Started {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
+	clk.Advance(time.Second)
+	if st, err := c.Status(1); err != nil || !st.Started || st.StartTime != 0 {
+		t.Fatalf("job 1 one second after its submission: %+v, %v; want started at 0", st, err)
 	}
 	if _, err := c.Status(99); err == nil {
 		t.Fatal("status of unknown job succeeded")
@@ -132,7 +108,7 @@ func TestAdminSubmitAndStatus(t *testing.T) {
 }
 
 func TestAdminExpectIdempotent(t *testing.T) {
-	dom := startTestDomain(t, Config{Name: "exp", Nodes: 64, Scheme: "hold", Speedup: 500})
+	dom := startTestDomain(t, newStepClock(), Config{Name: "exp", Nodes: 64, Scheme: "hold", Speedup: 1})
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +154,8 @@ func adminRoundTrip(t *testing.T, conn net.Conn, req AdminRequest) AdminResponse
 // silently running the expected shape. A repeated expect that agrees
 // answers the job's real state.
 func TestAdminRefusesSubmitThatDisagreesWithExpect(t *testing.T) {
-	dom := startTestDomain(t, Config{Name: "shape", Nodes: 64, Scheme: "hold", Speedup: 500})
+	clk := newStepClock()
+	dom := startTestDomain(t, clk, Config{Name: "shape", Nodes: 64, Scheme: "hold", Speedup: 1})
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -218,19 +195,9 @@ func TestAdminRefusesSubmitThatDisagreesWithExpect(t *testing.T) {
 	if err := c.Submit(w); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		st, err := c.Status(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Started {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
+	clk.Advance(time.Second)
+	if st, err := c.Status(7); err != nil || !st.Started {
+		t.Fatalf("job 7 one second after its submission: %+v, %v; want started", st, err)
 	}
 	conn, err := net.Dial("tcp", dom.adminAddr)
 	if err != nil {
@@ -247,7 +214,7 @@ func TestAdminRefusesSubmitThatDisagreesWithExpect(t *testing.T) {
 // expect registers must own a copy of its mates; a later frame on the same
 // connection naming other mates must leave them as they were.
 func TestAdminExpectKeepsItsOwnMates(t *testing.T) {
-	dom := startTestDomain(t, Config{Name: "keep", Nodes: 64, Scheme: "hold", Speedup: 500})
+	dom := startTestDomain(t, newStepClock(), Config{Name: "keep", Nodes: 64, Scheme: "hold", Speedup: 1})
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -272,9 +239,14 @@ func TestAdminExpectKeepsItsOwnMates(t *testing.T) {
 	}
 }
 
+// TestLiveCoStartOverTCP: two daemons on one stepped clock, linked over
+// loopback TCP. a's half holds for ten virtual minutes until b's half
+// arrives; b then starts its half and releases a's at the one instant it
+// proposes.
 func TestLiveCoStartOverTCP(t *testing.T) {
-	a := startTestDomain(t, Config{Name: "a", Nodes: 64, Scheme: "hold", Speedup: 2000})
-	b := startTestDomain(t, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 2000})
+	clk := newStepClock()
+	a := startTestDomain(t, clk, Config{Name: "a", Nodes: 64, Scheme: "hold", Speedup: 1})
+	b := startTestDomain(t, clk, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 1})
 	a.Connect("b", b.peerAddr)
 	b.Connect("a", a.peerAddr)
 
@@ -300,43 +272,32 @@ func TestLiveCoStartOverTCP(t *testing.T) {
 	if err := ca.Submit(wa); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond) // ≈10 virtual minutes later
+	// a's status settles a's pass before b's half arrives: two passes in
+	// flight at once would stall on each other's driver lock.
+	clk.Advance(time.Second)
+	if sa, err := ca.Status(1); err != nil || sa.State != job.Holding.String() {
+		t.Fatalf("a's half with its mate only expected: %+v, %v; want holding", sa, err)
+	}
+	clk.Advance(10 * time.Minute)
 	if err := cb.Submit(wb); err != nil {
 		t.Fatal(err)
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sa, err1 := ca.Status(1)
-		sb, err2 := cb.Status(1)
-		if err1 == nil && err2 == nil && sa.Started && sb.Started {
-			// Each domain runs its own wall-clock-derived virtual time;
-			// co-start lands within RPC latency of each other, a few
-			// virtual seconds at 2000x.
-			diff := sa.StartTime - sb.StartTime
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > 30 {
-				t.Fatalf("start times differ by %d virtual seconds: %d vs %d",
-					diff, sa.StartTime, sb.StartTime)
-			}
-			// The held job must have waited for its mate, not started
-			// at submission.
-			if sa.StartTime < 60 {
-				t.Fatalf("a started at %d, should have held ~10 virtual minutes", sa.StartTime)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("pair never co-started")
-		}
-		time.Sleep(25 * time.Millisecond)
+	// b's status first: its driver lock is held across the pass that starts
+	// b's half and releases a's, so once b answers, a's start is in.
+	clk.Advance(time.Second)
+	sb, err2 := cb.Status(1)
+	sa, err1 := ca.Status(1)
+	if err1 != nil || err2 != nil || !sa.Started || !sb.Started {
+		t.Fatalf("pair not started after b's half arrived: a %+v, %v; b %+v, %v", sa, err1, sb, err2)
+	}
+	if sa.StartTime != 601 || sb.StartTime != 601 {
+		t.Fatalf("halves started at %d and %d, want both at 601, when b's half arrived", sa.StartTime, sb.StartTime)
 	}
 }
 
 func TestStatusServer(t *testing.T) {
-	dom := startTestDomain(t, Config{Name: "stat", Nodes: 32, Scheme: "hold", Speedup: 500, Status: "127.0.0.1:0"})
+	clk := newStepClock()
+	dom := startTestDomain(t, clk, Config{Name: "stat", Nodes: 32, Scheme: "hold", Speedup: 1, Status: "127.0.0.1:0"})
 	addr := dom.statusAddr
 
 	ac, err := DialAdmin(dom.adminAddr, time.Second)
@@ -347,7 +308,7 @@ func TestStatusServer(t *testing.T) {
 	if err := ac.Submit(WireJob{ID: 9, Name: "probe", Nodes: 8, Runtime: 3600, Walltime: 3600}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	clk.Advance(time.Second)
 
 	// JSON endpoint.
 	resp, err := http.Get("http://" + addr + "/status.json")
@@ -460,7 +421,8 @@ func TestStatusServer(t *testing.T) {
 }
 
 func TestAdminCancel(t *testing.T) {
-	dom := startTestDomain(t, Config{Name: "cxl", Nodes: 32, Scheme: "hold", Speedup: 500})
+	clk := newStepClock()
+	dom := startTestDomain(t, clk, Config{Name: "cxl", Nodes: 32, Scheme: "hold", Speedup: 1})
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -469,19 +431,9 @@ func TestAdminCancel(t *testing.T) {
 	if err := c.Submit(WireJob{ID: 3, Nodes: 8, Runtime: 100000, Walltime: 100000}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st, err := c.Status(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Started {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(20 * time.Millisecond)
+	clk.Advance(time.Second)
+	if st, err := c.Status(3); err != nil || !st.Started {
+		t.Fatalf("job 3 one second after its submission: %+v, %v; want started", st, err)
 	}
 	if err := c.Cancel(3); err != nil {
 		t.Fatal(err)

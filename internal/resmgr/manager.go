@@ -1196,7 +1196,8 @@ func (m *Manager) TryStartMateAt(id job.ID, at sim.Time) (bool, error) {
 }
 
 // StartMate implements cosched.Peer: release a holding mate into execution
-// (Algorithm 1 line 8). Starting an already-running mate is a no-op.
+// (Algorithm 1 line 8). A mate already running since this instant is
+// acknowledged again; one that started at another instant is an error.
 func (m *Manager) StartMate(id job.ID) error {
 	return m.StartMateAt(id, m.eng.Now())
 }
@@ -1211,7 +1212,10 @@ func (m *Manager) StartMateAt(id job.ID, at sim.Time) error {
 // startMate is the callee's side of both start requests: read the job's
 // state, apply a start at the proposed instant, and report the outcome to
 // the observer once. A try may start a queued job that fits; a start_mate
-// wants a holding one and errs on anything but holding or running.
+// wants a holding one and errs on anything but holding or running. A start
+// answer names its instant: "started" means the job runs since at, so a job
+// that started at another instant answers "not started" to a try and errs
+// to a start_mate.
 func (m *Manager) startMate(method string, id job.ID, at sim.Time) (bool, error) {
 	now := m.eng.Now()
 	try := method == "try_start_mate"
@@ -1227,10 +1231,12 @@ func (m *Manager) startMate(method string, id job.ID, at sim.Time) (bool, error)
 	case j.State == job.Queued && try && m.pool.CanAllocate(j.Nodes):
 		j.MarkReady(now)
 		err = m.apply(j, start, at, now)
+	case j.State == job.Running && j.StartTime != at && !try:
+		err = fmt.Errorf("%w: job %d started at %d, not at %d", ErrBadState, id, j.StartTime, at)
 	case j.State != job.Running && !try:
 		err = fmt.Errorf("%w: job %d is %s, want holding", ErrBadState, id, j.State)
 	}
-	started := ok && err == nil && j.State == job.Running
+	started := ok && err == nil && j.State == job.Running && j.StartTime == at
 	m.obs.PeerDecision(now, method, id, started)
 	return started, err
 }

@@ -2,6 +2,7 @@ package resmgr
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"cosched/internal/cluster"
@@ -452,6 +453,34 @@ func TestStartMateWrongState(t *testing.T) {
 	}
 	if err := a.StartMate(42); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("err = %v, want ErrUnknownJob", err)
+	}
+}
+
+// TestStartAnswerNamesItsInstant: "started" acknowledges a start at the
+// proposed instant only. A job running since 10 is not started at 15, so a
+// try for 15 answers false and a start_mate for 17 errs naming both
+// instants; a try for 10 acknowledges the start it names. None of them
+// moves the job's start.
+func TestStartAnswerNamesItsInstant(t *testing.T) {
+	eng, a, _ := pairDomains(t, 100, 100, cosched.Config{}, cosched.Config{})
+	j := job.New(1, 10, 10, 600, 600)
+	submitAll(t, a, j)
+	eng.RunUntil(20)
+	if j.State != job.Running || j.StartTime != 10 {
+		t.Fatalf("job is %s since %d, want running since 10", j.State, j.StartTime)
+	}
+	if ok, err := a.TryStartMateAt(1, 15); ok || err != nil {
+		t.Fatalf("TryStartMateAt(1, 15) = %v, %v; want false, nil", ok, err)
+	}
+	err := a.StartMateAt(1, 17)
+	if !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), "10") || !strings.Contains(err.Error(), "17") {
+		t.Fatalf("StartMateAt(1, 17) = %v, want ErrBadState naming 10 and 17", err)
+	}
+	if ok, err := a.TryStartMateAt(1, 10); !ok || err != nil {
+		t.Fatalf("TryStartMateAt(1, 10) = %v, %v; want true, nil", ok, err)
+	}
+	if j.StartTime != 10 {
+		t.Fatalf("start moved to %d", j.StartTime)
 	}
 }
 
