@@ -180,13 +180,16 @@ func TestAcceptLoopWrittenOnce(t *testing.T) {
 // TestLiveTestsStepTheClock: internal/live's tests run the daemons on a
 // stepped clock and read state through the driver, so none of them waits on
 // the wall clock — except three that time something real: a socket
-// deadline, a goroutine's exit and a fast-fail's latency. A wall-clock call
+// deadline, a goroutine's exit and a fast-fail's latency. One helper, await,
+// bounds a wait that a regression could make endless, so the test fails
+// with a message instead of hanging; it paces nothing. A wall-clock call
 // anywhere else in those tests is a sleep-and-poll test coming back.
 func TestLiveTestsStepTheClock(t *testing.T) {
 	allowed := map[string]bool{
 		"TestAdminCallTimesOutOnSilentServer":  true,
 		"TestAdminServerCloseIdleClient":       true,
 		"TestLiveBreakerFailsFastWithPeerDown": true,
+		"await":                                true,
 	}
 	wall := map[string]bool{"Now": true, "Since": true, "After": true, "NewTimer": true, "Sleep": true}
 	paths, err := filepath.Glob(filepath.Join("..", "live", "*_test.go"))

@@ -53,9 +53,6 @@ type Config struct {
 	// fs replaces the journal's filesystem so tests can inject storage
 	// faults; nil is the real disk.
 	fs journal.FS
-	// clock replaces the wall clock so tests can step time; nil is the
-	// wall clock.
-	clock clock
 }
 
 // Daemon is one live scheduling domain: a resource manager paced by a
@@ -153,9 +150,6 @@ func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 		return nil, err
 	}
 	d.driver = NewDriver(eng, cfg.Speedup)
-	if cfg.clock != nil {
-		d.driver.clock = cfg.clock
-	}
 
 	// Peer protocol server: remote domains coordinate against our manager.
 	d.peer = proto.NewServer(d.mgr, d.driver, logger)
@@ -214,7 +208,7 @@ func (d *Daemon) Connect(name, addr string) *peerlink.Link {
 		Addr:        addr,
 		CallTimeout: d.cfg.PeerTimeout,
 		Logger:      d.logger, // breaker transitions: peer, from -> to (cause)
-		Now:         d.driver.clock.Now,
+		Now:         d.driver.now,
 	})
 	d.addPeer(l, l)
 	return l
@@ -392,7 +386,7 @@ func (d *Daemon) reconcilePeers(ctx context.Context, links []*peerlink.Link) {
 			select {
 			case <-ctx.Done():
 				return
-			case <-d.driver.clock.NewTimer(reconcileRetry).C():
+			case <-time.After(reconcileRetry):
 			}
 		}
 	}

@@ -17,37 +17,19 @@ import (
 	"cosched/internal/sim"
 )
 
-// clock is where the live stack reads time: the driver's pacing, the
-// reconcile retry and every peer link's breaker. A daemon runs on the wall
-// clock; tests step one by hand (Config.clock).
-type clock interface {
-	Now() time.Time
-	NewTimer(time.Duration) timer
-}
-
-// timer is the part of *time.Timer the driver uses.
-type timer interface {
-	C() <-chan time.Time
-	Stop() bool
-	Reset(time.Duration) bool
-}
-
-type wallClock struct{}
-type wallTimer struct{ *time.Timer }
-
-func (wallClock) Now() time.Time                 { return time.Now() }
-func (wallClock) NewTimer(d time.Duration) timer { return wallTimer{time.NewTimer(d)} }
-func (t wallTimer) C() <-chan time.Time          { return t.Timer.C }
-
 // Driver paces a sim.Engine against its clock.
 type Driver struct {
 	mu      sync.Mutex
 	eng     *sim.Engine
 	speedup float64
-	clock   clock
 	start   time.Time // clock instant Run began pacing
 	base    sim.Time  // virtual instant at start — nonzero after a recovery
 	wake    chan struct{}
+
+	// now is where the live stack reads time: the driver's pacing and the
+	// breaker of every peer link Daemon.Connect creates. It is time.Now;
+	// tests step a clock of their own.
+	now func() time.Time
 }
 
 // NewDriver wraps eng. speedup is virtual seconds per wall second and must
@@ -59,7 +41,7 @@ func NewDriver(eng *sim.Engine, speedup float64) *Driver {
 	return &Driver{
 		eng:     eng,
 		speedup: speedup,
-		clock:   wallClock{},
+		now:     time.Now,
 		wake:    make(chan struct{}, 1),
 	}
 }
@@ -122,7 +104,7 @@ func (d *Driver) virtualNowLocked() sim.Time {
 	}
 	// Pacing resumes from wherever the engine stood when Run began — after
 	// a crash recovery that is the replayed journal time, not zero.
-	return d.base + sim.Time(d.clock.Now().Sub(d.start).Seconds()*d.speedup)
+	return d.base + sim.Time(d.now().Sub(d.start).Seconds()*d.speedup)
 }
 
 // Run paces the engine until ctx is canceled. Events fire when the scaled
@@ -131,13 +113,13 @@ func (d *Driver) virtualNowLocked() sim.Time {
 func (d *Driver) Run(ctx context.Context) {
 	d.mu.Lock()
 	if d.start.IsZero() {
-		d.start = d.clock.Now()
+		d.start = d.now()
 		d.base = d.eng.Now()
 	}
 	d.mu.Unlock()
 	// One timer for the loop's life: every admin and peer call nudges the
 	// loop, and a time.After per wake-up was three allocations each.
-	timer := d.clock.NewTimer(0)
+	timer := time.NewTimer(0)
 	defer timer.Stop()
 	for {
 		d.mu.Lock()
@@ -164,7 +146,7 @@ func (d *Driver) Run(ctx context.Context) {
 		// with the timer's expiry still unread.
 		if !timer.Stop() {
 			select {
-			case <-timer.C():
+			case <-timer.C:
 			default:
 			}
 		}
@@ -173,7 +155,7 @@ func (d *Driver) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-d.wake:
-		case <-timer.C():
+		case <-timer.C:
 		}
 	}
 }

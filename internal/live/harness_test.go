@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -18,15 +19,14 @@ import (
 // process run any interleaving of their decisions the test spells out, and
 // no test waits on the wall clock to see one.
 
-// stepClock is a clock that moves only by Advance. A step fires the timers
-// it reaches and nudges every driver paced on the clock, so a driver that
-// armed its timer from an instant before the step still goes round once and
-// fires what became due.
+// stepClock is a clock that moves only by Advance. A step nudges every
+// driver paced on the clock, so a driver asleep on its wall-clock timer goes
+// round once and fires what became due; a wake-up of that timer between
+// steps finds nothing due.
 type stepClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []*stepTimer
-	wakes  []func()
+	mu    sync.Mutex
+	now   time.Time
+	wakes []func()
 }
 
 func newStepClock() *stepClock { return &stepClock{now: time.Unix(1<<30, 0)} }
@@ -37,23 +37,10 @@ func (c *stepClock) Now() time.Time {
 	return c.now
 }
 
-func (c *stepClock) NewTimer(d time.Duration) timer {
-	t := &stepTimer{clk: c, c: make(chan time.Time, 1)}
-	c.mu.Lock()
-	c.timers = append(c.timers, t)
-	c.mu.Unlock()
-	t.Reset(d)
-	return t
-}
-
-// Advance moves the clock by d, fires the timers due by then and wakes the
-// drivers paced on it.
+// Advance moves the clock by d and wakes the drivers paced on it.
 func (c *stepClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
-	for _, t := range c.timers {
-		t.fireLocked()
-	}
 	wakes := c.wakes
 	c.mu.Unlock()
 	for _, wake := range wakes {
@@ -63,49 +50,30 @@ func (c *stepClock) Advance(d time.Duration) {
 
 // pace puts d on the clock with its pacing origin at the present instant —
 // so that a step taken before d's Run loop gets going is not lost — and
-// lets every step wake d. Call it before Run.
+// lets every step wake d. Call it before Run, and before the daemon around
+// d connects a peer: the link reads d's clock.
 func (c *stepClock) pace(d *Driver) {
-	d.Do(func() { d.clock, d.start, d.base = c, c.Now(), d.eng.Now() })
+	d.Do(func() { d.now, d.start, d.base = c.Now, c.Now(), d.eng.Now() })
 	c.mu.Lock()
 	c.wakes = append(c.wakes, d.nudge)
 	c.mu.Unlock()
 }
 
-// stepTimer is a stepClock's timer, with *time.Timer's Stop and Reset.
-type stepTimer struct {
-	clk   *stepClock
-	c     chan time.Time
-	at    time.Time
-	armed bool
-}
-
-func (t *stepTimer) C() <-chan time.Time { return t.c }
-
-func (t *stepTimer) Stop() bool {
-	t.clk.mu.Lock()
-	defer t.clk.mu.Unlock()
-	was := t.armed
-	t.armed = false
-	return was
-}
-
-func (t *stepTimer) Reset(d time.Duration) bool {
-	t.clk.mu.Lock()
-	defer t.clk.mu.Unlock()
-	was := t.armed
-	t.at, t.armed = t.clk.now.Add(d), true
-	t.fireLocked()
-	return was
-}
-
-// fireLocked delivers the timer if it is armed and due.
-func (t *stepTimer) fireLocked() {
-	if t.armed && !t.at.After(t.clk.now) {
-		t.armed = false
-		select {
-		case t.c <- t.at:
-		default:
-		}
+// await receives from ch, failing the test with what it waited for if
+// nothing comes within a minute of wall time. That bound is not a step of
+// the test's clock: it turns a regression that stops an exchange from
+// parking, or an event from firing, into a message instead of a hang.
+func await[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	bound := time.NewTimer(time.Minute)
+	defer bound.Stop()
+	select {
+	case v := <-ch:
+		return v
+	case <-bound.C:
+		t.Fatalf("waited a minute for %s", what)
+		var zero T
+		return zero
 	}
 }
 
@@ -116,7 +84,6 @@ func startTestDomain(t *testing.T, clk *stepClock, cfg Config) *Daemon {
 	t.Helper()
 	cfg.Listen, cfg.Admin = "127.0.0.1:0", "127.0.0.1:0"
 	cfg.ReleaseMinutes, cfg.Backfill = 20, true
-	cfg.clock = clk
 	d, err := Start(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +136,7 @@ func link(from, to *Daemon, stop chan struct{}) *gate {
 	l := peerlink.New(peerlink.Config{
 		Name:        to.cfg.Name,
 		CallTimeout: from.cfg.PeerTimeout,
-		Now:         from.driver.clock.Now,
+		Now:         from.driver.now,
 		Dial: func(string, time.Duration, time.Duration) (peerlink.Transport, error) {
 			return g, nil
 		},
@@ -191,6 +158,7 @@ type gate struct {
 
 // exchange is one parked request and, once settled, its outcome.
 type exchange struct {
+	t       *testing.T // the test that took it from the gate
 	req     proto.Request
 	verdict chan error // nil delivers the request; an error fails it
 	resp    proto.Response
@@ -226,17 +194,18 @@ func (g *gate) Exchange(req proto.Request) (proto.Response, error) {
 // about job id.
 func (g *gate) next(t *testing.T, method string, id job.ID) *exchange {
 	t.Helper()
-	x := <-g.parked
+	x := await(t, g.parked, fmt.Sprintf("%s job %d to park on its way to %s", method, id, g.name))
 	if x.req.Method != method || x.req.JobID != id {
 		t.Fatalf("request to %s parked: %s job %d, want %s job %d", g.name, x.req.Method, x.req.JobID, method, id)
 	}
+	x.t = t
 	return x
 }
 
 // deliver hands x to the peer's server and returns the answer.
 func (x *exchange) deliver() (proto.Response, error) {
 	x.verdict <- nil
-	<-x.done
+	await(x.t, x.done, fmt.Sprintf("the answer to %s job %d", x.req.Method, x.req.JobID))
 	return x.resp, x.err
 }
 

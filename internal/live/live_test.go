@@ -43,7 +43,7 @@ func TestDriverPacesEvents(t *testing.T) {
 	default:
 	}
 	clk.Advance(time.Millisecond)
-	if now := <-fired; now != 100 {
+	if now := await(t, fired, "the event due at 100 to fire"); now != 100 {
 		t.Fatalf("event fired at %d, want 100", now)
 	}
 }

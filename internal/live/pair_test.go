@@ -9,12 +9,6 @@ import (
 	"cosched/internal/proto"
 )
 
-// lockHeldAcrossExchange records that a daemon makes its peer calls under
-// its driver lock (ROADMAP.md, "No peer I/O under the driver lock"). The
-// fix releases the lock for the exchanges and flips this expectation;
-// TestLiveSymmetricDecisionStall is its regression test.
-const lockHeldAcrossExchange = true
-
 // TestLiveSymmetricDecisionStall: two daemons decide for the two halves of
 // a pair at the same virtual instant. Each scheduler probes the other's
 // half holding its own driver lock, and each probe needs the other's lock
@@ -31,13 +25,13 @@ func TestLiveSymmetricDecisionStall(t *testing.T) {
 	do(t, p.b, func() error { return p.b.mgr.Submit(pairedJob(1, "a")) })
 	xb := p.ba.next(t, proto.MethodProbeMate, 1)
 
+	// Each daemon makes its peer calls under its driver lock (ROADMAP.md
+	// item 1, "No peer I/O under the driver lock"). Item 1's fix releases
+	// the lock for the exchanges and flips this expectation.
 	for _, d := range []*Daemon{p.a, p.b} {
-		held := !d.driver.mu.TryLock()
-		if !held {
+		if d.driver.mu.TryLock() {
 			d.driver.mu.Unlock()
-		}
-		if held != lockHeldAcrossExchange {
-			t.Fatalf("%s's driver lock held = %v while its probe is parked, want %v", d.cfg.Name, held, lockHeldAcrossExchange)
+			t.Fatalf("%s's driver lock is free while its probe is parked, want held", d.cfg.Name)
 		}
 	}
 
