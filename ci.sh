@@ -149,8 +149,11 @@ go test -tags debug ./internal/invariant ./internal/backfill \
 # event churn, the EASY planner, the pool's slot table, the resource
 # manager's submit → start → complete spine, a probe_mate round trip over
 # ServeConn and one over the simulator's in-process conn, a start_mate
-# carrying its co-start instant over both
-# (TestStartMateAtRoundTripAllocatesNothing), a journaled transition, an
+# carrying its co-start instant over both when the instant is already on
+# the heap (TestStartMateAtRoundTripAllocatesNothing; through proto.Caller,
+# the way resmgr calls, each TryStartMateAt/StartMateAt allocates once for
+# its &at, pinned by TestCallerStartMateAtAllocatesOnce until ROADMAP item 0
+# passes Request.At by value), a journaled transition, an
 # admin response through its codec, a submit with mates decoded into its
 # connection's scratch (TestAdminRequestCodecWithoutAllocating) and a driver
 # wake-up must report 0 allocs/op; building a trace allocates per slab of
@@ -159,10 +162,16 @@ go test -tags debug ./internal/invariant ./internal/backfill \
 # TestPairByWindowAndPairCountWithoutAllocatingPerPair)). Throughput is NOT
 # gated here: shared CI machines make wall-clock assertions flaky;
 # bench/run.sh measures it.
-go test -run 'ZeroAlloc|WithoutAllocating|AllocatesNothing' -count=1 \
+go test -run 'ZeroAlloc|WithoutAllocating|AllocatesNothing|AllocatesOnce' -count=1 \
     ./internal/sim ./internal/arena ./internal/backfill ./internal/workload \
     ./internal/resmgr ./internal/cluster \
     ./internal/journal ./internal/live ./internal/proto
+
+# Peer-call benchmarks, one iteration each, so they keep compiling and
+# running: a probe_mate round trip through the in-process conn against a
+# resmgr.Manager, and the request and response parses inside it. Their
+# timings are EXPERIMENTS.md's "What a wire call costs"; none is gated.
+go test -run '^$' -bench . -benchtime 1x ./internal/proto
 
 # Chaos-campaign gate: 25 deterministic fault-injection campaigns, seeds
 # 1–25 as subtests, under -race and uncached, across both seams (journal VFS

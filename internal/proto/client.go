@@ -24,7 +24,9 @@ type Client struct {
 	Caller
 	mu      sync.Mutex
 	conn    net.Conn
-	frames  *FrameReader // buffered reads of conn
+	frames  *FrameReader      // buffered reads of conn
+	out     []byte            // the request frame being written; reused by every call
+	inline  [inlineFrame]byte // out's storage until a frame outgrows it
 	seq     uint64
 	timeout time.Duration
 	domain  string // learned from the last ping; "" until then
@@ -36,6 +38,7 @@ type Client struct {
 // single-threaded test has nothing to time out against).
 func NewClient(conn net.Conn, timeout time.Duration) *Client {
 	c := &Client{conn: conn, frames: NewFrameReader(conn), timeout: timeout}
+	c.out = c.inline[:0]
 	c.Caller = Caller{c}
 	return c
 }
@@ -97,8 +100,14 @@ func (c *Client) Exchange(req Request) (Response, error) {
 		}
 	}
 	// The typed forms of WriteFrame and FrameReader.ReadFrame: req and resp
-	// stay on the stack, so a round trip allocates nothing.
-	if err := writeRequest(c.conn, &req); err != nil {
+	// stay on the stack and the frame is built in the client's own buffer,
+	// so a round trip allocates nothing.
+	frame, err := appendRequestFrame(c.out, &req)
+	if err == nil {
+		_, err = c.conn.Write(frame)
+	}
+	c.out = reuseFrame(frame, c.inline[:])
+	if err != nil {
 		return Response{}, c.breakLocked(req.Method, StageWrite, err)
 	}
 	var resp Response

@@ -279,3 +279,36 @@ func TestStartMateAtRoundTripAllocatesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestCallerStartMateAtAllocatesOnce pins what a start carrying its instant
+// costs where resmgr makes it, through Caller: the call's &at is stored in
+// Request.At and escapes through the Exchanger interface, one allocation
+// per TryStartMateAt or StartMateAt. TestStartMateAtRoundTripAllocatesNothing
+// does not see it, because it calls Client.Exchange with an instant that is
+// already on the heap. ROADMAP item 0 carries the fix — Request.At by value
+// — which turns this pin to 0.
+func TestCallerStartMateAtAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	backend := &coStartBackend{fakeBackend: newFakeBackend()}
+	c := NewClient(NewServer(backend, nil, nil).InProcessConn(), 0).Caller
+	at := sim.Time(86400)
+	for name, call := range map[string]func() error{
+		"try_start_mate": func() error {
+			_, err := c.TryStartMateAt(7, at)
+			return err
+		},
+		"start_mate": func() error { return c.StartMateAt(7, at) },
+	} {
+		allocs := testing.AllocsPerRun(500, func() {
+			at++
+			if err := call(); err != nil || backend.at != at {
+				t.Fatalf("%s at %d: %v; the backend saw %d", name, at, err, backend.at)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("a %s through Caller allocates %v times; the pin is 1 (item 0: Request.At by value makes it 0)", name, allocs)
+		}
+	}
+}

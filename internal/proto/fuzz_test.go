@@ -57,6 +57,24 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte(` {"seq": 01, "ok": 1e3}x`), uint64(7), int64(1), int64(1), uint8(0), "", "", "", false, false)
 	f.Add([]byte(`{"seq":8,"method":"reconcile_mates","from":"A","views":[{"local":1,"mate":2,"status":"holding"}]}`), uint64(8), int64(0), int64(0), uint8(0), MethodReconcile, "A", "", false, false)
 	f.Add([]byte(`{"seq":18446744073709551616,"job_id":9223372036854775808,"at":-9223372036854775809}`), uint64(9), int64(9), int64(9), uint8(2), "\x7f", "x", "y", true, true)
+	// The scanner's boundaries (wirejson's scannerBoundaries) under every
+	// key that reads a number or a string: 19, 20 and 21 digits, the int64
+	// extremes, leading zeros, a byte that is not Plain before the quote.
+	for _, v := range []string{
+		`9999999999999999999`, `18446744073709551615`, `18446744073709551616`,
+		`99999999999999999999`, `100000000000000000000`,
+		`9223372036854775807`, `9223372036854775808`, `-9223372036854775808`, `-9223372036854775809`,
+		`0`, `00`, `007`, `-0`, `-00`,
+	} {
+		for _, key := range []string{"seq", "job_id", "at"} {
+			f.Add([]byte(`{"`+key+`":`+v+`}`), uint64(1), int64(0), int64(0), uint8(0), "", "", "", false, false)
+		}
+	}
+	for _, v := range []string{`"ab"`, "\"ab\x7f\"", "\"ab\x1f\"", `"ab<"`, `"ab\""`, `"ab`} {
+		for _, key := range []string{"method", "from", "status", "error"} {
+			f.Add([]byte(`{"seq":1,"`+key+`":`+v+`}`), uint64(1), int64(0), int64(0), uint8(0), "ab\x7f", "ab<", "ab", false, false)
+		}
+	}
 	f.Fuzz(func(t *testing.T, payload []byte, seq uint64, jobID, at int64, atMode uint8, s1, s2, s3 string, b1, b2 bool) {
 		decodeBothWays(t, payload)
 		req := Request{Seq: seq, Method: s1, JobID: job.ID(jobID), From: s2}

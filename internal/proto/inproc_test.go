@@ -169,3 +169,31 @@ func TestInProcessConnContract(t *testing.T) {
 		}
 	})
 }
+
+// TestInProcessBuffersStayBounded: the conn's input and output and the
+// client's write buffer are each reused from one round trip to the next.
+// AllocsPerRun cannot see a buffer that keeps its capacity by never being
+// reset — it grows by doubling, so its average over a run rounds to 0 —
+// but its capacity keeps climbing with the round trips.
+func TestInProcessBuffersStayBounded(t *testing.T) {
+	backend := &coStartBackend{fakeBackend: newFakeBackend()}
+	backend.statuses[7] = cosched.StatusQueuing
+	conn := NewServer(backend, nil, nil).InProcessConn().(*inprocConn)
+	c := NewClient(conn, 0)
+	caps := func() [3]int { return [3]int{cap(conn.in), cap(conn.out), cap(c.out)} }
+	var tenth [3]int
+	for i := 1; i <= 10000; i++ {
+		if _, err := c.ProbeMate(7); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.StartMateAt(7, sim.Time(i)); err != nil || backend.at != sim.Time(i) {
+			t.Fatalf("start_mate at %d: %v; the backend saw %d", i, err, backend.at)
+		}
+		if i == 10 {
+			tenth = caps()
+		}
+	}
+	if got := caps(); got != tenth {
+		t.Fatalf("capacities of conn input, conn output, client output = %v after 10,000 round trips, %v after 10", got, tenth)
+	}
+}

@@ -36,7 +36,9 @@
 // (ServeConn); a simulation has no
 // connection to cross and writes to Server.InProcessConn, which parses,
 // dispatches and answers the frame on the calling goroutine — the same
-// bytes, one thread. A frame is written with one Write and read through a
+// bytes, one thread. A frame is built whole, header and payload, in a
+// buffer its connection keeps (a Client's, a ServeConn connection's, an
+// InProcessConn's output), written with one Write and read through a
 // per-connection buffered FrameReader, so a call costs one write and
 // (usually) one read per side.
 //
@@ -68,7 +70,6 @@ package proto
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -181,125 +182,147 @@ type FrameCodec interface {
 	ParseFrame(payload []byte) bool
 }
 
-// frameBuf is the scratch a WriteFrame call builds its frame in: four
-// header bytes, then the JSON payload, handed to the writer as one slice.
-// The encoder is bound to the buffer once, so a pooled frameBuf encodes
-// without allocating.
-type frameBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-// maxPooledFrame caps the buffers kept between frames (pooled write
-// scratch and a FrameReader's payload buffer), so one large reconcile
-// exchange does not pin a megabyte for the life of the process or the
-// connection. Coordination frames are around a hundred bytes.
+// maxPooledFrame caps the frame buffers kept between frames (a Client's or
+// a connection's, WriteFrame's pooled scratch and a FrameReader's payload
+// buffer), so one large reconcile exchange does not pin a megabyte for the
+// life of the process or the connection. Coordination frames are around a
+// hundred bytes.
 const maxPooledFrame = 64 << 10
 
-var framePool = sync.Pool{New: func() any {
-	f := new(frameBuf)
-	f.enc = json.NewEncoder(&f.buf)
-	return f
+// inlineFrame is the frame storage a Client and an in-process conn carry in
+// their own struct, so that neither grows a buffer for the first frame it
+// builds: a coordination frame is under a hundred bytes.
+const inlineFrame = 128
+
+// reuseFrame returns buf emptied for the next frame, or inline (a
+// connection's own storage) when buf grew past maxPooledFrame.
+func reuseFrame(buf, inline []byte) []byte {
+	if cap(buf) > maxPooledFrame {
+		return inline[:0]
+	}
+	return buf[:0]
+}
+
+// appendRequestFrame appends a whole frame for req to b — four header bytes,
+// then json.Marshal(req)'s payload — with one pass of the hand-written
+// encoder, or through encoding/json for a request it declines (views, a
+// string that needs an escape). The caller writes the result with one Write
+// and keeps the buffer for its next frame. On an error b comes back as it
+// was: nothing a caller may send.
+func appendRequestFrame(b []byte, req *Request) ([]byte, error) {
+	if frame, ok := appendRequest(append(b, 0, 0, 0, 0), req); ok {
+		return sealFrame(frame, len(b))
+	}
+	slow := *req // only a declined request reaches the heap
+	return appendJSONFrame(b, &slow)
+}
+
+// appendResponseFrame is appendRequestFrame for a response.
+func appendResponseFrame(b []byte, resp *Response) ([]byte, error) {
+	if frame, ok := appendResponse(append(b, 0, 0, 0, 0), resp); ok {
+		return sealFrame(frame, len(b))
+	}
+	slow := *resp
+	return appendJSONFrame(b, &slow)
+}
+
+// appendFrame is the builder for any value: a *Request or *Response takes
+// its typed builder and a FrameCodec its own encoder; every other value,
+// and every value those decline, is encoded by encoding/json.
+func appendFrame(b []byte, v any) ([]byte, error) {
+	switch v := v.(type) {
+	case *Request:
+		if v != nil {
+			return appendRequestFrame(b, v)
+		}
+	case *Response:
+		if v != nil {
+			return appendResponseFrame(b, v)
+		}
+	case FrameCodec:
+		if frame, ok := v.AppendFrame(append(b, 0, 0, 0, 0)); ok {
+			return sealFrame(frame, len(b))
+		}
+	}
+	return appendJSONFrame(b, v)
+}
+
+// appendJSONFrame appends a frame whose payload is json.Marshal(v).
+func appendJSONFrame(b []byte, v any) ([]byte, error) {
+	frame, err := appendJSON(append(b, 0, 0, 0, 0), v)
+	if err != nil {
+		return b, err
+	}
+	return sealFrame(frame, len(b))
+}
+
+// sealFrame fills in the header at frame[start:] once the payload after it
+// is complete, or returns frame[:start] for a payload over MaxFrameSize.
+func sealFrame(frame []byte, start int) ([]byte, error) {
+	n := len(frame) - start - 4
+	if n > MaxFrameSize {
+		return frame[:start], ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(frame[start:], uint32(n))
+	return frame, nil
+}
+
+// jsonAppender is a json.Encoder that appends to the slice it is lent, so a
+// pooled one encodes into a caller's buffer without allocating.
+type jsonAppender struct {
+	b   []byte
+	enc *json.Encoder // writes through the jsonAppender
+}
+
+func (a *jsonAppender) Write(p []byte) (int, error) {
+	a.b = append(a.b, p...)
+	return len(p), nil
+}
+
+var jsonAppenders = sync.Pool{New: func() any {
+	a := new(jsonAppender)
+	a.enc = json.NewEncoder(a)
+	return a
 }}
 
-// newFrame takes a frameBuf from the pool, holding only the header bytes
-// (filled in by send once the payload length is known).
-func newFrame() *frameBuf {
-	f := framePool.Get().(*frameBuf)
-	f.buf.Reset()
-	f.buf.Write([]byte{0, 0, 0, 0})
-	return f
+// appendJSON appends json.Marshal(v) to b.
+func appendJSON(b []byte, v any) ([]byte, error) {
+	a := jsonAppenders.Get().(*jsonAppender)
+	a.b = b
+	err := a.enc.Encode(v) // writes nothing unless v encodes
+	b, a.b = a.b, nil
+	jsonAppenders.Put(a)
+	if err != nil {
+		return b, fmt.Errorf("proto: marshal: %w", err)
+	}
+	return b[:len(b)-1], nil // Encode appends a newline json.Marshal does not
 }
 
-func (f *frameBuf) release() {
-	if f.buf.Cap() <= maxPooledFrame {
-		framePool.Put(f)
-	}
-}
-
-// encodeJSON appends json.Marshal(v) as the payload.
-func (f *frameBuf) encodeJSON(v any) error {
-	if err := f.enc.Encode(v); err != nil {
-		return fmt.Errorf("proto: marshal: %w", err)
-	}
-	f.buf.Truncate(f.buf.Len() - 1) // Encode appends a newline json.Marshal does not
-	return nil
-}
-
-// send writes the finished frame with one Write.
-func (f *frameBuf) send(w io.Writer) error {
-	frame := f.buf.Bytes()
-	if len(frame)-4 > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
-	_, err := w.Write(frame)
-	return err
-}
+// frameBufs is WriteFrame's scratch, for the writers that keep no frame
+// buffer of their own.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // WriteFrame writes a length-prefixed JSON encoding of v with a single
 // Write: header and payload leave together, so a frame costs one syscall
 // on a socket and is never interleaved with a partial header. Nothing is
 // written when encoding fails or the payload exceeds MaxFrameSize. A
-// *Request or *Response takes the hand-written
-// encoder (same bytes, see writeRequest) and a FrameCodec its own; every
-// other type, and every value those decline, is encoded by encoding/json.
+// *Request or *Response takes the hand-written encoder (same bytes, see
+// appendRequestFrame) and a FrameCodec its own; every other type, and every
+// value those decline, is encoded by encoding/json. The frame is built in
+// pooled scratch: Client and Server build theirs in a buffer each
+// connection keeps, and this is for every other writer (live's admin
+// client and server, tests).
 func WriteFrame(w io.Writer, v any) error {
-	switch v := v.(type) {
-	case *Request:
-		if v != nil {
-			return writeRequest(w, v)
-		}
-	case *Response:
-		if v != nil {
-			return writeResponse(w, v)
-		}
+	buf := frameBufs.Get().(*[]byte)
+	frame, err := appendFrame((*buf)[:0], v)
+	if err == nil {
+		_, err = w.Write(frame)
 	}
-	f := newFrame()
-	defer f.release()
-	if c, ok := v.(FrameCodec); ok {
-		if payload, ok := c.AppendFrame(f.buf.AvailableBuffer()); ok {
-			f.buf.Write(payload)
-			return f.send(w)
-		}
+	if cap(frame) <= maxPooledFrame {
+		*buf = frame[:0]
+		frameBufs.Put(buf)
 	}
-	if err := f.encodeJSON(v); err != nil {
-		return err
-	}
-	return f.send(w)
-}
-
-// writeRequest is WriteFrame for a request, typed so the caller's value
-// does not escape: the frame is appended in place by appendRequest, and only
-// a request that cannot write verbatim is copied to the heap for
-// encoding/json.
-func writeRequest(w io.Writer, req *Request) error {
-	f := newFrame()
-	defer f.release()
-	if payload, ok := appendRequest(f.buf.AvailableBuffer(), req); ok {
-		f.buf.Write(payload)
-	} else {
-		slow := *req
-		if err := f.encodeJSON(&slow); err != nil {
-			return err
-		}
-	}
-	return f.send(w)
-}
-
-// writeResponse is writeRequest for a response.
-func writeResponse(w io.Writer, resp *Response) error {
-	f := newFrame()
-	defer f.release()
-	if payload, ok := appendResponse(f.buf.AvailableBuffer(), resp); ok {
-		f.buf.Write(payload)
-	} else {
-		slow := *resp
-		if err := f.encodeJSON(&slow); err != nil {
-			return err
-		}
-	}
-	return f.send(w)
+	return err
 }
 
 // ReadFrame reads one length-prefixed JSON frame into v. A caller that

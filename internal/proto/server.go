@@ -45,14 +45,19 @@ func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	frames := NewFrameReader(conn)
 	var at sim.Time // every frame's "at" decodes here
+	var out []byte  // and every response frame is built here
 	for {
 		// The read carries no deadline: a peer connection idles between
 		// requests by design, request liveness is bounded by the client's
 		// own per-call deadlines, and shutdown closes the conn to unblock it.
 		payload, err := frames.Next()
 		if err == nil {
-			err = s.answer(payload, conn, &at)
+			out, err = s.answer(out, payload, &at)
 		}
+		if err == nil {
+			_, err = conn.Write(out)
+		}
+		out = reuseFrame(out, nil)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && s.logger != nil {
 				s.logger.Printf("proto server: %v", err)
@@ -63,16 +68,17 @@ func (s *Server) ServeConn(conn net.Conn) {
 }
 
 // answer is the server's step for one request frame, whatever carried it:
-// parse, dispatch, write the response frame to w. The typed forms of
-// ReadFrame and WriteFrame keep req and resp on the stack, and a decoded
-// "at" lands in the connection's at: no allocation.
-func (s *Server) answer(payload []byte, w io.Writer, at *sim.Time) error {
+// parse, dispatch, append the response frame to out, the connection's
+// buffer. The typed forms of ReadFrame and WriteFrame keep req and resp on
+// the stack, and a decoded "at" lands in the connection's at: no
+// allocation once out has grown to a frame.
+func (s *Server) answer(out, payload []byte, at *sim.Time) ([]byte, error) {
 	var req Request
 	if err := unmarshalRequest(payload, &req, at); err != nil {
-		return err
+		return out, err
 	}
 	resp := s.dispatch(req)
-	return writeResponse(w, &resp)
+	return appendResponseFrame(out, &resp)
 }
 
 // PeerName implements Exchanger: the backend's domain name.

@@ -177,3 +177,126 @@ func TestMatesIntoReusesItsArrayAndInternsDomains(t *testing.T) {
 		t.Fatalf("the table holds %d names, want at most %d", len(domains), maxInterned)
 	}
 }
+
+// TestPlainTable: the table answers what the predicate it replaced did, for
+// every byte.
+func TestPlainTable(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		c := byte(i)
+		want := c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+		if Plain(c) != want {
+			t.Errorf("Plain(%#x) = %v, want %v", c, Plain(c), want)
+		}
+	}
+}
+
+// scannerBoundaries are the payloads at the edges of the scanner's fast
+// paths: 19, 20 and 21 digits (where Uint starts checking for overflow),
+// the int64 extremes, leading zeros, and a byte that is not Plain right
+// before a closing quote. Each is one member, "v", of an object; proto's
+// FuzzFrameCodec seeds its corpus with the same values under its keys.
+var scannerBoundaries = []string{
+	`{"v":9999999999999999999}`,
+	`{"v":18446744073709551615}`,
+	`{"v":18446744073709551616}`,
+	`{"v":99999999999999999999}`,
+	`{"v":100000000000000000000}`,
+	`{"v":9223372036854775807}`,
+	`{"v":9223372036854775808}`,
+	`{"v":-9223372036854775808}`,
+	`{"v":-9223372036854775809}`,
+	`{"v":0}`,
+	`{"v":00}`,
+	`{"v":007}`,
+	`{"v":-0}`,
+	`{"v":-00}`,
+	`{"v":"ab"}`,
+	"{\"v\":\"ab\x7f\"}",
+	"{\"v\":\"ab\x1f\"}",
+	`{"v":"ab<"}`,
+	`{"v":"ab\"}`,
+	`{"v":"ab"`,
+}
+
+// TestScannerBoundaries: on each boundary payload, Uint, Int, IntN and Str
+// take only what json.Unmarshal accepts into a member of their Go type, and
+// decode it to the same value; the named cases pin which side of each
+// boundary the scanner itself takes.
+func TestScannerBoundaries(t *testing.T) {
+	parse := func(payload string, member func(*Scanner)) bool {
+		s := Scan([]byte(payload))
+		for s.Next() {
+			if string(s.Key()) != "v" {
+				s.Fail()
+			}
+			member(&s)
+		}
+		return s.Done()
+	}
+	for _, payload := range scannerBoundaries {
+		var u uint64
+		var i int64
+		var n int
+		var str string
+		okU := parse(payload, func(s *Scanner) { u = s.Uint() })
+		okI := parse(payload, func(s *Scanner) { i = s.Int() })
+		okN := parse(payload, func(s *Scanner) { n = s.IntN() })
+		okS := parse(payload, func(s *Scanner) { str = string(s.Str()) })
+		var ref struct {
+			U uint64 `json:"v"`
+		}
+		var refI struct {
+			I int64 `json:"v"`
+		}
+		var refN struct {
+			N int `json:"v"`
+		}
+		var refS struct {
+			S string `json:"v"`
+		}
+		errU := json.Unmarshal([]byte(payload), &ref)
+		errI := json.Unmarshal([]byte(payload), &refI)
+		errN := json.Unmarshal([]byte(payload), &refN)
+		errS := json.Unmarshal([]byte(payload), &refS)
+		// The scanner may refuse what encoding/json takes (it is left to
+		// encoding/json then), but never take what it refuses, nor read a
+		// value encoding/json reads otherwise.
+		if okU && (errU != nil || u != ref.U) {
+			t.Errorf("Uint took %s as %d; encoding/json: %d, %v", payload, u, ref.U, errU)
+		}
+		if okI && (errI != nil || i != refI.I) {
+			t.Errorf("Int took %s as %d; encoding/json: %d, %v", payload, i, refI.I, errI)
+		}
+		if okN && (errN != nil || n != refN.N || int64(n) != i) {
+			t.Errorf("IntN took %s as %d; encoding/json: %d, %v", payload, n, refN.N, errN)
+		}
+		if okS && (errS != nil || str != refS.S) {
+			t.Errorf("Str took %q as %q; encoding/json: %q, %v", payload, str, refS.S, errS)
+		}
+	}
+	// The boundaries themselves, by name.
+	for _, tc := range []struct {
+		payload string
+		member  func(*Scanner)
+		ok      bool
+	}{
+		{`{"v":18446744073709551615}`, func(s *Scanner) { s.Uint() }, true},
+		{`{"v":18446744073709551616}`, func(s *Scanner) { s.Uint() }, false},
+		{`{"v":100000000000000000000}`, func(s *Scanner) { s.Uint() }, false},
+		{`{"v":9999999999999999999}`, func(s *Scanner) { s.Uint() }, true},
+		{`{"v":-9223372036854775808}`, func(s *Scanner) { s.Int() }, true},
+		{`{"v":9223372036854775808}`, func(s *Scanner) { s.Int() }, false},
+		{`{"v":-9223372036854775809}`, func(s *Scanner) { s.Int() }, false},
+		{`{"v":-9223372036854775808}`, func(s *Scanner) { s.IntN() }, math.MinInt == math.MinInt64},
+		{`{"v":00}`, func(s *Scanner) { s.Uint() }, false},
+		{`{"v":-00}`, func(s *Scanner) { s.Int() }, false},
+		{`{"v":-0}`, func(s *Scanner) { s.Int() }, true},
+		{"{\"v\":\"ab\x7f\"}", func(s *Scanner) { s.Str() }, false},
+		{`{"v":"ab<"}`, func(s *Scanner) { s.Str() }, false},
+		{`{"v":"ab"}`, func(s *Scanner) { s.Str() }, true},
+	} {
+		if ok := parse(tc.payload, tc.member); ok != tc.ok {
+			t.Errorf("%s: scanner accepted %v, want %v", tc.payload, ok, tc.ok)
+		}
+	}
+}
