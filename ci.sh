@@ -26,11 +26,20 @@ go build ./...
 go run ./cmd/simlint -json ./... > /tmp/ci_simlint.json
 go run ./cmd/simlint -tags debug ./...
 
+# Every example program runs to a zero exit, so one that a change to an API
+# it uses (a live.Config literal, a coupled.DomainConfig) breaks at run time
+# fails here, not in a reader's terminal. About seven seconds, most of it
+# liveprotocol's five virtual minutes at 60x.
+for example in examples/*/; do
+    go run "./$example" > /dev/null
+done
+
 # The lint package's own suite (golden rule fixtures, repo self-check with
 # the rule-admission check, JSON round-trip, and the written-once guards
 # TestPeerVocabularyWrittenOnce, TestPeerCallsOnlyInExchange,
-# TestObserverFanOutWrittenOnce and TestAcceptLoopWrittenOnce) under -race: the engine type-checks and runs
-# rules across GOMAXPROCS workers.
+# TestObserverFanOutWrittenOnce, TestAcceptLoopWrittenOnce and
+# TestDomainBuiltOnce) under -race: the engine type-checks and runs rules
+# across GOMAXPROCS workers.
 go test -race -count=1 ./internal/lint
 
 go test -race ./...

@@ -23,6 +23,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,7 +55,10 @@ func (p peerFlags) Set(v string) error {
 // configuration, one field per flag. Usage and error text from the flag
 // package goes to usageOut.
 func parseFlags(args []string, usageOut io.Writer) (*live.Config, error) {
+	// A daemon always coschedules; the scheduling flags fill the embedded
+	// config.Domain, the keys of a cmd/cosim domain under the flags' names.
 	cfg := &live.Config{Peers: map[string]string{}}
+	cfg.CoschedEnabled = true
 	fs := flag.NewFlagSet("coschedd", flag.ContinueOnError)
 	fs.SetOutput(usageOut)
 	fs.StringVar(&cfg.Name, "name", "domain", "this domain's name")
@@ -66,8 +70,8 @@ func parseFlags(args []string, usageOut io.Writer) (*live.Config, error) {
 	fs.Int64Var(&cfg.ReleaseMinutes, "release-minutes", 20, "hold release interval in virtual minutes (0 = off)")
 	fs.Float64Var(&cfg.MaxHeldFraction, "max-held-fraction", 1.0, "max fraction of nodes in hold state")
 	fs.IntVar(&cfg.MaxYields, "max-yields", 0, "yields before escalating to hold (0 = never)")
-	fs.StringVar(&cfg.Policy, "policy", "wfp", "queue policy: wfp, fcfs, sjf, largest")
-	fs.BoolVar(&cfg.Backfill, "backfill", true, "enable EASY backfilling")
+	fs.StringVar(&cfg.Policy, "policy", "wfp", "queue policy: wfp, fcfs, sjf, largest, fairshare")
+	fs.BoolVar(&cfg.Backfilling, "backfill", true, "enable EASY backfilling")
 	fs.Float64Var(&cfg.Speedup, "speedup", 1.0, "virtual seconds per wall second")
 	fs.DurationVar(&cfg.PeerTimeout, "peer-timeout", 2*time.Second, "per-call peer RPC budget (round trip + one retry)")
 	fs.StringVar(&cfg.Status, "status", "", "serve an HTML/JSON status page on this address (e.g. :8080)")
@@ -89,35 +93,24 @@ func parseFlags(args []string, usageOut io.Writer) (*live.Config, error) {
 // silently replaced deep inside the journal. Failing at startup names the
 // flag instead.
 func validate(c *live.Config) error {
-	if c.Name == "" {
-		return fmt.Errorf("-name must not be empty")
-	}
-	if c.Nodes <= 0 {
-		return fmt.Errorf("-nodes must be positive, got %d", c.Nodes)
-	}
-	if c.MinPartition < 0 {
-		return fmt.Errorf("-min-partition must be non-negative, got %d", c.MinPartition)
-	}
-	if c.ReleaseMinutes < 0 {
-		return fmt.Errorf("-release-minutes must be non-negative, got %d", c.ReleaseMinutes)
-	}
-	if c.MaxHeldFraction <= 0 || c.MaxHeldFraction > 1 {
-		return fmt.Errorf("-max-held-fraction must be in (0, 1], got %g", c.MaxHeldFraction)
-	}
-	if c.MaxYields < 0 {
-		return fmt.Errorf("-max-yields must be non-negative, got %d", c.MaxYields)
-	}
-	if c.Speedup <= 0 {
-		return fmt.Errorf("-speedup must be positive, got %g", c.Speedup)
-	}
-	if c.PeerTimeout <= 0 {
-		return fmt.Errorf("-peer-timeout must be positive, got %v", c.PeerTimeout)
-	}
-	if c.SnapshotEvery <= 0 {
-		return fmt.Errorf("-snapshot-every must be positive, got %d", c.SnapshotEvery)
-	}
-	if c.DegradedMaxHolds < -1 {
-		return fmt.Errorf("-degraded-max-holds must be -1 (unlimited) or non-negative, got %d", c.DegradedMaxHolds)
+	for _, r := range []struct {
+		bad bool
+		err string
+	}{
+		{c.Name == "", "-name must not be empty"},
+		{c.Nodes <= 0, fmt.Sprintf("-nodes must be positive, got %d", c.Nodes)},
+		{c.MinPartition < 0, fmt.Sprintf("-min-partition must be non-negative, got %d", c.MinPartition)},
+		{c.ReleaseMinutes < 0, fmt.Sprintf("-release-minutes must be non-negative, got %d", c.ReleaseMinutes)},
+		{c.MaxHeldFraction <= 0 || c.MaxHeldFraction > 1, fmt.Sprintf("-max-held-fraction must be in (0, 1], got %g", c.MaxHeldFraction)},
+		{c.MaxYields < 0, fmt.Sprintf("-max-yields must be non-negative, got %d", c.MaxYields)},
+		{c.Speedup <= 0, fmt.Sprintf("-speedup must be positive, got %g", c.Speedup)},
+		{c.PeerTimeout <= 0, fmt.Sprintf("-peer-timeout must be positive, got %v", c.PeerTimeout)},
+		{c.SnapshotEvery <= 0, fmt.Sprintf("-snapshot-every must be positive, got %d", c.SnapshotEvery)},
+		{c.DegradedMaxHolds < -1, fmt.Sprintf("-degraded-max-holds must be -1 (unlimited) or non-negative, got %d", c.DegradedMaxHolds)},
+	} {
+		if r.bad {
+			return errors.New(r.err)
+		}
 	}
 	return nil
 }

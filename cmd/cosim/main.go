@@ -8,20 +8,8 @@
 //	cosim -config sim.json -journal j   # journal each domain into j/<name>
 //	cosim -verify j/*                   # check co-starts across journals
 //
-// Example configuration:
-//
-//	{
-//	  "wire_protocol": false,
-//	  "domains": [
-//	    {"name": "intrepid", "nodes": 40960, "backfilling": true,
-//	     "cosched_enabled": true, "scheme": "hold", "release_minutes": 20,
-//	     "synthetic": {"system": "intrepid", "util": 0.68, "seed": 1}},
-//	    {"name": "eureka", "nodes": 100, "backfilling": true,
-//	     "cosched_enabled": true, "scheme": "yield", "release_minutes": 20,
-//	     "synthetic": {"system": "eureka", "util": 0.5, "seed": 2}}
-//	  ],
-//	  "pairs": [{"domain_a": "intrepid", "domain_b": "eureka", "window_seconds": 120}]
-//	}
+// configs/ holds example configurations, and internal/config's types
+// define every key; a key they do not define is refused by name.
 package main
 
 import (

@@ -18,6 +18,7 @@ import (
 	"log"
 	"time"
 
+	"cosched/internal/config"
 	"cosched/internal/job"
 	"cosched/internal/live"
 	"cosched/internal/sim"
@@ -28,9 +29,11 @@ import (
 // configuration.
 func startDaemon(name string, nodes int, scheme string) *live.Daemon {
 	d, err := live.Start(live.Config{
-		Name: name, Nodes: nodes, Scheme: scheme, Backfill: true,
-		Listen: "127.0.0.1:0", Admin: "127.0.0.1:0",
-		ReleaseMinutes: 20, MaxHeldFraction: 1, Speedup: 60,
+		Domain: config.Domain{
+			Name: name, Nodes: nodes, Backfilling: true, CoschedEnabled: true,
+			Scheme: scheme, ReleaseMinutes: 20, MaxHeldFraction: 1,
+		},
+		Listen: "127.0.0.1:0", Admin: "127.0.0.1:0", Speedup: 60,
 	}, nil)
 	if err != nil {
 		log.Fatal(err)

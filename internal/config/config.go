@@ -4,6 +4,7 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -74,9 +75,14 @@ func Load(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields() // a misspelt key is an error naming it, not a default
 	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
+	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("config: parse %s: %w", path, err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("config: parse %s: data after the top-level object", path)
 	}
 	if len(f.Domains) == 0 {
 		return nil, fmt.Errorf("config: %s: no domains", path)
@@ -92,44 +98,14 @@ func (f *File) Build() (coupled.Options, error) {
 	traces := make(map[string][]*job.Job, len(f.Domains))
 	for _, d := range f.Domains {
 		tr, err := d.buildTrace()
+		var dc coupled.DomainConfig
+		if err == nil {
+			dc, err = d.DomainConfig(tr)
+		}
 		if err != nil {
 			return opt, fmt.Errorf("config: domain %q: %w", d.Name, err)
 		}
 		traces[d.Name] = tr
-		cc := cosched.Config{
-			Enabled:         d.CoschedEnabled,
-			ReleaseInterval: sim.Duration(d.ReleaseMinutes) * sim.Minute,
-			MaxHeldFraction: d.MaxHeldFraction,
-			MaxYields:       d.MaxYields,
-			YieldBoost:      d.YieldBoost,
-		}
-		if d.Scheme != "" {
-			s, err := cosched.ParseScheme(d.Scheme)
-			if err != nil {
-				return opt, fmt.Errorf("config: domain %q: %w", d.Name, err)
-			}
-			cc.Scheme = s
-		}
-		pol, ok := policy.ByName(d.Policy)
-		if !ok {
-			return opt, fmt.Errorf("config: domain %q: unknown policy %q", d.Name, d.Policy)
-		}
-		if len(d.Queues) > 0 {
-			if pol, err = routeQueues(d.Queues, tr, pol); err != nil {
-				return opt, fmt.Errorf("config: domain %q: %w", d.Name, err)
-			}
-		}
-		dc := coupled.DomainConfig{
-			Name:         d.Name,
-			Nodes:        d.Nodes,
-			MinPartition: d.MinPartition,
-			Policy:       pol,
-			Backfilling:  d.Backfilling,
-			BackfillMode: d.BackfillMode,
-			Estimator:    d.Estimator,
-			Cosched:      cc,
-			Trace:        tr,
-		}
 		opt.Domains = append(opt.Domains, dc)
 	}
 	for _, p := range f.Pairs {
@@ -154,6 +130,47 @@ func (f *File) Build() (coupled.Options, error) {
 		}
 	}
 	return opt, nil
+}
+
+// DomainConfig converts the domain's scheduling settings into the
+// coupled.DomainConfig that coupled.NewManager builds, running trace tr. A
+// daemon passes nil, as its jobs arrive over admin; queues are refused then,
+// because their routing is computed from the trace.
+func (d Domain) DomainConfig(tr []*job.Job) (coupled.DomainConfig, error) {
+	sch, err := cosched.ParseScheme(d.Scheme)
+	if err != nil {
+		return coupled.DomainConfig{}, err
+	}
+	pol, ok := policy.ByName(d.Policy)
+	if !ok {
+		return coupled.DomainConfig{}, fmt.Errorf("unknown policy %q", d.Policy)
+	}
+	if len(d.Queues) > 0 {
+		if tr == nil {
+			return coupled.DomainConfig{}, fmt.Errorf(`"queues" needs a trace: queue routing is computed from the domain's workload`)
+		}
+		if pol, err = routeQueues(d.Queues, tr, pol); err != nil {
+			return coupled.DomainConfig{}, err
+		}
+	}
+	return coupled.DomainConfig{
+		Name:         d.Name,
+		Nodes:        d.Nodes,
+		MinPartition: d.MinPartition,
+		Policy:       pol,
+		Backfilling:  d.Backfilling,
+		BackfillMode: d.BackfillMode,
+		Estimator:    d.Estimator,
+		Cosched: cosched.Config{
+			Enabled:         d.CoschedEnabled,
+			Scheme:          sch,
+			ReleaseInterval: sim.Duration(d.ReleaseMinutes) * sim.Minute,
+			MaxHeldFraction: d.MaxHeldFraction,
+			MaxYields:       d.MaxYields,
+			YieldBoost:      d.YieldBoost,
+		},
+		Trace: tr,
+	}, nil
 }
 
 // buildTrace loads or generates the domain's workload.

@@ -108,13 +108,20 @@ func TestBuildFromTraceFile(t *testing.T) {
 
 func TestLoadRejectsBadConfigs(t *testing.T) {
 	cases := map[string]string{
-		"no domains": `{"domains": []}`,
-		"bad json":   `{`,
+		"no domains":    `{"domains": []}`,
+		"bad json":      `{`,
+		"trailing data": `{"domains": [{"name": "d", "nodes": 4}]} {}`,
 	}
 	for name, body := range cases {
 		if _, err := Load(writeConfig(t, body)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+	// A misspelt key is refused by name rather than dropped, which would
+	// leave its setting at the default.
+	_, err := Load(writeConfig(t, `{"domains": [{"name": "d", "nodes": 4, "max_held_fractoin": 0.5}]}`))
+	if err == nil || !strings.Contains(err.Error(), `"max_held_fractoin"`) {
+		t.Errorf("misspelt key: err = %v, want one naming the key", err)
 	}
 	if _, err := Load("/nonexistent.json"); err == nil {
 		t.Error("missing file accepted")

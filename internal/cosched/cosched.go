@@ -47,10 +47,11 @@ func (s Scheme) Short() string {
 	return "H"
 }
 
-// ParseScheme parses "hold"/"h" or "yield"/"y" (case-sensitive lower).
+// ParseScheme parses "hold"/"h"/"H" or "yield"/"y"/"Y"; "" is Hold, the
+// default, as "" is for every name parser a domain description uses.
 func ParseScheme(s string) (Scheme, error) {
 	switch s {
-	case "hold", "h", "H":
+	case "", "hold", "h", "H":
 		return Hold, nil
 	case "yield", "y", "Y":
 		return Yield, nil

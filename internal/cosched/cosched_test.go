@@ -22,7 +22,7 @@ func TestSchemeStrings(t *testing.T) {
 
 func TestParseScheme(t *testing.T) {
 	cases := map[string]Scheme{
-		"hold": Hold, "h": Hold, "H": Hold,
+		"": Hold, "hold": Hold, "h": Hold, "H": Hold,
 		"yield": Yield, "y": Yield, "Y": Yield,
 	}
 	for in, want := range cases {

@@ -41,7 +41,8 @@ type DomainConfig struct {
 	// Backfilling enables backfill (the paper's setting: WFP plus EASY).
 	Backfilling bool
 	// BackfillMode optionally selects the planner when Backfilling is on:
-	// "easy" (default) or "conservative".
+	// "easy" (default) or "conservative". NewManager refuses it with
+	// Backfilling off, and refuses "none", which Backfilling off says.
 	BackfillMode string
 	// Estimator names the backfill planning-runtime source: "walltime"
 	// (default) or "user-average" (Tsafrir-style prediction).
@@ -133,35 +134,10 @@ func New(opt Options) (*Sim, error) {
 		if _, dup := s.managers[dc.Name]; dup {
 			return nil, fmt.Errorf("coupled: duplicate domain %q", dc.Name)
 		}
-		est, ok := predict.ByName(dc.Estimator)
-		if !ok {
-			return nil, fmt.Errorf("coupled: domain %q: unknown estimator %q", dc.Name, dc.Estimator)
+		m, err := NewManager(eng, dc)
+		if err != nil {
+			return nil, err
 		}
-		mode, ok := resmgr.ParseBackfillMode(dc.BackfillMode)
-		if !ok {
-			return nil, fmt.Errorf("coupled: domain %q: unknown backfill mode %q", dc.Name, dc.BackfillMode)
-		}
-		core, ok := resmgr.ParseCore(dc.SchedCore)
-		if !ok {
-			return nil, fmt.Errorf("coupled: domain %q: unknown sched core %q", dc.Name, dc.SchedCore)
-		}
-		var pool *cluster.Pool
-		if dc.MinPartition > 0 {
-			pool = cluster.NewPartitioned(dc.Name, dc.Nodes, dc.MinPartition)
-		} else {
-			pool = cluster.New(dc.Name, dc.Nodes)
-		}
-		m := resmgr.New(eng, resmgr.Options{
-			Name:        dc.Name,
-			Pool:        pool,
-			Policy:      dc.Policy,
-			Backfilling: dc.Backfilling,
-			Mode:        mode,
-			Estimator:   est,
-			Cosched:     dc.Cosched,
-			Observer:    dc.Observer,
-			Core:        core,
-		})
 		s.managers[dc.Name] = m
 		s.order = append(s.order, dc.Name)
 		s.traces[dc.Name] = dc.Trace
@@ -229,6 +205,50 @@ func New(opt Options) (*Sim, error) {
 		s.horizon = lastSubmit + 100*maxRuntime + 365*sim.Day
 	}
 	return s, nil
+}
+
+// NewManager builds domain dc's resource manager on eng, the one place a
+// domain description becomes one: New calls it per domain, and so do the
+// live daemon and the chaos campaign's recovery gate. It does not submit
+// dc.Trace; New does.
+func NewManager(eng *sim.Engine, dc DomainConfig) (*resmgr.Manager, error) {
+	if dc.Nodes <= 0 {
+		return nil, fmt.Errorf("coupled: domain %q: nodes must be positive, got %d", dc.Name, dc.Nodes)
+	}
+	est, ok := predict.ByName(dc.Estimator)
+	if !ok {
+		return nil, fmt.Errorf("coupled: domain %q: unknown estimator %q", dc.Name, dc.Estimator)
+	}
+	mode, ok := resmgr.ParseBackfillMode(dc.BackfillMode)
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("coupled: domain %q: unknown backfill mode %q", dc.Name, dc.BackfillMode)
+	case mode == resmgr.BackfillNone:
+		return nil, fmt.Errorf("coupled: domain %q: backfill mode \"none\": turn backfilling off instead", dc.Name)
+	case dc.BackfillMode != "" && !dc.Backfilling:
+		return nil, fmt.Errorf("coupled: domain %q: backfill mode %q with backfilling off", dc.Name, dc.BackfillMode)
+	}
+	core, ok := resmgr.ParseCore(dc.SchedCore)
+	if !ok {
+		return nil, fmt.Errorf("coupled: domain %q: unknown sched core %q", dc.Name, dc.SchedCore)
+	}
+	var pool *cluster.Pool
+	if dc.MinPartition > 0 {
+		pool = cluster.NewPartitioned(dc.Name, dc.Nodes, dc.MinPartition)
+	} else {
+		pool = cluster.New(dc.Name, dc.Nodes)
+	}
+	return resmgr.New(eng, resmgr.Options{
+		Name:        dc.Name,
+		Pool:        pool,
+		Policy:      dc.Policy,
+		Backfilling: dc.Backfilling,
+		Mode:        mode,
+		Estimator:   est,
+		Cosched:     dc.Cosched,
+		Observer:    dc.Observer,
+		Core:        core,
+	}), nil
 }
 
 // sortedBySubmit reports whether tr is in non-decreasing submit-time

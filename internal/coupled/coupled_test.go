@@ -2,6 +2,7 @@ package coupled
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -290,6 +291,10 @@ func TestConfigValidation(t *testing.T) {
 	}}); err == nil {
 		t.Fatal("duplicate domain accepted")
 	}
+	// A domain with no nodes is refused, not a panic in cluster.New.
+	if _, err := New(Options{Domains: []DomainConfig{{Name: "A"}}}); err == nil {
+		t.Fatal("domain without nodes accepted")
+	}
 }
 
 func TestPartitionedIntrepidDomain(t *testing.T) {
@@ -431,6 +436,36 @@ func TestUnknownBackfillModeRejected(t *testing.T) {
 		{Name: "A", Nodes: 4, BackfillMode: "optimistic"},
 	}}); err == nil {
 		t.Fatal("bogus backfill mode accepted")
+	}
+}
+
+// TestBackfillModeNeedsBackfilling: a backfill mode that would not run as
+// named is refused. "none" read as unset and ran EASY; a mode with
+// backfilling off was dropped.
+func TestBackfillModeNeedsBackfilling(t *testing.T) {
+	cases := []struct {
+		backfilling bool
+		mode        string
+		want        string // substring of the error; "" builds
+	}{
+		{true, "", ""},
+		{true, "easy", ""},
+		{true, "conservative", ""},
+		{false, "", ""},
+		{true, "none", `"none"`},
+		{false, "none", `"none"`},
+		{false, "easy", "backfilling off"},
+		{false, "conservative", "backfilling off"},
+		{false, "optimistic", "unknown backfill mode"},
+	}
+	for _, tc := range cases {
+		_, err := NewManager(sim.NewEngine(), DomainConfig{Name: "A", Nodes: 4, Backfilling: tc.backfilling, BackfillMode: tc.mode})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("backfilling=%v mode %q: %v", tc.backfilling, tc.mode, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("backfilling=%v mode %q: err = %v, want one containing %s", tc.backfilling, tc.mode, err, tc.want)
+		}
 	}
 }
 

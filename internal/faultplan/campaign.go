@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"cosched/internal/cluster"
 	"cosched/internal/cosched"
 	"cosched/internal/coupled"
 	"cosched/internal/invariant"
@@ -21,12 +20,17 @@ import (
 const (
 	campDomA     = "a"
 	campDomB     = "b"
-	campNodesA   = 64
-	campNodesB   = 16
 	campJobs     = 60
 	campPairProp = 0.5
 	campHoldCap  = 2 // degraded-mode hold budget, mirroring -degraded-max-holds
 )
+
+// campDomains describes the two domains. The run adds each one's trace and
+// journal recorder; the recovery gate rebuilds each from its own.
+var campDomains = [2]coupled.DomainConfig{
+	{Name: campDomA, Nodes: 64, Backfilling: true, Cosched: cosched.DefaultConfig(cosched.Hold)},
+	{Name: campDomB, Nodes: 16, Backfilling: true, Cosched: cosched.DefaultConfig(cosched.Yield)},
+}
 
 // RunCampaign executes one campaign: a two-domain coupled simulation with
 // the plan's journal faults wired under domain a's write-ahead journal and
@@ -107,12 +111,10 @@ func RunCampaign(plan *Plan, corrupt bool) (fired []Fault, failures []string) {
 	recA, degA := newCampaignRecorder(storeA, &mgrA)
 	recB, degB := newCampaignRecorder(storeB, &mgrB)
 
-	s, err := coupled.New(coupled.Options{Domains: []coupled.DomainConfig{
-		{Name: campDomA, Nodes: campNodesA, Backfilling: true,
-			Cosched: cosched.DefaultConfig(cosched.Hold), Trace: a, Observer: recA},
-		{Name: campDomB, Nodes: campNodesB, Backfilling: true,
-			Cosched: cosched.DefaultConfig(cosched.Yield), Trace: b, Observer: recB},
-	}})
+	da, db := campDomains[0], campDomains[1]
+	da.Trace, da.Observer = a, recA
+	db.Trace, db.Observer = b, recB
+	s, err := coupled.New(coupled.Options{Domains: []coupled.DomainConfig{da, db}})
 	if err != nil {
 		fail("coupled.New: %v", err)
 		return fired, failures
@@ -186,8 +188,8 @@ func RunCampaign(plan *Plan, corrupt bool) (fired []Fault, failures []string) {
 	// Gate: both journals — including a poisoned, torn, or crashed one —
 	// replay into a recovered state that passes the recovery invariants,
 	// and the one on the clean filesystem lost no record on the way.
-	failures = append(failures, verifyJournalRecovers(campDomA, dirA, campNodesA, false)...)
-	failures = append(failures, verifyJournalRecovers(campDomB, dirB, campNodesB, true)...)
+	failures = append(failures, verifyJournalRecovers(campDomains[0], dirA, false)...)
+	failures = append(failures, verifyJournalRecovers(campDomains[1], dirB, true)...)
 	return fired, failures
 }
 
@@ -213,13 +215,14 @@ func newCampaignRecorder(store *journal.Store, mgr **resmgr.Manager) (*journal.R
 	return rec, degraded
 }
 
-// verifyJournalRecovers reopens a journal directory cold — exactly what a
-// restarted daemon does — and checks that replaying it rebuilds a manager
-// that satisfies the recovery invariants. Whatever the fault schedule did
-// to the store, the surviving prefix must stay loadable and consistent. A
-// journal on a cleanFS must also end cleanly: nothing but an injected
-// fault tears a record in a process that never crashed.
-func verifyJournalRecovers(domain, dir string, nodes int, cleanFS bool) (problems []string) {
+// verifyJournalRecovers reopens domain dc's journal directory cold —
+// exactly what a restarted daemon does — and checks that replaying it into
+// a manager built from dc satisfies the recovery invariants. Whatever the
+// fault schedule did to the store, the surviving prefix must stay loadable
+// and consistent. A journal on a cleanFS must also end cleanly: nothing but
+// an injected fault tears a record in a process that never crashed.
+func verifyJournalRecovers(dc coupled.DomainConfig, dir string, cleanFS bool) (problems []string) {
+	domain := dc.Name
 	st2, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		return []string{fmt.Sprintf("journal %s reopen: %v", domain, err)}
@@ -237,11 +240,10 @@ func verifyJournalRecovers(domain, dir string, nodes int, cleanFS bool) (problem
 	if err != nil {
 		return append(problems, fmt.Sprintf("journal %s replay: %v", domain, err))
 	}
-	eng := sim.NewEngine()
-	m := resmgr.New(eng, resmgr.Options{
-		Name: domain, Pool: cluster.New(domain, nodes), Backfilling: true,
-		Cosched: cosched.DefaultConfig(cosched.Hold),
-	})
+	m, err := coupled.NewManager(sim.NewEngine(), dc)
+	if err != nil {
+		return append(problems, fmt.Sprintf("journal %s manager: %v", domain, err))
+	}
 	if _, err := journal.Restore(m, rst); err != nil {
 		return append(problems, fmt.Sprintf("journal %s restore: %v", domain, err))
 	}

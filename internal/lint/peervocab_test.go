@@ -177,6 +177,32 @@ func TestAcceptLoopWrittenOnce(t *testing.T) {
 	}
 }
 
+// TestDomainBuiltOnce: a domain description becomes a resource manager in
+// one chain, config.Domain.DomainConfig then coupled.NewManager, for the
+// simulator, the live daemon and the chaos campaign's recovery gate alike.
+// A second call of resmgr.New, or a second parse of a scheme or policy
+// name, is a second description of a domain coming back.
+func TestDomainBuiltOnce(t *testing.T) {
+	calls := map[string]int{"resmgr.New": 0, "cosched.ParseScheme": 0, "policy.ByName": 0}
+	eachNonTestFile(t, func(fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				name := types.ExprString(call.Fun)
+				if _, ok := calls[name]; ok {
+					calls[name]++
+					t.Logf("%s: %s", fset.Position(call.Pos()), name)
+				}
+			}
+			return true
+		})
+	})
+	for name, n := range calls {
+		if n != 1 {
+			t.Errorf("%s is called %d times outside tests and bench/, want once", name, n)
+		}
+	}
+}
+
 // TestLiveTestsStepTheClock: internal/live's tests run the daemons on a
 // stepped clock and read state through the driver, so none of them waits on
 // the wall clock — except three that time something real: a socket

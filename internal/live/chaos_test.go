@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cosched/internal/config"
 	"cosched/internal/job"
 	"cosched/internal/obs"
 	"cosched/internal/peerlink"
@@ -26,8 +27,8 @@ import (
 // it weathered.
 func TestLiveChaosCoStartOverTCP(t *testing.T) {
 	clk := newStepClock()
-	a := startTestDomain(t, clk, Config{Name: "a", Nodes: 64, Scheme: "hold", Speedup: 1, Status: "127.0.0.1:0"})
-	b := startTestDomain(t, clk, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 1})
+	a := startTestDomain(t, clk, Config{Domain: config.Domain{Name: "a", Nodes: 64, Scheme: "hold"}, Speedup: 1, Status: "127.0.0.1:0"})
+	b := startTestDomain(t, clk, Config{Domain: config.Domain{Name: "b", Nodes: 8, Scheme: "yield"}, Speedup: 1})
 
 	// Links tuned for fast redial, each behind a fault injector: the
 	// manager calls through the injector, while reconciliation, drain and
@@ -204,7 +205,7 @@ func TestLiveChaosCoStartOverTCP(t *testing.T) {
 // scheduler absorbs "status unknown" instead of stalling a full dial
 // timeout per iteration.
 func TestLiveBreakerFailsFastWithPeerDown(t *testing.T) {
-	b := startTestDomain(t, newStepClock(), Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 1})
+	b := startTestDomain(t, newStepClock(), Config{Domain: config.Domain{Name: "b", Nodes: 8, Scheme: "yield"}, Speedup: 1})
 	addr := b.peerAddr
 	b.peer.Close() // peer daemon is gone
 
@@ -257,7 +258,7 @@ func TestBreakerTransitionsReachTheDaemonLog(t *testing.T) {
 	ln.Close()
 
 	var out lockedBuffer
-	d, err := Start(Config{Name: "a", Nodes: 8, Scheme: "hold", Speedup: 2000,
+	d, err := Start(Config{Domain: config.Domain{Name: "a", Nodes: 8, Scheme: "hold"}, Speedup: 2000,
 		Listen: "127.0.0.1:0", Admin: "127.0.0.1:0"}, log.New(&out, "", 0))
 	if err != nil {
 		t.Fatal(err)

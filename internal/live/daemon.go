@@ -11,13 +11,13 @@ import (
 	"sync"
 	"time"
 
-	"cosched/internal/cluster"
+	"cosched/internal/config"
 	"cosched/internal/cosched"
+	"cosched/internal/coupled"
 	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/journal"
 	"cosched/internal/peerlink"
-	"cosched/internal/policy"
 	"cosched/internal/proto"
 	"cosched/internal/resmgr"
 	"cosched/internal/sim"
@@ -27,21 +27,15 @@ import (
 // failed mate-reconciliation exchange with a peer.
 const reconcileRetry = 2 * time.Second
 
-// Config configures one daemon. Each field is one cmd/coschedd flag, and
-// cmd/coschedd validates them; Start rejects an unknown scheme or policy,
-// and a non-positive Speedup panics as in NewDriver.
+// Config configures one daemon. Its scheduling half is a config.Domain,
+// built as the simulator builds one (Domain.DomainConfig, then
+// coupled.NewManager); the workload keys are ignored, as jobs arrive over
+// admin, and queues are refused. cmd/coschedd sets the fields its flags
+// name and validates them; a non-positive Speedup panics as in NewDriver.
 type Config struct {
-	Name             string            // -name: this domain's name
-	Nodes            int               // -nodes
-	MinPartition     int               // -min-partition: BG/P-style minimum partition (0 = plain pool)
+	config.Domain
 	Listen           string            // -listen: peer-protocol address
 	Admin            string            // -admin: admin (submit/status) address
-	Scheme           string            // -scheme: hold or yield
-	ReleaseMinutes   int64             // -release-minutes: hold release interval (0 = off)
-	MaxHeldFraction  float64           // -max-held-fraction
-	MaxYields        int               // -max-yields: yields before escalating to hold (0 = never)
-	Policy           string            // -policy: queue policy by name
-	Backfill         bool              // -backfill: EASY backfilling
 	Speedup          float64           // -speedup: virtual seconds per wall second
 	PeerTimeout      time.Duration     // -peer-timeout: per-call peer budget (0 = peerlink's default)
 	Status           string            // -status: status page address ("" = none)
@@ -84,22 +78,17 @@ type Daemon struct {
 	degraded string
 }
 
-// Start builds a daemon and opens its listeners, in this order: pool,
-// observers (the logger, the journal recorder), manager,
-// journal recovery, driver, peer server, peer links, admin server, status
-// page. It logs through logger (nil discards). On error everything opened
-// so far is closed again.
+// Start builds a daemon and opens its listeners, in this order: observers
+// (the logger, the journal recorder), manager, journal recovery, driver,
+// peer server, peer links, admin server, status page. It logs through
+// logger (nil discards). On error everything opened so far is closed again.
 func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	sch, err := cosched.ParseScheme(cfg.Scheme)
+	dc, err := cfg.Domain.DomainConfig(nil)
 	if err != nil {
 		return nil, err
-	}
-	pol, ok := policy.ByName(cfg.Policy)
-	if !ok {
-		return nil, fmt.Errorf("unknown policy %q", cfg.Policy)
 	}
 	d := &Daemon{cfg: cfg, logger: logger}
 	defer func() {
@@ -107,13 +96,6 @@ func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 			d.close()
 		}
 	}()
-
-	var pool *cluster.Pool
-	if cfg.MinPartition > 0 {
-		pool = cluster.NewPartitioned(cfg.Name, cfg.Nodes, cfg.MinPartition)
-	} else {
-		pool = cluster.New(cfg.Name, cfg.Nodes)
-	}
 
 	observers := resmgr.Tee{logObserver{l: logger}}
 	// The journal store opens — and recovers its contents — before the
@@ -131,21 +113,11 @@ func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 		observers = append(observers, d.rec)
 	}
 
+	dc.Observer = observers
 	eng := sim.NewEngine()
-	d.mgr = resmgr.New(eng, resmgr.Options{
-		Name:        cfg.Name,
-		Pool:        pool,
-		Policy:      pol,
-		Backfilling: cfg.Backfill,
-		Cosched: cosched.Config{
-			Enabled:         true,
-			Scheme:          sch,
-			ReleaseInterval: sim.Duration(cfg.ReleaseMinutes) * sim.Minute,
-			MaxHeldFraction: cfg.MaxHeldFraction,
-			MaxYields:       cfg.MaxYields,
-		},
-		Observer: observers,
-	})
+	if d.mgr, err = coupled.NewManager(eng, dc); err != nil {
+		return nil, err
+	}
 	if err = d.recoverFromJournal(); err != nil {
 		return nil, err
 	}
@@ -179,7 +151,7 @@ func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 	d.adminAddr = adminAddr.String()
 	logger.Printf("admin interface on %s", adminAddr)
 	logger.Printf("domain %s: %d nodes, scheme=%s, policy=%s, speedup=%.0fx",
-		cfg.Name, cfg.Nodes, sch, pol.Name(), cfg.Speedup)
+		cfg.Name, cfg.Nodes, dc.Cosched.Scheme, dc.Policy.Name(), cfg.Speedup)
 
 	if cfg.Status != "" {
 		if err = d.serveStatus(cfg.Status); err != nil {

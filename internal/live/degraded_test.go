@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cosched/internal/config"
 	"cosched/internal/faultplan"
 	"cosched/internal/job"
 	"cosched/internal/obs"
@@ -24,13 +25,13 @@ import (
 // counts one refused hold.
 func TestDegradedModeMetricsExported(t *testing.T) {
 	clk := newStepClock()
-	b := startTestDomain(t, clk, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 1})
+	b := startTestDomain(t, clk, Config{Domain: config.Domain{Name: "b", Nodes: 8, Scheme: "yield"}, Speedup: 1})
 	// Fsync 0 is the snapshot a journal's first owner writes; the fault
 	// fails the third WAL fsync after it.
 	plan := &faultplan.Plan{Seed: 9, Faults: []faultplan.Fault{
 		{Seam: faultplan.SeamJournal, Kind: faultplan.KindFsyncEIO, At: 3},
 	}}
-	a := startTestDomain(t, clk, Config{Name: "a", Nodes: 16, Scheme: "hold", Speedup: 1,
+	a := startTestDomain(t, clk, Config{Domain: config.Domain{Name: "a", Nodes: 16, Scheme: "hold"}, Speedup: 1,
 		Status: "127.0.0.1:0", JournalDir: t.TempDir(), fs: faultplan.NewFaultFS(plan, nil)})
 	a.Connect("b", b.peerAddr)
 	ca, err := DialAdmin(a.adminAddr, 5*time.Second)

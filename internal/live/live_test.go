@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cosched/internal/cluster"
+	"cosched/internal/config"
 	"cosched/internal/job"
 	"cosched/internal/obs"
 	"cosched/internal/proto"
@@ -75,7 +76,7 @@ func TestDriverRejectsBadSpeedup(t *testing.T) {
 
 func TestAdminSubmitAndStatus(t *testing.T) {
 	clk := newStepClock()
-	dom := startTestDomain(t, clk, Config{Name: "solo", Nodes: 64, Scheme: "hold", Speedup: 1})
+	dom := startTestDomain(t, clk, Config{Domain: config.Domain{Name: "solo", Nodes: 64, Scheme: "hold"}, Speedup: 1})
 
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
@@ -108,7 +109,7 @@ func TestAdminSubmitAndStatus(t *testing.T) {
 }
 
 func TestAdminExpectIdempotent(t *testing.T) {
-	dom := startTestDomain(t, newStepClock(), Config{Name: "exp", Nodes: 64, Scheme: "hold", Speedup: 1})
+	dom := startTestDomain(t, newStepClock(), Config{Domain: config.Domain{Name: "exp", Nodes: 64, Scheme: "hold"}, Speedup: 1})
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +156,7 @@ func adminRoundTrip(t *testing.T, conn net.Conn, req AdminRequest) AdminResponse
 // answers the job's real state.
 func TestAdminRefusesSubmitThatDisagreesWithExpect(t *testing.T) {
 	clk := newStepClock()
-	dom := startTestDomain(t, clk, Config{Name: "shape", Nodes: 64, Scheme: "hold", Speedup: 1})
+	dom := startTestDomain(t, clk, Config{Domain: config.Domain{Name: "shape", Nodes: 64, Scheme: "hold"}, Speedup: 1})
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +215,7 @@ func TestAdminRefusesSubmitThatDisagreesWithExpect(t *testing.T) {
 // expect registers must own a copy of its mates; a later frame on the same
 // connection naming other mates must leave them as they were.
 func TestAdminExpectKeepsItsOwnMates(t *testing.T) {
-	dom := startTestDomain(t, newStepClock(), Config{Name: "keep", Nodes: 64, Scheme: "hold", Speedup: 1})
+	dom := startTestDomain(t, newStepClock(), Config{Domain: config.Domain{Name: "keep", Nodes: 64, Scheme: "hold"}, Speedup: 1})
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -245,8 +246,8 @@ func TestAdminExpectKeepsItsOwnMates(t *testing.T) {
 // proposes.
 func TestLiveCoStartOverTCP(t *testing.T) {
 	clk := newStepClock()
-	a := startTestDomain(t, clk, Config{Name: "a", Nodes: 64, Scheme: "hold", Speedup: 1})
-	b := startTestDomain(t, clk, Config{Name: "b", Nodes: 8, Scheme: "yield", Speedup: 1})
+	a := startTestDomain(t, clk, Config{Domain: config.Domain{Name: "a", Nodes: 64, Scheme: "hold"}, Speedup: 1})
+	b := startTestDomain(t, clk, Config{Domain: config.Domain{Name: "b", Nodes: 8, Scheme: "yield"}, Speedup: 1})
 	a.Connect("b", b.peerAddr)
 	b.Connect("a", a.peerAddr)
 
@@ -297,7 +298,7 @@ func TestLiveCoStartOverTCP(t *testing.T) {
 
 func TestStatusServer(t *testing.T) {
 	clk := newStepClock()
-	dom := startTestDomain(t, clk, Config{Name: "stat", Nodes: 32, Scheme: "hold", Speedup: 1, Status: "127.0.0.1:0"})
+	dom := startTestDomain(t, clk, Config{Domain: config.Domain{Name: "stat", Nodes: 32, Scheme: "hold"}, Speedup: 1, Status: "127.0.0.1:0"})
 	addr := dom.statusAddr
 
 	ac, err := DialAdmin(dom.adminAddr, time.Second)
@@ -422,7 +423,7 @@ func TestStatusServer(t *testing.T) {
 
 func TestAdminCancel(t *testing.T) {
 	clk := newStepClock()
-	dom := startTestDomain(t, clk, Config{Name: "cxl", Nodes: 32, Scheme: "hold", Speedup: 1})
+	dom := startTestDomain(t, clk, Config{Domain: config.Domain{Name: "cxl", Nodes: 32, Scheme: "hold"}, Speedup: 1})
 	c, err := DialAdmin(dom.adminAddr, time.Second)
 	if err != nil {
 		t.Fatal(err)

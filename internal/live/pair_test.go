@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cosched/internal/config"
 	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/proto"
@@ -18,7 +19,7 @@ import (
 // that outcome; the pair starts at one instant only because the two sides
 // decided at one.
 func TestLiveSymmetricDecisionStall(t *testing.T) {
-	p := startPair(t, Config{Name: "a", Nodes: 8, Scheme: "hold"}, Config{Name: "b", Nodes: 8, Scheme: "hold"})
+	p := startPair(t, Config{Domain: config.Domain{Name: "a", Nodes: 8, Scheme: "hold"}}, Config{Domain: config.Domain{Name: "b", Nodes: 8, Scheme: "hold"}})
 
 	do(t, p.a, func() error { return p.a.mgr.Submit(pairedJob(1, "b")) })
 	xa := p.ab.next(t, proto.MethodProbeMate, 1)
@@ -60,7 +61,7 @@ func TestLiveSymmetricDecisionStall(t *testing.T) {
 // released a's next probe finds b's half running, and a starts
 // uncoordinated.
 func TestLiveLateTryIsRefused(t *testing.T) {
-	p := startPair(t, Config{Name: "a", Nodes: 8, Scheme: "hold"}, Config{Name: "b", Nodes: 8, Scheme: "yield"})
+	p := startPair(t, Config{Domain: config.Domain{Name: "a", Nodes: 8, Scheme: "hold"}}, Config{Domain: config.Domain{Name: "b", Nodes: 8, Scheme: "yield"}})
 	ja := pairedJob(1, "b")
 	do(t, p.a, func() error { return p.a.mgr.Expect(ja) })
 

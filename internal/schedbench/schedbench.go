@@ -14,10 +14,9 @@ package schedbench
 import (
 	"fmt"
 
-	"cosched/internal/cluster"
+	"cosched/internal/coupled"
 	"cosched/internal/job"
 	"cosched/internal/policy"
-	"cosched/internal/predict"
 	"cosched/internal/resmgr"
 	"cosched/internal/sim"
 )
@@ -41,15 +40,18 @@ var QueueSizes = []int{1000, 4000, 16000}
 // submission order (for churn drivers); nextID is the first unused job ID.
 func Steady(core resmgr.Core, queued int) (eng *sim.Engine, m *resmgr.Manager, blocked []*job.Job, nextID job.ID) {
 	eng = sim.NewEngine()
-	pool := cluster.New("bench", PoolNodes)
-	m = resmgr.New(eng, resmgr.Options{
+	m, err := coupled.NewManager(eng, coupled.DomainConfig{
 		Name:        "bench",
-		Pool:        pool,
+		Nodes:       PoolNodes,
 		Policy:      policy.FCFS{},
 		Backfilling: true,
-		Estimator:   predict.Walltime{},
-		Core:        core,
+		Estimator:   "walltime",
+		SchedCore:   core.String(),
 	})
+	if err != nil {
+		panic(fmt.Sprintf("schedbench: %v", err))
+	}
+	pool := m.Pool()
 
 	id := job.ID(1)
 	for i := 0; i < fillerCount; i++ {
