@@ -55,10 +55,9 @@ func (p peerFlags) Set(v string) error {
 // configuration, one field per flag. Usage and error text from the flag
 // package goes to usageOut.
 func parseFlags(args []string, usageOut io.Writer) (*live.Config, error) {
-	// A daemon always coschedules; the scheduling flags fill the embedded
-	// config.Domain, the keys of a cmd/cosim domain under the flags' names.
+	// The scheduling flags fill the embedded config.Domain, the keys of a
+	// cmd/cosim domain under the flags' names.
 	cfg := &live.Config{Peers: map[string]string{}}
-	cfg.CoschedEnabled = true
 	fs := flag.NewFlagSet("coschedd", flag.ContinueOnError)
 	fs.SetOutput(usageOut)
 	fs.StringVar(&cfg.Name, "name", "domain", "this domain's name")

@@ -30,7 +30,7 @@ import (
 func startDaemon(name string, nodes int, scheme string) *live.Daemon {
 	d, err := live.Start(live.Config{
 		Domain: config.Domain{
-			Name: name, Nodes: nodes, Backfilling: true, CoschedEnabled: true,
+			Name: name, Nodes: nodes, Backfilling: true,
 			Scheme: scheme, ReleaseMinutes: 20, MaxHeldFraction: 1,
 		},
 		Listen: "127.0.0.1:0", Admin: "127.0.0.1:0", Speedup: 60,

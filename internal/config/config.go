@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"cosched/internal/cosched"
@@ -81,7 +82,7 @@ func Load(path string) (*File, error) {
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("config: parse %s: %w", path, err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("config: parse %s: data after the top-level object", path)
 	}
 	if len(f.Domains) == 0 {

@@ -108,9 +108,11 @@ func TestBuildFromTraceFile(t *testing.T) {
 
 func TestLoadRejectsBadConfigs(t *testing.T) {
 	cases := map[string]string{
-		"no domains":    `{"domains": []}`,
-		"bad json":      `{`,
-		"trailing data": `{"domains": [{"name": "d", "nodes": 4}]} {}`,
+		"no domains":       `{"domains": []}`,
+		"bad json":         `{`,
+		"trailing data":    `{"domains": [{"name": "d", "nodes": 4}]} {}`,
+		"trailing bracket": `{"domains": [{"name": "d", "nodes": 4}]} ]`,
+		"trailing brace":   `{"domains": [{"name": "d", "nodes": 4}]} }`,
 	}
 	for name, body := range cases {
 		if _, err := Load(writeConfig(t, body)); err == nil {

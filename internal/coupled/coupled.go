@@ -223,8 +223,6 @@ func NewManager(eng *sim.Engine, dc DomainConfig) (*resmgr.Manager, error) {
 	switch {
 	case !ok:
 		return nil, fmt.Errorf("coupled: domain %q: unknown backfill mode %q", dc.Name, dc.BackfillMode)
-	case mode == resmgr.BackfillNone:
-		return nil, fmt.Errorf("coupled: domain %q: backfill mode \"none\": turn backfilling off instead", dc.Name)
 	case dc.BackfillMode != "" && !dc.Backfilling:
 		return nil, fmt.Errorf("coupled: domain %q: backfill mode %q with backfilling off", dc.Name, dc.BackfillMode)
 	}

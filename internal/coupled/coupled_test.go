@@ -452,8 +452,8 @@ func TestBackfillModeNeedsBackfilling(t *testing.T) {
 		{true, "easy", ""},
 		{true, "conservative", ""},
 		{false, "", ""},
-		{true, "none", `"none"`},
-		{false, "none", `"none"`},
+		{true, "none", `unknown backfill mode "none"`},
+		{false, "none", `unknown backfill mode "none"`},
 		{false, "easy", "backfilling off"},
 		{false, "conservative", "backfilling off"},
 		{false, "optimistic", "unknown backfill mode"},

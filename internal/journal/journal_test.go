@@ -14,6 +14,7 @@ import (
 	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/policy"
+	"cosched/internal/predict"
 	"cosched/internal/resmgr"
 	"cosched/internal/sim"
 )
@@ -753,6 +754,56 @@ func TestRestoreContinuesAfterCrash(t *testing.T) {
 	}
 	if a.Pool().Free() != 32 || b.Pool().Free() != 32 {
 		t.Fatalf("pools not drained: %s / %s", a.Pool(), b.Pool())
+	}
+}
+
+// TestRestoreKeepsEstimatorHistory: a manager rebuilt from its journal
+// predicts runtimes as the crashed one did. The users survive the journal,
+// and the completions replay in the order they happened, not in ID order,
+// which would leave other runtimes in each user's two-job window; the job
+// still running at the crash feeds nothing.
+func TestRestoreKeepsEstimatorHistory(t *testing.T) {
+	domain := func(eng *sim.Engine, store *Store, est predict.Estimator) *resmgr.Manager {
+		var m *resmgr.Manager
+		rec := NewRecorder(store, func() Snapshot { return ManagerSnapshot(m) }, func(err error) { t.Error(err) })
+		m = resmgr.New(eng, resmgr.Options{Name: "A", Pool: cluster.New("A", 100), Backfilling: true, Estimator: est, Observer: rec})
+		return m
+	}
+	dir := t.TempDir()
+	store := openStore(t, dir, Options{SnapshotEvery: 4})
+	crashed := predict.NewUserAverage(2)
+	eng := sim.NewEngine()
+	m := domain(eng, store, crashed)
+	for i, s := range []struct {
+		user    int
+		runtime sim.Duration
+	}{{1, 500}, {1, 100}, {1, 300}, {2, 700}, {2, 900}, {2, 200}, {1, 5000}} {
+		j := job.New(job.ID(i+1), 1, 0, s.runtime, 10000)
+		j.User = s.user
+		if err := m.SubmitAt(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(1000)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, entries := openStore(t, dir, Options{}).Recovered()
+	st, err := Replay(snap, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := predict.NewUserAverage(2)
+	if _, err := Restore(domain(sim.NewEngine(), openStore(t, t.TempDir(), Options{}), restarted), st); err != nil {
+		t.Fatal(err)
+	}
+	for user, want := range map[int]sim.Duration{1: 600, 2: 1200, 3: 10000} {
+		probe := job.New(99, 1, 0, 1, 10000)
+		probe.User = user
+		if got, had := restarted.Estimate(probe), crashed.Estimate(probe); got != had || got != want {
+			t.Errorf("user %d: restarted estimate %d, crashed %d; want %d", user, got, had, want)
+		}
 	}
 }
 

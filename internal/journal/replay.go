@@ -190,8 +190,9 @@ func (s RestoreStats) String() string {
 
 // Restore installs a recovered state into a fresh manager: the engine is
 // advanced to the recovery time, every job is re-installed (re-acquiring
-// allocations and rescheduling completions), and one scheduling iteration
-// is requested. The manager must be newly constructed with no jobs.
+// allocations and rescheduling completions), the completed jobs' runtimes
+// are replayed to the runtime estimator, and one scheduling iteration is
+// requested. The manager must be newly constructed with no jobs.
 func Restore(m *resmgr.Manager, st *RecoveredState) (RestoreStats, error) {
 	m.Engine().RunUntil(st.T)
 	for _, j := range st.Jobs {
@@ -199,6 +200,7 @@ func Restore(m *resmgr.Manager, st *RecoveredState) (RestoreStats, error) {
 			return RestoreStats{}, fmt.Errorf("journal: restore job %d: %w", j.ID, err)
 		}
 	}
+	m.RestoreHistory(st.Jobs)
 	m.RequestIteration()
 	return Tally(st.Jobs), nil
 }

@@ -39,6 +39,7 @@ type AdminRequest struct {
 type WireJob struct {
 	ID       job.ID        `json:"id"`
 	Name     string        `json:"name,omitempty"`
+	User     int           `json:"user,omitempty"` // runtime-prediction history key, as job.Job.User
 	Nodes    int           `json:"nodes"`
 	Runtime  sim.Duration  `json:"runtime_seconds"`
 	Walltime sim.Duration  `json:"walltime_seconds"`
@@ -204,7 +205,7 @@ func (s *AdminServer) expect(w *WireJob) (*job.Job, error) {
 		return nil, fmt.Errorf("job %d asks for %d nodes; %s has %d", w.ID, w.Nodes, s.mgr.Name(), total)
 	}
 	j := job.New(w.ID, w.Nodes, 0, w.Runtime, w.Walltime)
-	j.Name = w.Name
+	j.Name, j.User = w.Name, w.User
 	j.Mates = append([]job.MateRef(nil), w.Mates...)
 	return j, s.mgr.Expect(j)
 }
@@ -221,6 +222,8 @@ func (s *AdminServer) admit(op string, w *WireJob) (*job.Job, error) {
 	var field string
 	var have, sent any
 	switch {
+	case j.User != w.User:
+		field, have, sent = "user", j.User, w.User
 	case j.Nodes != w.Nodes:
 		field, have, sent = "nodes", j.Nodes, w.Nodes
 	case j.Runtime != w.Runtime:

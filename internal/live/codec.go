@@ -38,6 +38,7 @@ func (r *AdminRequest) AppendFrame(b []byte) ([]byte, bool) {
 		}
 		b = wirejson.AppendInt(b, `,"job":{"id":`, int64(w.ID))
 		b = wirejson.AppendOmitStr(b, `,"name":"`, w.Name)
+		b = wirejson.AppendOmitInt(b, `,"user":`, int64(w.User))
 		b = wirejson.AppendInt(b, `,"nodes":`, int64(w.Nodes))
 		b = wirejson.AppendInt(b, `,"runtime_seconds":`, w.Runtime)
 		b = wirejson.AppendInt(b, `,"walltime_seconds":`, w.Walltime)
@@ -167,6 +168,9 @@ func parseWireJob(s *wirejson.Scanner, w *WireJob, mates []job.MateRef, domains 
 		case "name":
 			s.Once(&seen, 2)
 			w.Name = string(s.Str())
+		case "user":
+			s.Once(&seen, 64)
+			w.User = s.IntN()
 		case "nodes":
 			s.Once(&seen, 4)
 			w.Nodes = s.IntN()

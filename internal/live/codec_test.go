@@ -34,7 +34,7 @@ func readFrame(payload []byte, v any) error {
 // members a frame omits must keep their value, as with json.Unmarshal.
 func filledRequest() AdminRequest {
 	return AdminRequest{Seq: 9, Op: "o", JobID: 3, Job: &WireJob{
-		ID: 4, Name: "n", Nodes: 5, Runtime: 6, Walltime: 7,
+		ID: 4, Name: "n", User: 10, Nodes: 5, Runtime: 6, Walltime: 7,
 		Mates: []job.MateRef{{Domain: "X", Job: 8}, {Domain: "Y", Job: 9}},
 	}}
 }
@@ -121,7 +121,7 @@ func TestAdminCodecRefusals(t *testing.T) {
 		"duplicate job":      `{"seq":1,"job":{"id":1},"job":{"nodes":2}}`,
 		"duplicate in job":   `{"seq":1,"job":{"id":1,"id":2}}`,
 		"unknown key":        `{"seq":1,"extra":5}`,
-		"unknown key in job": `{"seq":1,"job":{"id":1,"user":5}}`,
+		"unknown key in job": `{"seq":1,"job":{"id":1,"queue":5}}`,
 		"uppercase key":      `{"Seq":1,"OP":"info","STATE":"queued"}`,
 		"null job":           `{"seq":1,"op":"submit","job":null}`,
 		"null members":       `{"seq":1,"op":null,"state":null,"job_id":null}`,
@@ -192,7 +192,7 @@ func TestAdminFramesMatchJSONMarshal(t *testing.T) {
 		&AdminRequest{},
 		&AdminRequest{Seq: 1, Op: OpInfo},
 		&AdminRequest{Seq: 2, Op: OpStatus, JobID: 42},
-		&AdminRequest{Seq: 3, Op: OpExpect, Job: &WireJob{ID: 7, Nodes: 16, Runtime: 600, Walltime: 900, Mates: mates}},
+		&AdminRequest{Seq: 3, Op: OpExpect, Job: &WireJob{ID: 7, User: 12, Nodes: 16, Runtime: 600, Walltime: 900, Mates: mates}},
 		&AdminRequest{Seq: 4, Op: OpSubmit, Job: &WireJob{ID: math.MinInt64, Name: "pair-a", Nodes: -1, Mates: []job.MateRef{}}},
 		&AdminRequest{Seq: 5, Op: OpSubmit, Job: &WireJob{ID: 1, Name: `a"b<c>&é`, Nodes: 1}},
 		&AdminRequest{Seq: 6, Op: OpSubmit, Job: &WireJob{ID: 1, Nodes: 1, Mates: []job.MateRef{{Domain: "B"}, {Domain: "\xff", Job: 2}}}},
@@ -240,7 +240,7 @@ func FuzzAdminCodec(f *testing.F) {
 		}
 		req := AdminRequest{Seq: seq, Op: s1, JobID: job.ID(opt(0, v1))}
 		if mask>>1&1 != 0 {
-			w := &WireJob{ID: job.ID(v1), Nodes: int(v2), Runtime: opt(2, v2), Walltime: opt(3, v1^v2)}
+			w := &WireJob{ID: job.ID(v1), User: int(opt(10, v1+v2)), Nodes: int(v2), Runtime: opt(2, v2), Walltime: opt(3, v1^v2)}
 			if mask>>4&1 != 0 {
 				w.Name = s3
 			}

@@ -29,9 +29,11 @@ const reconcileRetry = 2 * time.Second
 
 // Config configures one daemon. Its scheduling half is a config.Domain,
 // built as the simulator builds one (Domain.DomainConfig, then
-// coupled.NewManager); the workload keys are ignored, as jobs arrive over
-// admin, and queues are refused. cmd/coschedd sets the fields its flags
-// name and validates them; a non-positive Speedup panics as in NewDriver.
+// coupled.NewManager), except that a daemon always coschedules, whatever
+// CoschedEnabled says. Start refuses the keys a daemon cannot honour: the
+// workload keys, as its jobs arrive over admin, and queues, whose routing is
+// computed from a trace. cmd/coschedd sets the fields its flags name and
+// validates them; a non-positive Speedup panics as in NewDriver.
 type Config struct {
 	config.Domain
 	Listen           string            // -listen: peer-protocol address
@@ -86,10 +88,17 @@ func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
+	switch {
+	case cfg.TraceFile != "":
+		return nil, fmt.Errorf(`live: domain %q: "trace_file" is refused: a daemon's jobs arrive over admin`, cfg.Name)
+	case cfg.Synthetic != nil:
+		return nil, fmt.Errorf(`live: domain %q: "synthetic" is refused: a daemon's jobs arrive over admin`, cfg.Name)
+	}
 	dc, err := cfg.Domain.DomainConfig(nil)
 	if err != nil {
 		return nil, err
 	}
+	dc.Cosched.Enabled = true
 	d := &Daemon{cfg: cfg, logger: logger}
 	defer func() {
 		if err != nil {

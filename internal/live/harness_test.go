@@ -78,13 +78,12 @@ func await[T any](t *testing.T, ch <-chan T, what string) T {
 }
 
 // startTestDomain starts a daemon on clk with its peer and admin servers
-// (and its status page, if cfg.Status is set) on loopback, coscheduling on,
-// a 20-minute release interval and backfilling, and runs it until the test
-// ends.
+// (and its status page, if cfg.Status is set) on loopback, a 20-minute
+// release interval and backfilling, and runs it until the test ends.
 func startTestDomain(t *testing.T, clk *stepClock, cfg Config) *Daemon {
 	t.Helper()
 	cfg.Listen, cfg.Admin = "127.0.0.1:0", "127.0.0.1:0"
-	cfg.CoschedEnabled, cfg.ReleaseMinutes, cfg.Backfilling = true, 20, true
+	cfg.ReleaseMinutes, cfg.Backfilling = 20, true
 	d, err := Start(cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -167,6 +167,7 @@ func TestAdminRefusesSubmitThatDisagreesWithExpect(t *testing.T) {
 		t.Fatal(err)
 	}
 	differs := map[string]func(*WireJob){
+		"user":     func(b *WireJob) { b.User = 3 },
 		"nodes":    func(b *WireJob) { b.Nodes = 8 },
 		"runtime":  func(b *WireJob) { b.Runtime = 1800 },
 		"walltime": func(b *WireJob) { b.Walltime = 9000 },

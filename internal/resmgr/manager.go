@@ -109,11 +109,11 @@ func (m BackfillMode) String() string {
 	}
 }
 
-// ParseBackfillMode resolves "", "none", "easy", "conservative".
+// ParseBackfillMode resolves the planner a backfilling domain names: "" or
+// "easy", and "conservative". No backfilling is Options.Backfilling unset,
+// not a mode.
 func ParseBackfillMode(s string) (BackfillMode, bool) {
 	switch s {
-	case "none":
-		return BackfillNone, true
 	case "", "easy":
 		return BackfillEASY, true
 	case "conservative":

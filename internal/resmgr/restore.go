@@ -25,7 +25,8 @@ import (
 // scheduled at max(now, StartTime+Runtime), and terminal jobs feed the
 // counters. No Observer notifications fire — the journal already holds
 // these transitions, and re-journaling them would duplicate the log the
-// restore was built from. The caller requests an iteration after the batch.
+// restore was built from. The caller replays the batch's history
+// (RestoreHistory) and requests an iteration after the batch.
 func (m *Manager) RestoreJob(j *job.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
@@ -82,6 +83,26 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 		return fmt.Errorf("%w: job %d is %s", ErrBadState, j.ID, j.State)
 	}
 	return nil
+}
+
+// RestoreHistory feeds the completed jobs among jobs to the runtime
+// estimator in the order they completed — end time, then ID — as
+// completeJob fed them before the restart, so a history-keyed estimator
+// (user-average) plans on as it did. Call it once, after the RestoreJob
+// batch.
+func (m *Manager) RestoreHistory(jobs []*job.Job) {
+	var done []*job.Job
+	for _, j := range jobs {
+		if j.State == job.Completed {
+			done = append(done, j)
+		}
+	}
+	slices.SortFunc(done, func(a, b *job.Job) int {
+		return cmp.Or(cmp.Compare(a.EndTime, b.EndTime), cmp.Compare(a.ID, b.ID))
+	})
+	for _, j := range done {
+		m.est.Observe(j)
+	}
 }
 
 // byID returns every registered job in ascending ID order.
