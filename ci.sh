@@ -62,6 +62,13 @@ go test -run=NONE -bench=Iterate -benchtime=1x ./internal/resmgr
 # or fails them (TestLiveSymmetricDecisionStall, TestLiveLateTryIsRefused).
 go test -race -count=2 ./internal/proto ./internal/peerlink ./internal/live
 
+# Wake-up stress: a driver's run loop is nudged only when a call leaves an
+# event before the instant the loop planned to wake at, or one already due
+# (TestDriverWakesOnlyForEarlierEvents). A lost wake-up shows as a stalled
+# daemon, so the rule runs twenty times under -race beside the stepped-clock
+# pair tests, which park requests while both run loops sleep.
+go test -race -count=20 -run 'DriverWakes|Stall|LateTry' ./internal/live
+
 # Wire-equals-direct smoke: three seconds of the benchmark's sweep_wire
 # workload at seed 1. Its output checks gate, on every CI run rather than
 # only when someone benchmarks, that each cell simulated over proto frames
@@ -89,7 +96,11 @@ go run ./cmd/experiments -exp all -factor 1.0 -reps 3 -seed 1 -parallel 0 2>/dev
 # Journal-verification smoke: the paper-scale Intrepid/Eureka configuration
 # journaled one directory per domain, then verified from those journals
 # alone — the §V-B check a live pair gets from its daemons' journals, here
-# on a simulated run. Under a second.
+# on a simulated run. Under a second. The compaction rule those journals
+# follow (a snapshot once the WAL since the last one outgrows it) is pinned
+# in the race pass above by TestSnapshotBytesPerEntryDoNotGrowWithTheTable:
+# snapshot bytes per appended entry with 1,000 and 100,000 jobs in the
+# table stay within a factor of 2.
 rm -rf /tmp/ci_journal
 go run ./cmd/cosim -config configs/intrepid-eureka.json -journal /tmp/ci_journal > /dev/null
 go run ./cmd/cosim -verify /tmp/ci_journal/*

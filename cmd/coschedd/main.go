@@ -75,7 +75,7 @@ func parseFlags(args []string, usageOut io.Writer) (*live.Config, error) {
 	fs.DurationVar(&cfg.PeerTimeout, "peer-timeout", 2*time.Second, "per-call peer RPC budget (round trip + one retry)")
 	fs.StringVar(&cfg.Status, "status", "", "serve an HTML/JSON status page on this address (e.g. :8080)")
 	fs.StringVar(&cfg.JournalDir, "journal-dir", "", "write-ahead journal directory; enables crash recovery (empty = no journal)")
-	fs.IntVar(&cfg.SnapshotEvery, "snapshot-every", 1024, "journal entries between compacting snapshots")
+	fs.IntVar(&cfg.SnapshotEvery, "snapshot-every", 1024, "fewest journal entries between compacting snapshots; a snapshot also waits until the log since the last one is as large as it")
 	fs.IntVar(&cfg.DegradedMaxHolds, "degraded-max-holds", 0, "max concurrent holds while running journal-less after a storage fault (-1 = unlimited)")
 	fs.Var(peerFlags(cfg.Peers), "peer", "remote domain as name=addr (repeatable)")
 	if err := fs.Parse(args); err != nil {

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -379,7 +380,7 @@ func TestStoreCompact(t *testing.T) {
 	if err := s.Compact(snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.AppendedSinceCompact(); got != 0 {
+	if got := s.Stats().Pending; got != 0 {
 		t.Fatalf("appended after compact = %d", got)
 	}
 	// Entries appended after the checkpoint carry later sequence numbers.
@@ -407,6 +408,73 @@ func TestStoreCompact(t *testing.T) {
 		t.Fatalf("recovered wal: %+v", entries)
 	}
 }
+
+// TestSnapshotBytesPerEntryDoNotGrowWithTheTable: a snapshot rewrites the
+// whole job table, so compacting at a fixed count of entries writes
+// snapshot bytes per appended entry in proportion to the table, and a
+// daemon's compaction work grows with the square of the jobs it has seen.
+// With the cadence tied to the snapshot's own size, a recorder over a table
+// of 100,000 jobs writes, per entry it appends, no more than a small
+// constant factor of what it writes over 1,000 jobs. Each store starts from
+// its table's snapshot and appends two snapshots' worth of WAL.
+func TestSnapshotBytesPerEntryDoNotGrowWithTheTable(t *testing.T) {
+	perEntry := map[int]float64{}
+	for _, jobs := range []int{1_000, 100_000} {
+		table := Snapshot{Domain: "A", Jobs: make([]JobRecord, jobs)}
+		for i := range table.Jobs {
+			table.Jobs[i] = JobRecord{ID: job.ID(i + 1), Nodes: 1, State: "queued"}
+		}
+		sink := &sinkFS{}
+		s := openStore(t, "sink", Options{FS: sink, FsyncInterval: time.Hour})
+		if err := s.Compact(table); err != nil {
+			t.Fatal(err)
+		}
+		size := sink.snap
+		rec := NewRecorder(s, func() Snapshot { return table }, func(err error) { t.Fatal(err) })
+		j := job.New(1, 1, 0, 60, 60)
+		j.YieldCount = 1
+		// A count cadence takes hundreds of snapshots of the large table
+		// here; stop once it has written three times what a size cadence
+		// writes.
+		for sink.wal < 2*size && sink.snap <= size+3*2*size {
+			rec.JobYielded(0, j)
+		}
+		perEntry[jobs] = float64(sink.snap-size) / float64(s.Stats().Appends)
+		if perEntry[jobs] == 0 {
+			t.Fatalf("%d jobs: no compaction in %d appends after a %d-byte snapshot", jobs, s.Stats().Appends, size)
+		}
+	}
+	if small, large := perEntry[1_000], perEntry[100_000]; large > 2*small {
+		t.Fatalf("snapshot bytes per appended entry: %.1f with 1,000 jobs in the table, %.1f with 100,000; want within a factor of 2", small, large)
+	}
+}
+
+// sinkFS is a journal directory that keeps nothing but the count of bytes
+// written to the WAL and to snapshots.
+type sinkFS struct{ wal, snap int64 }
+
+// sinkFile adds what is written to it to n.
+type sinkFile struct{ n *int64 }
+
+func (f *sinkFS) MkdirAll(string, fs.FileMode) error { return nil }
+func (f *sinkFS) SyncDir(string) error               { return nil }
+func (f *sinkFS) ReadFile(string) ([]byte, error)    { return nil, fs.ErrNotExist }
+func (f *sinkFS) Rename(string, string) error        { return nil }
+func (f *sinkFS) Truncate(string, int64) error       { return nil }
+func (f *sinkFS) OpenFile(path string, _ int, _ fs.FileMode) (File, error) {
+	if filepath.Base(path) == walName {
+		return sinkFile{&f.wal}, nil
+	}
+	return sinkFile{&f.snap}, nil
+}
+
+func (f sinkFile) Write(p []byte) (int, error) {
+	*f.n += int64(len(p))
+	return len(p), nil
+}
+func (f sinkFile) Sync() error          { return nil }
+func (f sinkFile) Truncate(int64) error { return nil }
+func (f sinkFile) Close() error         { return nil }
 
 func TestSnapshotJobRoundTrip(t *testing.T) {
 	j := job.New(7, 32, 100, 600, 900)

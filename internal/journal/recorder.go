@@ -9,9 +9,12 @@ import (
 )
 
 // Recorder is the journaling resmgr.Observer: every manager transition
-// becomes one appended write-ahead entry, and every SnapshotEvery entries
-// it takes a compacting snapshot (via the injected source) so the log and
-// boot-time replay stay bounded.
+// becomes one appended write-ahead entry, and when the store reports a
+// compaction due — at least SnapshotEvery entries, and at least the last
+// snapshot's size in WAL bytes, since that snapshot — it takes a
+// compacting snapshot (via the injected source), so the log and boot-time
+// replay stay bounded and the bytes snapshots write stay within the bytes
+// appended however large the job table grows.
 //
 // Append/compact failures go to onErr and the manager keeps scheduling —
 // availability over durability; the operator decides whether a daemon with
@@ -46,16 +49,17 @@ func NewRecorder(store *Store, src func() Snapshot, onErr func(error)) *Recorder
 // poisons, switching the domain to loud journal-less operation.
 func (r *Recorder) Detach() { r.detached.Store(true) }
 
-// append writes one entry, then compacts when the cadence is reached.
+// append writes one entry, then compacts when the store says one is due.
 func (r *Recorder) append(e *Entry) {
 	if r.detached.Load() {
 		return
 	}
-	if err := r.store.Append(e); err != nil {
+	due, err := r.store.append(e)
+	if err != nil {
 		r.onErr(err)
 		return
 	}
-	if r.src != nil && r.store.AppendedSinceCompact() >= uint64(r.store.SnapshotEvery()) {
+	if due && r.src != nil {
 		if err := r.store.Compact(r.src()); err != nil {
 			r.onErr(err)
 		}

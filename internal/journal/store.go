@@ -35,8 +35,10 @@ type Options struct {
 	// wall time passed since the last sync. 0 syncs after every append —
 	// maximal durability, one fsync per transition. Negative is invalid.
 	FsyncInterval time.Duration
-	// SnapshotEvery is how many appended entries trigger a compacting
-	// snapshot (used by the Recorder). 0 takes the default of 1024.
+	// SnapshotEvery is the fewest entries appended between two compacting
+	// snapshots (used by the Recorder): a compaction is due once at least
+	// this many entries and at least the last snapshot's size in WAL bytes
+	// have been appended since it. 0 takes the default of 1024.
 	SnapshotEvery int
 	// Now overrides the fsync-batching clock (tests). nil reads the wall
 	// clock — batching paces real disk writes, never simulation time.
@@ -51,6 +53,13 @@ type Options struct {
 // snapshot is loaded, the WAL tail is decoded torn-tolerantly, and the
 // file is truncated to its last valid record — so a Store is always in a
 // consistent appendable state once Open returns. Safe for concurrent use.
+//
+// The store also keeps the compaction rule: a snapshot is due when the WAL
+// written since the last one is at least as large as that snapshot (and
+// holds at least SnapshotEvery entries). A snapshot rewrites the whole job
+// table, so tying its cadence to its own size keeps the bytes compaction
+// writes within the bytes appended, at any table size — the log-compaction
+// trade-off of Raft (Ongaro and Ousterhout, 2014, §7) with a multiple of 1.
 type Store struct {
 	dir string
 	opt Options
@@ -66,7 +75,9 @@ type Store struct {
 	buf      []byte // the last appended record; reused
 	snapBuf  []byte // the last snapshot written; reused
 	seq      uint64
-	appended uint64 // entries since open/compact; drives snapshot cadence
+	appended uint64 // entries since open/compact; the cadence's floor
+	walBytes int64  // WAL bytes since open/compact
+	snapSize int64  // bytes of the last snapshot, written or found at Open
 	dirty    bool   // unsynced bytes in the WAL
 	lastSync time.Time
 	closed   bool
@@ -101,7 +112,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 	s := &Store{dir: dir, opt: opt, fs: vfs}
 	var err error
-	if s.snap, s.entries, s.torn, err = read(vfs, dir); err != nil {
+	if s.snap, s.snapSize, s.entries, s.torn, err = read(vfs, dir); err != nil {
 		return nil, err
 	}
 	walPath := filepath.Join(dir, walName)
@@ -136,7 +147,7 @@ func Load(fs FS, dir string) (*RecoveredState, *TornTail, error) {
 	if fs == nil {
 		fs = OSFS{}
 	}
-	snap, entries, torn, err := read(fs, dir)
+	snap, _, entries, torn, err := read(fs, dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -144,24 +155,27 @@ func Load(fs FS, dir string) (*RecoveredState, *TornTail, error) {
 	return st, torn, err
 }
 
-// read is the read half of Open and Load: the snapshot (nil if none), the
-// WAL's longest valid prefix of entries, and its torn tail (nil if the log
-// ends cleanly; its Off is the length of that prefix).
-func read(fs FS, dir string) (*Snapshot, []Entry, *TornTail, error) {
+// read is the read half of Open and Load: the snapshot (nil if none) and
+// its size in bytes, the WAL's longest valid prefix of entries, and its
+// torn tail (nil if the log ends cleanly; its Off is the length of that
+// prefix).
+func read(fs FS, dir string) (*Snapshot, int64, []Entry, *TornTail, error) {
 	var snap *Snapshot
+	var snapSize int64
 	if data, err := fs.ReadFile(filepath.Join(dir, snapName)); err == nil {
 		if snap, err = decodeSnapshot(data); err != nil {
-			return nil, nil, nil, fmt.Errorf("journal: corrupt snapshot %s: %w", snapName, err)
+			return nil, 0, nil, nil, fmt.Errorf("journal: corrupt snapshot %s: %w", snapName, err)
 		}
+		snapSize = int64(len(data))
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil, fmt.Errorf("journal: read snapshot: %w", err)
+		return nil, 0, nil, nil, fmt.Errorf("journal: read snapshot: %w", err)
 	}
 	data, err := fs.ReadFile(filepath.Join(dir, walName))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil, fmt.Errorf("journal: read wal: %w", err)
+		return nil, 0, nil, nil, fmt.Errorf("journal: read wal: %w", err)
 	}
 	entries, _, torn := DecodeEntries(data)
-	return snap, entries, torn, nil
+	return snap, snapSize, entries, torn, nil
 }
 
 // Recovered returns what Open found: the snapshot (nil if none existed)
@@ -174,9 +188,6 @@ func (s *Store) Torn() *TornTail { return s.torn }
 
 // Dir returns the journal directory.
 func (s *Store) Dir() string { return s.dir }
-
-// SnapshotEvery returns the (defaulted) snapshot cadence.
-func (s *Store) SnapshotEvery() int { return s.opt.SnapshotEvery }
 
 // now reads the fsync-batching clock.
 func (s *Store) now() time.Time {
@@ -217,18 +228,25 @@ func (s *Store) Poisoned() error {
 // Append assigns the next sequence number to e and appends its framed
 // encoding to the WAL, syncing per the fsync-batching policy.
 func (s *Store) Append(e *Entry) error {
+	_, err := s.append(e)
+	return err
+}
+
+// append is Append that also reports, under the same lock, whether the
+// entry made a compaction due (see Store).
+func (s *Store) append(e *Entry) (compactDue bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrClosed
+		return false, ErrClosed
 	}
 	if s.poisoned != nil {
-		return s.poisonedErrLocked()
+		return false, s.poisonedErrLocked()
 	}
 	e.Seq = s.seq + 1
 	buf, err := AppendRecord(s.buf[:0], e)
 	if err != nil {
-		return err
+		return false, err
 	}
 	s.buf = buf
 	if _, err := s.f.Write(buf); err != nil {
@@ -236,16 +254,19 @@ func (s *Store) Append(e *Entry) error {
 		// anything appended after it would sit beyond the tear and be
 		// dropped by recovery. Poison rather than write into the void.
 		s.poisonLocked(err)
-		return fmt.Errorf("journal: append: %w", err)
+		return false, fmt.Errorf("journal: append: %w", err)
 	}
 	s.seq++
 	s.appended++
+	s.walBytes += int64(len(buf))
 	s.appends++
 	s.dirty = true
 	if now := s.now(); s.opt.FsyncInterval == 0 || now.Sub(s.lastSync) >= s.opt.FsyncInterval {
-		return s.syncLocked(now)
+		if err := s.syncLocked(now); err != nil {
+			return false, err
+		}
 	}
-	return nil
+	return s.appended >= uint64(s.opt.SnapshotEvery) && s.walBytes >= s.snapSize, nil
 }
 
 func (s *Store) syncLocked(now time.Time) error {
@@ -278,14 +299,6 @@ func (s *Store) Sync() error {
 		return ErrClosed
 	}
 	return s.syncLocked(s.now())
-}
-
-// AppendedSinceCompact returns how many entries were appended since the
-// store was opened or last compacted.
-func (s *Store) AppendedSinceCompact() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appended
 }
 
 // Compact makes snap the new durable checkpoint and truncates the WAL.
@@ -342,7 +355,7 @@ func (s *Store) Compact(snap Snapshot) error {
 	if err := s.f.Truncate(0); err != nil {
 		return fmt.Errorf("journal: wal truncate: %w", err)
 	}
-	s.appended = 0
+	s.appended, s.walBytes, s.snapSize = 0, 0, int64(len(data))
 	s.compacts++
 	return nil
 }

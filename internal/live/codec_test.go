@@ -318,8 +318,9 @@ func TestAdminRequestCodecWithoutAllocating(t *testing.T) {
 	}
 }
 
-// TestDriverWakeUpWithoutAllocating: Run is nudged by every admin and peer
-// call; a wake-up that finds nothing due re-arms the loop's one timer and
+// TestDriverWakeUpWithoutAllocating: Run is woken by the admin and peer
+// calls that leave an event due before its planned instant, and by its
+// timer; a wake-up that finds nothing due re-arms the loop's one timer and
 // allocates nothing.
 func TestDriverWakeUpWithoutAllocating(t *testing.T) {
 	d := NewDriver(sim.NewEngine(), 1)

@@ -42,7 +42,7 @@ type Config struct {
 	PeerTimeout      time.Duration     // -peer-timeout: per-call peer budget (0 = peerlink's default)
 	Status           string            // -status: status page address ("" = none)
 	JournalDir       string            // -journal-dir ("" = no journal)
-	SnapshotEvery    int               // -snapshot-every: journal entries between snapshots
+	SnapshotEvery    int               // -snapshot-every: fewest journal entries between snapshots
 	DegradedMaxHolds int               // -degraded-max-holds (-1 = unlimited)
 	Peers            map[string]string // -peer name=addr, repeatable
 

@@ -11,13 +11,18 @@ package live
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 
 	"cosched/internal/sim"
 )
 
-// Driver paces a sim.Engine against its clock.
+// Driver paces a sim.Engine against its clock. The run loop sleeps until
+// the next event is due; a caller that touches the engine wakes it only if
+// the engine's next event is now earlier than the instant the loop planned
+// to wake at, or already due, so a call that schedules nothing new costs
+// the loop nothing.
 type Driver struct {
 	mu      sync.Mutex
 	eng     *sim.Engine
@@ -25,6 +30,10 @@ type Driver struct {
 	start   time.Time // clock instant Run began pacing
 	base    sim.Time  // virtual instant at start — nonzero after a recovery
 	wake    chan struct{}
+	// planned is the virtual instant of the event the run loop's last pass
+	// left it sleeping toward, or noneDue when the engine was empty. Read
+	// and written under mu.
+	planned sim.Time
 
 	// now is where the live stack reads time: the driver's pacing and the
 	// breaker of every peer link Daemon.Connect creates. It is time.Now;
@@ -43,8 +52,13 @@ func NewDriver(eng *sim.Engine, speedup float64) *Driver {
 		speedup: speedup,
 		now:     time.Now,
 		wake:    make(chan struct{}, 1),
+		planned: noneDue,
 	}
 }
+
+// noneDue is the planned instant of a run loop that found no event: any
+// event scheduled after that pass is earlier.
+const noneDue sim.Time = math.MaxInt64
 
 // Lock acquires the driver's lock and catches the engine up to the current
 // virtual instant (firing any due events), so externally triggered actions
@@ -66,20 +80,37 @@ func (d *Driver) syncClockLocked() {
 	}
 }
 
-// Unlock releases the driver's lock and nudges the run loop so newly
-// scheduled events are noticed immediately.
+// Unlock releases the driver's lock. It wakes the run loop only when the
+// engine's next event is now earlier than the instant the loop planned to
+// wake at, or already due — a submission, which schedules an iteration at
+// the present instant, does; a probe or an expect that schedules nothing
+// does not.
 func (d *Driver) Unlock() {
+	wake := d.loopLateLocked()
 	d.mu.Unlock()
-	d.nudge()
+	if wake {
+		d.nudge()
+	}
 }
 
-// Do runs f under the driver's lock (with the clock synced) and wakes the
-// run loop.
+// Do runs f under the driver's lock (with the clock synced) and releases
+// it as Unlock does.
 func (d *Driver) Do(f func()) {
 	d.Lock()
 	f()
-	d.mu.Unlock()
-	d.nudge()
+	d.Unlock()
+}
+
+// loopLateLocked reports whether the run loop, asleep, would fire the
+// engine's next event late: the event falls before the loop's planned
+// instant, or it is due already. The second case is a loop whose clock
+// reached the planned instant before its timer fired — the timer runs from
+// a reading truncated to whole virtual seconds, so it can expire up to one
+// virtual second later — when a caller's Lock has fired the planned event
+// and the caller scheduled more at the present instant.
+func (d *Driver) loopLateLocked() bool {
+	next, ok := d.eng.NextTime()
+	return ok && (next < d.planned || next <= d.eng.Now())
 }
 
 func (d *Driver) nudge() {
@@ -108,8 +139,9 @@ func (d *Driver) virtualNowLocked() sim.Time {
 }
 
 // Run paces the engine until ctx is canceled. Events fire when the scaled
-// clock reaches their virtual time; the loop sleeps in between and is
-// woken early by Do/Unlock.
+// clock reaches their virtual time; the loop sleeps in between, at most a
+// second of wall time at once, and is woken early by a Do or Unlock that
+// left an event before its planned instant or one already due.
 func (d *Driver) Run(ctx context.Context) {
 	d.mu.Lock()
 	if d.start.IsZero() {
@@ -117,8 +149,8 @@ func (d *Driver) Run(ctx context.Context) {
 		d.base = d.eng.Now()
 	}
 	d.mu.Unlock()
-	// One timer for the loop's life: every admin and peer call nudges the
-	// loop, and a time.After per wake-up was three allocations each.
+	// One timer for the loop's life: it is re-armed on every pass, and a
+	// time.After per pass was three allocations each.
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	for {
@@ -129,12 +161,14 @@ func (d *Driver) Run(ctx context.Context) {
 			next, ok := d.eng.NextTime()
 			if !ok {
 				sleep = 100 * time.Millisecond // idle poll; wake channel shortcuts this
+				d.planned = noneDue
 				break
 			}
 			if next <= vnow {
 				d.eng.Step()
 				continue
 			}
+			d.planned = next
 			sleep = time.Duration(float64(next-vnow) / d.speedup * float64(time.Second))
 			if sleep > time.Second {
 				sleep = time.Second // re-check periodically for clock drift

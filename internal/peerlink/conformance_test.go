@@ -153,25 +153,32 @@ func TestExchangeConformance(t *testing.T) {
 // TestLinkRetriesExactlyIdempotentMethods: for every method, a Link whose
 // first attempt fails at the read stage — the request may have reached the
 // peer — retries on a fresh connection exactly when proto.Idempotent says
-// the method may be replayed. The table is the retry class of each method.
+// the request may be replayed. The table is the retry class of each
+// request: a start is replayed only when it carries its instant.
 func TestLinkRetriesExactlyIdempotentMethods(t *testing.T) {
+	at := sim.Time(60)
 	for _, tc := range []struct {
-		method     string
+		name       string
+		req        proto.Request
 		idempotent bool
 	}{
-		{proto.MethodPing, true},
-		{proto.MethodProbeMate, true},
-		{proto.MethodGetMateJob, true},
-		{proto.MethodGetMateStatus, true},
-		{proto.MethodCanStartMate, true},
-		{proto.MethodReconcile, true},
-		{proto.MethodTryStartMate, false},
-		{proto.MethodStartMate, false},
-		{"bogus", false},
+		{"ping", proto.Request{Method: proto.MethodPing}, true},
+		{"probe_mate", proto.Request{Method: proto.MethodProbeMate}, true},
+		{"get_mate_job", proto.Request{Method: proto.MethodGetMateJob}, true},
+		{"get_mate_status", proto.Request{Method: proto.MethodGetMateStatus}, true},
+		{"can_start_mate", proto.Request{Method: proto.MethodCanStartMate}, true},
+		{"reconcile_mates", proto.Request{Method: proto.MethodReconcile}, true},
+		{"try_start_mate", proto.Request{Method: proto.MethodTryStartMate}, false},
+		{"try_start_mate at", proto.Request{Method: proto.MethodTryStartMate, At: &at}, true},
+		{"start_mate", proto.Request{Method: proto.MethodStartMate}, false},
+		{"start_mate at", proto.Request{Method: proto.MethodStartMate, At: &at}, true},
+		{"bogus", proto.Request{Method: "bogus"}, false},
+		{"bogus at", proto.Request{Method: "bogus", At: &at}, false},
 	} {
-		t.Run(tc.method, func(t *testing.T) {
-			if got := proto.Idempotent(tc.method); got != tc.idempotent {
-				t.Fatalf("proto.Idempotent(%q) = %v, want %v", tc.method, got, tc.idempotent)
+		t.Run(tc.name, func(t *testing.T) {
+			tc.req.JobID = 5
+			if got := proto.Idempotent(tc.req); got != tc.idempotent {
+				t.Fatalf("proto.Idempotent(%+v) = %v, want %v", tc.req, got, tc.idempotent)
 			}
 			h := newHarness()
 			h.onConn = func(c *fakeConn, method string) error {
@@ -181,7 +188,7 @@ func TestLinkRetriesExactlyIdempotentMethods(t *testing.T) {
 				return nil
 			}
 			l := newTestLink(h, nil)
-			resp, err := l.Exchange(proto.Request{Method: tc.method, JobID: 5})
+			resp, err := l.Exchange(tc.req)
 			wantDials, wantRetries := 1, 0
 			if tc.idempotent {
 				wantDials, wantRetries = 2, 1

@@ -22,8 +22,8 @@
 // desynced) and counts toward the breaker. Transport failures that
 // provably died before the request left this host (dial/deadline/write
 // stage) are retried once on a fresh connection within the call's budget;
-// ambiguous read-stage failures are retried only for the methods
-// proto.Idempotent names.
+// ambiguous read-stage failures are retried only for the requests
+// proto.Idempotent names (a start only when it carries its instant).
 //
 // The breaker state machine:
 //
@@ -398,7 +398,7 @@ func (l *Link) retryAllowed(err error, idempotent bool, deadline time.Time) bool
 // Exchange implements proto.Exchanger: one request through the full
 // failure machinery — acquire a connection (or fail fast), send, and on a
 // transport failure retry once on a fresh connection when
-// proto.Idempotent(req.Method) or the failure stage says it is safe.
+// proto.Idempotent(req) or the failure stage says it is safe.
 func (l *Link) Exchange(req proto.Request) (proto.Response, error) {
 	l.mu.Lock()
 	l.calls++
@@ -410,7 +410,7 @@ func (l *Link) Exchange(req proto.Request) (proto.Response, error) {
 		return proto.Response{}, err
 	}
 	resp, err := l.attempt(t, gen, req)
-	if err == nil || proto.IsRemote(err) || !l.retryAllowed(err, proto.Idempotent(req.Method), deadline) {
+	if err == nil || proto.IsRemote(err) || !l.retryAllowed(err, proto.Idempotent(req), deadline) {
 		return resp, err
 	}
 	t, gen, err2 := l.acquire()

@@ -21,15 +21,20 @@ type Exchanger interface {
 	Exchange(req Request) (Response, error)
 }
 
-// Idempotent reports whether a request of this method may be replayed
-// after an ambiguous failure (one that may have reached the peer): the
-// probe, the three queries, reconcile_mates and ping are; try_start_mate
-// and start_mate, which start jobs, are not — nor is a method this package
-// does not know.
-func Idempotent(method string) bool {
-	switch method {
+// Idempotent reports whether req may be replayed after an ambiguous
+// failure (one that may have reached the peer): the probe, the three
+// queries, reconcile_mates and ping are; so are try_start_mate and
+// start_mate when they carry at, since the callee's answer then depends
+// only on the job and the instant — a repeat finds the job running since at
+// and answers as the first attempt did. Without at the callee stamps its
+// own clock, so a repeat is another request, and it is not replayed — nor
+// is a method this package does not know.
+func Idempotent(req Request) bool {
+	switch req.Method {
 	case MethodPing, MethodProbeMate, MethodGetMateJob, MethodGetMateStatus, MethodCanStartMate, MethodReconcile:
 		return true
+	case MethodTryStartMate, MethodStartMate:
+		return req.At != nil
 	}
 	return false
 }

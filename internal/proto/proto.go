@@ -8,8 +8,8 @@
 //	get_mate_job     job_id             known            GetMateJob (cosched.Peer)            yes
 //	get_mate_status  job_id             status           GetMateStatus (cosched.Peer)         yes
 //	can_start_mate   job_id             ok               CanStartMate (cosched.Peer)          yes
-//	try_start_mate   job_id, at?        ok               TryStartMate[At] (Peer/CoStarter)    no
-//	start_mate       job_id, at?        —                StartMate[At] (Peer/CoStarter)       no
+//	try_start_mate   job_id, at?        ok               TryStartMate[At] (Peer/CoStarter)    with at
+//	start_mate       job_id, at?        —                StartMate[At] (Peer/CoStarter)       with at
 //	reconcile_mates  from, views        views            ReconcileMates (cosched.Reconciler)  yes
 //
 // probe_mate is what Algorithm 1 sends: the three read-only queries
@@ -18,10 +18,11 @@
 // speak cosched.Peer (cosched.ProbeMate composes the probe from them). at
 // is the caller's proposed co-start instant; without it the callee stamps
 // its own clock. The retry column is Idempotent: internal/peerlink may
-// replay those methods after an ambiguous failure, never try_start_mate or
-// start_mate. Any method the server does not know is answered with an
-// ErrBadMethod error string, which the client surfaces as a RemoteError
-// like any other refusal.
+// replay those requests after an ambiguous failure — a start only when it
+// carries at, since its answer then depends only on the job and at, while
+// each attempt of a start without at is stamped anew. Any method the
+// server does not know is answered with an ErrBadMethod error string,
+// which the client surfaces as a RemoteError like any other refusal.
 //
 // The protocol is deliberately minimal — the paper's argument for
 // practicality is that two administratively independent resource managers
