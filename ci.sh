@@ -48,9 +48,10 @@ go test -race ./...
 # byte-identical. The differential sweep tests (both cores at 1 and 8
 # workers, fail on any table mismatch) rerun under -race with full
 # invariant auditing, and the bench pass drives one Iterate per cell of
-# BenchmarkIterate / BenchmarkIterateChurn.
+# BenchmarkIterate / BenchmarkIterateChurn, and one op of the job-index
+# families BenchmarkProbeMate / BenchmarkExpect, so they keep running.
 go test -race -run 'SchedCoreDifferential' ./internal/experiments ./internal/coupled
-go test -run=NONE -bench=Iterate -benchtime=1x ./internal/resmgr
+go test -run=NONE -bench='Iterate|ProbeMate|Expect' -benchtime=1x ./internal/resmgr
 
 # Protocol-resilience gate: the peer-link breaker and retry machinery, the
 # proto client/server/fault-injector, and the live chaos harness are the
@@ -135,6 +136,12 @@ go test -race -count=2 -run 'Crash|Drain|Flag' ./cmd/coschedd
 # never panic and never return a record that fails its checksum or
 # sequence check, whatever bytes a crash left behind.
 go test -run '^$' -fuzz 'FuzzDecodeEntries' -fuzztime 10s ./internal/journal
+
+# Job-index fuzz smoke: ten seconds of put/get programmes against the
+# manager's ID index (dense slice plus map) and a plain map as oracle, IDs
+# near the dense window and anywhere in int64. Every answer must match the
+# map's, and the dense part must stay within 2n+1024 slots for n jobs.
+go test -run '^$' -fuzz 'FuzzJobIndex' -fuzztime 10s ./internal/resmgr
 
 # Frame-codec fuzz smoke: ten seconds of the differential target for the
 # hand-written Request/Response codec. encoding/json defines the wire, so

@@ -180,6 +180,9 @@ func unmarshalEntry(payload []byte) (e Entry, err error) {
 // or reordered tails are cut rather than replayed.
 func DecodeEntries(data []byte) ([]Entry, int64, *TornTail) {
 	var out []Entry
+	if n := countFrames(data); n > 0 {
+		out = make([]Entry, 0, n)
+	}
 	var off int64
 	var lastSeq uint64
 	for int64(len(data))-off >= headerSize {
@@ -210,4 +213,22 @@ func DecodeEntries(data []byte) ([]Entry, int64, *TornTail) {
 		return out, off, &TornTail{Off: off, Reason: "partial header (torn write)"}
 	}
 	return out, off, nil
+}
+
+// countFrames counts the records DecodeEntries may return, reading only
+// their length headers: a frame counts while its length is in bounds and
+// its payload lies within data. Checksums, payloads and sequence numbers
+// are not examined, so the count is an upper bound on the decode (a frame
+// failing one of those checks ends the decode, not the count), and at most
+// len(data)/(headerSize+1).
+func countFrames(data []byte) int {
+	n := 0
+	for off := int64(0); int64(len(data))-off >= headerSize; n++ {
+		size := binary.BigEndian.Uint32(data[off : off+4])
+		off += headerSize + int64(size)
+		if size == 0 || size > MaxRecordSize || off > int64(len(data)) {
+			break
+		}
+	}
+	return n
 }

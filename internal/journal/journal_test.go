@@ -69,6 +69,36 @@ func TestDecodeEmptyAndNil(t *testing.T) {
 	}
 }
 
+// TestDecodeEntriesAllocatesOnce: decoding a 10,000-entry WAL of
+// transition records, whose payloads the strict parser reads without
+// allocating, makes one allocation — the entry slice, sized from the frame
+// headers before the first payload is decoded — where growing it by append
+// made one per doubling. A torn tail after the last good frame adds only
+// the *TornTail that reports it.
+func TestDecodeEntriesAllocatesOnce(t *testing.T) {
+	ops := []Op{OpHold, OpStart, OpComplete}
+	in := make([]Entry, 10_000)
+	for i := range in {
+		in[i] = Entry{Seq: uint64(i + 1), T: sim.Time(i), Op: ops[i%len(ops)], Job: job.ID(i/3 + 1),
+			Start: sim.Time(i), Holds: 1, HeldNS: int64(i), Ready: true}
+	}
+	data := encode(t, in)
+	torn := append(data[:len(data):len(data)], 0, 0, 0, 9, 1)
+	for _, c := range []struct {
+		wal    []byte
+		allocs float64
+	}{{data, 1}, {torn, 2}} {
+		var out []Entry
+		allocs := testing.AllocsPerRun(5, func() { out, _, _ = DecodeEntries(c.wal) })
+		if len(out) != len(in) || !reflect.DeepEqual(out[len(out)-1], in[len(in)-1]) {
+			t.Fatalf("decoded %d entries, want %d ending in %+v", len(out), len(in), in[len(in)-1])
+		}
+		if allocs != c.allocs {
+			t.Fatalf("DecodeEntries of %d entries (%d bytes) made %v allocations, want %v", len(in), len(c.wal), allocs, c.allocs)
+		}
+	}
+}
+
 func TestDecodeTornVariants(t *testing.T) {
 	in := sampleEntries()
 	clean := encode(t, in)

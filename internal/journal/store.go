@@ -361,14 +361,19 @@ func (s *Store) Compact(snap Snapshot) error {
 }
 
 // Stats is a point-in-time view of the store's lifetime counters, exposed
-// on the daemon's /metrics endpoint. All fields except Pending are
-// monotonically non-decreasing for the life of the Store.
+// on the daemon's /metrics endpoint. All fields except Pending,
+// PendingBytes and SnapshotBytes are monotonically non-decreasing for the
+// life of the Store. Pending and PendingBytes are the two sides of the
+// compaction rule: a snapshot is due once Pending reaches
+// Options.SnapshotEvery and PendingBytes reaches SnapshotBytes.
 type Stats struct {
 	Appends       uint64 // WAL entries appended since Open
 	Fsyncs        uint64 // fsync(2) calls actually issued
 	FsyncFailures uint64 // fsync(2) calls that failed; any nonzero ⇒ Poisoned
 	Compacts      uint64 // compacting snapshots taken
-	Pending       uint64 // entries appended since the last compact (resets)
+	Pending       uint64 // entries appended since the last compact or Open (resets)
+	PendingBytes  int64  // WAL bytes appended since the last compact or Open (resets)
+	SnapshotBytes int64  // size of the last snapshot, written or found at Open
 	Seq           uint64 // last assigned sequence number
 	Poisoned      bool   // a WAL write or fsync failed; the store is latched
 }
@@ -383,6 +388,8 @@ func (s *Store) Stats() Stats {
 		FsyncFailures: s.fsyncFails,
 		Compacts:      s.compacts,
 		Pending:       s.appended,
+		PendingBytes:  s.walBytes,
+		SnapshotBytes: s.snapSize,
 		Seq:           s.seq,
 		Poisoned:      s.poisoned != nil,
 	}

@@ -19,7 +19,8 @@ import (
 // whose third fsync fails, admin submissions until the store poisons. The
 // controller must flip every surface at once — the degraded gauge 0→1, the
 // poisoned series, the reason in /status.json and the HTML banner — while
-// /metrics exports the store's exact append, fsync and fsync-failure counts;
+// /metrics exports the store's exact append, fsync and fsync-failure counts
+// and its compaction gauges (WAL bytes since the snapshot, snapshot size);
 // it must detach the recorder, so the append counter stops, and clamp
 // holds to -degraded-max-holds 0, so a pair that would hold yields and
 // counts one refused hold.
@@ -101,11 +102,18 @@ func TestDegradedModeMetricsExported(t *testing.T) {
 	if st.FsyncFailures != 1 || st.Appends == st.Fsyncs || st.Fsyncs == st.FsyncFailures || st.Appends == st.FsyncFailures {
 		t.Fatalf("store stats %+v: want one fsync failure and three distinct journal counters", st)
 	}
+	// The compaction gauges: the first owner's snapshot and the WAL bytes
+	// appended since it, of different sizes so that swapped series fail.
+	if st.SnapshotBytes <= 0 || st.PendingBytes <= 0 || st.PendingBytes == st.SnapshotBytes {
+		t.Fatalf("store stats %+v: want a snapshot and WAL bytes since it, of different sizes", st)
+	}
 	checks := map[string]float64{
 		obs.MetricJournalDegraded: 1, "cosched_journal_poisoned": 1,
 		obs.MetricFsyncFailures: float64(st.FsyncFailures), obs.MetricHoldsRefused: 0,
-		"cosched_journal_appends_total": float64(st.Appends),
-		"cosched_journal_fsyncs_total":  float64(st.Fsyncs),
+		"cosched_journal_appends_total":         float64(st.Appends),
+		"cosched_journal_fsyncs_total":          float64(st.Fsyncs),
+		"cosched_journal_bytes_pending_compact": float64(st.PendingBytes),
+		"cosched_journal_snapshot_bytes":        float64(st.SnapshotBytes),
 	}
 	for name, want := range checks {
 		if v := metric(name); v != want {

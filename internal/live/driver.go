@@ -104,10 +104,10 @@ func (d *Driver) Do(f func()) {
 // loopLateLocked reports whether the run loop, asleep, would fire the
 // engine's next event late: the event falls before the loop's planned
 // instant, or it is due already. The second case is a loop whose clock
-// reached the planned instant before its timer fired — the timer runs from
-// a reading truncated to whole virtual seconds, so it can expire up to one
-// virtual second later — when a caller's Lock has fired the planned event
-// and the caller scheduled more at the present instant.
+// reached the planned instant before its timer fired — a timer expires
+// some scheduling latency after its instant — when a caller's Lock has
+// fired the planned event and the caller scheduled more at the present
+// instant.
 func (d *Driver) loopLateLocked() bool {
 	next, ok := d.eng.NextTime()
 	return ok && (next < d.planned || next <= d.eng.Now())
@@ -133,9 +133,45 @@ func (d *Driver) virtualNowLocked() sim.Time {
 	if d.start.IsZero() {
 		return d.eng.Now()
 	}
-	// Pacing resumes from wherever the engine stood when Run began — after
-	// a crash recovery that is the replayed journal time, not zero.
-	return d.base + sim.Time(d.now().Sub(d.start).Seconds()*d.speedup)
+	return virtualAt(d.start, d.base, d.speedup, d.now())
+}
+
+// virtualAt is the virtual instant a driver that began pacing at clock
+// instant start, from virtual instant base, at speedup, reads at now:
+// whole virtual seconds, truncated. Pacing resumes from wherever the
+// engine stood when Run began — after a crash recovery that is the
+// replayed journal time, not zero.
+func virtualAt(start time.Time, base sim.Time, speedup float64, now time.Time) sim.Time {
+	return base + sim.Time(now.Sub(start).Seconds()*speedup)
+}
+
+// sleepUntil is how long such a driver sleeps from now until virtual time
+// reaches next: the first clock instant at which virtualAt reads next,
+// minus now. It is computed from the untruncated clock, so a loop 0.9 s
+// into a virtual second sleeps 0.1 s toward the next one, not the whole
+// second the truncated reading leaves. An event already due sleeps 0.
+func sleepUntil(start time.Time, base sim.Time, speedup float64, now time.Time, next sim.Time) time.Duration {
+	if virtualAt(start, base, speedup, now) >= next {
+		return 0
+	}
+	ns := math.Ceil(float64(next-base) / speedup * float64(time.Second))
+	if ns >= 1<<53 {
+		// Beyond a float's exact nanoseconds (104 days of sleep), and far
+		// past any cap a caller applies.
+		return time.Duration(math.MaxInt64)
+	}
+	at := start.Add(time.Duration(ns))
+	// The quotient's rounding can leave at a nanosecond or two either side
+	// of the instant virtualAt first reads next; step onto it. Both walks
+	// are short, and the second stops at now at the latest, which reads
+	// less than next.
+	for virtualAt(start, base, speedup, at) < next {
+		at = at.Add(time.Nanosecond)
+	}
+	for virtualAt(start, base, speedup, at.Add(-time.Nanosecond)) >= next {
+		at = at.Add(-time.Nanosecond)
+	}
+	return at.Sub(now)
 }
 
 // Run paces the engine until ctx is canceled. Events fire when the scaled
@@ -155,7 +191,8 @@ func (d *Driver) Run(ctx context.Context) {
 	defer timer.Stop()
 	for {
 		d.mu.Lock()
-		vnow := d.virtualNowLocked()
+		now := d.now()
+		vnow := virtualAt(d.start, d.base, d.speedup, now)
 		var sleep time.Duration
 		for {
 			next, ok := d.eng.NextTime()
@@ -169,7 +206,7 @@ func (d *Driver) Run(ctx context.Context) {
 				continue
 			}
 			d.planned = next
-			sleep = time.Duration(float64(next-vnow) / d.speedup * float64(time.Second))
+			sleep = sleepUntil(d.start, d.base, d.speedup, now, next)
 			if sleep > time.Second {
 				sleep = time.Second // re-check periodically for clock drift
 			}

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -75,5 +76,58 @@ func TestDriverWakesOnlyForEarlierEvents(t *testing.T) {
 	})
 	if got := len(idle.wake); got != 1 {
 		t.Fatalf("a Do that schedules the idle loop's only event sent %d wake-up(s), want 1", got)
+	}
+}
+
+// TestSleepUntilIsExact: the run loop sleeps until the clock instant at
+// which virtual time reaches the next event, measured from the untruncated
+// clock. A loop 0.9 s into virtual second S with an event at S+1 sleeps
+// 0.1 s; the whole-second reading it used to start from armed 1.0 s, so
+// every timer fired up to a virtual second late.
+func TestSleepUntilIsExact(t *testing.T) {
+	start := time.Unix(1<<30, 0)
+	const s = 41 // virtual seconds since pacing began
+	for _, c := range []struct {
+		name    string
+		base    sim.Time
+		speedup float64
+		now     time.Duration // since start
+		next    sim.Time
+		want    time.Duration
+	}{
+		{"0.9 s into second S, event at S+1", 0, 1, s*time.Second + 900*time.Millisecond, s + 1, 100 * time.Millisecond},
+		{"at second S, event at S+1", 0, 1, s * time.Second, s + 1, time.Second},
+		{"0.1 s into second S, event at S+3", 0, 1, s*time.Second + 100*time.Millisecond, s + 3, 2900 * time.Millisecond},
+		{"recovered at base 1000, speedup 60", 1000, 60, 500 * time.Millisecond, 1031, 16666667},
+		{"speedup 0.5", 0, 0.5, 2500 * time.Millisecond, 2, 1500 * time.Millisecond},
+		{"event already due", 0, 1, s*time.Second + 900*time.Millisecond, s, 0},
+	} {
+		now := start.Add(c.now)
+		if got := sleepUntil(start, c.base, c.speedup, now, c.next); got != c.want {
+			t.Errorf("%s: sleep %v, want %v", c.name, got, c.want)
+		}
+		if v := virtualAt(start, c.base, c.speedup, now.Add(c.want)); c.want > 0 && v != c.next {
+			t.Errorf("%s: after the sleep the driver reads %d, want %d", c.name, v, c.next)
+		}
+	}
+
+	// Exactness over awkward speedups and offsets: the wake-up instant is
+	// the first nanosecond at which the driver reads next, so a loop woken
+	// there fires the event and never re-arms a zero sleep toward it.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10_000; i++ {
+		speedup := []float64{1, 3, 7, 60, 0.3, 1000 / 3.0}[i%6]
+		base := sim.Time(rng.Int63n(1 << 20))
+		now := start.Add(time.Duration(rng.Int63n(int64(1000 * time.Hour))))
+		next := virtualAt(start, base, speedup, now) + 1 + sim.Time(rng.Int63n(100))
+		at := now.Add(sleepUntil(start, base, speedup, now, next))
+		if !at.After(now) || virtualAt(start, base, speedup, at) < next || virtualAt(start, base, speedup, at.Add(-1)) >= next {
+			t.Fatalf("speedup %v base %d now +%v next %d: woke at +%v, reading %d (one ns earlier %d)",
+				speedup, base, now.Sub(start), next, at.Sub(start),
+				virtualAt(start, base, speedup, at), virtualAt(start, base, speedup, at.Add(-1)))
+		}
+	}
+	if got := sleepUntil(start, 0, 1, start, 1<<62); got < time.Hour {
+		t.Fatalf("an event 1<<62 virtual seconds ahead: sleep %v, want beyond any cap", got)
 	}
 }

@@ -170,6 +170,8 @@ func (d *Daemon) collectMetrics(e *obs.Emitter) {
 	e.Counter("cosched_journal_fsyncs_total", "WAL fsyncs issued since boot", float64(st.Fsyncs), "domain", dom)
 	e.Counter("cosched_journal_compactions_total", "compacting snapshots taken since boot", float64(st.Compacts), "domain", dom)
 	e.Gauge("cosched_journal_entries_pending_compact", "WAL entries appended since the last compact", float64(st.Pending), "domain", dom)
+	e.Gauge("cosched_journal_bytes_pending_compact", "WAL bytes appended since the last compact; a compact is due once this reaches the snapshot's size", float64(st.PendingBytes), "domain", dom)
+	e.Gauge("cosched_journal_snapshot_bytes", "size of the last journal snapshot", float64(st.SnapshotBytes), "domain", dom)
 	e.Gauge("cosched_journal_seq", "last assigned journal sequence number", float64(st.Seq), "domain", dom)
 	e.Counter(obs.MetricFsyncFailures, "journal fsync failures; any failure poisons the store permanently", float64(st.FsyncFailures), "domain", dom)
 	poisoned := 0.0

@@ -150,13 +150,14 @@ type Manager struct {
 
 	peers map[string]cosched.Peer
 
-	// jobs is the manager's only map, consulted only where an ID arrives
-	// from outside: peer calls, admin Submit/Cancel, Expect and Restore.
-	jobs map[job.ID]*job.Job
-	// all mirrors jobs in insertion order. Jobs() iterates it instead of
-	// the map so downstream consumers (metrics, audits) see a deterministic
-	// order without sorting; nothing is ever removed from the registry, so
-	// the two stay in lockstep.
+	// jobs finds a job by ID, consulted only where an ID arrives from
+	// outside: peer calls, admin Submit/Cancel, Expect and Restore. Dense
+	// IDs sit in a slice, the rest in a map (see jobIndex).
+	jobs jobIndex
+	// all mirrors jobs in insertion order. Jobs() iterates it so downstream
+	// consumers (metrics, audits) see a deterministic order without
+	// sorting; nothing is ever removed from the registry, so the two stay
+	// in lockstep.
 	all   []*job.Job
 	queue []*job.Job
 
@@ -324,7 +325,6 @@ func New(eng *sim.Engine, opt Options) *Manager {
 		cfg:        opt.Cosched,
 		obs:        obs,
 		peers:      make(map[string]cosched.Peer),
-		jobs:       make(map[job.ID]*job.Job),
 		recs:       make([]*schedRec, 1),
 		lastYield:  noYield,
 		core:       opt.Core,
@@ -395,9 +395,9 @@ func (m *Manager) AddPeer(domain string, p cosched.Peer) { m.peers[domain] = p }
 
 // addJob is the single registration point for the job registry: every path
 // that writes m.jobs goes through it so the insertion-ordered mirror stays
-// consistent with the map.
+// consistent with the index.
 func (m *Manager) addJob(j *job.Job) {
-	m.jobs[j.ID] = j
+	m.jobs.put(j)
 	m.all = append(m.all, j)
 }
 
@@ -407,7 +407,7 @@ func (m *Manager) Expect(j *job.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
-	if _, dup := m.jobs[j.ID]; dup {
+	if _, dup := m.jobs.get(j.ID); dup {
 		return fmt.Errorf("%w: %d", ErrDuplicateJob, j.ID)
 	}
 	if j.State != job.Unsubmitted {
@@ -421,7 +421,7 @@ func (m *Manager) Expect(j *job.Job) error {
 // Submit moves a job into the queue. Jobs not previously registered with
 // Expect are registered on the fly. A scheduling iteration is requested.
 func (m *Manager) Submit(j *job.Job) error {
-	existing, known := m.jobs[j.ID]
+	existing, known := m.jobs.get(j.ID)
 	if known && existing != j {
 		return fmt.Errorf("%w: %d", ErrDuplicateJob, j.ID)
 	}
@@ -475,10 +475,7 @@ func (m *Manager) SubmitTrace(jobs []*job.Job) error {
 	if m.replay != nil {
 		return fmt.Errorf("resmgr %s: SubmitTrace called twice", m.name)
 	}
-	if len(m.jobs) == 0 && len(jobs) > 0 {
-		// Presize the registry for the whole trace: incremental map growth
-		// during bulk Expect is a measurable slice of short simulations.
-		m.jobs = make(map[job.ID]*job.Job, len(jobs))
+	if len(m.all) == 0 {
 		m.all = make([]*job.Job, 0, len(jobs))
 	}
 	for i, j := range jobs {
@@ -525,10 +522,7 @@ func (m *Manager) replayStep(now sim.Time) {
 }
 
 // Job returns the job with the given ID, if known.
-func (m *Manager) Job(id job.ID) (*job.Job, bool) {
-	j, ok := m.jobs[id]
-	return j, ok
-}
+func (m *Manager) Job(id job.ID) (*job.Job, bool) { return m.jobs.get(id) }
 
 // Jobs returns all known jobs (any state) in registration order. The order
 // is deterministic — metrics accumulate in it — and the slice is freshly
@@ -610,7 +604,7 @@ func (m *Manager) Counts() Counts {
 // nodes freed, an expected job will never be submitted. Terminal jobs
 // cannot be cancelled.
 func (m *Manager) Cancel(id job.ID) error {
-	j, ok := m.jobs[id]
+	j, ok := m.jobs.get(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
 	}
@@ -1167,7 +1161,7 @@ func (m *Manager) CanStartMate(id job.ID) (bool, error) {
 // above from one lookup. An unknown job's probe is the zero MateProbe, whose
 // status is StatusUnknown.
 func (m *Manager) ProbeMate(id job.ID) (cosched.MateProbe, error) {
-	j, ok := m.jobs[id]
+	j, ok := m.jobs.get(id)
 	if !ok {
 		return cosched.MateProbe{}, nil
 	}
@@ -1219,7 +1213,7 @@ func (m *Manager) StartMateAt(id job.ID, at sim.Time) error {
 func (m *Manager) startMate(method string, id job.ID, at sim.Time) (bool, error) {
 	now := m.eng.Now()
 	try := method == "try_start_mate"
-	j, ok := m.jobs[id]
+	j, ok := m.jobs.get(id)
 	var err error
 	switch {
 	case !ok:

@@ -31,7 +31,7 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
-	if _, dup := m.jobs[j.ID]; dup {
+	if _, dup := m.jobs.get(j.ID); dup {
 		return fmt.Errorf("%w: %d", ErrDuplicateJob, j.ID)
 	}
 	now := m.eng.Now()
@@ -203,8 +203,8 @@ func (m *Manager) resolveHolds(rep *ReconcileReport, views, theirs []cosched.Mat
 	}
 	now := m.eng.Now()
 	for _, ours := range views {
-		j := m.jobs[ours.Local]
-		if j == nil || j.State != job.Holding {
+		j, ok := m.jobs.get(ours.Local)
+		if !ok || j.State != job.Holding {
 			continue
 		}
 		rv := reported[pairKey{local: ours.Local, mate: ours.Mate}]
