@@ -65,10 +65,15 @@ go test -race -count=2 ./internal/proto ./internal/peerlink ./internal/live
 
 # Wake-up stress: a driver's run loop is nudged only when a call leaves an
 # event before the instant the loop planned to wake at, or one already due
-# (TestDriverWakesOnlyForEarlierEvents). A lost wake-up shows as a stalled
-# daemon, so the rule runs twenty times under -race beside the stepped-clock
-# pair tests, which park requests while both run loops sleep.
-go test -race -count=20 -run 'DriverWakes|Stall|LateTry' ./internal/live
+# (TestDriverWakesOnlyForEarlierEvents), and an idle loop sleeps until such a
+# nudge, with no poll (TestIdleLoopSleeps). An admin submit or cancel fires
+# its own due work before it answers, on its caller's goroutine
+# (TestAdminSubmitDecidesBeforeReply, TestAdminCancelStartsFreedWork), and
+# waits for the exchanges that work makes (TestAdminSubmitWaitsForItsExchanges).
+# A lost wake-up shows as a stalled daemon, so these run twenty times under
+# -race beside the stepped-clock pair tests, which park requests while both
+# run loops sleep.
+go test -race -count=20 -run 'DriverWakes|IdleLoop|DecidesBeforeReply|CancelStartsFreed|WaitsForItsExchanges|Stall|LateTry' ./internal/live
 
 # Wire-equals-direct smoke: three seconds of the benchmark's sweep_wire
 # workload at seed 1. Its output checks gate, on every CI run rather than

@@ -9,6 +9,12 @@
 //
 // Each -job flag is domain=adminAddr:nodes:runtimeSeconds, one per domain.
 // All submitted jobs are linked into one co-start group.
+//
+// A daemon answers a submit after the job's first scheduling decision, peer
+// exchanges included, so the members are submitted one after another: each
+// but the last holds (or yields) for its mates, and, when every member
+// fits, the last submit co-starts the group before it returns. -wait then
+// confirms the instants.
 package main
 
 import (
@@ -115,7 +121,8 @@ func main() {
 	}
 	// Co-submission protocol: declare every member everywhere first, so no
 	// half ever observes its mate as "unknown" (which would trigger the
-	// fault-tolerant uncoordinated start), then submit.
+	// fault-tolerant uncoordinated start), then submit. Each submit returns
+	// once its daemon has decided for the member.
 	for i, m := range members {
 		if err := clients[i].Expect(wire[i]); err != nil {
 			fatal(fmt.Errorf("declare to %s: %w", m.domain, err))

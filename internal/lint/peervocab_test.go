@@ -205,8 +205,9 @@ func TestDomainBuiltOnce(t *testing.T) {
 
 // TestLiveTestsStepTheClock: internal/live's tests run the daemons on a
 // stepped clock and read state through the driver, so none of them waits on
-// the wall clock — except three that time something real: a socket
-// deadline, a goroutine's exit and a fast-fail's latency. One helper, await,
+// the wall clock — except four that time something real: a socket
+// deadline, a goroutine's exit, a fast-fail's latency and an idle run
+// loop's passes over wall time. One helper, await,
 // bounds a wait that a regression could make endless, so the test fails
 // with a message instead of hanging; it paces nothing. A wall-clock call
 // anywhere else in those tests is a sleep-and-poll test coming back.
@@ -215,6 +216,7 @@ func TestLiveTestsStepTheClock(t *testing.T) {
 		"TestAdminCallTimesOutOnSilentServer":  true,
 		"TestAdminServerCloseIdleClient":       true,
 		"TestLiveBreakerFailsFastWithPeerDown": true,
+		"TestIdleLoopSleeps":                   true,
 		"await":                                true,
 	}
 	wall := map[string]bool{"Now": true, "Since": true, "After": true, "NewTimer": true, "Sleep": true}

@@ -167,7 +167,10 @@ func (s *AdminServer) dispatch(req AdminRequest) AdminResponse {
 				resp.Error = err.Error()
 				return
 			}
-			resp.State = job.Unsubmitted.String()
+			// The job's first decision runs here, exchanges and all, and the
+			// answer names the state it left: queued, holding or running.
+			s.driver.fireDueLocked()
+			resp.State = j.State.String()
 		})
 	case OpCancel:
 		s.driver.Do(func() {
@@ -175,6 +178,9 @@ func (s *AdminServer) dispatch(req AdminRequest) AdminResponse {
 				resp.Error = err.Error()
 				return
 			}
+			// The iteration the cancel requests starts what the freed nodes
+			// fit before the answer goes out.
+			s.driver.fireDueLocked()
 			resp.State = job.Cancelled.String()
 		})
 	case OpStatus:
@@ -327,7 +333,11 @@ func (c *AdminClient) Info() (AdminResponse, error) {
 	return c.call(OpInfo, 0, nil)
 }
 
-// Submit sends a job.
+// Submit sends a job. The daemon answers once it has made the job's first
+// scheduling decision (a co-start or a hold included, with the peer
+// exchanges they take), so the call can last as long as those exchanges'
+// budget, and a timeout shorter than that can fail a submit that went
+// through.
 func (c *AdminClient) Submit(w WireJob) error {
 	_, err := c.call(OpSubmit, 0, &w)
 	return err

@@ -34,6 +34,8 @@ type Driver struct {
 	// left it sleeping toward, or noneDue when the engine was empty. Read
 	// and written under mu.
 	planned sim.Time
+	// passes counts the run loop's passes. Read and written under mu.
+	passes int
 
 	// now is where the live stack reads time: the driver's pacing and the
 	// breaker of every peer link Daemon.Connect creates. It is time.Now;
@@ -78,6 +80,19 @@ func (d *Driver) syncClockLocked() {
 	if v := d.virtualNowLocked(); v > d.eng.Now() {
 		d.eng.RunUntil(v)
 	}
+}
+
+// fireDueLocked fires every event due at the present virtual instant,
+// including those at the engine's own instant, which syncClockLocked leaves
+// for the run loop. An admin submit or cancel calls it after scheduling its
+// work, so the scheduling decision that work requests runs on the caller's
+// goroutine, under the lock the caller holds, before the caller answers.
+// Before Run starts it fires nothing: the loop's first pass does.
+func (d *Driver) fireDueLocked() {
+	if d.start.IsZero() {
+		return
+	}
+	d.eng.RunUntil(max(d.virtualNowLocked(), d.eng.Now()))
 }
 
 // Unlock releases the driver's lock. It wakes the run loop only when the
@@ -156,8 +171,8 @@ func sleepUntil(start time.Time, base sim.Time, speedup float64, now time.Time, 
 	}
 	ns := math.Ceil(float64(next-base) / speedup * float64(time.Second))
 	if ns >= 1<<53 {
-		// Beyond a float's exact nanoseconds (104 days of sleep), and far
-		// past any cap a caller applies.
+		// Beyond a float's exact nanoseconds (104 days of sleep): a timer
+		// armed with it never fires, and the loop waits for a wake-up.
 		return time.Duration(math.MaxInt64)
 	}
 	at := start.Add(time.Duration(ns))
@@ -175,9 +190,14 @@ func sleepUntil(start time.Time, base sim.Time, speedup float64, now time.Time, 
 }
 
 // Run paces the engine until ctx is canceled. Events fire when the scaled
-// clock reaches their virtual time; the loop sleeps in between, at most a
-// second of wall time at once, and is woken early by a Do or Unlock that
-// left an event before its planned instant or one already due.
+// clock reaches their virtual time; the loop sleeps in between, and is woken
+// early by a Do or Unlock that left an event before its planned instant or
+// one already due. An empty engine sleeps until such a wake-up.
+//
+// The sleep is not capped. The timer and the pacing read one clock: Go
+// times a timer on the monotonic clock, and virtualAt measures from start on
+// the monotonic readings time.Now carries, so a step of the wall clock
+// moves neither and there is no drift for a periodic re-check to correct.
 func (d *Driver) Run(ctx context.Context) {
 	d.mu.Lock()
 	if d.start.IsZero() {
@@ -191,13 +211,13 @@ func (d *Driver) Run(ctx context.Context) {
 	defer timer.Stop()
 	for {
 		d.mu.Lock()
+		d.passes++
 		now := d.now()
 		vnow := virtualAt(d.start, d.base, d.speedup, now)
-		var sleep time.Duration
+		sleep := time.Duration(math.MaxInt64) // an empty engine waits for a wake-up
 		for {
 			next, ok := d.eng.NextTime()
 			if !ok {
-				sleep = 100 * time.Millisecond // idle poll; wake channel shortcuts this
 				d.planned = noneDue
 				break
 			}
@@ -207,9 +227,6 @@ func (d *Driver) Run(ctx context.Context) {
 			}
 			d.planned = next
 			sleep = sleepUntil(d.start, d.base, d.speedup, now, next)
-			if sleep > time.Second {
-				sleep = time.Second // re-check periodically for clock drift
-			}
 			break
 		}
 		d.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cosched/internal/config"
 	"cosched/internal/sim"
 )
 
@@ -129,5 +130,21 @@ func TestSleepUntilIsExact(t *testing.T) {
 	}
 	if got := sleepUntil(start, 0, 1, start, 1<<62); got < time.Hour {
 		t.Fatalf("an event 1<<62 virtual seconds ahead: sleep %v, want beyond any cap", got)
+	}
+}
+
+// TestIdleLoopSleeps: the run loop of a daemon with nothing scheduled makes
+// its first pass and then sleeps until a call schedules something, however
+// much wall time goes by: a 100 ms poll of an empty engine would make ten
+// passes a wall second for nothing. No call or clock step reaches this
+// daemon, so the loop's timer is all that could wake it: the test watches
+// the wall clock because the poll it rules out was timed on it.
+func TestIdleLoopSleeps(t *testing.T) {
+	dom := startTestDomain(t, newStepClock(), Config{Domain: config.Domain{Name: "idle", Nodes: 8, Scheme: "hold"}, Speedup: 1})
+	const window = 300 * time.Millisecond
+	time.Sleep(window)
+	if passes, _ := passesOf(dom.driver); passes > 1 {
+		t.Fatalf("an idle daemon's run loop made %d passes in %v, %.0f a wall second; want its first pass only",
+			passes, window, float64(passes)/window.Seconds())
 	}
 }

@@ -274,8 +274,9 @@ func TestLiveCoStartOverTCP(t *testing.T) {
 	if err := ca.Submit(wa); err != nil {
 		t.Fatal(err)
 	}
-	// a's status settles a's pass before b's half arrives: two passes in
-	// flight at once would stall on each other's driver lock.
+	// a's submit answered once a's half held, so b's half cannot arrive
+	// while a's pass is in flight: two passes in flight at once would
+	// stall on each other's driver lock.
 	clk.Advance(time.Second)
 	if sa, err := ca.Status(1); err != nil || sa.State != job.Holding.String() {
 		t.Fatalf("a's half with its mate only expected: %+v, %v; want holding", sa, err)
