@@ -148,6 +148,13 @@ go test -run '^$' -fuzz 'FuzzDecodeEntries' -fuzztime 10s ./internal/journal
 # map's, and the dense part must stay within 2n+1024 slots for n jobs.
 go test -run '^$' -fuzz 'FuzzJobIndex' -fuzztime 10s ./internal/resmgr
 
+# Ordering fuzz smoke: ten seconds of shuffled, nearly sorted, rotated and
+# reversed queues through the Orderer's restoring pass, under WFP,
+# fair-share and FCFS, with demotion, escalation and yield boosts and a
+# random fit. The reduced order must equal a plain sort's minus the
+# unplannable jobs, and the queue it leaves the sort's permutation.
+go test -run '^$' -fuzz 'FuzzOrderFitting' -fuzztime 10s ./internal/policy
+
 # Frame-codec fuzz smoke: ten seconds of the differential target for the
 # hand-written Request/Response codec. encoding/json defines the wire, so
 # every payload must decode to what json.Unmarshal alone gives (same value,

@@ -135,6 +135,24 @@ func (p *Pool) ChargeFor(n int) int {
 	return size
 }
 
+// Fit returns the largest request whose charge fits the free nodes now: for
+// 1 <= n <= Total(), ChargeFor(n) <= Free() exactly when n <= Fit(). On a
+// partitioned pool that is the largest partition size at most Free(), or
+// the whole pool once it is idle (a charge is clamped to the total).
+func (p *Pool) Fit() int {
+	if !p.partitioned || p.free == p.total {
+		return p.free
+	}
+	if p.free < p.minPartition {
+		return 0
+	}
+	size := p.minPartition
+	for size <= p.free/2 {
+		size *= 2
+	}
+	return size
+}
+
 // CanAllocate reports whether a request for n nodes would succeed now.
 func (p *Pool) CanAllocate(n int) bool {
 	if n <= 0 || n > p.total {

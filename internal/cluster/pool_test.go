@@ -294,3 +294,58 @@ func TestUtilizationZeroSpan(t *testing.T) {
 		t.Fatalf("utilization with zero span = %g, want 0", got)
 	}
 }
+
+// TestFitIsTheChargeThreshold: n <= Fit() holds exactly when ChargeFor(n)
+// <= Free(), for every request 1 <= n <= Total() at every free level from 0
+// to Total(), on plain and partitioned pools: free == total (on Intrepid's
+// non-power-of-two 40,960 nodes the widest charges are clamped to the
+// total), free below the smallest partition, and a partition wider than
+// the pool. Small pools are checked request by request; on Intrepid's,
+// ChargeFor is first checked to be nondecreasing, so the two requests
+// either side of Fit() decide every other.
+func TestFitIsTheChargeThreshold(t *testing.T) {
+	pools := []*Pool{
+		New("plain", 100),
+		New("single", 1),
+		NewPartitioned("A", 128, 16),
+		NewPartitioned("odd", 100, 8),
+		NewPartitioned("coarse", 100, 128),
+		NewPartitioned("intrepid", 40960, 512),
+	}
+	for _, p := range pools {
+		total := p.Total()
+		exhaustive := total <= 1024
+		if !exhaustive {
+			for n := 2; n <= total; n++ {
+				if p.ChargeFor(n) < p.ChargeFor(n-1) {
+					t.Fatalf("%s: ChargeFor(%d) = %d < ChargeFor(%d) = %d", p.Name(), n, p.ChargeFor(n), n-1, p.ChargeFor(n-1))
+				}
+			}
+		}
+		for free := 0; free <= total; free++ {
+			p.free = free
+			fit := p.Fit()
+			if fit < 0 || fit > total {
+				t.Fatalf("%s at free %d: Fit() = %d outside [0, %d]", p.Name(), free, fit, total)
+			}
+			check := func(n int) {
+				if fits := p.ChargeFor(n) <= free; (n <= fit) != fits {
+					t.Fatalf("%s at free %d: Fit() = %d, but ChargeFor(%d) = %d (fits: %v)", p.Name(), free, fit, n, p.ChargeFor(n), fits)
+				}
+			}
+			if exhaustive {
+				for n := 1; n <= total; n++ {
+					check(n)
+				}
+				continue
+			}
+			if fit >= 1 {
+				check(fit)
+			}
+			if fit < total {
+				check(fit + 1)
+			}
+		}
+		p.free = total
+	}
+}

@@ -170,10 +170,6 @@ func New(opt Options) (*Sim, error) {
 		tr := s.traces[name]
 		m := s.managers[name]
 		for _, j := range tr {
-			if j.Nodes > m.Pool().Total() {
-				return nil, fmt.Errorf("coupled: domain %q: job %d requests %d nodes but the pool has %d — it could never start",
-					name, j.ID, j.Nodes, m.Pool().Total())
-			}
 			if j.SubmitTime > lastSubmit {
 				lastSubmit = j.SubmitTime
 			}

@@ -201,15 +201,10 @@ func (s *AdminServer) dispatch(req AdminRequest) AdminResponse {
 }
 
 // expect registers an admin submission with the manager as a job yet to be
-// submitted, refusing one wider than the pool: no release could ever make it
-// fit, so it would queue for ever and its mates on the other domains would
-// hold or yield for it, release interval after release interval. The job
-// gets a copy of w's mates: w is the connection's decode scratch, which the
-// next frame overwrites.
+// submitted; the manager refuses one wider than the pool (resmgr.ErrTooWide).
+// The job gets a copy of w's mates: w is the connection's decode scratch,
+// which the next frame overwrites.
 func (s *AdminServer) expect(w *WireJob) (*job.Job, error) {
-	if total := s.mgr.Pool().Total(); w.Nodes > total {
-		return nil, fmt.Errorf("job %d asks for %d nodes; %s has %d", w.ID, w.Nodes, s.mgr.Name(), total)
-	}
 	j := job.New(w.ID, w.Nodes, 0, w.Runtime, w.Walltime)
 	j.Name, j.User = w.Name, w.User
 	j.Mates = append([]job.MateRef(nil), w.Mates...)

@@ -67,137 +67,235 @@ func Precedes(sa float64, a *job.Job, sb float64, b *job.Job) bool {
 	return a.ID < b.ID
 }
 
-// scored pairs a job with its precomputed ordering key so the sort
-// comparator stays allocation- and hash-free.
-type scored struct {
-	j *job.Job
-	s float64
-}
-
-// Orderer sorts queues for scheduling while reusing its internal score and
-// output buffers across calls. Each resource manager owns one (they are
-// not safe for concurrent use), which removes the two per-iteration
-// allocations Order pays — significant once the experiment harness runs
-// many simulations at once and every engine sorts thousand-entry queues
-// each scheduling iteration.
+// Orderer orders queues for scheduling while reusing its key and output
+// buffers across calls. Each resource manager owns one (they are not safe
+// for concurrent use), which removes the per-iteration allocations ordering
+// would pay — significant once the experiment harness runs many
+// simulations at once and every engine orders its queue on every
+// scheduling iteration.
 //
-// The slice returned by Order is valid only until the next Order call on
-// the same Orderer; callers that retain it must copy.
+// Ordering restores order rather than building it: the jobs are scored in
+// the order they come in, and an insertion pass moves the few that the
+// scores put out of place. A queue left in the previous iteration's order
+// (OrderFitting orders in place) is ordered in one near-linear pass; one
+// that is far from sorted — a restored queue, or one a demotion reshuffled
+// — is detected by its descents or by the insertion pass's move budget and
+// sorted outright. Either way the result is the unique Precedes
+// permutation.
+//
+// The slice returned by Order or OrderFitting is valid only until the next
+// call on the same Orderer; callers that retain it must copy.
 type Orderer struct {
-	tmp []scored
-	out []*job.Job
+	keys []float64 // keys[i] is the score (+boost) of the i-th job being ordered
+	out  []*job.Job
 }
 
 // Order returns the queue sorted for scheduling: descending score (+boost),
 // ties by earlier submit time, then smaller ID. The input slice is not
 // modified. The result is backed by the Orderer's reusable buffer.
 func (o *Orderer) Order(p Policy, q []*job.Job, now sim.Time, boost Boost) []*job.Job {
-	return o.OrderFitting(p, q, now, boost, nil, 0)
-}
-
-// OrderFitting is Order over the only jobs a plan without per-job
-// reservations (no backfilling, or EASY) can contain when free nodes are free:
-// those whose charge fits — any other can neither start in priority order nor
-// backfill — plus, if some job fits, the one among the rest that Order ranks
-// first, the only one that can become the blocked head. Every job is scored
-// once in queue order, as Order scores them. A nil charge fits every job.
-func (o *Orderer) OrderFitting(p Policy, q []*job.Job, now sim.Time, boost Boost, charge func(nodes int) int, free int) []*job.Job {
-	if cap(o.tmp) < len(q)+1 {
-		// Geometric, so a queue creeping upward does not reallocate at every
-		// new maximum; the +1 is the head's slot.
-		n := max(len(q)+1, 2*cap(o.tmp))
-		o.tmp, o.out = make([]scored, n), make([]*job.Job, n)
-	}
-	tmp, head := o.tmp[:0], scored{}
-	for _, j := range q {
-		s := p.Score(j, now)
-		if boost != nil {
-			s += boost(j)
-		}
-		if charge == nil || charge(j.Nodes) <= free {
-			tmp = append(tmp, scored{j, s})
-		} else if head.j == nil || Precedes(s, j, head.s, head.j) {
-			head = scored{j, s}
-		}
-	}
-	if head.j != nil && len(tmp) > 0 {
-		tmp = append(tmp, head)
-	}
-	// The comparator is a strict total order (ID breaks all ties), so an
-	// unstable sort is safe and the unique sorted permutation makes the
-	// result independent of the sort algorithm. sortScored is hand-rolled
-	// with the comparison inlined: this sort runs on every scheduling
-	// iteration of every simulation, and the per-comparison function call
-	// of the generic sorts (sort.Slice's reflection swapper first, then
-	// slices.SortFunc's closure dispatch) was the sweep's largest single
-	// CPU sink.
-	sortScored(tmp)
-	out := o.out[:len(tmp)]
-	for i := range tmp {
-		out[i] = tmp[i].j
-		tmp[i].j = nil // drop the reference so reused buffers don't pin jobs
-	}
+	o.reserve(len(q))
+	out := o.out[:len(q)]
+	copy(out, q)
+	o.sort(p, out, now, boost)
 	return out
 }
 
-// scoredLess orders scored entries by the canonical Precedes comparator.
-//
-//simlint:hotpath
-func scoredLess(a, b *scored) bool { return Precedes(a.s, a.j, b.s, b.j) }
+// OrderFitting orders q in place, as Order orders it, and returns the only
+// jobs a plan without per-job reservations (no backfilling, or EASY) can
+// contain when the pool's largest fitting request is fit nodes (see
+// cluster.Pool.Fit): those of at most fit nodes — any other can neither
+// start in priority order nor backfill — plus, if some job fits, the first
+// of the rest, the only one that can become the blocked head. Every job is
+// scored once in queue order, as Order scores them; a fit of math.MaxInt
+// returns the whole order. Leaving q ordered is what makes the next call
+// cheap: between two iterations scores move little, so the queue stays
+// nearly sorted (see Orderer).
+func (o *Orderer) OrderFitting(p Policy, q []*job.Job, now sim.Time, boost Boost, fit int) []*job.Job {
+	o.reserve(len(q))
+	o.sort(p, q, now, boost)
+	// Branch-free: whether a job fits is as good as a coin toss, so every
+	// job is written and the count advances past the ones that are kept.
+	out := o.out[:len(q)]
+	k, fits, head := 0, 0, 1 // head is 1 until a job that does not fit is kept
+	for _, j := range q {
+		out[k] = j
+		f := 0
+		if j.Nodes <= fit {
+			f = 1
+		}
+		fits |= f
+		k += f | head
+		head &= f
+	}
+	return out[:k*fits] // none when no job fits: the plan is empty
+}
 
-// sortScored sorts by scoredLess: median-of-three quicksort with an
-// insertion-sort cutoff, iterating into the larger partition so stack
-// depth stays logarithmic. Precedes is a strict total order (no two
-// entries compare equal), which rules out the quadratic equal-keys
-// pathology and makes the output the unique sorted permutation.
+// reserve makes the key and output buffers hold n entries. It grows them
+// geometrically from minOrdererCap, so a queue creeping upward does not
+// reallocate at every new maximum.
+func (o *Orderer) reserve(n int) {
+	if cap(o.keys) < n {
+		n = max(n, 2*cap(o.keys), minOrdererCap)
+		o.keys, o.out = make([]float64, n), make([]*job.Job, n)
+	}
+}
+
+// minOrdererCap is the Orderer's first buffer size: a scheduling queue
+// averages 7 to 11 jobs on the sweeps, so growth steps below it would be
+// paid by nearly every manager.
+const minOrdererCap = 16
+
+// Thresholds of Orderer.sort: a queue longer than insertOnlyLen with more
+// than one descent per sortDescentShare jobs is sorted outright, and so is
+// one whose insertion pass would move jobs more than insertMoveBudget times
+// its length in all (a few far-travelling jobs: one promoted from the back,
+// or the band a demotion pushed there returning). Up to insertOnlyLen jobs
+// sortKeyed would run an insertion sort anyway.
+const (
+	insertOnlyLen    = 16
+	sortDescentShare = 4
+	insertMoveBudget = 8
+)
+
+// sort scores q in queue order and puts it in Precedes order in place:
+// with no descent (a job ahead of its predecessor) q stays as it is, a few
+// are mended by insertPass, and many — or an insertion pass over its move
+// budget — go to sortKeyed. The comparator is a strict total order (ID
+// breaks all ties), so every path yields the same unique permutation. WFP
+// without a boost is scored inline through wfpScore, the function WFP.Score
+// returns, so the keys are bit-identical to the interface call's;
+// everything else goes through Policy.Score.
+func (o *Orderer) sort(p Policy, q []*job.Job, now sim.Time, boost Boost) {
+	keys := o.keys[:len(q)]
+	_, wfp := p.(WFP)
+	wfp = wfp && boost == nil
+	descents, first := 0, 0
+	for i, j := range q {
+		var s float64
+		switch {
+		case wfp:
+			s = wfpScore(j, now)
+		case boost != nil:
+			s = p.Score(j, now) + boost(j)
+		default:
+			s = p.Score(j, now)
+		}
+		keys[i] = s
+		if i > 0 && Precedes(s, j, keys[i-1], q[i-1]) {
+			if descents == 0 {
+				first = i
+			}
+			descents++
+		}
+	}
+	if descents == 0 {
+		return
+	}
+	if len(q) > insertOnlyLen && descents > len(q)/sortDescentShare || !insertPass(q, keys, first) {
+		sortKeyed(q, keys)
+	}
+}
+
+// insertPass sorts q, whose keys are keys and whose first from jobs are in
+// order, by insertion, moving keys along, and reports whether it finished
+// within its move budget. When it gives up, q and keys are still matching
+// permutations.
 //
 //simlint:hotpath
-func sortScored(s []scored) {
+func insertPass(q []*job.Job, keys []float64, from int) bool {
+	budget := insertMoveBudget * len(q)
+	for i := from; i < len(q); i++ {
+		j, s := q[i], keys[i]
+		if !Precedes(s, j, keys[i-1], q[i-1]) {
+			continue
+		}
+		k := i - 1
+		for k > 0 && Precedes(s, j, keys[k-1], q[k-1]) {
+			k--
+		}
+		copy(q[k+1:i+1], q[k:i])
+		copy(keys[k+1:i+1], keys[k:i])
+		q[k], keys[k] = j, s
+		if budget -= i - k; budget < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// keyedLess reports whether job a of q, keyed by keys, precedes job b.
+//
+//simlint:hotpath
+func keyedLess(q []*job.Job, keys []float64, a, b int) bool {
+	return Precedes(keys[a], q[a], keys[b], q[b])
+}
+
+// keyedSwap swaps jobs a and b of q and their keys.
+//
+//simlint:hotpath
+func keyedSwap(q []*job.Job, keys []float64, a, b int) {
+	q[a], q[b] = q[b], q[a]
+	keys[a], keys[b] = keys[b], keys[a]
+}
+
+// sortKeyed sorts q, whose keys are keys, by Precedes, moving keys along:
+// median-of-three quicksort with an insertion-sort cutoff, iterating into
+// the larger partition so stack depth stays logarithmic. Precedes is a
+// strict total order (no two entries compare equal), which rules out the
+// quadratic equal-keys pathology and makes the output the unique sorted
+// permutation. It is hand-rolled with the comparison inlined: the
+// per-comparison function call of the generic sorts (sort.Slice's
+// reflection swapper first, then slices.SortFunc's closure dispatch) was
+// once the sweep's largest single CPU sink.
+//
+//simlint:hotpath
+func sortKeyed(q []*job.Job, keys []float64) {
 	for {
-		n := len(s)
+		n := len(q)
 		if n < 16 {
 			for i := 1; i < n; i++ {
-				for j := i; j > 0 && scoredLess(&s[j], &s[j-1]); j-- {
-					s[j], s[j-1] = s[j-1], s[j]
+				for j := i; j > 0 && keyedLess(q, keys, j, j-1); j-- {
+					keyedSwap(q, keys, j, j-1)
 				}
 			}
 			return
 		}
-		// Median-of-three pivot: order s[0], s[mid], s[n-1] in place.
+		// Median-of-three pivot: order entries 0, mid and n-1 in place.
 		mid := n / 2
-		if scoredLess(&s[mid], &s[0]) {
-			s[mid], s[0] = s[0], s[mid]
+		if keyedLess(q, keys, mid, 0) {
+			keyedSwap(q, keys, mid, 0)
 		}
-		if scoredLess(&s[n-1], &s[mid]) {
-			s[n-1], s[mid] = s[mid], s[n-1]
-			if scoredLess(&s[mid], &s[0]) {
-				s[mid], s[0] = s[0], s[mid]
+		if keyedLess(q, keys, n-1, mid) {
+			keyedSwap(q, keys, n-1, mid)
+			if keyedLess(q, keys, mid, 0) {
+				keyedSwap(q, keys, mid, 0)
 			}
 		}
-		pivot := s[mid]
+		pk, pj := keys[mid], q[mid]
 		// Hoare partition around the pivot value.
 		i, j := 0, n-1
 		for {
-			for scoredLess(&s[i], &pivot) {
+			for Precedes(keys[i], q[i], pk, pj) {
 				i++
 			}
-			for scoredLess(&pivot, &s[j]) {
+			for Precedes(pk, pj, keys[j], q[j]) {
 				j--
 			}
 			if i >= j {
 				break
 			}
-			s[i], s[j] = s[j], s[i]
+			keyedSwap(q, keys, i, j)
 			i++
 			j--
 		}
 		// Recurse into the smaller half, loop on the larger.
 		if j+1 <= n-(j+1) {
-			sortScored(s[:j+1])
-			s = s[j+1:]
+			sortKeyed(q[:j+1], keys[:j+1])
+			q, keys = q[j+1:], keys[j+1:]
 		} else {
-			sortScored(s[j+1:])
-			s = s[:j+1]
+			sortKeyed(q[j+1:], keys[j+1:])
+			q, keys = q[:j+1], keys[:j+1]
 		}
 	}
 }
@@ -236,7 +334,11 @@ type WFP struct{}
 func (WFP) Name() string { return "wfp" }
 
 // Score implements Policy.
-func (WFP) Score(j *job.Job, now sim.Time) float64 {
+func (WFP) Score(j *job.Job, now sim.Time) float64 { return wfpScore(j, now) }
+
+// wfpScore is WFP's score, shared by WFP.Score and the Orderer's inline
+// scoring so the two cannot differ by a bit.
+func wfpScore(j *job.Job, now sim.Time) float64 {
 	wait := float64(now - j.SubmitTime)
 	if wait < 0 {
 		wait = 0

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -332,9 +333,11 @@ func (c *callLog) Score(j *job.Job, now sim.Time) float64 {
 }
 
 // TestOrderFittingIsOrderMinusUnplannable pins what the reduced order is:
-// Order's permutation with every non-fitting job but the first removed (and
-// that one too when nothing fits), built from the same Score and boost calls
-// in the same sequence.
+// Order's permutation with every job wider than fit but the first removed
+// (and that one too when nothing fits), built from the same Score and boost
+// calls in the same sequence, and the queue left in Order's permutation.
+// fit is derived as cluster.Pool.Fit derives it: the widest request whose
+// charge fits the free nodes.
 func TestOrderFittingIsOrderMinusUnplannable(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	pow2 := func(n int) int { // partitioned pool: next power of two, at least 8
@@ -354,12 +357,19 @@ func TestOrderFittingIsOrderMinusUnplannable(t *testing.T) {
 			charge = pow2
 		}
 		free, now := rng.Intn(80), sim.Time(1000)
+		fit := 0
+		for n := 1; n <= 64; n++ {
+			if charge(n) <= free {
+				fit = n
+			}
+		}
 		boost := func(j *job.Job) float64 { return YieldBoost(int(j.ID) % 3) }
 
 		full := &callLog{Policy: WFP{}}
+		order := Order(full, q, now, boost)
 		var want []job.ID
 		blocked, fits := false, 0
-		for _, j := range Order(full, q, now, boost) {
+		for _, j := range order {
 			if charge(j.Nodes) <= free {
 				want = append(want, j.ID)
 				fits++
@@ -374,16 +384,170 @@ func TestOrderFittingIsOrderMinusUnplannable(t *testing.T) {
 
 		reduced := &callLog{Policy: WFP{}}
 		var o Orderer
-		got := ids(o.OrderFitting(reduced, q, now, boost, charge, free))
+		inPlace := slices.Clone(q)
+		got := ids(o.OrderFitting(reduced, inPlace, now, boost, fit))
 		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d (free %d): reduced order %v, want %v", trial, free, got, want)
+			t.Fatalf("trial %d (free %d, fit %d): reduced order %v, want %v", trial, free, fit, got, want)
 		}
 		if !slices.Equal(reduced.scored, full.scored) {
 			t.Fatalf("trial %d: Score calls %v, Order made %v", trial, reduced.scored, full.scored)
 		}
-		if all := ids(o.OrderFitting(WFP{}, q, now, boost, nil, 0)); !slices.Equal(all, ids(Order(WFP{}, q, now, boost))) {
-			t.Fatalf("trial %d: nil charge gave %v, not the full order", trial, all)
+		if !slices.Equal(ids(inPlace), ids(order)) {
+			t.Fatalf("trial %d: queue left as %v, want Order's %v", trial, ids(inPlace), ids(order))
 		}
+		if all := ids(o.OrderFitting(WFP{}, slices.Clone(q), now, boost, math.MaxInt)); !slices.Equal(all, ids(Order(WFP{}, q, now, boost))) {
+			t.Fatalf("trial %d: fit math.MaxInt gave %v, not the full order", trial, all)
+		}
+	}
+}
+
+// FuzzOrderFitting drives OrderFitting's restoring pass against an oracle
+// that scores through Policy.Score and sorts with slices.SortFunc: the
+// reduced order must equal the oracle's order minus the unplannable jobs,
+// and the queue it leaves behind the oracle's permutation — on shuffled,
+// nearly sorted, rotated and reversed queues, at random instants, with
+// demotion, escalation and yield boosts and a random fit. A second call a
+// random time later on the same Orderer reorders the queue the first left
+// nearly sorted, the path every scheduling iteration takes.
+func FuzzOrderFitting(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(0), uint8(0), uint8(0), int16(20), uint16(500))
+	f.Add(int64(2), uint8(200), uint8(1), uint8(0), uint8(0), int16(64), uint16(0))
+	f.Add(int64(3), uint8(120), uint8(2), uint8(1), uint8(1), int16(-1), uint16(3000))
+	f.Add(int64(4), uint8(255), uint8(3), uint8(2), uint8(2), int16(8), uint16(60))
+	f.Add(int64(5), uint8(90), uint8(1), uint8(3), uint8(0), int16(0), uint16(7))
+	f.Fuzz(checkOrderFitting)
+}
+
+// TestOrderFittingMatchesSortOracle runs FuzzOrderFitting's check on 1,000
+// drawn inputs, so a plain go test covers every queue shape, policy and
+// boost without the fuzzing engine.
+func TestOrderFittingMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for i := 0; i < 1000; i++ {
+		checkOrderFitting(t, rng.Int63(), uint8(rng.Intn(256)), uint8(i), uint8(i/5), uint8(i/20),
+			int16(rng.Intn(80)-8), uint16(rng.Intn(4000)))
+	}
+}
+
+// checkOrderFitting is FuzzOrderFitting's property for one input.
+func checkOrderFitting(t *testing.T, seed int64, n, shape, boostKind, polKind uint8, fit16 int16, step uint16) {
+	rng := rand.New(rand.NewSource(seed))
+	q := make([]*job.Job, n)
+	for i := range q {
+		wall := sim.Duration(1 + rng.Intn(4)*900 + rng.Intn(60))
+		q[i] = mkjob(job.ID(i+1), 1+rng.Intn(64), sim.Time(rng.Intn(8)*300), wall)
+		q[i].User = rng.Intn(4)
+	}
+	var p Policy
+	switch polKind % 3 {
+	case 0:
+		p = WFP{}
+	case 1:
+		fs := NewFairShare(WFP{}, sim.Day)
+		for _, j := range q[:len(q)/4] {
+			fs.ObserveCompletion(j, 1000)
+		}
+		p = fs
+	default:
+		p = FCFS{}
+	}
+	var boost Boost
+	switch boostKind % 4 {
+	case 1: // the deadlock breaker's demotion band
+		boost = func(j *job.Job) float64 {
+			if j.ID%5 == 0 {
+				return DemotionBoost
+			}
+			return 0
+		}
+	case 2: // escalation of repeatedly yielded jobs
+		boost = func(j *job.Job) float64 {
+			if j.ID%7 == 0 {
+				return EscalationBoost
+			}
+			return 0
+		}
+	case 3: // per-yield boosting
+		boost = func(j *job.Job) float64 { return YieldBoost(int(j.ID) % 4) }
+	}
+	fit := int(fit16)
+	if fit < 0 {
+		fit = math.MaxInt
+	}
+	now := sim.Time(2400 + rng.Intn(7200))
+
+	oracle := func(q []*job.Job, now sim.Time) []*job.Job {
+		key := make(map[*job.Job]float64, len(q))
+		for _, j := range q {
+			key[j] = p.Score(j, now)
+			if boost != nil {
+				key[j] += boost(j)
+			}
+		}
+		out := slices.Clone(q)
+		slices.SortFunc(out, func(a, b *job.Job) int {
+			switch {
+			case Precedes(key[a], a, key[b], b):
+				return -1
+			case Precedes(key[b], b, key[a], a):
+				return 1
+			}
+			return 0
+		})
+		return out
+	}
+
+	// Arrange the queue as a scheduler might hand it over.
+	switch shape % 5 {
+	case 0: // shuffled: a restored queue
+		rng.Shuffle(len(q), func(a, b int) { q[a], q[b] = q[b], q[a] })
+	case 1: // nearly sorted: last iteration's order, a few swaps
+		q = oracle(q, now-sim.Time(step))
+		for k := 0; k < len(q)/16+1 && len(q) > 1; k++ {
+			a := rng.Intn(len(q) - 1)
+			q[a], q[a+1] = q[a+1], q[a]
+		}
+	case 2: // rotated: one far-travelling block
+		q = oracle(q, now)
+		if len(q) > 0 {
+			r := rng.Intn(len(q))
+			q = append(q[r:], q[:r]...)
+		}
+	case 3: // reversed
+		q = oracle(q, now)
+		slices.Reverse(q)
+	case 4: // already sorted
+		q = oracle(q, now)
+	}
+
+	var o Orderer
+	for round := 0; round < 2; round++ {
+		want := oracle(q, now)
+		if ord := o.Order(p, q, now, boost); !slices.Equal(ids(ord), ids(want)) {
+			t.Fatalf("round %d: Order %v, oracle %v", round, ids(ord), ids(want))
+		}
+		var reduced []job.ID
+		blocked, fits := false, false
+		for _, j := range want {
+			if j.Nodes <= fit {
+				reduced = append(reduced, j.ID)
+				fits = true
+			} else if !blocked {
+				reduced = append(reduced, j.ID)
+				blocked = true
+			}
+		}
+		if !fits {
+			reduced = nil
+		}
+		got := ids(o.OrderFitting(p, q, now, boost, fit))
+		if !slices.Equal(got, reduced) {
+			t.Fatalf("round %d (fit %d): OrderFitting %v, want %v", round, fit, got, reduced)
+		}
+		if !slices.Equal(ids(q), ids(want)) {
+			t.Fatalf("round %d: queue left as %v, want %v", round, ids(q), ids(want))
+		}
+		now += sim.Time(step)
 	}
 }
 
@@ -397,8 +561,8 @@ func TestOrdererGrowsGeometrically(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		q = append(q, mkjob(job.ID(i+1), 4, sim.Time(i), 600))
 		out := o.Order(FCFS{}, q, 5000, nil)
-		if &out[0] != &o.out[0] || cap(o.out) < len(q)+1 {
-			t.Fatalf("queue of %d: result not backed by a buffer with room for the head slot (cap %d)", len(q), cap(o.out))
+		if &out[0] != &o.out[0] || cap(o.out) < len(q) {
+			t.Fatalf("queue of %d: result not backed by the reusable buffer (cap %d)", len(q), cap(o.out))
 		}
 		if p := &o.out[0]; p != last {
 			last = p

@@ -19,10 +19,12 @@ import (
 //   - a release timeline, kept in the planners' canonical sorted order and
 //     updated on job start/completion/cancel, replacing the per-iteration
 //     running-set walk + sort;
-//   - the queue's shape: for time-varying policies each job's record carries
-//     its queue position (O(1) removal), and for time-invariant ones (FCFS,
-//     SJF, LargestFirst) the queue is kept canonically ordered by
-//     binary-search insertion so the per-iteration full sort disappears;
+//   - the queue's order: for time-invariant policies (FCFS, SJF,
+//     LargestFirst) the queue is kept canonically ordered by binary-search
+//     insertion so the per-iteration sort disappears, and for time-varying
+//     ones (WFP, fair-share) it holds the last iteration's canonical order,
+//     arrivals appended and removals shifted out, so the next iteration
+//     restores the order in one near-linear pass (policy.Orderer);
 //   - the smallest charge any queued job needs, so an iteration facing a
 //     pool in which nothing queued fits — its plan is empty by construction
 //     — is elided in O(1) (see Iterate).
@@ -78,7 +80,8 @@ func (m *Manager) queueRank(j *job.Job) int {
 }
 
 // enqueue adds j, which has its record, to the queue: at its canonical
-// place in sorted mode, at the end (position recorded) otherwise.
+// place in sorted mode, at the end otherwise (WFP scores an arrival 0 and
+// it is the latest submission, so the end is nearly always its place).
 func (m *Manager) enqueue(j *job.Job) {
 	// A charge at or below the bound is the new minimum whether or not the
 	// bound was exact: every other queued job needs at least the bound.
@@ -92,34 +95,25 @@ func (m *Manager) enqueue(j *job.Job) {
 		m.queue[idx] = j
 		return
 	}
-	m.recs[j.Sched].pos = int32(len(m.queue))
 	m.queue = append(m.queue, j)
 }
 
-// removeFromQueue deletes a queued job from the queue. Sorted mode locates
-// it by binary search and shifts (order must be preserved — it IS the
-// schedule order); position-indexed mode swap-removes at the record's
-// position, which is safe because storage order is invisible there: every
-// iteration canonicalizes through Orderer.Order before planning. The
-// reference core keeps the original linear order-preserving scan.
+// removeFromQueue deletes a queued job from the queue, preserving the
+// order of the rest: in sorted mode that order is the schedule, and for a
+// time-varying policy it is the last iteration's, which the next one
+// restores from. Sorted mode locates j by binary search, the others by a
+// linear scan; a started job is usually near the front.
 func (m *Manager) removeFromQueue(j *job.Job) {
 	last := len(m.queue) - 1
-	switch {
-	case m.sortedQueue:
-		idx := m.queueRank(j)
-		copy(m.queue[idx:], m.queue[idx+1:])
-	case m.core == CoreIncremental:
-		rec := m.recs[j.Sched]
-		moved := m.queue[last]
-		m.queue[rec.pos] = moved
-		m.recs[moved.Sched].pos = rec.pos
-	default:
-		idx := 0
+	idx := 0
+	if m.sortedQueue {
+		idx = m.queueRank(j)
+	} else {
 		for m.queue[idx] != j {
 			idx++
 		}
-		copy(m.queue[idx:], m.queue[idx+1:])
 	}
+	copy(m.queue[idx:], m.queue[idx+1:])
 	m.queue[last] = nil
 	m.queue = m.queue[:last]
 	// The bound survives the removal (the minimum can only rise); it stops

@@ -14,10 +14,12 @@ import (
 
 // checkQueueIndex asserts the queue structures are consistent with the live
 // job set after an arbitrary Submit/Cancel history: exact membership, every
-// queued job's record pointing back at it (and, in position-indexed mode, at
-// its slot), storage order agreeing with the canonical policy order (sorted
-// mode), and the smallest-charge bound never above the true minimum.
-func checkQueueIndex(t *testing.T, m *Manager, live map[job.ID]*job.Job) {
+// queued job's record pointing back at it, storage order agreeing with the
+// canonical policy order (sorted mode) or with arrival order (otherwise:
+// with no iteration run, removal must preserve the order the arrivals left),
+// and the smallest-charge bound never above the true minimum. arrived lists
+// the live jobs in submission order.
+func checkQueueIndex(t *testing.T, m *Manager, live map[job.ID]*job.Job, arrived []job.ID) {
 	t.Helper()
 	if len(m.queue) != len(live) {
 		t.Fatalf("queue length = %d, want %d", len(m.queue), len(live))
@@ -35,8 +37,9 @@ func checkQueueIndex(t *testing.T, m *Manager, live map[job.ID]*job.Job) {
 		if rec.j != q {
 			t.Fatalf("job %d: record %d belongs to %v", q.ID, q.Sched, rec.j)
 		}
-		if m.core == CoreIncremental && !m.sortedQueue && int(rec.pos) != i {
-			t.Fatalf("job %d: record says position %d, job is at %d", q.ID, rec.pos, i)
+		if !m.sortedQueue && q.ID != arrived[i] {
+			t.Fatalf("queue[%d] holds job %d, live arrival %d is job %d: removal reordered the queue",
+				i, q.ID, i, arrived[i])
 		}
 	}
 	if got, want := len(m.recs)-1-len(m.freeRecs), len(m.queue); got != want {
@@ -63,7 +66,7 @@ func checkQueueIndex(t *testing.T, m *Manager, live map[job.ID]*job.Job) {
 
 // TestQueueIndexInterleavedCancelSubmit drives hundreds of interleaved
 // Submit/Cancel operations against each queue representation — sorted
-// (time-invariant policy), position-indexed (time-varying policy), and the
+// (time-invariant policy), order-keeping (time-varying policy), and the
 // reference linear scan — and checks the index invariants after every step.
 // The engine never runs, so every job stays queued until cancelled.
 func TestQueueIndexInterleavedCancelSubmit(t *testing.T) {
@@ -73,7 +76,7 @@ func TestQueueIndexInterleavedCancelSubmit(t *testing.T) {
 		core Core
 	}{
 		{"incremental_sorted_sjf", policy.SJF{}, CoreIncremental},
-		{"incremental_indexed_wfp", policy.WFP{}, CoreIncremental},
+		{"incremental_ordered_wfp", policy.WFP{}, CoreIncremental},
 		{"reference_sjf", policy.SJF{}, CoreReference},
 	}
 	for _, tc := range cases {
@@ -81,7 +84,7 @@ func TestQueueIndexInterleavedCancelSubmit(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
 			m := New(eng, Options{
-				Name: "q", Pool: cluster.New("q", 1),
+				Name: "q", Pool: cluster.New("q", 4),
 				Policy: tc.pol, Core: tc.core,
 			})
 			if tc.core == CoreIncremental {
@@ -113,7 +116,7 @@ func TestQueueIndexInterleavedCancelSubmit(t *testing.T) {
 					}
 					delete(live, id)
 				}
-				checkQueueIndex(t, m, live)
+				checkQueueIndex(t, m, live, order)
 			}
 		})
 	}

@@ -36,6 +36,7 @@ var (
 	ErrDuplicateJob = errors.New("resmgr: duplicate job id")
 	ErrBadState     = errors.New("resmgr: job in wrong state")
 	ErrNoPeer       = errors.New("resmgr: no peer for domain")
+	ErrTooWide      = errors.New("resmgr: job wider than its pool")
 )
 
 // schedRec is the scheduler's state for one job that is queued, holding or
@@ -53,8 +54,9 @@ type schedRec struct {
 	// maintained sorted timeline.
 	endBy   sim.Time
 	yieldAt sim.Time // instant of the job's latest yield, noYield before the first
-	// pos is the record's index in the dense set its job is in: m.queue
-	// (position-indexed mode only), m.holding or m.running.
+	// pos is the record's index in the dense set its job is in while it
+	// holds or runs: m.holding or m.running (the queue is kept in order,
+	// so a queued job's record has no position).
 	pos     int32
 	slot    int32 // own index in Manager.recs
 	demoted bool  // ranked last for the current iteration
@@ -210,8 +212,8 @@ type Manager struct {
 
 	// Incremental core state (see Core in incremental.go). The mode flags
 	// are fixed at construction: sortedQueue keeps the queue canonically
-	// ordered (time-invariant policy, yield-boost off), otherwise each
-	// record's pos gives O(1) removal; maintainTL keeps the release
+	// ordered (time-invariant policy, yield-boost off), otherwise the queue
+	// holds the last iteration's order; maintainTL keeps the release
 	// timeline sorted across iterations (stable estimator). minCharge is a
 	// lower bound on the smallest charge any queued job needs (the zero
 	// value is one), equal to it while minExact — the no-fit elision's test.
@@ -354,9 +356,9 @@ func New(eng *sim.Engine, opt Options) *Manager {
 	if m.core == CoreIncremental {
 		// The queue stays pre-sorted only when the canonical order is a
 		// function of queue membership alone: time-invariant scores and no
-		// per-yield boosts (demotion iterations fall back to a full sort
-		// per iteration instead of disabling the mode). Otherwise each
-		// record's queue position gives O(1) removal.
+		// per-yield boosts (demotion iterations order a copy instead of
+		// disabling the mode). Otherwise the queue keeps the order the last
+		// iteration left it in.
 		m.sortedQueue = policy.IsTimeInvariant(pol) && !m.cfg.YieldBoost
 		// The timeline caches each running job's endBy at start, so it is
 		// maintainable only while the estimator's predictions cannot drift
@@ -401,10 +403,27 @@ func (m *Manager) addJob(j *job.Job) {
 	m.all = append(m.all, j)
 }
 
+// fitsPool refuses a job wider than the pool. No release could ever make
+// it fit, so it would queue for ever while its mates on other domains held
+// or yielded for it; and on a partitioned pool, which clamps every charge
+// to its total, the planner would plan it once the pool went idle and
+// Iterate would skip it, starting nothing behind it. Every way a job comes
+// to wait here — Expect, Submit, SubmitTrace, RestoreJob — passes this test.
+func (m *Manager) fitsPool(j *job.Job) error {
+	if total := m.pool.Total(); j.Nodes > total {
+		return fmt.Errorf("%w: job %d asks for %d nodes; %s has %d", ErrTooWide, j.ID, j.Nodes, m.name, total)
+	}
+	return nil
+}
+
 // Expect pre-registers a job that will be submitted later (trace-driven
 // operation). Until Submit, peers asking about it see StatusUnsubmitted.
+// A job wider than the pool is refused (ErrTooWide).
 func (m *Manager) Expect(j *job.Job) error {
 	if err := j.Validate(); err != nil {
+		return err
+	}
+	if err := m.fitsPool(j); err != nil {
 		return err
 	}
 	if _, dup := m.jobs.get(j.ID); dup {
@@ -419,7 +438,8 @@ func (m *Manager) Expect(j *job.Job) error {
 }
 
 // Submit moves a job into the queue. Jobs not previously registered with
-// Expect are registered on the fly. A scheduling iteration is requested.
+// Expect are registered on the fly, and refused as Expect refuses them. A
+// scheduling iteration is requested.
 func (m *Manager) Submit(j *job.Job) error {
 	existing, known := m.jobs.get(j.ID)
 	if known && existing != j {
@@ -427,6 +447,9 @@ func (m *Manager) Submit(j *job.Job) error {
 	}
 	if !known {
 		if err := j.Validate(); err != nil {
+			return err
+		}
+		if err := m.fitsPool(j); err != nil {
 			return err
 		}
 		m.addJob(j)
@@ -693,25 +716,35 @@ func (m *Manager) Iterate(now sim.Time) {
 		eligible = m.withoutYielders(now)
 	}
 
+	boost := m.boostFn
+	if !m.demoting && !m.cfg.YieldBoost {
+		boost = nil // every boost is zero: spare the call per queued job
+	}
 	var ordered []*job.Job
-	if m.sortedQueue && !m.demoting {
+	switch {
+	case m.core == CoreReference:
+		ordered = m.ord.Order(m.pol, eligible, now, boost)
+	case m.sortedQueue && !m.demoting:
 		// The queue storage already holds the canonical order and every
 		// boost is zero (time-invariant policy, yield-boost off, no
 		// demotions), so Orderer.Order would return this exact
 		// permutation — skip the score-and-sort entirely.
 		ordered = eligible
-	} else {
-		boost := m.boostFn
-		if !m.demoting && !m.cfg.YieldBoost {
-			boost = nil // every boost is zero: spare the call per queued job
+	default:
+		// OrderFitting sorts what it is given in place: the time-varying
+		// queue keeps the order for the next iteration, while a sorted
+		// queue's order is its index and a demotion must not touch it.
+		if m.sortedQueue && m.lastYield != now {
+			eligible = append(m.eligBuf[:0], m.queue...)
+			m.eligBuf = eligible
 		}
-		// Conservative backfilling reserves for every blocked job and the
-		// reference core is the oracle: both order the whole queue (nil).
-		var charge backfill.ChargeFunc
-		if m.core == CoreIncremental && m.bf != BackfillConservative {
-			charge = m.pool.ChargeFor
+		// Conservative backfilling reserves for every blocked job, so it
+		// orders the whole queue.
+		fit := math.MaxInt
+		if m.bf != BackfillConservative {
+			fit = m.pool.Fit()
 		}
-		ordered = m.ord.OrderFitting(m.pol, eligible, now, boost, charge, m.pool.Free())
+		ordered = m.ord.OrderFitting(m.pol, eligible, now, boost, fit)
 	}
 	if len(ordered) == 0 {
 		// Nothing eligible fits (anyQueuedFits counts yielders): an empty plan.

@@ -394,6 +394,58 @@ func TestSubmitDuplicateRejected(t *testing.T) {
 	}
 }
 
+// TestJobWiderThanPoolIsRefused: a job asking for more nodes than the pool
+// has is refused wherever it would come to wait — Expect, Submit and
+// RestoreJob of a queued or unsubmitted job — and a narrower job behind it
+// starts. Were the wide job let in on a partitioned pool, whose charges are
+// clamped to its total, the planner would plan it once the pool went idle,
+// Iterate would skip it, and the narrow job would queue for ever.
+func TestJobWiderThanPoolIsRefused(t *testing.T) {
+	paths := []struct {
+		name string
+		in   func(m *Manager, j *job.Job) error
+	}{
+		{"submit", (*Manager).Submit},
+		{"expect", (*Manager).Expect},
+		{"restore_queued", func(m *Manager, j *job.Job) error {
+			j.State = job.Queued
+			return m.RestoreJob(j)
+		}},
+		{"restore_unsubmitted", (*Manager).RestoreJob},
+	}
+	for _, pol := range []policy.Policy{policy.FCFS{}, policy.WFP{}} {
+		for _, p := range paths {
+			path, in := p.name, p.in
+			t.Run(pol.Name()+"/"+path, func(t *testing.T) {
+				eng := sim.NewEngine()
+				m := New(eng, Options{Name: "A", Pool: cluster.NewPartitioned("A", 128, 16),
+					Policy: pol, Backfilling: true})
+				wide := job.New(1, 200, 0, 600, 600)
+				err := in(m, wide)
+				if !errors.Is(err, ErrTooWide) {
+					t.Fatalf("%s of a 200-node job on a 128-node pool: err = %v, want ErrTooWide", path, err)
+				}
+				for _, want := range []string{"job 1", "200", "128"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q does not name %q", err, want)
+					}
+				}
+				if _, known := m.Job(1); known || m.QueueLength() != 0 {
+					t.Fatalf("the refused job is registered (%v) or queued (%d)", known, m.QueueLength())
+				}
+				narrow := job.New(2, 10, 0, 600, 600)
+				if err := m.Submit(narrow); err != nil {
+					t.Fatal(err)
+				}
+				eng.RunUntil(1)
+				if narrow.State != job.Running {
+					t.Fatalf("the 10-node job behind the refused one is %s, want running", narrow.State)
+				}
+			})
+		}
+	}
+}
+
 func TestPeerStatusQueries(t *testing.T) {
 	cfg := cosched.DefaultConfig(cosched.Hold)
 	eng, a, _ := pairDomains(t, 100, 100, cfg, cfg)

@@ -36,12 +36,17 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 	}
 	now := m.eng.Now()
 	switch j.State {
-	case job.Unsubmitted:
+	case job.Unsubmitted, job.Queued:
+		// A daemon restarted with fewer nodes may hold a journaled job
+		// that no longer fits; holds and runs are refused by the pool.
+		if err := m.fitsPool(j); err != nil {
+			return err
+		}
 		m.addJob(j)
-	case job.Queued:
-		m.addJob(j)
-		m.acquireRec(j)
-		m.enqueue(j)
+		if j.State == job.Queued {
+			m.acquireRec(j)
+			m.enqueue(j)
+		}
 	case job.Holding:
 		alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocHold)
 		if err != nil {
