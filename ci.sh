@@ -150,9 +150,11 @@ go test -run '^$' -fuzz 'FuzzJobIndex' -fuzztime 10s ./internal/resmgr
 
 # Ordering fuzz smoke: ten seconds of shuffled, nearly sorted, rotated and
 # reversed queues through the Orderer's restoring pass, under WFP,
-# fair-share and FCFS, with demotion, escalation and yield boosts and a
-# random fit. The reduced order must equal a plain sort's minus the
-# unplannable jobs, and the queue it leaves the sort's permutation.
+# fair-share and FCFS, with demotion, escalation and yield boosts, a random
+# fit and a random skip set (the jobs that yielded at the instant). The
+# reduced order must equal a plain sort's minus the skipped and the
+# unplannable jobs, and the queue it leaves the sort's permutation of every
+# job, skipped ones included.
 go test -run '^$' -fuzz 'FuzzOrderFitting' -fuzztime 10s ./internal/policy
 
 # Frame-codec fuzz smoke: ten seconds of the differential target for the

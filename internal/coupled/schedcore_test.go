@@ -15,9 +15,11 @@ import (
 
 // schedCoreScenario is one configuration cell of the core differential: the
 // incremental core's specializations each engage under different settings
-// (sorted queue needs a time-invariant policy without yield boosts, the
-// maintained timeline needs a stable estimator; the no-fit elision runs under
-// all of them), so the sweep covers every fallback combination.
+// (the maintained timeline needs a stable estimator, the reduced order the
+// none or EASY planner; the order-keeping queue and the no-fit elision run
+// under all of them), and how far the stored queue order drifts between
+// iterations depends on the policy, the boosts and the demotions, so the
+// sweep covers every fallback combination.
 type schedCoreScenario struct {
 	name             string
 	policy           policy.Policy
@@ -29,10 +31,11 @@ type schedCoreScenario struct {
 }
 
 var schedCoreScenarios = []schedCoreScenario{
-	// Fully incremental: sorted queue + maintained timeline.
+	// Fully incremental: maintained timeline, reduced order; a time-invariant
+	// policy's stored order moves only around arrivals and demotions.
 	{name: "fcfs_easy_walltime_HH", policy: policy.FCFS{}, mode: "easy", estimator: "walltime",
 		schemeA: cosched.Hold, schemeB: cosched.Hold, release: 10 * sim.Minute},
-	// Time-varying policy: position-indexed queue + full sort per iteration.
+	// Time-varying policy: the stored order goes stale between iterations.
 	{name: "wfp_easy_walltime_HY", policy: policy.WFP{}, mode: "easy", estimator: "walltime",
 		schemeA: cosched.Hold, schemeB: cosched.Yield, release: 10 * sim.Minute},
 	// Conservative planner: the no-fit elision under full-profile planning.
@@ -44,12 +47,16 @@ var schedCoreScenarios = []schedCoreScenario{
 	// Everything degraded at once.
 	{name: "wfp_conservative_useravg_YY", policy: policy.WFP{}, mode: "conservative", estimator: "user-average",
 		schemeA: cosched.Yield, schemeB: cosched.Yield},
-	// Yield boost disables the sorted queue even for a time-invariant policy.
+	// Yield boosts move a yielder's score, so its stored place goes stale.
 	{name: "fcfs_easy_walltime_YY_boost", policy: policy.FCFS{}, mode: "easy", estimator: "walltime",
 		schemeA: cosched.Yield, schemeB: cosched.Yield, yieldBoost: true},
 	// Largest-first exercises the third time-invariant policy's comparator.
 	{name: "largest_easy_walltime_HY", policy: policy.LargestFirst{}, mode: "easy", estimator: "walltime",
 		schemeA: cosched.Hold, schemeB: cosched.Yield, release: 10 * sim.Minute},
+	// SJF with holds released every 10 minutes: a demotion iteration
+	// reorders the queue in place and the next one mends it back.
+	{name: "sjf_easy_walltime_HH", policy: policy.SJF{}, mode: "easy", estimator: "walltime",
+		schemeA: cosched.Hold, schemeB: cosched.Hold, release: 10 * sim.Minute},
 }
 
 // runSchedCoreScenario runs one scenario under the named core on freshly

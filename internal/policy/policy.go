@@ -32,30 +32,10 @@ type Policy interface {
 // coscheduling.
 type Boost func(j *job.Job) float64
 
-// TimeInvariant marks policies whose Score depends only on the job's
-// immutable request fields — not on `now` and not on mutable scheduler
-// state. For such policies the canonical queue order is a property of the
-// queue's membership alone, so the resource manager's incremental core can
-// keep the queue sorted across iterations instead of re-sorting it on every
-// one. FCFS, SJF, and LargestFirst qualify; WFP (wait-time dependent) and
-// FairShare (usage-stateful) do not and must not implement this interface.
-type TimeInvariant interface {
-	// TimeInvariant reports that Score(j, t1) == Score(j, t2) for all t1,
-	// t2 while j's request fields are unchanged.
-	TimeInvariant() bool
-}
-
-// IsTimeInvariant reports whether p declares a time-invariant score.
-func IsTimeInvariant(p Policy) bool {
-	ti, ok := p.(TimeInvariant)
-	return ok && ti.TimeInvariant()
-}
-
-// Precedes is the canonical scheduling order shared by Orderer.Order and
-// the resource manager's incrementally sorted queue: descending score,
-// ties by earlier submit time, then smaller ID. Both consumers MUST use
+// Precedes is the canonical scheduling order: descending score, ties by
+// earlier submit time, then smaller ID. Every path of Orderer.sort uses
 // this exact comparator — the incremental core's determinism guarantee is
-// that binary-search insertion and a full sort agree on every permutation.
+// that restoring an order and sorting outright agree on every permutation.
 func Precedes(sa float64, a *job.Job, sb float64, b *job.Job) bool {
 	//simlint:allow R5 canonical comparator must be exact and total; an epsilon tie would break strict weak ordering
 	if sa != sb {
@@ -77,10 +57,11 @@ func Precedes(sa float64, a *job.Job, sb float64, b *job.Job) bool {
 // Ordering restores order rather than building it: the jobs are scored in
 // the order they come in, and an insertion pass moves the few that the
 // scores put out of place. A queue left in the previous iteration's order
-// (OrderFitting orders in place) is ordered in one near-linear pass; one
-// that is far from sorted — a restored queue, or one a demotion reshuffled
-// — is detected by its descents or by the insertion pass's move budget and
-// sorted outright. Either way the result is the unique Precedes
+// (OrderFitting orders in place, and the resource manager's incremental
+// core stores every policy's queue that way) is ordered in one near-linear
+// pass; one that is far from sorted — a restored queue, or one a demotion
+// reshuffled — is detected by its descents or by the insertion pass's move
+// budget and sorted outright. Either way the result is the unique Precedes
 // permutation.
 //
 // The slice returned by Order or OrderFitting is valid only until the next
@@ -106,12 +87,14 @@ func (o *Orderer) Order(p Policy, q []*job.Job, now sim.Time, boost Boost) []*jo
 // contain when the pool's largest fitting request is fit nodes (see
 // cluster.Pool.Fit): those of at most fit nodes — any other can neither
 // start in priority order nor backfill — plus, if some job fits, the first
-// of the rest, the only one that can become the blocked head. Every job is
-// scored once in queue order, as Order scores them; a fit of math.MaxInt
-// returns the whole order. Leaving q ordered is what makes the next call
+// of the rest, the only one that can become the blocked head. Jobs for
+// which skip (nil: none) reports true are ordered with the rest but never
+// returned, and they neither fit nor block. Every job is scored once in
+// queue order, as Order scores them; a fit of math.MaxInt and a nil skip
+// return the whole order. Leaving q ordered is what makes the next call
 // cheap: between two iterations scores move little, so the queue stays
 // nearly sorted (see Orderer).
-func (o *Orderer) OrderFitting(p Policy, q []*job.Job, now sim.Time, boost Boost, fit int) []*job.Job {
+func (o *Orderer) OrderFitting(p Policy, q []*job.Job, now sim.Time, boost Boost, fit int, skip func(*job.Job) bool) []*job.Job {
 	o.reserve(len(q))
 	o.sort(p, q, now, boost)
 	// Branch-free: whether a job fits is as good as a coin toss, so every
@@ -119,6 +102,9 @@ func (o *Orderer) OrderFitting(p Policy, q []*job.Job, now sim.Time, boost Boost
 	out := o.out[:len(q)]
 	k, fits, head := 0, 0, 1 // head is 1 until a job that does not fit is kept
 	for _, j := range q {
+		if skip != nil && skip(j) {
+			continue
+		}
 		out[k] = j
 		f := 0
 		if j.Nodes <= fit {
@@ -317,9 +303,6 @@ func (FCFS) Name() string { return "fcfs" }
 // Score implements Policy.
 func (FCFS) Score(j *job.Job, _ sim.Time) float64 { return -float64(j.SubmitTime) }
 
-// TimeInvariant implements TimeInvariant.
-func (FCFS) TimeInvariant() bool { return true }
-
 // WFP is the "wait-fair-priority" utility Cobalt used on Intrepid:
 //
 //	score = (queued_time / walltime)^3 × nodes
@@ -361,9 +344,6 @@ func (SJF) Name() string { return "sjf" }
 // Score implements Policy.
 func (SJF) Score(j *job.Job, _ sim.Time) float64 { return -float64(j.Walltime) }
 
-// TimeInvariant implements TimeInvariant.
-func (SJF) TimeInvariant() bool { return true }
-
 // LargestFirst orders by node count descending, breaking ties FCFS via
 // Order's tie rules.
 type LargestFirst struct{}
@@ -373,9 +353,6 @@ func (LargestFirst) Name() string { return "largest" }
 
 // Score implements Policy.
 func (LargestFirst) Score(j *job.Job, _ sim.Time) float64 { return float64(j.Nodes) }
-
-// TimeInvariant implements TimeInvariant.
-func (LargestFirst) TimeInvariant() bool { return true }
 
 // ByName returns the named policy, defaulting to WFP for "" and returning
 // ok=false for unknown names.

@@ -197,26 +197,8 @@ func TestOrderPermutationProperty(t *testing.T) {
 	}
 }
 
-func TestIsTimeInvariant(t *testing.T) {
-	cases := []struct {
-		p    Policy
-		want bool
-	}{
-		{FCFS{}, true},
-		{SJF{}, true},
-		{LargestFirst{}, true},
-		{WFP{}, false},
-		{NewFairShare(WFP{}, 0), false},
-	}
-	for _, c := range cases {
-		if got := IsTimeInvariant(c.p); got != c.want {
-			t.Errorf("IsTimeInvariant(%s) = %v, want %v", c.p.Name(), got, c.want)
-		}
-	}
-}
-
-// The marker must be truthful: invariant policies really do score
-// identically at every instant.
+// FCFS, SJF and LargestFirst score from a job's request fields alone, so
+// their scores are the same at every instant.
 func TestTimeInvariantScoresDoNotDependOnNow(t *testing.T) {
 	j := mkjob(3, 128, 500, 2*sim.Hour)
 	for _, p := range []Policy{FCFS{}, SJF{}, LargestFirst{}} {
@@ -229,9 +211,9 @@ func TestTimeInvariantScoresDoNotDependOnNow(t *testing.T) {
 	}
 }
 
-// Precedes is the single comparator shared by Orderer.Order and the
-// resource manager's binary-search queue insertion; it must be a strict
-// total order over distinct jobs.
+// Precedes is the single comparator of every Orderer path (the insertion
+// pass and the outright sort); it must be a strict total order over
+// distinct jobs.
 func TestPrecedesTotalOrder(t *testing.T) {
 	a := mkjob(1, 4, 100, 600)
 	b := mkjob(2, 4, 100, 600)
@@ -385,7 +367,7 @@ func TestOrderFittingIsOrderMinusUnplannable(t *testing.T) {
 		reduced := &callLog{Policy: WFP{}}
 		var o Orderer
 		inPlace := slices.Clone(q)
-		got := ids(o.OrderFitting(reduced, inPlace, now, boost, fit))
+		got := ids(o.OrderFitting(reduced, inPlace, now, boost, fit, nil))
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (free %d, fit %d): reduced order %v, want %v", trial, free, fit, got, want)
 		}
@@ -395,7 +377,7 @@ func TestOrderFittingIsOrderMinusUnplannable(t *testing.T) {
 		if !slices.Equal(ids(inPlace), ids(order)) {
 			t.Fatalf("trial %d: queue left as %v, want Order's %v", trial, ids(inPlace), ids(order))
 		}
-		if all := ids(o.OrderFitting(WFP{}, slices.Clone(q), now, boost, math.MaxInt)); !slices.Equal(all, ids(Order(WFP{}, q, now, boost))) {
+		if all := ids(o.OrderFitting(WFP{}, slices.Clone(q), now, boost, math.MaxInt, nil)); !slices.Equal(all, ids(Order(WFP{}, q, now, boost))) {
 			t.Fatalf("trial %d: fit math.MaxInt gave %v, not the full order", trial, all)
 		}
 	}
@@ -403,12 +385,14 @@ func TestOrderFittingIsOrderMinusUnplannable(t *testing.T) {
 
 // FuzzOrderFitting drives OrderFitting's restoring pass against an oracle
 // that scores through Policy.Score and sorts with slices.SortFunc: the
-// reduced order must equal the oracle's order minus the unplannable jobs,
-// and the queue it leaves behind the oracle's permutation — on shuffled,
-// nearly sorted, rotated and reversed queues, at random instants, with
-// demotion, escalation and yield boosts and a random fit. A second call a
-// random time later on the same Orderer reorders the queue the first left
-// nearly sorted, the path every scheduling iteration takes.
+// reduced order must equal the oracle's order minus the skipped jobs and
+// the unplannable ones, and the queue it leaves behind the oracle's
+// permutation of every job, skipped ones included — on shuffled, nearly
+// sorted, rotated and reversed queues, at random instants, with demotion,
+// escalation and yield boosts, a random fit and a random skip set (the
+// jobs that yielded at the instant). A second call a random time later on
+// the same Orderer reorders the queue the first left nearly sorted, the
+// path every scheduling iteration takes.
 func FuzzOrderFitting(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(0), uint8(0), uint8(0), int16(20), uint16(500))
 	f.Add(int64(2), uint8(200), uint8(1), uint8(0), uint8(0), int16(64), uint16(0))
@@ -475,7 +459,6 @@ func checkOrderFitting(t *testing.T, seed int64, n, shape, boostKind, polKind ui
 		fit = math.MaxInt
 	}
 	now := sim.Time(2400 + rng.Intn(7200))
-
 	oracle := func(q []*job.Job, now sim.Time) []*job.Job {
 		key := make(map[*job.Job]float64, len(q))
 		for _, j := range q {
@@ -520,6 +503,20 @@ func checkOrderFitting(t *testing.T, seed int64, n, shape, boostKind, polKind ui
 		q = oracle(q, now)
 	}
 
+	// The skip set is drawn last, so the draws above are those of a check
+	// without one. One input in four skips nothing; the others skip a third,
+	// two thirds or all of the jobs on average.
+	var skip func(*job.Job) bool
+	if share := rng.Intn(4); share > 0 {
+		skipped := make(map[*job.Job]bool)
+		for _, j := range q {
+			if rng.Intn(3) < share {
+				skipped[j] = true
+			}
+		}
+		skip = func(j *job.Job) bool { return skipped[j] }
+	}
+
 	var o Orderer
 	for round := 0; round < 2; round++ {
 		want := oracle(q, now)
@@ -529,6 +526,9 @@ func checkOrderFitting(t *testing.T, seed int64, n, shape, boostKind, polKind ui
 		var reduced []job.ID
 		blocked, fits := false, false
 		for _, j := range want {
+			if skip != nil && skip(j) {
+				continue
+			}
 			if j.Nodes <= fit {
 				reduced = append(reduced, j.ID)
 				fits = true
@@ -540,7 +540,7 @@ func checkOrderFitting(t *testing.T, seed int64, n, shape, boostKind, polKind ui
 		if !fits {
 			reduced = nil
 		}
-		got := ids(o.OrderFitting(p, q, now, boost, fit))
+		got := ids(o.OrderFitting(p, q, now, boost, fit, skip))
 		if !slices.Equal(got, reduced) {
 			t.Fatalf("round %d (fit %d): OrderFitting %v, want %v", round, fit, got, reduced)
 		}

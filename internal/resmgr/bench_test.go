@@ -33,8 +33,8 @@ func BenchmarkIterate(b *testing.B) {
 }
 
 // BenchmarkIterateChurn interleaves a cancel+submit with every iteration, so
-// each iteration faces a changed queue: sorted insert/remove and the
-// smallest-charge bound's upkeep rather than the pure elided path.
+// each iteration faces a changed queue: the queue's remove and append and
+// the smallest-charge bound's upkeep rather than the pure elided path.
 func BenchmarkIterateChurn(b *testing.B) {
 	for _, core := range []resmgr.Core{resmgr.CoreReference, resmgr.CoreIncremental} {
 		for _, queue := range schedbench.QueueSizes {

@@ -7,7 +7,6 @@ import (
 
 	"cosched/internal/backfill"
 	"cosched/internal/job"
-	"cosched/internal/policy"
 	"cosched/internal/sim"
 )
 
@@ -19,12 +18,10 @@ import (
 //   - a release timeline, kept in the planners' canonical sorted order and
 //     updated on job start/completion/cancel, replacing the per-iteration
 //     running-set walk + sort;
-//   - the queue's order: for time-invariant policies (FCFS, SJF,
-//     LargestFirst) the queue is kept canonically ordered by binary-search
-//     insertion so the per-iteration sort disappears, and for time-varying
-//     ones (WFP, fair-share) it holds the last iteration's canonical order,
+//   - the queue's order: it holds the last iteration's canonical order,
 //     arrivals appended and removals shifted out, so the next iteration
-//     restores the order in one near-linear pass (policy.Orderer);
+//     restores the order in place in one near-linear pass
+//     (policy.Orderer.OrderFitting), whatever the policy;
 //   - the smallest charge any queued job needs, so an iteration facing a
 //     pool in which nothing queued fits — its plan is empty by construction
 //     — is elided in O(1) (see Iterate).
@@ -35,7 +32,7 @@ import (
 type Core int
 
 const (
-	// CoreIncremental is the default: sorted timeline, maintained queue,
+	// CoreIncremental is the default: sorted timeline, order-keeping queue,
 	// and no-fit elision as described on Core.
 	CoreIncremental Core = iota
 	// CoreReference rebuilds the queue order and release list and plans on
@@ -67,51 +64,26 @@ func ParseCore(s string) (Core, bool) {
 // ---------------------------------------------------------------------------
 // Queue
 
-// queueRank returns j's position in the canonically ordered queue (sorted
-// mode only): the index where j sits if present, or its insertion point.
-// The comparator is exactly policy.Precedes over time-invariant scores, so
-// binary search and policy.Orderer's full sort agree on every permutation.
-func (m *Manager) queueRank(j *job.Job) int {
-	s := m.pol.Score(j, 0) // time-invariant: any instant gives the same score
-	return sort.Search(len(m.queue), func(i int) bool {
-		qi := m.queue[i]
-		return !policy.Precedes(m.pol.Score(qi, 0), qi, s, j)
-	})
-}
-
-// enqueue adds j, which has its record, to the queue: at its canonical
-// place in sorted mode, at the end otherwise (WFP scores an arrival 0 and
-// it is the latest submission, so the end is nearly always its place).
+// enqueue adds j, which has its record, to the end of the queue (WFP
+// scores an arrival 0 and FCFS puts it last, so the end is nearly always
+// its place).
 func (m *Manager) enqueue(j *job.Job) {
 	// A charge at or below the bound is the new minimum whether or not the
 	// bound was exact: every other queued job needs at least the bound.
 	if c := m.pool.ChargeFor(j.Nodes); c <= m.minCharge {
 		m.minCharge, m.minExact = c, true
 	}
-	if m.sortedQueue {
-		idx := m.queueRank(j)
-		m.queue = append(m.queue, nil)
-		copy(m.queue[idx+1:], m.queue[idx:])
-		m.queue[idx] = j
-		return
-	}
 	m.queue = append(m.queue, j)
 }
 
 // removeFromQueue deletes a queued job from the queue, preserving the
-// order of the rest: in sorted mode that order is the schedule, and for a
-// time-varying policy it is the last iteration's, which the next one
-// restores from. Sorted mode locates j by binary search, the others by a
-// linear scan; a started job is usually near the front.
+// order of the rest, which is the last iteration's and the next one
+// restores from. A started job is usually near the front.
 func (m *Manager) removeFromQueue(j *job.Job) {
 	last := len(m.queue) - 1
 	idx := 0
-	if m.sortedQueue {
-		idx = m.queueRank(j)
-	} else {
-		for m.queue[idx] != j {
-			idx++
-		}
+	for m.queue[idx] != j {
+		idx++
 	}
 	copy(m.queue[idx:], m.queue[idx+1:])
 	m.queue[last] = nil

@@ -3,6 +3,7 @@ package resmgr
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cosched/internal/cluster"
@@ -14,11 +15,10 @@ import (
 
 // checkQueueIndex asserts the queue structures are consistent with the live
 // job set after an arbitrary Submit/Cancel history: exact membership, every
-// queued job's record pointing back at it, storage order agreeing with the
-// canonical policy order (sorted mode) or with arrival order (otherwise:
-// with no iteration run, removal must preserve the order the arrivals left),
-// and the smallest-charge bound never above the true minimum. arrived lists
-// the live jobs in submission order.
+// queued job's record pointing back at it, storage order agreeing with
+// arrival order (with no iteration run, removal must preserve the order the
+// arrivals left), and the smallest-charge bound never above the true
+// minimum. arrived lists the live jobs in submission order.
 func checkQueueIndex(t *testing.T, m *Manager, live map[job.ID]*job.Job, arrived []job.ID) {
 	t.Helper()
 	if len(m.queue) != len(live) {
@@ -37,7 +37,7 @@ func checkQueueIndex(t *testing.T, m *Manager, live map[job.ID]*job.Job, arrived
 		if rec.j != q {
 			t.Fatalf("job %d: record %d belongs to %v", q.ID, q.Sched, rec.j)
 		}
-		if !m.sortedQueue && q.ID != arrived[i] {
+		if q.ID != arrived[i] {
 			t.Fatalf("queue[%d] holds job %d, live arrival %d is job %d: removal reordered the queue",
 				i, q.ID, i, arrived[i])
 		}
@@ -52,22 +52,12 @@ func checkQueueIndex(t *testing.T, m *Manager, live map[job.ID]*job.Job, arrived
 	if m.minCharge > lo || (m.minExact && m.minCharge != lo) {
 		t.Fatalf("minCharge = %d (exact=%v), smallest queued charge is %d", m.minCharge, m.minExact, lo)
 	}
-	if m.sortedQueue {
-		var ord policy.Orderer
-		want := ord.Order(m.pol, m.queue, 0, func(*job.Job) float64 { return 0 })
-		for i := range want {
-			if want[i] != m.queue[i] {
-				t.Fatalf("sorted queue out of canonical order at %d: have job %d, want %d",
-					i, m.queue[i].ID, want[i].ID)
-			}
-		}
-	}
 }
 
 // TestQueueIndexInterleavedCancelSubmit drives hundreds of interleaved
-// Submit/Cancel operations against each queue representation — sorted
-// (time-invariant policy), order-keeping (time-varying policy), and the
-// reference linear scan — and checks the index invariants after every step.
+// Submit/Cancel operations against the order-keeping queue of the
+// incremental core, under a time-invariant and a time-varying policy, and
+// the reference core's, and checks the index invariants after every step.
 // The engine never runs, so every job stays queued until cancelled.
 func TestQueueIndexInterleavedCancelSubmit(t *testing.T) {
 	cases := []struct {
@@ -75,7 +65,7 @@ func TestQueueIndexInterleavedCancelSubmit(t *testing.T) {
 		pol  policy.Policy
 		core Core
 	}{
-		{"incremental_sorted_sjf", policy.SJF{}, CoreIncremental},
+		{"incremental_ordered_sjf", policy.SJF{}, CoreIncremental},
 		{"incremental_ordered_wfp", policy.WFP{}, CoreIncremental},
 		{"reference_sjf", policy.SJF{}, CoreReference},
 	}
@@ -87,12 +77,6 @@ func TestQueueIndexInterleavedCancelSubmit(t *testing.T) {
 				Name: "q", Pool: cluster.New("q", 4),
 				Policy: tc.pol, Core: tc.core,
 			})
-			if tc.core == CoreIncremental {
-				wantSorted := policy.IsTimeInvariant(tc.pol)
-				if m.sortedQueue != wantSorted {
-					t.Fatalf("sortedQueue = %v, want %v", m.sortedQueue, wantSorted)
-				}
-			}
 			rng := rand.New(rand.NewSource(42))
 			live := map[job.ID]*job.Job{}
 			var order []job.ID // insertion order, for deterministic victim picks
@@ -284,8 +268,6 @@ func TestYieldInstantWithNothingEligibleFittingPlansNothing(t *testing.T) {
 	for _, core := range []Core{CoreIncremental, CoreReference} {
 		cfg := cosched.DefaultConfig(cosched.Yield)
 		eng := sim.NewEngine()
-		// WFP: a time-varying policy, so the incremental core orders the
-		// queue on every iteration instead of keeping it sorted.
 		mk := func(name string) *Manager {
 			return New(eng, Options{Name: name, Pool: cluster.New(name, 100), Policy: policy.WFP{},
 				Backfilling: true, Cosched: cfg, Core: core})
@@ -314,6 +296,64 @@ func TestYieldInstantWithNothingEligibleFittingPlansNothing(t *testing.T) {
 			t.Fatalf("%s: follow-up iteration reached the planner = %v", core, reached)
 		}
 	}
+}
+
+// TestYieldInstantOrdersWholeQueueInPlace: at an instant some job yielded,
+// the incremental core orders the whole queue in place, yielders included,
+// and leaves them out of the plan only. A WFP queue is stored in arrival
+// order while nothing fits (every iteration is elided), so by t=500 that
+// order has gone stale; the filler's cancel frees the pool at the instant
+// the top-priority job yields. The plan must start the two best
+// non-yielders, and what stays queued must sit in Orderer.Order's
+// permutation of the whole queue, not in the stale order.
+func TestYieldInstantOrdersWholeQueueInPlace(t *testing.T) {
+	eng := sim.NewEngine()
+	m := New(eng, Options{Name: "y", Pool: cluster.New("y", 100), Policy: policy.WFP{}, Backfilling: true})
+	submitAll(t, m, job.New(1, 100, 0, 100000, 100000))
+	eng.RunUntil(0)
+	// WFP at t=500 puts the shortest walltime first: 6, 5, 4, 3, 2.
+	var queued []*job.Job
+	for i, wall := range []sim.Duration{3000, 2400, 1800, 1200, 600} {
+		queued = append(queued, job.New(job.ID(i+2), 40, 0, wall, wall))
+	}
+	submitAll(t, m, queued...)
+	eng.RunUntil(500)
+	stale := slices.Clone(m.queue)
+	whole := policy.Order(policy.WFP{}, stale, 500, nil)
+	if slices.Equal(stale, whole) {
+		t.Fatal("scenario did not leave the stored order stale")
+	}
+
+	if err := m.Cancel(1); err != nil {
+		t.Fatal(err)
+	}
+	yielder := whole[0]
+	if err := m.apply(yielder, yield, 500, 500); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(500)
+
+	if yielder.State != job.Queued {
+		t.Fatalf("yielder %d is %s: the plan kept it", yielder.ID, yielder.State)
+	}
+	for _, j := range whole[1:3] {
+		if j.State != job.Running {
+			t.Fatalf("job %d is %s, want running in the nodes the yielder declined", j.ID, j.State)
+		}
+	}
+	want := slices.DeleteFunc(slices.Clone(whole), func(j *job.Job) bool { return j.State != job.Queued })
+	if !slices.Equal(m.queue, want) {
+		t.Fatalf("queue left as %v, want Order's permutation %v", jobIDs(m.queue), jobIDs(want))
+	}
+}
+
+// jobIDs lists the IDs of js in order.
+func jobIDs(js []*job.Job) []job.ID {
+	out := make([]job.ID, len(js))
+	for i, j := range js {
+		out[i] = j.ID
+	}
+	return out
 }
 
 // TestYieldHoldStartCompleteLeavesNoState is the regression test for the
@@ -365,7 +405,7 @@ func TestYieldHoldStartCompleteLeavesNoState(t *testing.T) {
 // semantics: every iteration planned, no maintained structures.
 func TestReferenceCoreNeverSkips(t *testing.T) {
 	_, m, _ := steadyBlocked(t, CoreReference)
-	if m.sortedQueue || m.maintainTL {
+	if m.maintainTL {
 		t.Fatalf("reference core enabled incremental structures")
 	}
 	for i := 0; i < 5; i++ {

@@ -200,7 +200,8 @@ type Manager struct {
 	// ord, releasesBuf, eligBuf, planBuf and mateBuf are reusable per-iteration
 	// buffers; Iterate runs on every queue/pool change, so allocating them
 	// fresh each time is a measurable share of a simulation's allocation
-	// bill. boostFn and estFn pin the bound-method closures once instead
+	// bill. eligBuf holds the reference core's queue minus its yielders.
+	// boostFn, skipFn and estFn pin the bound-method closures once instead
 	// of re-creating (and heap-allocating) them every iteration.
 	ord         policy.Orderer
 	releasesBuf []backfill.Release
@@ -208,21 +209,19 @@ type Manager struct {
 	planBuf     []backfill.Decision
 	mateBuf     []mate
 	boostFn     policy.Boost
+	skipFn      func(*job.Job) bool
 	estFn       backfill.EstimateFunc
 
-	// Incremental core state (see Core in incremental.go). The mode flags
-	// are fixed at construction: sortedQueue keeps the queue canonically
-	// ordered (time-invariant policy, yield-boost off), otherwise the queue
-	// holds the last iteration's order; maintainTL keeps the release
-	// timeline sorted across iterations (stable estimator). minCharge is a
-	// lower bound on the smallest charge any queued job needs (the zero
-	// value is one), equal to it while minExact — the no-fit elision's test.
-	core        Core
-	sortedQueue bool
-	maintainTL  bool
-	timeline    []backfill.Release
-	minCharge   int
-	minExact    bool
+	// Incremental core state (see Core in incremental.go). maintainTL,
+	// fixed at construction, keeps the release timeline sorted across
+	// iterations (stable estimator). minCharge is a lower bound on the
+	// smallest charge any queued job needs (the zero value is one), equal to
+	// it while minExact — the no-fit elision's test.
+	core       Core
+	maintainTL bool
+	timeline   []backfill.Release
+	minCharge  int
+	minExact   bool
 
 	// Prebuilt event handlers. Scheduling with a fresh closure (or method
 	// value) heap-allocates the function value per event; building these
@@ -333,6 +332,7 @@ func New(eng *sim.Engine, opt Options) *Manager {
 		holdBudget: -1,
 	}
 	m.boostFn = m.boost
+	m.skipFn = m.yieldedLast
 	m.estFn = m.est.Estimate
 	m.iterFn = func(now sim.Time) {
 		m.iterPending = false
@@ -354,12 +354,6 @@ func New(eng *sim.Engine, opt Options) *Manager {
 	}
 	m.replayFn = m.replayStep
 	if m.core == CoreIncremental {
-		// The queue stays pre-sorted only when the canonical order is a
-		// function of queue membership alone: time-invariant scores and no
-		// per-yield boosts (demotion iterations order a copy instead of
-		// disabling the mode). Otherwise the queue keeps the order the last
-		// iteration left it in.
-		m.sortedQueue = policy.IsTimeInvariant(pol) && !m.cfg.YieldBoost
 		// The timeline caches each running job's endBy at start, so it is
 		// maintainable only while the estimator's predictions cannot drift
 		// afterwards; unstable estimators rebuild per iteration.
@@ -696,10 +690,11 @@ func (m *Manager) boost(j *job.Job) float64 {
 // is empty and ordering and planning are elided outright (the iteration still
 // counts in Iterations()). Completions free their nodes before the
 // same-instant iteration fires (PriorityEnd < PrioritySchedule), so the test
-// is exact, not heuristic. Past it, under the none and EASY planners, the core
-// orders only what a plan can contain: the eligible jobs whose charge fits and
-// the first that does not (see policy.Orderer.OrderFitting). The reference
-// core orders the whole queue and plans on every iteration.
+// is exact, not heuristic. Past it the core orders the queue in place and,
+// under the none and EASY planners, plans only what a plan can contain: the
+// eligible jobs whose charge fits and the first that does not (see
+// policy.Orderer.OrderFitting). The reference core orders a copy of the
+// eligible jobs and plans on every iteration.
 func (m *Manager) Iterate(now sim.Time) {
 	m.iterations++
 	if m.core == CoreIncremental && !m.anyQueuedFits() {
@@ -707,36 +702,28 @@ func (m *Manager) Iterate(now sim.Time) {
 		return
 	}
 
-	// A job that yielded at this instant gave up its slot for the rest of
-	// the instant: excluding it from the plan lets other jobs use the
-	// nodes it declined (the "additional scheduling iteration" a yield
-	// requests), and prevents a yield livelock within one event time.
-	eligible := m.queue
-	if m.lastYield == now {
-		eligible = m.withoutYielders(now)
-	}
-
 	boost := m.boostFn
 	if !m.demoting && !m.cfg.YieldBoost {
 		boost = nil // every boost is zero: spare the call per queued job
 	}
+	// A job that yielded at this instant gave up its slot for the rest of
+	// the instant: excluding it from the plan lets other jobs use the
+	// nodes it declined (the "additional scheduling iteration" a yield
+	// requests), and prevents a yield livelock within one event time.
+	yielded := m.lastYield == now
 	var ordered []*job.Job
-	switch {
-	case m.core == CoreReference:
+	if m.core == CoreReference {
+		eligible := m.queue
+		if yielded {
+			eligible = m.withoutYielders(now)
+		}
 		ordered = m.ord.Order(m.pol, eligible, now, boost)
-	case m.sortedQueue && !m.demoting:
-		// The queue storage already holds the canonical order and every
-		// boost is zero (time-invariant policy, yield-boost off, no
-		// demotions), so Orderer.Order would return this exact
-		// permutation — skip the score-and-sort entirely.
-		ordered = eligible
-	default:
-		// OrderFitting sorts what it is given in place: the time-varying
-		// queue keeps the order for the next iteration, while a sorted
-		// queue's order is its index and a demotion must not touch it.
-		if m.sortedQueue && m.lastYield != now {
-			eligible = append(m.eligBuf[:0], m.queue...)
-			m.eligBuf = eligible
+	} else {
+		// The yielders are ordered with the queue, which keeps the order
+		// for the next iteration, and left out of what is returned.
+		var skip func(*job.Job) bool
+		if yielded {
+			skip = m.skipFn
 		}
 		// Conservative backfilling reserves for every blocked job, so it
 		// orders the whole queue.
@@ -744,7 +731,7 @@ func (m *Manager) Iterate(now sim.Time) {
 		if m.bf != BackfillConservative {
 			fit = m.pool.Fit()
 		}
-		ordered = m.ord.OrderFitting(m.pol, eligible, now, boost, fit)
+		ordered = m.ord.OrderFitting(m.pol, m.queue, now, boost, fit, skip)
 	}
 	if len(ordered) == 0 {
 		// Nothing eligible fits (anyQueuedFits counts yielders): an empty plan.
@@ -779,8 +766,9 @@ func (m *Manager) Iterate(now sim.Time) {
 }
 
 // withoutYielders returns the queue minus the jobs that yielded at now, in
-// queue order, built in eligBuf. Iterate calls it only when some job
-// yielded at now, so an instant without yields costs one comparison.
+// queue order, built in eligBuf: the reference core's eligible jobs. Iterate
+// calls it only when some job yielded at now, so an instant without yields
+// costs one comparison.
 func (m *Manager) withoutYielders(now sim.Time) []*job.Job {
 	buf := m.eligBuf[:0]
 	for _, j := range m.queue {
@@ -790,6 +778,12 @@ func (m *Manager) withoutYielders(now sim.Time) []*job.Job {
 	}
 	m.eligBuf = buf
 	return buf
+}
+
+// yieldedLast reports whether j yielded at the latest yield instant: the
+// incremental core's skip set, consulted only at that instant.
+func (m *Manager) yieldedLast(j *job.Job) bool {
+	return m.recs[j.Sched].yieldAt == m.lastYield
 }
 
 // mate is one of a ready job's mates, kept in mateBuf in j.Mates order:
