@@ -197,8 +197,10 @@ go test -tags debug ./internal/invariant ./internal/backfill \
 # passes Request.At by value), a journaled transition, an
 # admin response through its codec, a submit with mates decoded into its
 # connection's scratch (TestAdminRequestCodecWithoutAllocating) and a driver
-# wake-up must report 0 allocs/op; building a trace allocates per slab of
-# jobs, not per job (TestGenerateWithoutAllocatingPerJob), and pairing per
+# wake-up must report 0 allocs/op; a daemon's /metrics collection and
+# status snapshot allocate the same bytes beside 1 k and 100 k ended jobs
+# (TestStatusReadWithoutAllocatingPerEndedJob); building a trace allocates
+# per slab of jobs, not per job (TestGenerateWithoutAllocatingPerJob), and pairing per
 # call, not per pair (TestPairNearestWithoutAllocatingPerPair,
 # TestPairByWindowAndPairCountWithoutAllocatingPerPair)). Throughput is NOT
 # gated here: shared CI machines make wall-clock assertions flaky;

@@ -79,3 +79,21 @@ func TestRunCampaign(t *testing.T) {
 		}
 	})
 }
+
+// TestFailedProbeStrandsYieldingMate pins a known defect (ROADMAP.md item
+// 15). One partition of a→b at its 58th call fails a/57's probe of b/57, so
+// a/57 starts uncoordinated and completes; b/57 had yielded, b runs no
+// scheduling iteration after it, and b/57 stays queued for ever. The paper's
+// "a job will not wait forever" holds for a/57 and fails for its mate. Item
+// 15's fix re-examines a yielding job without waiting for an unrelated event
+// in its domain, and flips this test: the campaign must then pass its gates.
+func TestFailedProbeStrandsYieldingMate(t *testing.T) {
+	plan := &faultplan.Plan{Seed: 18, Faults: []faultplan.Fault{
+		{Seam: faultplan.SeamPeerlink, Kind: faultplan.KindPartition, Dir: 0, At: 58, Len: 1},
+	}}
+	_, failures := faultplan.RunCampaign(plan, false)
+	const stuck = "coupled run stuck: 1/120 jobs never finished (horizon hit: false)"
+	if len(failures) != 1 || failures[0] != stuck {
+		t.Fatalf("gate failures = %q, want exactly %q (item 15's stranded mate)", failures, stuck)
+	}
+}

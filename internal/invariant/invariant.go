@@ -97,14 +97,15 @@ func (a *Auditor) audit(now sim.Time) {
 			a.fail(now, "negative accounting on %s", j)
 		}
 	}
-	if queued != a.mgr.QueueLength() {
-		a.fail(now, "queue count %d != %d jobs in Queued state", a.mgr.QueueLength(), queued)
+	c := a.mgr.Counts()
+	if queued != c.Queued {
+		a.fail(now, "queue count %d != %d jobs in Queued state", c.Queued, queued)
 	}
-	if running != a.mgr.RunningCount() {
-		a.fail(now, "running count %d != %d jobs in Running state", a.mgr.RunningCount(), running)
+	if running != c.RunningJobs {
+		a.fail(now, "running count %d != %d jobs in Running state", c.RunningJobs, running)
 	}
-	if holding != a.mgr.HoldingCount() {
-		a.fail(now, "holding count %d != %d jobs in Holding state", a.mgr.HoldingCount(), holding)
+	if holding != c.Holding {
+		a.fail(now, "holding count %d != %d jobs in Holding state", c.Holding, holding)
 	}
 }
 

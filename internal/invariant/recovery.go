@@ -78,20 +78,21 @@ func RecoveryViolations(m *resmgr.Manager, want []*job.Job) []string {
 		fail("job %d invented in recovery: manager knows it, replay does not", id)
 	}
 
-	if got := m.QueueLength(); got != queued {
-		fail("queue length %d after restore, want %d", got, queued)
+	c := m.Counts()
+	if c.Queued != queued {
+		fail("queue length %d after restore, want %d", c.Queued, queued)
 	}
-	if got := m.HoldingCount(); got != holding {
-		fail("holding count %d after restore, want %d", got, holding)
+	if c.Holding != holding {
+		fail("holding count %d after restore, want %d", c.Holding, holding)
 	}
-	if got := m.RunningCount(); got != running {
-		fail("running count %d after restore, want %d", got, running)
+	if c.RunningJobs != running {
+		fail("running count %d after restore, want %d", c.RunningJobs, running)
 	}
-	if got := m.CompletedCount(); got != completed {
-		fail("completed count %d after restore, want %d", got, completed)
+	if c.Completed != completed {
+		fail("completed count %d after restore, want %d", c.Completed, completed)
 	}
-	if got := m.CancelledCount(); got != cancelled {
-		fail("cancelled count %d after restore, want %d", got, cancelled)
+	if c.Cancelled != cancelled {
+		fail("cancelled count %d after restore, want %d", c.Cancelled, cancelled)
 	}
 	pool := m.Pool()
 	if got := pool.Running(); got != runNodes {

@@ -15,7 +15,6 @@ import (
 	"cosched/internal/cosched"
 	"cosched/internal/coupled"
 	"cosched/internal/invariant"
-	"cosched/internal/job"
 	"cosched/internal/journal"
 	"cosched/internal/peerlink"
 	"cosched/internal/proto"
@@ -80,10 +79,10 @@ type Daemon struct {
 	degraded string
 }
 
-// Start builds a daemon and opens its listeners, in this order: observers
-// (the logger, the journal recorder), manager, journal recovery, driver,
-// peer server, peer links, admin server, status page. It logs through
-// logger (nil discards). On error everything opened so far is closed again.
+// Start builds a daemon and opens its listeners, in this order: journal
+// and recorder, manager, journal recovery, driver, peer server, peer links,
+// admin server, status page. It logs through logger (nil discards). On
+// error everything opened so far is closed again.
 func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
@@ -106,12 +105,12 @@ func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 		}
 	}()
 
-	observers := resmgr.Tee{logObserver{l: logger}}
 	// The journal store opens — and recovers its contents — before the
-	// manager exists; the recorder joins the observer tee so the manager's
-	// very first transition is already journaled. Its snapshot source reads
+	// manager exists; the recorder is the manager's observer, so its very
+	// first transition is already journaled. Its snapshot source reads
 	// d.mgr: observer callbacks only fire from the manager itself, so it is
-	// always set by then.
+	// always set by then. Without a journal the manager has no observer
+	// (dc.Observer stays a nil interface, not a nil *Recorder in one).
 	if cfg.JournalDir != "" {
 		if d.store, err = journal.Open(cfg.JournalDir, journal.Options{SnapshotEvery: cfg.SnapshotEvery, FS: cfg.fs}); err != nil {
 			return nil, err
@@ -119,10 +118,9 @@ func Start(cfg Config, logger *log.Logger) (_ *Daemon, err error) {
 		d.rec = journal.NewRecorder(d.store,
 			func() journal.Snapshot { return journal.ManagerSnapshot(d.mgr) },
 			d.journalFailed)
-		observers = append(observers, d.rec)
+		dc.Observer = d.rec
 	}
 
-	dc.Observer = observers
 	eng := sim.NewEngine()
 	if d.mgr, err = coupled.NewManager(eng, dc); err != nil {
 		return nil, err
@@ -403,35 +401,4 @@ func (d *Daemon) drain(links []*peerlink.Link) {
 			d.logger.Printf("drain: journal close: %v", err)
 		}
 	}
-}
-
-// logObserver prints job lifecycle events; peer decisions are not printed.
-type logObserver struct {
-	resmgr.NullObserver
-	l *log.Logger
-}
-
-func (o logObserver) JobExpected(now sim.Time, j *job.Job) {
-	o.l.Printf("t=%d expect job %d (%d nodes)", now, j.ID, j.Nodes)
-}
-func (o logObserver) JobSubmitted(now sim.Time, j *job.Job) {
-	o.l.Printf("t=%d submit %s", now, j)
-}
-func (o logObserver) JobStarted(now sim.Time, j *job.Job) {
-	o.l.Printf("t=%d START job %d (wait %ds, sync %ds)", now, j.ID, j.WaitTime(), j.SyncTime())
-}
-func (o logObserver) JobCompleted(now sim.Time, j *job.Job) {
-	o.l.Printf("t=%d done job %d", now, j.ID)
-}
-func (o logObserver) JobHeld(now sim.Time, j *job.Job) {
-	o.l.Printf("t=%d HOLD job %d (%d nodes) waiting for mate", now, j.ID, j.Nodes)
-}
-func (o logObserver) JobYielded(now sim.Time, j *job.Job) {
-	o.l.Printf("t=%d YIELD job %d (count %d)", now, j.ID, j.YieldCount)
-}
-func (o logObserver) JobReleased(now sim.Time, j *job.Job, requeued bool) {
-	o.l.Printf("t=%d RELEASE job %d (requeued=%v)", now, j.ID, requeued)
-}
-func (o logObserver) JobCancelled(now sim.Time, j *job.Job) {
-	o.l.Printf("t=%d CANCEL job %d", now, j.ID)
 }

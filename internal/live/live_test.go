@@ -311,6 +311,13 @@ func TestStatusServer(t *testing.T) {
 	if err := ac.Submit(WireJob{ID: 9, Name: "probe", Nodes: 8, Runtime: 3600, Walltime: 3600}); err != nil {
 		t.Fatal(err)
 	}
+	// A cancelled job is terminal: it leaves the rows of both pages.
+	if err := ac.Submit(WireJob{ID: 10, Name: "withdrawn", Nodes: 8, Runtime: 3600, Walltime: 3600}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ac.Cancel(10); err != nil {
+		t.Fatal(err)
+	}
 	clk.Advance(time.Second)
 
 	// JSON endpoint.
@@ -329,14 +336,8 @@ func TestStatusServer(t *testing.T) {
 	if snap.Free+snap.Running+snap.Held != snap.Nodes {
 		t.Fatalf("node conservation in snapshot: %+v", snap)
 	}
-	found := false
-	for _, row := range snap.Jobs {
-		if row.ID == 9 && row.Name == "probe" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("submitted job missing from snapshot: %+v", snap.Jobs)
+	if len(snap.Jobs) != 1 || snap.Jobs[0].ID != 9 || snap.Jobs[0].Name != "probe" {
+		t.Fatalf("rows = %+v, want job 9's alone (job 10 was cancelled)", snap.Jobs)
 	}
 
 	// HTML page.
@@ -353,6 +354,9 @@ func TestStatusServer(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("status page missing %q", want)
 		}
+	}
+	if strings.Contains(string(body), "withdrawn") {
+		t.Fatal("status page shows cancelled job 10")
 	}
 	// Unknown paths 404.
 	resp3, err := http.Get("http://" + addr + "/nope")
@@ -420,6 +424,85 @@ func TestStatusServer(t *testing.T) {
 	v2, ok := scr2.Value("cosched_virtual_time_seconds", "domain", "stat")
 	if !ok || v2 < v1 {
 		t.Fatalf("virtual time went backwards across scrapes: %g -> %g (ok=%v)", v1, v2, ok)
+	}
+}
+
+// TestStatusReadWithoutAllocatingPerEndedJob: a status read costs what the
+// live state costs, not what the history costs. A daemon, started and not
+// run, holds one running job beside 1 k and then 100 k ended ones (every
+// other one expected and cancelled, the rest restored completed). One
+// /metrics collection and one snapshot with rows must allocate about the
+// same bytes at both sizes, and the rows must be the running job's alone.
+func TestStatusReadWithoutAllocatingPerEndedJob(t *testing.T) {
+	d, err := Start(Config{Domain: config.Domain{Name: "hist", Nodes: 8, Scheme: "hold"}, Speedup: 1,
+		Listen: "127.0.0.1:0", Admin: "127.0.0.1:0"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close()
+	running := job.New(1, 4, 0, sim.Hour, sim.Hour)
+	running.State = job.Running
+	d.driver.Do(func() { err = d.mgr.RestoreJob(running) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := job.ID(2)
+	endUpTo := func(n int) {
+		t.Helper()
+		d.driver.Do(func() {
+			for ; next <= job.ID(n) && err == nil; next++ {
+				j := job.New(next, 1, 0, sim.Minute, sim.Minute)
+				if next%2 == 0 {
+					if err = d.mgr.Expect(j); err == nil {
+						err = d.mgr.Cancel(j.ID)
+					}
+					continue
+				}
+				j.State = job.Completed
+				err = d.mgr.RestoreJob(j)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	bytesPerRead := func(read func()) uint64 {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			read()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	var snap StatusSnapshot
+	reads := map[string]func(){
+		"/metrics":       func() { obs.Render(d.collectMetrics) },
+		"snapshot(rows)": func() { snap = d.snapshot(true) },
+	}
+	var small map[string]uint64
+	for _, n := range []int{1_000, 100_000} {
+		endUpTo(n)
+		got := map[string]uint64{}
+		for name, read := range reads {
+			got[name] = bytesPerRead(read)
+		}
+		if len(snap.Jobs) != 1 || snap.Jobs[0].ID != 1 || snap.Jobs[0].State != "running" {
+			t.Fatalf("%d ended jobs: %d rows, want running job 1's alone", n, len(snap.Jobs))
+		}
+		if small == nil {
+			small = got
+			continue
+		}
+		// The slack absorbs one more growth step of the exposition's
+		// buffer, which wider numbers can cost; a copy of the history
+		// alone is 8 B per job, 792 KB more at 100 k.
+		for name, b := range got {
+			if b > small[name]+16<<10 {
+				t.Fatalf("one %s read allocates %d B beside 100 k ended jobs, %d B beside 1 k: it grows with the history", name, b, small[name])
+			}
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 package live
 
 import (
+	"cmp"
 	"encoding/json"
 	"html/template"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"time"
 
 	"cosched/internal/job"
@@ -57,7 +58,9 @@ type RecoveryInfo struct {
 	Reconciled int `json:"reconciled_peers,omitempty"`
 }
 
-// StatusJobRow is one non-terminal job in the snapshot.
+// StatusJobRow is one live job in the snapshot: queued, holding or
+// running. Completed and cancelled jobs have no row, and neither has an
+// expected job before its submission (admin status still answers for it).
 type StatusJobRow struct {
 	ID     job.ID   `json:"id"`
 	Name   string   `json:"name,omitempty"`
@@ -68,10 +71,13 @@ type StatusJobRow struct {
 	Yields int      `json:"yields"`
 }
 
-// snapshot collects daemon state for the status page, /status.json and
-// /metrics. Everything the manager and the driver know is read in one
-// driver.Do, so one scrape never mixes two virtual instants.
-func (d *Daemon) snapshot() StatusSnapshot {
+// snapshot collects daemon state for the status page and /status.json
+// (rows) or for /metrics (no rows). Everything the manager and the driver
+// know is read in one driver.Do, so one reading never mixes two virtual
+// instants; the rows, one per live job sorted by ID, are built in that Do
+// from the manager's live sets. Nothing here walks the job history: a
+// reading costs what the live state costs, however many jobs have ended.
+func (d *Daemon) snapshot(rows bool) StatusSnapshot {
 	var snap StatusSnapshot
 	d.driver.Do(func() {
 		snap = StatusSnapshot{
@@ -79,18 +85,18 @@ func (d *Daemon) snapshot() StatusSnapshot {
 			VirtualNow: d.driver.virtualNowLocked(),
 			Counts:     d.mgr.Counts(),
 		}
-		for _, j := range d.mgr.Jobs() {
-			if j.State == job.Completed {
-				continue
-			}
+		if !rows {
+			return
+		}
+		d.mgr.EachLive(func(j *job.Job) {
 			snap.Jobs = append(snap.Jobs, StatusJobRow{
 				ID: j.ID, Name: j.Name, State: j.State.String(),
 				Nodes: j.Nodes, Submit: j.SubmitTime,
 				Mates: len(j.Mates), Yields: j.YieldCount,
 			})
-		}
+		})
 	})
-	sort.Slice(snap.Jobs, func(a, b int) bool { return snap.Jobs[a].ID < snap.Jobs[b].ID })
+	slices.SortFunc(snap.Jobs, func(a, b StatusJobRow) int { return cmp.Compare(a.ID, b.ID) })
 	// Link snapshots take only the link's own lock — outside driver.Do, so
 	// a wedged peer call can never block the status page.
 	for _, l := range d.peerLinks() {
@@ -107,13 +113,13 @@ func (d *Daemon) snapshot() StatusSnapshot {
 }
 
 // collectMetrics emits the daemon's operational state as Prometheus
-// samples on every /metrics scrape, from one snapshot: the manager reads
-// happen under the driver lock and peer counters come from each link's own
-// lock — the same consistency the status page gets. Metric names and label
-// sets are part of the repo's observability contract; the table lives in
-// ARCHITECTURE.md.
+// samples on every /metrics scrape, from one snapshot without job rows: the
+// manager reads happen under the driver lock and peer counters come from
+// each link's own lock — the same consistency the status page gets. Metric
+// names and label sets are part of the repo's observability contract; the
+// table lives in ARCHITECTURE.md.
 func (d *Daemon) collectMetrics(e *obs.Emitter) {
-	snap := d.snapshot()
+	snap := d.snapshot(false)
 	dom := snap.Domain
 	e.Gauge("cosched_virtual_time_seconds", "virtual simulation time", float64(snap.VirtualNow), "domain", dom)
 	e.Gauge("cosched_nodes_total", "pool capacity in nodes", float64(snap.Nodes), "domain", dom)
@@ -230,7 +236,7 @@ func (d *Daemon) serveStatus(addr string) error {
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := statusTemplate.Execute(w, d.snapshot()); err != nil {
+		if err := statusTemplate.Execute(w, d.snapshot(true)); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -238,7 +244,7 @@ func (d *Daemon) serveStatus(addr string) error {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(d.snapshot()); err != nil {
+		if err := enc.Encode(d.snapshot(true)); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -133,7 +133,7 @@ func BenchmarkExpect(b *testing.B) {
 func TestSteadyScenarioSettles(t *testing.T) {
 	for _, core := range []resmgr.Core{resmgr.CoreReference, resmgr.CoreIncremental} {
 		eng, m, blocked, nextID := schedbench.Steady(core, 100)
-		if got := m.QueueLength(); got != 100 {
+		if got := m.Counts().Queued; got != 100 {
 			t.Fatalf("%v: queue length = %d, want 100", core, got)
 		}
 		if blocked[0].ID == blocked[1].ID {
@@ -145,7 +145,7 @@ func TestSteadyScenarioSettles(t *testing.T) {
 		}
 		blocked[0], _ = schedbench.Churn(m, blocked[0], nextID)
 		m.Iterate(eng.Now())
-		if got := m.QueueLength(); got != 100 {
+		if got := m.Counts().Queued; got != 100 {
 			t.Fatalf("%v: queue drained to %d after extra iterations", core, got)
 		}
 		elided := m.Skips() - skips

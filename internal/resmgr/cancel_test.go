@@ -21,8 +21,8 @@ func TestCancelQueuedJob(t *testing.T) {
 	if waiting.State != job.Cancelled {
 		t.Fatalf("state = %s", waiting.State)
 	}
-	if a.QueueLength() != 0 {
-		t.Fatalf("queue length = %d after cancel", a.QueueLength())
+	if a.Counts().Queued != 0 {
+		t.Fatalf("queue length = %d after cancel", a.Counts().Queued)
 	}
 	eng.Run()
 	if waiting.State != job.Cancelled || waiting.StartTime != 0 {

@@ -193,8 +193,8 @@ func TestApplyAcceptsTakenNodes(t *testing.T) {
 		if err := m.apply(j, v, 0, 0); err != nil {
 			t.Fatalf("verdict %d: apply: %v", v, err)
 		}
-		if j.State != job.Queued || m.QueueLength() != 1 || m.pool.Free() != 40 || m.pool.Held() != 0 {
-			t.Errorf("verdict %d: job %s, queue %d, %s; want the job still queued", v, j.State, m.QueueLength(), m.pool)
+		if j.State != job.Queued || m.Counts().Queued != 1 || m.pool.Free() != 40 || m.pool.Held() != 0 {
+			t.Errorf("verdict %d: job %s, queue %d, %s; want the job still queued", v, j.State, m.Counts().Queued, m.pool)
 		}
 		if len(log) != 0 {
 			t.Errorf("verdict %d: observer saw %v, want nothing", v, log)

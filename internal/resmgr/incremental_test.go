@@ -165,8 +165,8 @@ func steadyBlocked(t *testing.T, core Core) (*sim.Engine, *Manager, []*job.Job) 
 		}
 	}
 	eng.RunUntil(0)
-	if filler.State != job.Running || m.QueueLength() != 3 {
-		t.Fatalf("scenario did not settle: filler=%s queue=%d", filler.State, m.QueueLength())
+	if filler.State != job.Running || m.Counts().Queued != 3 {
+		t.Fatalf("scenario did not settle: filler=%s queue=%d", filler.State, m.Counts().Queued)
 	}
 	return eng, m, blocked
 }
@@ -194,9 +194,9 @@ func TestNoFitElisionEngagesAndLapses(t *testing.T) {
 	}
 	skips = m.Skips()
 	m.Iterate(100)
-	if m.Skips() != skips+1 || m.RunningCount() != 1 || m.QueueLength() != 2 {
+	if m.Skips() != skips+1 || m.Counts().RunningJobs != 1 || m.Counts().Queued != 2 {
 		t.Fatalf("after cancel: skips %d→%d running=%d queue=%d",
-			skips, m.Skips(), m.RunningCount(), m.QueueLength())
+			skips, m.Skips(), m.Counts().RunningJobs, m.Counts().Queued)
 	}
 
 	// A job that fits the 10 free nodes ends the elision at once.
@@ -223,8 +223,8 @@ func TestNoFitElisionEngagesAndLapses(t *testing.T) {
 	if m.Skips() != skips {
 		t.Fatalf("iteration after nodes freed up was elided")
 	}
-	if m.RunningCount() != 3 || m.QueueLength() != 0 {
-		t.Fatalf("freed capacity not used: running=%d queue=%d", m.RunningCount(), m.QueueLength())
+	if m.Counts().RunningJobs != 3 || m.Counts().Queued != 0 {
+		t.Fatalf("freed capacity not used: running=%d queue=%d", m.Counts().RunningJobs, m.Counts().Queued)
 	}
 
 	var sum uint64

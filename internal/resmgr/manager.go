@@ -374,7 +374,8 @@ func (m *Manager) Config() cosched.Config { return m.cfg }
 // Engine returns the simulation engine driving this manager.
 func (m *Manager) Engine() *sim.Engine { return m.eng }
 
-// Iterations returns how many scheduling iterations have run.
+// Iterations returns how many scheduling iterations have run. It repeats
+// Counts().Iterations for bench's pipeline, which reads it alone per cell.
 func (m *Manager) Iterations() uint64 { return m.iterations }
 
 // IterationStats returns how many iterations ended in each IterOutcome; the
@@ -383,7 +384,7 @@ func (m *Manager) IterationStats() [NumIterOutcomes]uint64 { return m.iterStats 
 
 // Skips returns how many scheduling iterations were elided because no queued
 // job's charge fit the free nodes. Elided iterations still count in
-// Iterations().
+// Iterations(). Counts has no field for it; bench's pipeline reads it.
 func (m *Manager) Skips() uint64 { return m.iterStats[IterElided] }
 
 // AddPeer registers the peer serving the named remote domain.
@@ -556,36 +557,43 @@ func (m *Manager) CollectReport(totalNodes int, span sim.Duration) metrics.Domai
 	return metrics.Collect(m.name, m.all, totalNodes, span)
 }
 
-// QueueLength returns the number of queued jobs.
-func (m *Manager) QueueLength() int { return len(m.queue) }
-
-// RunningCount returns the number of running jobs.
-func (m *Manager) RunningCount() int { return len(m.running) }
-
-// HoldingCount returns the number of holding jobs.
-func (m *Manager) HoldingCount() int { return len(m.holding) }
+// EachLive calls fn on every queued, holding and running job, in that
+// order of sets and in no documented order within one: O(live jobs),
+// however many jobs ever registered. The status page reads it; no
+// scheduling path does. fn must not change the manager.
+func (m *Manager) EachLive(fn func(*job.Job)) {
+	for _, j := range m.queue {
+		fn(j)
+	}
+	for _, rec := range m.holding {
+		fn(rec.j)
+	}
+	for _, rec := range m.running {
+		fn(rec.j)
+	}
+}
 
 // SetHoldBudget caps how many jobs may hold concurrently; a hold that
 // would exceed the cap is downgraded to a yield (counted by
-// HoldsRefused). Negative removes the cap. The daemon's degradation
+// Counts().HoldsRefused). Negative removes the cap. The daemon's degradation
 // controller sets this when the journal is lost: without durability the
 // held-job table cannot survive a crash, so a degraded daemon keeps its
 // exposure bounded rather than refusing service outright.
 func (m *Manager) SetHoldBudget(n int) { m.holdBudget = n }
 
-// HoldsRefused returns how many holds the budget downgraded to yields.
-func (m *Manager) HoldsRefused() uint64 { return m.holdsRefused }
-
-// CompletedCount returns the number of completed jobs.
+// CompletedCount returns the number of completed jobs. It repeats
+// Counts().Completed for coupled.Run's done check, run after every engine step.
 func (m *Manager) CompletedCount() int { return m.completed }
 
-// CancelledCount returns the number of cancelled jobs.
+// CancelledCount returns the number of cancelled jobs. It repeats
+// Counts().Cancelled for coupled.Run's done check, run after every engine step.
 func (m *Manager) CancelledCount() int { return m.cancelled }
 
 // Counts is one reading of a domain's node and job state. The JSON tags
 // are the names every surface reports it under: the daemon's /status.json
 // keys and the columns of cosim's -timeseries CSV. The counters tagged "-"
-// only the daemon's /metrics exports.
+// only the daemon's /metrics exports, except RunningJobs, which no surface
+// exports: the auditors in internal/invariant read it.
 type Counts struct {
 	Nodes     int `json:"nodes"`
 	Free      int `json:"free"`
@@ -596,6 +604,7 @@ type Counts struct {
 	Completed int `json:"completed_jobs"`
 
 	Cancelled    int    `json:"-"`
+	RunningJobs  int    `json:"-"` // jobs, where Running counts their nodes
 	Iterations   uint64 `json:"-"`
 	HoldsRefused uint64 `json:"-"`
 }
@@ -611,6 +620,7 @@ func (m *Manager) Counts() Counts {
 		Holding:      len(m.holding),
 		Completed:    m.completed,
 		Cancelled:    m.cancelled,
+		RunningJobs:  len(m.running),
 		Iterations:   m.iterations,
 		HoldsRefused: m.holdsRefused,
 	}

@@ -430,8 +430,8 @@ func TestJobWiderThanPoolIsRefused(t *testing.T) {
 						t.Errorf("error %q does not name %q", err, want)
 					}
 				}
-				if _, known := m.Job(1); known || m.QueueLength() != 0 {
-					t.Fatalf("the refused job is registered (%v) or queued (%d)", known, m.QueueLength())
+				if _, known := m.Job(1); known || m.Counts().Queued != 0 {
+					t.Fatalf("the refused job is registered (%v) or queued (%d)", known, m.Counts().Queued)
 				}
 				narrow := job.New(2, 10, 0, 600, 600)
 				if err := m.Submit(narrow); err != nil {
@@ -619,10 +619,10 @@ func TestHoldBudgetRefusesExcessHolds(t *testing.T) {
 			t.Fatalf("job %d never yielded; refused holds must degrade to yields", ja.ID)
 		}
 	}
-	if a.HoldsRefused() == 0 {
+	if a.Counts().HoldsRefused == 0 {
 		t.Fatal("HoldsRefused = 0, want the budget's refusals counted")
 	}
-	if b.HoldsRefused() != 0 {
-		t.Fatalf("B refused %d holds with no budget set", b.HoldsRefused())
+	if b.Counts().HoldsRefused != 0 {
+		t.Fatalf("B refused %d holds with no budget set", b.Counts().HoldsRefused)
 	}
 }

@@ -76,8 +76,8 @@ func Steady(core resmgr.Core, queued int) (eng *sim.Engine, m *resmgr.Manager, b
 		blocked = append(blocked, j)
 	}
 	eng.RunUntil(0) // one iteration over the full queue; plans nothing
-	if m.QueueLength() != queued || pool.Free() != FreeNodes {
-		panic(fmt.Sprintf("schedbench: blocked queue did not settle: queue=%d free=%d", m.QueueLength(), pool.Free()))
+	if c := m.Counts(); c.Queued != queued || c.Free != FreeNodes {
+		panic(fmt.Sprintf("schedbench: blocked queue did not settle: queue=%d free=%d", c.Queued, c.Free))
 	}
 	return eng, m, blocked, id
 }
