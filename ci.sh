@@ -163,6 +163,12 @@ go test -run '^$' -fuzz 'FuzzOrderFitting' -fuzztime 10s ./internal/policy
 # same error-ness) and every value must encode to json.Marshal's bytes.
 go test -run '^$' -fuzz 'FuzzFrameCodec' -fuzztime 10s ./internal/proto
 
+# Frame-reader fuzz smoke: ten seconds of streams cut into fuzzer-sized
+# frames (some past the reader's 4 KiB buffer) and served in fuzzer-sized
+# reads. FrameReader.Next, which hands out a frame in place when it lies
+# whole in its buffer, must return what a copy of every frame returns.
+go test -run '^$' -fuzz 'FuzzFrameReader' -fuzztime 10s ./internal/proto
+
 # The same differential contract for the other codecs built from
 # internal/wirejson: the admin frames, the write-ahead entries and the
 # snapshot file, ten seconds each, seeded from testdata/fuzz.

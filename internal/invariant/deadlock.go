@@ -121,16 +121,17 @@ func (mon *Monitor) scan(now sim.Time) {
 
 // waitForGraph builds the adjacency map in deterministic order: domains
 // in registration order, holders sorted by job ID, mates in declaration
-// order.
+// order. The holders come from each manager's live jobs, so a scan costs
+// what is in flight, not every job ever registered.
 func (mon *Monitor) waitForGraph() map[string][]string {
 	holders := make(map[string][]*job.Job, len(mon.order))
 	for _, name := range mon.order {
 		var hs []*job.Job
-		for _, j := range mon.domains[name].Jobs() {
+		mon.domains[name].EachLive(func(j *job.Job) {
 			if j.State == job.Holding {
 				hs = append(hs, j)
 			}
-		}
+		})
 		sort.Slice(hs, func(a, b int) bool { return hs[a].ID < hs[b].ID })
 		holders[name] = hs
 	}

@@ -6,14 +6,14 @@ import (
 )
 
 // The reflection-free codec for write-ahead entries and snapshots, built
-// from internal/wirejson and held to its rule: encoding/json's bytes, the
-// strict canonical shape, everything else left to encoding/json (see the
-// package comment for who calls what). The parsers fill a zero destination,
-// which is all their callers hand them, and may leave it partly filled when
-// they refuse a payload.
+// from internal/wirejson and held to its rule: encoding/json's bytes, read
+// back member by member in the order they are written, everything else left
+// to encoding/json (see the package comment for who calls what). The
+// parsers fill a zero destination, which is all their callers hand them,
+// and may leave it partly filled when they refuse a payload.
 
 // opNames are the strings a decoded entry's op is expected to be (see
-// wirejson.Intern).
+// wirejson.Scanner.Enum).
 var opNames = [...]string{
 	string(OpExpect), string(OpSubmit), string(OpStart), string(OpHold), string(OpRehold),
 	string(OpYield), string(OpRelease), string(OpComplete), string(OpCancel), string(OpPeerDecision),
@@ -54,79 +54,68 @@ func appendEntry(b []byte, e *Entry) ([]byte, bool) {
 	return append(b, '}'), true //simlint:allow R6 amortized growth of the record buffer, which the store reuses
 }
 
-// parseEntry decodes a canonical payload into the zero *e as json.Unmarshal
+// parseEntry decodes what appendEntry writes — members in struct order,
+// each as json.Marshal spells it — into the zero *e as json.Unmarshal
 // would, or reports false.
 //
 //simlint:hotpath
 func parseEntry(payload []byte, e *Entry) bool {
 	s := wirejson.Scan(payload)
-	var seen uint
-	for s.Next() {
-		switch string(s.Key()) {
-		case "seq":
-			s.Once(&seen, 1<<0)
-			e.Seq = s.Uint()
-		case "t":
-			s.Once(&seen, 1<<1)
-			e.T = s.Int()
-		case "op":
-			s.Once(&seen, 1<<2)
-			e.Op = Op(wirejson.Intern(s.Str(), opNames[:]))
-		case "job":
-			s.Once(&seen, 1<<3)
-			e.Job = job.ID(s.Int())
-		case "name":
-			s.Once(&seen, 1<<4)
-			e.Name = string(s.Str())
-		case "user":
-			s.Once(&seen, 1<<5)
-			e.User = s.IntN()
-		case "nodes":
-			s.Once(&seen, 1<<6)
-			e.Nodes = s.IntN()
-		case "runtime":
-			s.Once(&seen, 1<<7)
-			e.Runtime = s.Int()
-		case "walltime":
-			s.Once(&seen, 1<<8)
-			e.Walltime = s.Int()
-		case "submit":
-			s.Once(&seen, 1<<9)
-			e.Submit = s.Int()
-		case "mates":
-			s.Once(&seen, 1<<10)
-			e.Mates = s.Mates()
-		case "start":
-			s.Once(&seen, 1<<11)
-			e.Start = s.Int()
-		case "ready":
-			s.Once(&seen, 1<<12)
-			e.Ready = s.Bool()
-		case "ready_at":
-			s.Once(&seen, 1<<13)
-			e.ReadyAt = s.Int()
-		case "yields":
-			s.Once(&seen, 1<<14)
-			e.Yields = s.IntN()
-		case "holds":
-			s.Once(&seen, 1<<15)
-			e.Holds = s.IntN()
-		case "held_ns":
-			s.Once(&seen, 1<<16)
-			e.HeldNS = s.Int()
-		case "hold_start":
-			s.Once(&seen, 1<<17)
-			e.HoldStart = s.Int()
-		case "method":
-			s.Once(&seen, 1<<18)
-			e.Method = string(s.Str())
-		case "ok":
-			s.Once(&seen, 1<<19)
-			e.OK = s.Bool()
-		default:
-			return false
-		}
+	if !s.Has(`{"seq":`) {
+		return false
 	}
+	e.Seq = s.Uint()
+	s.Want(`,"t":`)
+	e.T = s.Int()
+	s.Want(`,"op":"`)
+	e.Op = Op(s.Enum(opNames[:]))
+	if s.Has(`,"job":`) {
+		e.Job = job.ID(s.Int())
+	}
+	if s.Has(`,"name":"`) {
+		e.Name = string(s.Str())
+	}
+	if s.Has(`,"user":`) {
+		e.User = s.IntN()
+	}
+	if s.Has(`,"nodes":`) {
+		e.Nodes = s.IntN()
+	}
+	if s.Has(`,"runtime":`) {
+		e.Runtime = s.Int()
+	}
+	if s.Has(`,"walltime":`) {
+		e.Walltime = s.Int()
+	}
+	if s.Has(`,"submit":`) {
+		e.Submit = s.Int()
+	}
+	if s.Has(`,"mates":`) {
+		e.Mates = s.Mates()
+	}
+	if s.Has(`,"start":`) {
+		e.Start = s.Int()
+	}
+	e.Ready = s.Has(`,"ready":true`)
+	if s.Has(`,"ready_at":`) {
+		e.ReadyAt = s.Int()
+	}
+	if s.Has(`,"yields":`) {
+		e.Yields = s.IntN()
+	}
+	if s.Has(`,"holds":`) {
+		e.Holds = s.IntN()
+	}
+	if s.Has(`,"held_ns":`) {
+		e.HeldNS = s.Int()
+	}
+	if s.Has(`,"hold_start":`) {
+		e.HoldStart = s.Int()
+	}
+	if s.Has(`,"method":"`) {
+		e.Method = string(s.Str())
+	}
+	e.OK = s.Has(`,"ok":true`)
 	return s.Done()
 }
 
@@ -181,93 +170,70 @@ func appendSnapshot(b []byte, snap *Snapshot) ([]byte, bool) {
 //simlint:hotpath
 func parseSnapshot(data []byte, snap *Snapshot) bool {
 	s := wirejson.Scan(data)
-	var seen uint
-	for s.Next() {
-		switch string(s.Key()) {
-		case "domain":
-			s.Once(&seen, 1)
-			snap.Domain = string(s.Str())
-		case "seq":
-			s.Once(&seen, 2)
-			snap.Seq = s.Uint()
-		case "t":
-			s.Once(&seen, 4)
-			snap.T = s.Int()
-		case "jobs":
-			s.Once(&seen, 8)
-			snap.Jobs = []JobRecord{} // `[]` decodes to an empty table, not a nil one
-			for s.Array(); s.Elem(); {
-				snap.Jobs = append(snap.Jobs, JobRecord{}) //simlint:allow R6 amortized growth of the job table being read back
-				parseJobRecord(&s, &snap.Jobs[len(snap.Jobs)-1])
-			}
-		default:
-			return false
-		}
+	if !s.Has(`{"domain":"`) {
+		return false
 	}
+	snap.Domain = string(s.Str())
+	s.Want(`,"seq":`)
+	snap.Seq = s.Uint()
+	s.Want(`,"t":`)
+	snap.T = s.Int()
+	s.Want(`,"jobs":[`)
+	snap.Jobs = []JobRecord{} // `[]` decodes to an empty table, not a nil one
+	for sep := `{"id":`; s.Has(sep); sep = `,{"id":` {
+		snap.Jobs = append(snap.Jobs, JobRecord{}) //simlint:allow R6 amortized growth of the job table being read back
+		parseJobRecord(&s, &snap.Jobs[len(snap.Jobs)-1])
+	}
+	s.Want(`]`)
 	return s.Done()
 }
 
-// parseJobRecord consumes one object of a snapshot's job table into the
-// zero *r.
+// parseJobRecord consumes one object of a snapshot's job table, past its
+// opening `{"id":`, into the zero *r.
 //
 //simlint:hotpath
 func parseJobRecord(s *wirejson.Scanner, r *JobRecord) {
-	var seen uint
-	for s.Object(); s.Next(); {
-		switch string(s.Key()) {
-		case "id":
-			s.Once(&seen, 1<<0)
-			r.ID = job.ID(s.Int())
-		case "name":
-			s.Once(&seen, 1<<1)
-			r.Name = string(s.Str())
-		case "user":
-			s.Once(&seen, 1<<2)
-			r.User = s.IntN()
-		case "nodes":
-			s.Once(&seen, 1<<3)
-			r.Nodes = s.IntN()
-		case "runtime":
-			s.Once(&seen, 1<<4)
-			r.Runtime = s.Int()
-		case "walltime":
-			s.Once(&seen, 1<<5)
-			r.Walltime = s.Int()
-		case "submit":
-			s.Once(&seen, 1<<6)
-			r.Submit = s.Int()
-		case "mates":
-			s.Once(&seen, 1<<7)
-			r.Mates = s.Mates()
-		case "state":
-			s.Once(&seen, 1<<8)
-			r.State = wirejson.Intern(s.Str(), wirejson.StateNames[:])
-		case "start":
-			s.Once(&seen, 1<<9)
-			r.Start = s.Int()
-		case "end":
-			s.Once(&seen, 1<<10)
-			r.End = s.Int()
-		case "hold_start":
-			s.Once(&seen, 1<<11)
-			r.HoldStart = s.Int()
-		case "yields":
-			s.Once(&seen, 1<<12)
-			r.Yields = s.IntN()
-		case "holds":
-			s.Once(&seen, 1<<13)
-			r.Holds = s.IntN()
-		case "held_ns":
-			s.Once(&seen, 1<<14)
-			r.HeldNS = s.Int()
-		case "ready":
-			s.Once(&seen, 1<<15)
-			r.Ready = s.Bool()
-		case "ready_at":
-			s.Once(&seen, 1<<16)
-			r.ReadyAt = s.Int()
-		default:
-			s.Fail()
-		}
+	r.ID = job.ID(s.Int())
+	if s.Has(`,"name":"`) {
+		r.Name = string(s.Str())
 	}
+	if s.Has(`,"user":`) {
+		r.User = s.IntN()
+	}
+	s.Want(`,"nodes":`)
+	r.Nodes = s.IntN()
+	s.Want(`,"runtime":`)
+	r.Runtime = s.Int()
+	s.Want(`,"walltime":`)
+	r.Walltime = s.Int()
+	s.Want(`,"submit":`)
+	r.Submit = s.Int()
+	if s.Has(`,"mates":`) {
+		r.Mates = s.Mates()
+	}
+	s.Want(`,"state":"`)
+	r.State = s.Enum(wirejson.StateNames[:])
+	if s.Has(`,"start":`) {
+		r.Start = s.Int()
+	}
+	if s.Has(`,"end":`) {
+		r.End = s.Int()
+	}
+	if s.Has(`,"hold_start":`) {
+		r.HoldStart = s.Int()
+	}
+	if s.Has(`,"yields":`) {
+		r.Yields = s.IntN()
+	}
+	if s.Has(`,"holds":`) {
+		r.Holds = s.IntN()
+	}
+	if s.Has(`,"held_ns":`) {
+		r.HeldNS = s.Int()
+	}
+	r.Ready = s.Has(`,"ready":true`)
+	if s.Has(`,"ready_at":`) {
+		r.ReadyAt = s.Int()
+	}
+	s.Want(`}`)
 }

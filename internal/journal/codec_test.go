@@ -121,19 +121,37 @@ func TestJournalCodecRefusals(t *testing.T) {
 }
 
 // TestJournalCodecAccepts pins what the strict parsers take themselves:
-// what the encoders write, members in any order, the integer extremes.
+// what the encoders write, members in struct order, the integer extremes.
+// The same members in any other order are declined and decode through
+// json.Unmarshal, to what it gives.
 func TestJournalCodecAccepts(t *testing.T) {
 	for _, payload := range []string{
-		`{}`,
 		`{"seq":1,"t":0,"op":"hold","job":7,"ready":true,"ready_at":5,"holds":1,"hold_start":5}`,
 		`{"seq":18446744073709551615,"t":-9223372036854775808,"op":"submit","job":7,"name":"pair-a","user":3,"nodes":16,"runtime":600,"walltime":900,"submit":5,"mates":[{"Domain":"B","Job":7},{"Domain":"C","Job":-7}]}`,
-		`{"ok":false,"method":"try_start_mate","op":"no such op","t":-0,"seq":2}`,
+		`{"seq":2,"t":-0,"op":"no such op","method":"try_start_mate","ok":true}`,
 		`{"domain":"A","seq":5,"t":42,"jobs":[]}`,
 		`{"domain":"A","seq":5,"t":42,"jobs":[{"id":1,"nodes":4,"runtime":0,"walltime":0,"submit":0,"state":"queued"},{"id":2,"name":"n","user":1,"nodes":4,"runtime":1,"walltime":2,"submit":3,"mates":[{"Domain":"B","Job":2}],"state":"running","start":4,"end":5,"hold_start":6,"yields":7,"holds":8,"held_ns":9,"ready":true,"ready_at":10}]}`,
-		`{"jobs":[{},{"state":"no such state","id":-1}],"domain":""}`,
+		`{"domain":"","seq":0,"t":0,"jobs":[{"id":-1,"nodes":0,"runtime":0,"walltime":0,"submit":0,"state":"no such state"}]}`,
 	} {
 		if !parseEntry([]byte(payload), new(Entry)) && !parseSnapshot([]byte(payload), new(Snapshot)) {
 			t.Errorf("neither parser accepted %q", payload)
+		}
+		entryDecodesAlike(t, []byte(payload))
+		snapshotDecodesAlike(t, []byte(payload))
+	}
+	for _, payload := range []string{
+		`{}`,
+		`{"t":0,"seq":1,"op":"hold"}`,
+		`{"seq":1,"t":0,"op":"hold","ready":true,"job":7}`,
+		`{"ok":true,"method":"try_start_mate","op":"no such op","t":-0,"seq":2}`,
+		`{"seq":3,"t":1,"op":"submit","job":7,"nodes":16,"name":"pair-a"}`,
+		`{"seq":4,"t":1,"op":"submit","job":7,"mates":[{"Job":7,"Domain":"B"}]}`,
+		`{"seq":5,"domain":"A","t":42,"jobs":[]}`,
+		`{"jobs":[{},{"state":"no such state","id":-1}],"domain":""}`,
+		`{"domain":"A","seq":5,"t":42,"jobs":[{"id":1,"state":"queued","nodes":4,"runtime":0,"walltime":0,"submit":0}]}`,
+	} {
+		if parseEntry([]byte(payload), new(Entry)) || parseSnapshot([]byte(payload), new(Snapshot)) {
+			t.Errorf("a parser took %q, whose members are out of order", payload)
 		}
 		entryDecodesAlike(t, []byte(payload))
 		snapshotDecodesAlike(t, []byte(payload))

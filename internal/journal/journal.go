@@ -19,10 +19,11 @@
 // encoders in codec.go, DecodeEntries and Open read through its strict
 // parsers, all built from internal/wirejson under the rule stated there.
 // An entry or snapshot an encoder cannot write verbatim (a job name that
-// needs an escape) is written by json.Marshal, and a payload outside the
-// canonical shape (written by another tool, or by hand) is read by
-// json.Unmarshal, so a journal directory means the same to a daemon with
-// the codec and to one without.
+// needs an escape) is written by json.Marshal, and a payload the parsers do
+// not take — anything but the encoders' bytes, members in their order
+// (written by another tool, or by hand) — is read by json.Unmarshal, so a
+// journal directory means the same to a daemon with the codec and to one
+// without.
 //
 // The reader is torn-write tolerant by construction: a crash mid-append
 // leaves a partial record (or a record whose checksum fails) at the tail,

@@ -10,9 +10,9 @@ import (
 )
 
 // The reflection-free codec for the admin frames, built from
-// internal/wirejson and held to its rule: encoding/json's bytes, the strict
-// canonical shape, everything else left to encoding/json.
-// proto.WriteFrame and FrameReader.ReadFrame find it through
+// internal/wirejson and held to its rule: encoding/json's bytes, read back
+// member by member in the order they are written, everything else left to
+// encoding/json. proto.WriteFrame and FrameReader.ReadFrame find it through
 // proto.FrameCodec.
 var (
 	_ proto.FrameCodec = (*AdminRequest)(nil)
@@ -20,7 +20,7 @@ var (
 )
 
 // opNames are the strings a decoded request's op is expected to be (see
-// wirejson.Intern).
+// wirejson.Scanner.Enum).
 var opNames = [...]string{OpSubmit, OpExpect, OpStatus, OpCancel, OpInfo}
 
 // AppendFrame implements proto.FrameCodec.
@@ -52,9 +52,6 @@ func (r *AdminRequest) AppendFrame(b []byte) ([]byte, bool) {
 	return append(b, '}'), true //simlint:allow R6 amortized growth of the frame buffer, which proto pools
 }
 
-// hasJob is the seen bit of a request's "job" member.
-const hasJob = 4
-
 // ParseFrame implements proto.FrameCodec: members the payload omits keep
 // their value, the job's included, as with json.Unmarshal.
 //
@@ -68,11 +65,11 @@ func (r *AdminRequest) ParseFrame(payload []byte) bool {
 	if r.Job != nil {
 		w = *r.Job
 	}
-	seen, ok := parseAdminRequest(payload, &req, &w, nil, nil)
+	hasJob, ok := parseAdminRequest(payload, &req, &w, nil, nil)
 	if !ok {
 		return false
 	}
-	if seen&hasJob != 0 {
+	if hasJob {
 		if req.Job == nil {
 			req.Job = new(WireJob)
 		}
@@ -101,7 +98,7 @@ type adminScratch struct {
 //simlint:hotpath
 func (s *adminScratch) decode(payload []byte) error {
 	s.req, s.job = AdminRequest{}, WireJob{}
-	seen, ok := parseAdminRequest(payload, &s.req, &s.job, s.mates, &s.domains)
+	hasJob, ok := parseAdminRequest(payload, &s.req, &s.job, s.mates, &s.domains)
 	if !ok {
 		s.req = AdminRequest{}
 		if err := json.Unmarshal(payload, &s.req); err != nil {
@@ -109,7 +106,7 @@ func (s *adminScratch) decode(payload []byte) error {
 		}
 		return nil
 	}
-	if seen&hasJob != 0 {
+	if hasJob {
 		s.req.Job = &s.job
 		if s.job.Mates != nil {
 			s.mates = s.job.Mates // keep the array, grown or not
@@ -118,75 +115,59 @@ func (s *adminScratch) decode(payload []byte) error {
 	return nil
 }
 
-// parseAdminRequest decodes a canonical payload into *req as json.Unmarshal
+// parseAdminRequest decodes what AppendFrame writes — members in struct
+// order, each as json.Marshal spells it — into *req as json.Unmarshal
 // would, except that a "job" member decodes into *w, whatever req.Job
 // points at, and the job's mates into mates' array with their domain names
-// interned in *domains (see wirejson.Scanner.MatesInto). It returns the
-// members met, as seen bits, and false for every other payload, which
-// leaves *req untouched and *w in any state.
+// interned in *domains (see wirejson.Scanner.MatesInto). It reports
+// whether the payload carried a job; ok is false for every other payload,
+// which leaves *req untouched and *w in any state.
 //
 //simlint:hotpath
-func parseAdminRequest(payload []byte, req *AdminRequest, w *WireJob, mates []job.MateRef, domains *[]string) (uint, bool) {
+func parseAdminRequest(payload []byte, req *AdminRequest, w *WireJob, mates []job.MateRef, domains *[]string) (hasJob, ok bool) {
 	s := wirejson.Scan(payload)
 	r := *req
-	var seen uint
-	for s.Next() {
-		switch string(s.Key()) {
-		case "seq":
-			s.Once(&seen, 1)
-			r.Seq = s.Uint()
-		case "op":
-			s.Once(&seen, 2)
-			r.Op = wirejson.Intern(s.Str(), opNames[:])
-		case "job":
-			s.Once(&seen, hasJob)
-			parseWireJob(&s, w, mates, domains)
-		case "job_id":
-			s.Once(&seen, 8)
-			r.JobID = job.ID(s.Int())
-		default:
-			return 0, false
-		}
+	if !s.Has(`{"seq":`) {
+		return false, false
+	}
+	r.Seq = s.Uint()
+	s.Want(`,"op":"`)
+	r.Op = s.Enum(opNames[:])
+	if hasJob = s.Has(`,"job":{"id":`); hasJob {
+		parseWireJob(&s, w, mates, domains)
+	}
+	if s.Has(`,"job_id":`) {
+		r.JobID = job.ID(s.Int())
 	}
 	if !s.Done() {
-		return 0, false
+		return false, false
 	}
 	*req = r
-	return seen, true
+	return hasJob, true
 }
 
-// parseWireJob consumes the object a request's "job" member holds.
+// parseWireJob consumes the object a request's "job" member holds, past its
+// opening `{"id":`.
 //
 //simlint:hotpath
 func parseWireJob(s *wirejson.Scanner, w *WireJob, mates []job.MateRef, domains *[]string) {
-	var seen uint
-	for s.Object(); s.Next(); {
-		switch string(s.Key()) {
-		case "id":
-			s.Once(&seen, 1)
-			w.ID = job.ID(s.Int())
-		case "name":
-			s.Once(&seen, 2)
-			w.Name = string(s.Str())
-		case "user":
-			s.Once(&seen, 64)
-			w.User = s.IntN()
-		case "nodes":
-			s.Once(&seen, 4)
-			w.Nodes = s.IntN()
-		case "runtime_seconds":
-			s.Once(&seen, 8)
-			w.Runtime = s.Int()
-		case "walltime_seconds":
-			s.Once(&seen, 16)
-			w.Walltime = s.Int()
-		case "mates":
-			s.Once(&seen, 32)
-			w.Mates = s.MatesInto(mates, domains)
-		default:
-			s.Fail()
-		}
+	w.ID = job.ID(s.Int())
+	if s.Has(`,"name":"`) {
+		w.Name = string(s.Str())
 	}
+	if s.Has(`,"user":`) {
+		w.User = s.IntN()
+	}
+	s.Want(`,"nodes":`)
+	w.Nodes = s.IntN()
+	s.Want(`,"runtime_seconds":`)
+	w.Runtime = s.Int()
+	s.Want(`,"walltime_seconds":`)
+	w.Walltime = s.Int()
+	if s.Has(`,"mates":`) {
+		w.Mates = s.MatesInto(mates, domains)
+	}
+	s.Want(`}`)
 }
 
 // AppendFrame implements proto.FrameCodec.
@@ -217,39 +198,33 @@ func (r *AdminResponse) ParseFrame(payload []byte) bool {
 	}
 	s := wirejson.Scan(payload)
 	resp := *r
-	var seen uint
-	for s.Next() {
-		switch string(s.Key()) {
-		case "seq":
-			s.Once(&seen, 1)
-			resp.Seq = s.Uint()
-		case "error":
-			s.Once(&seen, 2)
-			resp.Error = string(s.Str())
-		case "state":
-			s.Once(&seen, 4)
-			resp.State = wirejson.Intern(s.Str(), wirejson.StateNames[:])
-		case "start_time":
-			s.Once(&seen, 8)
-			resp.StartTime = s.Int()
-		case "started":
-			s.Once(&seen, 16)
-			resp.Started = s.Bool()
-		case "domain":
-			s.Once(&seen, 32)
-			resp.Domain = string(s.Str())
-		case "nodes":
-			s.Once(&seen, 64)
-			resp.Nodes = s.IntN()
-		case "free":
-			s.Once(&seen, 128)
-			resp.Free = s.IntN()
-		case "virtual_now":
-			s.Once(&seen, 256)
-			resp.VirtualNow = s.Int()
-		default:
-			return false
-		}
+	if !s.Has(`{"seq":`) {
+		return false
+	}
+	resp.Seq = s.Uint()
+	if s.Has(`,"error":"`) {
+		resp.Error = string(s.Str())
+	}
+	if s.Has(`,"state":"`) {
+		resp.State = s.Enum(wirejson.StateNames[:])
+	}
+	if s.Has(`,"start_time":`) {
+		resp.StartTime = s.Int()
+	}
+	if s.Has(`,"started":true`) {
+		resp.Started = true
+	}
+	if s.Has(`,"domain":"`) {
+		resp.Domain = string(s.Str())
+	}
+	if s.Has(`,"nodes":`) {
+		resp.Nodes = s.IntN()
+	}
+	if s.Has(`,"free":`) {
+		resp.Free = s.IntN()
+	}
+	if s.Has(`,"virtual_now":`) {
+		resp.VirtualNow = s.Int()
 	}
 	if !s.Done() {
 		return false

@@ -118,6 +118,7 @@ func TestAdminCodecRefusals(t *testing.T) {
 		"newline after":      "{\"seq\":1}\n",
 		"inner whitespace":   `{"seq":1,"job":{ "id":1}}`,
 		"duplicate key":      `{"seq":1,"seq":2}`,
+		"false spelled out":  `{"seq":1,"started":false}`,
 		"duplicate job":      `{"seq":1,"job":{"id":1},"job":{"nodes":2}}`,
 		"duplicate in job":   `{"seq":1,"job":{"id":1,"id":2}}`,
 		"unknown key":        `{"seq":1,"extra":5}`,
@@ -155,22 +156,39 @@ func TestAdminCodecRefusals(t *testing.T) {
 }
 
 // TestAdminCodecAccepts pins what the strict parsers take themselves: the
-// frames the encoders write, members in any order, the integer extremes —
-// and that a known op or state decodes to the package's own string.
+// frames the encoders write, members in struct order, the integer extremes
+// — and that a known op or state decodes to the package's own string. The
+// same members in any other order are declined and decode through
+// json.Unmarshal, to what it gives.
 func TestAdminCodecAccepts(t *testing.T) {
 	for _, payload := range []string{
-		`{}`,
+		`{"seq":0}`,
 		`{"seq":1,"op":"info"}`,
 		`{"seq":2,"op":"status","job_id":-9223372036854775808}`,
 		`{"seq":18446744073709551615,"op":"expect","job":{"id":7,"name":"pair-a","nodes":16,"runtime_seconds":600,"walltime_seconds":900,"mates":[{"Domain":"B","Job":7},{"Domain":"C","Job":-7}]}}`,
-		`{"job":{"mates":[{"Job":1,"Domain":""}],"walltime_seconds":-0,"id":0},"op":"no such op","seq":3}`,
-		`{"job":{},"seq":4}`,
+		`{"seq":3,"op":"no such op","job":{"id":0,"nodes":0,"runtime_seconds":0,"walltime_seconds":-0,"mates":[{"Domain":"","Job":1}]},"job_id":5}`,
 		`{"seq":5,"state":"unsubmitted"}`,
 		`{"seq":6,"error":"unknown job 5"}`,
-		`{"virtual_now":9223372036854775807,"free":0,"nodes":100,"domain":"intrepid","started":false,"start_time":-1,"state":"running","seq":7}`,
+		`{"seq":7,"state":"running","start_time":-1,"started":true,"domain":"intrepid","nodes":100,"free":0,"virtual_now":9223372036854775807}`,
 	} {
 		if !new(AdminRequest).ParseFrame([]byte(payload)) && !new(AdminResponse).ParseFrame([]byte(payload)) {
 			t.Errorf("neither parser accepted %q", payload)
+		}
+		decodeBothWays(t, []byte(payload))
+	}
+	for _, payload := range []string{
+		`{}`,
+		`{"op":"info","seq":1}`,
+		`{"seq":2,"job_id":4,"op":"status"}`,
+		`{"job":{"mates":[{"Job":1,"Domain":""}],"walltime_seconds":-0,"id":0},"op":"no such op","seq":3}`,
+		`{"seq":4,"op":"submit","job":{"nodes":1,"id":1,"runtime_seconds":1,"walltime_seconds":1}}`,
+		`{"seq":4,"op":"submit","job":{}}`,
+		`{"seq":4,"op":"expect","job":{"id":1,"nodes":1,"runtime_seconds":1,"walltime_seconds":1,"mates":[{"Job":2,"Domain":"B"}]}}`,
+		`{"virtual_now":9223372036854775807,"free":0,"nodes":100,"domain":"intrepid","started":true,"start_time":-1,"state":"running","seq":7}`,
+		`{"seq":8,"started":true,"state":"running"}`,
+	} {
+		if new(AdminRequest).ParseFrame([]byte(payload)) || new(AdminResponse).ParseFrame([]byte(payload)) {
+			t.Errorf("a parser took %q, whose members are out of order", payload)
 		}
 		decodeBothWays(t, []byte(payload))
 	}

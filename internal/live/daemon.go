@@ -22,8 +22,8 @@ import (
 	"cosched/internal/sim"
 )
 
-// reconcileRetry is how long a restarted daemon waits before retrying a
-// failed mate-reconciliation exchange with a peer.
+// reconcileRetry is how long after a failed mate-reconciliation exchange
+// with a peer began a restarted daemon retries it, on its driver's clock.
 const reconcileRetry = 2 * time.Second
 
 // Config configures one daemon. Its scheduling half is a config.Domain,
@@ -347,7 +347,12 @@ func (d *Daemon) reconcilePeers(ctx context.Context, links []*peerlink.Link) {
 		for {
 			var rep resmgr.ReconcileReport
 			var err error
-			d.driver.Do(func() { rep, err = d.mgr.ReconcileWith(l.PeerName(), l) })
+			var retry <-chan struct{}
+			d.driver.Do(func() {
+				if rep, err = d.mgr.ReconcileWith(l.PeerName(), l); err != nil {
+					retry = d.driver.afterLocked(reconcileRetry)
+				}
+			})
 			if err == nil {
 				detail := fmt.Sprintf("reconciled with %s: sent=%d co_starts=%d adopted=%d released=%d kept=%d",
 					rep.Peer, rep.Sent, rep.CoStarts, rep.Adopted, rep.Released, rep.Kept)
@@ -365,7 +370,7 @@ func (d *Daemon) reconcilePeers(ctx context.Context, links []*peerlink.Link) {
 			select {
 			case <-ctx.Done():
 				return
-			case <-time.After(reconcileRetry):
+			case <-retry:
 			}
 		}
 	}

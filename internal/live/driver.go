@@ -128,6 +128,19 @@ func (d *Driver) loopLateLocked() bool {
 	return ok && (next < d.planned || next <= d.eng.Now())
 }
 
+// afterLocked returns a channel that receives once the driver's clock
+// reads dur past the engine's present instant, which the lock caught up to
+// the clock when it was taken: an event on the engine, dur's virtual span
+// ahead, that the run loop fires when its clock gets there. A wait on it
+// reads the clock the driver paces by, so a test's stepped clock drives it
+// as it drives the scheduler. Call it under the driver's lock.
+func (d *Driver) afterLocked(dur time.Duration) <-chan struct{} {
+	fired := make(chan struct{}, 1)
+	span := max(1, sim.Duration(math.Ceil(dur.Seconds()*d.speedup)))
+	d.eng.After(span, sim.PriorityDefault, func(sim.Time) { fired <- struct{}{} })
+	return fired
+}
+
 func (d *Driver) nudge() {
 	select {
 	case d.wake <- struct{}{}:
@@ -206,8 +219,11 @@ func (d *Driver) Run(ctx context.Context) {
 	}
 	d.mu.Unlock()
 	// One timer for the loop's life: it is re-armed on every pass, and a
-	// time.After per pass was three allocations each.
-	timer := time.NewTimer(0)
+	// time.After per pass was three allocations each. It starts unarmed: a
+	// timer of 0 fires at once, and under go 1.22's asynchronous timer
+	// channels that expiry can land after the first pass's drain and wake
+	// an idle loop a second time.
+	timer := time.NewTimer(time.Duration(math.MaxInt64))
 	defer timer.Stop()
 	for {
 		d.mu.Lock()

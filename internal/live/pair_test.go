@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"cosched/internal/invariant"
 	"cosched/internal/job"
 	"cosched/internal/proto"
+	"cosched/internal/sim"
 )
 
 // TestLiveSymmetricDecisionStall: two daemons decide for the two halves of
@@ -110,5 +112,59 @@ func TestLiveLateTryIsRefused(t *testing.T) {
 	vs := invariant.VerifyCoStarts(map[string][]*job.Job{"a": {&ha}, "b": {&hb}}, nil)
 	if len(vs) != 1 || vs[0].Start != 1200 || vs[0].MateAt != 60 {
 		t.Fatalf("co-start check = %v, want a's uncoordinated start at 1200 against b's at 60", vs)
+	}
+}
+
+// TestReconcileRetryWaitsOnTheDriversClock: a daemon restarted from its
+// journal reconciles with its peer, and when that exchange fails it retries
+// once its driver's clock has moved reconcileRetry on from the attempt — a
+// step of the test's clock, with no wall time in between.
+func TestReconcileRetryWaitsOnTheDriversClock(t *testing.T) {
+	cfg := Config{Domain: config.Domain{Name: "a", Nodes: 8, Scheme: "hold"}, JournalDir: t.TempDir()}
+	// A first life journals an expected half of a pair and stops, so the
+	// second start recovers and has something to reconcile.
+	first := startStillDomain(t, newStepClock(), cfg)
+	do(t, first, func() error { return first.mgr.Expect(pairedJob(1, "b")) })
+	first.close()
+
+	clk := newStepClock()
+	b := startTestDomain(t, clk, Config{Domain: config.Domain{Name: "b", Nodes: 8, Scheme: "hold"}, Speedup: 1})
+	a := startStillDomain(t, clk, cfg)
+	if a.recovery == nil {
+		t.Fatal("the restarted daemon recovered nothing from its journal")
+	}
+	stop := make(chan struct{})
+	ab := link(a, b, stop)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		a.Run(ctx)
+		close(done)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	t.Cleanup(func() { close(stop) }) // before a's drain, which calls b through the gate
+
+	x := ab.next(t, proto.MethodReconcile, 0)
+	x.verdict <- &proto.RemoteError{Method: proto.MethodReconcile, Msg: "not yet"}
+	<-x.done
+	// The reconcile held a's driver lock across the exchange, so this Do
+	// runs once it has decided on the retry: past what is due now, the
+	// next event is the retry, reconcileRetry of virtual time ahead.
+	var now, due sim.Time
+	var pending bool
+	a.driver.Do(func() {
+		a.driver.fireDueLocked()
+		now = a.driver.eng.Now()
+		due, pending = a.driver.eng.NextTime()
+	})
+	if want := now + sim.Time(reconcileRetry.Seconds()); !pending || due != want {
+		t.Fatalf("after the failed reconcile at t=%d the next event is at %d (pending %v), want the retry at %d", now, due, pending, want)
+	}
+	clk.Advance(reconcileRetry)
+	if _, err := ab.next(t, proto.MethodReconcile, 0).deliver(); err != nil {
+		t.Fatalf("the retried reconcile failed: %v", err)
 	}
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // The reflection-free codec for Request and Response: a fast path inside the
-// JSON framing, not a second format (see the package comment for what it
-// takes and what it leaves to encoding/json).
+// JSON framing, not a second format. Each parser reads a frame member by
+// member in the order its encoder writes it (see the package comment for
+// what it takes and what it leaves to encoding/json).
 
 // appendRequest appends json.Marshal(r) to b. It reports false, having
 // appended nothing a caller may keep, for a request it cannot write
@@ -43,8 +44,9 @@ func appendResponse(b []byte, r *Response) ([]byte, bool) {
 }
 
 // methodNames and statusNames are the strings a decoded frame's method and
-// status are expected to be; wirejson.Intern returns the table's copy so a
-// steady-state frame decodes without allocating.
+// status are expected to be (the methods most frequent first);
+// Scanner.Enum returns the table's copy so a steady-state frame decodes
+// without allocating.
 var (
 	methodNames = [...]string{
 		MethodProbeMate, MethodTryStartMate, MethodStartMate, MethodPing,
@@ -58,50 +60,43 @@ var (
 	}()
 )
 
-// hasAt is the seen bit of a request's "at" member.
-const hasAt = 8
-
 // parseRequest decodes payload into *dst as json.Unmarshal would, if
-// payload is a canonical object of known lowercase keys, each at most once,
-// in any order; members the payload omits keep their value in *dst. It
-// reports false, with *dst untouched, for anything else — including frames
-// encoding/json accepts (whitespace, escapes, views, null, other key
-// spellings), which are the caller's to pass on. A decoded "at" goes where
-// dst.At points, else to atBuf — the caller's storage, so that a server
-// decodes every frame's "at" into one value per connection — else to a new
-// sim.Time; a frame without one leaves dst.At as it was.
+// payload is what appendRequest writes: the members in struct order, each
+// key as json.Marshal spells it, seq and method present, the omitempty ones
+// present or absent; members the payload omits keep their value in *dst.
+// It reports false, with *dst untouched, for anything else — including
+// frames encoding/json accepts (another member order, whitespace, escapes,
+// views, null, other key spellings), which are the caller's to pass on. A
+// decoded "at" goes where dst.At points, else to atBuf — the caller's
+// storage, so that a server decodes every frame's "at" into one value per
+// connection — else to a new sim.Time; a frame without one leaves dst.At
+// as it was.
 //
 //simlint:hotpath
 func parseRequest(payload []byte, dst *Request, atBuf *sim.Time) bool {
 	s := wirejson.Scan(payload)
-	var seen uint
 	req := *dst
+	if !s.Has(`{"seq":`) {
+		return false
+	}
+	req.Seq = s.Uint()
+	s.Want(`,"method":"`)
+	req.Method = s.Enum(methodNames[:])
+	if s.Has(`,"job_id":`) {
+		req.JobID = job.ID(s.Int())
+	}
+	hasAt := s.Has(`,"at":`)
 	var at sim.Time
-	for s.Next() {
-		switch string(s.Key()) {
-		case "seq":
-			s.Once(&seen, 1)
-			req.Seq = s.Uint()
-		case "method":
-			s.Once(&seen, 2)
-			req.Method = wirejson.Intern(s.Str(), methodNames[:])
-		case "job_id":
-			s.Once(&seen, 4)
-			req.JobID = job.ID(s.Int())
-		case "at":
-			s.Once(&seen, hasAt)
-			at = s.Int()
-		case "from":
-			s.Once(&seen, 16)
-			req.From = string(s.Str())
-		default:
-			return false
-		}
+	if hasAt {
+		at = s.Int()
+	}
+	if s.Has(`,"from":"`) {
+		req.From = string(s.Str())
 	}
 	if !s.Done() {
 		return false
 	}
-	if seen&hasAt != 0 {
+	if hasAt {
 		if req.At == nil {
 			if req.At = atBuf; atBuf == nil {
 				req.At = new(sim.Time)
@@ -118,31 +113,25 @@ func parseRequest(payload []byte, dst *Request, atBuf *sim.Time) bool {
 //simlint:hotpath
 func parseResponse(payload []byte, dst *Response) bool {
 	s := wirejson.Scan(payload)
-	var seen uint
 	resp := *dst
-	for s.Next() {
-		switch string(s.Key()) {
-		case "seq":
-			s.Once(&seen, 1)
-			resp.Seq = s.Uint()
-		case "error":
-			s.Once(&seen, 2)
-			resp.Error = string(s.Str())
-		case "domain":
-			s.Once(&seen, 4)
-			resp.Domain = string(s.Str())
-		case "known":
-			s.Once(&seen, 8)
-			resp.Known = s.Bool()
-		case "status":
-			s.Once(&seen, 16)
-			resp.Status = wirejson.Intern(s.Str(), statusNames[:])
-		case "ok":
-			s.Once(&seen, 32)
-			resp.OK = s.Bool()
-		default:
-			return false
-		}
+	if !s.Has(`{"seq":`) {
+		return false
+	}
+	resp.Seq = s.Uint()
+	if s.Has(`,"error":"`) {
+		resp.Error = string(s.Str())
+	}
+	if s.Has(`,"domain":"`) {
+		resp.Domain = string(s.Str())
+	}
+	if s.Has(`,"known":true`) {
+		resp.Known = true
+	}
+	if s.Has(`,"status":"`) {
+		resp.Status = s.Enum(statusNames[:])
+	}
+	if s.Has(`,"ok":true`) {
+		resp.OK = true
 	}
 	if !s.Done() {
 		return false

@@ -66,6 +66,7 @@ func TestCodecRefusals(t *testing.T) {
 	for name, payload := range map[string]string{
 		"duplicate key":       `{"seq":1,"seq":2}`,
 		"duplicate bool":      `{"seq":1,"ok":true,"ok":false}`,
+		"false spelled out":   `{"seq":1,"known":false,"ok":false}`,
 		"unknown key":         `{"seq":1,"extra":5}`,
 		"uppercase key":       `{"Seq":1,"METHOD":"ping","OK":true}`,
 		"leading zero":        `{"seq":01}`,
@@ -108,20 +109,37 @@ func TestCodecRefusals(t *testing.T) {
 }
 
 // TestCodecAccepts pins what the strict parser takes itself: the frames
-// the encoder writes, their members in any order, the integer extremes.
+// the encoder writes, members in struct order, the integer extremes, an
+// omitempty member carrying its zero value. The same members in any other
+// order are declined and decode through json.Unmarshal, to what it gives.
 func TestCodecAccepts(t *testing.T) {
 	for _, payload := range []string{
-		`{}`,
 		`{"seq":0}`,
+		`{"seq":0,"method":""}`,
 		`{"seq":18446744073709551615,"method":"probe_mate","job_id":-9223372036854775808,"at":9223372036854775807,"from":"A"}`,
-		`{"from":"","at":-0,"job_id":0,"method":"no such method","seq":7}`,
-		`{"seq":3,"error":"unknown job 5","domain":"intrepid","known":true,"status":"holding","ok":false}`,
-		`{"ok":true,"status":"","known":false,"seq":3}`,
+		`{"seq":7,"method":"no such method","job_id":0,"at":-0,"from":""}`,
+		`{"seq":3,"error":"unknown job 5","domain":"intrepid","known":true,"status":"holding","ok":true}`,
+		`{"seq":3,"status":"","ok":true}`,
 	} {
 		var req Request
 		var resp Response
 		if !parseRequest([]byte(payload), &req, nil) && !parseResponse([]byte(payload), &resp) {
 			t.Errorf("neither parser accepted %q", payload)
+		}
+		decodeBothWays(t, []byte(payload))
+	}
+	for _, payload := range []string{
+		`{}`,
+		`{"method":"ping","seq":1}`,
+		`{"seq":1,"job_id":4,"method":"probe_mate"}`,
+		`{"seq":2,"method":"start_mate","at":5,"job_id":4}`,
+		`{"from":"","at":-0,"job_id":0,"method":"no such method","seq":7}`,
+		`{"seq":3,"ok":true,"known":true}`,
+		`{"seq":3,"status":"holding","domain":"intrepid","error":"e"}`,
+		`{"ok":true,"status":"","known":true,"seq":3}`,
+	} {
+		if parseRequest([]byte(payload), new(Request), nil) || parseResponse([]byte(payload), new(Response)) {
+			t.Errorf("a parser took %q, whose members are out of order", payload)
 		}
 		decodeBothWays(t, []byte(payload))
 	}

@@ -41,7 +41,8 @@
 // buffer its connection keeps (a Client's, a ServeConn connection's, an
 // InProcessConn's output), written with one Write and read through a
 // per-connection buffered FrameReader, so a call costs one write and
-// (usually) one read per side.
+// (usually) one read per side, and a frame that arrived whole is parsed
+// where it lies in the reader's buffer.
 //
 // encoding/json defines the payload; Request and Response also have a
 // hand-written codec (codec.go), built from internal/wirejson and held to
@@ -49,12 +50,15 @@
 // switch and that is not a second format. The encoder appends exactly
 // json.Marshal's bytes and leaves to encoding/json any frame it cannot
 // write verbatim: one with views, or with a string holding anything but
-// printable ASCII free of `"`, `\`, `<`, `>` and `&`. The parser takes only
-// the canonical shape — one object, no whitespace, the known lowercase keys
-// each at most once in any order, plain decimal integers in range,
-// true/false, strings of those same plain bytes, nothing after the closing
-// brace — and passes every other payload, untouched, to json.Unmarshal,
-// which accepts, rejects and decodes it as it always has. So peers with and
+// printable ASCII free of `"`, `\`, `<`, `>` and `&`. The parser reads a
+// payload in the order the encoder writes it: one object, no whitespace,
+// the members in struct order, each key matched against the encoder's
+// literal (`,"job_id":`), seq and method present, the omitempty members
+// present or absent, plain decimal integers in range, a bool as the true
+// json.Marshal writes, strings of those same plain bytes, nothing after the
+// closing brace. It passes every other payload — the same members in
+// another order included — untouched to json.Unmarshal, which accepts,
+// rejects and decodes it as it always has. So peers with and
 // without the codec interoperate, reconcile_mates stays on encoding/json,
 // and a steady-state probe_mate round trip allocates nothing: method and
 // status names decode to this package's and cosched's own strings, and
@@ -339,10 +343,12 @@ func ReadFrame(r io.Reader, v any) error {
 
 // FrameReader reads the frames of one connection through a buffered
 // reader, so a frame that arrived whole costs one Read of the connection
-// instead of two (header, payload), and decodes every frame from one
-// reused payload buffer. Not safe for concurrent use; every reading end
-// owns one per connection: Client and Server.ServeConn on the peer port,
-// live's AdminClient and AdminServer on the admin port.
+// instead of two (header, payload) and is handed out where it lies in the
+// buffer, uncopied; a frame that did not arrive whole, or is larger than
+// the buffer, is read into one reused payload buffer. Not safe for
+// concurrent use; every reading end owns one per connection: Client and
+// Server.ServeConn on the peer port, live's AdminClient and AdminServer on
+// the admin port.
 type FrameReader struct {
 	br      *bufio.Reader
 	hdr     [4]byte
@@ -364,10 +370,23 @@ func (fr *FrameReader) ReadFrame(v any) error {
 	return unmarshalFrame(payload, v)
 }
 
-// Next reads the next frame's payload into the reused buffer and returns it
-// undecoded, for a reader that decodes into scratch of its own; the bytes
-// are valid until the following call.
+// Next returns the next frame's payload undecoded, for a reader that
+// decodes into scratch of its own. The bytes alias the reader's buffers and
+// are valid until the following call: a caller keeps nothing of them past
+// it but copies (every decoder here copies the strings it keeps).
 func (fr *FrameReader) Next() ([]byte, error) {
+	hdr, err := fr.br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // a torn header, as io.ReadFull reports it
+		}
+		return nil, err
+	}
+	if n := binary.BigEndian.Uint32(hdr); n <= MaxFrameSize && fr.br.Buffered() >= 4+int(n) {
+		frame, _ := fr.br.Peek(4 + int(n)) // already buffered: no read
+		fr.br.Discard(len(frame))
+		return frame[4:], nil
+	}
 	payload, err := readPayload(fr.br, fr.hdr[:], fr.payload)
 	if err == nil && cap(payload) <= maxPooledFrame {
 		fr.payload = payload[:0]

@@ -559,8 +559,8 @@ func (m *Manager) CollectReport(totalNodes int, span sim.Duration) metrics.Domai
 
 // EachLive calls fn on every queued, holding and running job, in that
 // order of sets and in no documented order within one: O(live jobs),
-// however many jobs ever registered. The status page reads it; no
-// scheduling path does. fn must not change the manager.
+// however many jobs ever registered. The status page and the deadlock
+// monitor read it; no scheduling path does. fn must not change the manager.
 func (m *Manager) EachLive(fn func(*job.Job)) {
 	for _, j := range m.queue {
 		fn(j)

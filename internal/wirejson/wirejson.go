@@ -7,13 +7,17 @@
 //   - an encoder appends exactly json.Marshal's bytes, and reports false —
 //     leaving the value to encoding/json — for anything it cannot write
 //     verbatim: a string holding a byte that is not Plain;
-//   - a parser takes only the canonical shape json.Marshal writes — no
-//     whitespace, known keys in their exact spelling, each at most once, in
-//     any order; plain decimal integers in range; true/false; strings of
-//     Plain bytes; a non-empty mates array of {"Domain":…,"Job":…} objects;
-//     nothing after the closing brace — and reports false for every other
-//     payload, which then goes, untouched, to json.Unmarshal and is
-//     accepted, rejected and decoded as it always has been.
+//   - a parser reads a payload the way the encoder writes it, member by
+//     member in struct order, each key matched against the encoder's
+//     literal: every member json.Marshal always writes present, an
+//     omitempty one present or absent; no whitespace; plain decimal
+//     integers in range; a bool as the true an omitempty member writes;
+//     strings of Plain bytes; a non-empty mates array of
+//     {"Domain":…,"Job":…} objects; nothing after the closing brace. It
+//     reports false for every other payload — members in another order, a
+//     key met twice, a spelling json.Marshal does not write — which then
+//     goes, untouched, to json.Unmarshal and is accepted, rejected and
+//     decoded as it always has been.
 //
 // So a reader or writer with a codec and one without interoperate byte for
 // byte, and every codec is tested differentially against encoding/json
@@ -21,8 +25,10 @@
 package wirejson
 
 import (
+	"encoding/binary"
 	"math"
 	"strconv"
+	"unsafe"
 
 	"cosched/internal/job"
 )
@@ -124,125 +130,97 @@ func AppendOmitMates(b []byte, key string, mates []job.MateRef) ([]byte, bool) {
 	return append(b, `}]`...), true //simlint:allow R6 amortized growth of the caller's buffer, which every caller reuses
 }
 
-// Scanner walks canonical JSON: no whitespace, escape-free ASCII strings,
-// plain decimal integers. The first byte outside that shape makes it bad,
-// which every later step preserves, so a parse checks Done once at the end.
+// Scanner reads a payload the way its encoder wrote it: member by member
+// in struct order, each key matched against the encoder's literal (Has for
+// an omitempty member, Want for one json.Marshal always writes), values in
+// the canonical shape (no whitespace, escape-free ASCII strings, plain
+// decimal integers). The first byte outside that shape makes it bad, which
+// every later step preserves, so a parse checks Done once at the end.
 type Scanner struct {
-	b     []byte
-	i     int
-	bad   bool
-	fresh bool // just past an opening brace or bracket: no comma before the next element
+	b   []byte
+	i   int
+	bad bool
 }
 
-// Scan starts on the opening brace of the object payload holds.
-func Scan(payload []byte) Scanner {
-	s := Scanner{b: payload}
-	s.Object()
-	return s
-}
+// Scan starts at payload's first byte: the parser's first literal carries
+// the opening brace with the first key.
+func Scan(payload []byte) Scanner { return Scanner{b: payload} }
 
-// lit consumes lit if the input continues with it.
-func (s *Scanner) lit(lit string) bool {
-	if len(s.b)-s.i < len(lit) || string(s.b[s.i:s.i+len(lit)]) != lit {
-		return false
+// Has consumes lit — the bytes an encoder writes before a value, such as
+// `,"job_id":`, or a whole member such as `,"ok":true` — if the input
+// continues with it. It inlines, so lit is a constant at the call site: a
+// literal of 8 to 16 bytes is compared as two overlapping 8-byte words
+// whose literal halves the compiler folds into constants, any other as a
+// string.
+func (s *Scanner) Has(lit string) (ok bool) {
+	rest, n := s.b[s.i:], len(lit)
+	if len(rest) >= n {
+		if uint(n-8) > 8 {
+			ok = string(rest[:n]) == lit
+		} else {
+			ok = binary.LittleEndian.Uint64(rest) == word(lit, 0) && binary.LittleEndian.Uint64(rest[n-8:]) == word(lit, n-8)
+		}
+		if ok {
+			s.i += n
+		}
 	}
-	s.i += len(lit)
-	return true
+	return ok
 }
 
-// punct consumes c if it is the next byte.
-func (s *Scanner) punct(c byte) bool {
-	if s.i < len(s.b) && s.b[s.i] == c {
-		s.i++
-		return true
-	}
-	return false
+// word is the 8 bytes of lit from off, as binary.LittleEndian reads them;
+// for a constant lit the compiler folds it into a constant.
+func word(lit string, off int) uint64 {
+	return *(*uint64)(unsafe.Add(unsafe.Pointer(unsafe.StringData(lit)), off))
 }
 
-// open consumes an opening brace or bracket.
-func (s *Scanner) open(brace byte) {
-	if !s.punct(brace) {
+// Want is Has for bytes the encoder always writes — the key of a member
+// without omitempty, a nested object's closing brace — whose absence puts
+// the input outside the shape. It is a call, not inlined: a parser checks
+// its first key with Has, returning at once without it, and leaves its
+// closing brace to Done.
+func (s *Scanner) Want(lit string) {
+	if !s.Has(lit) {
 		s.bad = true
 	}
-	s.fresh = true
 }
 
-// more consumes the punctuation before the next element — nothing right
-// after the opening, a comma later — and reports whether one follows; it
-// returns false after the closing byte and on any other byte (then bad).
-func (s *Scanner) more(closing byte) bool {
-	switch {
-	case s.bad:
-		return false
-	case s.fresh:
-		s.fresh = false
-		return !s.punct(closing)
-	case s.punct(','):
-		return true
-	case s.punct(closing):
-		return false
-	}
-	s.bad = true
-	return false
-}
+// Done reports whether the object parsed up to its closing brace and that
+// brace is the payload's last byte.
+func (s *Scanner) Done() bool { return !s.bad && s.i == len(s.b)-1 && s.b[s.i] == '}' }
 
-// Object consumes the opening brace of a nested object; its members are
-// then walked with Next like the outer one's.
-func (s *Scanner) Object() { s.open('{') }
-
-// Next reports whether another member of the current object follows.
-func (s *Scanner) Next() bool { return s.more('}') }
-
-// Array consumes the opening bracket of an array.
-func (s *Scanner) Array() { s.open('[') }
-
-// Elem reports whether another element of the current array follows.
-func (s *Scanner) Elem() bool { return s.more(']') }
-
-// Fail marks the input as outside the canonical shape.
-func (s *Scanner) Fail() { s.bad = true }
-
-// Done reports whether the object parsed and nothing follows it.
-func (s *Scanner) Done() bool { return !s.bad && s.i == len(s.b) }
-
-// Str consumes a string literal of plain bytes and returns them, aliasing
+// Str consumes the rest of a string literal, whose opening quote the key
+// carried: plain bytes up to the closing quote. It returns them, aliasing
 // the input. The closing quote is not Plain, so the loop tests one table
 // entry per byte and looks closer only at the byte that stops it.
 func (s *Scanner) Str() []byte {
-	if s.punct('"') {
-		rest := s.b[s.i:]
-		for n, c := range rest {
-			if plain[c] {
-				continue
-			}
-			if c == '"' {
-				s.i += n + 1
-				return rest[:n]
-			}
-			break
+	rest := s.b[s.i:]
+	for n, c := range rest {
+		if plain[c] {
+			continue
 		}
+		if c == '"' {
+			s.i += n + 1
+			return rest[:n]
+		}
+		break
 	}
 	s.bad = true
 	return nil
 }
 
-// Key consumes `"name":`.
-func (s *Scanner) Key() []byte {
-	k := s.Str()
-	if !s.punct(':') {
-		s.bad = true
+// Enum is Str for an enumerated value expected to be one of names: a name
+// followed by the closing quote is matched as a literal and returned as
+// names' own string, so a steady-state frame decodes its method, status, op
+// or state without allocating; any other string is copied.
+func (s *Scanner) Enum(names []string) string {
+	rest := s.b[s.i:]
+	for _, name := range names {
+		if len(rest) > len(name) && rest[len(name)] == '"' && string(rest[:len(name)]) == name {
+			s.i += len(name) + 1
+			return name
+		}
 	}
-	return k
-}
-
-// Once marks the member with this bit as met in seen, the caller's set for
-// the object it is walking; meeting it twice is outside the canonical shape
-// (encoding/json would keep the last).
-func (s *Scanner) Once(seen *uint, bit uint) {
-	if *seen&bit != 0 {
-		s.bad = true
-	}
-	*seen |= bit
+	return string(s.Str())
 }
 
 // safeDigits is how many decimal digits always fit a uint64
@@ -250,9 +228,9 @@ func (s *Scanner) Once(seen *uint, bit uint) {
 const safeDigits = 19
 
 // Uint consumes digits: no sign, no leading zero, no fraction or exponent
-// (the byte after the digits is left for Next to reject), within uint64.
-// The first safeDigits digits cannot overflow, so only a longer number
-// pays for the check.
+// (the byte after the digits is left for the next literal to reject),
+// within uint64. The first safeDigits digits cannot overflow, so only a
+// longer number pays for the check.
 func (s *Scanner) Uint() uint64 {
 	rest, v, n := s.b[s.i:], uint64(0), 0
 	for ; n < len(rest) && n < safeDigits && rest[n]-'0' <= 9; n++ {
@@ -275,7 +253,7 @@ func (s *Scanner) Uint() uint64 {
 
 // Int consumes an optionally negative integer within int64.
 func (s *Scanner) Int() int64 {
-	neg := s.punct('-')
+	neg := s.Has("-")
 	v := s.Uint()
 	if neg && v <= -math.MinInt64 {
 		return -int64(v)
@@ -296,20 +274,9 @@ func (s *Scanner) IntN() int {
 	return int(v)
 }
 
-// Bool consumes true or false.
-func (s *Scanner) Bool() bool {
-	if s.lit("true") {
-		return true
-	}
-	if !s.lit("false") {
-		s.bad = true
-	}
-	return false
-}
-
 // Mates consumes what AppendOmitMates writes after its key: a non-empty
-// array of objects holding exactly "Domain" and "Job". The slice is new on
-// every call, so the caller may keep it.
+// array of {"Domain":…,"Job":…} objects. The slice is new on every call, so
+// the caller may keep it.
 func (s *Scanner) Mates() []job.MateRef { return s.MatesInto(nil, nil) }
 
 // MatesInto is Mates decoding into dst[:0], reusing its array as
@@ -320,37 +287,25 @@ func (s *Scanner) Mates() []job.MateRef { return s.MatesInto(nil, nil) }
 //simlint:hotpath
 func (s *Scanner) MatesInto(dst []job.MateRef, domains *[]string) []job.MateRef {
 	mates := dst[:0]
-	for s.Array(); s.Elem(); {
+	for sep := `[{"Domain":"`; s.Has(sep); sep = `},{"Domain":"` {
 		var m job.MateRef
-		var seen uint
-		for s.Object(); s.Next(); {
-			switch string(s.Key()) {
-			case "Domain":
-				s.Once(&seen, 1)
-				if domains != nil {
-					m.Domain = InternAdd(s.Str(), domains)
-				} else {
-					m.Domain = string(s.Str())
-				}
-			case "Job":
-				s.Once(&seen, 2)
-				m.Job = job.ID(s.Int())
-			default:
-				s.bad = true
-			}
+		if domains != nil {
+			m.Domain = InternAdd(s.Str(), domains)
+		} else {
+			m.Domain = string(s.Str())
 		}
-		if seen != 3 {
-			s.bad = true
-		}
+		s.Want(`,"Job":`)
+		m.Job = job.ID(s.Int())
 		mates = append(mates, m) //simlint:allow R6 amortized growth of dst, which a decoder reusing it grows once; one allocation for a kept pair's single mate
 	}
 	if len(mates) == 0 {
 		s.bad = true // json.Marshal omits an empty slice; `[]` decodes to a non-nil one
 	}
+	s.Want(`}]`)
 	return mates
 }
 
-// StateNames are the names of job.State, for Intern: the state a frame or a
+// StateNames are the names of job.State, for Enum: the state a frame or a
 // snapshot record carries is expected to be one of them.
 var StateNames = func() (names [job.Cancelled + 1]string) {
 	for st := range names {
@@ -359,25 +314,15 @@ var StateNames = func() (names [job.Cancelled + 1]string) {
 	return names
 }()
 
-// Intern returns names' copy of b if it is one of them, so a steady-state
-// frame decodes its enumerated strings without allocating.
-func Intern(b []byte, names []string) string {
-	for _, name := range names {
-		if name == string(b) {
-			return name
-		}
-	}
-	return string(b)
-}
-
 // maxInterned bounds a table InternAdd grows: names past it are still
 // decoded, each copied afresh.
 const maxInterned = 16
 
-// InternAdd is Intern over a table the caller keeps and InternAdd grows: b
-// not yet in *names is copied once and added while the table has room, so
-// a decoder that keeps meeting the same few names — a connection naming its
-// mates' domains — decodes them without allocating.
+// InternAdd returns names' copy of b if it is one of them, over a table the
+// caller keeps and InternAdd grows: b not yet in *names is copied once and
+// added while the table has room, so a decoder that keeps meeting the same
+// few names — a connection naming its mates' domains — decodes them without
+// allocating.
 //
 //simlint:hotpath
 func InternAdd(b []byte, names *[]string) string {

@@ -34,24 +34,18 @@ func appendHolder(b []byte, h *holder) ([]byte, bool) {
 	return append(b, '}'), true
 }
 
+// parseHolder reads a holder up to its closing brace, which is Done's to
+// check for the outer object and the caller's for a nested one.
 func parseHolder(s *Scanner, h *holder) {
-	var seen uint
-	for s.Next() {
-		switch string(s.Key()) {
-		case "n":
-			s.Once(&seen, 1)
-			h.N = s.Int()
-		case "mates":
-			s.Once(&seen, 2)
-			h.Mates = s.Mates()
-		case "in":
-			s.Once(&seen, 4)
-			h.In = new(holder)
-			s.Object()
-			parseHolder(s, h.In)
-		default:
-			s.Fail()
-		}
+	s.Want(`{"n":`)
+	h.N = s.Int()
+	if s.Has(`,"mates":`) {
+		h.Mates = s.Mates()
+	}
+	if s.Has(`,"in":`) {
+		h.In = new(holder)
+		parseHolder(s, h.In)
+		s.Want(`}`)
 	}
 }
 
@@ -95,6 +89,7 @@ func TestScannerRefusesNonCanonicalNesting(t *testing.T) {
 		"mate without job":     `{"n":1,"mates":[{"Domain":"B"}]}`,
 		"mate without domain":  `{"n":1,"mates":[{"Job":1}]}`,
 		"empty mate":           `{"n":1,"mates":[{}]}`,
+		"mate members swapped": `{"n":1,"mates":[{"Job":1,"Domain":"B"}]}`,
 		"duplicate mate key":   `{"n":1,"mates":[{"Domain":"B","Job":1,"Job":2}]}`,
 		"lowercase mate key":   `{"n":1,"mates":[{"domain":"B","Job":1}]}`,
 		"unknown mate key":     `{"n":1,"mates":[{"Domain":"B","Job":1,"x":0}]}`,
@@ -109,6 +104,11 @@ func TestScannerRefusesNonCanonicalNesting(t *testing.T) {
 		"unclosed nested":      `{"n":1,"in":{"n":2}`,
 		"comma after brace":    `{,"n":1}`,
 		"duplicate in nested":  `{"n":1,"in":{"n":2,"n":3}}`,
+		"duplicate member":     `{"n":1,"n":2}`,
+		"members swapped":      `{"mates":[{"Domain":"B","Job":1}],"n":1}`,
+		"nested first":         `{"in":{"n":2},"n":1}`,
+		"required missing":     `{"mates":[{"Domain":"B","Job":1}]}`,
+		"empty object":         `{}`,
 		"no object":            `"n"`,
 	} {
 		var h holder
@@ -118,10 +118,10 @@ func TestScannerRefusesNonCanonicalNesting(t *testing.T) {
 			t.Errorf("%s: scanner accepted %q as %+v", name, payload, h)
 		}
 	}
-	// A nested object's member set is its own: the same key at two depths
+	// A nested object's members are its own: the same key at two depths
 	// is not a duplicate.
 	var h holder
-	s := Scan([]byte(`{"in":{"n":2},"n":1}`))
+	s := Scan([]byte(`{"n":1,"in":{"n":2}}`))
 	parseHolder(&s, &h)
 	if !s.Done() || h.N != 1 || h.In == nil || h.In.N != 2 {
 		t.Fatalf("same key at two depths: %+v (done %v)", h, s.Done())
@@ -138,7 +138,7 @@ func TestIntNRange(t *testing.T) {
 		{"9223372036854775807", math.MaxInt == math.MaxInt64},
 		{"9223372036854775808", false}, {"-9223372036854775809", false},
 	} {
-		s := Scanner{b: []byte(tc.in)}
+		s := Scanner{b: []byte(tc.in + "}")}
 		v := s.IntN()
 		if want, _ := json.Number(tc.in).Int64(); s.Done() != tc.ok || tc.ok && int64(v) != want {
 			t.Errorf("IntN(%s) = %d, done %v; want ok %v", tc.in, v, s.Done(), tc.ok)
@@ -152,8 +152,7 @@ func TestIntNRange(t *testing.T) {
 // decodes, copying the names past it.
 func TestMatesIntoReusesItsArrayAndInternsDomains(t *testing.T) {
 	mates := func(s Scanner, dst []job.MateRef, domains *[]string) []job.MateRef {
-		s.Next()
-		s.Key()
+		s.Want(`{"mates":`)
 		return s.MatesInto(dst, domains)
 	}
 	payload := []byte(`{"mates":[{"Domain":"beta","Job":7}]}`)
@@ -225,23 +224,24 @@ var scannerBoundaries = []string{
 func TestScannerBoundaries(t *testing.T) {
 	parse := func(payload string, member func(*Scanner)) bool {
 		s := Scan([]byte(payload))
-		for s.Next() {
-			if string(s.Key()) != "v" {
-				s.Fail()
-			}
-			member(&s)
-		}
+		s.Want(`{"v":`)
+		member(&s)
 		return s.Done()
+	}
+	// A string member's key carries the opening quote.
+	str := func(s *Scanner) []byte {
+		s.Want(`"`)
+		return s.Str()
 	}
 	for _, payload := range scannerBoundaries {
 		var u uint64
 		var i int64
 		var n int
-		var str string
+		var got string
 		okU := parse(payload, func(s *Scanner) { u = s.Uint() })
 		okI := parse(payload, func(s *Scanner) { i = s.Int() })
 		okN := parse(payload, func(s *Scanner) { n = s.IntN() })
-		okS := parse(payload, func(s *Scanner) { str = string(s.Str()) })
+		okS := parse(payload, func(s *Scanner) { got = string(str(s)) })
 		var ref struct {
 			U uint64 `json:"v"`
 		}
@@ -270,8 +270,8 @@ func TestScannerBoundaries(t *testing.T) {
 		if okN && (errN != nil || n != refN.N || int64(n) != i) {
 			t.Errorf("IntN took %s as %d; encoding/json: %d, %v", payload, n, refN.N, errN)
 		}
-		if okS && (errS != nil || str != refS.S) {
-			t.Errorf("Str took %q as %q; encoding/json: %q, %v", payload, str, refS.S, errS)
+		if okS && (errS != nil || got != refS.S) {
+			t.Errorf("Str took %q as %q; encoding/json: %q, %v", payload, got, refS.S, errS)
 		}
 	}
 	// The boundaries themselves, by name.
@@ -291,9 +291,9 @@ func TestScannerBoundaries(t *testing.T) {
 		{`{"v":00}`, func(s *Scanner) { s.Uint() }, false},
 		{`{"v":-00}`, func(s *Scanner) { s.Int() }, false},
 		{`{"v":-0}`, func(s *Scanner) { s.Int() }, true},
-		{"{\"v\":\"ab\x7f\"}", func(s *Scanner) { s.Str() }, false},
-		{`{"v":"ab<"}`, func(s *Scanner) { s.Str() }, false},
-		{`{"v":"ab"}`, func(s *Scanner) { s.Str() }, true},
+		{"{\"v\":\"ab\x7f\"}", func(s *Scanner) { str(s) }, false},
+		{`{"v":"ab<"}`, func(s *Scanner) { str(s) }, false},
+		{`{"v":"ab"}`, func(s *Scanner) { str(s) }, true},
 	} {
 		if ok := parse(tc.payload, tc.member); ok != tc.ok {
 			t.Errorf("%s: scanner accepted %v, want %v", tc.payload, ok, tc.ok)
