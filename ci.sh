@@ -143,9 +143,11 @@ go test -race -count=2 -run 'Crash|Drain|Flag' ./cmd/coschedd
 go test -run '^$' -fuzz 'FuzzDecodeEntries' -fuzztime 10s ./internal/journal
 
 # Job-index fuzz smoke: ten seconds of put/get programmes against the
-# manager's ID index (dense slice plus map) and a plain map as oracle, IDs
+# manager's ID index (dense slice plus map) and a plain map as oracle, after
+# adopting a trace numbered 1..n as SubmitTrace does, IDs inside that trace,
 # near the dense window and anywhere in int64. Every answer must match the
-# map's, and the dense part must stay within 2n+1024 slots for n jobs.
+# map's, the dense part must stay within 2n+1024 slots for n jobs, and the
+# adopted trace must come out unchanged.
 go test -run '^$' -fuzz 'FuzzJobIndex' -fuzztime 10s ./internal/resmgr
 
 # Ordering fuzz smoke: ten seconds of shuffled, nearly sorted, rotated and
@@ -156,6 +158,19 @@ go test -run '^$' -fuzz 'FuzzJobIndex' -fuzztime 10s ./internal/resmgr
 # unplannable jobs, and the queue it leaves the sort's permutation of every
 # job, skipped ones included.
 go test -run '^$' -fuzz 'FuzzOrderFitting' -fuzztime 10s ./internal/policy
+
+# Scheduling-core fuzz smoke: ten seconds of small coupled cells drawn from
+# the input bytes (any of the five policies, backfill mode, estimator, both
+# schemes, release interval, held-fraction and max-yield thresholds, yield
+# boost; at most 16 jobs a domain, numbered 1..n or not, so SubmitTrace's
+# adopting and job-by-job paths both run), seeded from the eight
+# schedCoreScenarios. The reference and incremental cores must render the
+# same schedule, audited, and no instant may see a livelock's worth of
+# holds, yields and releases. Each new input is minimized for at most 100
+# runs: at the default (60 s) the first minimization of a 200-byte cell ate
+# the whole ten seconds, leaving about a dozen runs, where 100 runs leave
+# about 8 000.
+go test -run '^$' -fuzz 'FuzzSchedCoreDifferential' -fuzztime 10s -fuzzminimizetime 100x ./internal/coupled
 
 # Frame-codec fuzz smoke: ten seconds of the differential target for the
 # hand-written Request/Response codec. encoding/json defines the wire, so
@@ -208,12 +223,16 @@ go test -tags debug ./internal/invariant ./internal/backfill \
 # (TestStatusReadWithoutAllocatingPerEndedJob); building a trace allocates
 # per slab of jobs, not per job (TestGenerateWithoutAllocatingPerJob), and pairing per
 # call, not per pair (TestPairNearestWithoutAllocatingPerPair,
-# TestPairByWindowAndPairCountWithoutAllocatingPerPair)). Throughput is NOT
+# TestPairByWindowAndPairCountWithoutAllocatingPerPair); a domain registers
+# a trace numbered 1..n, and a simulation counts its co-start violations,
+# in the same bytes at 1 k and 100 k jobs
+# (TestSubmitTraceWithoutAllocatingPerJob,
+# TestCoStartCheckWithoutAllocatingPerJob)). Throughput is NOT
 # gated here: shared CI machines make wall-clock assertions flaky;
 # bench/run.sh measures it.
 go test -run 'ZeroAlloc|WithoutAllocating|AllocatesNothing|AllocatesOnce' -count=1 \
     ./internal/sim ./internal/arena ./internal/backfill ./internal/workload \
-    ./internal/resmgr ./internal/cluster \
+    ./internal/resmgr ./internal/cluster ./internal/coupled \
     ./internal/journal ./internal/live ./internal/proto
 
 # Peer-call benchmarks, one iteration each, so they keep compiling and

@@ -11,7 +11,7 @@
 // again, so a pointer obtained before a Reset must not be used afterwards.
 package arena
 
-// slabSize is the number of values per slab. 4096 jobs × ~140 B ≈ 570 KiB
+// slabSize is the number of values per slab. 4096 jobs × 160 B = 640 KiB
 // per slab keeps slab count low for million-value arenas while bounding
 // over-allocation for small ones.
 const slabSize = 4096

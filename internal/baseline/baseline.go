@@ -88,18 +88,19 @@ func newResult(domains []DomainConfig, byID map[string]map[job.ID]*job.Job, make
 		Reports:   make(map[string]metrics.DomainReport, len(domains)),
 		StuckJobs: stuck,
 	}
-	jobs := make(map[string][]*job.Job, len(domains))
-	for _, dc := range domains {
-		res.Reports[dc.Name] = metrics.Collect(dc.Name, dc.Trace, dc.Nodes, makespan)
-		jobs[dc.Name] = dc.Trace
-	}
 	mate := func(ref job.MateRef) (*job.Job, bool) {
 		j, ok := byID[ref.Domain][ref.Job]
 		return j, ok
 	}
-	for _, v := range invariant.VerifyCoStarts(jobs, mate) {
+	count := func(v invariant.Violation) {
 		if v.Both() {
 			res.CoStartViolations++
+		}
+	}
+	for _, dc := range domains {
+		res.Reports[dc.Name] = metrics.Collect(dc.Name, dc.Trace, dc.Nodes, makespan)
+		for _, j := range dc.Trace {
+			invariant.EachCoStartViolation(dc.Name, j, mate, count)
 		}
 	}
 	return res

@@ -56,12 +56,17 @@ type DomainConfig struct {
 	Cosched cosched.Config
 	// Trace is the domain's workload, sorted by submit time. Jobs are
 	// mutated during the run; pass workload.Clone copies to reuse traces.
+	// The domain's manager keeps a sorted trace slice for its whole life
+	// as its job registry (resmgr.Manager.SubmitTrace): do not reorder or
+	// overwrite its elements once New has returned.
 	Trace []*job.Job
 	// Observer, when non-nil, receives lifecycle callbacks.
 	Observer resmgr.Observer
 }
 
-// Options configures a coupled simulation.
+// Options configures a coupled simulation. Each domain's manager keeps its
+// DomainConfig.Trace slice (or, for an unsorted one, New's sorted copy) for
+// the simulation's life; see DomainConfig.Trace.
 type Options struct {
 	Domains []DomainConfig
 	// UseWireProtocol routes every peer call through proto frames
@@ -325,21 +330,31 @@ func (s *Sim) Run() *Result {
 	res.StuckJobs = total - res.CompletedJobs
 	res.Deadlocked = res.StuckJobs > 0
 
-	jobs := make(map[string][]*job.Job, len(s.managers))
 	for name, m := range s.managers {
 		m.Pool().Sync(res.Makespan)
 		res.Iterations += m.Iterations()
 		res.Reports[name] = m.CollectReport(m.Pool().Total(), res.Makespan)
-		jobs[name] = m.Jobs()
 	}
-	// A mate that never started is a stuck job, counted above; only pairs
-	// whose two halves started at different instants count here.
-	for _, v := range invariant.VerifyCoStarts(jobs, s.mate) {
+	res.CoStartViolations = s.coStartViolations()
+	return res
+}
+
+// coStartViolations counts the pairs whose two halves started at different
+// instants, walking every domain's registry in place. A mate that never
+// started is a stuck job, which Run counts apart.
+func (s *Sim) coStartViolations() int {
+	n := 0
+	count := func(v invariant.Violation) {
 		if v.Both() {
-			res.CoStartViolations++
+			n++
 		}
 	}
-	return res
+	for _, name := range s.order {
+		s.managers[name].EachJob(func(j *job.Job) {
+			invariant.EachCoStartViolation(name, j, s.mate, count)
+		})
+	}
+	return n
 }
 
 // mate finds a job by its domain and ID.

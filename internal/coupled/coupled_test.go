@@ -537,3 +537,48 @@ func TestRandomConfigsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCoStartCheckWithoutAllocatingPerJob pins Run's co-start check at a
+// constant number of bytes: on a baseline cell (coscheduling off, every
+// pair's halves submitted a second apart, so every pair starts
+// uncoordinated) it walks each domain's registry in place and counts,
+// building neither a copy of the registry nor a list of the violations.
+// A copy of 100 k job pointers alone is 792 KB more than one of 1 k.
+func TestCoStartCheckWithoutAllocatingPerJob(t *testing.T) {
+	cell := func(jobs int) *Sim {
+		var tr [2][]*job.Job
+		for i := 0; i < jobs/2; i++ {
+			for k, dom := range []string{"B", "A"} {
+				j := job.New(job.ID(i+1), 1, sim.Time(i+k), sim.Minute, sim.Minute)
+				j.Mates = []job.MateRef{{Domain: dom, Job: j.ID}}
+				tr[k] = append(tr[k], j)
+			}
+		}
+		s, err := New(Options{Domains: []DomainConfig{
+			{Name: "A", Nodes: 128, Backfilling: true, Trace: tr[0]},
+			{Name: "B", Nodes: 128, Backfilling: true, Trace: tr[1]},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := s.Run()
+		if res.StuckJobs != 0 || res.CoStartViolations != jobs/2 {
+			t.Fatalf("%d jobs: %d stuck, %d co-start violations, want 0 and %d", jobs, res.StuckJobs, res.CoStartViolations, jobs/2)
+		}
+		return s
+	}
+	bytesPerCheck := func(s *Sim) uint64 {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			s.coStartViolations()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := bytesPerCheck(cell(1_000)), bytesPerCheck(cell(100_000))
+	if large > small+1<<10 {
+		t.Fatalf("the co-start check allocates %d B beside 100 k jobs, %d B beside 1 k: it grows with the registry", large, small)
+	}
+}

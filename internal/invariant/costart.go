@@ -31,10 +31,8 @@ func (v Violation) Both() bool { return v.MateAt >= 0 }
 // VerifyCoStarts checks the paper's §V-B guarantee over finished jobs: every
 // started job whose mate also started did so at the same instant. jobs holds
 // each domain's jobs by domain name; mate finds a mate's job, and nil indexes
-// jobs for it. It returns one violation per pair whose halves started at
-// different instants, reported from the side with the smaller (domain, job),
-// and one per started job whose mate never started, reported from the job
-// that did. The order is (domain, job, mate) on every call.
+// jobs for it. It returns what EachCoStartViolation reports for every job,
+// in (domain, job, mate) order on every call.
 func VerifyCoStarts(jobs map[string][]*job.Job, mate func(job.MateRef) (*job.Job, bool)) []Violation {
 	if mate == nil {
 		index := make(map[job.MateRef]*job.Job)
@@ -49,26 +47,10 @@ func VerifyCoStarts(jobs map[string][]*job.Job, mate func(job.MateRef) (*job.Job
 		}
 	}
 	var out []Violation
+	collect := func(v Violation) { out = append(out, v) }
 	for domain, js := range jobs {
 		for _, j := range js {
-			if !started(j) {
-				continue
-			}
-			for _, ref := range j.Mates {
-				v := Violation{Domain: domain, JobID: j.ID, Mate: ref, Start: j.StartTime, MateAt: -1}
-				m, ok := mate(ref)
-				switch {
-				case !ok || !started(m):
-					v.Reason = "mate never started"
-				case m.StartTime == j.StartTime:
-					continue
-				case domain > ref.Domain || domain == ref.Domain && j.ID > ref.Job:
-					continue // reported from the mate's side
-				default:
-					v.MateAt, v.Reason = m.StartTime, "start instants differ"
-				}
-				out = append(out, v)
-			}
+			EachCoStartViolation(domain, j, mate, collect)
 		}
 	}
 	// The map range above visits domains in random order, so the order must
@@ -78,6 +60,33 @@ func VerifyCoStarts(jobs map[string][]*job.Job, mate func(job.MateRef) (*job.Job
 			cmp.Compare(x.Mate.Domain, y.Mate.Domain), cmp.Compare(x.Mate.Job, y.Mate.Job))
 	})
 	return out
+}
+
+// EachCoStartViolation is the co-start rule, applied to j, a job of domain:
+// it calls fn once per mate of a started j that started at another instant,
+// when j is the pair's side with the smaller (domain, job), and once per
+// mate that never started, mate finding a mate's job. Walked over every job
+// of every domain it reports each violating pair once; a caller that only
+// counts them builds no list.
+func EachCoStartViolation(domain string, j *job.Job, mate func(job.MateRef) (*job.Job, bool), fn func(Violation)) {
+	if !started(j) {
+		return
+	}
+	for _, ref := range j.Mates {
+		v := Violation{Domain: domain, JobID: j.ID, Mate: ref, Start: j.StartTime, MateAt: -1}
+		m, ok := mate(ref)
+		switch {
+		case !ok || !started(m):
+			v.Reason = "mate never started"
+		case m.StartTime == j.StartTime:
+			continue
+		case domain > ref.Domain || domain == ref.Domain && j.ID > ref.Job:
+			continue // reported from the mate's side
+		default:
+			v.MateAt, v.Reason = m.StartTime, "start instants differ"
+		}
+		fn(v)
+	}
 }
 
 // started reports whether j ever started: a running or completed job.

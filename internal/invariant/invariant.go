@@ -84,7 +84,7 @@ func (a *Auditor) audit(now sim.Time) {
 	}
 
 	var queued, running, holding int
-	for _, j := range a.mgr.Jobs() {
+	a.mgr.EachJob(func(j *job.Job) {
 		switch j.State {
 		case job.Queued:
 			queued++
@@ -96,7 +96,7 @@ func (a *Auditor) audit(now sim.Time) {
 		if j.YieldCount < 0 || j.HoldCount < 0 || j.HeldNodeSeconds < 0 {
 			a.fail(now, "negative accounting on %s", j)
 		}
-	}
+	})
 	c := a.mgr.Counts()
 	if queued != c.Queued {
 		a.fail(now, "queue count %d != %d jobs in Queued state", c.Queued, queued)

@@ -68,11 +68,11 @@ func RecoveryViolations(m *resmgr.Manager, want []*job.Job) []string {
 		}
 	}
 	ids := make([]job.ID, 0)
-	for _, j := range m.Jobs() {
+	m.EachJob(func(j *job.Job) {
 		if _, ok := seen[j.ID]; !ok {
 			ids = append(ids, j.ID)
 		}
-	}
+	})
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	for _, id := range ids {
 		fail("job %d invented in recovery: manager knows it, replay does not", id)

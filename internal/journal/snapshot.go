@@ -127,7 +127,10 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 // write-ahead position the snapshot corresponds to. Must run on the
 // manager's thread (in live mode: under the driver lock).
 func ManagerSnapshot(m *resmgr.Manager) Snapshot {
-	jobs := m.Jobs()
+	n := 0
+	m.EachJob(func(*job.Job) { n++ })
+	jobs := make([]*job.Job, 0, n)
+	m.EachJob(func(j *job.Job) { jobs = append(jobs, j) })
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
 	s := Snapshot{Domain: m.Name(), T: m.Engine().Now(), Jobs: make([]JobRecord, 0, len(jobs))}
 	for _, j := range jobs {

@@ -412,7 +412,7 @@ func TestAdminRefusesJobWiderThanPool(t *testing.T) {
 		}
 	}
 	var known int
-	d.Do(func() { known = len(mgr.Jobs()) })
+	d.Do(func() { mgr.EachJob(func(*job.Job) { known++ }) })
 	if known != 0 || store.Stats().Appends != 0 {
 		t.Fatalf("a refused job left %d job(s) in the manager and %d journal entries", known, store.Stats().Appends)
 	}

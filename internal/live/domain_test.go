@@ -71,9 +71,9 @@ func simulatedStarts(t *testing.T, d config.Domain, jobs []*job.Job) map[job.ID]
 		t.Fatalf("%d stuck jobs", res.StuckJobs)
 	}
 	starts := map[job.ID]sim.Time{}
-	for _, j := range s.Manager(d.Name).Jobs() {
+	s.Manager(d.Name).EachJob(func(j *job.Job) {
 		starts[j.ID] = j.StartTime
-	}
+	})
 	return starts
 }
 

@@ -9,7 +9,8 @@ import (
 // the report is rendered at the end.
 //
 // add order is the float-accumulation order. For reproducible reports, feed
-// jobs in registration order (Manager.Jobs()).
+// jobs in registration order (Manager.CollectReport does; Manager.EachJob
+// walks the same order).
 type collector struct {
 	r                 DomainReport
 	waits, sds, syncs Accumulator

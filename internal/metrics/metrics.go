@@ -145,9 +145,9 @@ type DomainReport struct {
 // Aggregation is streaming and bounded: three constant-size Accumulators
 // replace the per-job []float64 buffers this function used to build, so
 // collecting a million-job domain costs no per-job memory. Values
-// accumulate in the order jobs are listed; Manager.Jobs() returns
-// registration order, which is deterministic, so reports are reproducible
-// at any worker count.
+// accumulate in the order jobs are listed; Manager.CollectReport lists
+// them in registration order, which is deterministic, so reports are
+// reproducible at any worker count.
 func Collect(domain string, jobs []*job.Job, totalNodes int, span sim.Duration) DomainReport {
 	c := collector{r: DomainReport{Domain: domain}}
 	for _, j := range jobs {

@@ -12,7 +12,8 @@ import "math"
 //
 // Accumulation order is whatever order Add is called in; callers that need
 // reproducible floating-point results (the experiment tables) must feed
-// values in a deterministic order, e.g. Manager.Jobs() registration order.
+// values in a deterministic order, e.g. the registration order
+// Manager.EachJob walks.
 type Accumulator struct {
 	count    int
 	sum      float64

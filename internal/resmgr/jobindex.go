@@ -19,9 +19,13 @@ const denseSlack = 1024
 // grows to cover an ID only while that ID is at most 2n+denseSlack, and
 // never beyond that length, so len(dense) ≤ 2n+denseSlack at all times (a
 // single job with ID 1<<62 costs one map entry, not an exabyte of slice).
-// Within that bound the dense part doubles, so a trace registered in ID
-// order copies each pointer a constant number of times on average. Nothing
-// is ever removed: the registry keeps every job for the manager's life.
+// Within that bound the dense part doubles, so jobs put in ID order copy
+// each pointer a constant number of times on average. A trace numbered
+// 1..n in order costs nothing: adopt makes the trace slice itself the
+// dense part, full (no free slot) and with its capacity clipped to its
+// length, so the first put past it grows into a fresh allocation and the
+// caller's slice is never written. Nothing is ever removed: the registry
+// keeps every job for the manager's life.
 type jobIndex struct {
 	dense  []*job.Job          // dense[id-1]; nil is a free slot
 	sparse map[job.ID]*job.Job // IDs outside the window when they arrived; nil until the first
@@ -39,6 +43,14 @@ func (x *jobIndex) get(id job.ID) (*job.Job, bool) {
 	}
 	j, ok := x.sparse[id]
 	return j, ok
+}
+
+// adopt makes trace, whose jobs are numbered 1..len(trace) in order, the
+// dense part. The index must be empty or hold a shorter prefix of trace,
+// adopted the same way; len(trace) == cap(trace), so put never writes
+// into it.
+func (x *jobIndex) adopt(trace []*job.Job) {
+	x.dense, x.n = trace, len(trace)
 }
 
 // put registers j, whose ID the caller has checked is not registered yet.

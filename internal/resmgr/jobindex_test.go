@@ -40,6 +40,33 @@ func (o *indexOracle) put(id job.ID) {
 	}
 }
 
+// adopt registers jobs 1..n the way SubmitTrace registers a trace numbered
+// so, one growing prefix at a time, and returns the trace for the caller
+// to check later that no put wrote into it.
+func (o *indexOracle) adopt(n int) []*job.Job {
+	o.t.Helper()
+	trace := make([]*job.Job, n)
+	for i := range trace {
+		trace[i] = &job.Job{ID: job.ID(i + 1)}
+		o.oracle[trace[i].ID] = trace[i]
+		o.x.adopt(trace[: i+1 : i+1])
+	}
+	for id := job.ID(0); id <= job.ID(n)+1; id++ {
+		o.get(id)
+	}
+	return trace
+}
+
+// untouched fails unless trace still holds jobs 1..len(trace) in order.
+func (o *indexOracle) untouched(trace []*job.Job) {
+	o.t.Helper()
+	for i, j := range trace {
+		if j == nil || j.ID != job.ID(i+1) || o.oracle[j.ID] != j {
+			o.t.Fatalf("the adopted trace changed at index %d: %v", i, j)
+		}
+	}
+}
+
 func (o *indexOracle) get(id job.ID) {
 	o.t.Helper()
 	want, wok := o.oracle[id]
@@ -53,13 +80,18 @@ func (o *indexOracle) get(id job.ID) {
 // kind of ID a manager can be handed — a dense run from 1, the edges (0,
 // negatives, the int64 extremes), a stride wider than the window and a
 // doubling sequence — and checks every answer against a plain map and the
-// dense part's size against 2n+denseSlack after every registration.
+// dense part's size against 2n+denseSlack after every registration. Most
+// seeds first adopt a trace numbered 1..n, as SubmitTrace does, so the
+// dense run continues just past it, and must leave that trace unchanged.
 func TestJobIndexMatchesMapOracle(t *testing.T) {
 	edges := []job.ID{0, -1, -2, math.MinInt64, math.MaxInt64, math.MaxInt64 - 1, 1}
+	adopted := []int{0, 1, 100, 3 * denseSlack}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		o := newIndexOracle(t)
-		var dense, stride, doubling job.ID
+		trace := o.adopt(adopted[seed%int64(len(adopted))])
+		dense := job.ID(len(trace))
+		var stride, doubling job.ID
 		stride = 3 * denseSlack
 		doubling = 1
 		draw := func() job.ID {
@@ -94,6 +126,7 @@ func TestJobIndexMatchesMapOracle(t *testing.T) {
 		for id := range o.oracle {
 			o.get(id)
 		}
+		o.untouched(trace)
 	}
 }
 
@@ -126,16 +159,26 @@ func TestJobIndexMemoryIsBoundedByEntries(t *testing.T) {
 	}
 }
 
-// FuzzJobIndex decodes its input as a programme of puts and gets — each op
-// one byte of kind and eight of ID, the ID folded into the dense window for
-// half the kinds — and runs it on the index and the map oracle.
+// FuzzJobIndex decodes its input as a programme of puts and gets — the
+// first byte, times eight, the length of a 1..n trace adopted first (0
+// adopts nothing), then each op one byte of kind and eight of ID, the ID
+// folded into the dense window for half the kinds: inside the adopted
+// trace, just past it and beyond the window — and runs it on the index and
+// the map oracle. The adopted trace must come out as it went in.
 func FuzzJobIndex(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1})
-	f.Add([]byte{3, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{3, 0x40, 0, 0, 0, 0, 0, 0, 0, 2, 0x40, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{0, 3, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 3, 0x40, 0, 0, 0, 0, 0, 0, 0, 2, 0x40, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{16, 1, 0, 0, 0, 0, 0, 0, 0, 129, 1, 0, 0, 0, 0, 0, 0, 0, 130, 0, 0, 0, 0, 0, 0, 0, 129})
+	f.Add([]byte{200, 1, 0, 0, 0, 0, 0, 0, 0x0c, 0x80, 3, 0, 0, 0, 0, 0, 0, 0x10, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o := newIndexOracle(t)
+		var trace []*job.Job
+		if len(data) > 0 {
+			trace = o.adopt(int(data[0]) * 8)
+			data = data[1:]
+		}
 		for len(data) >= 9 {
 			kind := data[0]
 			id := job.ID(binary.BigEndian.Uint64(data[1:9]))
@@ -152,5 +195,6 @@ func FuzzJobIndex(f *testing.F) {
 		for id := range o.oracle {
 			o.get(id)
 		}
+		o.untouched(trace)
 	})
 }

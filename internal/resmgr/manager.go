@@ -156,10 +156,12 @@ type Manager struct {
 	// outside: peer calls, admin Submit/Cancel, Expect and Restore. Dense
 	// IDs sit in a slice, the rest in a map (see jobIndex).
 	jobs jobIndex
-	// all mirrors jobs in insertion order. Jobs() iterates it so downstream
+	// all mirrors jobs in insertion order. EachJob walks it so downstream
 	// consumers (metrics, audits) see a deterministic order without
 	// sorting; nothing is ever removed from the registry, so the two stay
-	// in lockstep.
+	// in lockstep. After SubmitTrace on an empty manager it is the caller's
+	// trace slice itself, its capacity clipped to its length so that a
+	// later registration appends to a copy.
 	all   []*job.Job
 	queue []*job.Job
 
@@ -392,7 +394,9 @@ func (m *Manager) AddPeer(domain string, p cosched.Peer) { m.peers[domain] = p }
 
 // addJob is the single registration point for the job registry: every path
 // that writes m.jobs goes through it so the insertion-ordered mirror stays
-// consistent with the index.
+// consistent with the index. SubmitTrace on an empty manager is the one
+// exception: the trace itself becomes the mirror and, when numbered 1..n,
+// the index's dense part.
 func (m *Manager) addJob(j *job.Job) {
 	m.jobs.put(j)
 	m.all = append(m.all, j)
@@ -411,10 +415,10 @@ func (m *Manager) fitsPool(j *job.Job) error {
 	return nil
 }
 
-// Expect pre-registers a job that will be submitted later (trace-driven
-// operation). Until Submit, peers asking about it see StatusUnsubmitted.
-// A job wider than the pool is refused (ErrTooWide).
-func (m *Manager) Expect(j *job.Job) error {
+// expectable is Expect's admission check, which SubmitTrace applies to
+// every trace job too: a valid job, no wider than the pool, under an ID not
+// yet registered, not yet submitted.
+func (m *Manager) expectable(j *job.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
@@ -426,6 +430,16 @@ func (m *Manager) Expect(j *job.Job) error {
 	}
 	if j.State != job.Unsubmitted {
 		return fmt.Errorf("%w: job %d is %s, want unsubmitted", ErrBadState, j.ID, j.State)
+	}
+	return nil
+}
+
+// Expect pre-registers a job that will be submitted later (trace-driven
+// operation). Until Submit, peers asking about it see StatusUnsubmitted.
+// A job wider than the pool is refused (ErrTooWide).
+func (m *Manager) Expect(j *job.Job) error {
+	if err := m.expectable(j); err != nil {
+		return err
 	}
 	m.addJob(j)
 	m.obs.JobExpected(m.eng.Now(), j)
@@ -489,24 +503,55 @@ func (m *Manager) SubmitAt(j *job.Job) error {
 // submissions is the trace order, which matches scheduling one SubmitAt
 // event per job in trace order (both fire in PrioritySubmit band, in
 // sequence order). Call once per manager, before the run starts.
+//
+// Every job passes Expect's checks and fires JobExpected, in trace order.
+// The manager keeps the jobs slice for its whole life and the caller must
+// not change it: the replay reads it, and on a manager that holds no jobs
+// yet it becomes the registry itself (EachJob walks it) and, when the
+// trace numbers its jobs 1..n in order, the ID index's dense part too, so
+// such a trace costs no copy of its pointers; any other trace's jobs enter
+// the index one by one. A later Expect or Submit appends to a copy and
+// leaves the caller's slice as it was.
 func (m *Manager) SubmitTrace(jobs []*job.Job) error {
 	if m.replay != nil {
 		return fmt.Errorf("resmgr %s: SubmitTrace called twice", m.name)
 	}
-	if len(m.all) == 0 {
-		m.all = make([]*job.Job, 0, len(jobs))
-	}
+	adopt := len(m.all) == 0
+	numbered := adopt && numberedInOrder(jobs)
+	now := m.eng.Now()
 	for i, j := range jobs {
 		if i > 0 && j.SubmitTime < jobs[i-1].SubmitTime {
 			return fmt.Errorf("resmgr %s: SubmitTrace: trace not sorted by submit time at index %d", m.name, i)
 		}
-		if err := m.Expect(j); err != nil {
+		if err := m.expectable(j); err != nil {
 			return err
 		}
+		switch {
+		case !adopt:
+			m.addJob(j)
+		case numbered:
+			m.all = jobs[: i+1 : i+1]
+			m.jobs.adopt(m.all)
+		default:
+			m.all = jobs[: i+1 : i+1]
+			m.jobs.put(j)
+		}
+		m.obs.JobExpected(now, j)
 	}
 	m.replay = jobs
 	m.armReplay()
 	return nil
+}
+
+// numberedInOrder reports whether jobs[i] has ID i+1 for every i: the
+// numbering workload.Generate gives a trace and snapshots keep.
+func numberedInOrder(jobs []*job.Job) bool {
+	for i, j := range jobs {
+		if j.ID != job.ID(i+1) {
+			return false
+		}
+	}
+	return true
 }
 
 // armReplay schedules the chained submission event for the next
@@ -542,13 +587,13 @@ func (m *Manager) replayStep(now sim.Time) {
 // Job returns the job with the given ID, if known.
 func (m *Manager) Job(id job.ID) (*job.Job, bool) { return m.jobs.get(id) }
 
-// Jobs returns all known jobs (any state) in registration order. The order
-// is deterministic — metrics accumulate in it — and the slice is freshly
-// allocated; the pointed-to jobs are live.
-func (m *Manager) Jobs() []*job.Job {
-	out := make([]*job.Job, len(m.all))
-	copy(out, m.all)
-	return out
+// EachJob calls fn on every registered job (any state) in registration
+// order, the order metrics accumulate in, without copying the registry.
+// fn must not change the manager.
+func (m *Manager) EachJob(fn func(*job.Job)) {
+	for _, j := range m.all {
+		fn(j)
+	}
 }
 
 // CollectReport renders the domain's metrics report over the registry in

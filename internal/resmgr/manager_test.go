@@ -2,6 +2,8 @@ package resmgr
 
 import (
 	"errors"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -624,5 +626,111 @@ func TestHoldBudgetRefusesExcessHolds(t *testing.T) {
 	}
 	if b.Counts().HoldsRefused != 0 {
 		t.Fatalf("B refused %d holds with no budget set", b.Counts().HoldsRefused)
+	}
+}
+
+// numberedTrace returns n one-node jobs numbered 1..n, one submitted per
+// second, the numbering workload.Generate gives a trace.
+func numberedTrace(n int) []*job.Job {
+	tr := make([]*job.Job, n)
+	for i := range tr {
+		tr[i] = job.New(job.ID(i+1), 1, sim.Time(i), sim.Minute, sim.Minute)
+	}
+	return tr
+}
+
+// TestRegistrationAfterSubmitTraceLeavesTheTraceAlone: SubmitTrace adopts
+// its slice as the registry (and, for a trace numbered 1..n, as the ID
+// index's dense part), so a later Expect or Submit must append to a copy:
+// the caller's slice keeps its elements, length and capacity, and every
+// job stays findable by ID and listed by EachJob in registration order.
+func TestRegistrationAfterSubmitTraceLeavesTheTraceAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		trace func() []*job.Job
+	}{
+		{"numbered", func() []*job.Job { return numberedTrace(8) }},
+		{"sparse", func() []*job.Job {
+			return []*job.Job{job.New(5, 1, 0, sim.Minute, sim.Minute), job.New(9, 1, 1, sim.Minute, sim.Minute)}
+		}},
+	} {
+		for _, register := range []string{"expect", "submit"} {
+			eng, a, _ := pairDomains(t, 16, 16, cosched.Config{}, cosched.Config{})
+			tr := append(make([]*job.Job, 0, 16), tc.trace()...) // spare capacity to write into
+			want := append([]*job.Job(nil), tr...)
+			wantLen, wantCap := len(tr), cap(tr)
+			if err := a.SubmitTrace(tr); err != nil {
+				t.Fatal(err)
+			}
+			extra := []*job.Job{job.New(9, 1, 0, sim.Minute, sim.Minute), job.New(100, 1, 0, sim.Minute, sim.Minute), job.New(-3, 1, 0, sim.Minute, sim.Minute)}
+			if tc.name == "sparse" {
+				extra[0] = job.New(1, 1, 0, sim.Minute, sim.Minute)
+			}
+			for _, j := range extra {
+				var err error
+				if register == "expect" {
+					err = a.Expect(j)
+				} else {
+					err = a.Submit(j)
+				}
+				if err != nil {
+					t.Fatalf("%s/%s job %d: %v", tc.name, register, j.ID, err)
+				}
+			}
+			full := tr[:cap(tr)]
+			if len(tr) != wantLen || cap(tr) != wantCap {
+				t.Fatalf("%s/%s: trace len %d cap %d, want %d %d", tc.name, register, len(tr), cap(tr), wantLen, wantCap)
+			}
+			for i := range full {
+				if i < wantLen && full[i] != want[i] || i >= wantLen && full[i] != nil {
+					t.Fatalf("%s/%s: trace slot %d holds %v after a later registration", tc.name, register, i, full[i])
+				}
+			}
+			var order []*job.Job
+			a.EachJob(func(j *job.Job) { order = append(order, j) })
+			if all := append(want, extra...); !slices.Equal(order, all) {
+				t.Fatalf("%s/%s: EachJob visits %v, want %v", tc.name, register, order, all)
+			}
+			for _, j := range order {
+				if got, ok := a.Job(j.ID); !ok || got != j {
+					t.Fatalf("%s/%s: Job(%d) = %v, %v", tc.name, register, j.ID, got, ok)
+				}
+			}
+			eng.Run()
+			submitted := len(order) // an expected job is never submitted
+			if register == "expect" {
+				submitted = wantLen
+			}
+			if c := a.Counts(); c.Completed != submitted {
+				t.Fatalf("%s/%s: %d jobs completed, want %d", tc.name, register, c.Completed, submitted)
+			}
+		}
+	}
+}
+
+// TestSubmitTraceWithoutAllocatingPerJob pins the registration of a trace
+// numbered 1..n at a constant number of bytes: the manager adopts the
+// trace slice as its registry and its ID index, so registering 100 k jobs
+// allocates what registering 1 k does (a copy of the pointers alone is
+// 8 B per job, 792 KB more at 100 k).
+func TestSubmitTraceWithoutAllocatingPerJob(t *testing.T) {
+	bytesFor := func(n int) uint64 {
+		least := ^uint64(0)
+		for run := 0; run < 3; run++ {
+			tr := numberedTrace(n)
+			m := New(sim.NewEngine(), Options{Name: "A", Pool: cluster.New("A", 64)})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := m.SubmitTrace(tr); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := bytesFor(1_000), bytesFor(100_000)
+	if large > small+1<<10 {
+		t.Fatalf("SubmitTrace allocates %d B for 100 k jobs, %d B for 1 k: it grows with the trace", large, small)
 	}
 }

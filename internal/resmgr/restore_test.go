@@ -336,9 +336,9 @@ func TestReconcileBothDaemonsRestartSimultaneously(t *testing.T) {
 	snapshot := func(w world) string {
 		var s string
 		for _, m := range []*Manager{w.a, w.b} {
-			for _, j := range m.Jobs() {
+			m.EachJob(func(j *job.Job) {
 				s += fmt.Sprintf("%s/%d:%s@%d;", m.Name(), j.ID, j.State, j.StartTime)
-			}
+			})
 		}
 		return s
 	}
