@@ -69,27 +69,3 @@ func BenchmarkParseResponse(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAppendRequest is the client's encoding of probeRequest.
-func BenchmarkAppendRequest(b *testing.B) {
-	req := Request{Seq: 48213, Method: MethodProbeMate, JobID: 104729}
-	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	for b.Loop() {
-		if out, ok := appendRequest(buf, &req); !ok || len(out) != len(probeRequest) {
-			b.Fatalf("appendRequest wrote %q", out)
-		}
-	}
-}
-
-// BenchmarkAppendResponse is the server's encoding of probeResponse.
-func BenchmarkAppendResponse(b *testing.B) {
-	resp := Response{Seq: 48213, Known: true, Status: cosched.StatusQueuing.String(), OK: true}
-	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	for b.Loop() {
-		if out, ok := appendResponse(buf, &resp); !ok || len(out) != len(probeResponse) {
-			b.Fatalf("appendResponse wrote %q", out)
-		}
-	}
-}

@@ -502,22 +502,26 @@ func (m *Manager) SubmitAt(j *job.Job) error {
 // as SubmitAt's replay event would. The relative order of same-instant
 // submissions is the trace order, which matches scheduling one SubmitAt
 // event per job in trace order (both fire in PrioritySubmit band, in
-// sequence order). Call once per manager, before the run starts.
+// sequence order). Call once per manager, before the run starts and
+// before any other job is registered; it refuses a manager that already
+// holds jobs.
 //
 // Every job passes Expect's checks and fires JobExpected, in trace order.
 // The manager keeps the jobs slice for its whole life and the caller must
-// not change it: the replay reads it, and on a manager that holds no jobs
-// yet it becomes the registry itself (EachJob walks it) and, when the
-// trace numbers its jobs 1..n in order, the ID index's dense part too, so
-// such a trace costs no copy of its pointers; any other trace's jobs enter
-// the index one by one. A later Expect or Submit appends to a copy and
-// leaves the caller's slice as it was.
+// not change it: the replay reads it, it becomes the registry itself
+// (EachJob walks it) and, when the trace numbers its jobs 1..n in order,
+// the ID index's dense part too, so such a trace costs no copy of its
+// pointers; any other trace's jobs enter the index one by one. A later
+// Expect or Submit appends to a copy and leaves the caller's slice as it
+// was.
 func (m *Manager) SubmitTrace(jobs []*job.Job) error {
 	if m.replay != nil {
 		return fmt.Errorf("resmgr %s: SubmitTrace called twice", m.name)
 	}
-	adopt := len(m.all) == 0
-	numbered := adopt && numberedInOrder(jobs)
+	if len(m.all) > 0 {
+		return fmt.Errorf("resmgr %s: SubmitTrace on a manager that already holds jobs", m.name)
+	}
+	numbered := numberedInOrder(jobs)
 	now := m.eng.Now()
 	for i, j := range jobs {
 		if i > 0 && j.SubmitTime < jobs[i-1].SubmitTime {
@@ -526,14 +530,10 @@ func (m *Manager) SubmitTrace(jobs []*job.Job) error {
 		if err := m.expectable(j); err != nil {
 			return err
 		}
-		switch {
-		case !adopt:
-			m.addJob(j)
-		case numbered:
-			m.all = jobs[: i+1 : i+1]
+		m.all = jobs[: i+1 : i+1]
+		if numbered {
 			m.jobs.adopt(m.all)
-		default:
-			m.all = jobs[: i+1 : i+1]
+		} else {
 			m.jobs.put(j)
 		}
 		m.obs.JobExpected(now, j)

@@ -708,6 +708,33 @@ func TestRegistrationAfterSubmitTraceLeavesTheTraceAlone(t *testing.T) {
 	}
 }
 
+// TestSubmitTraceRefusesAManagerThatHoldsJobs: the trace becomes the
+// registry, so SubmitTrace takes only a manager with no job registered,
+// by Expect or by an earlier trace, and a refusal registers nothing.
+func TestSubmitTraceRefusesAManagerThatHoldsJobs(t *testing.T) {
+	for _, first := range []string{"expect", "trace"} {
+		_, a, _ := pairDomains(t, 16, 16, cosched.Config{}, cosched.Config{})
+		held := job.New(1, 1, 0, sim.Minute, sim.Minute)
+		var err error
+		if first == "expect" {
+			err = a.Expect(held)
+		} else {
+			err = a.SubmitTrace([]*job.Job{held})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.SubmitTrace(numberedTrace(4)[1:]); err == nil {
+			t.Fatalf("%s first: SubmitTrace accepted a manager that holds jobs", first)
+		}
+		var order []*job.Job
+		a.EachJob(func(j *job.Job) { order = append(order, j) })
+		if !slices.Equal(order, []*job.Job{held}) {
+			t.Fatalf("%s first: registry %v after a refused SubmitTrace, want only job 1", first, order)
+		}
+	}
+}
+
 // TestSubmitTraceWithoutAllocatingPerJob pins the registration of a trace
 // numbered 1..n at a constant number of bytes: the manager adopts the
 // trace slice as its registry and its ID index, so registering 100 k jobs
