@@ -159,9 +159,9 @@ type Manager struct {
 	// all mirrors jobs in insertion order. EachJob walks it so downstream
 	// consumers (metrics, audits) see a deterministic order without
 	// sorting; nothing is ever removed from the registry, so the two stay
-	// in lockstep. After SubmitTrace on an empty manager it is the caller's
-	// trace slice itself, its capacity clipped to its length so that a
-	// later registration appends to a copy.
+	// in lockstep. After SubmitTrace it is the caller's trace slice
+	// itself, its capacity clipped to its length so that a later
+	// registration appends to a copy.
 	all   []*job.Job
 	queue []*job.Job
 
@@ -394,9 +394,9 @@ func (m *Manager) AddPeer(domain string, p cosched.Peer) { m.peers[domain] = p }
 
 // addJob is the single registration point for the job registry: every path
 // that writes m.jobs goes through it so the insertion-ordered mirror stays
-// consistent with the index. SubmitTrace on an empty manager is the one
-// exception: the trace itself becomes the mirror and, when numbered 1..n,
-// the index's dense part.
+// consistent with the index. SubmitTrace is the one exception: the trace
+// itself becomes the mirror and, when numbered 1..n, the index's dense
+// part.
 func (m *Manager) addJob(j *job.Job) {
 	m.jobs.put(j)
 	m.all = append(m.all, j)
